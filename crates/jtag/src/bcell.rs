@@ -9,6 +9,7 @@
 
 use crate::error::JtagError;
 use sint_logic::Logic;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Control signals broadcast to every boundary cell.
@@ -169,6 +170,16 @@ impl BoundaryCell for StandardBsc {
 ///
 /// Cells are stored TDI-first: `cells[0]` receives TDI, the last cell
 /// feeds TDO.
+///
+/// During a Shift-DR burst the register, not the cells, owns the shift
+/// stage, so one clock costs O(1) whatever the chain length. The first
+/// [`BoundaryRegister::shift`] of a burst copies every cell's FF1 into a
+/// ring; each clock then pops TDO at one end and pushes TDI at the
+/// other. [`BoundaryRegister::end_shift`] writes the ring back into the
+/// cells. The TAP calls it on Shift-DR → Exit1-DR, and every method that
+/// reaches the cells (`capture`, `update`, `reset`, `cell_mut`, `push`,
+/// stuck-segment changes) calls it first. Capture and update semantics
+/// stay in the cells.
 #[derive(Debug, Default)]
 pub struct BoundaryRegister {
     cells: Vec<Box<dyn BoundaryCell + Send>>,
@@ -176,6 +187,11 @@ pub struct BoundaryRegister {
     /// leaving cell `.0` reads the constant level `.1` (see
     /// [`crate::fault::ScanFault::BoundaryStuck`]).
     stuck: Option<(usize, Logic)>,
+    /// The shift stage of a live burst: `stage[i]` is cell `i`'s FF1.
+    stage: VecDeque<Logic>,
+    /// The control of the live burst's latest clock; `None` while the
+    /// cells hold their own shift stages.
+    burst: Option<CellControl>,
 }
 
 impl BoundaryRegister {
@@ -187,6 +203,7 @@ impl BoundaryRegister {
 
     /// Appends a cell on the TDO end and returns its index.
     pub fn push(&mut self, cell: Box<dyn BoundaryCell + Send>) -> usize {
+        self.end_shift();
         self.cells.push(cell);
         self.cells.len() - 1
     }
@@ -204,6 +221,10 @@ impl BoundaryRegister {
     }
 
     /// Immutable access to a cell.
+    ///
+    /// Inside a Shift-DR burst (between a [`BoundaryRegister::shift`]
+    /// and the next [`BoundaryRegister::end_shift`]) the cell's FF1
+    /// still shows its value from before the burst.
     ///
     /// # Errors
     ///
@@ -224,6 +245,7 @@ impl BoundaryRegister {
         &mut self,
         index: usize,
     ) -> Result<&mut (dyn BoundaryCell + Send), JtagError> {
+        self.end_shift();
         let len = self.cells.len();
         match self.cells.get_mut(index) {
             Some(c) => Ok(c.as_mut()),
@@ -233,36 +255,62 @@ impl BoundaryRegister {
 
     /// Capture-DR across the whole register.
     pub fn capture(&mut self, ctrl: &CellControl) {
+        self.end_shift();
         for c in &mut self.cells {
             c.capture(ctrl);
         }
     }
 
-    /// One Shift-DR clock across the whole register; returns TDO. An
-    /// injected stuck segment forces the bit leaving the named cell to
-    /// its constant level, exactly where the broken wire sits.
+    /// One Shift-DR clock across the whole register; returns TDO.
+    ///
+    /// The first clock of a burst loads the register-owned stage from
+    /// the cells' FF1s; every clock after that is O(1). An injected
+    /// stuck segment at cell `k` forces the bit leaving that cell to its
+    /// constant level, exactly where the broken wire sits: it lands in
+    /// stage slot `k + 1`, or on TDO when `k` is the last cell.
     pub fn shift(&mut self, tdi: Logic, ctrl: &CellControl) -> Logic {
-        let mut bit = tdi;
-        for (i, c) in self.cells.iter_mut().enumerate() {
-            bit = c.shift(bit, ctrl);
-            if let Some((cell, level)) = self.stuck {
-                if cell == i {
-                    bit = level;
-                }
+        if self.burst.is_none() {
+            self.stage.clear();
+            self.stage.extend(self.cells.iter().map(|c| c.scan_bit()));
+        }
+        self.burst = Some(*ctrl);
+        let Some(mut tdo) = self.stage.pop_back() else {
+            return tdi;
+        };
+        self.stage.push_front(tdi);
+        if let Some((cell, level)) = self.stuck {
+            let last = self.stage.len() - 1;
+            if cell < last {
+                self.stage[cell + 1] = level;
+            } else if cell == last {
+                tdo = level;
             }
         }
-        bit
+        tdo
+    }
+
+    /// Ends a Shift-DR burst: writes the register-owned stage back into
+    /// the cells, each bit through its cell's own `shift` (which loads
+    /// FF1). A no-op outside a burst.
+    pub fn end_shift(&mut self) {
+        if let Some(ctrl) = self.burst.take() {
+            for (c, &bit) in self.cells.iter_mut().zip(&self.stage) {
+                c.shift(bit, &ctrl);
+            }
+        }
     }
 
     /// Injects a stuck shift segment: the serial line leaving cell
     /// `cell` reads the constant `level` on every subsequent shift
     /// (replacing any previous segment fault).
     pub fn inject_stuck_segment(&mut self, cell: usize, level: Logic) {
+        self.end_shift();
         self.stuck = Some((cell, level));
     }
 
     /// Removes any injected stuck segment (the wire is "repaired").
     pub fn clear_stuck_segment(&mut self) {
+        self.end_shift();
         self.stuck = None;
     }
 
@@ -274,6 +322,7 @@ impl BoundaryRegister {
 
     /// Update-DR across the whole register.
     pub fn update(&mut self, ctrl: &CellControl) {
+        self.end_shift();
         for c in &mut self.cells {
             c.update(ctrl);
         }
@@ -281,6 +330,7 @@ impl BoundaryRegister {
 
     /// Resets every cell.
     pub fn reset(&mut self) {
+        self.end_shift();
         for c in &mut self.cells {
             c.reset();
         }
@@ -384,6 +434,7 @@ mod tests {
         for _ in 0..4 {
             reg.shift(Logic::One, &ctrl);
         }
+        reg.end_shift();
         assert_eq!(reg.cell(0).unwrap().scan_bit(), Logic::One, "TDI side still controllable");
         assert_eq!(reg.cell(1).unwrap().scan_bit(), Logic::One);
         assert_eq!(reg.cell(2).unwrap().scan_bit(), Logic::Zero, "downstream fill is stuck");
@@ -394,6 +445,33 @@ mod tests {
         reg.inject_stuck_segment(3, Logic::One);
         let out: Vec<Logic> = (0..4).map(|_| reg.shift(Logic::Zero, &ctrl)).collect();
         assert!(out.iter().all(|&b| b == Logic::One), "TDO reads the stuck level: {out:?}");
+    }
+
+    #[test]
+    fn burst_writes_back_before_cells_are_touched() {
+        let mut reg = BoundaryRegister::new();
+        for _ in 0..3 {
+            reg.push(Box::new(StandardBsc::new()));
+        }
+        let ctrl = plain_ctrl();
+        reg.shift(Logic::One, &ctrl);
+        reg.shift(Logic::Zero, &ctrl);
+        // The cells still hold their pre-burst FF1s until the burst ends.
+        assert_eq!(reg.cell(0).unwrap().scan_bit(), Logic::X);
+        // Mutable access ends the burst first.
+        assert_eq!(reg.cell_mut(0).unwrap().scan_bit(), Logic::Zero);
+        assert_eq!(reg.cell(1).unwrap().scan_bit(), Logic::One);
+        // A new burst reloads the stage from the cells, edits included.
+        reg.cell_mut(2).unwrap().shift(Logic::One, &ctrl);
+        assert_eq!(reg.shift(Logic::Zero, &ctrl), Logic::One);
+        reg.update(&ctrl);
+        let stages: Vec<Logic> = (0..3)
+            .map(|i| {
+                let cell = reg.cell(i).unwrap().as_any().downcast_ref::<StandardBsc>();
+                cell.unwrap().update_stage()
+            })
+            .collect();
+        assert_eq!(stages, vec![Logic::Zero, Logic::Zero, Logic::One]);
     }
 
     #[test]

@@ -95,6 +95,11 @@ impl fmt::Display for ParseBsdlError {
 
 impl std::error::Error for ParseBsdlError {}
 
+/// The most boundary cells one description may declare. Far above any
+/// real part, and low enough that a hostile `cells <huge> ...;` is
+/// refused instead of allocated.
+pub const MAX_CELLS: usize = 1 << 16;
+
 /// Builds boundary cells for non-standard kind keywords.
 ///
 /// Return `None` for unknown kinds; `"standard"` is always handled
@@ -249,6 +254,12 @@ impl DeviceDescription {
                         }
                         Err(_) => (1, first),
                     };
+                    if count > MAX_CELLS - cells.len() {
+                        return Err(ParseBsdlError::new(
+                            lineno,
+                            format!("more than {MAX_CELLS} cells"),
+                        ));
+                    }
                     for _ in 0..count {
                         cells.push(kind.to_string());
                     }
@@ -259,7 +270,7 @@ impl DeviceDescription {
                         format!("unknown statement {other:?}"),
                     ))
                 }
-                None => unreachable!("empty lines are filtered"),
+                None => return Err(ParseBsdlError::new(lineno, "empty statement")),
             }
         }
 
@@ -500,6 +511,27 @@ device soc {
         assert!(err.message.contains("out of range"));
         let text = "device x {\n ir_width 2;\n idcode manufacturer=1 part=1;\n}";
         assert!(DeviceDescription::parse(text).is_err());
+    }
+
+    #[test]
+    fn bare_semicolon_is_an_error() {
+        let err = DeviceDescription::parse("device x {\n ir_width 2;\n ;\n}").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("empty statement"));
+    }
+
+    #[test]
+    fn cell_count_is_bounded() {
+        let huge = format!("device x {{\n ir_width 2;\n cells {} standard;\n}}", usize::MAX);
+        let err = DeviceDescription::parse(&huge).unwrap_err();
+        assert!(err.message.contains("cells"), "{err}");
+        // The cap is on the total, not per statement.
+        let split = format!(
+            "device x {{\n ir_width 2;\n cells {MAX_CELLS} standard;\n cell standard;\n}}"
+        );
+        assert_eq!(DeviceDescription::parse(&split).unwrap_err().line, 4);
+        let at_cap = format!("device x {{\n ir_width 2;\n cells {MAX_CELLS} standard;\n}}");
+        assert_eq!(DeviceDescription::parse(&at_cap).unwrap().cells.len(), MAX_CELLS);
     }
 
     #[test]

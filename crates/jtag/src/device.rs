@@ -26,6 +26,11 @@ pub struct Device {
     boundary: BoundaryRegister,
     bypass: BypassRegister,
     idcode: Option<IdcodeRegister>,
+    /// Position in `iset` of the instruction decoded from the IR's
+    /// current opcode. Refreshed only on Update-IR and on entry to
+    /// Test-Logic-Reset, so a TCK reads it instead of searching the
+    /// instruction set.
+    decoded: Option<usize>,
     /// Device-level ND̄/SD selector flip-flop (paper §4.1): false = ND.
     nd_sd: bool,
     tck: u64,
@@ -37,6 +42,7 @@ impl Device {
     #[must_use]
     pub fn new(name: impl Into<String>, iset: InstructionSet) -> Self {
         let ir = InstructionRegister::new(iset.ir_width());
+        let decoded = iset.decode_index(ir.current());
         Device {
             name: name.into(),
             state: TapState::TestLogicReset,
@@ -45,6 +51,7 @@ impl Device {
             boundary: BoundaryRegister::new(),
             bypass: BypassRegister::new(),
             idcode: None,
+            decoded,
             nd_sd: false,
             tck: 0,
         }
@@ -81,7 +88,11 @@ impl Device {
     /// for an instruction set without BYPASS.
     #[must_use]
     pub fn current_instruction(&self) -> Option<&Instruction> {
-        self.iset.decode(self.ir.current())
+        self.decoded.and_then(|i| self.iset.get(i))
+    }
+
+    fn decode_ir(&mut self) {
+        self.decoded = self.iset.decode_index(self.ir.current());
     }
 
     /// The instruction set.
@@ -150,7 +161,8 @@ impl Device {
 
     /// Advances the device by one TCK. Returns TDO, which is only
     /// driven (non-`Z`) during Shift-DR/Shift-IR as the standard
-    /// requires.
+    /// requires. Leaving Shift-DR ends the boundary register's shift
+    /// burst, so the cells hold the shifted data from Exit1-DR on.
     pub fn step(&mut self, tms: bool, tdi: Logic) -> Logic {
         self.tck += 1;
         let ctrl = self.cell_control();
@@ -190,6 +202,7 @@ impl Device {
             }
             TapState::UpdateIr => {
                 self.ir.update();
+                self.decode_ir();
                 // O-SITEST semantics (§4.1): the ND̄/SD selector starts
                 // at ND whenever an nd/sd-toggling instruction is loaded.
                 if self.current_instruction().is_some_and(|i| i.toggles_nd_sd) {
@@ -200,8 +213,12 @@ impl Device {
         }
 
         let next = self.state.next(tms);
+        if self.state == TapState::ShiftDr && next != TapState::ShiftDr {
+            self.boundary.end_shift();
+        }
         if next == TapState::TestLogicReset && self.state != TapState::TestLogicReset {
             self.ir.reset();
+            self.decode_ir();
             self.nd_sd = false;
         }
         self.state = next;

@@ -186,20 +186,7 @@ impl JtagDriver {
         if bits.len() != expected {
             return Err(JtagError::ScanWidth { expected, got: bits.len() });
         }
-        self.ensure_idle();
-        self.step(true, Logic::Zero); // → Select-DR
-        self.step(true, Logic::Zero); // → Select-IR
-        self.step(false, Logic::Zero); // → Capture-IR
-        self.step(false, Logic::Zero); // capture; → Shift-IR
-        let mut out = BitVector::new();
-        let len = bits.len();
-        for (i, bit) in bits.iter().enumerate() {
-            out.push(self.step(i == len - 1, bit));
-        }
-        self.step(true, Logic::Zero); // Exit1 → Update-IR
-        self.step(false, Logic::Zero); // update; → RTI
-        self.record(ScanOp::ScanIr { tdi: bits.clone(), tdo: out.clone() });
-        Ok(out)
+        Ok(self.shift_from_idle(true, bits))
     }
 
     /// Loads the named instruction into **every** device of the chain.
@@ -237,44 +224,45 @@ impl JtagDriver {
         if bits.len() != expected {
             return Err(JtagError::ScanWidth { expected, got: bits.len() });
         }
-        self.ensure_idle();
-        self.step(true, Logic::Zero); // → Select-DR
-        self.step(false, Logic::Zero); // → Capture-DR
-        self.step(false, Logic::Zero); // capture; → Shift-DR
-        let mut out = BitVector::new();
-        let len = bits.len();
-        for (i, bit) in bits.iter().enumerate() {
-            out.push(self.step(i == len - 1, bit));
-        }
-        self.step(true, Logic::Zero); // Exit1 → Update-DR
-        self.step(false, Logic::Zero); // update; → RTI
-        self.record(ScanOp::ScanDr { tdi: bits.clone(), tdo: out.clone() });
-        Ok(out)
+        Ok(self.shift_from_idle(false, bits))
     }
 
-    /// Shifts `bits` into the selected DR **without** a leading
-    /// Capture-DR-to-Shift entry being counted separately — i.e. a
-    /// partial shift that ends in Update-DR. Used for the paper's
-    /// one-bit victim-select rotation (Fig 8 step 9: "Shift one 0 into
-    /// FF1").
+    /// Shifts `bits` into the selected DR without checking them against
+    /// its length: a partial shift that still passes Capture-DR and ends
+    /// in Update-DR, so it costs `bits.len() + 5` TCKs like any DR scan.
+    /// Used for the paper's one-bit victim-select rotation (Fig 8 step
+    /// 9: "Shift one 0 into FF1").
     ///
     /// # Errors
     ///
     /// None currently; `Result` kept for uniformity.
     pub fn shift_dr_bits(&mut self, bits: &BitVector) -> Result<BitVector, JtagError> {
+        Ok(self.shift_from_idle(false, bits))
+    }
+
+    /// The one scan sequence behind every IR and DR scan: from
+    /// Run-Test/Idle through Select-DR (and Select-IR when `ir`),
+    /// Capture, `bits.len()` Shift clocks (the last one exits to
+    /// Exit1), Update and back to Run-Test/Idle — `bits.len() + 5` TCKs
+    /// for a DR, one more for the IR. Returns the captured TDO bits.
+    fn shift_from_idle(&mut self, ir: bool, bits: &BitVector) -> BitVector {
         self.ensure_idle();
         self.step(true, Logic::Zero); // → Select-DR
-        self.step(false, Logic::Zero); // → Capture-DR
-        self.step(false, Logic::Zero); // capture; → Shift-DR
+        if ir {
+            self.step(true, Logic::Zero); // → Select-IR
+        }
+        self.step(false, Logic::Zero); // → Capture
+        self.step(false, Logic::Zero); // capture; → Shift
         let mut out = BitVector::new();
         let len = bits.len();
         for (i, bit) in bits.iter().enumerate() {
             out.push(self.step(i == len - 1, bit));
         }
-        self.step(true, Logic::Zero); // Exit1 → Update-DR
+        self.step(true, Logic::Zero); // Exit1 → Update
         self.step(false, Logic::Zero); // update; → RTI
-        self.record(ScanOp::ScanDr { tdi: bits.clone(), tdo: out.clone() });
-        Ok(out)
+        let (tdi, tdo) = (bits.clone(), out.clone());
+        self.record(if ir { ScanOp::ScanIr { tdi, tdo } } else { ScanOp::ScanDr { tdi, tdo } });
+        out
     }
 
     /// Applies `count` Update-DR events without shifting any data: the
@@ -395,6 +383,14 @@ mod tests {
         let before = drv.tck();
         drv.scan_dr(&BitVector::zeros(8)).unwrap();
         assert_eq!(drv.tck() - before, 8 + 5);
+        // A partial shift pays the same five-TCK overhead.
+        let before = drv.tck();
+        drv.shift_dr_bits(&BitVector::zeros(1)).unwrap();
+        assert_eq!(drv.tck() - before, 1 + 5);
+        // An IR scan pays one more (Select-IR).
+        let before = drv.tck();
+        drv.scan_ir(&BitVector::from_u64(0b0001, 4)).unwrap();
+        assert_eq!(drv.tck() - before, 4 + 6);
     }
 
     #[test]

@@ -136,10 +136,22 @@ impl InstructionSet {
     /// (the standard's required behaviour), otherwise `None`.
     #[must_use]
     pub fn decode(&self, opcode: &BitVector) -> Option<&Instruction> {
+        self.decode_index(opcode).and_then(|i| self.get(i))
+    }
+
+    /// The position [`InstructionSet::decode`] selects, for callers that
+    /// cache a decode without borrowing or cloning the instruction.
+    pub(crate) fn decode_index(&self, opcode: &BitVector) -> Option<usize> {
         self.instructions
             .iter()
-            .find(|i| &i.opcode == opcode)
-            .or_else(|| self.by_name("BYPASS"))
+            .position(|i| &i.opcode == opcode)
+            .or_else(|| self.instructions.iter().position(|i| i.name == "BYPASS"))
+    }
+
+    /// The instruction at a position returned by
+    /// [`InstructionSet::decode_index`].
+    pub(crate) fn get(&self, index: usize) -> Option<&Instruction> {
+        self.instructions.get(index)
     }
 
     /// Iterates over the registered instructions.

@@ -13,10 +13,13 @@ cargo build --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 
-# Unwrap hygiene on the fault-injection substrate: the jtag, runtime
-# and fleet library paths must stay free of .unwrap() so injected
-# faults surface as typed errors, never as harness panics.
-cargo clippy -p sint-jtag -p sint-runtime -p sint-fleet --lib -- -D warnings -D clippy::unwrap_used
+# Unwrap hygiene: every library crate under the fault-injection and
+# loader paths (jtag, runtime, fleet, core, interconnect, logic) must
+# stay free of .unwrap() so injected faults and bad input surface as
+# typed errors, never as harness panics.
+cargo clippy -p sint-jtag -p sint-runtime -p sint-fleet \
+    -p sint-core -p sint-interconnect -p sint-logic \
+    --lib -- -D warnings -D clippy::unwrap_used
 
 # Campaign kill/resume determinism: run the checkpointed campaign to
 # completion, run it again but kill it halfway, resume from the

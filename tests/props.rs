@@ -5,11 +5,15 @@
 //! seed, case index, and generated input so it can be replayed exactly.
 
 use sint::core::degrade::ChainPolicy;
+use sint::core::describe::{si_cell_factory, soc_description_text};
 use sint::core::mafm::{
     classify_pair, classify_pair_masked, degraded_conventional_schedule, degraded_pgbsc_sequence,
     fault_pair, pgbsc_vector, CoverageLedger, CoverageReport, IntegrityFault,
 };
 use sint::core::nd::{NdThresholds, NoiseDetector};
+use sint::core::obsc::Obsc;
+use sint::core::pgbsc::Pgbsc;
+use sint::core::sd::SdWindow;
 use sint::core::session::{ObservationMethod, SessionConfig};
 use sint::core::soc::SocBuilder;
 use sint::interconnect::defect::Defect;
@@ -18,6 +22,8 @@ use sint::interconnect::linalg::Matrix;
 use sint::interconnect::params::BusParams;
 use sint::interconnect::solver::{PanelScratch, SolverBackend, TransientSim, DEFAULT_SWITCH_AT};
 use sint::interconnect::variation::{apply_variation, SplitMix64, VariationSigma};
+use sint::jtag::bcell::{BoundaryCell, BoundaryRegister, CellControl, StandardBsc};
+use sint::jtag::bsdl::{DeviceDescription, MAX_CELLS};
 use sint::jtag::fault::ScanFault;
 use sint::jtag::integrity::QuarantineSet;
 use sint::jtag::state::TapState;
@@ -184,6 +190,285 @@ fn shift_states_self_loop_on_zero() {
                 check_eq(s.next(false).next(false), s.next(false))?;
             }
             Ok(())
+        },
+    );
+}
+
+// ---------------- Boundary register shift stage ----------------
+
+/// The per-cell ripple register that the packed shift stage replaced,
+/// kept as the oracle: every clock walks every cell, and a stuck segment
+/// overwrites the bit leaving its cell.
+struct RippleRegister {
+    cells: Vec<Box<dyn BoundaryCell + Send>>,
+    stuck: Option<(usize, Logic)>,
+}
+
+impl RippleRegister {
+    fn shift(&mut self, tdi: Logic, ctrl: &CellControl) -> Logic {
+        let mut bit = tdi;
+        for (i, c) in self.cells.iter_mut().enumerate() {
+            bit = c.shift(bit, ctrl);
+            if let Some((cell, level)) = self.stuck {
+                if cell == i {
+                    bit = level;
+                }
+            }
+        }
+        bit
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum CellKind {
+    Standard,
+    Pgbsc,
+    Obsc,
+}
+
+fn make_cell(kind: CellKind) -> Box<dyn BoundaryCell + Send> {
+    match kind {
+        CellKind::Standard => Box::new(StandardBsc::new()),
+        CellKind::Pgbsc => Box::new(Pgbsc::new()),
+        CellKind::Obsc => {
+            Box::new(Obsc::new(NdThresholds::for_vdd(1.8), SdWindow::for_vdd(500e-12, 1.8)))
+        }
+    }
+}
+
+/// How a shift burst ends: the TAP's explicit end, a cell access that
+/// ends it implicitly, or nothing (the next operation ends it, or the
+/// next burst continues it).
+#[derive(Debug, Clone, Copy)]
+enum BurstEnd {
+    Explicit,
+    CellAccess,
+    Deferred,
+}
+
+#[derive(Debug, Clone)]
+enum RegisterOp {
+    Pin(usize, Logic),
+    Capture(CellControl),
+    Shift(Vec<Logic>, CellControl, BurstEnd),
+    Update(CellControl),
+    UpdatePulses(usize, CellControl),
+    Reset,
+    Stuck(Option<(usize, Logic)>),
+}
+
+fn arb_ctrl(rng: &mut Rng64) -> CellControl {
+    CellControl {
+        mode: gen::bool_any(rng),
+        shift_dr: false,
+        si: gen::bool_any(rng),
+        ce: gen::bool_any(rng),
+        nd_sd: gen::bool_any(rng),
+    }
+}
+
+fn arb_register_op(rng: &mut Rng64, len: usize) -> RegisterOp {
+    match gen::usize_in(rng, 0..10) {
+        0 => RegisterOp::Pin(gen::usize_in(rng, 0..len.max(1)), arb_logic(rng)),
+        1 => RegisterOp::Capture(arb_ctrl(rng)),
+        2..=4 => {
+            // Full scans, partial shifts and over-long shifts.
+            let bits = match gen::usize_in(rng, 0..3) {
+                0 => len,
+                1 => gen::usize_in(rng, 0..len + 1),
+                _ => gen::usize_in(rng, len..2 * len + 3),
+            };
+            let ctrl = CellControl { shift_dr: true, ..arb_ctrl(rng) };
+            let end =
+                gen::one_of(rng, &[BurstEnd::Explicit, BurstEnd::CellAccess, BurstEnd::Deferred]);
+            RegisterOp::Shift((0..bits).map(|_| arb_logic(rng)).collect(), ctrl, end)
+        }
+        5 => RegisterOp::Update(arb_ctrl(rng)),
+        6 => RegisterOp::UpdatePulses(gen::usize_in(rng, 1..5), arb_ctrl(rng)),
+        7 => RegisterOp::Reset,
+        _ => {
+            // Stuck segments at the first, middle and last cell, out of
+            // range, or cleared.
+            let cell = match gen::usize_in(rng, 0..5) {
+                0 => Some(0),
+                1 => Some(len / 2),
+                2 => Some(len.saturating_sub(1)),
+                3 => Some(len + gen::usize_in(rng, 0..3)),
+                _ => None,
+            };
+            let level = gen::one_of(rng, &[Logic::Zero, Logic::One]);
+            RegisterOp::Stuck(cell.map(|c| (c, level)))
+        }
+    }
+}
+
+fn same_cells(reg: &BoundaryRegister, oracle: &RippleRegister) -> Result<(), String> {
+    check_eq(reg.len(), oracle.cells.len())?;
+    let probes = [CellControl::default(), CellControl { mode: true, ..CellControl::default() }];
+    for (i, want) in oracle.cells.iter().enumerate() {
+        let got = reg.cell(i).map_err(|e| e.to_string())?;
+        check(got.scan_bit() == want.scan_bit(), || {
+            format!("cell {i}: scan_bit {:?} != {:?}", got.scan_bit(), want.scan_bit())
+        })?;
+        for probe in &probes {
+            check(got.output(probe) == want.output(probe), || {
+                format!("cell {i}: output {:?} != {:?}", got.output(probe), want.output(probe))
+            })?;
+        }
+        // Hidden state too (FF3 dividers, pins): the full Debug image.
+        check_eq(format!("{got:?}"), format!("{want:?}"))?;
+    }
+    Ok(())
+}
+
+#[test]
+fn packed_shift_stage_matches_the_ripple_oracle() {
+    // The register-owned shift stage must be invisible: across random
+    // chains of standard, PGBSC and OBSC cells and random interleavings
+    // of capture, full and partial shift bursts, update, update pulses,
+    // reset and stuck-segment changes, the TDO stream and every cell's
+    // state at every burst end equal the per-cell ripple loop's.
+    Runner::new("packed_shift_matches_ripple").run(
+        |rng| {
+            let kinds = gen::vec_of(rng, 0..24, |rng| {
+                gen::one_of(rng, &[CellKind::Standard, CellKind::Pgbsc, CellKind::Obsc])
+            });
+            let len = kinds.len();
+            let ops = gen::vec_of(rng, 0..40, |rng| arb_register_op(rng, len));
+            (kinds, ops)
+        },
+        |(kinds, ops)| {
+            let mut reg = BoundaryRegister::new();
+            let mut oracle = RippleRegister { cells: Vec::new(), stuck: None };
+            for &kind in kinds {
+                reg.push(make_cell(kind));
+                oracle.cells.push(make_cell(kind));
+            }
+            for (step, op) in ops.iter().enumerate() {
+                let mut settled = true;
+                match op {
+                    RegisterOp::Pin(i, v) => {
+                        if let Ok(c) = reg.cell_mut(*i) {
+                            c.set_parallel_input(*v);
+                        }
+                        if let Some(c) = oracle.cells.get_mut(*i) {
+                            c.set_parallel_input(*v);
+                        }
+                    }
+                    RegisterOp::Capture(ctrl) => {
+                        reg.capture(ctrl);
+                        oracle.cells.iter_mut().for_each(|c| c.capture(ctrl));
+                    }
+                    RegisterOp::Shift(bits, ctrl, end) => {
+                        let got: Vec<Logic> = bits.iter().map(|&b| reg.shift(b, ctrl)).collect();
+                        let want: Vec<Logic> =
+                            bits.iter().map(|&b| oracle.shift(b, ctrl)).collect();
+                        check(got == want, || format!("op {step}: TDO {got:?} != {want:?}"))?;
+                        match end {
+                            BurstEnd::Explicit => reg.end_shift(),
+                            BurstEnd::CellAccess => {
+                                let _ = reg.cell_mut(0);
+                            }
+                            BurstEnd::Deferred => settled = false,
+                        }
+                    }
+                    RegisterOp::Update(ctrl) => {
+                        reg.update(ctrl);
+                        oracle.cells.iter_mut().for_each(|c| c.update(ctrl));
+                    }
+                    RegisterOp::UpdatePulses(n, ctrl) => {
+                        for _ in 0..*n {
+                            reg.capture(ctrl);
+                            reg.update(ctrl);
+                            for c in &mut oracle.cells {
+                                c.capture(ctrl);
+                                c.update(ctrl);
+                            }
+                        }
+                    }
+                    RegisterOp::Reset => {
+                        reg.reset();
+                        oracle.cells.iter_mut().for_each(|c| c.reset());
+                    }
+                    RegisterOp::Stuck(Some((cell, level))) => {
+                        reg.inject_stuck_segment(*cell, *level);
+                        oracle.stuck = Some((*cell, *level));
+                    }
+                    RegisterOp::Stuck(None) => {
+                        reg.clear_stuck_segment();
+                        oracle.stuck = None;
+                    }
+                }
+                check_eq(reg.stuck_segment(), oracle.stuck)?;
+                if settled {
+                    same_cells(&reg, &oracle).map_err(|e| format!("after op {step}: {e}"))?;
+                }
+            }
+            reg.end_shift();
+            same_cells(&reg, &oracle)
+        },
+    );
+}
+
+// ---------------- BSDL loader ----------------
+
+/// Statements spliced into descriptions: the malformed lines that once
+/// panicked or could hang, next to well-formed ones.
+const BSDL_LINES: [&str; 8] = [
+    ";",
+    "  ;  ",
+    "cells 18446744073709551615 standard;",
+    "cells 70000 obsc;",
+    "cell pgbsc;",
+    "instruction X 1010 boundary mode si;",
+    "}",
+    "device y {",
+];
+
+#[test]
+fn bsdl_loader_never_panics_on_mutated_descriptions() {
+    // Truncations, bit flips, self-splices and spliced statements of the
+    // canonical SoC description: parsing must return a value or a typed
+    // error, every parsed description must build (or refuse to) without
+    // panicking, and its rendering must parse back to itself.
+    let base = soc_description_text(3, 2).into_bytes();
+    Runner::new("bsdl_mutation_fuzz").cases(2000).run(
+        |rng| {
+            let mut bytes = base.clone();
+            for _ in 0..gen::usize_in(rng, 1..4) {
+                let at = gen::usize_in(rng, 0..bytes.len() + 1);
+                match gen::usize_in(rng, 0..4) {
+                    0 => bytes.truncate(at),
+                    1 if !bytes.is_empty() => {
+                        let i = at.min(bytes.len() - 1);
+                        bytes[i] ^= 1 << gen::usize_in(rng, 0..8);
+                    }
+                    2 => {
+                        let from = gen::usize_in(rng, 0..base.len());
+                        let to = gen::usize_in(rng, from..base.len() + 1);
+                        bytes.splice(at..at, base[from..to].iter().copied());
+                    }
+                    _ => {
+                        let line = format!("\n{}\n", gen::one_of(rng, &BSDL_LINES));
+                        bytes.splice(at..at, line.into_bytes());
+                    }
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        },
+        |text| {
+            let Ok(desc) = DeviceDescription::parse(text) else {
+                return Ok(());
+            };
+            check(desc.cells.len() <= MAX_CELLS, || format!("{} cells", desc.cells.len()))?;
+            let factory =
+                si_cell_factory(NdThresholds::for_vdd(1.8), SdWindow::for_vdd(500e-12, 1.8));
+            if let Ok(device) = desc.build(&factory) {
+                check_eq(device.boundary().len(), desc.cells.len())?;
+            }
+            let reparsed = DeviceDescription::parse(&desc.to_string())
+                .map_err(|e| format!("rendering does not parse: {e}"))?;
+            check_eq(reparsed, desc)
         },
     );
 }
