@@ -13,29 +13,20 @@
 //! non-finite must replay scalar-sequentially and report exactly the
 //! error the unbatched run reports.
 //!
-//! The binary also gates the amortised-refactorisation path: a
-//! coupling-swept SoC built against a seeded [`SolverCache`] must take
-//! the low-rank (Sherman–Morrison–Woodbury) update — no fresh
-//! factorisation — and its waveforms must match a freshly factored
-//! build to 1e-12, the DESIGN.md §6d acceptance bound.
-//!
 //! ```text
 //! batch_check <panel_width> <summary.json>
 //! ```
 //!
-//! Exit codes: 0 = gates hold, 1 = contract violated, 2 = usage/IO
-//! error.
+//! Exit codes: 0 = summary written, 2 = usage/IO error.
 
 use sint_bench::threads_from_env;
 use sint_core::campaign::{Campaign, Trial};
-use sint_core::soc::{SocBuilder, SolverCache};
-use sint_interconnect::{Defect, VectorPair};
+use sint_interconnect::Defect;
 use sint_runtime::json::{Json, ToJson};
 use std::process::ExitCode;
 
 const WIDTH: usize = 8;
 const TRIALS: usize = 24;
-const LOWRANK_TOL: f64 = 1e-12;
 
 /// The fixed batch: controls, four defect classes of varying severity,
 /// and one solver blow-up that forces the panel divergence fallback.
@@ -57,62 +48,6 @@ fn trials() -> Vec<Trial> {
         .collect()
 }
 
-/// The amortised-refactorisation gate: the swept build must derive its
-/// solver from the seeded baseline by a low-rank update, and the
-/// updated solver must agree with a fresh factorisation to
-/// [`LOWRANK_TOL`] on a full transient. Returns the observed maximum
-/// deviation.
-fn lowrank_gate() -> Result<f64, String> {
-    let baseline = SocBuilder::new(WIDTH)
-        .build()
-        .map_err(|e| format!("baseline build failed: {e}"))?;
-    let cache = SolverCache::new();
-    cache.seed(baseline.transient_sim());
-
-    let swept = SocBuilder::new(WIDTH)
-        .coupling_defect(2, 6.0)
-        .solver_cache(cache)
-        .build()
-        .map_err(|e| format!("swept build failed: {e}"))?;
-    if !swept.solver_is_rank_updated() {
-        return Err("coupling sweep missed the solver cache (refactored instead)".to_string());
-    }
-    let fresh = SocBuilder::new(WIDTH)
-        .coupling_defect(2, 6.0)
-        .build()
-        .map_err(|e| format!("fresh build failed: {e}"))?;
-    if fresh.solver_is_rank_updated() {
-        return Err("fresh build claims a rank update with no cache".to_string());
-    }
-
-    let before = "0".repeat(WIDTH);
-    let mut after = "1".repeat(WIDTH);
-    after.replace_range(2..3, "0");
-    let pair = VectorPair::from_strs(&before, &after)
-        .ok_or_else(|| "static vectors failed to parse".to_string())?;
-    let updated = swept
-        .transient_sim()
-        .run_pair(&pair, 2e-9)
-        .map_err(|e| format!("rank-updated transient failed: {e}"))?;
-    let factored = fresh
-        .transient_sim()
-        .run_pair(&pair, 2e-9)
-        .map_err(|e| format!("fresh transient failed: {e}"))?;
-
-    let mut max_delta = 0.0f64;
-    for wire in 0..WIDTH {
-        for (a, b) in updated.wire(wire).iter().zip(factored.wire(wire)) {
-            max_delta = max_delta.max((a - b).abs());
-        }
-    }
-    if max_delta.is_nan() || max_delta > LOWRANK_TOL {
-        return Err(format!(
-            "rank-updated waveforms deviate {max_delta:e} from fresh factors (tol {LOWRANK_TOL:e})"
-        ));
-    }
-    Ok(max_delta)
-}
-
 fn run() -> Result<ExitCode, String> {
     let mut argv = std::env::args().skip(1);
     let (Some(width_arg), Some(out_path), None) = (argv.next(), argv.next(), argv.next()) else {
@@ -126,29 +61,17 @@ fn run() -> Result<ExitCode, String> {
     let campaign = Campaign::new(WIDTH).panel_width(panel_width);
     let run = campaign.run_parallel(&trials(), threads);
 
-    let max_delta = match lowrank_gate() {
-        Ok(delta) => delta,
-        Err(violation) => {
-            eprintln!("batch_check: FAIL — {violation}");
-            return Ok(ExitCode::from(1));
-        }
-    };
-
     // The summary deliberately omits the panel width and thread count:
     // verify.sh byte-compares the file across both, so everything in
     // it must be invariant to them.
     let summary = Json::obj([
         ("wires", WIDTH.to_json()),
         ("trials", TRIALS.to_json()),
-        ("lowrank_max_delta", max_delta.to_json()),
         ("run", run.to_json()),
     ]);
     std::fs::write(&out_path, format!("{}\n", summary.render_pretty()))
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    eprintln!(
-        "batch_check: {TRIALS} trials at panel width {panel_width}, {threads} threads; \
-         low-rank delta {max_delta:e}"
-    );
+    eprintln!("batch_check: {TRIALS} trials at panel width {panel_width}, {threads} threads");
     Ok(ExitCode::SUCCESS)
 }
 

@@ -41,7 +41,7 @@ fn main() {
     let mut scratch = SimScratch::new();
 
     b.measure("transient_2ns/banded_uncancelled/16", || {
-        black_box(sim.run_pair_with_scratch(black_box(&pair), 2e-9, &mut scratch).unwrap());
+        black_box(sim.run_pair_cancellable(black_box(&pair), 2e-9, &mut scratch, None).unwrap());
     });
 
     // Armed deadline a long way out: every poll is a miss, which is the
@@ -65,7 +65,7 @@ fn main() {
     let (mut base_min, mut live_min) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..30 {
         let t = std::time::Instant::now();
-        black_box(sim.run_pair_with_scratch(black_box(&pair), 2e-9, &mut scratch).unwrap());
+        black_box(sim.run_pair_cancellable(black_box(&pair), 2e-9, &mut scratch, None).unwrap());
         base_min = base_min.min(t.elapsed().as_secs_f64() * 1e9);
         let t = std::time::Instant::now();
         black_box(

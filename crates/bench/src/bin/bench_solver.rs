@@ -65,7 +65,7 @@ fn main() {
         let pair = pg_pair(16);
         let mut scratch = SimScratch::new();
         b.measure("transient_2ns/banded_scratch/16", || {
-            black_box(s.run_pair_with_scratch(black_box(&pair), 2e-9, &mut scratch).unwrap());
+            black_box(s.run_pair_cancellable(black_box(&pair), 2e-9, &mut scratch, None).unwrap());
         });
     }
 
@@ -99,7 +99,9 @@ fn main() {
         let mut scratch = SimScratch::new();
         let r = b.measure("panel_2ns/looped8/16", || {
             for pair in &pairs[..8] {
-                black_box(s.run_pair_with_scratch(black_box(pair), 2e-9, &mut scratch).unwrap());
+                black_box(
+                    s.run_pair_cancellable(black_box(pair), 2e-9, &mut scratch, None).unwrap(),
+                );
             }
         });
         looped8_median = r.median_ns;

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Defect::CouplingBoost { wire: VICTIM, factor }.apply(&mut bus)?;
         let sim = TransientSim::new(&bus, 2e-12)?;
         let pair = fault_pair(WIDTH, VICTIM, IntegrityFault::Pg)?;
-        let waves = sim.run_pair_with_scratch(&pair, 2e-9, &mut scratch)?;
+        let waves = sim.run_pair_cancellable(&pair, 2e-9, &mut scratch, None)?;
         let wave = waves.wire(VICTIM);
         let peak = glitch_amplitude(wave, 0.0);
         let mut nd = NoiseDetector::new(nd_cfg);
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let healthy = BusParams::dsm_bus(WIDTH).build()?;
     let sim = TransientSim::new(&healthy, 2e-12)?;
     let pair = fault_pair(WIDTH, VICTIM, IntegrityFault::Rs)?;
-    let waves = sim.run_pair_with_scratch(&pair, 2e-9, &mut scratch)?;
+    let waves = sim.run_pair_cancellable(&pair, 2e-9, &mut scratch, None)?;
     let healthy_delay = propagation_delay(
         waves.wire(VICTIM),
         waves.dt(),
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Defect::ResistiveOpen { wire: VICTIM, segment: 0, extra_ohms }.apply(&mut bus)?;
         }
         let sim = TransientSim::new(&bus, 2e-12)?;
-        let waves = sim.run_pair_with_scratch(&pair, 4e-9, &mut scratch)?;
+        let waves = sim.run_pair_cancellable(&pair, 4e-9, &mut scratch, None)?;
         let wave = waves.wire(VICTIM);
         let arrival = propagation_delay(wave, waves.dt(), vdd, sim.switch_at(), true);
         let mut sd = SkewDetector::new(SdWindow::for_vdd(window, vdd));

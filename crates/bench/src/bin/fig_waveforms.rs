@@ -35,8 +35,8 @@ fn dataset(fault: IntegrityFault) -> Result<String, Box<dyn std::error::Error>> 
     let sim_h = TransientSim::new(&healthy, 2e-12)?;
     let sim_f = TransientSim::new(&faulty, 2e-12)?;
     let mut scratch = SimScratch::new();
-    let wh = sim_h.run_pair_with_scratch(&pair, 2.5e-9, &mut scratch)?;
-    let wf = sim_f.run_pair_with_scratch(&pair, 2.5e-9, &mut scratch)?;
+    let wh = sim_h.run_pair_cancellable(&pair, 2.5e-9, &mut scratch, None)?;
+    let wf = sim_f.run_pair_cancellable(&pair, 2.5e-9, &mut scratch, None)?;
     let mut out = String::new();
     let _ = writeln!(out, "# {fault}: {pair}  (victim = wire {VICTIM})");
     let _ = writeln!(out, "# time_ps\thealthy_V\tdefective_V");

@@ -3,8 +3,9 @@
 //! signal-integrity cells.
 //!
 //! The description language is extension-agnostic; this module supplies
-//! the [`CellFactory`] entries for the `pgbsc` and `obsc` cell kinds,
-//! plus a canonical description of the paper's Fig 11 SoC.
+//! the [`CellFactory`](sint_jtag::bsdl::CellFactory) entries for the
+//! `pgbsc` and `obsc` cell kinds, plus a canonical description of the
+//! paper's Fig 11 SoC.
 
 use crate::nd::NdThresholds;
 use crate::obsc::Obsc;

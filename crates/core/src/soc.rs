@@ -29,11 +29,9 @@ use sint_interconnect::drive::{DriveLevel, VectorPair};
 use sint_interconnect::error::InterconnectError;
 use sint_interconnect::measure::{propagation_delay, settled_value};
 use sint_interconnect::params::{Bus, BusParams};
-use sint_interconnect::solver::{
-    GuardrailEvent, GuardrailPolicy, PanelScratch, SimScratch, TransientSim, WavePanel,
-};
+use sint_interconnect::solver::{GuardrailEvent, PanelScratch, SimScratch, TransientSim, WavePanel};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use sint_interconnect::variation::{apply_variation, VariationSigma};
 use sint_jtag::bcell::{BoundaryCell, CellControl, StandardBsc};
 use sint_jtag::chain::Chain;
@@ -61,7 +59,6 @@ pub struct SocBuilder {
     scan_fault: Option<ScanFault>,
     chain_policy: ChainPolicy,
     panel_width: usize,
-    solver_cache: Option<SolverCache>,
 }
 
 impl SocBuilder {
@@ -80,7 +77,6 @@ impl SocBuilder {
             scan_fault: None,
             chain_policy: ChainPolicy::default(),
             panel_width: DEFAULT_PANEL_WIDTH,
-            solver_cache: None,
         }
     }
 
@@ -92,19 +88,6 @@ impl SocBuilder {
     #[must_use]
     pub fn panel_width(mut self, width: usize) -> Self {
         self.panel_width = width.max(1);
-        self
-    }
-
-    /// Attaches a shared [`SolverCache`]: when this SoC's bus differs
-    /// from the cache's seeded baseline only in coupling capacitance (a
-    /// severity or corner sweep point), the solver is derived from the
-    /// cached factors by a low-rank update instead of refactorising.
-    /// Opt-in because the derived waveforms agree with fresh factors
-    /// numerically (≤ 1e-12), not bitwise — byte-determinism contracts
-    /// must not attach a cache.
-    #[must_use]
-    pub fn solver_cache(mut self, cache: SolverCache) -> Self {
-        self.solver_cache = Some(cache);
         self
     }
 
@@ -287,20 +270,11 @@ impl SocBuilder {
         for _ in 0..self.extra_cells {
             device.push_cell(Box::new(StandardBsc::new()));
         }
-        // A sweep-shared cache may already hold factors this bus can be
-        // derived from by a low-rank update; otherwise factor fresh. A
-        // defect-injected bus can push the nominal factorisation into
-        // singularity; the guarded constructor recovers where the policy
+        // A defect-injected bus can push the nominal factorisation into
+        // singularity; the guarded constructor recovers where its ladder
         // allows and reports every action it took.
-        let cached = self.solver_cache.as_ref().and_then(|c| c.for_bus(&bus, dt));
-        let (sim, guardrail_events) = match cached {
-            Some(sim) => (sim, Vec::new()),
-            None => {
-                let (sim, events) =
-                    TransientSim::new_guarded(&bus, dt, GuardrailPolicy::default())?;
-                (Arc::new(sim), events)
-            }
-        };
+        let (sim, guardrail_events) = TransientSim::new_guarded(&bus, dt)?;
+        let sim = Arc::new(sim);
         let sim_key = (bus.fingerprint(), sim.dt().to_bits());
         let sim_cache = HashMap::from([(sim_key, Arc::clone(&sim))]);
         let mut chain = Chain::single(device);
@@ -509,78 +483,6 @@ fn drive_levels(
         .collect()
 }
 
-/// A factorisation cache shared across the SoCs of a severity or corner
-/// sweep: seed it with one baseline solver, and every subsequently
-/// built SoC whose bus differs from the baseline only in coupling
-/// capacitance derives its solver from the seeded factors by a
-/// Sherman–Morrison–Woodbury low-rank update (see
-/// [`TransientSim::try_rank_update`]) instead of refactorising, keyed
-/// by the delta fingerprint.
-///
-/// The base is seeded explicitly — never first-writer-wins — so sweep
-/// results do not depend on trial scheduling. Derived solvers agree
-/// with fresh factorisations numerically (≤ 1e-12 on waveforms) but not
-/// bitwise; attach a cache only where that tolerance is acceptable.
-#[derive(Debug, Clone, Default)]
-pub struct SolverCache {
-    inner: Arc<Mutex<SolverCacheInner>>,
-}
-
-#[derive(Debug, Default)]
-struct SolverCacheInner {
-    base: Option<Arc<TransientSim>>,
-    derived: HashMap<u64, Arc<TransientSim>>,
-}
-
-impl SolverCache {
-    /// An empty cache; until seeded, every lookup misses.
-    #[must_use]
-    pub fn new() -> SolverCache {
-        SolverCache::default()
-    }
-
-    /// Installs the baseline solver the sweep's deltas are applied to,
-    /// clearing any previously derived factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock is poisoned.
-    pub fn seed(&self, sim: Arc<TransientSim>) {
-        let mut inner = self.inner.lock().expect("solver cache poisoned");
-        inner.base = Some(sim);
-        inner.derived.clear();
-    }
-
-    /// Number of derived (low-rank-updated) solvers held.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock is poisoned.
-    #[must_use]
-    pub fn derived_count(&self) -> usize {
-        self.inner.lock().expect("solver cache poisoned").derived.len()
-    }
-
-    /// The solver for `bus` at `dt`, derived from the seeded baseline
-    /// when the delta qualifies for a low-rank update; `None` on any
-    /// miss (no baseline, different `dt`, or a delta that requires a
-    /// fresh factorisation).
-    fn for_bus(&self, bus: &Bus, dt: f64) -> Option<Arc<TransientSim>> {
-        let mut inner = self.inner.lock().expect("solver cache poisoned");
-        let base = inner.base.as_ref()?;
-        if base.dt() != dt {
-            return None;
-        }
-        let fp = base.update_fingerprint(bus)?;
-        if let Some(hit) = inner.derived.get(&fp) {
-            return Some(Arc::clone(hit));
-        }
-        let derived = Arc::new(base.try_rank_update(bus)?);
-        inner.derived.insert(fp, Arc::clone(&derived));
-        Some(derived)
-    }
-}
-
 /// A simulated two-core SoC with the enhanced boundary-scan
 /// architecture.
 #[derive(Debug)]
@@ -747,20 +649,6 @@ impl Soc {
     /// The JTAG driver, for custom test plans.
     pub fn driver_mut(&mut self) -> &mut JtagDriver {
         &mut self.driver
-    }
-
-    /// The active factored solver — shareable, e.g. as a
-    /// [`SolverCache`] baseline for a severity sweep.
-    #[must_use]
-    pub fn transient_sim(&self) -> Arc<TransientSim> {
-        Arc::clone(&self.sim)
-    }
-
-    /// Whether the active solver runs on low-rank-updated factors (a
-    /// [`SolverCache`] hit) rather than a direct factorisation.
-    #[must_use]
-    pub fn solver_is_rank_updated(&self) -> bool {
-        self.sim.is_rank_updated()
     }
 
     /// The configured batching width (1 = scalar per-pattern solves).
@@ -2333,63 +2221,6 @@ mod tests {
         let report =
             soc.run_integrity_test(&SessionConfig::method(ObservationMethod::Once)).unwrap();
         assert!(!report.any_violation());
-    }
-
-    #[test]
-    fn solver_cache_derives_sweep_points_by_low_rank_update() {
-        let cache = SolverCache::new();
-        let baseline = SocBuilder::new(4).build().unwrap();
-        cache.seed(baseline.transient_sim());
-
-        // A coupling-severity sweep point: derived, not refactored.
-        let mut swept = SocBuilder::new(4)
-            .coupling_defect(2, 6.0)
-            .solver_cache(cache.clone())
-            .build()
-            .unwrap();
-        assert!(swept.solver_is_rank_updated(), "coupling delta must hit the cache");
-        assert_eq!(cache.derived_count(), 1);
-
-        // Same severity again: served from the derived map.
-        let again = SocBuilder::new(4)
-            .coupling_defect(2, 6.0)
-            .solver_cache(cache.clone())
-            .build()
-            .unwrap();
-        assert!(Arc::ptr_eq(&swept.transient_sim(), &again.transient_sim()));
-        assert_eq!(cache.derived_count(), 1);
-
-        // The derived solver's verdicts match a fresh factorisation's.
-        let mut fresh = SocBuilder::new(4).coupling_defect(2, 6.0).build().unwrap();
-        assert!(!fresh.solver_is_rank_updated());
-        let cfg = SessionConfig::method(ObservationMethod::Once);
-        let a = swept.run_integrity_test(&cfg).unwrap();
-        let b = fresh.run_integrity_test(&cfg).unwrap();
-        assert_eq!(a, b, "low-rank-updated session verdicts must match fresh factors");
-    }
-
-    #[test]
-    fn solver_cache_falls_back_to_refactorise_on_non_coupling_deltas() {
-        let cache = SolverCache::new();
-        let baseline = SocBuilder::new(4).build().unwrap();
-        cache.seed(baseline.transient_sim());
-        // A weak driver changes G: never low-rank-updatable.
-        let soc = SocBuilder::new(4)
-            .weak_driver_defect(1, 4.0)
-            .solver_cache(cache.clone())
-            .build()
-            .unwrap();
-        assert!(!soc.solver_is_rank_updated());
-        assert_eq!(cache.derived_count(), 0);
-        // An unseeded cache misses everything.
-        let unseeded = SolverCache::new();
-        let soc = SocBuilder::new(4)
-            .coupling_defect(2, 6.0)
-            .solver_cache(unseeded.clone())
-            .build()
-            .unwrap();
-        assert!(!soc.solver_is_rank_updated());
-        assert_eq!(unseeded.derived_count(), 0);
     }
 
     #[test]

@@ -318,7 +318,7 @@ struct BoardState {
 
 /// Wraps one floor campaign in the resilience policy; one instance is
 /// shared read-only by every board job (all mutable state lives in the
-/// per-board [`BoardState`]).
+/// per-board `BoardState`).
 #[derive(Debug)]
 pub struct BoardSupervisor<'a> {
     config: &'a SupervisorConfig,

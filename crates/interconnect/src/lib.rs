@@ -12,10 +12,13 @@
 //! * [`params`] — physical description of an `n`-wire coupled bus
 //!   (per-mm R, ground C, neighbour coupling C; driver strength; receiver
 //!   load) with DSM-flavoured defaults.
-//! * [`linalg`] — dense LU factorisation used by the solver.
+//! * [`linalg`] — banded LU (the solver's fast path, with interleaved
+//!   multi-RHS kernels) and dense LU (the reference oracle).
 //! * [`solver`] — modified nodal analysis with backward-Euler companion
-//!   models; the conductance matrix is factored once per (topology, dt)
-//!   and reused every step.
+//!   models; the system matrix is factored once per (topology, dt)
+//!   and reused every step. Runs go through three entry points:
+//!   [`TransientSim::run_pair`], [`TransientSim::run_pair_cancellable`]
+//!   and the batched [`TransientSim::run_pairs_cancellable`].
 //! * [`drive`] — slew-limited piecewise-linear drivers; a vector pair
 //!   (the MA fault model's two consecutive test vectors) maps directly to
 //!   a set of drives.
@@ -62,7 +65,4 @@ pub use defect::Defect;
 pub use drive::{DriveLevel, VectorPair};
 pub use error::InterconnectError;
 pub use params::{Bus, BusParams};
-pub use solver::{
-    BusWaveforms, GuardrailEvent, GuardrailPolicy, PanelScratch, TransientSim, WavePanel,
-    MAX_UPDATE_RANK,
-};
+pub use solver::{BusWaveforms, GuardrailEvent, PanelScratch, TransientSim, WavePanel};

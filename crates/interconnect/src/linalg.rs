@@ -74,20 +74,6 @@ impl Matrix {
         }
     }
 
-    /// Matrix–panel product `Y = self · X`, the scalar product per
-    /// column (the dense path is the oracle, not the fast path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panel dimensions differ from `self.dim()` or the
-    /// two panel widths differ.
-    pub fn mul_panel_into(&self, x: &Panel, y: &mut Panel) {
-        assert_eq!(x.width(), y.width(), "panel width mismatch");
-        for (xc, yc) in x.cols().zip(y.cols_mut()) {
-            self.mul_vec_into(xc, yc);
-        }
-    }
-
     /// LU-factorises the matrix with partial pivoting.
     ///
     /// # Errors
@@ -208,110 +194,6 @@ impl LuFactors {
             head[i] = (head[i] - s) / self.lu[i * n + i];
         }
     }
-
-    /// Solves `A · X = B` in place for a [`Panel`] of right-hand sides.
-    /// The dense path is the correctness oracle, so this is simply the
-    /// scalar solve per column — trivially bitwise-identical to the
-    /// looped form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `panel.dim()` differs from the matrix dimension.
-    pub fn solve_panel_into(&self, panel: &mut Panel) {
-        assert_eq!(panel.dim(), self.n, "dimension mismatch");
-        for col in panel.cols_mut() {
-            self.solve_into(col);
-        }
-    }
-}
-
-/// A column-major (struct-of-arrays) panel of `k` equal-length vectors:
-/// column `c` is the contiguous slice `data[c·n .. (c+1)·n]`, so the
-/// multi-RHS kernels walk every right-hand side with unit stride while
-/// register-blocking across columns. One panel carries the `k`
-/// right-hand sides (and, after an in-place solve, the `k` solutions)
-/// of a batched transient timestep.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Panel {
-    n: usize,
-    k: usize,
-    data: Vec<f64>,
-}
-
-impl Panel {
-    /// An `n × k` panel of zeros (`k` columns of dimension `n`).
-    #[must_use]
-    pub fn zeros(n: usize, k: usize) -> Panel {
-        Panel { n, k, data: vec![0.0; n * k] }
-    }
-
-    /// Column dimension (rows per column).
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.k
-    }
-
-    /// Reshapes to `n × k` and zeroes every entry; the backing buffer
-    /// is reused when capacity allows, so a scratch panel threaded
-    /// through a campaign stops allocating after the largest batch.
-    pub fn reset(&mut self, n: usize, k: usize) {
-        self.n = n;
-        self.k = k;
-        self.data.clear();
-        self.data.resize(n * k, 0.0);
-    }
-
-    /// Column `c` as a contiguous slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of range.
-    #[must_use]
-    pub fn col(&self, c: usize) -> &[f64] {
-        assert!(c < self.k, "column out of range");
-        &self.data[c * self.n..(c + 1) * self.n]
-    }
-
-    /// Column `c` as a contiguous mutable slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of range.
-    #[must_use]
-    pub fn col_mut(&mut self, c: usize) -> &mut [f64] {
-        assert!(c < self.k, "column out of range");
-        &mut self.data[c * self.n..(c + 1) * self.n]
-    }
-
-    /// Iterates the columns in order.
-    pub fn cols(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.n.max(1))
-    }
-
-    /// Iterates the columns in order, mutably.
-    pub fn cols_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
-        self.data.chunks_exact_mut(self.n.max(1))
-    }
-}
-
-/// Splits a contiguous `W·n` block into `W` column slices.
-fn split_cols_mut<const W: usize>(block: &mut [f64], n: usize) -> [&mut [f64]; W] {
-    debug_assert_eq!(block.len(), W * n);
-    let mut it = block.chunks_exact_mut(n);
-    std::array::from_fn(|_| it.next().expect("block holds W columns"))
-}
-
-/// Splits a contiguous `W·n` block into `W` immutable column slices.
-fn split_cols<const W: usize>(block: &[f64], n: usize) -> [&[f64]; W] {
-    debug_assert_eq!(block.len(), W * n);
-    let mut it = block.chunks_exact(n);
-    std::array::from_fn(|_| it.next().expect("block holds W columns"))
 }
 
 /// A banded `n × n` matrix with `kl` subdiagonals and `ku`
@@ -422,89 +304,17 @@ impl Banded {
         }
     }
 
-    /// Banded matrix–panel product `y = self · x`, one matrix sweep
-    /// advancing every column: the packed matrix column is loaded once
-    /// per block of 8 (then 4, then 1) panel columns, and the blocked
-    /// axpys are independent across columns, so the kernel is bound by
-    /// arithmetic throughput instead of the pointer-chasing latency of
-    /// `k` separate [`Banded::mul_vec_into`] calls.
-    ///
-    /// For finite matrices the result is bitwise identical to calling
-    /// `mul_vec_into` per column: the only branch dropped is the
-    /// `x_j == 0` skip, and `y += a·(±0.0)` cannot change any bit of an
-    /// accumulator that is never `-0.0` (accumulators start at `+0.0`
-    /// and IEEE-754 round-to-nearest addition/subtraction only produces
-    /// `-0.0` from a `-0.0` operand).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panel dimensions differ from `self.dim()` or the
-    /// two panel widths differ.
-    pub fn mul_panel_into(&self, x: &Panel, y: &mut Panel) {
-        assert_eq!(x.dim(), self.n, "dimension mismatch");
-        assert_eq!(y.dim(), self.n, "dimension mismatch");
-        assert_eq!(x.width(), y.width(), "panel width mismatch");
-        if self.n == 0 {
-            return;
-        }
-        let n = self.n;
-        let mut xs = x.data.as_slice();
-        let mut ys = y.data.as_mut_slice();
-        while xs.len() >= 8 * n {
-            let (xb, xt) = xs.split_at(8 * n);
-            let (yb, yt) = ys.split_at_mut(8 * n);
-            self.mul_cols::<8>(&split_cols(xb, n), &mut split_cols_mut(yb, n));
-            xs = xt;
-            ys = yt;
-        }
-        while xs.len() >= 4 * n {
-            let (xb, xt) = xs.split_at(4 * n);
-            let (yb, yt) = ys.split_at_mut(4 * n);
-            self.mul_cols::<4>(&split_cols(xb, n), &mut split_cols_mut(yb, n));
-            xs = xt;
-            ys = yt;
-        }
-        while !xs.is_empty() {
-            let (xb, xt) = xs.split_at(n);
-            let (yb, yt) = ys.split_at_mut(n);
-            self.mul_cols::<1>(&split_cols(xb, n), &mut split_cols_mut(yb, n));
-            xs = xt;
-            ys = yt;
-        }
-    }
-
-    /// One `W`-column block of [`Banded::mul_panel_into`]: the same
-    /// column sweep as [`Banded::mul_vec_into`], with the packed matrix
-    /// column shared across the block.
-    fn mul_cols<const W: usize>(&self, x: &[&[f64]; W], y: &mut [&mut [f64]; W]) {
-        for yc in y.iter_mut() {
-            yc.fill(0.0);
-        }
-        for j in 0..self.n {
-            let lo = j.saturating_sub(self.ku);
-            let hi = (j + self.kl).min(self.n - 1);
-            let base = j * self.stride + self.kl + self.ku - j;
-            let col = &self.data[base + lo..=base + hi];
-            let mut xj = [0.0; W];
-            for (v, xc) in xj.iter_mut().zip(x.iter()) {
-                *v = xc[j];
-            }
-            for (yc, &xv) in y.iter_mut().zip(&xj) {
-                for (yi, &a) in yc[lo..=hi].iter_mut().zip(col) {
-                    *yi += a * xv;
-                }
-            }
-        }
-    }
-
     /// Banded matrix product over one `W`-interleaved lane block:
     /// `x`/`y` hold `W` vectors row-major (`x[i·W + c]` is row `i` of
     /// lane `c`), so every inner update is a `W`-wide contiguous
     /// fused-multiply-add — the layout the timestep hot loop keeps its
     /// state in. Per lane the FLOP sequence is exactly
-    /// [`Banded::mul_vec_into`]'s (same `j`-outer sweep, zero-skip
-    /// dropped as in [`Banded::mul_panel_into`]), so results are
-    /// bitwise identical column for column.
+    /// [`Banded::mul_vec_into`]'s (same `j`-outer sweep), so for finite
+    /// matrices results are bitwise identical column for column: the
+    /// only branch dropped is the `x_j == 0` skip, and `y += a·(±0.0)`
+    /// cannot change any bit of an accumulator that is never `-0.0`
+    /// (accumulators start at `+0.0` and IEEE-754 round-to-nearest
+    /// addition/subtraction only produces `-0.0` from a `-0.0` operand).
     ///
     /// # Panics
     ///
@@ -705,99 +515,17 @@ impl BandedLu {
         }
     }
 
-    /// Solves `A · X = B` in place for a [`Panel`] of right-hand sides:
-    /// one pass over the factors advances every column, register-blocked
-    /// 8 (then 4, then 1) columns wide so the pivot sequence, reach
-    /// computation and packed factor columns are loaded once per block
-    /// and each block carries `W` independent substitution chains — the
-    /// scalar solve is latency-bound on its single chain.
-    ///
-    /// For finite factors the result is bitwise identical to calling
-    /// [`BandedLu::solve_into`] on each column: per column the FLOP
-    /// sequence is exactly the scalar one, and the dropped
-    /// `b_k == 0` / `x_j == 0` skips cannot flip any bit (see
-    /// [`Banded::mul_panel_into`]). Callers that may feed non-finite
-    /// factors must fall back to the scalar path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `panel.dim()` differs from the matrix dimension.
-    pub fn solve_panel_into(&self, panel: &mut Panel) {
-        assert_eq!(panel.dim(), self.n, "dimension mismatch");
-        if self.n == 0 {
-            return;
-        }
-        let n = self.n;
-        let mut bs = panel.data.as_mut_slice();
-        while bs.len() >= 8 * n {
-            let (blk, tail) = bs.split_at_mut(8 * n);
-            self.solve_cols::<8>(&mut split_cols_mut(blk, n));
-            bs = tail;
-        }
-        while bs.len() >= 4 * n {
-            let (blk, tail) = bs.split_at_mut(4 * n);
-            self.solve_cols::<4>(&mut split_cols_mut(blk, n));
-            bs = tail;
-        }
-        while !bs.is_empty() {
-            let (blk, tail) = bs.split_at_mut(n);
-            self.solve_cols::<1>(&mut split_cols_mut(blk, n));
-            bs = tail;
-        }
-    }
-
-    /// One `W`-column block of [`BandedLu::solve_panel_into`]: the
-    /// scalar forward/backward sweeps with the per-step factor loads
-    /// hoisted out of the column loop.
-    fn solve_cols<const W: usize>(&self, cols: &mut [&mut [f64]; W]) {
-        let n = self.n;
-        let kv = self.kl + self.ku;
-        let stride = self.stride;
-        // Forward: swaps and unit-diagonal L, all columns per step k.
-        for k in 0..n {
-            let p = self.piv[k];
-            if p != k {
-                for col in cols.iter_mut() {
-                    col.swap(k, p);
-                }
-            }
-            let reach = self.kl.min(n - 1 - k);
-            if reach > 0 {
-                let base = k * stride + kv;
-                let lcol = &self.ab[base + 1..=base + reach];
-                for col in cols.iter_mut() {
-                    let bk = col[k];
-                    for (bi, &l) in col[k + 1..=k + reach].iter_mut().zip(lcol) {
-                        *bi -= l * bk;
-                    }
-                }
-            }
-        }
-        // Backward with U, column oriented as in the scalar solve.
-        for j in (0..n).rev() {
-            let base = j * stride + kv - j;
-            let d = self.ab[base + j];
-            let lo = j.saturating_sub(self.uw);
-            let ucol = &self.ab[base + lo..base + j];
-            for col in cols.iter_mut() {
-                let xj = col[j] / d;
-                col[j] = xj;
-                for (bi, &u) in col[lo..j].iter_mut().zip(ucol) {
-                    *bi -= u * xj;
-                }
-            }
-        }
-    }
-
     /// Solves `A · X = B` over one `W`-interleaved lane block (`b[i·W + c]`
     /// is row `i` of lane `c`, the layout of [`Banded::mul_interleaved_into`]).
     /// Pivot swaps exchange whole `W`-rows and every substitution update
     /// is a `W`-wide contiguous fused-multiply-add on independent lanes,
     /// so the kernel is bound by arithmetic throughput where the scalar
     /// solve is latency-bound on its single substitution chain. Per lane
-    /// the FLOP sequence is exactly [`BandedLu::solve_into`]'s (skips
-    /// dropped as in [`BandedLu::solve_panel_into`]): results are
-    /// bitwise identical column for column for finite factors.
+    /// the FLOP sequence is exactly [`BandedLu::solve_into`]'s, with its
+    /// `b_k == 0` / `x_j == 0` skips dropped as in
+    /// [`Banded::mul_interleaved_into`]: results are bitwise identical
+    /// column for column for finite factors. Callers that may feed
+    /// non-finite factors must fall back to the scalar path.
     ///
     /// # Panics
     ///
@@ -882,128 +610,6 @@ impl BandedLu {
             }
             *row = acc;
         }
-    }
-}
-
-/// A Sherman–Morrison–Woodbury low-rank update of a factored banded
-/// matrix: solves `(A₀ + Σᵢ sᵢ·(e_aᵢ − e_bᵢ)(e_aᵢ − e_bᵢ)ᵀ) · x = b`
-/// by correcting base-factor solves instead of refactorising —
-/// `x = A₀⁻¹b − W·(I + VᵀW)⁻¹·Vᵀ·A₀⁻¹b` with `W = A₀⁻¹U` precomputed
-/// once per update. Each rank-1 term is exactly the stamp of one
-/// changed coupling entry between two unknowns, so a severity/corner
-/// sweep that only perturbs off-diagonal coupling reuses one O(N·b²)
-/// factorisation across every sweep point at O(N·r) extra work per
-/// solve.
-///
-/// The corrected solve is *numerically* equal to a fresh
-/// factorisation, not bitwise — callers that promise byte-identical
-/// outputs must stay on the direct path.
-#[derive(Debug, Clone)]
-pub struct RankUpdatedLu {
-    base: BandedLu,
-    /// `(row a, row b, scale s)` per rank-1 term.
-    terms: Vec<(usize, usize, f64)>,
-    /// `W = A₀⁻¹·U`, column `i` the base solve of `sᵢ·(e_aᵢ − e_bᵢ)`.
-    w: Panel,
-    /// Dense LU of the `r × r` capacitance matrix `I + Vᵀ·W`.
-    cap: LuFactors,
-}
-
-impl RankUpdatedLu {
-    /// Matrix dimension.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.base.dim()
-    }
-
-    /// Number of rank-1 terms absorbed by the update.
-    #[must_use]
-    pub fn rank(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Applies the Woodbury correction to a base-solved vector.
-    /// `aux` is resized to the rank and reused across calls.
-    fn correct(&self, b: &mut [f64], aux: &mut Vec<f64>) {
-        let r = self.terms.len();
-        if r == 0 {
-            return;
-        }
-        aux.clear();
-        aux.resize(r, 0.0);
-        for (yi, &(a, bb, _)) in aux.iter_mut().zip(&self.terms) {
-            *yi = b[a] - b[bb];
-        }
-        self.cap.solve_into(aux);
-        for (wcol, &y) in self.w.cols().zip(aux.iter()) {
-            if y != 0.0 {
-                for (bi, &wv) in b.iter_mut().zip(wcol) {
-                    *bi -= wv * y;
-                }
-            }
-        }
-    }
-
-    /// Solves the updated system in place; `aux` is caller scratch so
-    /// the timestep loop stays allocation-free after the first call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the matrix dimension.
-    pub fn solve_into(&self, b: &mut [f64], aux: &mut Vec<f64>) {
-        self.base.solve_into(b);
-        self.correct(b, aux);
-    }
-
-    /// Solves the updated system for a panel of right-hand sides: one
-    /// blocked base panel solve, then the O(N·r) correction per column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `panel.dim()` differs from the matrix dimension.
-    pub fn solve_panel_into(&self, panel: &mut Panel, aux: &mut Vec<f64>) {
-        self.base.solve_panel_into(panel);
-        for col in panel.cols_mut() {
-            self.correct(col, aux);
-        }
-    }
-}
-
-impl BandedLu {
-    /// Builds the Sherman–Morrison–Woodbury update of these factors by
-    /// the rank-1 terms `(a, b, s)` — each adding
-    /// `s·(e_a − e_b)(e_a − e_b)ᵀ` to the factored matrix.
-    ///
-    /// # Errors
-    ///
-    /// [`InterconnectError::SingularMatrix`] when the updated matrix is
-    /// singular (the capacitance system fails to factor) — the caller
-    /// falls back to a fresh factorisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any term row is out of range.
-    pub fn rank_update(
-        &self,
-        terms: &[(usize, usize, f64)],
-    ) -> Result<RankUpdatedLu, InterconnectError> {
-        let n = self.n;
-        let r = terms.len();
-        let mut w = Panel::zeros(n, r);
-        for (i, &(a, b, s)) in terms.iter().enumerate() {
-            assert!(a < n && b < n, "update row out of range");
-            let col = w.col_mut(i);
-            col[a] = s;
-            col[b] = -s;
-        }
-        self.solve_panel_into(&mut w);
-        let mut cap = Matrix::identity(r);
-        for (i, &(a, b, _)) in terms.iter().enumerate() {
-            for j in 0..r {
-                cap[(i, j)] += w.col(j)[a] - w.col(j)[b];
-            }
-        }
-        Ok(RankUpdatedLu { base: self.clone(), terms: terms.to_vec(), w, cap: cap.lu()? })
     }
 }
 
@@ -1205,11 +811,11 @@ mod tests {
         assert_eq!(m.bandwidths(), (2, 2));
     }
 
-    // ---------------- panels ----------------
+    // ---------------- interleaved lane blocks ----------------
 
-    /// Deterministic pseudo-random RHS value for (column, row), with
+    /// Deterministic pseudo-random RHS value for (lane, row), with
     /// exact zeros sprinkled in to exercise the zero-skip paths the
-    /// blocked kernels drop.
+    /// interleaved kernels drop.
     fn rhs_val(c: usize, i: usize) -> f64 {
         if (c + i).is_multiple_of(5) {
             0.0
@@ -1218,159 +824,75 @@ mod tests {
         }
     }
 
-    fn fill_panel(n: usize, k: usize) -> Panel {
-        let mut p = Panel::zeros(n, k);
-        for c in 0..k {
-            for (i, v) in p.col_mut(c).iter_mut().enumerate() {
-                *v = rhs_val(c, i);
-            }
-        }
-        p
+    /// `W` lanes of dimension `n`, interleaved (`x[i·W + c]`), plus the
+    /// same lanes as separate vectors.
+    fn lanes<const W: usize>(n: usize, seed: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+        let cols: Vec<Vec<f64>> =
+            (0..W).map(|c| (0..n).map(|i| rhs_val(seed + c, i)).collect()).collect();
+        let interleaved = (0..n * W).map(|at| cols[at % W][at / W]).collect();
+        (interleaved, cols)
     }
 
-    #[test]
-    fn panel_accessors() {
-        let mut p = Panel::zeros(3, 2);
-        assert_eq!(p.dim(), 3);
-        assert_eq!(p.width(), 2);
-        p.col_mut(1)[2] = 7.0;
-        assert_eq!(p.col(1), &[0.0, 0.0, 7.0]);
-        assert_eq!(p.cols().count(), 2);
-        p.reset(2, 4);
-        assert_eq!((p.dim(), p.width()), (2, 4));
-        assert!(p.cols().all(|c| c.iter().all(|&v| v == 0.0)), "reset zeroes");
+    fn assert_lanes_bitwise<const W: usize>(got: &[f64], want: &[Vec<f64>], what: &str) {
+        for (c, col) in want.iter().enumerate() {
+            for (i, b) in col.iter().enumerate() {
+                let a = got[i * W + c];
+                assert_eq!(a.to_bits(), b.to_bits(), "{what} W={W} lane {c} row {i}: {a} vs {b}");
+            }
+        }
+    }
+
+    fn check_interleaved_solve<const W: usize>(lu: &BandedLu, n: usize, what: &str) {
+        let (mut block, mut looped) = lanes::<W>(n, W);
+        lu.solve_interleaved_into::<W>(&mut block);
+        for col in &mut looped {
+            lu.solve_into(col);
+        }
+        assert_lanes_bitwise::<W>(&block, &looped, what);
     }
 
     #[test]
     fn panel_solve_bitwise_matches_looped_scalar() {
-        // Every width crosses the 8/4/1 block boundaries somewhere,
-        // including ragged tails narrower than the unroll width.
+        // Both forward-sweep forms: diagonally dominant factors take the
+        // no-pivot dot-product form, weakened diagonals force row swaps.
         for (n, kl, ku, seed) in [(1, 0, 0, 3), (5, 1, 2, 4), (12, 3, 2, 8), (24, 5, 5, 13)] {
             let (band, _) = random_band(n, kl, ku, seed);
-            let lu = band.lu().unwrap();
-            for k in [1usize, 3, 4, 7, 8, 12, 17, 24] {
-                let mut panel = fill_panel(n, k);
-                let mut looped: Vec<Vec<f64>> =
-                    (0..k).map(|c| panel.col(c).to_vec()).collect();
-                lu.solve_panel_into(&mut panel);
-                for col in &mut looped {
-                    lu.solve_into(col);
-                }
-                for (c, col) in looped.iter().enumerate() {
-                    for (i, (a, b)) in panel.col(c).iter().zip(col).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "n={n} k={k} col {c} row {i}: {a} vs {b}"
-                        );
-                    }
-                }
+            let mut weak = band.clone();
+            for i in (0..n).step_by(3) {
+                weak.add(i, i, 0.01 - band.get(i, i));
+            }
+            for (what, m) in [("no-pivot", &band), ("pivoting", &weak)] {
+                let lu = m.lu().unwrap();
+                let what = format!("{what} n={n}");
+                check_interleaved_solve::<1>(&lu, n, &what);
+                check_interleaved_solve::<4>(&lu, n, &what);
+                check_interleaved_solve::<8>(&lu, n, &what);
             }
         }
+    }
+
+    fn check_interleaved_mul<const W: usize>(band: &Banded, n: usize) {
+        let (x, cols) = lanes::<W>(n, 2 * W);
+        let mut y = vec![f64::NAN; n * W];
+        band.mul_interleaved_into::<W>(&x, &mut y);
+        let want: Vec<Vec<f64>> = cols
+            .iter()
+            .map(|col| {
+                let mut out = vec![0.0; n];
+                band.mul_vec_into(col, &mut out);
+                out
+            })
+            .collect();
+        assert_lanes_bitwise::<W>(&y, &want, &format!("mul n={n}"));
     }
 
     #[test]
     fn panel_mul_bitwise_matches_looped_scalar() {
         for (n, kl, ku, seed) in [(1, 0, 0, 9), (6, 2, 1, 2), (16, 4, 4, 5), (23, 3, 6, 17)] {
             let (band, _) = random_band(n, kl, ku, seed);
-            for k in [1usize, 2, 4, 7, 8, 9, 16, 19] {
-                let x = fill_panel(n, k);
-                let mut y = Panel::zeros(n, k);
-                band.mul_panel_into(&x, &mut y);
-                for c in 0..k {
-                    let mut want = vec![0.0; n];
-                    band.mul_vec_into(x.col(c), &mut want);
-                    for (i, (a, b)) in y.col(c).iter().zip(&want).enumerate() {
-                        assert_eq!(a.to_bits(), b.to_bits(), "n={n} k={k} col {c} row {i}");
-                    }
-                }
-            }
+            check_interleaved_mul::<1>(&band, n);
+            check_interleaved_mul::<4>(&band, n);
+            check_interleaved_mul::<8>(&band, n);
         }
-    }
-
-    #[test]
-    fn dense_panel_solve_matches_looped_scalar() {
-        let n = 7;
-        let mut m = Matrix::zeros(n);
-        for r in 0..n {
-            for c in 0..n {
-                m[(r, c)] = if r == c { 6.0 } else { ((r * 5 + c) as f64).cos() * 0.3 };
-            }
-        }
-        let lu = m.lu().unwrap();
-        let mut panel = fill_panel(n, 5);
-        let looped: Vec<Vec<f64>> = (0..5).map(|c| lu.solve(panel.col(c))).collect();
-        lu.solve_panel_into(&mut panel);
-        for (c, col) in looped.iter().enumerate() {
-            assert_eq!(panel.col(c), col.as_slice(), "col {c}");
-        }
-        let x = fill_panel(n, 3);
-        let mut y = Panel::zeros(n, 3);
-        m.mul_panel_into(&x, &mut y);
-        for c in 0..3 {
-            assert_eq!(y.col(c), m.mul_vec(x.col(c)).as_slice(), "col {c}");
-        }
-    }
-
-    #[test]
-    fn rank_update_matches_fresh_factorisation() {
-        let (n, kl, ku) = (18, 4, 4);
-        let (band, dense) = random_band(n, kl, ku, 41);
-        let lu = band.lu().unwrap();
-        // Perturb a handful of coupled (a, b) entry groups — the exact
-        // stamp shape of a coupling-capacitance change.
-        let terms = [(2usize, 3usize, 0.8), (7, 8, -0.35), (12, 13, 1.6)];
-        let mut fresh = dense.clone();
-        let mut updated_band = band.clone();
-        for &(a, b, s) in &terms {
-            fresh[(a, a)] += s;
-            fresh[(b, b)] += s;
-            fresh[(a, b)] -= s;
-            fresh[(b, a)] -= s;
-            updated_band.add(a, a, s);
-            updated_band.add(b, b, s);
-            updated_band.add(a, b, -s);
-            updated_band.add(b, a, -s);
-        }
-        let upd = lu.rank_update(&terms).unwrap();
-        assert_eq!(upd.rank(), 3);
-        assert_eq!(upd.dim(), n);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos()).collect();
-        let mut x = b.clone();
-        let mut aux = Vec::new();
-        upd.solve_into(&mut x, &mut aux);
-        let want = fresh.lu().unwrap().solve(&b);
-        assert_close(&x, &want, 1e-10);
-        assert_close(&x, &updated_band.lu().unwrap().solve(&b), 1e-10);
-        // Panel form agrees with the scalar corrected form bitwise.
-        let mut panel = fill_panel(n, 6);
-        let looped: Vec<Vec<f64>> = (0..6)
-            .map(|c| {
-                let mut col = panel.col(c).to_vec();
-                upd.solve_into(&mut col, &mut aux);
-                col
-            })
-            .collect();
-        upd.solve_panel_into(&mut panel, &mut aux);
-        for (c, col) in looped.iter().enumerate() {
-            assert_eq!(panel.col(c), col.as_slice(), "col {c}");
-        }
-    }
-
-    #[test]
-    fn rank_update_with_empty_delta_is_identity() {
-        let (band, _) = random_band(9, 2, 2, 55);
-        let lu = band.lu().unwrap();
-        let upd = lu.rank_update(&[]).unwrap();
-        assert_eq!(upd.rank(), 0);
-        let b: Vec<f64> = (0..9).map(|i| i as f64 - 4.0).collect();
-        let mut x = b.clone();
-        let mut aux = Vec::new();
-        upd.solve_into(&mut x, &mut aux);
-        let want = lu.solve(&b);
-        assert_eq!(
-            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 }

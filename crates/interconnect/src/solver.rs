@@ -37,17 +37,28 @@
 //! matrices: factorisation drops from O(N³) to O(N·b²) and each
 //! timestep from O(N²) to O(N·b). Every step is also allocation-free —
 //! history multiply, source stamp and in-place solve all reuse a
-//! [`SimScratch`] that callers can thread through
-//! [`TransientSim::run_with_scratch`] to amortise across a campaign.
-//! The dense path survives behind the `dense-oracle` feature (a default
-//! feature) as a runtime-selectable reference implementation; the
-//! property suite pins the two engines together to ≤ 1e-9 V.
+//! [`SimScratch`] (or, for batches, a [`PanelScratch`]) that callers
+//! thread through the run entry points to amortise across a campaign.
+//! The dense engine stays compiled in as a runtime-selectable reference
+//! ([`SolverBackend::Dense`]) and as the last rung of
+//! [`TransientSim::new_guarded`]; the property suite pins the two
+//! engines together to ≤ 1e-9 V.
+//!
+//! # Entry points
+//!
+//! A [`TransientSim`] runs vector pairs through exactly three methods:
+//! [`TransientSim::run_pair`] (one pattern, fresh scratch),
+//! [`TransientSim::run_pair_cancellable`] (one pattern on caller scratch
+//! with an optional [`CancelToken`] — the scalar oracle), and
+//! [`TransientSim::run_pairs_cancellable`] (a batch advanced as one
+//! multi-RHS panel — the production path, bitwise identical to looping
+//! the scalar one). All three derive their step count from one checked
+//! time-axis helper, so a non-finite or oversized duration is a typed
+//! [`InterconnectError::BadTimeAxis`] on every path.
 
 use crate::drive::{Stimulus, VectorPair};
 use crate::error::InterconnectError;
-use crate::linalg::{Banded, BandedLu, Panel, RankUpdatedLu};
-#[cfg(feature = "dense-oracle")]
-use crate::linalg::{LuFactors, Matrix};
+use crate::linalg::{Banded, BandedLu, LuFactors, Matrix};
 use crate::params::Bus;
 use sint_runtime::cancel::CancelToken;
 
@@ -61,6 +72,16 @@ pub const CANCEL_CHECK_INTERVAL: usize = 32;
 /// Default time the drivers launch their edge after simulation start.
 pub const DEFAULT_SWITCH_AT: f64 = 0.2e-9;
 
+/// Ceiling on the samples of one run (timesteps plus the DC point):
+/// four orders of magnitude above the paper's 1000-step window, and
+/// low enough that a runaway duration is refused as a typed error
+/// instead of aborting the process on a waveform-buffer allocation.
+const MAX_STEPS: usize = 1 << 24;
+
+/// How many times [`TransientSim::new_guarded`] halves the timestep
+/// before engaging the dense engine.
+const GUARD_DT_HALVINGS: u32 = 2;
+
 /// Which linear-algebra engine a [`TransientSim`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
@@ -69,23 +90,20 @@ pub enum SolverBackend {
     #[default]
     Banded,
     /// Dense LU on the wire-major ordering: the simple O(N³)/O(N²)
-    /// reference used as a correctness oracle and perf baseline.
-    #[cfg(feature = "dense-oracle")]
+    /// reference used as a correctness oracle, perf baseline and last
+    /// guardrail rung.
     Dense,
 }
 
 /// Reusable per-run scratch buffers: threading one through
-/// [`TransientSim::run_with_scratch`] / [`TransientSim::run_pair_with_scratch`]
-/// makes every timestep — and, across a campaign, every run —
-/// allocation-free in the solver core.
+/// [`TransientSim::run_pair_cancellable`] makes every timestep — and,
+/// across a campaign, every run — allocation-free in the solver core.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
     /// Current full state vector (node voltages, then/with branch currents).
     state: Vec<f64>,
     /// Right-hand side, overwritten in place by the solve each step.
     rhs: Vec<f64>,
-    /// Rank-sized scratch for low-rank-updated solves (empty otherwise).
-    aux: Vec<f64>,
 }
 
 impl SimScratch {
@@ -100,36 +118,29 @@ impl SimScratch {
         self.state.resize(dim, 0.0);
         self.rhs.clear();
         self.rhs.resize(dim, 0.0);
-        self.aux.clear();
     }
 }
 
-/// Reusable scratch for the panel entry points
-/// ([`TransientSim::run_panel_with_scratch`] and friends): threading one
-/// through a campaign makes every batched timestep allocation-free once
-/// the buffers have grown to the largest batch.
+/// Reusable scratch for [`TransientSim::run_pairs_cancellable`]:
+/// threading one through a campaign makes every batched timestep
+/// allocation-free once the buffers have grown to the largest batch.
 #[derive(Debug, Clone, Default)]
 pub struct PanelScratch {
-    /// Current full state, one column per pattern.
-    state: Panel,
-    /// Right-hand-side panel, solved in place each step.
-    rhs: Panel,
-    /// Rank-sized scratch for low-rank-updated solves.
-    aux: Vec<f64>,
-    /// Interleaved lane-block state for the direct-factor fast path
-    /// (`lanes[i·W + c]` is unknown `i` of lane `c`).
+    /// Interleaved lane-block state (`lanes[i·W + c]` is unknown `i` of
+    /// lane `c`).
     lanes: Vec<f64>,
     /// Interleaved lane-block right-hand side, solved in place.
     lrhs: Vec<f64>,
-    /// Step-major waveform staging for the lane path: each timestep
-    /// appends one contiguous row of probe read-outs, and a single
-    /// blocked transpose scatters them into the trace-major
-    /// [`WavePanel`] at the end. Writing traces directly would touch
-    /// one page per (pattern, wire) trace every step — past ~64 traces
-    /// that thrashes the L1 DTLB and the step loop's cost starts
-    /// depending on whether the allocator handed out huge pages.
+    /// Step-major waveform staging: each timestep appends one
+    /// contiguous row of probe read-outs, and a single blocked
+    /// transpose scatters them into the trace-major [`WavePanel`] at
+    /// the end. Writing traces directly would touch one page per
+    /// (pattern, wire) trace every step — past ~64 traces that thrashes
+    /// the L1 DTLB and the step loop's cost starts depending on whether
+    /// the allocator handed out huge pages.
     stage: Vec<f64>,
-    /// Scalar scratch for the sequential fallback paths.
+    /// Scalar scratch for the sequential paths (dense engine and the
+    /// divergence fallback).
     scalar: SimScratch,
 }
 
@@ -139,127 +150,80 @@ impl PanelScratch {
     pub fn new() -> PanelScratch {
         PanelScratch::default()
     }
-
-    fn reset(&mut self, dim: usize, k: usize) {
-        self.state.reset(dim, k);
-        self.rhs.reset(dim, k);
-        self.aux.clear();
-    }
 }
 
-/// The transient-system factor of a banded RC engine: either direct
-/// banded LU factors, or a low-rank (Sherman–Morrison–Woodbury) update
-/// of another bus's factors when only coupling entries differ. The
-/// dispatch is one match per solve call, far off the per-element hot
-/// path.
-#[derive(Debug, Clone)]
-enum RcFactor {
-    Direct(BandedLu),
-    Updated(RankUpdatedLu),
+/// Matrix–vector history product, banded or dense.
+trait History {
+    fn mul_vec_into(&self, x: &[f64], y: &mut [f64]);
 }
 
-impl RcFactor {
+impl History for Banded {
     #[inline]
-    fn solve_into(&self, b: &mut [f64], aux: &mut Vec<f64>) {
-        match self {
-            RcFactor::Direct(lu) => lu.solve_into(b),
-            RcFactor::Updated(upd) => upd.solve_into(b, aux),
-        }
-    }
-
-    #[inline]
-    fn solve_panel_into(&self, panel: &mut Panel, aux: &mut Vec<f64>) {
-        match self {
-            RcFactor::Direct(lu) => lu.solve_panel_into(panel),
-            RcFactor::Updated(upd) => upd.solve_panel_into(panel, aux),
-        }
+    fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
+        Banded::mul_vec_into(self, x, y);
     }
 }
 
-/// Banded pure-RC engine state (segment-major node ordering).
+impl History for Matrix {
+    #[inline]
+    fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
+        Matrix::mul_vec_into(self, x, y);
+    }
+}
+
+/// In-place solve against LU factors, banded or dense.
+trait Factors {
+    fn solve_into(&self, b: &mut [f64]);
+}
+
+impl Factors for BandedLu {
+    #[inline]
+    fn solve_into(&self, b: &mut [f64]) {
+        BandedLu::solve_into(self, b);
+    }
+}
+
+impl Factors for LuFactors {
+    #[inline]
+    fn solve_into(&self, b: &mut [f64]) {
+        LuFactors::solve_into(self, b);
+    }
+}
+
+/// How the drivers enter a right-hand side.
 #[derive(Debug, Clone)]
-struct BandedRcEngine {
+enum Sources {
+    /// Pure RC: the Norton current `g·vs(t)` into each wire's driver
+    /// node, `g[wire]` the driver conductance.
+    Norton { g: Vec<f64> },
+    /// Augmented MNA: `−vs(t)` on each wire's driver-branch row.
+    Branch { rows: Vec<usize> },
+}
+
+/// One factored backward-Euler system, in either formulation and on
+/// either backend: from the DC point `state = D⁻¹·s(0)`, every step is
+/// `state ← A⁻¹·(H·state + s(t))`.
+#[derive(Debug, Clone)]
+struct System<H, F> {
     dim: usize,
-    /// `G + C/h`, banded-LU-factored (directly or via low-rank update).
-    a_lu: RcFactor,
-    /// `G` alone, banded-LU-factored (for the DC operating point).
-    g_lu: BandedLu,
-    /// `C / h` for the history term.
-    c_over_h: Banded,
-    /// Per-wire driver conductances (into node 0 of each wire).
-    g_drv: Vec<f64>,
+    /// The transient matrix (`G + C/h`, or the augmented MNA matrix), factored.
+    a_lu: F,
+    /// The DC matrix (`G`, or inductors shorted and capacitors open), factored.
+    dc_lu: F,
+    /// Full-state history matrix: `C/h` on node rows, `−L/h` / `−M/h`
+    /// on branch rows — one mat-vec builds the whole RHS.
+    hist: H,
+    sources: Sources,
     /// Unknown index of each wire's driver-end node.
     drv_nodes: Vec<usize>,
     /// Unknown index of each wire's receiver-end node.
     recv_nodes: Vec<usize>,
 }
 
-/// Banded augmented-MNA engine state (segment-major, branch currents
-/// interleaved with their sink nodes).
-#[derive(Debug, Clone)]
-struct BandedRlcEngine {
-    dim: usize,
-    /// Transient system, banded-LU-factored.
-    a_lu: BandedLu,
-    /// DC system (inductors shorted, capacitors open), banded-LU-factored.
-    dc_lu: BandedLu,
-    /// Full-state history matrix: `C/h` on node rows, `−L/h` / `−M/h`
-    /// on branch rows — one banded mat-vec builds the whole RHS.
-    hist: Banded,
-    /// Unknown index of each wire's driver branch current row.
-    drv_branches: Vec<usize>,
-    drv_nodes: Vec<usize>,
-    recv_nodes: Vec<usize>,
-}
-
-/// Dense pure-RC engine state (wire-major ordering): the oracle.
-#[cfg(feature = "dense-oracle")]
-#[derive(Debug, Clone)]
-struct DenseRcEngine {
-    dim: usize,
-    a_lu: LuFactors,
-    g_lu: LuFactors,
-    c_over_h: Matrix,
-    g_drv: Vec<f64>,
-    drv_nodes: Vec<usize>,
-    recv_nodes: Vec<usize>,
-}
-
-/// Dense augmented-MNA engine state: the oracle.
-#[cfg(feature = "dense-oracle")]
-#[derive(Debug, Clone)]
-struct DenseRlcEngine {
-    dim: usize,
-    a_lu: LuFactors,
-    dc_lu: LuFactors,
-    /// Full-state history matrix, same convention as the banded engine.
-    hist: Matrix,
-    drv_branches: Vec<usize>,
-    drv_nodes: Vec<usize>,
-    recv_nodes: Vec<usize>,
-}
-
 #[derive(Debug, Clone)]
 enum Engine {
-    BandedRc(BandedRcEngine),
-    BandedRlc(BandedRlcEngine),
-    #[cfg(feature = "dense-oracle")]
-    DenseRc(DenseRcEngine),
-    #[cfg(feature = "dense-oracle")]
-    DenseRlc(DenseRlcEngine),
-}
-
-impl Engine {
-    fn dim(&self) -> usize {
-        match self {
-            Engine::BandedRc(e) => e.dim,
-            Engine::BandedRlc(e) => e.dim,
-            #[cfg(feature = "dense-oracle")]
-            Engine::DenseRc(e) => e.dim,
-            #[cfg(feature = "dense-oracle")]
-            Engine::DenseRlc(e) => e.dim,
-        }
-    }
+    Banded(System<Banded, BandedLu>),
+    Dense(System<Matrix, LuFactors>),
 }
 
 /// A factored transient simulator bound to one bus and timestep.
@@ -269,26 +233,6 @@ pub struct TransientSim {
     dt: f64,
     switch_at: f64,
     engine: Engine,
-}
-
-/// Recovery policy for [`TransientSim::new_guarded`]: how hard to try
-/// before giving up on a bus whose nominal factorisation is singular.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GuardrailPolicy {
-    /// Maximum number of times the timestep may be halved when the
-    /// transient system `G + C/h` fails to factor.
-    pub max_dt_halvings: u32,
-    /// Whether to fall back to the dense oracle (at the original
-    /// timestep) once dt-halving is exhausted. Only effective when the
-    /// `dense-oracle` feature is compiled in; otherwise this rung of
-    /// the ladder is skipped.
-    pub dense_fallback: bool,
-}
-
-impl Default for GuardrailPolicy {
-    fn default() -> GuardrailPolicy {
-        GuardrailPolicy { max_dt_halvings: 2, dense_fallback: true }
-    }
 }
 
 /// One recovery action taken by [`TransientSim::new_guarded`]. The
@@ -323,7 +267,7 @@ impl std::fmt::Display for GuardrailEvent {
 }
 
 // ---------------------------------------------------------------------
-// Banded assembly (segment-major ordering)
+// Assembly
 // ---------------------------------------------------------------------
 
 /// Stamps the capacitance-over-h terms into `m` under an arbitrary
@@ -383,37 +327,6 @@ fn stamp_conductance(
         }
     }
     g_drv
-}
-
-fn build_banded_rc(bus: &Bus, dt: f64) -> Result<BandedRcEngine, InterconnectError> {
-    let s = bus.segments();
-    let w = bus.wires();
-    let dim = w * s;
-    // Segment-major: same-position nodes of adjacent wires are
-    // contiguous, so coupling terms sit next to the diagonal and the
-    // series terms reach exactly `w` away — half-bandwidth `w`.
-    let node = |wire: usize, seg: usize| seg * w + wire;
-
-    let mut g = Banded::zeros(dim, w, w);
-    let g_drv = stamp_conductance(bus, &node, |i, j, v| g.add(i, j, v));
-    // The capacitance stamps only couple same-segment neighbours, which
-    // are adjacent under segment-major ordering: the history matrix is
-    // tridiagonal, so the per-step mul is O(N·3) regardless of width.
-    let mut c_over_h = Banded::zeros(dim, 1, 1);
-    stamp_cap_over_h(bus, dt, &node, |i, j, v| c_over_h.add(i, j, v));
-    let mut a = Banded::zeros(dim, w, w);
-    stamp_conductance(bus, &node, |i, j, v| a.add(i, j, v));
-    stamp_cap_over_h(bus, dt, &node, |i, j, v| a.add(i, j, v));
-
-    Ok(BandedRcEngine {
-        dim,
-        a_lu: RcFactor::Direct(a.lu()?),
-        g_lu: g.lu()?,
-        c_over_h,
-        g_drv,
-        drv_nodes: (0..w).map(|wire| node(wire, 0)).collect(),
-        recv_nodes: (0..w).map(|wire| node(wire, s - 1)).collect(),
-    })
 }
 
 /// Stamps the full augmented-MNA system under arbitrary index mappings.
@@ -488,7 +401,38 @@ fn stamp_rlc(
     }
 }
 
-fn build_banded_rlc(bus: &Bus, dt: f64) -> Result<BandedRlcEngine, InterconnectError> {
+fn build_banded_rc(bus: &Bus, dt: f64) -> Result<System<Banded, BandedLu>, InterconnectError> {
+    let s = bus.segments();
+    let w = bus.wires();
+    let dim = w * s;
+    // Segment-major: same-position nodes of adjacent wires are
+    // contiguous, so coupling terms sit next to the diagonal and the
+    // series terms reach exactly `w` away — half-bandwidth `w`.
+    let node = |wire: usize, seg: usize| seg * w + wire;
+
+    let mut g = Banded::zeros(dim, w, w);
+    let g_drv = stamp_conductance(bus, &node, |i, j, v| g.add(i, j, v));
+    // The capacitance stamps only couple same-segment neighbours, which
+    // are adjacent under segment-major ordering: the history matrix is
+    // tridiagonal, so the per-step mul is O(N·3) regardless of width.
+    let mut c_over_h = Banded::zeros(dim, 1, 1);
+    stamp_cap_over_h(bus, dt, &node, |i, j, v| c_over_h.add(i, j, v));
+    let mut a = Banded::zeros(dim, w, w);
+    stamp_conductance(bus, &node, |i, j, v| a.add(i, j, v));
+    stamp_cap_over_h(bus, dt, &node, |i, j, v| a.add(i, j, v));
+
+    Ok(System {
+        dim,
+        a_lu: a.lu()?,
+        dc_lu: g.lu()?,
+        hist: c_over_h,
+        sources: Sources::Norton { g: g_drv },
+        drv_nodes: (0..w).map(|wire| node(wire, 0)).collect(),
+        recv_nodes: (0..w).map(|wire| node(wire, s - 1)).collect(),
+    })
+}
+
+fn build_banded_rlc(bus: &Bus, dt: f64) -> Result<System<Banded, BandedLu>, InterconnectError> {
     let s = bus.segments();
     let w = bus.wires();
     let dim = 2 * w * s;
@@ -516,23 +460,18 @@ fn build_banded_rlc(bus: &Bus, dt: f64) -> Result<BandedRlcEngine, InterconnectE
         |i, j, v| hist.add(i, j, v),
     );
 
-    Ok(BandedRlcEngine {
+    Ok(System {
         dim,
         a_lu: a.lu()?,
         dc_lu: dc.lu()?,
         hist,
-        drv_branches: (0..w).map(|wire| i_idx(wire, 0)).collect(),
+        sources: Sources::Branch { rows: (0..w).map(|wire| i_idx(wire, 0)).collect() },
         drv_nodes: (0..w).map(|wire| v_idx(wire, 0)).collect(),
         recv_nodes: (0..w).map(|wire| v_idx(wire, s - 1)).collect(),
     })
 }
 
-// ---------------------------------------------------------------------
-// Dense assembly (wire-major ordering) — the oracle
-// ---------------------------------------------------------------------
-
-#[cfg(feature = "dense-oracle")]
-fn build_dense_rc(bus: &Bus, dt: f64) -> Result<DenseRcEngine, InterconnectError> {
+fn build_dense_rc(bus: &Bus, dt: f64) -> Result<System<Matrix, LuFactors>, InterconnectError> {
     let s = bus.segments();
     let w = bus.wires();
     let dim = w * s;
@@ -545,19 +484,18 @@ fn build_dense_rc(bus: &Bus, dt: f64) -> Result<DenseRcEngine, InterconnectError
     let mut a = g.clone();
     stamp_cap_over_h(bus, dt, &node, |i, j, v| a[(i, j)] += v);
 
-    Ok(DenseRcEngine {
+    Ok(System {
         dim,
         a_lu: a.lu()?,
-        g_lu: g.lu()?,
-        c_over_h,
-        g_drv,
+        dc_lu: g.lu()?,
+        hist: c_over_h,
+        sources: Sources::Norton { g: g_drv },
         drv_nodes: (0..w).map(|wire| node(wire, 0)).collect(),
         recv_nodes: (0..w).map(|wire| node(wire, s - 1)).collect(),
     })
 }
 
-#[cfg(feature = "dense-oracle")]
-fn build_dense_rlc(bus: &Bus, dt: f64) -> Result<DenseRlcEngine, InterconnectError> {
+fn build_dense_rlc(bus: &Bus, dt: f64) -> Result<System<Matrix, LuFactors>, InterconnectError> {
     let s = bus.segments();
     let w = bus.wires();
     let nodes = w * s;
@@ -580,15 +518,154 @@ fn build_dense_rlc(bus: &Bus, dt: f64) -> Result<DenseRlcEngine, InterconnectErr
         |i, j, v| hist[(i, j)] += v,
     );
 
-    Ok(DenseRlcEngine {
+    Ok(System {
         dim,
         a_lu: a.lu()?,
         dc_lu: dc.lu()?,
         hist,
-        drv_branches: (0..w).map(|wire| i_idx(wire, 0)).collect(),
+        sources: Sources::Branch { rows: (0..w).map(|wire| i_idx(wire, 0)).collect() },
         drv_nodes: (0..w).map(|wire| v_idx(wire, 0)).collect(),
         recv_nodes: (0..w).map(|wire| v_idx(wire, s - 1)).collect(),
     })
+}
+
+// ---------------------------------------------------------------------
+// Timestep loops
+// ---------------------------------------------------------------------
+
+impl<H, F> System<H, F> {
+    /// Adds the driver terms at time `t` to lane `c` of a `w`-interleaved
+    /// right-hand side (`w = 1`, `c = 0` for a plain vector).
+    #[inline]
+    fn stamp(&self, stimulus: &Stimulus, t: f64, rhs: &mut [f64], w: usize, c: usize) {
+        match &self.sources {
+            Sources::Norton { g } => {
+                for (wire, (&node, &gd)) in self.drv_nodes.iter().zip(g).enumerate() {
+                    rhs[node * w + c] += gd * stimulus.voltage(wire, t);
+                }
+            }
+            Sources::Branch { rows } => {
+                for (wire, &row) in rows.iter().enumerate() {
+                    rhs[row * w + c] -= stimulus.voltage(wire, t);
+                }
+            }
+        }
+    }
+}
+
+impl<H: History, F: Factors> System<H, F> {
+    /// The scalar timestep loop: `steps` steps from the DC operating
+    /// point of the stimulus's initial values, appended to `waves`.
+    fn run_scalar(
+        &self,
+        stimulus: &Stimulus,
+        steps: usize,
+        scratch: &mut SimScratch,
+        cancel: Option<&CancelToken>,
+        waves: &mut BusWaveforms,
+    ) -> Result<(), InterconnectError> {
+        scratch.reset(self.dim);
+        let SimScratch { state, rhs } = scratch;
+        self.stamp(stimulus, 0.0, state, 1, 0);
+        self.dc_lu.solve_into(state);
+        check_finite(state, 0)?;
+        self.collect(state, waves);
+        for k in 1..=steps {
+            check_cancel(cancel, k)?;
+            let t = k as f64 * waves.dt;
+            self.hist.mul_vec_into(state, rhs);
+            self.stamp(stimulus, t, rhs, 1, 0);
+            self.a_lu.solve_into(rhs);
+            std::mem::swap(state, rhs);
+            check_finite(state, k)?;
+            self.collect(state, waves);
+        }
+        Ok(())
+    }
+
+    /// Appends the per-wire receiver/driver node voltages of `state`.
+    fn collect(&self, state: &[f64], waves: &mut BusWaveforms) {
+        for (wire, (&rnode, &dnode)) in self.recv_nodes.iter().zip(&self.drv_nodes).enumerate() {
+            waves.receiver[wire].push(state[rnode]);
+            waves.driver[wire].push(state[dnode]);
+        }
+    }
+}
+
+impl System<Banded, BandedLu> {
+    /// Runs `stimuli` into `wp` as interleaved lane blocks of 8, then 4,
+    /// then 1 patterns.
+    fn run_lane_blocks(
+        &self,
+        stimuli: &[Stimulus],
+        steps: usize,
+        scratch: &mut PanelScratch,
+        wp: &mut WavePanel,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(), InterconnectError> {
+        let mut done = 0;
+        while stimuli.len() - done >= 8 {
+            self.run_lanes::<8>(&stimuli[done..done + 8], done, steps, scratch, wp, cancel)?;
+            done += 8;
+        }
+        while stimuli.len() - done >= 4 {
+            self.run_lanes::<4>(&stimuli[done..done + 4], done, steps, scratch, wp, cancel)?;
+            done += 4;
+        }
+        while done < stimuli.len() {
+            self.run_lanes::<1>(&stimuli[done..done + 1], done, steps, scratch, wp, cancel)?;
+            done += 1;
+        }
+        Ok(())
+    }
+
+    /// One `W`-wide lane block of the timestep loop, written to patterns
+    /// `c0..c0 + W` of `wp`: state and right-hand side stay interleaved
+    /// (`buf[i·W + c]`) across the whole loop, so the multiply and both
+    /// substitutions run `W`-wide contiguous fused-multiply-adds with no
+    /// per-step transposes.
+    fn run_lanes<const W: usize>(
+        &self,
+        stimuli: &[Stimulus],
+        c0: usize,
+        steps: usize,
+        scratch: &mut PanelScratch,
+        wp: &mut WavePanel,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(), InterconnectError> {
+        let n = self.dim;
+        let wires = self.recv_nodes.len();
+        let row = 2 * wires * W;
+        let PanelScratch { lanes, lrhs, stage, .. } = scratch;
+        lanes.clear();
+        lanes.resize(n * W, 0.0);
+        lrhs.clear();
+        lrhs.resize(n * W, 0.0);
+        stage.clear();
+        stage.resize((steps + 1) * row, 0.0);
+        // DC operating point per lane.
+        for (c, stim) in stimuli.iter().enumerate() {
+            self.stamp(stim, 0.0, lanes, W, c);
+        }
+        self.dc_lu.solve_interleaved_into::<W>(lanes);
+        check_finite_lanes(lanes, W, 0)?;
+        stage_lanes(&self.recv_nodes, &self.drv_nodes, lanes, W, &mut stage[..row]);
+        for k in 1..=steps {
+            check_cancel(cancel, k)?;
+            let t = k as f64 * wp.dt;
+            self.hist.mul_interleaved_into::<W>(lanes, lrhs);
+            for (c, stim) in stimuli.iter().enumerate() {
+                self.stamp(stim, t, lrhs, W, c);
+            }
+            self.a_lu.solve_interleaved_into::<W>(lrhs);
+            std::mem::swap(lanes, lrhs);
+            check_finite_lanes(lanes, W, k)?;
+            let out = &mut stage[k * row..(k + 1) * row];
+            stage_lanes(&self.recv_nodes, &self.drv_nodes, lanes, W, out);
+        }
+        scatter_stage(stage, W, wires, wp, c0);
+        Ok(())
+    }
 }
 
 impl TransientSim {
@@ -598,9 +675,9 @@ impl TransientSim {
     ///
     /// # Errors
     ///
-    /// [`InterconnectError::BadTimeAxis`] for a non-positive `dt`;
-    /// [`InterconnectError::SingularMatrix`] if the bus graph is
-    /// degenerate.
+    /// [`InterconnectError::BadTimeAxis`] for a non-finite or
+    /// non-positive `dt`; [`InterconnectError::SingularMatrix`] if the
+    /// bus graph is degenerate.
     pub fn new(bus: &Bus, dt: f64) -> Result<TransientSim, InterconnectError> {
         Self::with_switch_at(bus, dt, DEFAULT_SWITCH_AT)
     }
@@ -609,7 +686,9 @@ impl TransientSim {
     ///
     /// # Errors
     ///
-    /// As for [`TransientSim::new`].
+    /// As for [`TransientSim::new`], plus
+    /// [`InterconnectError::BadTimeAxis`] for a non-finite or negative
+    /// `switch_at`.
     pub fn with_switch_at(
         bus: &Bus,
         dt: f64,
@@ -624,77 +703,61 @@ impl TransientSim {
     ///
     /// # Errors
     ///
-    /// As for [`TransientSim::new`].
+    /// As for [`TransientSim::with_switch_at`].
     pub fn with_backend(
         bus: &Bus,
         dt: f64,
         switch_at: f64,
         backend: SolverBackend,
     ) -> Result<TransientSim, InterconnectError> {
-        if dt <= 0.0 {
-            return Err(InterconnectError::time("timestep must be positive"));
+        if !(dt.is_finite() && dt > 0.0) {
+            return Err(InterconnectError::time("timestep must be finite and positive"));
         }
-        if switch_at < 0.0 {
-            return Err(InterconnectError::time("switch time must be non-negative"));
+        if !(switch_at.is_finite() && switch_at >= 0.0) {
+            return Err(InterconnectError::time("switch time must be finite and non-negative"));
         }
         let engine = match (backend, bus.has_inductance()) {
-            (SolverBackend::Banded, false) => Engine::BandedRc(build_banded_rc(bus, dt)?),
-            (SolverBackend::Banded, true) => Engine::BandedRlc(build_banded_rlc(bus, dt)?),
-            #[cfg(feature = "dense-oracle")]
-            (SolverBackend::Dense, false) => Engine::DenseRc(build_dense_rc(bus, dt)?),
-            #[cfg(feature = "dense-oracle")]
-            (SolverBackend::Dense, true) => Engine::DenseRlc(build_dense_rlc(bus, dt)?),
+            (SolverBackend::Banded, false) => Engine::Banded(build_banded_rc(bus, dt)?),
+            (SolverBackend::Banded, true) => Engine::Banded(build_banded_rlc(bus, dt)?),
+            (SolverBackend::Dense, false) => Engine::Dense(build_dense_rc(bus, dt)?),
+            (SolverBackend::Dense, true) => Engine::Dense(build_dense_rlc(bus, dt)?),
         };
         Ok(TransientSim { bus: bus.clone(), dt, switch_at, engine })
     }
 
     /// As [`TransientSim::new`], but with a bounded recovery ladder for
-    /// singular factorisations: the timestep is halved up to
-    /// `policy.max_dt_halvings` times, and if the banded path still
-    /// fails the dense oracle is tried once at the original timestep
-    /// (when compiled in and `policy.dense_fallback` is set). Every
-    /// action taken is reported as a [`GuardrailEvent`] so callers can
-    /// surface the degraded configuration instead of silently running
-    /// with a different dt.
+    /// singular factorisations: the timestep is halved up to twice, and
+    /// if the banded path still fails the dense engine is tried once at
+    /// the original timestep. Every action taken is reported as a
+    /// [`GuardrailEvent`] so callers can surface the degraded
+    /// configuration instead of silently running with a different dt.
     ///
     /// # Errors
     ///
     /// Non-singular construction errors (bad time axis, bad geometry)
     /// propagate unchanged — the ladder only answers
     /// [`InterconnectError::SingularMatrix`], which is returned once
-    /// every rung the policy allows has been tried.
+    /// every rung has been tried.
     pub fn new_guarded(
         bus: &Bus,
         dt: f64,
-        policy: GuardrailPolicy,
     ) -> Result<(TransientSim, Vec<GuardrailEvent>), InterconnectError> {
         let mut events = Vec::new();
         let mut current_dt = dt;
-        match Self::new(bus, dt) {
-            Ok(sim) => return Ok((sim, events)),
-            Err(InterconnectError::SingularMatrix) => {}
-            Err(other) => return Err(other),
-        }
-        for _ in 0..policy.max_dt_halvings {
-            let next_dt = current_dt / 2.0;
-            events.push(GuardrailEvent::DtHalved { from: current_dt, to: next_dt });
-            current_dt = next_dt;
+        for halvings in 0..=GUARD_DT_HALVINGS {
+            if halvings > 0 {
+                events.push(GuardrailEvent::DtHalved { from: current_dt, to: current_dt / 2.0 });
+                current_dt /= 2.0;
+            }
             match Self::new(bus, current_dt) {
                 Ok(sim) => return Ok((sim, events)),
                 Err(InterconnectError::SingularMatrix) => {}
                 Err(other) => return Err(other),
             }
         }
-        #[cfg(feature = "dense-oracle")]
-        if policy.dense_fallback {
-            events.push(GuardrailEvent::DenseFallback);
-            match Self::with_backend(bus, dt, DEFAULT_SWITCH_AT, SolverBackend::Dense) {
-                Ok(sim) => return Ok((sim, events)),
-                Err(InterconnectError::SingularMatrix) => {}
-                Err(other) => return Err(other),
-            }
-        }
-        Err(InterconnectError::SingularMatrix)
+        events.push(GuardrailEvent::DenseFallback);
+        let sim = Self::with_backend(bus, dt, DEFAULT_SWITCH_AT, SolverBackend::Dense)?;
+        Ok((sim, events))
     }
 
     /// The timestep (s).
@@ -712,274 +775,51 @@ impl TransientSim {
     /// Whether the augmented (inductive) formulation is active.
     #[must_use]
     pub fn is_rlc(&self) -> bool {
-        match self.engine {
-            Engine::BandedRlc(_) => true,
-            #[cfg(feature = "dense-oracle")]
-            Engine::DenseRlc(_) => true,
-            _ => false,
-        }
+        let sources = match &self.engine {
+            Engine::Banded(sys) => &sys.sources,
+            Engine::Dense(sys) => &sys.sources,
+        };
+        matches!(sources, Sources::Branch { .. })
     }
 
     /// The linear-algebra backend this simulator runs on.
     #[must_use]
     pub fn backend(&self) -> SolverBackend {
         match self.engine {
-            Engine::BandedRc(_) | Engine::BandedRlc(_) => SolverBackend::Banded,
-            #[cfg(feature = "dense-oracle")]
-            Engine::DenseRc(_) | Engine::DenseRlc(_) => SolverBackend::Dense,
+            Engine::Banded(_) => SolverBackend::Banded,
+            Engine::Dense(_) => SolverBackend::Dense,
         }
     }
 
-    /// Runs the transient for `duration` seconds under `stimulus`,
-    /// starting from the DC operating point of the *initial* source
-    /// values. Allocates fresh scratch; prefer
-    /// [`TransientSim::run_with_scratch`] inside campaign loops.
+    /// Lowers `pair` to a stimulus (edge at the configured switch time)
+    /// and runs the transient for `duration` seconds, starting from the
+    /// DC operating point of the *before* vector. Allocates fresh
+    /// scratch; prefer [`TransientSim::run_pair_cancellable`] inside
+    /// campaign loops.
     ///
     /// # Errors
     ///
-    /// [`InterconnectError::BadTimeAxis`] for a non-positive duration;
-    /// [`InterconnectError::WireOutOfRange`] for a stimulus width
-    /// mismatch.
-    pub fn run(
-        &self,
-        stimulus: &Stimulus,
-        duration: f64,
-    ) -> Result<BusWaveforms, InterconnectError> {
-        self.run_with_scratch(stimulus, duration, &mut SimScratch::new())
-    }
-
-    /// As [`TransientSim::run`], reusing caller-provided scratch
-    /// buffers so repeated runs never allocate in the timestep loop.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TransientSim::run`].
-    pub fn run_with_scratch(
-        &self,
-        stimulus: &Stimulus,
-        duration: f64,
-        scratch: &mut SimScratch,
-    ) -> Result<BusWaveforms, InterconnectError> {
-        self.run_cancellable(stimulus, duration, scratch, None)
-    }
-
-    /// As [`TransientSim::run_with_scratch`], polling `cancel` every
-    /// [`CANCEL_CHECK_INTERVAL`] timesteps: an explicitly cancelled
-    /// token or an expired deadline stops the run cooperatively with
-    /// [`InterconnectError::Cancelled`]. Passing `None` is exactly the
-    /// uncancellable path.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TransientSim::run`], plus
-    /// [`InterconnectError::Cancelled`] when the token fires.
-    pub fn run_cancellable(
-        &self,
-        stimulus: &Stimulus,
-        duration: f64,
-        scratch: &mut SimScratch,
-        cancel: Option<&CancelToken>,
-    ) -> Result<BusWaveforms, InterconnectError> {
-        if duration <= 0.0 {
-            return Err(InterconnectError::time("duration must be positive"));
-        }
-        if stimulus.width() != self.bus.wires() {
-            return Err(InterconnectError::WireOutOfRange {
-                wire: stimulus.width(),
-                width: self.bus.wires(),
-            });
-        }
-        // Epsilon guard: 1e-9/1e-12 must give exactly 1000 steps despite
-        // floating-point representation of the quotient.
-        let steps = ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize;
-        scratch.reset(self.engine.dim());
-        let w = self.bus.wires();
-        let mut recv = vec![Vec::with_capacity(steps + 1); w];
-        let mut drv = vec![Vec::with_capacity(steps + 1); w];
-        match &self.engine {
-            Engine::BandedRc(e) => {
-                self.run_banded_rc(e, stimulus, steps, scratch, &mut recv, &mut drv, cancel)?;
-            }
-            Engine::BandedRlc(e) => {
-                self.run_banded_rlc(e, stimulus, steps, scratch, &mut recv, &mut drv, cancel)?;
-            }
-            #[cfg(feature = "dense-oracle")]
-            Engine::DenseRc(e) => {
-                self.run_dense_rc(e, stimulus, steps, scratch, &mut recv, &mut drv, cancel)?;
-            }
-            #[cfg(feature = "dense-oracle")]
-            Engine::DenseRlc(e) => {
-                self.run_dense_rlc(e, stimulus, steps, scratch, &mut recv, &mut drv, cancel)?;
-            }
-        }
-        Ok(BusWaveforms {
-            dt: self.dt,
-            switch_at: self.switch_at,
-            vdd: self.bus.vdd(),
-            receiver: recv,
-            driver: drv,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_banded_rc(
-        &self,
-        e: &BandedRcEngine,
-        stimulus: &Stimulus,
-        steps: usize,
-        scratch: &mut SimScratch,
-        recv: &mut [Vec<f64>],
-        drv: &mut [Vec<f64>],
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let SimScratch { state, rhs, aux } = scratch;
-        // DC operating point of the initial source values.
-        state.fill(0.0);
-        stamp_rc_sources(e, stimulus, 0.0, state);
-        e.g_lu.solve_into(state);
-        check_finite(state, 0)?;
-        collect(&e.recv_nodes, &e.drv_nodes, state, recv, drv);
-        for k in 1..=steps {
-            check_cancel(cancel, k)?;
-            let t = k as f64 * self.dt;
-            e.c_over_h.mul_vec_into(state, rhs);
-            stamp_rc_sources(e, stimulus, t, rhs);
-            e.a_lu.solve_into(rhs, aux);
-            std::mem::swap(state, rhs);
-            check_finite(state, k)?;
-            collect(&e.recv_nodes, &e.drv_nodes, state, recv, drv);
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_banded_rlc(
-        &self,
-        e: &BandedRlcEngine,
-        stimulus: &Stimulus,
-        steps: usize,
-        scratch: &mut SimScratch,
-        recv: &mut [Vec<f64>],
-        drv: &mut [Vec<f64>],
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let SimScratch { state, rhs, .. } = scratch;
-        // DC operating point: inductors short, capacitors open.
-        state.fill(0.0);
-        stamp_rlc_sources(&e.drv_branches, stimulus, 0.0, state);
-        e.dc_lu.solve_into(state);
-        check_finite(state, 0)?;
-        collect(&e.recv_nodes, &e.drv_nodes, state, recv, drv);
-        for k in 1..=steps {
-            check_cancel(cancel, k)?;
-            let t = k as f64 * self.dt;
-            e.hist.mul_vec_into(state, rhs);
-            stamp_rlc_sources(&e.drv_branches, stimulus, t, rhs);
-            e.a_lu.solve_into(rhs);
-            std::mem::swap(state, rhs);
-            check_finite(state, k)?;
-            collect(&e.recv_nodes, &e.drv_nodes, state, recv, drv);
-        }
-        Ok(())
-    }
-
-    #[cfg(feature = "dense-oracle")]
-    #[allow(clippy::too_many_arguments)]
-    fn run_dense_rc(
-        &self,
-        e: &DenseRcEngine,
-        stimulus: &Stimulus,
-        steps: usize,
-        scratch: &mut SimScratch,
-        recv: &mut [Vec<f64>],
-        drv: &mut [Vec<f64>],
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let SimScratch { state, rhs, .. } = scratch;
-        state.fill(0.0);
-        stamp_dense_rc_sources(e, stimulus, 0.0, state);
-        e.g_lu.solve_into(state);
-        check_finite(state, 0)?;
-        collect(&e.recv_nodes, &e.drv_nodes, state, recv, drv);
-        for k in 1..=steps {
-            check_cancel(cancel, k)?;
-            let t = k as f64 * self.dt;
-            e.c_over_h.mul_vec_into(state, rhs);
-            stamp_dense_rc_sources(e, stimulus, t, rhs);
-            e.a_lu.solve_into(rhs);
-            std::mem::swap(state, rhs);
-            check_finite(state, k)?;
-            collect(&e.recv_nodes, &e.drv_nodes, state, recv, drv);
-        }
-        Ok(())
-    }
-
-    #[cfg(feature = "dense-oracle")]
-    #[allow(clippy::too_many_arguments)]
-    fn run_dense_rlc(
-        &self,
-        e: &DenseRlcEngine,
-        stimulus: &Stimulus,
-        steps: usize,
-        scratch: &mut SimScratch,
-        recv: &mut [Vec<f64>],
-        drv: &mut [Vec<f64>],
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let SimScratch { state, rhs, .. } = scratch;
-        state.fill(0.0);
-        stamp_rlc_sources(&e.drv_branches, stimulus, 0.0, state);
-        e.dc_lu.solve_into(state);
-        check_finite(state, 0)?;
-        collect(&e.recv_nodes, &e.drv_nodes, state, recv, drv);
-        for k in 1..=steps {
-            check_cancel(cancel, k)?;
-            let t = k as f64 * self.dt;
-            e.hist.mul_vec_into(state, rhs);
-            stamp_rlc_sources(&e.drv_branches, stimulus, t, rhs);
-            e.a_lu.solve_into(rhs);
-            std::mem::swap(state, rhs);
-            check_finite(state, k)?;
-            collect(&e.recv_nodes, &e.drv_nodes, state, recv, drv);
-        }
-        Ok(())
-    }
-
-    /// Convenience: lowers a [`VectorPair`] to a stimulus (edge at the
-    /// configured switch time) and runs it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TransientSim::run`].
+    /// [`InterconnectError::BadTimeAxis`] for a non-finite or
+    /// non-positive duration, or one needing more than 2²⁴ samples;
+    /// [`InterconnectError::WireOutOfRange`] for a pair width mismatch;
+    /// [`InterconnectError::Diverged`] when the state goes non-finite.
     pub fn run_pair(
         &self,
         pair: &VectorPair,
         duration: f64,
     ) -> Result<BusWaveforms, InterconnectError> {
-        self.run_pair_with_scratch(pair, duration, &mut SimScratch::new())
+        self.run_pair_cancellable(pair, duration, &mut SimScratch::new(), None)
     }
 
-    /// As [`TransientSim::run_pair`], reusing caller-provided scratch.
+    /// As [`TransientSim::run_pair`], reusing caller-provided scratch
+    /// buffers so repeated runs never allocate in the timestep loop, and
+    /// polling `cancel` every [`CANCEL_CHECK_INTERVAL`] timesteps: an
+    /// explicitly cancelled token or an expired deadline stops the run
+    /// cooperatively. Passing `None` is exactly the uncancellable path.
     ///
     /// # Errors
     ///
-    /// As for [`TransientSim::run`].
-    pub fn run_pair_with_scratch(
-        &self,
-        pair: &VectorPair,
-        duration: f64,
-        scratch: &mut SimScratch,
-    ) -> Result<BusWaveforms, InterconnectError> {
-        self.run_pair_cancellable(pair, duration, scratch, None)
-    }
-
-    /// As [`TransientSim::run_pair_with_scratch`], polling `cancel`
-    /// every [`CANCEL_CHECK_INTERVAL`] timesteps (see
-    /// [`TransientSim::run_cancellable`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TransientSim::run`], plus
+    /// As for [`TransientSim::run_pair`], plus
     /// [`InterconnectError::Cancelled`] when the token fires.
     pub fn run_pair_cancellable(
         &self,
@@ -988,101 +828,26 @@ impl TransientSim {
         scratch: &mut SimScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<BusWaveforms, InterconnectError> {
-        let stim = Stimulus::from_pair(&self.bus, pair, self.switch_at)?;
-        self.run_cancellable(&stim, duration, scratch, cancel)
+        let steps = self.steps(duration)?;
+        let stimulus = Stimulus::from_pair(&self.bus, pair, self.switch_at)?;
+        self.run_stimulus(&stimulus, steps, scratch, cancel)
     }
 
-    /// Runs one transient per stimulus as a single batched **panel**:
-    /// every timestep advances all patterns through one matrix-panel
-    /// history multiply and one multi-RHS solve, instead of `k`
-    /// separate matrix-vector passes. Each pattern still starts from
-    /// its own DC operating point — the patterns are physically
-    /// independent, only the linear-algebra work is shared — so for
-    /// finite systems the per-pattern waveforms are bitwise identical
-    /// to looped [`TransientSim::run`] calls. Allocates fresh scratch;
-    /// prefer [`TransientSim::run_panel_with_scratch`] in loops.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TransientSim::run`].
-    pub fn run_panel(
-        &self,
-        stimuli: &[Stimulus],
-        duration: f64,
-    ) -> Result<WavePanel, InterconnectError> {
-        self.run_panel_with_scratch(stimuli, duration, &mut PanelScratch::new())
-    }
-
-    /// As [`TransientSim::run_panel`], reusing caller-provided scratch
-    /// so repeated batches never allocate in the timestep loop.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TransientSim::run`].
-    pub fn run_panel_with_scratch(
-        &self,
-        stimuli: &[Stimulus],
-        duration: f64,
-        scratch: &mut PanelScratch,
-    ) -> Result<WavePanel, InterconnectError> {
-        self.run_panel_cancellable(stimuli, duration, scratch, None)
-    }
-
-    /// As [`TransientSim::run_panel_with_scratch`], polling `cancel`
-    /// every [`CANCEL_CHECK_INTERVAL`] joint timesteps — the same
-    /// stride, and therefore the same `Cancelled { step }`, as the
+    /// Runs one transient per pair as a single batched **panel**: every
+    /// timestep advances up to eight patterns through one interleaved
+    /// history multiply and one multi-RHS solve, instead of separate
+    /// matrix-vector passes. Each pattern still starts from its own DC
+    /// operating point — the patterns are physically independent, only
+    /// the linear-algebra work is shared — so for finite systems the
+    /// per-pattern waveforms are bitwise identical to looped
+    /// [`TransientSim::run_pair`] calls. Cancellation polls land on the
+    /// same stride, and therefore the same `Cancelled { step }`, as the
     /// scalar path polling during its first pattern.
     ///
     /// # Errors
     ///
-    /// As for [`TransientSim::run`], plus
-    /// [`InterconnectError::Cancelled`] when the token fires.
-    pub fn run_panel_cancellable(
-        &self,
-        stimuli: &[Stimulus],
-        duration: f64,
-        scratch: &mut PanelScratch,
-        cancel: Option<&CancelToken>,
-    ) -> Result<WavePanel, InterconnectError> {
-        if duration <= 0.0 {
-            return Err(InterconnectError::time("duration must be positive"));
-        }
-        for stim in stimuli {
-            if stim.width() != self.bus.wires() {
-                return Err(InterconnectError::WireOutOfRange {
-                    wire: stim.width(),
-                    width: self.bus.wires(),
-                });
-            }
-        }
-        match &self.engine {
-            Engine::BandedRc(_) | Engine::BandedRlc(_) => {
-                match self.run_panel_attempt(stimuli, duration, scratch, cancel) {
-                    // A non-finite panel state cannot identify which
-                    // pattern a sequential run would have failed on
-                    // first (and the blocked kernels' dropped zero
-                    // skips are only bitwise-safe for finite systems),
-                    // so divergence replays the batch scalar-sequential
-                    // for exact per-pattern semantics.
-                    Err(InterconnectError::Diverged { .. }) => {
-                        self.run_panel_sequential(stimuli, duration, scratch, cancel)
-                    }
-                    other => other,
-                }
-            }
-            #[cfg(feature = "dense-oracle")]
-            Engine::DenseRc(_) | Engine::DenseRlc(_) => {
-                self.run_panel_sequential(stimuli, duration, scratch, cancel)
-            }
-        }
-    }
-
-    /// Convenience: lowers a batch of [`VectorPair`]s to stimuli (edge
-    /// at the configured switch time) and runs them as one panel.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TransientSim::run_panel`].
+    /// As for [`TransientSim::run_pair_cancellable`]; a divergence is
+    /// reported exactly as the first failing scalar run would report it.
     pub fn run_pairs_cancellable(
         &self,
         pairs: &[VectorPair],
@@ -1090,57 +855,90 @@ impl TransientSim {
         scratch: &mut PanelScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<WavePanel, InterconnectError> {
+        let steps = self.steps(duration)?;
         let stimuli: Vec<Stimulus> = pairs
             .iter()
             .map(|pair| Stimulus::from_pair(&self.bus, pair, self.switch_at))
             .collect::<Result<_, _>>()?;
-        self.run_panel_cancellable(&stimuli, duration, scratch, cancel)
-    }
-
-    /// The batched banded panel loop (both formulations).
-    fn run_panel_attempt(
-        &self,
-        stimuli: &[Stimulus],
-        duration: f64,
-        scratch: &mut PanelScratch,
-        cancel: Option<&CancelToken>,
-    ) -> Result<WavePanel, InterconnectError> {
-        let steps = ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize;
-        scratch.reset(self.engine.dim(), stimuli.len());
-        let mut wp = WavePanel::empty(self, stimuli.len(), steps + 1);
-        match &self.engine {
-            Engine::BandedRc(e) => {
-                self.run_banded_rc_panel(e, stimuli, steps, scratch, &mut wp, cancel)?;
-            }
-            Engine::BandedRlc(e) => {
-                self.run_banded_rlc_panel(e, stimuli, steps, scratch, &mut wp, cancel)?;
-            }
-            #[cfg(feature = "dense-oracle")]
-            Engine::DenseRc(_) | Engine::DenseRlc(_) => {
-                unreachable!("dense panel runs go through the sequential path")
+        if let Engine::Banded(sys) = &self.engine {
+            let mut wp = WavePanel::empty(self, stimuli.len(), steps + 1);
+            match sys.run_lane_blocks(&stimuli, steps, scratch, &mut wp, cancel) {
+                Ok(()) => return Ok(wp),
+                // A non-finite lane state cannot identify which pattern
+                // a sequential run would have failed on first (and the
+                // interleaved kernels' dropped zero skips are only
+                // bitwise-safe for finite systems), so divergence
+                // replays the batch scalar-sequentially for exact
+                // per-pattern semantics.
+                Err(InterconnectError::Diverged { .. }) => {}
+                Err(other) => return Err(other),
             }
         }
-        Ok(wp)
+        self.run_sequential(&stimuli, steps, scratch, cancel)
     }
 
-    /// The scalar-sequential reference: one [`TransientSim::run_cancellable`]
-    /// per stimulus, packed into a [`WavePanel`]. Used by the dense
-    /// oracle and as the divergence fallback, so batched entry points
-    /// keep exact scalar error semantics (the first pattern a
-    /// sequential run would fail is the one reported).
-    fn run_panel_sequential(
+    /// The number of timesteps covering `duration` — the one time-axis
+    /// check every run goes through. `dt` and `switch_at` were validated
+    /// at construction; this refuses a non-finite or non-positive
+    /// `duration`, and any run whose sample count (`steps + 1`) would
+    /// overflow or exceed [`MAX_STEPS`].
+    fn steps(&self, duration: f64) -> Result<usize, InterconnectError> {
+        if !(duration.is_finite() && duration > 0.0) {
+            return Err(InterconnectError::time("duration must be finite and positive"));
+        }
+        // Epsilon guard: 1e-9/1e-12 must give exactly 1000 steps despite
+        // floating-point representation of the quotient. The cast
+        // saturates, so a quotient past usize::MAX cannot wrap.
+        let steps = ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize;
+        match steps.checked_add(1) {
+            Some(samples) if samples <= MAX_STEPS => Ok(steps),
+            _ => Err(InterconnectError::time(format!(
+                "duration {duration:e} s at dt {:e} s needs more than {MAX_STEPS} samples",
+                self.dt
+            ))),
+        }
+    }
+
+    /// The scalar run of one stimulus over `steps` timesteps.
+    fn run_stimulus(
+        &self,
+        stimulus: &Stimulus,
+        steps: usize,
+        scratch: &mut SimScratch,
+        cancel: Option<&CancelToken>,
+    ) -> Result<BusWaveforms, InterconnectError> {
+        let w = self.bus.wires();
+        let mut waves = BusWaveforms {
+            dt: self.dt,
+            switch_at: self.switch_at,
+            vdd: self.bus.vdd(),
+            receiver: vec![Vec::with_capacity(steps + 1); w],
+            driver: vec![Vec::with_capacity(steps + 1); w],
+        };
+        match &self.engine {
+            Engine::Banded(sys) => sys.run_scalar(stimulus, steps, scratch, cancel, &mut waves)?,
+            Engine::Dense(sys) => sys.run_scalar(stimulus, steps, scratch, cancel, &mut waves)?,
+        }
+        Ok(waves)
+    }
+
+    /// The scalar-sequential reference: one scalar run per stimulus,
+    /// packed into a [`WavePanel`]. Used by the dense engine and as the
+    /// divergence fallback, so the batched entry point keeps exact
+    /// scalar error semantics (the first pattern a sequential run would
+    /// fail is the one reported).
+    fn run_sequential(
         &self,
         stimuli: &[Stimulus],
-        duration: f64,
+        steps: usize,
         scratch: &mut PanelScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<WavePanel, InterconnectError> {
-        let steps = ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize;
         let samples = steps + 1;
         let w = self.bus.wires();
         let mut wp = WavePanel::empty(self, stimuli.len(), samples);
         for (c, stim) in stimuli.iter().enumerate() {
-            let waves = self.run_cancellable(stim, duration, &mut scratch.scalar, cancel)?;
+            let waves = self.run_stimulus(stim, steps, &mut scratch.scalar, cancel)?;
             debug_assert_eq!(waves.samples(), samples);
             for wire in 0..w {
                 let at = (c * w + wire) * samples;
@@ -1149,355 +947,6 @@ impl TransientSim {
             }
         }
         Ok(wp)
-    }
-
-    /// Banded-RC panel dispatch: direct factors run the interleaved
-    /// lane-block fast path in chunks of 8 (then 4, then 1) patterns;
-    /// low-rank-updated factors keep the column-major [`Panel`] loop
-    /// (their Woodbury correction is rank-bound, not kernel-bound).
-    #[allow(clippy::too_many_arguments)]
-    fn run_banded_rc_panel(
-        &self,
-        e: &BandedRcEngine,
-        stimuli: &[Stimulus],
-        steps: usize,
-        scratch: &mut PanelScratch,
-        wp: &mut WavePanel,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let RcFactor::Direct(a_lu) = &e.a_lu else {
-            return self.run_banded_rc_panel_cols(e, stimuli, steps, scratch, wp, cancel);
-        };
-        let mut done = 0;
-        while stimuli.len() - done >= 8 {
-            self.run_rc_lanes::<8>(e, a_lu, &stimuli[done..done + 8], done, steps, scratch, wp, cancel)?;
-            done += 8;
-        }
-        while stimuli.len() - done >= 4 {
-            self.run_rc_lanes::<4>(e, a_lu, &stimuli[done..done + 4], done, steps, scratch, wp, cancel)?;
-            done += 4;
-        }
-        while done < stimuli.len() {
-            self.run_rc_lanes::<1>(e, a_lu, &stimuli[done..done + 1], done, steps, scratch, wp, cancel)?;
-            done += 1;
-        }
-        Ok(())
-    }
-
-    /// One `W`-wide lane block of the banded-RC timestep loop: state and
-    /// right-hand side stay interleaved (`buf[i·W + c]`) across the whole
-    /// loop, so the multiply and both substitutions run `W`-wide
-    /// contiguous fused-multiply-adds with no per-step transposes.
-    #[allow(clippy::too_many_arguments)]
-    fn run_rc_lanes<const W: usize>(
-        &self,
-        e: &BandedRcEngine,
-        a_lu: &BandedLu,
-        stimuli: &[Stimulus],
-        c0: usize,
-        steps: usize,
-        scratch: &mut PanelScratch,
-        wp: &mut WavePanel,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let n = e.dim;
-        let wires = e.recv_nodes.len();
-        let row = 2 * wires * W;
-        let PanelScratch { lanes, lrhs, stage, .. } = scratch;
-        lanes.clear();
-        lanes.resize(n * W, 0.0);
-        lrhs.clear();
-        lrhs.resize(n * W, 0.0);
-        stage.clear();
-        stage.resize((steps + 1) * row, 0.0);
-        // DC operating point per lane.
-        for (c, stim) in stimuli.iter().enumerate() {
-            stamp_rc_lane(e, stim, 0.0, lanes, W, c);
-        }
-        e.g_lu.solve_interleaved_into::<W>(lanes);
-        check_finite_lanes(lanes, W, 0)?;
-        stage_lanes(&e.recv_nodes, &e.drv_nodes, lanes, W, &mut stage[..row]);
-        for k in 1..=steps {
-            check_cancel(cancel, k)?;
-            let t = k as f64 * self.dt;
-            e.c_over_h.mul_interleaved_into::<W>(lanes, lrhs);
-            for (c, stim) in stimuli.iter().enumerate() {
-                stamp_rc_lane(e, stim, t, lrhs, W, c);
-            }
-            a_lu.solve_interleaved_into::<W>(lrhs);
-            std::mem::swap(lanes, lrhs);
-            check_finite_lanes(lanes, W, k)?;
-            stage_lanes(&e.recv_nodes, &e.drv_nodes, lanes, W, &mut stage[k * row..(k + 1) * row]);
-        }
-        scatter_stage(stage, W, wires, wp, c0);
-        Ok(())
-    }
-
-    /// Column-major [`Panel`] banded-RC loop, used when the factor is a
-    /// low-rank update (the Woodbury correction works per column).
-    #[allow(clippy::too_many_arguments)]
-    fn run_banded_rc_panel_cols(
-        &self,
-        e: &BandedRcEngine,
-        stimuli: &[Stimulus],
-        steps: usize,
-        scratch: &mut PanelScratch,
-        wp: &mut WavePanel,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let PanelScratch { state, rhs, aux, .. } = scratch;
-        // DC operating point per pattern (columns were zeroed by reset).
-        for (c, stim) in stimuli.iter().enumerate() {
-            stamp_rc_sources(e, stim, 0.0, state.col_mut(c));
-        }
-        e.g_lu.solve_panel_into(state);
-        check_finite_panel(state, 0)?;
-        collect_panel(&e.recv_nodes, &e.drv_nodes, state, wp, 0);
-        for k in 1..=steps {
-            check_cancel(cancel, k)?;
-            let t = k as f64 * self.dt;
-            e.c_over_h.mul_panel_into(state, rhs);
-            for (c, stim) in stimuli.iter().enumerate() {
-                stamp_rc_sources(e, stim, t, rhs.col_mut(c));
-            }
-            e.a_lu.solve_panel_into(rhs, aux);
-            std::mem::swap(state, rhs);
-            check_finite_panel(state, k)?;
-            collect_panel(&e.recv_nodes, &e.drv_nodes, state, wp, k);
-        }
-        Ok(())
-    }
-
-    /// Banded-RLC panel dispatch: always direct factors, so every chunk
-    /// runs the interleaved lane-block fast path.
-    #[allow(clippy::too_many_arguments)]
-    fn run_banded_rlc_panel(
-        &self,
-        e: &BandedRlcEngine,
-        stimuli: &[Stimulus],
-        steps: usize,
-        scratch: &mut PanelScratch,
-        wp: &mut WavePanel,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let mut done = 0;
-        while stimuli.len() - done >= 8 {
-            self.run_rlc_lanes::<8>(e, &stimuli[done..done + 8], done, steps, scratch, wp, cancel)?;
-            done += 8;
-        }
-        while stimuli.len() - done >= 4 {
-            self.run_rlc_lanes::<4>(e, &stimuli[done..done + 4], done, steps, scratch, wp, cancel)?;
-            done += 4;
-        }
-        while done < stimuli.len() {
-            self.run_rlc_lanes::<1>(e, &stimuli[done..done + 1], done, steps, scratch, wp, cancel)?;
-            done += 1;
-        }
-        Ok(())
-    }
-
-    /// One `W`-wide lane block of the banded-RLC (augmented-MNA)
-    /// timestep loop; mirrors [`TransientSim::run_rc_lanes`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_rlc_lanes<const W: usize>(
-        &self,
-        e: &BandedRlcEngine,
-        stimuli: &[Stimulus],
-        c0: usize,
-        steps: usize,
-        scratch: &mut PanelScratch,
-        wp: &mut WavePanel,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let n = e.dim;
-        let wires = e.recv_nodes.len();
-        let row = 2 * wires * W;
-        let PanelScratch { lanes, lrhs, stage, .. } = scratch;
-        lanes.clear();
-        lanes.resize(n * W, 0.0);
-        lrhs.clear();
-        lrhs.resize(n * W, 0.0);
-        stage.clear();
-        stage.resize((steps + 1) * row, 0.0);
-        for (c, stim) in stimuli.iter().enumerate() {
-            stamp_rlc_lane(&e.drv_branches, stim, 0.0, lanes, W, c);
-        }
-        e.dc_lu.solve_interleaved_into::<W>(lanes);
-        check_finite_lanes(lanes, W, 0)?;
-        stage_lanes(&e.recv_nodes, &e.drv_nodes, lanes, W, &mut stage[..row]);
-        for k in 1..=steps {
-            check_cancel(cancel, k)?;
-            let t = k as f64 * self.dt;
-            e.hist.mul_interleaved_into::<W>(lanes, lrhs);
-            for (c, stim) in stimuli.iter().enumerate() {
-                stamp_rlc_lane(&e.drv_branches, stim, t, lrhs, W, c);
-            }
-            e.a_lu.solve_interleaved_into::<W>(lrhs);
-            std::mem::swap(lanes, lrhs);
-            check_finite_lanes(lanes, W, k)?;
-            stage_lanes(&e.recv_nodes, &e.drv_nodes, lanes, W, &mut stage[k * row..(k + 1) * row]);
-        }
-        scatter_stage(stage, W, wires, wp, c0);
-        Ok(())
-    }
-
-    /// The changed coupling-capacitance entries between this sim's bus
-    /// and `bus`, as rank-1 update terms — `None` when the delta is not
-    /// low-rank-updatable (different geometry, any non-coupling change,
-    /// inductance, a non-direct banded-RC engine, or more than
-    /// [`MAX_UPDATE_RANK`] changed entries).
-    fn coupling_delta(&self, bus: &Bus) -> Option<Vec<(usize, usize, f64)>> {
-        let Engine::BandedRc(e) = &self.engine else { return None };
-        if !matches!(e.a_lu, RcFactor::Direct(_)) {
-            return None;
-        }
-        let a = &self.bus;
-        if a.wires() != bus.wires()
-            || a.segments() != bus.segments()
-            || bus.has_inductance()
-            || a.r_seg != bus.r_seg
-            || a.cg_node != bus.cg_node
-            || a.l_seg != bus.l_seg
-            || a.lm_seg != bus.lm_seg
-            || a.driver_r != bus.driver_r
-            || a.receiver_c != bus.receiver_c
-            || a.vdd() != bus.vdd()
-            || a.rise_time != bus.rise_time
-        {
-            return None;
-        }
-        let w = a.wires();
-        let mut terms = Vec::new();
-        for pair in 0..w.saturating_sub(1) {
-            for seg in 0..a.segments() {
-                let old = a.cc_node[pair][seg];
-                let new = bus.cc_node[pair][seg];
-                if old != new {
-                    if terms.len() == MAX_UPDATE_RANK {
-                        return None;
-                    }
-                    // Segment-major RC ordering: node = seg·w + wire.
-                    terms.push((seg * w + pair, seg * w + pair + 1, (new - old) / self.dt));
-                }
-            }
-        }
-        Some(terms)
-    }
-
-    /// FNV-1a fingerprint of the coupling delta between this sim's bus
-    /// and `bus` — the solver-cache key for rank-updated factors.
-    /// `None` exactly when [`TransientSim::try_rank_update`] would
-    /// refuse (fall back to a fresh factorisation).
-    #[must_use]
-    pub fn update_fingerprint(&self, bus: &Bus) -> Option<u64> {
-        let terms = self.coupling_delta(bus)?;
-        let mut h = fnv_mix(0xCBF2_9CE4_8422_2325, self.bus.fingerprint());
-        h = fnv_mix(h, self.dt.to_bits());
-        for (a, b, s) in terms {
-            h = fnv_mix(h, a as u64);
-            h = fnv_mix(h, b as u64);
-            h = fnv_mix(h, s.to_bits());
-        }
-        Some(h)
-    }
-
-    /// Attempts to derive a simulator for `bus` from this one's cached
-    /// factors via a Sherman–Morrison–Woodbury low-rank update: when
-    /// only coupling-capacitance entries differ (a severity or corner
-    /// sweep point), the O(N·b²) refactorisation is replaced by `r`
-    /// base solves plus an `r × r` factorisation, and every subsequent
-    /// timestep pays only an O(N·r) correction.
-    ///
-    /// Returns `None` — the **fallback-to-refactorise rule** — when the
-    /// buses differ in anything but coupling capacitance, when either
-    /// carries inductance, when this engine is not a direct banded-RC
-    /// factorisation (updates never chain), when more than
-    /// [`MAX_UPDATE_RANK`] entries changed, or when the updated system
-    /// is singular.
-    ///
-    /// The returned sim's waveforms agree with a freshly factored
-    /// [`TransientSim::new`] numerically (≤ 1e-12 in practice) but not
-    /// bitwise — byte-determinism contracts must stay on fresh factors.
-    #[must_use]
-    pub fn try_rank_update(&self, bus: &Bus) -> Option<TransientSim> {
-        let terms = self.coupling_delta(bus)?;
-        let Engine::BandedRc(e) = &self.engine else { return None };
-        let RcFactor::Direct(base_lu) = &e.a_lu else { return None };
-        let w = bus.wires();
-        let node = |wire: usize, seg: usize| seg * w + wire;
-        // G is untouched by a pure-C delta; the history matrix is
-        // tridiagonal and restamped from the new bus directly.
-        let mut c_over_h = Banded::zeros(e.dim, 1, 1);
-        stamp_cap_over_h(bus, self.dt, &node, |i, j, v| c_over_h.add(i, j, v));
-        let a_lu = if terms.is_empty() {
-            RcFactor::Direct(base_lu.clone())
-        } else {
-            RcFactor::Updated(base_lu.rank_update(&terms).ok()?)
-        };
-        Some(TransientSim {
-            bus: bus.clone(),
-            dt: self.dt,
-            switch_at: self.switch_at,
-            engine: Engine::BandedRc(BandedRcEngine {
-                dim: e.dim,
-                a_lu,
-                g_lu: e.g_lu.clone(),
-                c_over_h,
-                g_drv: e.g_drv.clone(),
-                drv_nodes: e.drv_nodes.clone(),
-                recv_nodes: e.recv_nodes.clone(),
-            }),
-        })
-    }
-
-    /// Whether this simulator runs on low-rank-updated factors rather
-    /// than a direct factorisation.
-    #[must_use]
-    pub fn is_rank_updated(&self) -> bool {
-        matches!(&self.engine, Engine::BandedRc(e) if matches!(e.a_lu, RcFactor::Updated(_)))
-    }
-}
-
-/// Adds the driver Norton terms to an RC right-hand side.
-fn stamp_rc_sources(e: &BandedRcEngine, stimulus: &Stimulus, t: f64, rhs: &mut [f64]) {
-    for (wire, (&node, &gd)) in e.drv_nodes.iter().zip(&e.g_drv).enumerate() {
-        rhs[node] += gd * stimulus.voltage(wire, t);
-    }
-}
-
-#[cfg(feature = "dense-oracle")]
-fn stamp_dense_rc_sources(e: &DenseRcEngine, stimulus: &Stimulus, t: f64, rhs: &mut [f64]) {
-    for (wire, (&node, &gd)) in e.drv_nodes.iter().zip(&e.g_drv).enumerate() {
-        rhs[node] += gd * stimulus.voltage(wire, t);
-    }
-}
-
-/// Adds the `−vs` source terms to the driver-branch rows of an
-/// augmented-MNA right-hand side (transient and DC alike).
-fn stamp_rlc_sources(drv_branches: &[usize], stimulus: &Stimulus, t: f64, rhs: &mut [f64]) {
-    for (wire, &row) in drv_branches.iter().enumerate() {
-        rhs[row] -= stimulus.voltage(wire, t);
-    }
-}
-
-/// [`stamp_rc_sources`] into lane `c` of a `w`-interleaved block.
-fn stamp_rc_lane(e: &BandedRcEngine, stimulus: &Stimulus, t: f64, rhs: &mut [f64], w: usize, c: usize) {
-    for (wire, (&node, &gd)) in e.drv_nodes.iter().zip(&e.g_drv).enumerate() {
-        rhs[node * w + c] += gd * stimulus.voltage(wire, t);
-    }
-}
-
-/// [`stamp_rlc_sources`] into lane `c` of a `w`-interleaved block.
-fn stamp_rlc_lane(
-    drv_branches: &[usize],
-    stimulus: &Stimulus,
-    t: f64,
-    rhs: &mut [f64],
-    w: usize,
-    c: usize,
-) {
-    for (wire, &row) in drv_branches.iter().enumerate() {
-        rhs[row * w + c] -= stimulus.voltage(wire, t);
     }
 }
 
@@ -1520,23 +969,6 @@ fn check_finite(state: &[f64], step: usize) -> Result<(), InterconnectError> {
     match state.iter().position(|v| !v.is_finite()) {
         None => Ok(()),
         Some(unknown) => Err(InterconnectError::Diverged { step, unknown }),
-    }
-}
-
-/// Appends the per-wire receiver/driver node voltages of `state` to the
-/// waveform accumulators.
-fn collect(
-    recv_nodes: &[usize],
-    drv_nodes: &[usize],
-    state: &[f64],
-    recv: &mut [Vec<f64>],
-    drv: &mut [Vec<f64>],
-) {
-    for ((out, &node), (outd, &dnode)) in
-        recv.iter_mut().zip(recv_nodes).zip(drv.iter_mut().zip(drv_nodes))
-    {
-        out.push(state[node]);
-        outd.push(state[dnode]);
     }
 }
 
@@ -1610,16 +1042,9 @@ impl BusWaveforms {
     }
 }
 
-/// Ceiling on the number of changed coupling `(pair, segment)` entries
-/// [`TransientSim::try_rank_update`] absorbs. Beyond this rank the
-/// O(N·r) per-solve correction stops paying for the skipped
-/// refactorisation, so callers fall back to a fresh factorisation.
-pub const MAX_UPDATE_RANK: usize = 32;
-
 /// Struct-of-arrays waveforms for a batch of patterns run by
-/// [`TransientSim::run_panel`]: one flat time-major column per
-/// `(pattern, wire)`, so the timestep loop writes each sample once at
-/// stride 1 within a column and per-pattern extraction is a memcpy.
+/// [`TransientSim::run_pairs_cancellable`]: one flat time-major column
+/// per `(pattern, wire)`, so per-pattern extraction is a memcpy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WavePanel {
     dt: f64,
@@ -1742,18 +1167,6 @@ impl WavePanel {
     }
 }
 
-/// Panel analogue of [`check_finite`]: first non-finite unknown in any
-/// column raises `Diverged`, which the batched entry points translate
-/// into a scalar-sequential replay.
-fn check_finite_panel(p: &Panel, step: usize) -> Result<(), InterconnectError> {
-    for col in p.cols() {
-        if let Some(unknown) = col.iter().position(|v| !v.is_finite()) {
-            return Err(InterconnectError::Diverged { step, unknown });
-        }
-    }
-    Ok(())
-}
-
 /// Lane-block analogue of [`check_finite`]: a branch-free exponent-mask
 /// sweep (all-ones exponent ⇔ NaN or ±∞) that vectorises, with the
 /// position recovered on the cold failure path. The reported unknown is
@@ -1808,35 +1221,6 @@ fn scatter_stage(stage: &[f64], w: usize, wires: usize, wp: &mut WavePanel, c0: 
             }
         }
     }
-}
-
-/// Scatters the current panel state into the SoA waveform storage:
-/// column `c` of `state` is pattern `c`'s node voltages at `step`.
-fn collect_panel(
-    recv_nodes: &[usize],
-    drv_nodes: &[usize],
-    state: &Panel,
-    wp: &mut WavePanel,
-    step: usize,
-) {
-    let wires = recv_nodes.len();
-    let samples = wp.samples;
-    for (c, col) in state.cols().enumerate() {
-        for (w, (&rnode, &dnode)) in recv_nodes.iter().zip(drv_nodes).enumerate() {
-            let at = (c * wires + w) * samples + step;
-            wp.receiver[at] = col[rnode];
-            wp.driver[at] = col[dnode];
-        }
-    }
-}
-
-/// One FNV-1a round over the little-endian bytes of `v`.
-fn fnv_mix(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -1988,16 +1372,15 @@ mod tests {
         let pair5 = VectorPair::from_strs("00000", "11011").unwrap();
         let sim5 = TransientSim::new(&big, 2e-12).unwrap();
         let fresh = sim5.run_pair(&pair5, 1e-9).unwrap();
-        let _ = sim5.run_pair_with_scratch(&pair5, 1e-9, &mut scratch).unwrap();
+        let _ = sim5.run_pair_cancellable(&pair5, 1e-9, &mut scratch, None).unwrap();
         let small = small_bus(2);
         let sim2 = TransientSim::new(&small, 2e-12).unwrap();
         let pair2 = VectorPair::from_strs("00", "10").unwrap();
-        let _ = sim2.run_pair_with_scratch(&pair2, 1e-9, &mut scratch).unwrap();
-        let reused = sim5.run_pair_with_scratch(&pair5, 1e-9, &mut scratch).unwrap();
+        let _ = sim2.run_pair_cancellable(&pair2, 1e-9, &mut scratch, None).unwrap();
+        let reused = sim5.run_pair_cancellable(&pair5, 1e-9, &mut scratch, None).unwrap();
         assert_eq!(fresh, reused, "scratch reuse changed results");
     }
 
-    #[cfg(feature = "dense-oracle")]
     #[test]
     fn banded_matches_dense_oracle_rc_and_rlc() {
         let pair = VectorPair::from_strs("000", "101").unwrap();
@@ -2170,8 +1553,7 @@ mod tests {
     #[test]
     fn guarded_constructor_is_silent_on_healthy_buses() {
         let bus = small_bus(3);
-        let (sim, events) =
-            TransientSim::new_guarded(&bus, 2e-12, GuardrailPolicy::default()).unwrap();
+        let (sim, events) = TransientSim::new_guarded(&bus, 2e-12).unwrap();
         assert!(events.is_empty(), "healthy bus must not trigger recovery: {events:?}");
         assert_eq!(sim.dt(), 2e-12);
         assert_eq!(sim.backend(), SolverBackend::Banded);
@@ -2180,7 +1562,7 @@ mod tests {
     #[test]
     fn guarded_constructor_propagates_non_singular_errors() {
         let bus = small_bus(2);
-        let err = TransientSim::new_guarded(&bus, -1.0, GuardrailPolicy::default()).unwrap_err();
+        let err = TransientSim::new_guarded(&bus, -1.0).unwrap_err();
         assert!(matches!(err, InterconnectError::BadTimeAxis { .. }), "got {err:?}");
     }
 
@@ -2326,7 +1708,7 @@ mod tests {
     fn empty_panel_is_a_valid_run() {
         let bus = small_bus(3);
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
-        let wp = sim.run_panel(&[], 1e-9).unwrap();
+        let wp = sim.run_pairs_cancellable(&[], 1e-9, &mut PanelScratch::new(), None).unwrap();
         assert_eq!(wp.patterns(), 0);
         assert_eq!(wp.wires(), 3);
         assert!(wp.samples() > 1);
@@ -2336,7 +1718,7 @@ mod tests {
     fn panel_rejects_bad_inputs_like_scalar() {
         let bus = small_bus(3);
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
-        assert!(sim.run_panel(&[], 0.0).is_err());
+        assert!(sim.run_pairs_cancellable(&[], 0.0, &mut PanelScratch::new(), None).is_err());
         let wrong = test_pairs(2, 1);
         assert!(matches!(
             sim.run_pairs_cancellable(&wrong, 1e-9, &mut PanelScratch::new(), None),
@@ -2395,101 +1777,64 @@ mod tests {
         assert_eq!(first, again);
     }
 
-    #[test]
-    fn rank_update_matches_fresh_refactorisation() {
-        let base_bus = small_bus(4);
-        let base = TransientSim::new(&base_bus, 2e-12).unwrap();
-        let mut boosted = small_bus(4);
-        crate::defect::Defect::CouplingBoost { wire: 1, factor: 1.7 }.apply(&mut boosted).unwrap();
-
-        let updated = base.try_rank_update(&boosted).expect("coupling-only delta");
-        assert!(updated.is_rank_updated());
-        let fresh = TransientSim::new(&boosted, 2e-12).unwrap();
-        assert!(!fresh.is_rank_updated());
-
-        let pairs = test_pairs(4, 6);
-        for pair in &pairs {
-            let a = updated.run_pair(pair, 1e-9).unwrap();
-            let b = fresh.run_pair(pair, 1e-9).unwrap();
-            for w in 0..4 {
-                for (x, y) in a.wire(w).iter().zip(b.wire(w)) {
-                    assert!(
-                        (x - y).abs() <= 1e-12,
-                        "low-rank update drifted: wire {w}, {x} vs {y}"
-                    );
-                }
-            }
+    fn assert_bad_time_axis<T: std::fmt::Debug>(result: Result<T, InterconnectError>, what: &str) {
+        match result {
+            Err(InterconnectError::BadTimeAxis { .. }) => {}
+            other => panic!("{what}: expected BadTimeAxis, got {other:?}"),
         }
-
-        // The updated factors run the panel path too, bitwise against
-        // their own scalar solves.
-        let wp = updated.run_pairs_cancellable(&pairs, 1e-9, &mut PanelScratch::new(), None).unwrap();
-        let looped: Vec<BusWaveforms> =
-            pairs.iter().map(|p| updated.run_pair(p, 1e-9).unwrap()).collect();
-        assert_bitwise_panel(&wp, &looped);
     }
 
     #[test]
-    fn rank_update_with_identical_bus_is_bitwise_identity() {
-        let bus = small_bus(3);
-        let sim = TransientSim::new(&bus, 2e-12).unwrap();
-        let same = sim.try_rank_update(&bus).expect("empty delta is updatable");
-        assert!(!same.is_rank_updated(), "empty delta keeps direct factors");
-        let pair = &test_pairs(3, 1)[0];
-        assert_eq!(sim.run_pair(pair, 1e-9).unwrap(), same.run_pair(pair, 1e-9).unwrap());
-    }
-
-    #[test]
-    fn rank_update_refusals() {
-        let bus = small_bus(4);
-        let sim = TransientSim::new(&bus, 2e-12).unwrap();
-
-        // Non-coupling change (driver weakening touches G).
-        let mut weak = small_bus(4);
-        crate::defect::Defect::WeakDriver { wire: 0, factor: 4.0 }.apply(&mut weak).unwrap();
-        assert!(sim.try_rank_update(&weak).is_none());
-        assert!(sim.update_fingerprint(&weak).is_none());
-
-        // Different geometry.
-        assert!(sim.try_rank_update(&small_bus(5)).is_none());
-
-        // Inductive target.
-        assert!(sim.try_rank_update(&rlc_bus(4, 0.4e-9)).is_none());
-
-        // Inductive source engine.
-        let rlc = TransientSim::new(&rlc_bus(4, 0.4e-9), 2e-12).unwrap();
-        assert!(rlc.try_rank_update(&rlc_bus(4, 0.4e-9)).is_none());
-
-        // Delta wider than MAX_UPDATE_RANK: boost every pair on a bus
-        // with (w−1)·segments = 7·8 = 56 changed entries.
-        let wide = BusParams::dsm_bus(8).segments(8).build().unwrap();
-        let wide_sim = TransientSim::new(&wide, 2e-12).unwrap();
-        let mut all = BusParams::dsm_bus(8).segments(8).build().unwrap();
-        for w in 0..8 {
-            crate::defect::Defect::CouplingBoost { wire: w, factor: 1.3 }.apply(&mut all).unwrap();
+    fn non_finite_timestep_and_switch_time_are_rejected() {
+        let bus = small_bus(2);
+        for dt in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1e-12] {
+            assert_bad_time_axis(TransientSim::new(&bus, dt), &format!("dt {dt}"));
+            assert_bad_time_axis(TransientSim::new_guarded(&bus, dt), &format!("guarded dt {dt}"));
         }
-        assert!(wide_sim.try_rank_update(&all).is_none());
-
-        // Updates never chain: an updated sim refuses further deltas.
-        let mut boosted = small_bus(4);
-        crate::defect::Defect::CouplingBoost { wire: 1, factor: 1.5 }.apply(&mut boosted).unwrap();
-        let updated = sim.try_rank_update(&boosted).unwrap();
-        assert!(updated.try_rank_update(&bus).is_none());
+        for at in [f64::NAN, f64::INFINITY, -1.0] {
+            assert_bad_time_axis(
+                TransientSim::with_switch_at(&bus, 1e-12, at),
+                &format!("switch_at {at}"),
+            );
+        }
     }
 
     #[test]
-    fn update_fingerprint_keys_the_delta() {
-        let bus = small_bus(4);
-        let sim = TransientSim::new(&bus, 2e-12).unwrap();
-        let mut b1 = small_bus(4);
-        crate::defect::Defect::CouplingBoost { wire: 1, factor: 1.5 }.apply(&mut b1).unwrap();
-        let mut b2 = small_bus(4);
-        crate::defect::Defect::CouplingBoost { wire: 1, factor: 1.6 }.apply(&mut b2).unwrap();
-        let f0 = sim.update_fingerprint(&bus).unwrap();
-        let f1 = sim.update_fingerprint(&b1).unwrap();
-        let f2 = sim.update_fingerprint(&b2).unwrap();
-        assert_ne!(f0, f1);
-        assert_ne!(f1, f2);
-        assert_eq!(f1, sim.update_fingerprint(&b1).unwrap(), "stable across calls");
+    fn non_finite_or_oversized_durations_are_rejected_on_every_entry() {
+        let bus = small_bus(2);
+        let sim = TransientSim::new(&bus, 1e-12).unwrap();
+        let pair = VectorPair::from_strs("00", "11").unwrap();
+        // 1 s at 1 ps is 10¹² steps: far past MAX_STEPS, and finite.
+        for duration in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1e-9, 1.0, f64::MAX] {
+            let what = format!("duration {duration}");
+            assert_bad_time_axis(sim.run_pair(&pair, duration), &what);
+            assert_bad_time_axis(
+                sim.run_pair_cancellable(&pair, duration, &mut SimScratch::new(), None),
+                &what,
+            );
+            let one = std::slice::from_ref(&pair);
+            assert_bad_time_axis(
+                sim.run_pairs_cancellable(one, duration, &mut PanelScratch::new(), None),
+                &what,
+            );
+        }
+    }
+
+    #[test]
+    fn step_count_boundaries() {
+        let bus = small_bus(2);
+        let sim = TransientSim::new(&bus, 1e-12).unwrap();
+        assert_eq!(sim.steps(1e-9), Ok(1000), "epsilon guard keeps the paper window exact");
+        assert_eq!(sim.steps(1e-15), Ok(1), "a sub-step duration still takes one step");
+        // A power-of-two dt makes the boundary quotients exact.
+        let dt = 2f64.powi(-40);
+        let pow2 = TransientSim::new(&bus, dt).unwrap();
+        let top = (MAX_STEPS - 1) as f64 * dt;
+        assert_eq!(pow2.steps(top), Ok(MAX_STEPS - 1), "the largest accepted run");
+        assert_bad_time_axis(pow2.steps(top + dt), "one step past MAX_STEPS");
+        // A tiny dt can overflow the quotient to infinity; the saturating
+        // cast plus the checked sample count still refuse it.
+        let tiny = TransientSim::new(&bus, 1e-300).unwrap();
+        assert_bad_time_axis(tiny.steps(1e10), "overflowing quotient");
     }
 }

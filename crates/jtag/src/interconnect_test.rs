@@ -2,7 +2,7 @@
 //!
 //! The paper's §1 positions its contribution against what stock 1149.1
 //! already covers: "the interconnects can be tested for stuck-at, open
-//! and short faults … by [the] EXTEST instruction". This module
+//! and short faults … by \[the\] EXTEST instruction". This module
 //! implements that baseline in full — a board-level net/wiring-fault
 //! model and the two classical pattern algorithms:
 //!

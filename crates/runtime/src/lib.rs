@@ -21,7 +21,7 @@
 //!   ([`pool::JobPanic`]) without losing sibling results.
 //! - [`prop`] — a seeded mini property-test harness ([`prop::Runner`])
 //!   with failing-seed reporting.
-//! - [`bench`] — a warmup/iterate micro-benchmark harness
+//! - [`bench`](mod@bench) — a warmup/iterate micro-benchmark harness
 //!   ([`bench::Bench`]) reporting median and p95 with JSON output.
 //! - [`cancel`] — a shared cancellation flag with optional wall-clock
 //!   deadline ([`cancel::CancelToken`]) so no compute loop can wedge a

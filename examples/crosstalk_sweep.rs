@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Defect::CouplingBoost { wire: 2, factor }.apply(&mut bus)?;
         let sim = TransientSim::new(&bus, 2e-12)?;
         let pg = VectorPair::from_strs("00000", "11011").expect("static vectors");
-        let waves = sim.run_pair_with_scratch(&pg, 2e-9, &mut scratch)?;
+        let waves = sim.run_pair_cancellable(&pg, 2e-9, &mut scratch, None)?;
         let peak = glitch_amplitude(waves.wire(2), 0.0);
 
         // Full boundary-scan session.

@@ -13,6 +13,16 @@ cargo build --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 
+# The benchmark is its own package outside the workspace: build and
+# unit-test it here so a public-API change in crates/* that breaks it
+# fails this gate, not only the benchmark pipeline.
+cargo build --release --manifest-path sintbench/Cargo.toml
+cargo test -q --manifest-path sintbench/Cargo.toml
+
+# Rustdoc gate: every intra-doc link must resolve, so docs cannot keep
+# pointing at renamed or deleted items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Unwrap hygiene: every library crate under the fault-injection and
 # loader paths (jtag, runtime, fleet, core, interconnect, logic) must
 # stay free of .unwrap() so injected faults and bad input surface as
@@ -163,9 +173,7 @@ echo "chaos matrix: summaries byte-identical under active fault injection"
 # bitwise-identical to the scalar path, so a fixed defect campaign
 # (including a solver blow-up that forces the divergence fallback) must
 # produce byte-identical summaries batched (panel width 8) vs unbatched
-# (width 1) and across thread counts. The same binary gates the
-# amortised-refactorisation path: a coupling-swept SoC must take the
-# low-rank solver update and agree with fresh factors to 1e-12.
+# (width 1) and across thread counts.
 SINT_THREADS=1 target/release/batch_check 8 "$tmp/batch_w8.json"
 SINT_THREADS=1 target/release/batch_check 1 "$tmp/batch_w1.json"
 if ! cmp "$tmp/batch_w8.json" "$tmp/batch_w1.json"; then
@@ -177,7 +185,7 @@ if ! cmp "$tmp/batch_w8.json" "$tmp/batch_w8_t8.json"; then
     echo "verify: FAIL — batched summary differs across thread counts" >&2
     exit 1
 fi
-echo "batched solves: byte-identical vs unbatched, low-rank gate holds"
+echo "batched solves: byte-identical vs unbatched and across thread counts"
 
 # Torn-write storm: kill the streaming fleet run mid-write at several
 # byte offsets (fixed and seeded-random), let the resume recover the

@@ -974,6 +974,194 @@ fn panel_transients_bitwise_match_looped_scalar_runs() {
     );
 }
 
+// ---------------- Metamorphic solver properties ----------------
+
+/// Random RC or RLC bus parameters (uniform along the bus, so that
+/// per-wire asymmetry comes only from explicit defects).
+fn arb_bus_params(rng: &mut Rng64, wires: std::ops::Range<usize>) -> BusParams {
+    let w = gen::usize_in(rng, wires);
+    let mut params = BusParams::dsm_bus(w)
+        .segments(gen::usize_in(rng, 1..6))
+        .r_per_mm(gen::f64_in(rng, 15.0..60.0))
+        .cc_per_mm(gen::f64_in(rng, 10e-15..80e-15))
+        .driver_r(gen::f64_in(rng, 60.0..240.0));
+    if gen::bool_any(rng) {
+        let l = gen::f64_in(rng, 0.2e-9..0.6e-9);
+        params = params.l_per_mm(l).lm_per_mm(l * gen::f64_in(rng, 0.0..0.5)).rise_time(60e-12);
+    }
+    params
+}
+
+/// Every receiver and driver sample of `got` within `tol` of `want`,
+/// where `got` pattern `c` wire `w` is compared to `want_at(c, w)`.
+fn check_waves_close<'a>(
+    got: &'a sint::interconnect::WavePanel,
+    want_at: impl Fn(usize, usize) -> (&'a [f64], &'a [f64]),
+    tol: f64,
+    what: &str,
+) -> Result<(), String> {
+    for c in 0..got.patterns() {
+        for w in 0..got.wires() {
+            let (recv, drv) = want_at(c, w);
+            let samples =
+                got.wire(c, w).iter().zip(recv).chain(got.driver_end(c, w).iter().zip(drv));
+            for (k, (a, b)) in samples.enumerate() {
+                check((a - b).abs() <= tol, || {
+                    format!("{what}: pattern {c} wire {w} sample {k}: {a:e} vs {b:e}")
+                })?;
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn mirrored_bus_gives_mirrored_waveforms() {
+    // Reversing the wire order of a bus — defects included — and of the
+    // driven vectors relabels the same circuit, so every receiver and
+    // driver waveform must come back mirrored. The segment-major
+    // ordering puts the two runs' unknowns in different places, so the
+    // agreement is to rounding, not bitwise.
+    Runner::new("mirror_symmetry").cases(32).run(
+        |rng| {
+            let params = arb_bus_params(rng, 2..8);
+            let (w, segments) =
+                params.clone().build().map(|b| (b.wires(), b.segments())).unwrap_or((2, 1));
+            let defects: Vec<Defect> = (0..gen::usize_in(rng, 1..4))
+                .map(|_| match gen::usize_in(rng, 0..4) {
+                    0 => Defect::WeakDriver {
+                        wire: gen::usize_in(rng, 0..w),
+                        factor: gen::f64_in(rng, 1.5..6.0),
+                    },
+                    1 => Defect::ResistiveOpen {
+                        wire: gen::usize_in(rng, 0..w),
+                        segment: gen::usize_in(rng, 0..segments),
+                        extra_ohms: gen::f64_in(rng, 100.0..3000.0),
+                    },
+                    2 => Defect::PairCouplingBoost {
+                        left: gen::usize_in(rng, 0..w - 1),
+                        factor: gen::f64_in(rng, 1.5..8.0),
+                    },
+                    _ => Defect::CouplingBoost {
+                        wire: gen::usize_in(rng, 0..w),
+                        factor: gen::f64_in(rng, 1.5..8.0),
+                    },
+                })
+                .collect();
+            let levels: Vec<bool> = (0..2 * w * 5).map(|_| gen::bool_any(rng)).collect();
+            (params, defects, levels)
+        },
+        |(params, defects, levels)| {
+            let mut bus = params.clone().build().map_err(|e| e.to_string())?;
+            let mut mirror = bus.clone();
+            let w = bus.wires();
+            for defect in defects {
+                let flipped = match *defect {
+                    Defect::WeakDriver { wire, factor } => {
+                        Defect::WeakDriver { wire: w - 1 - wire, factor }
+                    }
+                    Defect::ResistiveOpen { wire, segment, extra_ohms } => {
+                        Defect::ResistiveOpen { wire: w - 1 - wire, segment, extra_ohms }
+                    }
+                    Defect::PairCouplingBoost { left, factor } => {
+                        Defect::PairCouplingBoost { left: w - 2 - left, factor }
+                    }
+                    Defect::CouplingBoost { wire, factor } => {
+                        Defect::CouplingBoost { wire: w - 1 - wire, factor }
+                    }
+                    other => return Err(format!("no mirror for {other}")),
+                };
+                defect.apply(&mut bus).map_err(|e| e.to_string())?;
+                flipped.apply(&mut mirror).map_err(|e| e.to_string())?;
+            }
+            let pair = |bits: &[bool], reversed: bool| {
+                let mut v: Vec<DriveLevel> = bits.iter().map(|&b| DriveLevel::from(b)).collect();
+                if reversed {
+                    v.reverse();
+                }
+                v
+            };
+            let pairs_for = |reversed: bool| -> Vec<VectorPair> {
+                levels
+                    .chunks_exact(2 * w)
+                    .map(|c| VectorPair::new(pair(&c[..w], reversed), pair(&c[w..], reversed)))
+                    .collect()
+            };
+            let run = |bus: &sint::interconnect::Bus, pairs: &[VectorPair]| {
+                TransientSim::new(bus, 2e-12)
+                    .and_then(|sim| {
+                        sim.run_pairs_cancellable(pairs, 0.6e-9, &mut PanelScratch::new(), None)
+                    })
+                    .map_err(|e| e.to_string())
+            };
+            let straight = run(&bus, &pairs_for(false))?;
+            let mirrored = run(&mirror, &pairs_for(true))?;
+            check_waves_close(
+                &mirrored,
+                |c, wire| (straight.wire(c, w - 1 - wire), straight.driver_end(c, w - 1 - wire)),
+                1e-9,
+                "mirror",
+            )
+        },
+    );
+}
+
+#[test]
+fn responses_superpose_from_an_all_low_start() {
+    // From an all-low start the DC state is zero and the MNA system is
+    // linear in its sources, so rising the disjoint wire sets S1 and S2
+    // together must produce the sum of the two separate responses.
+    Runner::new("superposition").cases(32).run(
+        |rng| {
+            let params = arb_bus_params(rng, 2..9);
+            let w = params.clone().build().map(|b| b.wires()).unwrap_or(2);
+            let seed = gen::u64_any(rng);
+            // 0 = quiet, 1 = in S1, 2 = in S2.
+            let sets: Vec<usize> = (0..w).map(|_| gen::usize_in(rng, 0..3)).collect();
+            (params, seed, sets)
+        },
+        |(params, seed, sets)| {
+            let mut bus = params.clone().build().map_err(|e| e.to_string())?;
+            apply_variation(&mut bus, VariationSigma::typical(), *seed)
+                .map_err(|e| e.to_string())?;
+            let w = bus.wires();
+            let rising = |member: &dyn Fn(usize) -> bool| {
+                let after = (0..w).map(|i| DriveLevel::from(member(sets[i]))).collect();
+                VectorPair::new(vec![DriveLevel::Low; w], after)
+            };
+            let pairs = [
+                rising(&|s| s == 1),
+                rising(&|s| s == 2),
+                rising(&|s| s != 0),
+            ];
+            let sim = TransientSim::new(&bus, 2e-12).map_err(|e| e.to_string())?;
+            let waves = sim
+                .run_pairs_cancellable(&pairs[..2], 0.8e-9, &mut PanelScratch::new(), None)
+                .map_err(|e| e.to_string())?;
+            let sum = |a: &[f64], b: &[f64]| -> Vec<f64> {
+                a.iter().zip(b).map(|(x, y)| x + y).collect()
+            };
+            let separate: Vec<(Vec<f64>, Vec<f64>)> = (0..w)
+                .map(|wire| {
+                    (
+                        sum(waves.wire(0, wire), waves.wire(1, wire)),
+                        sum(waves.driver_end(0, wire), waves.driver_end(1, wire)),
+                    )
+                })
+                .collect();
+            let joint = sim
+                .run_pairs_cancellable(&pairs[2..], 0.8e-9, &mut PanelScratch::new(), None)
+                .map_err(|e| e.to_string())?;
+            check_waves_close(
+                &joint,
+                |_, wire| (&separate[wire].0, &separate[wire].1),
+                1e-9,
+                "superposition",
+            )
+        },
+    );
+}
+
 // ---------------- Dense linear algebra ----------------
 
 #[test]
