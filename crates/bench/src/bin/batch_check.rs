@@ -9,9 +9,16 @@
 //! may perturb a single detector outcome.
 //!
 //! The trial mix includes a solver blow-up (`factor: 1e308`) so the
-//! comparison also pins the divergence fallback: a panel that goes
-//! non-finite must replay scalar-sequentially and report exactly the
-//! error the unbatched run reports.
+//! comparison also pins the divergence fallbacks: the step basis must
+//! refuse the blown-up bus, and a panel that goes non-finite must
+//! replay scalar-sequentially and report exactly the error the
+//! unbatched run reports.
+//!
+//! The summary also renders the full `IntegrityReport` of 32-wire
+//! sessions — a control plus coupling, open and weak-driver devices,
+//! methods 1–3, on the coarse grid (2 segments, 10 ps) — so the
+//! comparison covers per-wire verdicts at the width where the batched
+//! path recombines every MA pattern from its n + 1 step-basis columns.
 //!
 //! ```text
 //! batch_check <panel_width> <summary.json>
@@ -21,12 +28,19 @@
 
 use sint_bench::threads_from_env;
 use sint_core::campaign::{Campaign, Trial};
+use sint_core::session::{ObservationMethod, SessionConfig};
+use sint_core::soc::SocBuilder;
+use sint_interconnect::params::BusParams;
+use sint_interconnect::variation::VariationSigma;
 use sint_interconnect::Defect;
 use sint_runtime::json::{Json, ToJson};
+use sint_runtime::pool::Pool;
 use std::process::ExitCode;
 
 const WIDTH: usize = 8;
 const TRIALS: usize = 24;
+/// Width of the per-wire report sessions.
+const SESSION_WIRES: usize = 32;
 
 /// The fixed batch: controls, four defect classes of varying severity,
 /// and one solver blow-up that forces the panel divergence fallback.
@@ -48,6 +62,42 @@ fn trials() -> Vec<Trial> {
         .collect()
 }
 
+/// The 32-wire devices whose reports the summary renders.
+fn devices() -> [(&'static str, Option<Defect>); 4] {
+    [
+        ("control", None),
+        ("coupling", Some(Defect::CouplingBoost { wire: 13, factor: 6.0 })),
+        ("open", Some(Defect::ResistiveOpen { wire: 20, segment: 1, extra_ohms: 3000.0 })),
+        ("weak_driver", Some(Defect::WeakDriver { wire: 7, factor: 5.0 })),
+    ]
+}
+
+/// One device under one method at `panel_width`: its report, or the
+/// error that ended the session.
+fn session(
+    (seed, (name, defect)): &(u64, (&str, Option<Defect>)),
+    method: ObservationMethod,
+    panel_width: usize,
+) -> Json {
+    let mut builder = SocBuilder::new(SESSION_WIRES)
+        .bus_params(BusParams::dsm_bus(SESSION_WIRES).segments(2))
+        .with_variation(VariationSigma::typical(), *seed)
+        .panel_width(panel_width);
+    if let Some(defect) = defect {
+        builder = builder.defect(*defect);
+    }
+    let config = SessionConfig { dt: 10e-12, ..SessionConfig::method(method) };
+    let outcome = builder.build().and_then(|mut soc| soc.run_integrity_test(&config));
+    Json::obj([
+        ("device", name.to_json()),
+        ("method", method.to_string().to_json()),
+        ("report", match outcome {
+            Ok(report) => report.to_json(),
+            Err(e) => Json::obj([("error", e.to_string().to_json())]),
+        }),
+    ])
+}
+
 fn run() -> Result<ExitCode, String> {
     let mut argv = std::env::args().skip(1);
     let (Some(width_arg), Some(out_path), None) = (argv.next(), argv.next(), argv.next()) else {
@@ -60,6 +110,16 @@ fn run() -> Result<ExitCode, String> {
     let threads = threads_from_env();
     let campaign = Campaign::new(WIDTH).panel_width(panel_width);
     let run = campaign.run_parallel(&trials(), threads);
+    let jobs: Vec<_> = (0u64..)
+        .zip(devices())
+        .flat_map(|device| {
+            [ObservationMethod::Once, ObservationMethod::PerInitialValue, ObservationMethod::PerPattern]
+                .map(|method| (device, method))
+        })
+        .collect();
+    let sessions = Pool::new(threads).map(&jobs, |_, (device, method)| {
+        session(device, *method, panel_width)
+    });
 
     // The summary deliberately omits the panel width and thread count:
     // verify.sh byte-compares the file across both, so everything in
@@ -68,6 +128,8 @@ fn run() -> Result<ExitCode, String> {
         ("wires", WIDTH.to_json()),
         ("trials", TRIALS.to_json()),
         ("run", run.to_json()),
+        ("session_wires", SESSION_WIRES.to_json()),
+        ("sessions", Json::Array(sessions)),
     ]);
     std::fs::write(&out_path, format!("{}\n", summary.render_pretty()))
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;

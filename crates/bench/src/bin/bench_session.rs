@@ -10,12 +10,19 @@
 //! beyond one factorisation): a repeat session on the same SoC replays
 //! its pattern-response memo instead of solving, which the
 //! `memo_replay_n8` row measures on its own.
+//!
+//! The `paper_n32` rows time the paper geometry (n = 32, m = 10,
+//! 8 segments, 2 ps, 2 ns settle, SD window calibrated at build) per
+//! method; the artifact's `columns_per_session` records how many panel
+//! columns each solved — the n + 1 step-basis columns every MA pattern
+//! recombines from.
 
 use sint_bench::emit_artifact;
 use sint_core::session::{ObservationMethod, SessionConfig};
 use sint_core::soc::SocBuilder;
 use sint_interconnect::params::BusParams;
 use sint_runtime::bench::{black_box, Bench};
+use sint_runtime::json::{Json, ToJson};
 
 fn fast_cfg(method: ObservationMethod) -> SessionConfig {
     SessionConfig { settle_time: 1e-9, dt: 10e-12, ..SessionConfig::method(method) }
@@ -68,6 +75,30 @@ fn main() {
         });
     }
 
+    let mut columns = Vec::new();
+    for (label, method) in [
+        ("m1", ObservationMethod::Once),
+        ("m2", ObservationMethod::PerInitialValue),
+        ("m3", ObservationMethod::PerPattern),
+    ] {
+        let cfg = SessionConfig::method(method);
+        let mut solved = 0;
+        b.measure(&format!("paper_n32/{label}"), || {
+            let mut soc = SocBuilder::new(32)
+                .extra_cells(10)
+                .bus_params(BusParams::dsm_bus(32).segments(8))
+                .build()
+                .expect("soc builds");
+            black_box(soc.run_integrity_test(&cfg).unwrap());
+            solved = soc.transients_run();
+        });
+        columns.push((label, solved.to_json()));
+    }
+
     print!("{}", b.table());
-    emit_artifact("bench_session", &b.json());
+    let mut artifact = b.json();
+    if let Json::Object(fields) = &mut artifact {
+        fields.push(("columns_per_session".to_string(), Json::obj(columns)));
+    }
+    emit_artifact("bench_session", &artifact);
 }

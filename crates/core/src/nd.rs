@@ -158,19 +158,37 @@ impl NoiseDetector {
     /// function of the waveform and the thresholds.
     #[must_use]
     pub fn evaluate(&self, wave: &[f64], _dt: f64, vdd: f64) -> bool {
-        if wave.is_empty() {
-            return false;
-        }
-        let mut outside = self.side_of(wave[0]);
+        self.scan(wave, vdd, None).unwrap_or(false)
+    }
+
+    /// [`NoiseDetector::evaluate`] with a guard band: `Some(verdict)`
+    /// when every sample up to the deciding one lies more than `eps`
+    /// from each threshold it is compared against (`v_low_max`,
+    /// `v_high_min`, `vdd + overshoot_margin`, `−overshoot_margin`), so
+    /// every waveform within `eps / 2` of `wave` gets the same verdict;
+    /// `None` otherwise (including for non-finite samples).
+    #[must_use]
+    pub fn evaluate_guarded(&self, wave: &[f64], _dt: f64, vdd: f64, eps: f64) -> Option<bool> {
+        self.scan(wave, vdd, Some(eps))
+    }
+
+    /// The detector's sample walk; with a guard, `None` as soon as a
+    /// sample the walk looks at sits within the band of a threshold.
+    fn scan(&self, wave: &[f64], vdd: f64, guard: Option<f64>) -> Option<bool> {
+        let t = &self.thresholds;
+        let (over, under) = (vdd + t.overshoot_margin, -t.overshoot_margin);
+        let mut outside = wave.first().and_then(|&v| self.side_of(v));
         let mut entered_from: Option<Side> = None;
         let mut traversals = 0u32;
-        let mut hit = false;
         for &v in wave {
-            if v > vdd + self.thresholds.overshoot_margin
-                || v < -self.thresholds.overshoot_margin
-            {
-                hit = true;
-                break;
+            if let Some(eps) = guard {
+                let clear = |threshold: f64| (v - threshold).abs() > eps;
+                if !(clear(t.v_low_max) && clear(t.v_high_min) && clear(over) && clear(under)) {
+                    return None;
+                }
+            }
+            if v > over || v < under {
+                return Some(true);
             }
             match self.side_of(v) {
                 None => {
@@ -182,8 +200,7 @@ impl NoiseDetector {
                     if let Some(e) = entered_from.take() {
                         if e == s {
                             // Same-side return: a glitch.
-                            hit = true;
-                            break;
+                            return Some(true);
                         }
                         traversals += 1;
                     } else if outside.is_some() && outside != Some(s) {
@@ -191,14 +208,13 @@ impl NoiseDetector {
                         traversals += 1;
                     }
                     if traversals >= 2 {
-                        hit = true;
-                        break;
+                        return Some(true);
                     }
                     outside = Some(s);
                 }
             }
         }
-        hit
+        Some(false)
     }
 }
 
@@ -343,6 +359,29 @@ mod tests {
     fn empty_wave_is_a_no_op() {
         let mut nd = det();
         assert!(!nd.observe(&[], 1e-12, 1.8));
+    }
+
+    #[test]
+    fn guarded_evaluation_refuses_samples_near_a_threshold() {
+        let nd = det();
+        let glitch = bump(0.91, 200, 600);
+        assert_eq!(nd.evaluate_guarded(&glitch, 1e-12, 1.8, 1e-9), Some(true));
+        assert_eq!(nd.evaluate_guarded(&edge(0.0, 1.8, 500), 1e-12, 1.8, 1e-9), Some(false));
+        // A sample on the band edge is clean to the detector, but a
+        // waveform a hair above it would not be.
+        let mut wave = vec![0.0; 100];
+        wave[50] = nd.thresholds().v_low_max;
+        assert!(!nd.evaluate(&wave, 1e-12, 1.8));
+        assert_eq!(nd.evaluate_guarded(&wave, 1e-12, 1.8, 1e-9), None);
+        assert_eq!(nd.evaluate_guarded(&wave, 1e-12, 1.8, -1.0), Some(false));
+        wave[50] = -nd.thresholds().overshoot_margin - 5e-10;
+        assert_eq!(nd.evaluate_guarded(&wave, 1e-12, 1.8, 1e-9), None);
+        wave[50] = f64::NAN;
+        assert_eq!(nd.evaluate_guarded(&wave, 1e-12, 1.8, 1e-9), None);
+        // Samples after the deciding one are never compared.
+        let mut decided = glitch.clone();
+        decided.push(nd.thresholds().v_high_min);
+        assert_eq!(nd.evaluate_guarded(&decided, 1e-12, 1.8, 1e-9), Some(true));
     }
 
     #[test]

@@ -26,9 +26,27 @@
 
 use crate::nd::{NdThresholds, NoiseDetector};
 use crate::sd::{SdWindow, SkewDetector};
+use sint_interconnect::drive::DriveLevel;
+use sint_interconnect::measure::settled_value;
 use sint_jtag::bcell::{BoundaryCell, CellControl};
 use sint_logic::netlist::Netlist;
 use sint_logic::{LogicError, Logic};
+
+/// Response flag: the noise detector fires on the waveform.
+pub const ND_HIT: u8 = 1;
+/// Response flag: the skew detector fires on the waveform.
+pub const SD_HIT: u8 = 2;
+/// Response flag: the waveform settles above `Vdd/2`.
+pub const SETTLED_HIGH: u8 = 4;
+
+/// Guard band (V) for [`Obsc::response_guarded`] on recombined
+/// waveforms: a step-basis response is trusted only when no compared
+/// quantity lies within this of its threshold. About 10⁴× the
+/// recombination's measured rounding error (DESIGN.md §6g).
+pub const GUARD_EPS: f64 = 1e-9;
+
+/// Fraction of a pattern window the settled value averages over.
+const SETTLED_TAIL: f64 = 0.1;
 
 /// Behavioural OBSC implementing [`BoundaryCell`], with embedded ND/SD
 /// detector models.
@@ -86,6 +104,60 @@ impl Obsc {
     pub fn clear_detectors(&mut self) {
         self.nd.clear();
         self.sd.clear();
+    }
+
+    /// What one pattern window's received waveform does at this cell,
+    /// regardless of CE: [`ND_HIT`] | [`SD_HIT`] | [`SETTLED_HIGH`].
+    /// `edge` is the level the wire switched to, `None` for a quiet
+    /// wire (the skew detector only samples transitions); `switch_at`
+    /// is the edge launch time.
+    #[must_use]
+    pub fn response(
+        &self,
+        wave: &[f64],
+        dt: f64,
+        vdd: f64,
+        edge: Option<DriveLevel>,
+        switch_at: f64,
+    ) -> u8 {
+        let mut flags = 0;
+        if self.nd.evaluate(wave, dt, vdd) {
+            flags |= ND_HIT;
+        }
+        if edge.is_some_and(|level| self.sd.evaluate(wave, dt, vdd, level, switch_at)) {
+            flags |= SD_HIT;
+        }
+        if settled_value(wave, SETTLED_TAIL) > vdd / 2.0 {
+            flags |= SETTLED_HIGH;
+        }
+        flags
+    }
+
+    /// [`Obsc::response`] with a guard band of `eps` volts around every
+    /// threshold either detector or the settled-level comparison
+    /// decides on: `Some(flags)` only when every waveform within
+    /// `eps / 2` of `wave` has the same response.
+    #[must_use]
+    pub fn response_guarded(
+        &self,
+        wave: &[f64],
+        dt: f64,
+        vdd: f64,
+        edge: Option<DriveLevel>,
+        switch_at: f64,
+        eps: f64,
+    ) -> Option<u8> {
+        let mut flags = 0;
+        if self.nd.evaluate_guarded(wave, dt, vdd, eps)? {
+            flags |= ND_HIT;
+        }
+        if let Some(level) = edge {
+            if self.sd.evaluate_guarded(wave, dt, vdd, level, switch_at, eps)? {
+                flags |= SD_HIT;
+            }
+        }
+        let settled = settled_value(wave, SETTLED_TAIL) - vdd / 2.0;
+        (settled.abs() > eps).then_some(if settled > 0.0 { flags | SETTLED_HIGH } else { flags })
     }
 
     /// The `sel` signal of Table 4: `!SI + ShiftDR`.
@@ -232,6 +304,22 @@ mod tests {
         assert!(Obsc::sel(&ctrl(false, true, false)));
         assert!(!Obsc::sel(&ctrl(true, false, false)), "SI=1, ShiftDR=0 → sel=0");
         assert!(Obsc::sel(&ctrl(true, true, false)), "SI=1, ShiftDR=1 → sel=1");
+    }
+
+    #[test]
+    fn response_flags_and_their_guard_band() {
+        let c = cell();
+        // A late rise: still at 0.9 V when sampled, settling high.
+        let mut late = vec![0.9; 500];
+        late.extend(vec![1.8; 500]);
+        let flags = SD_HIT | SETTLED_HIGH;
+        assert_eq!(c.response(&late, 1e-12, 1.8, Some(DriveLevel::High), 0.0), flags);
+        assert_eq!(c.response(&late, 1e-12, 1.8, None, 0.0), SETTLED_HIGH, "quiet: no SD");
+        let guarded = c.response_guarded(&late, 1e-12, 1.8, Some(DriveLevel::High), 0.0, 1e-9);
+        assert_eq!(guarded, Some(flags));
+        // A tail that settles on Vdd/2 cannot be vouched for.
+        let mid = vec![0.9; 1000];
+        assert_eq!(c.response_guarded(&mid, 1e-12, 1.8, None, 0.0, 1e-9), None);
     }
 
     #[test]

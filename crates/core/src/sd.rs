@@ -127,13 +127,47 @@ impl SkewDetector {
         final_level: DriveLevel,
         t_launch: f64,
     ) -> bool {
-        if wave.is_empty() {
-            return false;
+        self.deviation(wave, dt, vdd, final_level, t_launch)
+            .is_some_and(|d| d > self.window.settle_tolerance)
+    }
+
+    /// [`SkewDetector::evaluate`] with a guard band: `Some(verdict)`
+    /// when the sampled deviation `|wave[k] − target|` lies more than
+    /// `eps` from `settle_tolerance`, so every waveform within `eps / 2`
+    /// of `wave` gets the same verdict; `None` otherwise (including for
+    /// a non-finite sample).
+    #[must_use]
+    pub fn evaluate_guarded(
+        &self,
+        wave: &[f64],
+        dt: f64,
+        vdd: f64,
+        final_level: DriveLevel,
+        t_launch: f64,
+        eps: f64,
+    ) -> Option<bool> {
+        let tolerance = self.window.settle_tolerance;
+        match self.deviation(wave, dt, vdd, final_level, t_launch) {
+            None => Some(false),
+            Some(d) if (d - tolerance).abs() > eps => Some(d > tolerance),
+            Some(_) => None,
         }
+    }
+
+    /// `|wave[k] − target|` at the sample instant `k`, the one quantity
+    /// the comparator decides on; `None` for an empty waveform.
+    fn deviation(
+        &self,
+        wave: &[f64],
+        dt: f64,
+        vdd: f64,
+        final_level: DriveLevel,
+        t_launch: f64,
+    ) -> Option<f64> {
+        let last = wave.len().checked_sub(1)?;
         let t_sample = t_launch + self.window.window;
-        let k = ((t_sample / dt).round() as usize).min(wave.len() - 1);
-        let target = final_level.voltage(vdd);
-        (wave[k] - target).abs() > self.window.settle_tolerance
+        let k = ((t_sample / dt).round() as usize).min(last);
+        Some((wave[k] - final_level.voltage(vdd)).abs())
     }
 }
 
@@ -220,6 +254,19 @@ mod tests {
         // Clamps to last sample (settled high) → no violation.
         assert!(!sd.observe(&wave, 1e-12, 1.8, DriveLevel::High, 0.0));
         assert!(!sd.observe(&[], 1e-12, 1.8, DriveLevel::High, 0.0));
+    }
+
+    #[test]
+    fn guarded_evaluation_refuses_deviations_near_the_tolerance() {
+        let sd = SkewDetector::new(SdWindow::for_vdd(400e-12, 1.8));
+        let tolerance = sd.window().settle_tolerance;
+        let guarded = |v: f64| sd.evaluate_guarded(&[v; 1000], 1e-12, 1.8, DriveLevel::High, 0.0, 1e-9);
+        assert_eq!(guarded(0.9), Some(true));
+        assert_eq!(guarded(1.5), Some(false));
+        assert_eq!(guarded(1.8 - tolerance), None);
+        assert_eq!(guarded(1.8 - tolerance + 5e-10), None);
+        assert_eq!(guarded(f64::NAN), None);
+        assert_eq!(sd.evaluate_guarded(&[], 1e-12, 1.8, DriveLevel::High, 0.0, 1e-9), Some(false));
     }
 
     #[test]

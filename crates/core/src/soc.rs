@@ -15,10 +15,12 @@ use crate::degrade::{ChainPolicy, DegradationEvent, DegradedOutcome};
 use crate::error::CoreError;
 use crate::infra::InfrastructureDiagnosis;
 use crate::instructions::{extended_instruction_set, g_sitest};
-use crate::mafm::{victim_select, CoverageLedger, CoverageReport, IntegrityFault, QUARANTINE_PARK};
+use crate::mafm::{
+    fault_pair, victim_select, CoverageLedger, CoverageReport, IntegrityFault, QUARANTINE_PARK,
+};
 use crate::timing::ChainGeometry;
 use crate::nd::NdThresholds;
-use crate::obsc::Obsc;
+use crate::obsc::{Obsc, GUARD_EPS, ND_HIT, SD_HIT, SETTLED_HIGH};
 use crate::pgbsc::Pgbsc;
 use crate::sd::SdWindow;
 use crate::session::{
@@ -27,6 +29,7 @@ use crate::session::{
 use sint_interconnect::defect::Defect;
 use sint_interconnect::drive::{DriveLevel, VectorPair};
 use sint_interconnect::error::InterconnectError;
+use sint_interconnect::basis::StepBasis;
 use sint_interconnect::measure::{propagation_delay, settled_value};
 use sint_interconnect::params::{Bus, BusParams};
 use sint_interconnect::solver::{GuardrailEvent, PanelScratch, SimScratch, TransientSim, WavePanel};
@@ -297,6 +300,7 @@ impl SocBuilder {
             unsolved: Vec::new(),
             memo: HashMap::new(),
             memo_stats: MemoStats::default(),
+            basis: StepBasis::new(),
             plan: None,
             log: Vec::new(),
             panel_width: self.panel_width,
@@ -328,13 +332,6 @@ struct PendingPattern {
     ce: bool,
 }
 
-/// Response flag: the wire's noise detector fires on the pattern.
-const ND_HIT: u8 = 1;
-/// Response flag: the wire's skew detector fires on the pattern.
-const SD_HIT: u8 = 2;
-/// Response flag: the wire settles above `Vdd/2`.
-const SETTLED_HIGH: u8 = 4;
-
 /// What one solved pattern does at the receivers: per wire, a byte of
 /// [`ND_HIT`] | [`SD_HIT`] | [`SETTLED_HIGH`]. Latching needs nothing
 /// more, so the waveforms are dropped once the response is taken.
@@ -361,6 +358,12 @@ pub struct MemoStats {
     pub lookahead: u64,
     /// Lookahead columns no applied pattern has used so far.
     pub wasted_lookahead: u64,
+    /// Step-basis columns (`U` and the single-rise `u_v`) solved for
+    /// MA-shaped pairs, counted in [`Soc::transients_run`] too.
+    pub basis_columns: u64,
+    /// MA-shaped pairs whose recombined response fell inside the guard
+    /// band (or out of range) and went to a direct panel instead.
+    pub guard_fallbacks: u64,
 }
 
 /// The findings a session over a quarantine attaches to its report.
@@ -516,6 +519,9 @@ pub struct Soc {
     /// Batched path: the response of every pair solved so far.
     memo: PatternMemo,
     memo_stats: MemoStats,
+    /// Batched path: step responses of the active solver. Between
+    /// flushes it holds the all-rise column only.
+    basis: StepBasis,
     /// The half in flight, for read-out lookahead.
     plan: Option<HalfPlan>,
     /// The current session's applied pairs, bit-packed in order (see
@@ -575,8 +581,8 @@ impl Soc {
         self.driver.tck()
     }
 
-    /// Transient analyses run so far (panel columns on the batched path,
-    /// lookahead included).
+    /// Transient analyses run so far (panel columns on the batched path:
+    /// step-basis, direct and lookahead columns alike).
     #[must_use]
     pub fn transients_run(&self) -> usize {
         self.transients_run
@@ -895,10 +901,26 @@ impl Soc {
         Ok(())
     }
 
-    /// Solves `columns` — distinct pairs the memo lacks, in application
-    /// order — as one panel topped up with lookahead, and memoizes each
-    /// column's response.
-    fn solve(&mut self, mut columns: Vec<VectorPair>) -> Result<(), CoreError> {
+    /// Solves `queued` — distinct pairs the memo lacks, in application
+    /// order — and memoizes each one's response: MA-shaped pairs by
+    /// recombination from the step basis, the rest as a direct panel.
+    fn solve(&mut self, queued: Vec<VectorPair>) -> Result<(), CoreError> {
+        let ma_shaped = queued.iter().any(|pair| StepBasis::ma_victim(pair).is_some());
+        if !ma_shaped || !StepBasis::accepts(&self.sim) {
+            return self.solve_direct(queued);
+        }
+        if self.solve_by_basis(&queued).is_err() {
+            // A basis column must not change how a flush fails:
+            // re-derive the outcome from the queued pairs alone.
+            let waves = self.run_panel(&queued)?;
+            let own = queued.len();
+            self.memoize(&waves, queued, own)?;
+        }
+        Ok(())
+    }
+
+    /// Solves `columns` as one direct panel topped up with lookahead.
+    fn solve_direct(&mut self, mut columns: Vec<VectorPair>) -> Result<(), CoreError> {
         let own = columns.len();
         self.extend_with_lookahead(&mut columns)?;
         let waves = match self.run_panel(&columns) {
@@ -912,16 +934,132 @@ impl Soc {
             Err(e) => return Err(e),
         };
         let lookahead = (columns.len() - own) as u64;
-        self.transients_run += columns.len();
         self.memo_stats.lookahead += lookahead;
         self.memo_stats.wasted_lookahead += lookahead;
+        self.memoize(&waves, columns, own)
+    }
+
+    /// Memoizes the response of every column of a solved panel; columns
+    /// from `own` on are speculative lookahead.
+    fn memoize(
+        &mut self,
+        waves: &WavePanel,
+        columns: Vec<VectorPair>,
+        own: usize,
+    ) -> Result<(), CoreError> {
+        self.transients_run += columns.len();
         let key = self.memo_key();
         for (c, pair) in columns.into_iter().enumerate() {
-            let response = self.response(&waves, c, &pair)?;
+            let response = self.response(waves, c, &pair)?;
             let entry = MemoEntry { response, speculative: c >= own };
             self.memo.entry(key).or_default().insert(pair, entry);
         }
         Ok(())
+    }
+
+    /// The basis half of [`Soc::solve`]: one panel holding `U` (unless
+    /// held) and `u_v` for the victims of the queued MA-shaped pairs,
+    /// topped up to the panel width with the next victims of the half
+    /// in flight whose responses the memo lacks. All six fault pairs of
+    /// every live victim are recombined and memoized while its column
+    /// is live; the queued pairs that are not MA-shaped, and every
+    /// recombination the guard band refuses, go to one direct panel.
+    fn solve_by_basis(&mut self, queued: &[VectorPair]) -> Result<(), CoreError> {
+        let mut victims = Vec::new();
+        let mut direct = Vec::new();
+        for pair in queued {
+            match StepBasis::ma_victim(pair) {
+                Some(victim) if victims.contains(&victim) => {}
+                Some(victim) => victims.push(victim),
+                None => direct.push(pair.clone()),
+            }
+        }
+        self.top_up_victims(&mut victims);
+        let cancel = self.cancel.as_ref();
+        let solved =
+            self.basis.solve(&self.sim, &victims, self.settle, &mut self.panel_scratch, cancel)?;
+        self.transients_run += solved;
+        self.memo_stats.basis_columns += solved as u64;
+        let key = self.memo_key();
+        let mut wave = Vec::new();
+        for &victim in &victims {
+            for fault in IntegrityFault::ALL {
+                let pair = fault_pair(self.wires, victim, fault)?;
+                if self.memo.get(&key).is_some_and(|m| m.contains_key(&pair)) {
+                    continue;
+                }
+                match self.recombined_response(&pair, &mut wave)? {
+                    Some(response) => {
+                        let entry = MemoEntry { response, speculative: false };
+                        self.memo.entry(key).or_default().insert(pair, entry);
+                    }
+                    None => {
+                        self.memo_stats.guard_fallbacks += 1;
+                        direct.push(pair);
+                    }
+                }
+            }
+        }
+        self.basis.release_victims();
+        if direct.is_empty() {
+            return Ok(());
+        }
+        let waves = self.run_panel(&direct)?;
+        let own = direct.len();
+        self.memoize(&waves, direct, own)
+    }
+
+    /// Tops `victims` up to the panel width with the next victims the
+    /// half in flight still reaches whose six fault pairs the memo
+    /// lacks. A victim the half never applies costs a wasted column,
+    /// never a wrong verdict: every applied pattern is still looked up
+    /// by its own pair.
+    fn top_up_victims(&self, victims: &mut Vec<usize>) {
+        let Some(plan) = self.plan.as_ref().filter(|_| self.quarantine.is_none()) else {
+            return;
+        };
+        let width = self.panel_width - usize::from(!self.basis.has_all_rise());
+        let memo = self.memo.get(&self.memo_key());
+        let known = |pair: Result<VectorPair, CoreError>| {
+            pair.is_ok_and(|pair| memo.is_some_and(|m| m.contains_key(&pair)))
+        };
+        let reach = plan.victims.len().min(plan.end.div_ceil(3));
+        for &victim in plan.victims.get(plan.next / 3..reach).unwrap_or_default() {
+            if victims.len() >= width {
+                break;
+            }
+            let solved =
+                IntegrityFault::ALL.iter().all(|&f| known(fault_pair(self.wires, victim, f)));
+            if !solved && !victims.contains(&victim) {
+                victims.push(victim);
+            }
+        }
+    }
+
+    /// The response of MA-shaped `pair` recombined from the live basis
+    /// columns, or `None` when the recombination is out of range or a
+    /// compared quantity lies within [`GUARD_EPS`] of its threshold — so
+    /// a `Some` is exactly what the direct solve's waveforms give.
+    /// `wave` is scratch for the recombined waveforms.
+    fn recombined_response(
+        &self,
+        pair: &VectorPair,
+        wave: &mut Vec<f64>,
+    ) -> Result<Option<Box<[u8]>>, CoreError> {
+        if !self.basis.combine_into(&self.sim, pair, wave)? {
+            return Ok(None);
+        }
+        let samples = wave.len() / self.wires;
+        let (dt, switch_at, vdd) = (self.sim.dt(), self.sim.switch_at(), self.bus.vdd());
+        let mut response = Vec::with_capacity(self.wires);
+        for (w, trace) in wave.chunks_exact(samples).enumerate() {
+            let edge = pair.switches(w).then(|| pair.after(w));
+            match self.obsc(w)?.response_guarded(trace, dt, vdd, edge, switch_at, GUARD_EPS) {
+                Some(flags) => response.push(flags),
+                None => return Ok(None),
+            }
+        }
+        Ok(Some(response.into()))
     }
 
     fn run_panel(&mut self, pairs: &[VectorPair]) -> Result<WavePanel, CoreError> {
@@ -966,25 +1104,11 @@ impl Soc {
         c: usize,
         pair: &VectorPair,
     ) -> Result<Box<[u8]>, CoreError> {
-        let vdd = self.bus.vdd();
-        let (dt, switch_at) = (waves.dt(), waves.switch_at());
+        let (dt, switch_at, vdd) = (waves.dt(), waves.switch_at(), self.bus.vdd());
         (0..self.wires)
             .map(|w| {
-                let wave = waves.wire(c, w);
-                let obsc = self.obsc(w)?;
-                let mut flags = 0;
-                if obsc.nd().evaluate(wave, dt, vdd) {
-                    flags |= ND_HIT;
-                }
-                if pair.switches(w)
-                    && obsc.sd().evaluate(wave, dt, vdd, pair.after(w), switch_at)
-                {
-                    flags |= SD_HIT;
-                }
-                if settled_value(wave, 0.1) > vdd / 2.0 {
-                    flags |= SETTLED_HIGH;
-                }
-                Ok(flags)
+                let edge = pair.switches(w).then(|| pair.after(w));
+                Ok(self.obsc(w)?.response(waves.wire(c, w), dt, vdd, edge, switch_at))
             })
             .collect()
     }
@@ -1167,8 +1291,8 @@ impl Soc {
     ///
     /// # Errors
     ///
-    /// [`CoreError::BadConfig`] for a non-positive settle time or
-    /// timestep; [`CoreError::Infrastructure`] when the pre-session
+    /// [`CoreError::BadConfig`] for a non-positive or non-finite settle
+    /// time or timestep; [`CoreError::Infrastructure`] when the pre-session
     /// chain self-check finds the scan infrastructure faulty; substrate
     /// errors are propagated.
     pub fn run_integrity_test(
@@ -1211,8 +1335,9 @@ impl Soc {
     /// the pattern log. Returns the degradation findings when the
     /// session runs over a quarantine.
     fn begin_session(&mut self, config: &SessionConfig) -> Result<Option<Degradation>, CoreError> {
-        if config.settle_time <= 0.0 || config.dt <= 0.0 {
-            return Err(CoreError::config("settle time and dt must be positive"));
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !(positive(config.settle_time) && positive(config.dt)) {
+            return Err(CoreError::config("settle time and dt must be finite and positive"));
         }
         // Patterns an aborted session left deferred were memoized under
         // its solver and settle time: latch them before either changes.
@@ -2106,7 +2231,9 @@ mod tests {
         // The same defected SoC at panel widths 1 (scalar oracle), 3
         // (ragged tails) and 8 (default) must produce identical
         // reports for every observation method — detector verdicts,
-        // read-out order, TCKs and pattern counts.
+        // read-out order, TCKs and pattern counts. The scalar oracle
+        // solves every pattern; a batched session solves the n + 1
+        // step-basis columns.
         for method in [
             ObservationMethod::Once,
             ObservationMethod::PerInitialValue,
@@ -2122,7 +2249,9 @@ mod tests {
                 let report = soc.run_integrity_test(&cfg).unwrap();
                 assert!(soc.pending.is_empty(), "queue must drain by session end");
                 assert_eq!(soc.memo_stats().wasted_lookahead, 0, "width {width} ({method})");
-                (report, soc.transients_run(), soc.patterns_applied)
+                let columns = if width == 1 { 6 * 4 } else { 4 + 1 };
+                assert_eq!(soc.transients_run(), columns, "width {width} ({method})");
+                (report, soc.patterns_applied)
             };
             let oracle = run(1);
             for width in [3, DEFAULT_PANEL_WIDTH, 64] {
@@ -2149,17 +2278,66 @@ mod tests {
             let mut soc = coarse(6).extra_cells(3).coupling_defect(2, 6.0).build().unwrap();
             let report = soc.run_integrity_test(&coarse_session(method)).unwrap();
             let stats = soc.memo_stats();
-            assert_eq!(soc.transients_run(), 6 * 6, "{method}: one solve per pattern");
-            assert_eq!(stats.wasted_lookahead, 0, "{method}");
-            assert_eq!(stats.hits, stats.lookahead, "{method}: lookahead is what hits");
-            if method == ObservationMethod::PerPattern {
-                // Per 18-pattern half, three read-outs each solve their
-                // own pattern; the rest rides along as lookahead.
-                assert_eq!(stats.lookahead, 36 - 2 * 3);
-            } else {
-                assert_eq!(stats.lookahead, 0, "{method}: panels fill without lookahead");
-            }
+            // One panel: U and the six single-rise columns, which fill
+            // the memo for all 36 patterns of both halves.
+            assert_eq!(soc.transients_run(), 6 + 1, "{method}: n + 1 basis columns");
+            assert_eq!(stats.basis_columns, 6 + 1, "{method}");
+            assert_eq!((stats.lookahead, stats.wasted_lookahead), (0, 0), "{method}");
+            assert_eq!(stats.guard_fallbacks, 0, "{method}");
+            // Patterns queued before the one flush miss the memo: a
+            // full panel's worth (8) under methods 1 and 2, only the
+            // first pattern under method 3's per-pattern read-outs.
+            let queued = if method == ObservationMethod::PerPattern { 1 } else { 8 };
+            assert_eq!(stats.hits, 36 - queued, "{method}");
             assert!(report.wire(2).noise);
+        }
+    }
+
+    #[test]
+    fn a_threshold_on_a_sample_sends_the_pair_to_a_direct_solve() {
+        // Put the ND low threshold exactly on the peak of wire 1's Pg
+        // glitch: the recombined waveform cannot vouch for that
+        // comparison, so the pair is solved directly, and the session
+        // still matches the scalar oracle.
+        let cfg = coarse_session(ObservationMethod::PerPattern);
+        let bus = coarse(4).build().unwrap().bus().clone();
+        let pair = fault_pair(4, 1, IntegrityFault::Pg).unwrap();
+        let sim = TransientSim::new(&bus, cfg.dt).unwrap();
+        let waves = sim.run_pair(&pair, cfg.settle_time).unwrap();
+        let peak = waves.wire(1).iter().copied().fold(0.0, f64::max);
+        let nd = NdThresholds { v_low_max: peak, ..NdThresholds::for_vdd(bus.vdd()) };
+        let run = |width: usize| {
+            let mut soc = coarse(4).nd_thresholds(nd).panel_width(width).build().unwrap();
+            let report = soc.run_integrity_test(&cfg).unwrap();
+            (report, soc.memo_stats(), soc.transients_run())
+        };
+        let (oracle, _, _) = run(1);
+        let (report, stats, columns) = run(DEFAULT_PANEL_WIDTH);
+        assert_eq!(report, oracle);
+        assert!(stats.guard_fallbacks >= 1, "{stats:?}");
+        assert_eq!(columns as u64, stats.basis_columns + stats.guard_fallbacks);
+        assert_eq!(stats.basis_columns, 4 + 1);
+    }
+
+    #[test]
+    fn non_finite_session_times_are_refused_before_the_self_check() {
+        let base = SessionConfig::method(ObservationMethod::Once);
+        for width in [1, DEFAULT_PANEL_WIDTH] {
+            for bad in [f64::NAN, f64::INFINITY] {
+                for cfg in [
+                    SessionConfig { settle_time: bad, ..base },
+                    SessionConfig { dt: bad, ..base },
+                ] {
+                    let mut soc = SocBuilder::new(3).panel_width(width).build().unwrap();
+                    let tck = soc.tck();
+                    let reason = match soc.run_integrity_test(&cfg) {
+                        Err(CoreError::BadConfig { reason }) => reason,
+                        other => panic!("width {width}, {cfg:?}: expected BadConfig, got {other:?}"),
+                    };
+                    assert!(reason.contains("finite"), "{reason}");
+                    assert_eq!(soc.tck(), tck, "width {width}, {cfg:?}: the chain was probed");
+                }
+            }
         }
     }
 

@@ -49,6 +49,11 @@ impl Matrix {
         self.n
     }
 
+    /// `Σ_j |a_ij|` for every row.
+    pub(crate) fn row_abs_sums(&self) -> Vec<f64> {
+        (0..self.n).map(|i| (0..self.n).map(|j| self[(i, j)].abs()).sum()).collect()
+    }
+
     /// Matrix–vector product `self · x`.
     ///
     /// # Panics
@@ -244,6 +249,16 @@ impl Banded {
             self.ku
         );
         j * self.stride + self.kl + self.ku + i - j
+    }
+
+    /// `Σ_j |a_ij|` for every row.
+    pub(crate) fn row_abs_sums(&self) -> Vec<f64> {
+        (0..self.n)
+            .map(|i| {
+                let band = i.saturating_sub(self.kl)..(i + self.ku + 1).min(self.n);
+                band.map(|j| self.get(i, j).abs()).sum()
+            })
+            .collect()
     }
 
     /// Entry `(i, j)`; zero outside the band.

@@ -61,6 +61,7 @@ use crate::error::InterconnectError;
 use crate::linalg::{Banded, BandedLu, LuFactors, Matrix};
 use crate::params::Bus;
 use sint_runtime::cancel::CancelToken;
+use std::sync::OnceLock;
 
 /// How many timesteps run between cancellation-token deadline polls on
 /// the cancellable entry points. The poll is one `Instant::now()`
@@ -214,6 +215,8 @@ struct System<H, F> {
     /// on branch rows — one mat-vec builds the whole RHS.
     hist: H,
     sources: Sources,
+    /// `Σ_j |a_ij|` for each row of the transient matrix.
+    a_rows: Vec<f64>,
     /// Unknown index of each wire's driver-end node.
     drv_nodes: Vec<usize>,
     /// Unknown index of each wire's receiver-end node.
@@ -233,6 +236,8 @@ pub struct TransientSim {
     dt: f64,
     switch_at: f64,
     engine: Engine,
+    /// [`TransientSim::condition_estimate`], computed on first use.
+    conditioning: OnceLock<f64>,
 }
 
 /// One recovery action taken by [`TransientSim::new_guarded`]. The
@@ -423,6 +428,7 @@ fn build_banded_rc(bus: &Bus, dt: f64) -> Result<System<Banded, BandedLu>, Inter
 
     Ok(System {
         dim,
+        a_rows: a.row_abs_sums(),
         a_lu: a.lu()?,
         dc_lu: g.lu()?,
         hist: c_over_h,
@@ -462,6 +468,7 @@ fn build_banded_rlc(bus: &Bus, dt: f64) -> Result<System<Banded, BandedLu>, Inte
 
     Ok(System {
         dim,
+        a_rows: a.row_abs_sums(),
         a_lu: a.lu()?,
         dc_lu: dc.lu()?,
         hist,
@@ -486,6 +493,7 @@ fn build_dense_rc(bus: &Bus, dt: f64) -> Result<System<Matrix, LuFactors>, Inter
 
     Ok(System {
         dim,
+        a_rows: a.row_abs_sums(),
         a_lu: a.lu()?,
         dc_lu: g.lu()?,
         hist: c_over_h,
@@ -520,6 +528,7 @@ fn build_dense_rlc(bus: &Bus, dt: f64) -> Result<System<Matrix, LuFactors>, Inte
 
     Ok(System {
         dim,
+        a_rows: a.row_abs_sums(),
         a_lu: a.lu()?,
         dc_lu: dc.lu()?,
         hist,
@@ -581,6 +590,41 @@ impl<H: History, F: Factors> System<H, F> {
             self.collect(state, waves);
         }
         Ok(())
+    }
+
+    /// Receiver-end voltages of the DC operating point of the
+    /// stimulus's initial values: the state every run starts from.
+    fn dc_receivers(&self, stimulus: &Stimulus) -> Vec<f64> {
+        let mut state = vec![0.0; self.dim];
+        self.stamp(stimulus, 0.0, &mut state, 1, 0);
+        self.dc_lu.solve_into(&mut state);
+        self.recv_nodes.iter().map(|&node| state[node]).collect()
+    }
+
+    /// A cheap lower estimate of the ∞-norm condition number of the
+    /// row-equilibrated transient matrix `D·A` (`D = diag(1/Σ_j|a_ij|)`,
+    /// so `‖D·A‖∞ = 1`): the largest `‖A⁻¹·(r∘s)‖∞` over a few sign
+    /// probes `s`, with `r` the row sums. Exact for M-matrices (the RC
+    /// formulation), where the all-ones probe attains the norm.
+    fn condition_estimate(&self) -> f64 {
+        let wires = self.drv_nodes.len();
+        let sign = |even: bool| if even { 1.0 } else { -1.0 };
+        let probes: [&dyn Fn(usize) -> f64; 3] = [
+            &|_| 1.0,
+            &|i| sign(i.is_multiple_of(2)),
+            &|i| sign((i / wires).is_multiple_of(2)),
+        ];
+        probes
+            .iter()
+            .map(|probe| {
+                let mut x: Vec<f64> =
+                    self.a_rows.iter().enumerate().map(|(i, r)| r * probe(i)).collect();
+                self.a_lu.solve_into(&mut x);
+                x.iter()
+                    .map(|v| if v.is_finite() { v.abs() } else { f64::INFINITY })
+                    .fold(0.0, f64::max)
+            })
+            .fold(0.0, f64::max)
     }
 
     /// Appends the per-wire receiver/driver node voltages of `state`.
@@ -722,7 +766,7 @@ impl TransientSim {
             (SolverBackend::Dense, false) => Engine::Dense(build_dense_rc(bus, dt)?),
             (SolverBackend::Dense, true) => Engine::Dense(build_dense_rlc(bus, dt)?),
         };
-        Ok(TransientSim { bus: bus.clone(), dt, switch_at, engine })
+        Ok(TransientSim { bus: bus.clone(), dt, switch_at, engine, conditioning: OnceLock::new() })
     }
 
     /// As [`TransientSim::new`], but with a bounded recovery ladder for
@@ -758,6 +802,34 @@ impl TransientSim {
         events.push(GuardrailEvent::DenseFallback);
         let sim = Self::with_backend(bus, dt, DEFAULT_SWITCH_AT, SolverBackend::Dense)?;
         Ok((sim, events))
+    }
+
+    /// The bus this simulator was factored for.
+    pub(crate) fn bus(&self) -> &Bus {
+        &self.bus
+    }
+
+    /// Receiver-end voltages of the DC operating point `pair` starts
+    /// from: one solve against the DC factor, bitwise the sample 0 of
+    /// every run of `pair`.
+    pub(crate) fn dc_receivers(&self, pair: &VectorPair) -> Result<Vec<f64>, InterconnectError> {
+        let stimulus = Stimulus::from_pair(&self.bus, pair, self.switch_at)?;
+        Ok(match &self.engine {
+            Engine::Banded(sys) => sys.dc_receivers(&stimulus),
+            Engine::Dense(sys) => sys.dc_receivers(&stimulus),
+        })
+    }
+
+    /// A lower estimate of the condition number of the row-equilibrated
+    /// transient matrix, computed once per
+    /// simulator with three solves. It bounds how far rounding can make
+    /// two mathematically equal runs drift apart: a paper-grid bus reads
+    /// about 10², and every coupling ×10 adds a decade.
+    pub(crate) fn condition_estimate(&self) -> f64 {
+        *self.conditioning.get_or_init(|| match &self.engine {
+            Engine::Banded(sys) => sys.condition_estimate(),
+            Engine::Dense(sys) => sys.condition_estimate(),
+        })
     }
 
     /// The timestep (s).

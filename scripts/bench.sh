@@ -5,6 +5,10 @@
 # comparable timing data. The uppercase BENCH_*.json names are the only
 # artifact paths this script writes at the repo root.
 #
+# Usage: scripts/bench.sh [SUITE...] — every suite by default, or only
+# the named ones (e.g. `scripts/bench.sh session` regenerates
+# BENCH_session.json alone).
+#
 # Knobs:
 #   SINT_THREADS   worker-pool width for campaign-style bins
 #                  (default: host parallelism)
@@ -22,7 +26,9 @@ trap 'rm -rf "$dir"' EXIT
 
 cargo build --release -p sint-bench
 
-for name in solver session mafm robustness fleet adaptive jtag; do
+suites="${*:-solver session mafm robustness fleet adaptive jtag}"
+
+for name in $suites; do
     SINT_ARTIFACT_DIR="$dir" cargo run --release -p sint-bench --bin "bench_$name"
     mv "$dir/bench_$name.json" "BENCH_$name.json"
     echo "wrote BENCH_$name.json"

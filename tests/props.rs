@@ -4,6 +4,9 @@
 //! Each `#[test]` wraps one property; a failure panics with the harness
 //! seed, case index, and generated input so it can be replayed exactly.
 
+use sint::core::adaptive::{AdaptiveCheckpoint, AdaptiveConfig};
+use sint::core::campaign::{Campaign, Trial};
+use sint::core::checkpoint::CampaignCheckpoint;
 use sint::core::degrade::ChainPolicy;
 use sint::core::describe::{si_cell_factory, soc_description_text};
 use sint::core::mafm::{
@@ -11,9 +14,9 @@ use sint::core::mafm::{
     fault_pair, pgbsc_vector, CoverageLedger, CoverageReport, IntegrityFault,
 };
 use sint::core::nd::{NdThresholds, NoiseDetector};
-use sint::core::obsc::Obsc;
+use sint::core::obsc::{Obsc, GUARD_EPS};
 use sint::core::pgbsc::Pgbsc;
-use sint::core::sd::SdWindow;
+use sint::core::sd::{SdWindow, SkewDetector};
 use sint::core::session::{ObservationMethod, SessionConfig};
 use sint::core::soc::SocBuilder;
 use sint::interconnect::defect::Defect;
@@ -21,6 +24,7 @@ use sint::interconnect::drive::{DriveLevel, VectorPair};
 use sint::interconnect::linalg::Matrix;
 use sint::interconnect::params::BusParams;
 use sint::interconnect::solver::{PanelScratch, SolverBackend, TransientSim, DEFAULT_SWITCH_AT};
+use sint::interconnect::StepBasis;
 use sint::interconnect::variation::{apply_variation, SplitMix64, VariationSigma};
 use sint::jtag::bcell::{BoundaryCell, BoundaryRegister, CellControl, StandardBsc};
 use sint::jtag::bsdl::{DeviceDescription, MAX_CELLS};
@@ -35,7 +39,7 @@ use sint::fleet::{
 use sint::logic::{BitVector, Logic};
 use sint::runtime::backoff::BackoffPolicy;
 use sint::runtime::durable::{frame, scan_frames, GenPair};
-use sint::runtime::json::ToJson;
+use sint::runtime::json::{Json, ToJson};
 use sint::runtime::prop::{gen, Runner};
 use sint::runtime::rng::Rng64;
 
@@ -425,6 +429,35 @@ const BSDL_LINES: [&str; 8] = [
     "device y {",
 ];
 
+/// One to three mutations of `base`: a truncation, a bit flip, a splice
+/// of a random slice of one of the `donors`, or an inserted `snippet`.
+fn mutate(rng: &mut Rng64, base: &[u8], donors: &[Vec<u8>], snippets: &[Vec<u8>]) -> String {
+    let mut bytes = base.to_vec();
+    for _ in 0..gen::usize_in(rng, 1..4) {
+        let at = gen::usize_in(rng, 0..bytes.len() + 1);
+        match gen::usize_in(rng, 0..4) {
+            0 => bytes.truncate(at),
+            1 if !bytes.is_empty() => {
+                let i = at.min(bytes.len() - 1);
+                bytes[i] ^= 1 << gen::usize_in(rng, 0..8);
+            }
+            2 => {
+                let donor = match donors {
+                    [only] => only,
+                    _ => &donors[gen::usize_in(rng, 0..donors.len())],
+                };
+                let from = gen::usize_in(rng, 0..donor.len());
+                let to = gen::usize_in(rng, from..donor.len() + 1);
+                bytes.splice(at..at, donor[from..to].iter().copied());
+            }
+            _ => {
+                bytes.splice(at..at, gen::one_of(rng, snippets));
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
 #[test]
 fn bsdl_loader_never_panics_on_mutated_descriptions() {
     // Truncations, bit flips, self-splices and spliced statements of the
@@ -432,30 +465,10 @@ fn bsdl_loader_never_panics_on_mutated_descriptions() {
     // error, every parsed description must build (or refuse to) without
     // panicking, and its rendering must parse back to itself.
     let base = soc_description_text(3, 2).into_bytes();
+    let donors = [base.clone()];
+    let lines: Vec<Vec<u8>> = BSDL_LINES.iter().map(|l| format!("\n{l}\n").into_bytes()).collect();
     Runner::new("bsdl_mutation_fuzz").cases(2000).run(
-        |rng| {
-            let mut bytes = base.clone();
-            for _ in 0..gen::usize_in(rng, 1..4) {
-                let at = gen::usize_in(rng, 0..bytes.len() + 1);
-                match gen::usize_in(rng, 0..4) {
-                    0 => bytes.truncate(at),
-                    1 if !bytes.is_empty() => {
-                        let i = at.min(bytes.len() - 1);
-                        bytes[i] ^= 1 << gen::usize_in(rng, 0..8);
-                    }
-                    2 => {
-                        let from = gen::usize_in(rng, 0..base.len());
-                        let to = gen::usize_in(rng, from..base.len() + 1);
-                        bytes.splice(at..at, base[from..to].iter().copied());
-                    }
-                    _ => {
-                        let line = format!("\n{}\n", gen::one_of(rng, &BSDL_LINES));
-                        bytes.splice(at..at, line.into_bytes());
-                    }
-                }
-            }
-            String::from_utf8_lossy(&bytes).into_owned()
-        },
+        |rng| mutate(rng, &base, &donors, &lines),
         |text| {
             let Ok(desc) = DeviceDescription::parse(text) else {
                 return Ok(());
@@ -469,6 +482,73 @@ fn bsdl_loader_never_panics_on_mutated_descriptions() {
             let reparsed = DeviceDescription::parse(&desc.to_string())
                 .map_err(|e| format!("rendering does not parse: {e}"))?;
             check_eq(reparsed, desc)
+        },
+    );
+}
+
+/// Fragments that steer mutated JSON toward the parsers' edge cases:
+/// huge and fractional numbers, escapes, deep nesting and wrongly typed
+/// checkpoint fields.
+const JSON_SNIPPETS: [&str; 14] = [
+    "18446744073709551616",
+    "-1",
+    "1e400",
+    "0.5",
+    r#""\ud800""#,
+    r#""\u00e9\n""#,
+    "[[[[[[[[[[[[[[[[",
+    "}}}]]]",
+    r#"{"version":3}"#,
+    r#""entries":null,"#,
+    r#""outcome":{"kind":"bogus"},"#,
+    r#""shed":{"reason":{"kind":"deadline"}},"#,
+    r#""ledger":[[true,"x"]],"#,
+    "null,true,false,",
+];
+
+#[test]
+fn checkpoint_loaders_never_panic_on_mutated_documents() {
+    // Every loader of untrusted checkpoint bytes: truncations, bit
+    // flips and splices of real snapshots must come back as a value or
+    // a typed error from `Json::parse` and the campaign, adaptive and
+    // fleet checkpoint parsers — never a panic.
+    let trials = [
+        Trial::control(),
+        Trial::defective(Defect::CouplingBoost { wire: 1, factor: 6.0 }),
+        Trial::defective(Defect::ResistiveOpen { wire: 2, segment: 0, extra_ohms: 3000.0 }),
+        Trial::panicking(),
+    ];
+    let campaign = Campaign::new(3).bus_params(BusParams::dsm_bus(3).segments(1)).session(
+        SessionConfig { dt: 10e-12, ..SessionConfig::method(ObservationMethod::Once) },
+    );
+    let mut docs: Vec<Vec<u8>> = Vec::new();
+    let _ = campaign.run_checkpointed(&trials, 1, &mut CampaignCheckpoint::new(), 2, |cp| {
+        docs.push(cp.to_json().render().into_bytes());
+    });
+    let adaptive = campaign.clone().adaptive(AdaptiveConfig { round: 2, reorder: true });
+    let _ = adaptive.run_adaptive_checkpointed(&trials, 1, &mut AdaptiveCheckpoint::new(3), |cp| {
+        docs.push(cp.to_json().render().into_bytes());
+    });
+    let floor = FloorSpec::new(4).trials_per_board(2).seed(7);
+    let engine = FleetEngine::new(floor).expect("fleet engine");
+    let _ = engine.run_checkpointed(1, &mut FleetCheckpoint::new(), 2, &NullSink, |cp| {
+        docs.push(cp.to_json().render().into_bytes());
+    });
+    assert!(docs.len() >= 6, "every loader needs real snapshots to mutate");
+    let snippets: Vec<Vec<u8>> = JSON_SNIPPETS.iter().map(|s| s.as_bytes().to_vec()).collect();
+    Runner::new("checkpoint_mutation_fuzz").cases(1500).run(
+        |rng| {
+            let base = &docs[gen::usize_in(rng, 0..docs.len())];
+            mutate(rng, base, &docs, &snippets)
+        },
+        |text| {
+            if let Ok(json) = Json::parse(text) {
+                let _ = json.render();
+            }
+            let _ = CampaignCheckpoint::parse(text);
+            let _ = AdaptiveCheckpoint::parse(text);
+            let _ = FleetCheckpoint::parse(text);
+            Ok(())
         },
     );
 }
@@ -1158,6 +1238,197 @@ fn responses_superpose_from_an_all_low_start() {
                 1e-9,
                 "superposition",
             )
+        },
+    );
+}
+
+// ---------------- Step-basis superposition ----------------
+
+#[test]
+fn basis_responses_are_byte_identical_to_direct_solves() {
+    // Every pair the step basis recombines (the six MA patterns of each
+    // live victim, and whatever MA-shaped pairs turn up among random
+    // vectors) must give exactly the direct solve's response byte
+    // wherever the guard band lets it decide — on random RC and RLC
+    // buses with per-die variation and defects, under default
+    // thresholds and under thresholds placed exactly on a direct
+    // sample (the ND low edge on a victim's glitch peak, the SD
+    // tolerance on its sampled deviation). Non-MA pairs and victims
+    // with no live column must be refused.
+    Runner::new("basis_matches_direct").cases(24).run(
+        |rng| {
+            let width = gen::usize_in(rng, 3..17);
+            let segments = gen::usize_in(rng, 1..4);
+            let inductive = gen::bool_any(rng);
+            let seed = gen::u64_any(rng);
+            let defects = gen::vec_of(rng, 0..3, |rng| {
+                let wire = gen::usize_in(rng, 0..width);
+                match gen::usize_in(rng, 0..3) {
+                    0 => Defect::CouplingBoost { wire, factor: gen::f64_in(rng, 1.5..8.0) },
+                    1 => Defect::ResistiveOpen {
+                        wire,
+                        segment: gen::usize_in(rng, 0..segments),
+                        extra_ohms: gen::f64_in(rng, 500.0..4000.0),
+                    },
+                    _ => Defect::WeakDriver { wire, factor: gen::f64_in(rng, 2.0..12.0) },
+                }
+            });
+            let victims = gen::vec_of(rng, 1..4, |rng| gen::usize_in(rng, 0..width));
+            let random_pairs = gen::vec_of(rng, 2..6, |rng| {
+                let bits = |rng: &mut Rng64| -> Vec<DriveLevel> {
+                    (0..width).map(|_| DriveLevel::from(gen::bool_any(rng))).collect()
+                };
+                VectorPair::new(bits(rng), bits(rng))
+            });
+            let window = gen::f64_in(rng, 80e-12..400e-12);
+            (width, segments, inductive, seed, defects, victims, random_pairs, window)
+        },
+        |(width, segments, inductive, seed, defects, victims, random_pairs, window)| {
+            let width = *width;
+            let mut params = BusParams::dsm_bus(width).segments(*segments);
+            if *inductive {
+                params = params.l_per_mm(0.4e-9).lm_per_mm(0.1e-9).rise_time(60e-12);
+            }
+            let mut bus = params.build().map_err(|e| e.to_string())?;
+            apply_variation(&mut bus, VariationSigma::typical(), *seed).map_err(|e| e.to_string())?;
+            for d in defects {
+                d.apply(&mut bus).map_err(|e| e.to_string())?;
+            }
+            let (dt, settle, vdd) = (10e-12, 1.2e-9, bus.vdd());
+            let sim = TransientSim::new(&bus, dt).map_err(|e| e.to_string())?;
+            let mut live: Vec<usize> = victims.clone();
+            live.sort_unstable();
+            live.dedup();
+            let mut basis = StepBasis::new();
+            let mut scratch = PanelScratch::new();
+            basis.solve(&sim, &live, settle, &mut scratch, None).map_err(|e| e.to_string())?;
+            let mut pairs: Vec<VectorPair> = Vec::new();
+            for &v in &live {
+                for f in IntegrityFault::ALL {
+                    pairs.push(fault_pair(width, v, f).map_err(|e| e.to_string())?);
+                }
+            }
+            pairs.extend(random_pairs.iter().cloned());
+            let direct =
+                sim.run_pairs_cancellable(&pairs, settle, &mut scratch, None).map_err(|e| e.to_string())?;
+            let samples = direct.samples();
+            let nominal = Obsc::new(NdThresholds::for_vdd(vdd), SdWindow::for_vdd(*window, vdd));
+            let k_sample = ((sim.switch_at() + window) / dt).round() as usize;
+            let mut wave = Vec::new();
+            let mut decided = 0usize;
+            for (c, pair) in pairs.iter().enumerate() {
+                let live_victim = StepBasis::ma_victim(pair).filter(|v| live.contains(v));
+                let combined = basis.combine_into(&sim, pair, &mut wave).map_err(|e| e.to_string())?;
+                check_eq(combined, live_victim.is_some())?;
+                let Some(victim) = live_victim else { continue };
+                for w in 0..width {
+                    let edge = pair.switches(w).then(|| pair.after(w));
+                    let reference = direct.wire(c, w);
+                    let trace = &wave[w * samples..(w + 1) * samples];
+                    let mut cells = vec![nominal.clone()];
+                    if w == victim {
+                        // Thresholds on a direct sample of the victim.
+                        let peak = reference.iter().copied().fold(f64::MIN, f64::max);
+                        let nd = NdThresholds::for_vdd(vdd);
+                        if peak > 0.0 && peak < nd.v_high_min {
+                            let tight = NdThresholds { v_low_max: peak, ..nd };
+                            cells.push(Obsc::new(tight, SdWindow::for_vdd(*window, vdd)));
+                        }
+                        if let Some(level) = edge {
+                            let k = k_sample.min(samples - 1);
+                            let settle_tolerance = (reference[k] - level.voltage(vdd)).abs();
+                            let sd = SdWindow { window: *window, settle_tolerance };
+                            cells.push(Obsc::new(nd, sd));
+                        }
+                    }
+                    for cell in &cells {
+                        let want = cell.response(reference, dt, vdd, edge, sim.switch_at());
+                        let got =
+                            cell.response_guarded(trace, dt, vdd, edge, sim.switch_at(), GUARD_EPS);
+                        if let Some(got) = got {
+                            decided += 1;
+                            check(got == want, || {
+                                format!("{pair} wire {w}: basis byte {got:#04b} vs direct {want:#04b}")
+                            })?;
+                        }
+                    }
+                }
+            }
+            check(decided > 0, || "the guard band refused every response".to_string())
+        },
+    );
+}
+
+#[test]
+fn guarded_verdicts_hold_for_every_wave_within_half_the_band() {
+    // If a guarded evaluation decides, every waveform within ε/2 of the
+    // input (L∞) must evaluate to the same verdict. Samples are drawn on
+    // and around every threshold the detectors compare against, and the
+    // perturbations push to the edge of the ε/2 ball.
+    const EPS: f64 = 1e-9;
+    let vdd = 1.8;
+    let nd = NoiseDetector::new(NdThresholds::for_vdd(vdd));
+    let sd = SkewDetector::new(SdWindow::for_vdd(6.0, vdd));
+    let cell = Obsc::new(NdThresholds::for_vdd(vdd), SdWindow::for_vdd(6.0, vdd));
+    let t = *nd.thresholds();
+    let tol = sd.window().settle_tolerance;
+    let levels = [
+        t.v_low_max,
+        t.v_high_min,
+        vdd + t.overshoot_margin,
+        -t.overshoot_margin,
+        tol,
+        vdd - tol,
+        vdd / 2.0,
+    ];
+    let offsets = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.0001, -1.0001, 1.5, -1.5, 3.0, -3.0];
+    Runner::new("guard_band_is_sound").cases(2000).run(
+        |rng| {
+            let len = gen::usize_in(rng, 1..24);
+            let wave: Vec<f64> = (0..len)
+                .map(|_| {
+                    if gen::usize_in(rng, 0..3) == 0 {
+                        gen::f64_in(rng, -1.0..3.0)
+                    } else {
+                        gen::one_of(rng, &levels) + EPS * gen::one_of(rng, &offsets)
+                    }
+                })
+                .collect();
+            let nudges: Vec<Vec<f64>> = (0..6)
+                .map(|_| {
+                    (0..len)
+                        .map(|_| match gen::usize_in(rng, 0..4) {
+                            0 => EPS / 2.0,
+                            1 => -EPS / 2.0,
+                            2 => 0.0,
+                            _ => gen::f64_in(rng, -EPS / 2.0..EPS / 2.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            let level = DriveLevel::from(gen::bool_any(rng));
+            let quiet = gen::bool_any(rng);
+            (wave, nudges, level, quiet)
+        },
+        |(wave, nudges, level, quiet)| {
+            // dt = 1 s and a 6 s window sample index 6 (clamped to the end).
+            let edge = (!quiet).then_some(*level);
+            let nd_guarded = nd.evaluate_guarded(wave, 1.0, vdd, EPS);
+            let sd_guarded = sd.evaluate_guarded(wave, 1.0, vdd, *level, 0.0, EPS);
+            let cell_guarded = cell.response_guarded(wave, 1.0, vdd, edge, 0.0, EPS);
+            for nudge in nudges {
+                let near: Vec<f64> = wave.iter().zip(nudge).map(|(v, d)| v + d).collect();
+                if let Some(b) = nd_guarded {
+                    check_eq(nd.evaluate(&near, 1.0, vdd), b)?;
+                }
+                if let Some(b) = sd_guarded {
+                    check_eq(sd.evaluate(&near, 1.0, vdd, *level, 0.0), b)?;
+                }
+                if let Some(flags) = cell_guarded {
+                    check_eq(cell.response(&near, 1.0, vdd, edge, 0.0), flags)?;
+                }
+            }
+            Ok(())
         },
     );
 }
