@@ -3,11 +3,14 @@
 //! Measures (a) one-off LU factorisation against wire count and segment
 //! count, and (b) per-transient cost of a full MA pattern window — the
 //! quantity that dominates SoC-session wall time — on both the banded
-//! segment-major fast path (the default) and the dense wire-major
-//! oracle. The `banded/…` vs `dense/…` rows at the same geometry are
-//! the DESIGN.md complexity-table evidence: O(N·b²) vs O(N³) factor,
-//! O(N·b) vs O(N²) step. A `scratch` row shows the additional win from
-//! reusing [`SimScratch`] buffers across runs, as campaigns do.
+//! fast path (the default, numbered along the bus's shorter axis) and
+//! the dense wire-major oracle. The `banded/…` vs `dense/…` rows at the
+//! same geometry are the DESIGN.md complexity-table evidence: O(N·b²)
+//! vs O(N³) factor, O(N·b) vs O(N²) step. A `scratch` row shows the additional win from
+//! reusing [`SimScratch`] buffers across runs, as campaigns do. The
+//! `paper_panel` rows time 1-, 4- and 8-column panels on the paper's
+//! 32-wire × 8-segment bus, per timestep, next to the half-bandwidth its
+//! shorter-axis numbering chose.
 
 use sint_bench::emit_artifact;
 use sint_interconnect::drive::VectorPair;
@@ -21,11 +24,16 @@ use sint_runtime::json::{Json, ToJson};
 const BACKENDS: [(&str, SolverBackend); 2] =
     [("banded", SolverBackend::Banded), ("dense", SolverBackend::Dense)];
 
-fn pg_pair(wires: usize) -> VectorPair {
+/// The Pg pattern with `victim` held low: every other wire rises.
+fn pg_pair_at(wires: usize, victim: usize) -> VectorPair {
     let before = "0".repeat(wires);
     let mut after = "1".repeat(wires);
-    after.replace_range(wires / 2..wires / 2 + 1, "0");
+    after.replace_range(victim..victim + 1, "0");
     VectorPair::from_strs(&before, &after).expect("static vectors")
+}
+
+fn pg_pair(wires: usize) -> VectorPair {
+    pg_pair_at(wires, wires / 2)
 }
 
 fn sim(bus: &sint_interconnect::params::Bus, backend: SolverBackend) -> TransientSim {
@@ -78,14 +86,7 @@ fn main() {
     {
         let bus = BusParams::dsm_bus(16).build().unwrap();
         let s = sim(&bus, SolverBackend::Banded);
-        let pairs: Vec<VectorPair> = (0..16)
-            .map(|c| {
-                let before = "0".repeat(16);
-                let mut after = "1".repeat(16);
-                after.replace_range(c % 16..c % 16 + 1, "0");
-                VectorPair::from_strs(&before, &after).expect("static vectors")
-            })
-            .collect();
+        let pairs: Vec<VectorPair> = (0..16).map(|c| pg_pair_at(16, c)).collect();
         let mut panel = PanelScratch::new();
         for (slot, k) in [1usize, 4, 8, 16].into_iter().enumerate() {
             let batch = &pairs[..k];
@@ -106,6 +107,29 @@ fn main() {
         });
         looped8_median = r.median_ns;
     }
+
+    // The paper geometry: 32 wires x 8 segments, RC. A 2 ns window at
+    // 2 ps is 1000 timesteps, so per-step cost is median/1000.
+    let paper_panel = {
+        let bus = BusParams::dsm_bus(32).segments(8).build().unwrap();
+        let s = sim(&bus, SolverBackend::Banded);
+        let pairs: Vec<VectorPair> = (0..8).map(|c| pg_pair_at(32, c)).collect();
+        let mut panel = PanelScratch::new();
+        let mut fields = vec![
+            ("geometry", "32x8".to_json()),
+            ("half_bandwidth", s.half_bandwidth().map(|b| b as u64).to_json()),
+        ];
+        for (k, key) in [(1usize, "k1_ns_per_step"), (4, "k4_ns_per_step"), (8, "k8_ns_per_step")] {
+            let batch = &pairs[..k];
+            let r = b.measure(&format!("paper_panel_2ns/k{k}/32x8"), || {
+                black_box(
+                    s.run_pairs_cancellable(black_box(batch), 2e-9, &mut panel, None).unwrap(),
+                );
+            });
+            fields.push((key, (r.median_ns / 1000.0).to_json()));
+        }
+        Json::obj(fields)
+    };
 
     for (tag, backend) in BACKENDS {
         for segments in [2usize, 4, 8, 16] {
@@ -140,6 +164,7 @@ fn main() {
         ("suite", "solver".to_json()),
         ("results", b.results().to_json()),
         ("panel_batching", panel_batching),
+        ("paper_panel", paper_panel),
     ]);
     emit_artifact("bench_solver", &artifact);
 }

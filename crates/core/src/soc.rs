@@ -240,15 +240,23 @@ impl SocBuilder {
         // Calibrate the skew-immune window on the healthy bus: worst-case
         // MA skew pattern (victim rising against falling aggressors, the
         // Miller-slowed case) on a middle wire, with 2x design margin.
+        // One-pattern panel on the SoC's own panel scratch: bitwise the
+        // scalar run, on the lane kernels.
+        let mut panel_scratch = PanelScratch::new();
         let sd_window = match self.sd_window {
             Some(w) => w,
             None => {
                 let sim = TransientSim::new(&healthy, dt)?;
                 let victim = self.wires / 2;
                 let pair = crate::mafm::fault_pair(self.wires, victim, IntegrityFault::Rs)?;
-                let waves = sim.run_pair(&pair, settle)?;
+                let waves = sim.run_pairs_cancellable(
+                    std::slice::from_ref(&pair),
+                    settle,
+                    &mut panel_scratch,
+                    None,
+                )?;
                 let delay = propagation_delay(
-                    waves.wire(victim),
+                    waves.wire(0, victim),
                     waves.dt(),
                     healthy.vdd(),
                     sim.switch_at(),
@@ -295,7 +303,7 @@ impl SocBuilder {
             sim_cache,
             guardrail_events,
             scratch: SimScratch::new(),
-            panel_scratch: PanelScratch::new(),
+            panel_scratch,
             pending: Vec::new(),
             unsolved: Vec::new(),
             memo: HashMap::new(),

@@ -5,13 +5,15 @@
 //! timestep. The **dense** [`Matrix`]/[`LuFactors`] pair is the simple
 //! O(N³)/O(N²) reference ("oracle") implementation; the **banded**
 //! [`Banded`]/[`BandedLu`] pair exploits the nearest-neighbour coupling
-//! structure of the bus — with a bandwidth-minimising node ordering the
-//! matrix has half-bandwidth `b = O(wires)`, giving an O(N·b²) factor
-//! and O(N·b) per-step solve (LAPACK `gbtrf`/`gbtrs` style storage with
-//! `kl` extra superdiagonals reserved for partial-pivoting fill-in).
+//! structure of the bus — numbering the unknowns along the bus's shorter
+//! axis gives half-bandwidth `b = O(min(wires, segments))`, an O(N·b²)
+//! factor and an O(N·b) per-step solve (LAPACK `gbtrf`/`gbtrs` style
+//! storage with `kl` extra superdiagonals reserved for partial-pivoting
+//! fill-in). The per-step history product runs on [`Diagonals`], the
+//! band's few nonzero diagonals, so its cost does not grow with `b`.
 //!
-//! Both factorisations expose allocation-free `*_into` kernels so the
-//! timestep loop never touches the allocator.
+//! Every kernel is allocation-free (`*_into`), so the timestep loop
+//! never touches the allocator.
 
 use crate::error::InterconnectError;
 use std::fmt;
@@ -319,40 +321,21 @@ impl Banded {
         }
     }
 
-    /// Banded matrix product over one `W`-interleaved lane block:
-    /// `x`/`y` hold `W` vectors row-major (`x[i·W + c]` is row `i` of
-    /// lane `c`), so every inner update is a `W`-wide contiguous
-    /// fused-multiply-add — the layout the timestep hot loop keeps its
-    /// state in. Per lane the FLOP sequence is exactly
-    /// [`Banded::mul_vec_into`]'s (same `j`-outer sweep), so for finite
-    /// matrices results are bitwise identical column for column: the
-    /// only branch dropped is the `x_j == 0` skip, and `y += a·(±0.0)`
-    /// cannot change any bit of an accumulator that is never `-0.0`
-    /// (accumulators start at `+0.0` and IEEE-754 round-to-nearest
-    /// addition/subtraction only produces `-0.0` from a `-0.0` operand).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice's length differs from `dim() · W`.
-    pub fn mul_interleaved_into<const W: usize>(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n * W, "dimension mismatch");
-        assert_eq!(y.len(), self.n * W, "dimension mismatch");
-        y.fill(0.0);
-        for j in 0..self.n {
-            let lo = j.saturating_sub(self.ku);
-            let hi = (j + self.kl).min(self.n - 1);
-            let base = j * self.stride + self.kl + self.ku - j;
-            let col = &self.data[base + lo..=base + hi];
-            let xj: [f64; W] = x[j * W..(j + 1) * W].try_into().expect("lane width");
-            let rows = &mut y[lo * W..(hi + 1) * W];
-            for (row, &a) in rows.chunks_exact_mut(W).zip(col) {
-                let mut v: [f64; W] = row.try_into().expect("lane width");
-                for c in 0..W {
-                    v[c] += a * xj[c];
-                }
-                row.copy_from_slice(&v);
-            }
-        }
+    /// The band's structurally nonzero diagonals: every offset `j − i`
+    /// holding at least one nonzero entry, ascending.
+    #[must_use]
+    pub fn diagonals(&self) -> Diagonals {
+        let n = self.n as isize;
+        let diags = (-(self.kl as isize)..=self.ku as isize)
+            .filter_map(|d| {
+                // Rows i with 0 <= i + d < n.
+                let vals: Vec<f64> = (-d.min(0)..n - d.max(0))
+                    .map(|i| self.get(i as usize, (i + d) as usize))
+                    .collect();
+                vals.iter().any(|&v| v != 0.0).then_some((d, vals))
+            })
+            .collect();
+        Diagonals { n: self.n, diags }
     }
 
     /// Dense copy (testing/diagnostics).
@@ -444,6 +427,64 @@ impl Banded {
     }
 }
 
+/// A banded matrix kept as its nonzero diagonals only ([`Banded::diagonals`]):
+/// `(d, vals)` holds entries `(i, i + d)`, `vals[0]` on the first row
+/// the diagonal reaches. A product then costs one pass per nonzero
+/// diagonal, however wide the band they sit in — the timestep history
+/// matrices have three diagonals (0 and ±one neighbour stride) inside
+/// a band up to the system's width.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Diagonals {
+    n: usize,
+    /// `(offset, values)`, offsets ascending.
+    diags: Vec<(isize, Vec<f64>)>,
+}
+
+impl Diagonals {
+    /// The stored offsets `j − i`, ascending.
+    #[cfg(test)]
+    pub(crate) fn offsets(&self) -> Vec<isize> {
+        self.diags.iter().map(|&(d, _)| d).collect()
+    }
+
+    /// Matrix product over one `W`-interleaved lane block: `x`/`y` hold
+    /// `W` vectors row-major (`x[i·W + c]` is row `i` of lane `c`), so
+    /// every update is a `W`-wide contiguous multiply-add; `W = 1` is
+    /// the plain product. Each row sums its terms from `+0.0` with `j`
+    /// ascending — the diagonals are visited by ascending offset — which
+    /// is exactly the per-row order of [`Banded::mul_vec_into`]'s column
+    /// sweep. The terms that sweep adds and this one omits (in-band
+    /// zeros, skipped `x_j == 0` columns) are `±0.0` for finite input
+    /// and cannot change a bit of an accumulator that is never `-0.0`
+    /// (it starts at `+0.0`, and IEEE-754 round-to-nearest addition only
+    /// produces `-0.0` from two `-0.0` operands), so the results are
+    /// bitwise identical lane for lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice's length differs from the matrix
+    /// dimension times `W`.
+    pub fn mul_interleaved_into<const W: usize>(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.n * W, "dimension mismatch");
+        assert_eq!(y.len(), self.n * W, "dimension mismatch");
+        y.fill(0.0);
+        for &(d, ref vals) in &self.diags {
+            let row0 = d.min(0).unsigned_abs();
+            let col0 = row0.wrapping_add_signed(d);
+            let len = vals.len();
+            let ys = &mut y[row0 * W..(row0 + len) * W];
+            let xs = &x[col0 * W..(col0 + len) * W];
+            for ((yr, xr), &a) in ys.chunks_exact_mut(W).zip(xs.chunks_exact(W)).zip(vals) {
+                let yr: &mut [f64; W] = yr.try_into().expect("lane width");
+                let xr: &[f64; W] = xr.try_into().expect("lane width");
+                for c in 0..W {
+                    yr[c] += a * xr[c];
+                }
+            }
+        }
+    }
+}
+
 /// The result of [`Banded::lu`]: packed band factors plus the row-swap
 /// sequence, reusable for many right-hand sides.
 #[derive(Debug, Clone)]
@@ -531,14 +572,14 @@ impl BandedLu {
     }
 
     /// Solves `A · X = B` over one `W`-interleaved lane block (`b[i·W + c]`
-    /// is row `i` of lane `c`, the layout of [`Banded::mul_interleaved_into`]).
+    /// is row `i` of lane `c`, the layout of [`Diagonals::mul_interleaved_into`]).
     /// Pivot swaps exchange whole `W`-rows and every substitution update
     /// is a `W`-wide contiguous fused-multiply-add on independent lanes,
     /// so the kernel is bound by arithmetic throughput where the scalar
     /// solve is latency-bound on its single substitution chain. Per lane
     /// the FLOP sequence is exactly [`BandedLu::solve_into`]'s, with its
     /// `b_k == 0` / `x_j == 0` skips dropped as in
-    /// [`Banded::mul_interleaved_into`]: results are bitwise identical
+    /// [`Diagonals::mul_interleaved_into`]: results are bitwise identical
     /// column for column for finite factors. Callers that may feed
     /// non-finite factors must fall back to the scalar path.
     ///
@@ -889,7 +930,7 @@ mod tests {
     fn check_interleaved_mul<const W: usize>(band: &Banded, n: usize) {
         let (x, cols) = lanes::<W>(n, 2 * W);
         let mut y = vec![f64::NAN; n * W];
-        band.mul_interleaved_into::<W>(&x, &mut y);
+        band.diagonals().mul_interleaved_into::<W>(&x, &mut y);
         let want: Vec<Vec<f64>> = cols
             .iter()
             .map(|col| {
@@ -909,5 +950,28 @@ mod tests {
             check_interleaved_mul::<4>(&band, n);
             check_interleaved_mul::<8>(&band, n);
         }
+    }
+
+    #[test]
+    fn diagonals_keep_only_nonzero_offsets() {
+        // A 5-wide band with only offsets 0 and ±3 populated — the
+        // shape of a wire-major history matrix — stores three diagonals
+        // and still multiplies bitwise like the full band.
+        let n = 11;
+        let (full, _) = random_band(n, 5, 5, 21);
+        let mut sparse = Banded::zeros(n, 5, 5);
+        for i in 0..n {
+            for j in [i.checked_sub(3), Some(i), Some(i + 3)].into_iter().flatten() {
+                if j < n {
+                    sparse.add(i, j, full.get(i, j));
+                }
+            }
+        }
+        assert_eq!(sparse.diagonals().offsets(), vec![-3, 0, 3]);
+        assert_eq!(full.diagonals().offsets(), (-5..=5).collect::<Vec<_>>());
+        assert_eq!(Banded::zeros(4, 1, 1).diagonals().offsets(), Vec::<isize>::new());
+        check_interleaved_mul::<1>(&sparse, n);
+        check_interleaved_mul::<4>(&sparse, n);
+        check_interleaved_mul::<8>(&sparse, n);
     }
 }

@@ -27,15 +27,19 @@
 //!
 //! # The banded fast path
 //!
-//! Coupling is strictly nearest-neighbour, so under a **segment-major**
-//! unknown ordering (all of segment 0's nodes first, then segment 1's,
-//! …; the RLC branch current interleaved right after its sink node) the
-//! MNA matrix is banded with half-bandwidth `O(wires)` — independent of
-//! the segment count, and far below the `O(wires·segments)` bandwidth
-//! the dense wire-major layout exhibits once branch rows are appended.
-//! The default engine therefore assembles [`crate::linalg::Banded`]
-//! matrices: factorisation drops from O(N³) to O(N·b²) and each
-//! timestep from O(N²) to O(N·b). Every step is also allocation-free —
+//! Coupling is strictly nearest-neighbour: a node talks to the same
+//! segment of the adjacent wires and to the adjacent segments of its
+//! own wire. Numbering the unknowns along the bus's **shorter axis**
+//! therefore makes the MNA matrix banded with half-bandwidth
+//! `min(wires, segments)` (RC; about twice that for RLC, whose branch
+//! current sits right after its sink node): **segment-major** (all of
+//! segment 0's nodes first, then segment 1's, …) when
+//! `wires ≤ segments`, **wire-major** otherwise. The default engine
+//! assembles [`crate::linalg::Banded`] matrices under that numbering:
+//! factorisation drops from O(N³) to O(N·b²) and each timestep's solve
+//! from O(N²) to O(N·b). The history product runs over the history
+//! matrix's three nonzero diagonals only ([`crate::linalg::Diagonals`]),
+//! O(N) at any bandwidth. Every step is also allocation-free —
 //! history multiply, source stamp and in-place solve all reuse a
 //! [`SimScratch`] (or, for batches, a [`PanelScratch`]) that callers
 //! thread through the run entry points to amortise across a campaign.
@@ -58,7 +62,7 @@
 
 use crate::drive::{Stimulus, VectorPair};
 use crate::error::InterconnectError;
-use crate::linalg::{Banded, BandedLu, LuFactors, Matrix};
+use crate::linalg::{Banded, BandedLu, Diagonals, LuFactors, Matrix};
 use crate::params::Bus;
 use sint_runtime::cancel::CancelToken;
 use std::sync::OnceLock;
@@ -86,8 +90,9 @@ const GUARD_DT_HALVINGS: u32 = 2;
 /// Which linear-algebra engine a [`TransientSim`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
-    /// Banded LU on a segment-major ordering: O(N·b²) factorisation,
-    /// O(N·b) allocation-free timesteps. The production path.
+    /// Banded LU with the unknowns numbered along the bus's shorter
+    /// axis: O(N·b²) factorisation, O(N·b) allocation-free timesteps.
+    /// The production path.
     #[default]
     Banded,
     /// Dense LU on the wire-major ordering: the simple O(N³)/O(N²)
@@ -133,7 +138,7 @@ pub struct PanelScratch {
     /// Interleaved lane-block right-hand side, solved in place.
     lrhs: Vec<f64>,
     /// Step-major waveform staging: each timestep appends one
-    /// contiguous row of probe read-outs, and a single blocked
+    /// contiguous row of receiver read-outs, and a single blocked
     /// transpose scatters them into the trace-major [`WavePanel`] at
     /// the end. Writing traces directly would touch one page per
     /// (pattern, wire) trace every step — past ~64 traces that thrashes
@@ -158,10 +163,10 @@ trait History {
     fn mul_vec_into(&self, x: &[f64], y: &mut [f64]);
 }
 
-impl History for Banded {
+impl History for Diagonals {
     #[inline]
     fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
-        Banded::mul_vec_into(self, x, y);
+        self.mul_interleaved_into::<1>(x, y);
     }
 }
 
@@ -201,11 +206,122 @@ enum Sources {
     Branch { rows: Vec<usize> },
 }
 
+/// How a system numbers its unknowns: node `(wire, seg)` is
+/// `k = wire·wire_stride + seg·seg_stride`, and an RLC system adds the
+/// current of the branch *into* each node. One map serves every
+/// builder and every consumer of unknown indices.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    wires: usize,
+    segments: usize,
+    wire_stride: usize,
+    seg_stride: usize,
+    branches: Branches,
+}
+
+/// Where an RLC system's branch currents sit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Branches {
+    /// Pure RC: node voltages only.
+    None,
+    /// Right after the sink node's voltage: `v = 2k`, `i = 2k + 1`.
+    Interleaved,
+    /// After every node voltage: `v = k`, `i = wires·segments + k`.
+    Appended,
+}
+
+impl Layout {
+    /// The banded engine's numbering: along the bus's shorter axis —
+    /// segment-major (`k = seg·wires + wire`) when `wires ≤ segments`,
+    /// wire-major (`k = wire·segments + seg`) otherwise — so the series
+    /// links and the couplings reach at most `min(wires, segments)`
+    /// nodes away. RLC branch currents interleave with their nodes.
+    fn banded(bus: &Bus) -> Layout {
+        let (wires, segments) = (bus.wires(), bus.segments());
+        let (wire_stride, seg_stride) =
+            if wires <= segments { (1, wires) } else { (segments, 1) };
+        let branches = if bus.has_inductance() { Branches::Interleaved } else { Branches::None };
+        Layout { wires, segments, wire_stride, seg_stride, branches }
+    }
+
+    /// The dense engine's classic numbering: wire-major nodes, RLC
+    /// branch currents appended after them.
+    fn dense(bus: &Bus) -> Layout {
+        let (wires, segments) = (bus.wires(), bus.segments());
+        let branches = if bus.has_inductance() { Branches::Appended } else { Branches::None };
+        Layout { wires, segments, wire_stride: segments, seg_stride: 1, branches }
+    }
+
+    fn dim(&self) -> usize {
+        let nodes = self.wires * self.segments;
+        if self.branches == Branches::None {
+            nodes
+        } else {
+            2 * nodes
+        }
+    }
+
+    fn at(&self, wire: usize, seg: usize) -> usize {
+        wire * self.wire_stride + seg * self.seg_stride
+    }
+
+    /// The unknown of node `(wire, seg)`'s voltage.
+    fn node(&self, wire: usize, seg: usize) -> usize {
+        let k = self.at(wire, seg);
+        if self.branches == Branches::Interleaved {
+            2 * k
+        } else {
+            k
+        }
+    }
+
+    /// The unknown of the current in the branch into node `(wire, seg)`
+    /// (RLC only).
+    fn branch(&self, wire: usize, seg: usize) -> usize {
+        debug_assert_ne!(self.branches, Branches::None, "RC systems have no branch unknowns");
+        let k = self.at(wire, seg);
+        match self.branches {
+            Branches::Interleaved => 2 * k + 1,
+            _ => self.wires * self.segments + k,
+        }
+    }
+
+    /// Half-bandwidth of the system matrix: the widest stamp is a series
+    /// link (`seg_stride` away; from a branch row back to the previous
+    /// node, `2·seg_stride + 1` when interleaved) or a same-segment
+    /// coupling (`wire_stride`, or `2·wire_stride` when interleaved).
+    fn half_bandwidth(&self) -> usize {
+        match self.branches {
+            Branches::None => self.wire_stride.max(self.seg_stride),
+            Branches::Interleaved => (2 * self.wire_stride).max(2 * self.seg_stride + 1),
+            Branches::Appended => self.dim() - 1,
+        }
+    }
+
+    /// The voltage unknown of segment `seg` on every wire, in wire order.
+    fn nodes_at(&self, seg: usize) -> Vec<usize> {
+        (0..self.wires).map(|wire| self.node(wire, seg)).collect()
+    }
+
+    /// Every unknown as `(index, wire, seg, is_branch)`.
+    fn unknowns(&self) -> impl Iterator<Item = (usize, usize, usize, bool)> + '_ {
+        let rlc = self.branches != Branches::None;
+        (0..self.wires).flat_map(move |wire| {
+            (0..self.segments).flat_map(move |seg| {
+                let node = (self.node(wire, seg), wire, seg, false);
+                let branch = rlc.then(|| (self.branch(wire, seg), wire, seg, true));
+                std::iter::once(node).chain(branch)
+            })
+        })
+    }
+}
+
 /// One factored backward-Euler system, in either formulation and on
 /// either backend: from the DC point `state = D⁻¹·s(0)`, every step is
 /// `state ← A⁻¹·(H·state + s(t))`.
 #[derive(Debug, Clone)]
 struct System<H, F> {
+    layout: Layout,
     dim: usize,
     /// The transient matrix (`G + C/h`, or the augmented MNA matrix), factored.
     a_lu: F,
@@ -225,7 +341,7 @@ struct System<H, F> {
 
 #[derive(Debug, Clone)]
 enum Engine {
-    Banded(System<Banded, BandedLu>),
+    Banded(System<Diagonals, BandedLu>),
     Dense(System<Matrix, LuFactors>),
 }
 
@@ -406,83 +522,74 @@ fn stamp_rlc(
     }
 }
 
-fn build_banded_rc(bus: &Bus, dt: f64) -> Result<System<Banded, BandedLu>, InterconnectError> {
-    let s = bus.segments();
-    let w = bus.wires();
-    let dim = w * s;
-    // Segment-major: same-position nodes of adjacent wires are
-    // contiguous, so coupling terms sit next to the diagonal and the
-    // series terms reach exactly `w` away — half-bandwidth `w`.
-    let node = |wire: usize, seg: usize| seg * w + wire;
+fn build_banded_rc(bus: &Bus, dt: f64) -> Result<System<Diagonals, BandedLu>, InterconnectError> {
+    let layout = Layout::banded(bus);
+    let (dim, band) = (layout.dim(), layout.half_bandwidth());
+    let node = |wire: usize, seg: usize| layout.node(wire, seg);
 
-    let mut g = Banded::zeros(dim, w, w);
+    let mut g = Banded::zeros(dim, band, band);
     let g_drv = stamp_conductance(bus, &node, |i, j, v| g.add(i, j, v));
-    // The capacitance stamps only couple same-segment neighbours, which
-    // are adjacent under segment-major ordering: the history matrix is
-    // tridiagonal, so the per-step mul is O(N·3) regardless of width.
-    let mut c_over_h = Banded::zeros(dim, 1, 1);
+    // The capacitance stamps only couple same-segment neighbours: three
+    // nonzero diagonals (0 and ±wire_stride), kept as such so the
+    // per-step history mul is O(N·3) whatever the band.
+    let mut c_over_h = Banded::zeros(dim, layout.wire_stride, layout.wire_stride);
     stamp_cap_over_h(bus, dt, &node, |i, j, v| c_over_h.add(i, j, v));
-    let mut a = Banded::zeros(dim, w, w);
+    let mut a = Banded::zeros(dim, band, band);
     stamp_conductance(bus, &node, |i, j, v| a.add(i, j, v));
     stamp_cap_over_h(bus, dt, &node, |i, j, v| a.add(i, j, v));
 
     Ok(System {
+        layout,
         dim,
         a_rows: a.row_abs_sums(),
         a_lu: a.lu()?,
         dc_lu: g.lu()?,
-        hist: c_over_h,
+        hist: c_over_h.diagonals(),
         sources: Sources::Norton { g: g_drv },
-        drv_nodes: (0..w).map(|wire| node(wire, 0)).collect(),
-        recv_nodes: (0..w).map(|wire| node(wire, s - 1)).collect(),
+        drv_nodes: layout.nodes_at(0),
+        recv_nodes: layout.nodes_at(bus.segments() - 1),
     })
 }
 
-fn build_banded_rlc(bus: &Bus, dt: f64) -> Result<System<Banded, BandedLu>, InterconnectError> {
-    let s = bus.segments();
-    let w = bus.wires();
-    let dim = 2 * w * s;
-    // Segment-major with the branch current interleaved right after its
-    // sink node: the widest stamp is a branch row reaching back to the
-    // previous segment's node, distance 2·w + 1 — again O(wires),
-    // independent of the segment count.
-    let v_idx = |wire: usize, seg: usize| seg * 2 * w + 2 * wire;
-    let i_idx = |wire: usize, seg: usize| seg * 2 * w + 2 * wire + 1;
-    let band = 2 * w + 1;
+fn build_banded_rlc(bus: &Bus, dt: f64) -> Result<System<Diagonals, BandedLu>, InterconnectError> {
+    let layout = Layout::banded(bus);
+    let (dim, band) = (layout.dim(), layout.half_bandwidth());
 
     let mut a = Banded::zeros(dim, band, band);
     let mut dc = Banded::zeros(dim, band, band);
     // History terms (C/h on node rows, −L/h / −M/h on branch rows) only
-    // link interleaved same-segment neighbours — distance ≤ 2 — so the
-    // per-step history mul stays O(N·5) at any width.
-    let mut hist = Banded::zeros(dim, 2, 2);
+    // link same-segment neighbours of the same kind: three nonzero
+    // diagonals (0 and ±2·wire_stride), so the per-step history mul
+    // stays O(N·3) at any width.
+    let reach = 2 * layout.wire_stride;
+    let mut hist = Banded::zeros(dim, reach, reach);
     stamp_rlc(
         bus,
         dt,
-        &v_idx,
-        &i_idx,
+        &|wire, seg| layout.node(wire, seg),
+        &|wire, seg| layout.branch(wire, seg),
         |i, j, v| a.add(i, j, v),
         |i, j, v| dc.add(i, j, v),
         |i, j, v| hist.add(i, j, v),
     );
 
     Ok(System {
+        layout,
         dim,
         a_rows: a.row_abs_sums(),
         a_lu: a.lu()?,
         dc_lu: dc.lu()?,
-        hist,
-        sources: Sources::Branch { rows: (0..w).map(|wire| i_idx(wire, 0)).collect() },
-        drv_nodes: (0..w).map(|wire| v_idx(wire, 0)).collect(),
-        recv_nodes: (0..w).map(|wire| v_idx(wire, s - 1)).collect(),
+        hist: hist.diagonals(),
+        sources: Sources::Branch { rows: (0..bus.wires()).map(|w| layout.branch(w, 0)).collect() },
+        drv_nodes: layout.nodes_at(0),
+        recv_nodes: layout.nodes_at(bus.segments() - 1),
     })
 }
 
 fn build_dense_rc(bus: &Bus, dt: f64) -> Result<System<Matrix, LuFactors>, InterconnectError> {
-    let s = bus.segments();
-    let w = bus.wires();
-    let dim = w * s;
-    let node = |wire: usize, seg: usize| wire * s + seg;
+    let layout = Layout::dense(bus);
+    let dim = layout.dim();
+    let node = |wire: usize, seg: usize| layout.node(wire, seg);
 
     let mut g = Matrix::zeros(dim);
     let g_drv = stamp_conductance(bus, &node, |i, j, v| g[(i, j)] += v);
@@ -492,26 +599,23 @@ fn build_dense_rc(bus: &Bus, dt: f64) -> Result<System<Matrix, LuFactors>, Inter
     stamp_cap_over_h(bus, dt, &node, |i, j, v| a[(i, j)] += v);
 
     Ok(System {
+        layout,
         dim,
         a_rows: a.row_abs_sums(),
         a_lu: a.lu()?,
         dc_lu: g.lu()?,
         hist: c_over_h,
         sources: Sources::Norton { g: g_drv },
-        drv_nodes: (0..w).map(|wire| node(wire, 0)).collect(),
-        recv_nodes: (0..w).map(|wire| node(wire, s - 1)).collect(),
+        drv_nodes: layout.nodes_at(0),
+        recv_nodes: layout.nodes_at(bus.segments() - 1),
     })
 }
 
 fn build_dense_rlc(bus: &Bus, dt: f64) -> Result<System<Matrix, LuFactors>, InterconnectError> {
-    let s = bus.segments();
-    let w = bus.wires();
-    let nodes = w * s;
-    let dim = 2 * nodes;
     // Wire-major nodes, branch currents appended after all nodes — the
     // classic layout whose bandwidth is O(wires·segments).
-    let v_idx = |wire: usize, seg: usize| wire * s + seg;
-    let i_idx = |wire: usize, seg: usize| nodes + wire * s + seg;
+    let layout = Layout::dense(bus);
+    let dim = layout.dim();
 
     let mut a = Matrix::zeros(dim);
     let mut dc = Matrix::zeros(dim);
@@ -519,22 +623,23 @@ fn build_dense_rlc(bus: &Bus, dt: f64) -> Result<System<Matrix, LuFactors>, Inte
     stamp_rlc(
         bus,
         dt,
-        &v_idx,
-        &i_idx,
+        &|wire, seg| layout.node(wire, seg),
+        &|wire, seg| layout.branch(wire, seg),
         |i, j, v| a[(i, j)] += v,
         |i, j, v| dc[(i, j)] += v,
         |i, j, v| hist[(i, j)] += v,
     );
 
     Ok(System {
+        layout,
         dim,
         a_rows: a.row_abs_sums(),
         a_lu: a.lu()?,
         dc_lu: dc.lu()?,
         hist,
-        sources: Sources::Branch { rows: (0..w).map(|wire| i_idx(wire, 0)).collect() },
-        drv_nodes: (0..w).map(|wire| v_idx(wire, 0)).collect(),
-        recv_nodes: (0..w).map(|wire| v_idx(wire, s - 1)).collect(),
+        sources: Sources::Branch { rows: (0..bus.wires()).map(|w| layout.branch(w, 0)).collect() },
+        drv_nodes: layout.nodes_at(0),
+        recv_nodes: layout.nodes_at(bus.segments() - 1),
     })
 }
 
@@ -605,20 +710,25 @@ impl<H: History, F: Factors> System<H, F> {
     /// row-equilibrated transient matrix `D·A` (`D = diag(1/Σ_j|a_ij|)`,
     /// so `‖D·A‖∞ = 1`): the largest `‖A⁻¹·(r∘s)‖∞` over a few sign
     /// probes `s`, with `r` the row sums. Exact for M-matrices (the RC
-    /// formulation), where the all-ones probe attains the norm.
+    /// formulation), where the all-ones probe attains the norm. Each
+    /// probe is a sign pattern over (wire, segment, node-or-branch) —
+    /// all ones, alternating across wires and unknown kinds, alternating
+    /// across segments — so renumbering the unknowns permutes `A`, `r`
+    /// and `s` alike and leaves the estimate unchanged up to rounding.
     fn condition_estimate(&self) -> f64 {
-        let wires = self.drv_nodes.len();
-        let sign = |even: bool| if even { 1.0 } else { -1.0 };
-        let probes: [&dyn Fn(usize) -> f64; 3] = [
-            &|_| 1.0,
-            &|i| sign(i.is_multiple_of(2)),
-            &|i| sign((i / wires).is_multiple_of(2)),
+        let alternate = |k: usize| if k.is_multiple_of(2) { 1.0 } else { -1.0 };
+        let probes: [&dyn Fn(usize, usize, bool) -> f64; 3] = [
+            &|_, _, _| 1.0,
+            &|wire, _, branch| alternate(wire + usize::from(branch)),
+            &|_, seg, _| alternate(seg),
         ];
         probes
             .iter()
             .map(|probe| {
-                let mut x: Vec<f64> =
-                    self.a_rows.iter().enumerate().map(|(i, r)| r * probe(i)).collect();
+                let mut x = vec![0.0; self.dim];
+                for (i, wire, seg, branch) in self.layout.unknowns() {
+                    x[i] = self.a_rows[i] * probe(wire, seg, branch);
+                }
                 self.a_lu.solve_into(&mut x);
                 x.iter()
                     .map(|v| if v.is_finite() { v.abs() } else { f64::INFINITY })
@@ -636,9 +746,12 @@ impl<H: History, F: Factors> System<H, F> {
     }
 }
 
-impl System<Banded, BandedLu> {
-    /// Runs `stimuli` into `wp` as interleaved lane blocks of 8, then 4,
-    /// then 1 patterns.
+impl System<Diagonals, BandedLu> {
+    /// Runs `stimuli` into `wp` as interleaved lane blocks of 8, then 4
+    /// patterns; a 1–3 pattern remainder runs as one more 4-lane block
+    /// whose spare lanes repeat its last pattern. Lanes never interact,
+    /// so the live lanes stay bitwise what they would be alone, and a
+    /// repeat diverges or is cancelled exactly when its original is.
     fn run_lane_blocks(
         &self,
         stimuli: &[Stimulus],
@@ -652,19 +765,18 @@ impl System<Banded, BandedLu> {
             self.run_lanes::<8>(&stimuli[done..done + 8], done, steps, scratch, wp, cancel)?;
             done += 8;
         }
-        while stimuli.len() - done >= 4 {
-            self.run_lanes::<4>(&stimuli[done..done + 4], done, steps, scratch, wp, cancel)?;
-            done += 4;
-        }
         while done < stimuli.len() {
-            self.run_lanes::<1>(&stimuli[done..done + 1], done, steps, scratch, wp, cancel)?;
-            done += 1;
+            let live = (stimuli.len() - done).min(4);
+            self.run_lanes::<4>(&stimuli[done..done + live], done, steps, scratch, wp, cancel)?;
+            done += live;
         }
         Ok(())
     }
 
     /// One `W`-wide lane block of the timestep loop, written to patterns
-    /// `c0..c0 + W` of `wp`: state and right-hand side stay interleaved
+    /// `c0..c0 + stimuli.len()` of `wp` (`1 ≤ stimuli.len() ≤ W`; lanes
+    /// past the live ones repeat the last stimulus and are never
+    /// written out): state and right-hand side stay interleaved
     /// (`buf[i·W + c]`) across the whole loop, so the multiply and both
     /// substitutions run `W`-wide contiguous fused-multiply-adds with no
     /// per-step transposes.
@@ -679,7 +791,10 @@ impl System<Banded, BandedLu> {
     ) -> Result<(), InterconnectError> {
         let n = self.dim;
         let wires = self.recv_nodes.len();
-        let row = 2 * wires * W;
+        let live = stimuli.len();
+        debug_assert!((1..=W).contains(&live), "{live} live lanes in a {W}-lane block");
+        let lane = |c: usize| &stimuli[c.min(live - 1)];
+        let row = wires * live;
         let PanelScratch { lanes, lrhs, stage, .. } = scratch;
         lanes.clear();
         lanes.resize(n * W, 0.0);
@@ -688,26 +803,25 @@ impl System<Banded, BandedLu> {
         stage.clear();
         stage.resize((steps + 1) * row, 0.0);
         // DC operating point per lane.
-        for (c, stim) in stimuli.iter().enumerate() {
-            self.stamp(stim, 0.0, lanes, W, c);
+        for c in 0..W {
+            self.stamp(lane(c), 0.0, lanes, W, c);
         }
         self.dc_lu.solve_interleaved_into::<W>(lanes);
         check_finite_lanes(lanes, W, 0)?;
-        stage_lanes(&self.recv_nodes, &self.drv_nodes, lanes, W, &mut stage[..row]);
+        stage_lanes(&self.recv_nodes, lanes, W, &mut stage[..row]);
         for k in 1..=steps {
             check_cancel(cancel, k)?;
             let t = k as f64 * wp.dt;
             self.hist.mul_interleaved_into::<W>(lanes, lrhs);
-            for (c, stim) in stimuli.iter().enumerate() {
-                self.stamp(stim, t, lrhs, W, c);
+            for c in 0..W {
+                self.stamp(lane(c), t, lrhs, W, c);
             }
             self.a_lu.solve_interleaved_into::<W>(lrhs);
             std::mem::swap(lanes, lrhs);
             check_finite_lanes(lanes, W, k)?;
-            let out = &mut stage[k * row..(k + 1) * row];
-            stage_lanes(&self.recv_nodes, &self.drv_nodes, lanes, W, out);
+            stage_lanes(&self.recv_nodes, lanes, W, &mut stage[k * row..(k + 1) * row]);
         }
-        scatter_stage(stage, W, wires, wp, c0);
+        scatter_stage(stage, live, wires, wp, c0);
         Ok(())
     }
 }
@@ -854,6 +968,17 @@ impl TransientSim {
         matches!(sources, Sources::Branch { .. })
     }
 
+    /// Half-bandwidth of the banded transient matrix — about
+    /// `min(wires, segments)` for RC, `2·min(wires, segments)` for RLC —
+    /// or `None` on the dense engine.
+    #[must_use]
+    pub fn half_bandwidth(&self) -> Option<usize> {
+        match &self.engine {
+            Engine::Banded(sys) => Some(sys.layout.half_bandwidth()),
+            Engine::Dense(_) => None,
+        }
+    }
+
     /// The linear-algebra backend this simulator runs on.
     #[must_use]
     pub fn backend(&self) -> SolverBackend {
@@ -911,7 +1036,7 @@ impl TransientSim {
     /// matrix-vector passes. Each pattern still starts from its own DC
     /// operating point — the patterns are physically independent, only
     /// the linear-algebra work is shared — so for finite systems the
-    /// per-pattern waveforms are bitwise identical to looped
+    /// per-pattern receiver waveforms are bitwise identical to looped
     /// [`TransientSim::run_pair`] calls. Cancellation polls land on the
     /// same stride, and therefore the same `Cancelled { step }`, as the
     /// scalar path polling during its first pattern.
@@ -1015,7 +1140,6 @@ impl TransientSim {
             for wire in 0..w {
                 let at = (c * w + wire) * samples;
                 wp.receiver[at..at + samples].copy_from_slice(waves.wire(wire));
-                wp.driver[at..at + samples].copy_from_slice(waves.driver_end(wire));
             }
         }
         Ok(wp)
@@ -1114,9 +1238,11 @@ impl BusWaveforms {
     }
 }
 
-/// Struct-of-arrays waveforms for a batch of patterns run by
+/// Struct-of-arrays receiver waveforms for a batch of patterns run by
 /// [`TransientSim::run_pairs_cancellable`]: one flat time-major column
-/// per `(pattern, wire)`, so per-pattern extraction is a memcpy.
+/// per `(pattern, wire)`. Only the receiver ends — what the detectors
+/// observe — are kept; the scalar [`BusWaveforms`] also carries the
+/// driver ends.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WavePanel {
     dt: f64,
@@ -1127,8 +1253,6 @@ pub struct WavePanel {
     samples: usize,
     /// Receiver-end voltages, `[(pattern·wires + wire)·samples + step]`.
     receiver: Vec<f64>,
-    /// Driver-end voltages, same layout.
-    driver: Vec<f64>,
 }
 
 impl WavePanel {
@@ -1142,7 +1266,6 @@ impl WavePanel {
             patterns,
             samples,
             receiver: vec![0.0; patterns * wires * samples],
-            driver: vec![0.0; patterns * wires * samples],
         }
     }
 
@@ -1199,35 +1322,6 @@ impl WavePanel {
         &self.receiver[at..at + self.samples]
     }
 
-    /// Driver-end waveform of `wire` under `pattern`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern` or `wire` is out of range.
-    #[must_use]
-    pub fn driver_end(&self, pattern: usize, wire: usize) -> &[f64] {
-        let at = self.column(pattern, wire);
-        &self.driver[at..at + self.samples]
-    }
-
-    /// Copies one pattern's waveforms out as a standalone
-    /// [`BusWaveforms`], bitwise identical to what the scalar path
-    /// would have produced for that stimulus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern` is out of range.
-    #[must_use]
-    pub fn extract(&self, pattern: usize) -> BusWaveforms {
-        BusWaveforms {
-            dt: self.dt,
-            switch_at: self.switch_at,
-            vdd: self.vdd,
-            receiver: (0..self.wires).map(|w| self.wire(pattern, w).to_vec()).collect(),
-            driver: (0..self.wires).map(|w| self.driver_end(pattern, w).to_vec()).collect(),
-        }
-    }
-
     fn column(&self, pattern: usize, wire: usize) -> usize {
         assert!(
             pattern < self.patterns && wire < self.wires,
@@ -1257,40 +1351,31 @@ fn check_finite_lanes(xs: &[f64], w: usize, step: usize) -> Result<(), Interconn
     Err(InterconnectError::Diverged { step, unknown: at / w })
 }
 
-/// Copies one timestep's probe read-outs from a `w`-interleaved lane
-/// block into a contiguous staging row: receiver values for every
-/// (pattern, wire), then driver values. The row is one sequential
-/// cache-line-sized burst, where writing straight into the trace-major
-/// [`WavePanel`] would touch `2·w·wires` pages every step.
-fn stage_lanes(recv_nodes: &[usize], drv_nodes: &[usize], state: &[f64], w: usize, row: &mut [f64]) {
-    let wires = recv_nodes.len();
-    let (recv, drv) = row.split_at_mut(wires * w);
-    for c in 0..w {
-        for (wi, (&rnode, &dnode)) in recv_nodes.iter().zip(drv_nodes).enumerate() {
-            recv[c * wires + wi] = state[rnode * w + c];
-            drv[c * wires + wi] = state[dnode * w + c];
+/// Copies one timestep's receiver read-outs of the first
+/// `row.len() / wires` lanes of a `w`-interleaved lane block into a
+/// contiguous staging row, `row[c·wires + wire]`. The row is one
+/// sequential burst, where writing straight into the trace-major
+/// [`WavePanel`] would touch `lanes·wires` pages every step.
+fn stage_lanes(recv_nodes: &[usize], state: &[f64], w: usize, row: &mut [f64]) {
+    for (c, out) in row.chunks_exact_mut(recv_nodes.len()).enumerate() {
+        for (v, &node) in out.iter_mut().zip(recv_nodes) {
+            *v = state[node * w + c];
         }
     }
 }
 
 /// Transposes the step-major staging buffer of [`stage_lanes`] rows
-/// into the trace-major [`WavePanel`] for patterns `c0..c0 + w`: one
-/// strided read pass per trace, each writing a fully contiguous trace,
-/// so the staging pages stay warm in the second-level TLB across
-/// traces instead of missing once per sample.
-fn scatter_stage(stage: &[f64], w: usize, wires: usize, wp: &mut WavePanel, c0: usize) {
+/// (`live` lanes each) into the trace-major [`WavePanel`] for patterns
+/// `c0..c0 + live`: one strided read pass per trace, each writing a
+/// fully contiguous trace, so the staging pages stay warm in the
+/// second-level TLB across traces instead of missing once per sample.
+fn scatter_stage(stage: &[f64], live: usize, wires: usize, wp: &mut WavePanel, c0: usize) {
     let samples = wp.samples;
-    let row = 2 * wires * w;
-    for c in 0..w {
-        for wi in 0..wires {
-            let src = c * wires + wi;
-            let at = ((c0 + c) * wires + wi) * samples;
-            let rdst = &mut wp.receiver[at..at + samples];
-            let ddst = &mut wp.driver[at..at + samples];
-            for (k, (r, d)) in rdst.iter_mut().zip(ddst).enumerate() {
-                *r = stage[k * row + src];
-                *d = stage[k * row + wires * w + src];
-            }
+    let row = wires * live;
+    for src in 0..row {
+        let at = (c0 * wires + src) * samples;
+        for (k, r) in wp.receiver[at..at + samples].iter_mut().enumerate() {
+            *r = stage[k * row + src];
         }
     }
 }
@@ -1707,24 +1792,31 @@ mod tests {
         assert_eq!(wp.patterns(), looped.len());
         for (c, waves) in looped.iter().enumerate() {
             assert_eq!(wp.samples(), waves.samples());
+            assert_eq!(wp.wires(), waves.wires());
             for w in 0..waves.wires() {
                 for (a, b) in wp.wire(c, w).iter().zip(waves.wire(w)) {
                     assert_eq!(a.to_bits(), b.to_bits(), "recv pat {c} wire {w}");
                 }
-                for (a, b) in wp.driver_end(c, w).iter().zip(waves.driver_end(w)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "drv pat {c} wire {w}");
-                }
             }
-            assert_eq!(&wp.extract(c), waves);
         }
     }
 
+    /// Panel widths covering every lane-block shape: each padded 1–3
+    /// remainder alone and after full 4- and 8-lane blocks, an 8-lane
+    /// block chained with a 4-lane one, and the n + 1 = 33 columns of a
+    /// paper-grid step basis.
+    const PANEL_WIDTHS: [usize; 10] = [1, 2, 3, 4, 5, 7, 8, 9, 12, 33];
+
     #[test]
     fn panel_run_bitwise_matches_looped_scalar_rc_and_rlc() {
-        for bus in [small_bus(5), rlc_bus(3, 0.4e-9)] {
+        // Segment-major (5 wires on 8 segments, RLC 3 on 4) and
+        // wire-major (5 on 4, RC and RLC 6 on 2) numberings.
+        let wide = |l: f64| BusParams::dsm_bus(6).segments(2).l_per_mm(l).build().unwrap();
+        let tall = BusParams::dsm_bus(5).segments(8).build().unwrap();
+        for bus in [tall, small_bus(5), rlc_bus(3, 0.4e-9), wide(0.0), wide(0.4e-9)] {
             let sim = TransientSim::new(&bus, 2e-12).unwrap();
             let mut scratch = PanelScratch::new();
-            for k in [1usize, 3, 4, 7, 8, 12] {
+            for k in PANEL_WIDTHS {
                 let pairs = test_pairs(bus.wires(), k);
                 let wp = sim.run_pairs_cancellable(&pairs, 1e-9, &mut scratch, None).unwrap();
                 let looped: Vec<BusWaveforms> =
@@ -1734,28 +1826,42 @@ mod tests {
         }
     }
 
-    /// Satellite acceptance property: over ≥48 random RC/RLC buses and
-    /// every unroll-relevant panel width — including the ragged tails
-    /// narrower than the 8/4 block widths and a 12·n multiple that
-    /// chains full blocks — the batched run is bitwise identical to
-    /// looping the scalar engine.
+    /// Random RC or RLC bus parameters, drawn with equal odds from
+    /// `wires > segments` (wire-major numbering) and `wires ≤ segments`
+    /// (segment-major).
+    fn arb_params(rng: &mut sint_runtime::rng::Rng64) -> BusParams {
+        use sint_runtime::prop::gen;
+        let (wires, segments) = if gen::bool_any(rng) {
+            let wires = gen::usize_in(rng, 3..10);
+            (wires, gen::usize_in(rng, 1..wires))
+        } else {
+            let segments = gen::usize_in(rng, 2..7);
+            (gen::usize_in(rng, 2..segments + 1), segments)
+        };
+        let mut params = BusParams::dsm_bus(wires)
+            .segments(segments)
+            .r_per_mm(gen::f64_in(rng, 15.0..60.0))
+            .cc_per_mm(gen::f64_in(rng, 10e-15..60e-15))
+            .driver_r(gen::f64_in(rng, 60.0..240.0));
+        if gen::bool_any(rng) {
+            let l = gen::f64_in(rng, 0.2e-9..0.6e-9);
+            params = params.l_per_mm(l).lm_per_mm(l * gen::f64_in(rng, 0.0..0.5));
+        }
+        params
+    }
+
+    /// Satellite acceptance property: over ≥48 random RC/RLC buses under
+    /// both numberings and every lane-block shape — each padded 1–3
+    /// remainder, and the 33 columns of a paper-grid basis — the batched
+    /// run is bitwise identical to looping the scalar engine.
     #[test]
     fn panel_run_bitwise_property_over_random_buses() {
         use sint_runtime::prop::{gen, Runner};
         let mut scratch = PanelScratch::new();
         Runner::new("panel_bitwise_random_buses").cases(48).run(
             |rng| {
-                let wires = gen::usize_in(rng, 2..6);
-                let mut params = BusParams::dsm_bus(wires)
-                    .segments(gen::usize_in(rng, 2..6))
-                    .r_per_mm(gen::f64_in(rng, 15.0..60.0))
-                    .cc_per_mm(gen::f64_in(rng, 10e-15..60e-15))
-                    .driver_r(gen::f64_in(rng, 60.0..240.0));
-                if gen::bool_any(rng) {
-                    let l = gen::f64_in(rng, 0.2e-9..0.6e-9);
-                    params = params.l_per_mm(l).lm_per_mm(l * gen::f64_in(rng, 0.0..0.5));
-                }
-                let k = gen::one_of(rng, &[1usize, 3, 4, 7, 8, 12, 24]);
+                let params = arb_params(rng);
+                let k = gen::one_of(rng, &PANEL_WIDTHS);
                 (params, k)
             },
             |(params, k)| {
@@ -1772,6 +1878,154 @@ mod tests {
                     .map_err(|e| e.to_string())?;
                 assert_bitwise_panel(&wp, &looped);
                 Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn unknowns_are_numbered_along_the_shorter_axis() {
+        let half_band = |wires: usize, segments: usize, l: f64| {
+            let bus = BusParams::dsm_bus(wires).segments(segments).l_per_mm(l).build().unwrap();
+            TransientSim::new(&bus, 2e-12).unwrap().half_bandwidth()
+        };
+        // RC: min(wires, segments) — the paper grid, the adaptive sweep
+        // and the long chain's bus, then a segment-major golden-style bus.
+        assert_eq!(half_band(32, 8, 0.0), Some(8));
+        assert_eq!(half_band(32, 2, 0.0), Some(2));
+        assert_eq!(half_band(8, 2, 0.0), Some(2));
+        assert_eq!(half_band(2, 8, 0.0), Some(2));
+        // RLC: 2·wires + 1 segment-major, max(2·segments, 3) wire-major.
+        assert_eq!(half_band(3, 4, 0.4e-9), Some(7));
+        assert_eq!(half_band(32, 8, 0.4e-9), Some(16));
+        assert_eq!(half_band(6, 1, 0.4e-9), Some(3));
+        let dense = TransientSim::with_backend(
+            &small_bus(3),
+            2e-12,
+            DEFAULT_SWITCH_AT,
+            SolverBackend::Dense,
+        )
+        .unwrap();
+        assert_eq!(dense.half_bandwidth(), None);
+    }
+
+    /// The layout `bus` gets under each numbering, whatever its shape.
+    fn both_layouts(bus: &Bus) -> [Layout; 2] {
+        let natural = Layout::banded(bus);
+        let (w, s) = (bus.wires(), bus.segments());
+        let (seg_major, wire_major) = ((1, w), (s, 1));
+        [seg_major, wire_major].map(|(wire_stride, seg_stride)| Layout {
+            wire_stride,
+            seg_stride,
+            ..natural
+        })
+    }
+
+    /// The history matrix of `bus` under `layout`, in a band wide
+    /// enough for any stamp.
+    fn history_band(bus: &Bus, dt: f64, layout: &Layout) -> Banded {
+        let (dim, band) = (layout.dim(), layout.half_bandwidth());
+        let mut hist = Banded::zeros(dim, band, band);
+        let node = |wire: usize, seg: usize| layout.node(wire, seg);
+        if bus.has_inductance() {
+            let branch = |wire: usize, seg: usize| layout.branch(wire, seg);
+            stamp_rlc(bus, dt, &node, &branch, |_, _, _| {}, |_, _, _| {}, |i, j, v| {
+                hist.add(i, j, v);
+            });
+        } else {
+            stamp_cap_over_h(bus, dt, &node, |i, j, v| hist.add(i, j, v));
+        }
+        hist
+    }
+
+    #[test]
+    fn history_kernel_bitwise_matches_banded_mul_over_random_buses() {
+        use sint_runtime::prop::{gen, Runner};
+        // On random RC and RLC history matrices under both numberings,
+        // the three-diagonal kernel equals the full-band column sweep
+        // bit for bit, scalar and 8 lanes wide, on states with exact
+        // zeros (the sweep's skipped columns).
+        Runner::new("history_kernel_matches_banded").cases(32).run(
+            |rng| {
+                let params = arb_params(rng);
+                let seed = gen::u64_any(rng);
+                (params, seed)
+            },
+            |(params, seed)| {
+                let mut bus = params.clone().build().map_err(|e| e.to_string())?;
+                crate::variation::apply_variation(
+                    &mut bus,
+                    crate::variation::VariationSigma::typical(),
+                    *seed,
+                )
+                .map_err(|e| e.to_string())?;
+                for layout in both_layouts(&bus) {
+                    let band = history_band(&bus, 2e-12, &layout);
+                    let diags = band.diagonals();
+                    let kinds = if bus.has_inductance() { 2 } else { 1 };
+                    let stride = (kinds * layout.wire_stride) as isize;
+                    if bus.wires() > 1 && diags.offsets() != [-stride, 0, stride] {
+                        return Err(format!("offsets {:?}, stride {stride}", diags.offsets()));
+                    }
+                    let n = layout.dim();
+                    let x: Vec<f64> = (0..8 * n)
+                        .map(|at| if at % 7 == 3 { 0.0 } else { ((at * 37) as f64).sin() })
+                        .collect();
+                    let mut lanes = vec![0.0; 8 * n];
+                    diags.mul_interleaved_into::<8>(&x, &mut lanes);
+                    for c in 0..8 {
+                        let col: Vec<f64> = (0..n).map(|i| x[i * 8 + c]).collect();
+                        let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
+                        band.mul_vec_into(&col, &mut want);
+                        diags.mul_interleaved_into::<1>(&col, &mut got);
+                        for i in 0..n {
+                            let lane = lanes[i * 8 + c];
+                            if got[i].to_bits() != want[i].to_bits()
+                                || lane.to_bits() != want[i].to_bits()
+                            {
+                                return Err(format!(
+                                    "row {i} lane {c}: {} / {lane} vs {}",
+                                    got[i], want[i]
+                                ));
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn condition_estimate_is_independent_of_the_numbering() {
+        use sint_runtime::prop::{gen, Runner};
+        // The banded engine (segment- or wire-major by shape) and the
+        // dense wire-major oracle number the unknowns differently; the
+        // estimate is defined over (wire, segment, node-or-branch), so
+        // both must read the same to rounding, in both regimes.
+        Runner::new("condition_estimate_numbering").cases(48).run(
+            |rng| {
+                let params = arb_params(rng);
+                let seed = gen::u64_any(rng);
+                (params, seed)
+            },
+            |(params, seed)| {
+                let mut bus = params.clone().build().map_err(|e| e.to_string())?;
+                crate::variation::apply_variation(
+                    &mut bus,
+                    crate::variation::VariationSigma::typical(),
+                    *seed,
+                )
+                .map_err(|e| e.to_string())?;
+                let banded = TransientSim::new(&bus, 2e-12).map_err(|e| e.to_string())?;
+                let dense =
+                    TransientSim::with_backend(&bus, 2e-12, DEFAULT_SWITCH_AT, SolverBackend::Dense)
+                        .map_err(|e| e.to_string())?;
+                let (b, d) = (banded.condition_estimate(), dense.condition_estimate());
+                if (b - d).abs() <= 1e-9 * d.abs() {
+                    Ok(())
+                } else {
+                    Err(format!("{}x{}: banded {b} vs dense {d}", bus.wires(), bus.segments()))
+                }
             },
         );
     }

@@ -928,17 +928,30 @@ fn splitmix_streams_are_seed_deterministic() {
 
 // ---------------- Banded vs dense solver engines ----------------
 
+/// A random `(wires, segments)` below the given bounds, drawn from each
+/// regime of the banded numbering with equal odds: `wires > segments`
+/// (wire-major) or `wires <= segments` (segment-major).
+fn arb_geometry(rng: &mut Rng64, max_wires: usize, max_segments: usize) -> (usize, usize) {
+    if gen::bool_any(rng) {
+        let wires = gen::usize_in(rng, 3..max_wires);
+        (wires, gen::usize_in(rng, 1..wires.min(max_segments)))
+    } else {
+        let segments = gen::usize_in(rng, 2..max_segments);
+        (gen::usize_in(rng, 2..segments + 1), segments)
+    }
+}
+
 #[test]
 fn banded_engine_matches_dense_oracle() {
-    // The banded segment-major fast path and the dense wire-major
-    // oracle solve the same MNA system in a different order: they must
-    // agree to well below any physically meaningful voltage on random
-    // buses — RC and RLC, with per-element process variation so no two
+    // The banded fast path (segment-major when wires <= segments,
+    // wire-major otherwise) and the dense wire-major oracle solve the
+    // same MNA system in a different order: they must agree to well
+    // below any physically meaningful voltage on random buses of both
+    // shapes — RC and RLC, with per-element process variation so no two
     // cases share a matrix.
     Runner::new("banded_matches_dense").cases(48).run(
         |rng| {
-            let wires = gen::usize_in(rng, 2..17);
-            let segments = gen::usize_in(rng, 1..9);
+            let (wires, segments) = arb_geometry(rng, 17, 9);
             let inductive = gen::bool_any(rng);
             let seed = gen::u64_any(rng);
             let levels: Vec<bool> = (0..2 * wires).map(|_| gen::bool_any(rng)).collect();
@@ -985,14 +998,14 @@ fn banded_engine_matches_dense_oracle() {
 fn panel_transients_bitwise_match_looped_scalar_runs() {
     // The multi-RHS panel path hoists every factor load across its k
     // columns but performs each column's FLOPs in the scalar order, so
-    // on finite systems the waveforms must be *bitwise* identical to
-    // looped single-RHS runs — at every panel width, including ragged
-    // tails narrower than the 8/4-wide unrolled kernels and the full
-    // 12·n MA batch of a victim.
+    // on finite systems the receiver waveforms must be *bitwise*
+    // identical to looped single-RHS runs — at every panel width: each
+    // 1–3 remainder padded into a 4-lane block, alone and after full
+    // 4- and 8-lane blocks, the 33 columns of a paper-grid basis and
+    // the full 12·n MA batch of a victim — under both numberings.
     Runner::new("panel_matches_looped_scalar").cases(48).run(
         |rng| {
-            let wires = gen::usize_in(rng, 2..9);
-            let segments = gen::usize_in(rng, 1..6);
+            let (wires, segments) = arb_geometry(rng, 9, 6);
             let inductive = gen::bool_any(rng);
             let seed = gen::u64_any(rng);
             // Enough random levels for 12·wires distinct vector pairs.
@@ -1018,13 +1031,13 @@ fn panel_transients_bitwise_match_looped_scalar_runs() {
                 VectorPair::new(before, after)
             };
             // The scalar oracle runs, one per distinct pattern.
-            let max_k = 12 * w;
+            let max_k = (12 * w).max(33);
             let scalar: Vec<_> = (0..max_k)
                 .map(|i| sim.run_pair(&pair_at(i), duration))
                 .collect::<Result<_, _>>()
                 .map_err(|e| e.to_string())?;
             let mut scratch = PanelScratch::new();
-            for k in [1usize, 3, 4, 7, 8, max_k] {
+            for k in [1usize, 2, 3, 5, 7, 9, 33, max_k] {
                 let pairs: Vec<VectorPair> = (0..k).map(pair_at).collect();
                 let panel = sim
                     .run_pairs_cancellable(&pairs, duration, &mut scratch, None)
@@ -1033,12 +1046,7 @@ fn panel_transients_bitwise_match_looped_scalar_runs() {
                 for (c, oracle) in scalar[..k].iter().enumerate() {
                     check_eq(panel.samples(), oracle.samples())?;
                     for wire in 0..w {
-                        let cols = panel
-                            .wire(c, wire)
-                            .iter()
-                            .zip(oracle.wire(wire))
-                            .chain(panel.driver_end(c, wire).iter().zip(oracle.driver_end(wire)));
-                        for (a, b) in cols {
+                        for (a, b) in panel.wire(c, wire).iter().zip(oracle.wire(wire)) {
                             check(a.to_bits() == b.to_bits(), || {
                                 format!(
                                     "panel width {k}, pattern {c}, wire {wire} ({w}x{s}): \
@@ -1072,20 +1080,17 @@ fn arb_bus_params(rng: &mut Rng64, wires: std::ops::Range<usize>) -> BusParams {
     params
 }
 
-/// Every receiver and driver sample of `got` within `tol` of `want`,
-/// where `got` pattern `c` wire `w` is compared to `want_at(c, w)`.
+/// Every receiver sample of `got` within `tol` of `want`, where `got`
+/// pattern `c` wire `w` is compared to `want_at(c, w)`.
 fn check_waves_close<'a>(
     got: &'a sint::interconnect::WavePanel,
-    want_at: impl Fn(usize, usize) -> (&'a [f64], &'a [f64]),
+    want_at: impl Fn(usize, usize) -> &'a [f64],
     tol: f64,
     what: &str,
 ) -> Result<(), String> {
     for c in 0..got.patterns() {
         for w in 0..got.wires() {
-            let (recv, drv) = want_at(c, w);
-            let samples =
-                got.wire(c, w).iter().zip(recv).chain(got.driver_end(c, w).iter().zip(drv));
-            for (k, (a, b)) in samples.enumerate() {
+            for (k, (a, b)) in got.wire(c, w).iter().zip(want_at(c, w)).enumerate() {
                 check((a - b).abs() <= tol, || {
                     format!("{what}: pattern {c} wire {w} sample {k}: {a:e} vs {b:e}")
                 })?;
@@ -1098,10 +1103,10 @@ fn check_waves_close<'a>(
 #[test]
 fn mirrored_bus_gives_mirrored_waveforms() {
     // Reversing the wire order of a bus — defects included — and of the
-    // driven vectors relabels the same circuit, so every receiver and
-    // driver waveform must come back mirrored. The segment-major
-    // ordering puts the two runs' unknowns in different places, so the
-    // agreement is to rounding, not bitwise.
+    // driven vectors relabels the same circuit, so every receiver
+    // waveform must come back mirrored. The banded numbering puts the
+    // two runs' unknowns in different places, so the agreement is to
+    // rounding, not bitwise.
     Runner::new("mirror_symmetry").cases(32).run(
         |rng| {
             let params = arb_bus_params(rng, 2..8);
@@ -1178,7 +1183,7 @@ fn mirrored_bus_gives_mirrored_waveforms() {
             let mirrored = run(&mirror, &pairs_for(true))?;
             check_waves_close(
                 &mirrored,
-                |c, wire| (straight.wire(c, w - 1 - wire), straight.driver_end(c, w - 1 - wire)),
+                |c, wire| straight.wire(c, w - 1 - wire),
                 1e-9,
                 "mirror",
             )
@@ -1221,20 +1226,14 @@ fn responses_superpose_from_an_all_low_start() {
             let sum = |a: &[f64], b: &[f64]| -> Vec<f64> {
                 a.iter().zip(b).map(|(x, y)| x + y).collect()
             };
-            let separate: Vec<(Vec<f64>, Vec<f64>)> = (0..w)
-                .map(|wire| {
-                    (
-                        sum(waves.wire(0, wire), waves.wire(1, wire)),
-                        sum(waves.driver_end(0, wire), waves.driver_end(1, wire)),
-                    )
-                })
-                .collect();
+            let separate: Vec<Vec<f64>> =
+                (0..w).map(|wire| sum(waves.wire(0, wire), waves.wire(1, wire))).collect();
             let joint = sim
                 .run_pairs_cancellable(&pairs[2..], 0.8e-9, &mut PanelScratch::new(), None)
                 .map_err(|e| e.to_string())?;
             check_waves_close(
                 &joint,
-                |_, wire| (&separate[wire].0, &separate[wire].1),
+                |_, wire| &separate[wire],
                 1e-9,
                 "superposition",
             )
