@@ -13,6 +13,7 @@
 //! worse artifact.
 
 use sint_bench::{emit_artifact, threads_from_env};
+use sint_core::adaptive::{AdaptiveCheckpoint, AdaptiveRun};
 use sint_core::campaign::{Campaign, Trial};
 use sint_core::mafm::CoverageLedger;
 use sint_core::session::{ObservationMethod, SessionConfig};
@@ -50,6 +51,12 @@ fn campaign() -> Campaign {
         .session(SessionConfig { dt: 10e-12, ..SessionConfig::method(ObservationMethod::Once) })
 }
 
+/// The adaptive engine from a fresh ledger, nothing persisted.
+fn adaptive_run(campaign: &Campaign, batch: &[Trial], threads: usize) -> AdaptiveRun {
+    let mut checkpoint = AdaptiveCheckpoint::new(campaign.wires());
+    campaign.run_adaptive_checkpointed(batch, threads, &mut checkpoint, |_| {})
+}
+
 fn main() {
     let threads = threads_from_env();
     let campaign = campaign();
@@ -58,7 +65,7 @@ fn main() {
     // Correctness first: the detected sets must match exactly, and the
     // adaptive path must clear the 3x TCK bar, before any timing runs.
     let exhaustive = campaign.run_attributed(&batch, threads);
-    let adaptive = campaign.run_adaptive(&batch, threads);
+    let adaptive = adaptive_run(&campaign, &batch, threads);
     assert_eq!(
         adaptive.detected, exhaustive.detected,
         "adaptive campaign must detect exactly the exhaustive attribution"
@@ -85,7 +92,7 @@ fn main() {
         black_box(campaign.run_attributed(black_box(&batch), threads));
     });
     b.measure(&format!("adaptive_campaign/n{WIRES}/t{TRIALS}"), || {
-        black_box(campaign.run_adaptive(black_box(&batch), threads));
+        black_box(adaptive_run(&campaign, black_box(&batch), threads));
     });
 
     // A single-SoC measurement for the per-session view (no campaign

@@ -20,18 +20,13 @@
 //! mutable ledger.
 
 use crate::campaign::{
-    AttemptOutcome, Campaign, CampaignStats, ShedReason, Trial, TrialAbort, TrialFailure,
-    TrialOutcome, TrialSabotage, TrialShed,
+    Campaign, CampaignRun, CampaignStats, RoundState, Session, Trial, TrialFailure, TrialOutcome,
+    TrialShed, Verdict,
 };
 use crate::checkpoint::{CheckpointEntry, CheckpointError};
-use crate::error::CoreError;
 use crate::mafm::{CoverageLedger, IntegrityFault};
-use crate::soc::AdaptiveSessionOutcome;
 use sint_interconnect::drive::DriveLevel;
-use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, ToJson};
-use sint_runtime::pool::{panic_message, Pool};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Snapshot format version emitted by [`AdaptiveCheckpoint::to_json`].
 const ADAPTIVE_CHECKPOINT_VERSION: u64 = 1;
@@ -54,6 +49,20 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> AdaptiveConfig {
         AdaptiveConfig { round: 8, reorder: true }
+    }
+}
+
+impl AdaptiveConfig {
+    /// The half order the next trial runs: the `priority` clock's pick
+    /// ([`FaultPriority::half_order`]) when reordering is on, the
+    /// paper's `[Low, High]` otherwise.
+    #[must_use]
+    pub fn half_order(&self, priority: &FaultPriority) -> [DriveLevel; 2] {
+        if self.reorder {
+            priority.half_order()
+        } else {
+            [DriveLevel::Low, DriveLevel::High]
+        }
     }
 }
 
@@ -296,8 +305,10 @@ impl AdaptiveCheckpoint {
         for entry in entries_json {
             entries.push(CheckpointEntry::from_json(entry)?);
         }
-        if !entries.windows(2).all(|w| w[0].index < w[1].index) {
-            return Err(schema("entries must be strictly index-ordered"));
+        // Snapshots are taken at round boundaries, so their entries are
+        // always the batch prefix 0, 1, 2… keyed by their own index.
+        if entries.iter().enumerate().any(|(i, e)| e.index != i || e.seed != i as u64) {
+            return Err(schema("entries must be the index prefix 0, 1, 2…"));
         }
         Ok(AdaptiveCheckpoint {
             rounds_done,
@@ -338,8 +349,8 @@ fn schema(reason: impl Into<String>) -> CheckpointError {
 }
 
 /// What one successful adaptive attempt contributes to campaign state —
-/// the fold half of [`Campaign::run_adaptive_trial_isolated`]'s return
-/// value, handed to callers that keep their own ledger.
+/// the fold half of [`Campaign::attempt`]'s return value, handed to
+/// callers that keep their own ledger.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdaptiveDelta {
     /// Freshly detected `(victim wire, fault)` pairs — record them into
@@ -351,36 +362,32 @@ pub struct AdaptiveDelta {
     pub escalations: u64,
 }
 
-/// What one adaptive trial produced, before folding into the campaign
-/// state.
-#[derive(Debug, Clone)]
-struct AdaptiveTrialReport {
-    outcome: TrialOutcome,
-    detected: Vec<(usize, IntegrityFault)>,
-    dropped: u64,
-    escalations: u64,
-    tck: u64,
+impl AdaptiveDelta {
+    /// Folds the freshly detected pairs into a campaign's coverage
+    /// ledger, stamping the recency clock for every pair new to it.
+    /// Callers fold deltas in trial-index order, so the ledger and clock
+    /// are a pure function of the trials folded so far.
+    pub fn fold_into(&self, ledger: &mut CoverageLedger, priority: &mut FaultPriority) {
+        for &(victim, fault) in &self.detected {
+            if ledger.record(victim, fault) {
+                priority.record(fault);
+            }
+        }
+    }
 }
 
 impl Campaign {
-    /// Runs a batch through the adaptive engine with a fresh ledger.
-    ///
-    /// Equivalent to [`Campaign::run_adaptive_checkpointed`] with an
-    /// empty checkpoint and a discarding sink.
-    #[must_use]
-    pub fn run_adaptive(&self, trials: &[Trial], threads: usize) -> AdaptiveRun {
-        let mut checkpoint = AdaptiveCheckpoint::new(self.wires());
-        self.run_adaptive_checkpointed(trials, threads, &mut checkpoint, |_| {})
-    }
-
     /// The adaptive engine with round-boundary checkpointing and
-    /// resume.
+    /// resume: the round driver over rounds of
+    /// [`AdaptiveConfig::round`] trial indices.
     ///
     /// Rounds already recorded in `checkpoint` are skipped entirely —
     /// the ledger and priority clock resume from the snapshot, so the
     /// continuation drops exactly the patterns the uninterrupted run
     /// would have and the final summary is byte-identical. `sink` is
-    /// invoked with the updated checkpoint after every round.
+    /// invoked with the updated checkpoint after every round. Pass
+    /// `AdaptiveCheckpoint::new(wires)` and a discarding sink for a
+    /// fresh, uncheckpointed run.
     ///
     /// # Panics
     ///
@@ -393,349 +400,97 @@ impl Campaign {
         trials: &[Trial],
         threads: usize,
         checkpoint: &mut AdaptiveCheckpoint,
-        mut sink: impl FnMut(&AdaptiveCheckpoint),
+        sink: impl FnMut(&AdaptiveCheckpoint),
     ) -> AdaptiveRun {
-        let cfg = self.adaptive_config();
-        let round_size = cfg.round.max(1);
-        let total_rounds = trials.len().div_ceil(round_size);
-        let done = checkpoint.rounds_done.min(total_rounds);
+        let round = self.adaptive_config().round.max(1);
+        let done = checkpoint.rounds_done.min(trials.len().div_ceil(round));
+        let resume_at = (done * round).min(trials.len());
         assert_eq!(
             checkpoint.entries.len(),
-            (done * round_size).min(trials.len()),
+            resume_at,
             "adaptive checkpoint does not match this batch layout"
         );
-        let pool = Pool::new(threads);
-        let budget_token = self.campaign_budget().map(CancelToken::with_deadline);
-        for round in done..total_rounds {
-            let start = round * round_size;
-            let end = ((round + 1) * round_size).min(trials.len());
-            let order = if cfg.reorder {
-                checkpoint.priority.half_order()
-            } else {
-                [DriveLevel::Low, DriveLevel::High]
-            };
-            let ledger = checkpoint.ledger.clone();
-            let batch: Vec<(usize, Trial)> = (start..end).map(|i| (i, trials[i])).collect();
-            let results = pool.try_map(&batch, |_, (index, trial)| {
-                self.run_adaptive_trial_attempts(
-                    *trial,
-                    *index as u64,
-                    budget_token.as_ref(),
-                    Some(&ledger),
-                    order,
-                )
-            });
-            for ((index, _), result) in batch.iter().zip(results) {
-                let entry = self.fold_result(*index, result, checkpoint);
-                checkpoint.entries.push(entry);
-            }
-            checkpoint.rounds_done = round + 1;
-            sink(checkpoint);
-        }
-        assemble(checkpoint)
+        let pending: Vec<usize> = (resume_at..trials.len()).collect();
+        self.drive(trials, pending.chunks(round), threads, None, checkpoint, sink);
+        checkpoint.assemble()
     }
 
-    /// The exhaustive oracle with per-pattern attribution: every trial
-    /// runs the full schedule (nothing dropped, nothing reordered) with
-    /// a probe after every pattern, and detections are unioned exactly
-    /// like the adaptive engine's. The equivalence gate compares this
-    /// run's `detected` set against [`Campaign::run_adaptive`]'s.
+    /// The exhaustive oracle with per-pattern attribution: the round
+    /// driver over a single round in which every trial runs the full
+    /// schedule (nothing dropped, nothing reordered) with a probe after
+    /// every pattern, and detections are unioned exactly like the
+    /// adaptive engine's. The equivalence gate compares this run's
+    /// `detected` set against [`Campaign::run_adaptive_checkpointed`]'s.
     #[must_use]
     pub fn run_attributed(&self, trials: &[Trial], threads: usize) -> AdaptiveRun {
-        let mut checkpoint = AdaptiveCheckpoint::new(self.wires());
-        let pool = Pool::new(threads);
-        let budget_token = self.campaign_budget().map(CancelToken::with_deadline);
-        let order = [DriveLevel::Low, DriveLevel::High];
-        let batch: Vec<(usize, Trial)> = trials.iter().copied().enumerate().collect();
-        let results = pool.try_map(&batch, |_, (index, trial)| {
-            self.run_adaptive_trial_attempts(
-                *trial,
-                *index as u64,
-                budget_token.as_ref(),
-                None,
-                order,
-            )
-        });
-        for ((index, _), result) in batch.iter().zip(results) {
-            let entry = self.fold_result(*index, result, &mut checkpoint);
-            checkpoint.entries.push(entry);
-        }
-        assemble(&checkpoint)
-    }
-
-    /// The fleet's serial adaptive path: streams one checkpoint-v2
-    /// entry per trial (now carrying the `dropped` / `escalation`
-    /// counters) while holding only the ledger and running stats in
-    /// memory. Serial execution lets the ledger fold after every trial
-    /// instead of every round, so a board sheds the maximum work.
-    pub fn run_streaming_adaptive(
-        &self,
-        trials: &[Trial],
-        budget: Option<&CancelToken>,
-        mut emit: impl FnMut(&CheckpointEntry),
-    ) -> CampaignStats {
-        let own = if budget.is_none() {
-            self.campaign_budget().map(CancelToken::with_deadline)
-        } else {
-            None
-        };
-        let budget = budget.or(own.as_ref());
-        let cfg = self.adaptive_config();
-        let mut checkpoint = AdaptiveCheckpoint::new(self.wires());
-        let mut stats = CampaignStats::default();
-        for (index, trial) in trials.iter().enumerate() {
-            let order = if cfg.reorder {
-                checkpoint.priority.half_order()
-            } else {
-                [DriveLevel::Low, DriveLevel::High]
-            };
-            let ledger = checkpoint.ledger.clone();
-            let result =
-                Ok(self.run_adaptive_trial_attempts(*trial, index as u64, budget, Some(&ledger), order));
-            let entry = self.fold_result(index, result, &mut checkpoint);
-            stats.accumulate(entry.outcome);
-            emit(&entry);
-            checkpoint.entries.push(entry);
-        }
-        stats
-    }
-
-    /// Runs exactly **one adaptive attempt** of one trial, isolating
-    /// panics and classifying every way it can end — the adaptive
-    /// counterpart of [`Campaign::run_trial_isolated`], for external
-    /// supervisors (the fleet's circuit breaker) that own their own
-    /// retry policy *and* their own campaign-wide [`CoverageLedger`].
-    ///
-    /// On a verdict the returned [`AdaptiveDelta`] carries the freshly
-    /// detected `(victim, fault)` pairs plus the drop/escalation
-    /// counters; the caller folds the pairs into its ledger (and its
-    /// [`FaultPriority`] clock) before the next trial. Every other
-    /// ending yields `None` — a shed or failed attempt detects nothing.
-    #[must_use]
-    pub fn run_adaptive_trial_isolated(
-        &self,
-        trial: Trial,
-        seed: u64,
-        ledger: &CoverageLedger,
-        half_order: [DriveLevel; 2],
-    ) -> (AttemptOutcome, Option<AdaptiveDelta>) {
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.run_adaptive_trial_seeded(trial, seed, Some(ledger), half_order)
-        })) {
-            Ok(Ok(report)) => (
-                AttemptOutcome::Verdict(report.outcome),
-                Some(AdaptiveDelta {
-                    detected: report.detected,
-                    dropped: report.dropped,
-                    escalations: report.escalations,
-                }),
-            ),
-            Ok(Err(CoreError::DeadlineExceeded { step })) => {
-                (AttemptOutcome::Shed(ShedReason::Deadline { step }), None)
-            }
-            Ok(Err(error @ CoreError::Infrastructure(_))) => {
-                (AttemptOutcome::Infrastructure { error: error.to_string() }, None)
-            }
-            Ok(Err(error)) => (AttemptOutcome::Error { error: error.to_string() }, None),
-            Err(payload) => {
-                (AttemptOutcome::Infrastructure { error: panic_message(&*payload) }, None)
-            }
-        }
-    }
-
-    /// Folds one trial result into the campaign state (ledger, priority
-    /// clock, TCK tally) and returns its checkpoint entry.
-    fn fold_result(
-        &self,
-        index: usize,
-        result: Result<Result<AdaptiveTrialReport, TrialAbort>, sint_runtime::pool::JobPanic>,
-        checkpoint: &mut AdaptiveCheckpoint,
-    ) -> CheckpointEntry {
-        let seed = index as u64;
-        let max_attempts = self.retry_policy().max_attempts.max(1);
-        let mut entry = CheckpointEntry {
-            index,
-            seed,
-            outcome: TrialOutcome::Failed,
-            failure: None,
-            shed: None,
-            dropped: 0,
-            escalation: 0,
-        };
-        match result {
-            Ok(Ok(report)) => {
-                entry.outcome = report.outcome;
-                entry.dropped = report.dropped;
-                entry.escalation = report.escalations;
-                checkpoint.total_tck += report.tck;
-                for (victim, fault) in report.detected {
-                    if checkpoint.ledger.record(victim, fault) {
-                        checkpoint.priority.record(fault);
-                    }
-                }
-            }
-            Ok(Err(TrialAbort::Failed { attempts, error })) => {
-                entry.failure = Some(TrialFailure { index, seed, attempts, error });
-            }
-            Ok(Err(TrialAbort::Shed(reason))) => {
-                entry.outcome = TrialOutcome::Shed;
-                entry.shed = Some(TrialShed { index, seed, reason });
-            }
-            Err(panic) => {
-                entry.failure = Some(TrialFailure {
-                    index,
-                    seed,
-                    attempts: max_attempts,
-                    error: panic.message,
-                });
-            }
-        }
-        entry
-    }
-
-    /// Adaptive counterpart of the internal retry engine: bounded,
-    /// seed-perturbed attempts with panic isolation, running either the
-    /// ledger-driven adaptive session (`ledger = Some`) or the
-    /// attributed-exhaustive oracle (`ledger = None`).
-    fn run_adaptive_trial_attempts(
-        &self,
-        trial: Trial,
-        base_seed: u64,
-        budget: Option<&CancelToken>,
-        ledger: Option<&CoverageLedger>,
-        half_order: [DriveLevel; 2],
-    ) -> Result<AdaptiveTrialReport, TrialAbort> {
-        if let Some(token) = budget {
-            if token.poll_deadline() || token.is_cancelled() {
-                return Err(TrialAbort::Shed(crate::campaign::ShedReason::Budget));
-            }
-        }
-        let policy = self.retry_policy();
-        let max_attempts = policy.max_attempts.max(1);
-        let mut last_error = String::new();
-        for attempt in 0..max_attempts {
-            let seed = base_seed.wrapping_add((attempt as u64).wrapping_mul(policy.seed_stride));
-            match catch_unwind(AssertUnwindSafe(|| {
-                self.run_adaptive_trial_seeded(trial, seed, ledger, half_order)
-            })) {
-                Ok(Ok(report)) => return Ok(report),
-                Ok(Err(CoreError::DeadlineExceeded { step })) => {
-                    return Err(TrialAbort::Shed(crate::campaign::ShedReason::Deadline { step }));
-                }
-                Ok(Err(error)) => last_error = error.to_string(),
-                Err(payload) => last_error = panic_message(&*payload),
-            }
-        }
-        Err(TrialAbort::Failed { attempts: max_attempts, error: last_error })
-    }
-
-    /// Runs one adaptive (or attributed-exhaustive) trial.
-    fn run_adaptive_trial_seeded(
-        &self,
-        trial: Trial,
-        seed_offset: u64,
-        ledger: Option<&CoverageLedger>,
-        half_order: [DriveLevel; 2],
-    ) -> Result<AdaptiveTrialReport, CoreError> {
-        if trial.sabotage == TrialSabotage::Panic {
-            panic!("injected fault: sabotaged trial (TrialSabotage::Panic)");
-        }
-        let config = self.trial_session_config(trial)?;
-        let mut soc = self.build_trial_soc(trial, seed_offset)?;
-        let outcome = match ledger {
-            Some(ledger) => soc.run_adaptive_session(&config, ledger, half_order)?,
-            None => soc.run_attributed_exhaustive(&config)?,
-        };
-        let empty = CoverageLedger::new(0);
-        let judged = judge_adaptive(trial, &outcome, ledger.unwrap_or(&empty));
-        Ok(AdaptiveTrialReport {
-            outcome: judged,
-            tck: outcome.report.tck_used,
-            detected: outcome.detected,
-            dropped: outcome.dropped,
-            escalations: outcome.escalations,
-        })
+        let mut state = Attributed(AdaptiveCheckpoint::new(self.wires()));
+        let all: Vec<usize> = (0..trials.len()).collect();
+        self.drive(trials, [all], threads, None, &mut state, |_| {});
+        state.0.assemble()
     }
 }
 
-/// Judges one adaptive session. Unlike the exhaustive judge, a dropped
-/// re-excitation must still count: when the judged wire's pairs are
-/// already in the campaign ledger, the defect was *previously*
-/// detected and the skipped patterns would only have confirmed it, so
-/// the trial is credited from the ledger — noise from any covered
-/// glitch-class pair, skew from any covered skew-class pair.
-fn judge_adaptive(
-    trial: Trial,
-    outcome: &AdaptiveSessionOutcome,
-    ledger: &CoverageLedger,
-) -> TrialOutcome {
-    match trial.defect {
-        Some(_) => {
-            let wire = trial.judged_wire();
-            let v = outcome.report.wire(wire);
-            let mut noise = v.noise;
-            let mut skew = v.skew;
-            for fault in IntegrityFault::ALL {
-                if ledger.is_covered(wire, fault) {
-                    if fault.is_skew() {
-                        skew = true;
-                    } else {
-                        noise = true;
-                    }
-                }
-            }
-            if noise || skew {
-                TrialOutcome::Detected { noise, skew }
-            } else {
-                TrialOutcome::Missed
-            }
-        }
-        None => {
-            if outcome.report.any_violation() {
-                TrialOutcome::FalseAlarm
-            } else {
-                TrialOutcome::CleanPass
-            }
+impl AdaptiveCheckpoint {
+    /// Assembles the public run summary from a fully-folded checkpoint.
+    fn assemble(&self) -> AdaptiveRun {
+        let run = CampaignRun::assemble(&self.entries);
+        AdaptiveRun {
+            stats: run.stats,
+            outcomes: run.outcomes,
+            failures: run.failures,
+            shed: run.shed,
+            detected: self.ledger.pairs(),
+            dropped: self.entries.iter().map(|e| e.dropped).sum(),
+            escalations: self.entries.iter().map(|e| e.escalation).sum(),
+            total_tck: self.total_tck,
         }
     }
 }
 
-/// Assembles the public run summary from a fully-folded checkpoint.
-fn assemble(checkpoint: &AdaptiveCheckpoint) -> AdaptiveRun {
-    let mut outcomes = Vec::with_capacity(checkpoint.entries.len());
-    let mut failures = Vec::new();
-    let mut shed = Vec::new();
-    let mut dropped = 0u64;
-    let mut escalations = 0u64;
-    for entry in &checkpoint.entries {
-        outcomes.push(entry.outcome);
-        if let Some(failure) = &entry.failure {
-            failures.push(failure.clone());
-        }
-        if let Some(record) = entry.shed {
-            shed.push(record);
-        }
-        dropped += entry.dropped;
-        escalations += entry.escalation;
+impl RoundState for AdaptiveCheckpoint {
+    fn session(&self, config: AdaptiveConfig) -> Session<'_> {
+        Session::Adaptive(&self.ledger, config.half_order(&self.priority))
     }
-    AdaptiveRun {
-        stats: CampaignStats::tally(&outcomes),
-        outcomes,
-        failures,
-        shed,
-        detected: checkpoint.ledger.pairs(),
-        dropped,
-        escalations,
-        total_tck: checkpoint.total_tck,
+
+    fn fold(&mut self, entry: CheckpointEntry, verdict: Option<Verdict>) {
+        if let Some(verdict) = verdict {
+            self.total_tck += verdict.tck;
+            verdict.delta.fold_into(&mut self.ledger, &mut self.priority);
+        }
+        self.entries.push(entry);
+    }
+
+    fn end_round(&mut self) {
+        self.rounds_done += 1;
+    }
+}
+
+/// [`Campaign::run_attributed`]'s state: an adaptive checkpoint whose
+/// trials all run the attributed-exhaustive oracle.
+struct Attributed(AdaptiveCheckpoint);
+
+impl RoundState for Attributed {
+    fn session(&self, _: AdaptiveConfig) -> Session<'_> {
+        Session::Attributed
+    }
+
+    fn fold(&mut self, entry: CheckpointEntry, verdict: Option<Verdict>) {
+        self.0.fold(entry, verdict);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignMode;
     use crate::cost::MethodPlanner;
     use crate::session::ObservationMethod;
     use sint_interconnect::defect::Defect;
+
+    fn fresh_adaptive(campaign: &Campaign, trials: &[Trial], threads: usize) -> AdaptiveRun {
+        let mut checkpoint = AdaptiveCheckpoint::new(campaign.wires());
+        campaign.run_adaptive_checkpointed(trials, threads, &mut checkpoint, |_| {})
+    }
 
     fn sweep_trials() -> Vec<Trial> {
         // A severity sweep: the same two defects re-presented at
@@ -758,7 +513,7 @@ mod tests {
         // their first appearance.
         let campaign = Campaign::new(4).adaptive(AdaptiveConfig { round: 1, reorder: true });
         let trials = sweep_trials();
-        let adaptive = campaign.run_adaptive(&trials, 1);
+        let adaptive = fresh_adaptive(&campaign, &trials, 1);
         let oracle = campaign.run_attributed(&trials, 1);
         assert_eq!(adaptive.detected, oracle.detected);
         assert!(!adaptive.detected.is_empty(), "the sweep's defects must be detected");
@@ -778,9 +533,9 @@ mod tests {
     fn adaptive_summary_is_byte_identical_at_any_thread_count() {
         let campaign = Campaign::new(4);
         let trials = sweep_trials();
-        let serial = campaign.run_adaptive(&trials, 1).to_json().render();
+        let serial = fresh_adaptive(&campaign, &trials, 1).to_json().render();
         for threads in [2usize, 4, 8] {
-            let parallel = campaign.run_adaptive(&trials, threads).to_json().render();
+            let parallel = fresh_adaptive(&campaign, &trials, threads).to_json().render();
             assert_eq!(parallel, serial, "{threads} threads");
         }
     }
@@ -792,14 +547,37 @@ mod tests {
         // agree (ledger credit covers every drop).
         let campaign = Campaign::new(4);
         let trials = sweep_trials();
-        let rounds = campaign.run_adaptive(&trials, 1);
+        let rounds = fresh_adaptive(&campaign, &trials, 1);
         let mut streamed = Vec::new();
-        let stats = campaign.run_streaming_adaptive(&trials, None, |e| streamed.push(e.clone()));
+        let stats = campaign.run_streaming(&trials, CampaignMode::Adaptive, None, |e| {
+            streamed.push(e.clone());
+        });
         assert_eq!(stats, rounds.stats);
         let outcomes: Vec<_> = streamed.iter().map(|e| e.outcome).collect();
         assert_eq!(outcomes, rounds.outcomes);
         let streamed_dropped: u64 = streamed.iter().map(|e| e.dropped).sum();
         assert!(streamed_dropped >= rounds.dropped);
+
+        // At one trial per round the rounds engine folds exactly as
+        // often as the stream: the two must agree entry for entry,
+        // drop and escalation counters, failures and sheds included.
+        let campaign = Campaign::new(4)
+            .adaptive(AdaptiveConfig { round: 1, reorder: true })
+            .deadline(std::time::Duration::from_secs(600));
+        let mut trials = sweep_trials();
+        trials.insert(1, Trial::wedged());
+        trials.insert(2, Trial::panicking());
+        let mut checkpoint = AdaptiveCheckpoint::new(4);
+        let _ = campaign.run_adaptive_checkpointed(&trials, 1, &mut checkpoint, |_| {});
+        let mut streamed = Vec::new();
+        let _ = campaign.run_streaming(&trials, CampaignMode::Adaptive, None, |e| {
+            streamed.push(e.clone());
+        });
+        assert_eq!(streamed, checkpoint.entries());
+        assert_eq!(streamed[1].outcome, TrialOutcome::Shed);
+        assert_eq!(streamed[2].outcome, TrialOutcome::Failed);
+        assert!(streamed.iter().any(|e| e.dropped > 0));
+        assert!(streamed.iter().any(|e| e.escalation > 0));
     }
 
     #[test]
@@ -839,6 +617,11 @@ mod tests {
             r#"{"version":1}"#,
             r#"{"version":1,"rounds_done":0,"total_tck":0,"ledger":{"wires":2},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[]}"#,
             r#"{"version":1,"rounds_done":0,"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0]},"entries":[]}"#,
+            // Strictly increasing but not a prefix: a resume would
+            // append 3, 4, 5… after 7 and duplicate index 5.
+            r#"{"version":1,"rounds_done":1,"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[{"index":0,"seed":0,"outcome":{"kind":"clean_pass"}},{"index":5,"seed":5,"outcome":{"kind":"clean_pass"}},{"index":7,"seed":7,"outcome":{"kind":"clean_pass"}}]}"#,
+            // A prefix by index whose seed disagrees with it.
+            r#"{"version":1,"rounds_done":1,"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[{"index":0,"seed":3,"outcome":{"kind":"clean_pass"}}]}"#,
         ] {
             assert!(
                 matches!(AdaptiveCheckpoint::parse(bad), Err(CheckpointError::Schema { .. })),
@@ -877,7 +660,7 @@ mod tests {
         // sheds at its own, already-expired one.
         let campaign = Campaign::new(3).deadline(Duration::from_secs(600));
         let trials = vec![Trial::control(), Trial::panicking(), Trial::wedged()];
-        let run = campaign.run_adaptive(&trials, 2);
+        let run = fresh_adaptive(&campaign, &trials, 2);
         assert_eq!(run.outcomes[0], TrialOutcome::CleanPass);
         assert_eq!(run.outcomes[1], TrialOutcome::Failed);
         assert_eq!(run.outcomes[2], TrialOutcome::Shed);

@@ -6,19 +6,22 @@
 //! the caller supplies the exact defect list (randomised campaigns
 //! sample defects upstream, e.g. in `sint-bench`).
 
-use crate::adaptive::AdaptiveConfig;
+use crate::adaptive::{AdaptiveConfig, AdaptiveDelta};
+use crate::checkpoint::{CampaignCheckpoint, CheckpointEntry};
 use crate::cost::MethodPlanner;
 use crate::error::CoreError;
+use crate::mafm::{CoverageLedger, IntegrityFault};
 use crate::session::{IntegrityReport, ObservationMethod, SessionConfig};
 use crate::soc::{Soc, SocBuilder};
 use crate::timing::ChainGeometry;
 use sint_interconnect::defect::Defect;
+use sint_interconnect::drive::DriveLevel;
 use sint_interconnect::params::BusParams;
 use sint_interconnect::variation::VariationSigma;
 use sint_jtag::fault::ScanFault;
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, ToJson};
-use sint_runtime::pool::{panic_message, Pool};
+use sint_runtime::pool::{panic_message, JobPanic, Pool};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -101,6 +104,17 @@ impl Trial {
     pub fn judged_wire(&self) -> usize {
         self.defect.as_ref().map_or(0, Defect::focus_wire)
     }
+}
+
+/// Which session every trial of a [`Campaign::run_streaming`] batch
+/// runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CampaignMode {
+    /// The conventional exhaustive session: every pattern, every trial.
+    Exhaustive,
+    /// The adaptive session against a campaign-wide coverage ledger
+    /// folded after every trial (see [`crate::adaptive`]).
+    Adaptive,
 }
 
 /// Outcome of one trial.
@@ -290,6 +304,16 @@ impl Default for RetryPolicy {
     }
 }
 
+impl RetryPolicy {
+    /// The variation seed of attempt `attempt` of the trial whose base
+    /// seed is `base_seed`: `base_seed + attempt * seed_stride`
+    /// (wrapping), so attempt 0 is the base seed itself.
+    #[must_use]
+    pub fn attempt_seed(&self, base_seed: u64, attempt: usize) -> u64 {
+        base_seed.wrapping_add((attempt as u64).wrapping_mul(self.seed_stride))
+    }
+}
+
 /// Why one trial produced no verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialFailure {
@@ -402,9 +426,9 @@ impl ToJson for TrialShed {
 /// distinguish "the interconnect answered" from "the test apparatus
 /// broke" from "the schedule cut it loose".
 ///
-/// This is the per-attempt face of the engine
-/// ([`Campaign::run_trial_isolated`]); the batch engines' own attempt
-/// loop aggregates the same classifications internally.
+/// This is what [`Campaign::attempt`] returns. Every batch entry retries
+/// on the same attempt and folds its endings through one round driver;
+/// the entries differ only in how they partition trials into rounds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttemptOutcome {
     /// The session ran to completion and judged the interconnect.
@@ -428,21 +452,6 @@ pub enum AttemptOutcome {
         /// The error, rendered as text.
         error: String,
     },
-}
-
-/// How one trial attempt sequence ended without a verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum TrialAbort {
-    /// Every attempt panicked or errored.
-    Failed {
-        /// Attempts made before giving up.
-        attempts: usize,
-        /// The last panic message or error rendering.
-        error: String,
-    },
-    /// The trial was abandoned by a deadline or never started for lack
-    /// of budget. Never retried: a deadline overrun would only repeat.
-    Shed(ShedReason),
 }
 
 /// Everything a campaign batch produced: per-trial outcomes in input
@@ -471,6 +480,24 @@ impl ToJson for CampaignRun {
             ("failures", Json::Array(self.failures.iter().map(ToJson::to_json).collect())),
             ("shed", Json::Array(self.shed.iter().map(ToJson::to_json).collect())),
         ])
+    }
+}
+
+impl CampaignRun {
+    /// Assembles a run summary from settled entries, in index order —
+    /// the one assembly every batch entry's summary comes from.
+    pub(crate) fn assemble<'a>(
+        entries: impl IntoIterator<Item = &'a CheckpointEntry>,
+    ) -> CampaignRun {
+        let mut outcomes = Vec::new();
+        let mut failures = Vec::new();
+        let mut shed = Vec::new();
+        for entry in entries {
+            outcomes.push(entry.outcome);
+            failures.extend(entry.failure.clone());
+            shed.extend(entry.shed);
+        }
+        CampaignRun { stats: CampaignStats::tally(&outcomes), outcomes, failures, shed }
     }
 }
 
@@ -525,8 +552,9 @@ impl Campaign {
     }
 
     /// Overrides the adaptive-engine configuration (round size and
-    /// pattern reordering) used by [`Campaign::run_adaptive`] and
-    /// friends. Ignored by the exhaustive engines.
+    /// pattern reordering) used by [`Campaign::run_adaptive_checkpointed`]
+    /// and the adaptive [`Campaign::run_streaming`]. Ignored by the
+    /// exhaustive entries.
     #[must_use]
     pub fn adaptive(mut self, config: AdaptiveConfig) -> Campaign {
         self.adaptive = config;
@@ -569,7 +597,7 @@ impl Campaign {
     }
 
     /// Adds within-die mismatch to every trial die (seed offset by the
-    /// trial index in [`Campaign::run`], so each die differs).
+    /// trial index, so each die differs).
     #[must_use]
     pub fn variation(mut self, sigma: VariationSigma, base_seed: u64) -> Campaign {
         self.variation = Some((sigma, base_seed));
@@ -622,33 +650,41 @@ impl Campaign {
         self.budget
     }
 
-    /// Runs one trial.
+    /// Runs exactly **one attempt** of one trial, isolating panics and
+    /// classifying every way it can end. This is the attempt every
+    /// batch entry's bounded retry is built on, and the building block
+    /// for external supervisors (the fleet's circuit breaker) that own
+    /// their own retry and quarantine policy instead of using the
+    /// campaign's [`RetryPolicy`].
     ///
-    /// # Errors
+    /// `adaptive` picks the session: `None` runs the exhaustive one,
+    /// `Some((ledger, half_order))` the adaptive one against a
+    /// caller-owned coverage ledger. An adaptive verdict returns its
+    /// [`AdaptiveDelta`]; the caller folds it with
+    /// [`AdaptiveDelta::fold_into`] before the next trial. Every other
+    /// ending yields `None`: an exhaustive, shed or failed attempt
+    /// contributes nothing to a ledger.
     ///
-    /// Propagates SoC build/session errors.
-    pub fn run_trial(&self, trial: Trial) -> Result<TrialOutcome, CoreError> {
-        self.run_trial_seeded(trial, 0)
-    }
-
-    /// Runs one trial with a per-die variation seed offset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SoC build/session errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trial carries [`TrialSabotage::Panic`] — the
-    /// batch engines catch this and report a [`TrialFailure`].
-    pub fn run_trial_seeded(&self, trial: Trial, seed_offset: u64) -> Result<TrialOutcome, CoreError> {
-        if trial.sabotage == TrialSabotage::Panic {
-            panic!("injected fault: sabotaged trial (TrialSabotage::Panic)");
+    /// `seed` is used verbatim (no attempt striding); callers that retry
+    /// derive per-attempt seeds with [`RetryPolicy::attempt_seed`], which
+    /// keeps attempt 0 byte-identical to the batch entries.
+    #[must_use]
+    pub fn attempt(
+        &self,
+        trial: Trial,
+        seed: u64,
+        adaptive: Option<(&CoverageLedger, [DriveLevel; 2])>,
+    ) -> (AttemptOutcome, Option<AdaptiveDelta>) {
+        let session = match adaptive {
+            Some((ledger, order)) => Session::Adaptive(ledger, order),
+            None => Session::Exhaustive,
+        };
+        match self.isolated(trial, seed, session) {
+            Ok(verdict) => {
+                (AttemptOutcome::Verdict(verdict.outcome), adaptive.map(|_| verdict.delta))
+            }
+            Err(outcome) => (outcome, None),
         }
-        let config = self.trial_session_config(trial)?;
-        let mut soc = self.build_trial_soc(trial, seed_offset)?;
-        let report = soc.run_integrity_test(&config)?;
-        Ok(Campaign::judge(trial, &report))
     }
 
     /// The session configuration one trial runs with: the campaign's
@@ -676,7 +712,7 @@ impl Campaign {
     /// Builds one trial's SoC: bus parameters, sabotage chain fault,
     /// panel width, per-die variation, the injected defect, and the
     /// per-trial deadline token.
-    pub(crate) fn build_trial_soc(&self, trial: Trial, seed_offset: u64) -> Result<Soc, CoreError> {
+    fn build_trial_soc(&self, trial: Trial, seed_offset: u64) -> Result<Soc, CoreError> {
         let mut builder = SocBuilder::new(self.wires).bus_params(self.bus_params.clone());
         if let TrialSabotage::ChainFault(fault) = trial.sabotage {
             builder = builder.scan_fault(fault);
@@ -702,108 +738,175 @@ impl Campaign {
         Ok(soc)
     }
 
-    /// Judges a finished session against its trial kind: the defect's
-    /// focus wire for defect trials, the whole bus for controls.
-    pub(crate) fn judge(trial: Trial, report: &IntegrityReport) -> TrialOutcome {
-        match trial.defect {
-            Some(_) => {
-                let v = report.wire(trial.judged_wire());
-                if v.any() {
-                    TrialOutcome::Detected { noise: v.noise, skew: v.skew }
-                } else {
-                    TrialOutcome::Missed
-                }
+    /// The one per-trial session: builds the trial's SoC, runs
+    /// `session` on it and judges the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the trial carries [`TrialSabotage::Panic`]; the
+    /// isolated attempt catches it.
+    fn run_session(
+        &self,
+        trial: Trial,
+        seed: u64,
+        session: Session<'_>,
+    ) -> Result<Verdict, CoreError> {
+        if trial.sabotage == TrialSabotage::Panic {
+            panic!("injected fault: sabotaged trial (TrialSabotage::Panic)");
+        }
+        let config = self.trial_session_config(trial)?;
+        let mut soc = self.build_trial_soc(trial, seed)?;
+        let (outcome, ledger) = match session {
+            Session::Exhaustive => {
+                let report = soc.run_integrity_test(&config)?;
+                return Ok(Verdict {
+                    outcome: judge(trial, &report, None),
+                    delta: AdaptiveDelta::default(),
+                    tck: report.tck_used,
+                });
             }
-            None => {
-                if report.any_violation() {
-                    TrialOutcome::FalseAlarm
-                } else {
-                    TrialOutcome::CleanPass
-                }
+            Session::Adaptive(ledger, order) => {
+                (soc.run_adaptive_session(&config, ledger, order)?, Some(ledger))
             }
+            Session::Attributed => (soc.run_attributed_exhaustive(&config)?, None),
+        };
+        Ok(Verdict {
+            outcome: judge(trial, &outcome.report, ledger),
+            tck: outcome.report.tck_used,
+            delta: AdaptiveDelta {
+                detected: outcome.detected,
+                dropped: outcome.dropped,
+                escalations: outcome.escalations,
+            },
+        })
+    }
+
+    /// One isolated attempt: the verdict, or how else the attempt ended
+    /// (never [`AttemptOutcome::Verdict`]).
+    fn isolated(
+        &self,
+        trial: Trial,
+        seed: u64,
+        session: Session<'_>,
+    ) -> Result<Verdict, AttemptOutcome> {
+        match catch_unwind(AssertUnwindSafe(|| self.run_session(trial, seed, session))) {
+            Ok(Ok(verdict)) => Ok(verdict),
+            Ok(Err(CoreError::DeadlineExceeded { step })) => {
+                Err(AttemptOutcome::Shed(ShedReason::Deadline { step }))
+            }
+            Ok(Err(error @ CoreError::Infrastructure(_))) => {
+                Err(AttemptOutcome::Infrastructure { error: error.to_string() })
+            }
+            Ok(Err(error)) => Err(AttemptOutcome::Error { error: error.to_string() }),
+            // A panic is an apparatus failure by definition: the
+            // harness died, the interconnect never answered.
+            Err(payload) => Err(AttemptOutcome::Infrastructure { error: panic_message(&*payload) }),
         }
     }
 
-    /// Runs one trial with bounded, seed-perturbed retry per the
-    /// campaign's [`RetryPolicy`], isolating panics per attempt.
-    ///
-    /// Attempt 0 uses `base_seed` unchanged; attempt `a` uses
-    /// `base_seed + a * seed_stride` (wrapping), so a healthy trial is
-    /// byte-identical to the retry-free engine.
-    pub(crate) fn run_trial_attempts(
+    /// Runs trial `index` with bounded, seed-perturbed retry per the
+    /// campaign's [`RetryPolicy`] on top of the isolated attempt: its
+    /// verdict, or the entry of a trial that never reached one. A fired
+    /// `budget` sheds the trial before it starts.
+    fn attempts(
         &self,
         trial: Trial,
-        base_seed: u64,
+        index: usize,
         budget: Option<&CancelToken>,
-    ) -> Result<TrialOutcome, TrialAbort> {
+        session: Session<'_>,
+    ) -> Result<Verdict, CheckpointEntry> {
         if let Some(token) = budget {
             if token.poll_deadline() || token.is_cancelled() {
-                return Err(TrialAbort::Shed(ShedReason::Budget));
+                return Err(CheckpointEntry::shed(index, ShedReason::Budget));
             }
         }
         let max_attempts = self.retry.max_attempts.max(1);
         let mut last_error = String::new();
         for attempt in 0..max_attempts {
-            let seed =
-                base_seed.wrapping_add((attempt as u64).wrapping_mul(self.retry.seed_stride));
-            match catch_unwind(AssertUnwindSafe(|| self.run_trial_seeded(trial, seed))) {
-                Ok(Ok(outcome)) => return Ok(outcome),
+            match self.isolated(trial, self.retry.attempt_seed(index as u64, attempt), session) {
+                Ok(verdict) => return Ok(verdict),
                 // A deadline overrun is shed, never retried: re-running
                 // the same trial against the same clock only repeats.
-                Ok(Err(CoreError::DeadlineExceeded { step })) => {
-                    return Err(TrialAbort::Shed(ShedReason::Deadline { step }));
+                Err(AttemptOutcome::Shed(reason)) => {
+                    return Err(CheckpointEntry::shed(index, reason));
                 }
-                Ok(Err(error)) => last_error = error.to_string(),
-                Err(payload) => last_error = panic_message(&*payload),
+                Err(AttemptOutcome::Infrastructure { error } | AttemptOutcome::Error { error }) => {
+                    last_error = error;
+                }
+                Err(AttemptOutcome::Verdict(_)) => {
+                    unreachable!("an isolated attempt returns its verdict as Ok")
+                }
             }
         }
-        Err(TrialAbort::Failed { attempts: max_attempts, error: last_error })
+        Err(CheckpointEntry::failed(index, max_attempts, last_error))
     }
 
-    /// Runs exactly **one attempt** of one trial, isolating panics and
-    /// classifying every way it can end — the building block for
-    /// external supervisors (the fleet's circuit breaker) that own
-    /// their own retry and quarantine policy instead of using the
-    /// campaign's [`RetryPolicy`].
-    ///
-    /// `seed` is used verbatim (no attempt striding); callers that
-    /// retry should derive per-attempt seeds themselves, e.g. with the
-    /// same `base + attempt * seed_stride` rule the internal engine
-    /// uses, to keep attempt 0 byte-identical to the unsupervised path.
-    #[must_use]
-    pub fn run_trial_isolated(&self, trial: Trial, seed: u64) -> AttemptOutcome {
-        match catch_unwind(AssertUnwindSafe(|| self.run_trial_seeded(trial, seed))) {
-            Ok(Ok(outcome)) => AttemptOutcome::Verdict(outcome),
-            Ok(Err(CoreError::DeadlineExceeded { step })) => {
-                AttemptOutcome::Shed(ShedReason::Deadline { step })
+    /// Turns one settled trial into its checkpoint entry, handing back
+    /// the verdict (if it reached one) for the run's state to fold.
+    fn settle(
+        &self,
+        index: usize,
+        result: Result<Result<Verdict, CheckpointEntry>, JobPanic>,
+    ) -> (CheckpointEntry, Option<Verdict>) {
+        match result {
+            Ok(Ok(verdict)) => {
+                (CheckpointEntry::verdict(index, verdict.outcome, &verdict.delta), Some(verdict))
             }
-            Ok(Err(error @ CoreError::Infrastructure(_))) => {
-                AttemptOutcome::Infrastructure { error: error.to_string() }
+            Ok(Err(entry)) => (entry, None),
+            // The per-attempt catch_unwind is the first line of
+            // defence; the pool's own isolation is the backstop.
+            Err(panic) => {
+                let attempts = self.retry.max_attempts.max(1);
+                (CheckpointEntry::failed(index, attempts, panic.message), None)
             }
-            Ok(Err(error)) => AttemptOutcome::Error { error: error.to_string() },
-            // A panic is an apparatus failure by definition: the
-            // harness died, the interconnect never answered.
-            Err(payload) => AttemptOutcome::Infrastructure { error: panic_message(&*payload) },
         }
     }
 
-    /// Runs a batch of trials serially.
+    /// The round driver every batch entry runs on. Each round's trial
+    /// indices run through the pool under the session `state` picks at
+    /// the round boundary; their results fold into `state` in index
+    /// order, and `sink` sees the state after every round. Because a
+    /// trial depends only on its index and the round-boundary state,
+    /// the result is byte-identical at any thread count. The entries
+    /// differ only in how they partition indices into rounds.
     ///
-    /// Equivalent to [`Campaign::run_parallel`] with one thread; the
-    /// two produce bitwise-identical results because every trial's
-    /// behaviour depends only on its index (variation seed offset),
-    /// never on execution order.
-    #[must_use]
-    pub fn run(&self, trials: &[Trial]) -> CampaignRun {
-        self.run_parallel(trials, 1)
+    /// `budget` bounds the batch: `None` applies the campaign's own
+    /// [`Campaign::budget`] (if any), measured from this call.
+    pub(crate) fn drive<S: RoundState, R: AsRef<[usize]>>(
+        &self,
+        trials: &[Trial],
+        rounds: impl IntoIterator<Item = R>,
+        threads: usize,
+        budget: Option<&CancelToken>,
+        state: &mut S,
+        mut sink: impl FnMut(&S),
+    ) {
+        let own = if budget.is_none() { self.budget.map(CancelToken::with_deadline) } else { None };
+        let budget = budget.or(own.as_ref());
+        let pool = Pool::new(threads);
+        for round in rounds {
+            let round = round.as_ref();
+            let session = state.session(self.adaptive);
+            let results = pool.try_map(round, |_, &index| {
+                self.attempts(trials[index], index, budget, session)
+            });
+            for (&index, result) in round.iter().zip(results) {
+                let (entry, verdict) = self.settle(index, result);
+                state.fold(entry, verdict);
+            }
+            state.end_round();
+            sink(state);
+        }
     }
 
-    /// Runs a batch of trials across `threads` workers.
+    /// Runs a batch of trials across `threads` workers: every trial in
+    /// one round of [`Campaign::run_checkpointed`], with a fresh
+    /// checkpoint and a discarding sink.
     ///
     /// Each trial's die (its variation seed) is derived from the trial
-    /// *index*, and the pool returns outcomes in input order, so the
-    /// summary is reproducible at any thread count — the determinism
-    /// contract locked in by the workspace's campaign-determinism test.
+    /// *index*, and results fold in input order, so the summary is
+    /// reproducible at any thread count — the determinism contract
+    /// locked in by the workspace's campaign-determinism test.
     ///
     /// A trial that panics or errors is retried per the campaign's
     /// [`RetryPolicy`] and, if every attempt fails, is reported as
@@ -811,40 +914,73 @@ impl Campaign {
     /// broken trial never takes down its siblings or the batch.
     #[must_use]
     pub fn run_parallel(&self, trials: &[Trial], threads: usize) -> CampaignRun {
-        let budget_token = self.budget.map(CancelToken::with_deadline);
-        let results = Pool::new(threads).try_map(trials, |idx, trial| {
-            self.run_trial_attempts(*trial, idx as u64, budget_token.as_ref())
-        });
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut outcomes = Vec::with_capacity(results.len());
-        let mut failures = Vec::new();
-        let mut shed = Vec::new();
-        for (index, result) in results.into_iter().enumerate() {
-            let seed = index as u64;
-            match result {
-                Ok(Ok(outcome)) => outcomes.push(outcome),
-                Ok(Err(TrialAbort::Failed { attempts, error })) => {
-                    outcomes.push(TrialOutcome::Failed);
-                    failures.push(TrialFailure { index, seed, attempts, error });
-                }
-                Ok(Err(TrialAbort::Shed(reason))) => {
-                    outcomes.push(TrialOutcome::Shed);
-                    shed.push(TrialShed { index, seed, reason });
-                }
-                // The per-attempt catch_unwind above is the first line
-                // of defence; the pool's own isolation is the backstop.
-                Err(panic) => {
-                    outcomes.push(TrialOutcome::Failed);
-                    failures.push(TrialFailure {
-                        index,
-                        seed,
-                        attempts: max_attempts,
-                        error: panic.message,
-                    });
-                }
+        self.run_checkpointed(trials, threads, &mut CampaignCheckpoint::new(), usize::MAX, |_| {})
+    }
+}
+
+/// Which session one trial runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Session<'a> {
+    /// The conventional exhaustive session.
+    Exhaustive,
+    /// The ledger-driven adaptive session, halves in the given order.
+    Adaptive(&'a CoverageLedger, [DriveLevel; 2]),
+    /// The attributed-exhaustive oracle: the full schedule, probed
+    /// after every pattern, nothing dropped.
+    Attributed,
+}
+
+/// One judged trial: its verdict plus what it contributes to campaign
+/// state (an empty delta for exhaustive sessions).
+#[derive(Debug)]
+pub(crate) struct Verdict {
+    pub(crate) outcome: TrialOutcome,
+    pub(crate) delta: AdaptiveDelta,
+    pub(crate) tck: u64,
+}
+
+/// What the round driver folds settled trials into.
+pub(crate) trait RoundState {
+    /// The session every trial of the next round runs.
+    fn session(&self, config: AdaptiveConfig) -> Session<'_>;
+    /// Folds one settled trial; called in index order.
+    fn fold(&mut self, entry: CheckpointEntry, verdict: Option<Verdict>);
+    /// Closes a round, before the driver's sink sees the state.
+    fn end_round(&mut self) {}
+}
+
+/// Judges a finished session against its trial kind: the defect's
+/// focus wire for defect trials, the whole bus for controls.
+///
+/// A dropped re-excitation still counts: when the judged wire's pairs
+/// are already in the campaign `ledger`, the defect was *previously*
+/// detected and the skipped patterns would only have confirmed it, so
+/// the trial is credited from the ledger — noise from any covered
+/// glitch-class pair, skew from any covered skew-class pair.
+fn judge(trial: Trial, report: &IntegrityReport, ledger: Option<&CoverageLedger>) -> TrialOutcome {
+    if trial.defect.is_none() {
+        return if report.any_violation() {
+            TrialOutcome::FalseAlarm
+        } else {
+            TrialOutcome::CleanPass
+        };
+    }
+    let wire = trial.judged_wire();
+    let verdict = report.wire(wire);
+    let (mut noise, mut skew) = (verdict.noise, verdict.skew);
+    for fault in IntegrityFault::ALL {
+        if ledger.is_some_and(|ledger| ledger.is_covered(wire, fault)) {
+            if fault.is_skew() {
+                skew = true;
+            } else {
+                noise = true;
             }
         }
-        CampaignRun { stats: CampaignStats::tally(&outcomes), outcomes, failures, shed }
+    }
+    if noise || skew {
+        TrialOutcome::Detected { noise, skew }
+    } else {
+        TrialOutcome::Missed
     }
 }
 
@@ -852,10 +988,17 @@ impl Campaign {
 mod tests {
     use super::*;
 
+    fn verdict(campaign: &Campaign, trial: Trial) -> TrialOutcome {
+        match campaign.attempt(trial, 0, None) {
+            (AttemptOutcome::Verdict(outcome), None) => outcome,
+            other => panic!("expected an exhaustive verdict, got {other:?}"),
+        }
+    }
+
     #[test]
     fn control_trials_pass_on_healthy_bus() {
         let campaign = Campaign::new(3);
-        let outcome = campaign.run_trial(Trial::control()).unwrap();
+        let outcome = verdict(&campaign, Trial::control());
         assert_eq!(outcome, TrialOutcome::CleanPass);
         assert!(outcome.is_good());
     }
@@ -863,9 +1006,8 @@ mod tests {
     #[test]
     fn severe_defects_detected() {
         let campaign = Campaign::new(3);
-        let outcome = campaign
-            .run_trial(Trial::defective(Defect::CouplingBoost { wire: 1, factor: 6.0 }))
-            .unwrap();
+        let outcome =
+            verdict(&campaign, Trial::defective(Defect::CouplingBoost { wire: 1, factor: 6.0 }));
         match outcome {
             TrialOutcome::Detected { noise, .. } => assert!(noise),
             other => panic!("expected detection, got {other:?}"),
@@ -875,9 +1017,8 @@ mod tests {
     #[test]
     fn mild_defects_missed() {
         let campaign = Campaign::new(3);
-        let outcome = campaign
-            .run_trial(Trial::defective(Defect::CouplingBoost { wire: 1, factor: 1.05 }))
-            .unwrap();
+        let outcome =
+            verdict(&campaign, Trial::defective(Defect::CouplingBoost { wire: 1, factor: 1.05 }));
         assert_eq!(outcome, TrialOutcome::Missed);
         assert!(!outcome.is_good());
     }
@@ -891,7 +1032,7 @@ mod tests {
             Trial::defective(Defect::CouplingBoost { wire: 0, factor: 1.01 }),
             Trial::control(),
         ];
-        let run = campaign.run(&trials);
+        let run = campaign.run_parallel(&trials, 1);
         assert_eq!(run.outcomes.len(), 4);
         assert!(run.failures.is_empty());
         let stats = run.stats;
@@ -935,7 +1076,7 @@ mod tests {
                 }
             })
             .collect();
-        let serial = campaign.run(&trials);
+        let serial = campaign.run_parallel(&trials, 1);
         for threads in [2, 4] {
             let parallel = campaign.run_parallel(&trials, threads);
             assert_eq!(parallel, serial, "{threads} threads");
@@ -997,19 +1138,19 @@ mod tests {
         let campaign = Campaign::new(3).retry(policy);
         // A deterministic panic fails every attempt: the engine must
         // stop at the bound and report the attempt count.
-        let run = campaign.run(&[Trial::panicking()]);
+        let run = campaign.run_parallel(&[Trial::panicking()], 1);
         assert_eq!(run.failures[0].attempts, 3);
         assert_eq!(run.stats.failed_trials, 1);
         // A healthy trial under a retry policy is untouched: attempt 0
         // uses the base seed, so the outcome matches the default engine.
-        let with_retry = campaign.run(&[Trial::control()]);
-        let without = Campaign::new(3).run(&[Trial::control()]);
+        let with_retry = campaign.run_parallel(&[Trial::control()], 1);
+        let without = Campaign::new(3).run_parallel(&[Trial::control()], 1);
         assert_eq!(with_retry.outcomes, without.outcomes);
     }
 
     #[test]
     fn failed_run_serialises_failures() {
-        let run = Campaign::new(3).run(&[Trial::panicking()]);
+        let run = Campaign::new(3).run_parallel(&[Trial::panicking()], 1);
         let j = run.to_json().render();
         assert!(j.contains("\"failures\":["), "{j}");
         assert!(j.contains("\"attempts\":1"), "{j}");
@@ -1027,7 +1168,7 @@ mod tests {
             Trial::wedged(),
             Trial::defective(Defect::CouplingBoost { wire: 1, factor: 6.0 }),
         ];
-        let run = campaign.run(&trials);
+        let run = campaign.run_parallel(&trials, 1);
         assert_eq!(run.outcomes[0], TrialOutcome::CleanPass);
         assert_eq!(run.outcomes[1], TrialOutcome::Shed);
         assert!(matches!(run.outcomes[2], TrialOutcome::Detected { .. }));
@@ -1050,7 +1191,7 @@ mod tests {
 
     #[test]
     fn wedged_trial_without_a_deadline_refuses_instead_of_hanging() {
-        let run = Campaign::new(3).run(&[Trial::wedged()]);
+        let run = Campaign::new(3).run_parallel(&[Trial::wedged()], 1);
         assert_eq!(run.outcomes[0], TrialOutcome::Failed);
         assert!(run.failures[0].error.contains("deadline"), "{}", run.failures[0].error);
     }
@@ -1092,8 +1233,8 @@ mod tests {
             Trial::control(),
             Trial::defective(Defect::CouplingBoost { wire: 1, factor: 6.0 }),
         ];
-        let plain = Campaign::new(3).run(&trials);
-        let bounded = Campaign::new(3).deadline(Duration::from_secs(600)).run(&trials);
+        let plain = Campaign::new(3).run_parallel(&trials, 1);
+        let bounded = Campaign::new(3).deadline(Duration::from_secs(600)).run_parallel(&trials, 1);
         assert_eq!(plain.to_json().render(), bounded.to_json().render());
     }
 }

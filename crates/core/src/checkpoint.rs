@@ -10,13 +10,14 @@
 //! index (its variation seed), the resumed summary is byte-identical to
 //! an uninterrupted run at any thread count.
 
+use crate::adaptive::{AdaptiveConfig, AdaptiveDelta, FaultPriority};
 use crate::campaign::{
-    Campaign, CampaignRun, CampaignStats, ShedReason, Trial, TrialAbort, TrialFailure,
-    TrialOutcome, TrialShed,
+    Campaign, CampaignMode, CampaignRun, CampaignStats, RoundState, Session, ShedReason, Trial,
+    TrialFailure, TrialOutcome, TrialShed, Verdict,
 };
+use crate::mafm::CoverageLedger;
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, JsonParseError, ToJson};
-use sint_runtime::pool::Pool;
 use std::fmt;
 
 /// Checkpoint format version emitted by [`CampaignCheckpoint::to_json`].
@@ -95,6 +96,52 @@ pub struct CheckpointEntry {
 }
 
 impl CheckpointEntry {
+    /// The entry of trial `index` that reached a verdict, carrying the
+    /// attempt's adaptive counters (zero for exhaustive sessions).
+    #[must_use]
+    pub fn verdict(index: usize, outcome: TrialOutcome, delta: &AdaptiveDelta) -> CheckpointEntry {
+        CheckpointEntry {
+            index,
+            seed: index as u64,
+            outcome,
+            failure: None,
+            shed: None,
+            dropped: delta.dropped,
+            escalation: delta.escalations,
+        }
+    }
+
+    /// The entry of trial `index` whose every attempt panicked or
+    /// errored; `error` is the last one.
+    #[must_use]
+    pub fn failed(index: usize, attempts: usize, error: String) -> CheckpointEntry {
+        let seed = index as u64;
+        CheckpointEntry {
+            index,
+            seed,
+            outcome: TrialOutcome::Failed,
+            failure: Some(TrialFailure { index, seed, attempts, error }),
+            shed: None,
+            dropped: 0,
+            escalation: 0,
+        }
+    }
+
+    /// The entry of trial `index`, abandoned by the schedule.
+    #[must_use]
+    pub fn shed(index: usize, reason: ShedReason) -> CheckpointEntry {
+        let seed = index as u64;
+        CheckpointEntry {
+            index,
+            seed,
+            outcome: TrialOutcome::Shed,
+            failure: None,
+            shed: Some(TrialShed { index, seed, reason }),
+            dropped: 0,
+            escalation: 0,
+        }
+    }
+
     /// Decodes one entry from its [`ToJson`] rendering — the public
     /// inverse used by streaming consumers (the fleet's incremental
     /// JSONL artifacts embed checkpoint-v2 entries verbatim, and replay
@@ -194,7 +241,7 @@ impl CampaignCheckpoint {
     ///
     /// [`CheckpointError::Json`] for malformed JSON,
     /// [`CheckpointError::Schema`] for a well-formed document that is
-    /// not a version-1 checkpoint.
+    /// not a version-2 checkpoint.
     pub fn parse(text: &str) -> Result<CampaignCheckpoint, CheckpointError> {
         let root = Json::parse(text)?;
         match root.get("version").and_then(Json::as_u64) {
@@ -333,15 +380,15 @@ impl Campaign {
     /// checkpoint-v2 record per trial through `emit` instead of
     /// accumulating a `Vec<TrialOutcome>`.
     ///
-    /// This is the fleet engine's per-board path: records stream out
-    /// incrementally (to a JSONL artifact, a channel, a tally — the
-    /// sink's choice) while only the running [`CampaignStats`] counters
-    /// stay resident, so a million-trial run holds a few dozen bytes of
-    /// state. Every record is keyed by trial index and seed exactly as
-    /// [`Campaign::run_checkpointed`] would record it, and outcomes are
-    /// derived from the same index-keyed seeds as
-    /// [`Campaign::run_parallel`], so the streamed records and the
-    /// in-memory run agree byte for byte.
+    /// This is the fleet engine's unsupervised per-board path: the
+    /// round driver at one trial per round, holding only the running
+    /// [`CampaignStats`] counters (and, in [`CampaignMode::Adaptive`],
+    /// the coverage ledger and priority clock, folded after every
+    /// trial) — never the entries. Every record is keyed by trial index
+    /// and seed exactly as [`Campaign::run_checkpointed`] would record
+    /// it, so the streamed records and the in-memory run agree byte for
+    /// byte; in adaptive mode the stream equals
+    /// [`Campaign::run_adaptive_checkpointed`] at one trial per round.
     ///
     /// `budget` layers admission control on top of the campaign's own
     /// configuration: when the token (typically a per-client child of a
@@ -352,44 +399,26 @@ impl Campaign {
     pub fn run_streaming(
         &self,
         trials: &[Trial],
+        mode: CampaignMode,
         budget: Option<&CancelToken>,
-        mut emit: impl FnMut(&CheckpointEntry),
+        emit: impl FnMut(&CheckpointEntry),
     ) -> CampaignStats {
-        let own = if budget.is_none() {
-            self.campaign_budget().map(CancelToken::with_deadline)
-        } else {
-            None
-        };
-        let budget = budget.or(own.as_ref());
-        let mut stats = CampaignStats::default();
-        for (index, trial) in trials.iter().enumerate() {
-            let seed = index as u64;
-            let (outcome, failure, shed) = match self.run_trial_attempts(*trial, seed, budget) {
-                Ok(outcome) => (outcome, None, None),
-                Err(TrialAbort::Failed { attempts, error }) => (
-                    TrialOutcome::Failed,
-                    Some(TrialFailure { index, seed, attempts, error }),
-                    None,
-                ),
-                Err(TrialAbort::Shed(reason)) => {
-                    (TrialOutcome::Shed, None, Some(TrialShed { index, seed, reason }))
-                }
-            };
-            stats.accumulate(outcome);
-            emit(&CheckpointEntry { index, seed, outcome, failure, shed, dropped: 0, escalation: 0 });
-        }
-        stats
+        let coverage = (mode == CampaignMode::Adaptive)
+            .then(|| (CoverageLedger::new(self.wires()), FaultPriority::new()));
+        let mut state = Streamed { stats: CampaignStats::default(), coverage, emit };
+        self.drive(trials, (0..trials.len()).map(|index| [index]), 1, budget, &mut state, |_| {});
+        state.stats
     }
 
     /// Runs a batch with periodic checkpointing and resume.
     ///
     /// Trials already present in `checkpoint` (matched by index *and*
-    /// seed) are skipped; the rest run through the failure-isolating
-    /// engine in chunks of `snapshot_every`, and `sink` is invoked with
-    /// the updated checkpoint after each chunk — typically to persist
-    /// its [`ToJson`] rendering. The final [`CampaignRun`] is assembled
-    /// from the checkpoint in index order, so a resumed run is
-    /// byte-identical to an uninterrupted one at any thread count.
+    /// seed) are skipped; the rest run through the round driver in
+    /// rounds of `snapshot_every` pending indices, and `sink` is
+    /// invoked with the updated checkpoint after each round — typically
+    /// to persist its [`ToJson`] rendering. The final [`CampaignRun`] is
+    /// assembled from the checkpoint in index order, so a resumed run
+    /// is byte-identical to an uninterrupted one at any thread count.
     ///
     /// # Panics
     ///
@@ -403,66 +432,53 @@ impl Campaign {
         threads: usize,
         checkpoint: &mut CampaignCheckpoint,
         snapshot_every: usize,
-        mut sink: impl FnMut(&CampaignCheckpoint),
+        sink: impl FnMut(&CampaignCheckpoint),
     ) -> CampaignRun {
-        let pending: Vec<(usize, Trial)> = trials
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| checkpoint.entry_for(*i, *i as u64).is_none())
-            .map(|(i, t)| (i, *t))
+        let pending: Vec<usize> = (0..trials.len())
+            .filter(|&index| checkpoint.entry_for(index, index as u64).is_none())
             .collect();
-        let pool = Pool::new(threads);
-        let max_attempts = self.retry_policy().max_attempts.max(1);
-        let budget_token = self.campaign_budget().map(CancelToken::with_deadline);
-        for batch in pending.chunks(snapshot_every.max(1)) {
-            let results = pool.try_map(batch, |_, (index, trial)| {
-                self.run_trial_attempts(*trial, *index as u64, budget_token.as_ref())
-            });
-            for ((index, _), result) in batch.iter().zip(results) {
-                let seed = *index as u64;
-                let (outcome, failure, shed) = match result {
-                    Ok(Ok(outcome)) => (outcome, None, None),
-                    Ok(Err(TrialAbort::Failed { attempts, error })) => (
-                        TrialOutcome::Failed,
-                        Some(TrialFailure { index: *index, seed, attempts, error }),
-                        None,
-                    ),
-                    Ok(Err(TrialAbort::Shed(reason))) => (
-                        TrialOutcome::Shed,
-                        None,
-                        Some(TrialShed { index: *index, seed, reason }),
-                    ),
-                    Err(panic) => (
-                        TrialOutcome::Failed,
-                        Some(TrialFailure {
-                            index: *index,
-                            seed,
-                            attempts: max_attempts,
-                            error: panic.message,
-                        }),
-                        None,
-                    ),
-                };
-                checkpoint.record(CheckpointEntry { index: *index, seed, outcome, failure, shed, dropped: 0, escalation: 0 });
-            }
-            sink(checkpoint);
-        }
-        let mut outcomes = Vec::with_capacity(trials.len());
-        let mut failures = Vec::new();
-        let mut shed = Vec::new();
-        for index in 0..trials.len() {
-            let entry = checkpoint
+        self.drive(trials, pending.chunks(snapshot_every.max(1)), threads, None, checkpoint, sink);
+        CampaignRun::assemble((0..trials.len()).map(|index| {
+            checkpoint
                 .entry_for(index, index as u64)
-                .expect("every pending trial was just recorded");
-            outcomes.push(entry.outcome);
-            if let Some(failure) = &entry.failure {
-                failures.push(failure.clone());
-            }
-            if let Some(record) = entry.shed {
-                shed.push(record);
-            }
+                .expect("every pending trial was just recorded")
+        }))
+    }
+}
+
+impl RoundState for CampaignCheckpoint {
+    fn session(&self, _: AdaptiveConfig) -> Session<'_> {
+        Session::Exhaustive
+    }
+
+    fn fold(&mut self, entry: CheckpointEntry, _: Option<Verdict>) {
+        self.record(entry);
+    }
+}
+
+/// [`Campaign::run_streaming`]'s state: running stats, the coverage
+/// ledger and priority clock when the mode keeps them, and the caller's
+/// emit. It holds no entries.
+struct Streamed<F> {
+    stats: CampaignStats,
+    coverage: Option<(CoverageLedger, FaultPriority)>,
+    emit: F,
+}
+
+impl<F: FnMut(&CheckpointEntry)> RoundState for Streamed<F> {
+    fn session(&self, config: AdaptiveConfig) -> Session<'_> {
+        match &self.coverage {
+            Some((ledger, priority)) => Session::Adaptive(ledger, config.half_order(priority)),
+            None => Session::Exhaustive,
         }
-        CampaignRun { stats: CampaignStats::tally(&outcomes), outcomes, failures, shed }
+    }
+
+    fn fold(&mut self, entry: CheckpointEntry, verdict: Option<Verdict>) {
+        if let (Some((ledger, priority)), Some(verdict)) = (&mut self.coverage, verdict) {
+            verdict.delta.fold_into(ledger, priority);
+        }
+        self.stats.accumulate(entry.outcome);
+        (self.emit)(&entry);
     }
 }
 
@@ -490,7 +506,7 @@ mod tests {
             outcome: TrialOutcome::Detected { noise: true, skew: false },
             failure: None,
             shed: None,
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         });
         checkpoint.record(CheckpointEntry {
@@ -504,7 +520,7 @@ mod tests {
                 error: "injected fault: sabotaged trial".into(),
             }),
             shed: None,
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         });
         checkpoint.record(CheckpointEntry {
@@ -517,7 +533,7 @@ mod tests {
                 seed: 3,
                 reason: ShedReason::Deadline { step: 64 },
             }),
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         });
         checkpoint.record(CheckpointEntry {
@@ -526,7 +542,7 @@ mod tests {
             outcome: TrialOutcome::Shed,
             failure: None,
             shed: Some(TrialShed { index: 4, seed: 4, reason: ShedReason::Budget }),
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         });
         let rendered = checkpoint.to_json().render();
@@ -579,7 +595,7 @@ mod tests {
             outcome: TrialOutcome::CleanPass,
             failure: None,
             shed: None,
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         });
         assert!(checkpoint.entry_for(3, 3).is_some());
@@ -630,10 +646,12 @@ mod tests {
         let campaign = Campaign::new(3);
         let batch = trials();
         let mut streamed: Vec<CheckpointEntry> = Vec::new();
-        let stats = campaign.run_streaming(&batch, None, |entry| streamed.push(entry.clone()));
+        let stats = campaign.run_streaming(&batch, CampaignMode::Exhaustive, None, |entry| {
+            streamed.push(entry.clone());
+        });
 
         // Same outcomes, failures and stats as the in-memory engine.
-        let reference = campaign.run(&batch);
+        let reference = campaign.run_parallel(&batch, 1);
         assert_eq!(stats, reference.stats);
         let outcomes: Vec<_> = streamed.iter().map(|e| e.outcome).collect();
         assert_eq!(outcomes, reference.outcomes);
@@ -660,7 +678,8 @@ mod tests {
         let fleet = CancelToken::new();
         let client = fleet.child_with_deadline(std::time::Duration::ZERO);
         let mut entries = 0usize;
-        let stats = campaign.run_streaming(&batch, Some(&client), |entry| {
+        let mode = CampaignMode::Exhaustive;
+        let stats = campaign.run_streaming(&batch, mode, Some(&client), |entry| {
             assert_eq!(entry.outcome, TrialOutcome::Shed);
             assert!(matches!(
                 entry.shed,
@@ -681,7 +700,7 @@ mod tests {
             outcome: TrialOutcome::Shed,
             failure: None,
             shed: Some(TrialShed { index: 5, seed: 5, reason: ShedReason::Deadline { step: 9 } }),
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         };
         let parsed = CheckpointEntry::from_json(&entry.to_json()).unwrap();

@@ -65,8 +65,8 @@ pub mod soc;
 pub mod timing;
 
 pub use campaign::{
-    AttemptOutcome, Campaign, CampaignRun, CampaignStats, RetryPolicy, ShedReason, Trial,
-    TrialOutcome, TrialShed,
+    AttemptOutcome, Campaign, CampaignMode, CampaignRun, CampaignStats, RetryPolicy, ShedReason,
+    Trial, TrialOutcome, TrialShed,
 };
 pub use adaptive::{AdaptiveCheckpoint, AdaptiveConfig, AdaptiveDelta, AdaptiveRun, FaultPriority};
 pub use checkpoint::CampaignCheckpoint;

@@ -21,7 +21,7 @@ use crate::error::FleetError;
 use crate::record::RecordSink;
 use crate::spec::{BoardSpec, FloorSpec};
 use crate::supervisor::{BoardReport, BoardSupervisor, BoardVerdict, SupervisorConfig};
-use sint_core::campaign::CampaignStats;
+use sint_core::campaign::{CampaignMode, CampaignStats};
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, ToJson};
 use sint_runtime::pool::Pool;
@@ -432,11 +432,12 @@ impl FleetEngine {
                                 sink_errors.set(sink_errors.get() + 1);
                             }
                         };
-                        let stats = if self.spec.is_adaptive() {
-                            campaign.run_streaming_adaptive(&trials, budget, emit)
+                        let mode = if self.spec.is_adaptive() {
+                            CampaignMode::Adaptive
                         } else {
-                            campaign.run_streaming(&trials, budget, emit)
+                            CampaignMode::Exhaustive
                         };
+                        let stats = campaign.run_streaming(&trials, mode, budget, emit);
                         let report =
                             BoardReport { sink_errors: sink_errors.get(), ..BoardReport::default() };
                         (stats, report, totals.get())

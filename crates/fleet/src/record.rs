@@ -430,11 +430,12 @@ pub fn replay_summary_recovered(
             None => return Err(FleetError::schema("record is missing its kind")),
         }
     }
-    // Client indices must form a contiguous roster to reconstruct
-    // admission order.
-    let roster =
-        boards.values().map(|b| b.client + 1).max().unwrap_or(0).max(client_names.len());
-    if client_names.keys().next_back().is_some_and(|&max| max + 1 > roster) {
+    // Client indices must form a contiguous roster 0..n to reconstruct
+    // admission order. They come from record bytes, so they are checked
+    // before anything is sized by them.
+    let present: BTreeSet<usize> = boards.values().map(|b| b.client).collect();
+    let roster = present.len();
+    if present.last().is_some_and(|&max| max != roster - 1) {
         return Err(FleetError::schema("client indices are not contiguous"));
     }
     let mut clients: Vec<ClientSummary> = (0..roster)
@@ -604,6 +605,22 @@ mod tests {
         let bad =
             r#"{"v":2,"kind":"trial","board":0,"client":0,"client_name":"x","entry":{"index":0}}"#;
         assert!(matches!(replay_summary(&frame(bad)), Err(FleetError::Entry(_))));
+    }
+
+    #[test]
+    fn replay_rejects_client_indices_that_skip_a_client() {
+        // The roster is sized by the client indices the records carry:
+        // an index no record below it vouches for must be refused before
+        // anything is allocated, not overflow or size a huge roster.
+        for client in [u64::MAX as usize, 20_000_000, 2] {
+            let board = BoardSpec { id: 0, client, seed: 1 };
+            let entry = sample_entry(0, TrialOutcome::CleanPass);
+            let line = frame(&trial_record(&board, "x", &entry).render());
+            assert!(
+                matches!(replay_summary_recovered(&line), Err(FleetError::Schema { .. })),
+                "client {client}"
+            );
+        }
     }
 
     #[test]

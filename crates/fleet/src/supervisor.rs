@@ -3,7 +3,7 @@
 //!
 //! A [`BoardSupervisor`] wraps one board's campaign in the fleet's
 //! resilience policy. Every trial attempt runs through
-//! `Campaign::run_trial_isolated`, so each attempt ends in exactly one
+//! [`Campaign::attempt`], so each attempt ends in exactly one
 //! of four classes — a verdict, a schedule shed, an **infrastructure
 //! failure** (chain self-check refusal, harness panic, wedged solver),
 //! or a plain error. Infrastructure failures drive two deterministic
@@ -47,10 +47,9 @@ use crate::engine::AdaptiveTotals;
 use crate::error::FleetError;
 use crate::record::{trial_record, RecordSink};
 use crate::spec::BoardSpec;
-use sint_core::adaptive::AdaptiveDelta;
+use sint_core::adaptive::{AdaptiveDelta, FaultPriority};
 use sint_core::campaign::{
-    AttemptOutcome, Campaign, CampaignStats, ShedReason, Trial, TrialFailure, TrialOutcome,
-    TrialSabotage, TrialShed,
+    AttemptOutcome, Campaign, CampaignStats, ShedReason, Trial, TrialSabotage,
 };
 use sint_core::checkpoint::CheckpointEntry;
 use sint_core::mafm::CoverageLedger;
@@ -297,16 +296,6 @@ enum SinkDisruption {
     Disk(DiskFault),
 }
 
-/// How one attempt was classified for the resilience machines. A
-/// verdict from an adaptive attempt carries the [`AdaptiveDelta`] the
-/// caller folds into the board's ledger.
-enum Classified {
-    Verdict(TrialOutcome, Option<AdaptiveDelta>),
-    Shed(ShedReason),
-    Infra(String),
-    Plain(String),
-}
-
 /// Mutable per-board state: counters, the record spool, and the stats
 /// the engine folds. Strictly local to one board's job — the
 /// determinism invariant forbids any cross-board mutability.
@@ -352,7 +341,7 @@ impl<'a> BoardSupervisor<'a> {
     }
 
     /// Switches every supervised board to the adaptive campaign engine:
-    /// attempts run [`Campaign::run_adaptive_trial_isolated`] against a
+    /// attempts run [`Campaign::attempt`]'s adaptive session against a
     /// per-board [`CoverageLedger`], verdicts fold their
     /// [`AdaptiveDelta`] into it, and trial records carry the
     /// `dropped` / `escalation` counters. The ledger is strictly
@@ -368,10 +357,10 @@ impl<'a> BoardSupervisor<'a> {
         alpha * sample + (1.0 - alpha) * health
     }
 
-    /// Runs one attempt, chaos-transformed, and classifies the result.
-    /// `ledger` is the board's adaptive context (coverage ledger plus
-    /// the half order the priority clock picked); `None` runs the
-    /// conventional exhaustive trial.
+    /// Runs one attempt, chaos-transformed, through
+    /// [`Campaign::attempt`]. `ledger` is the board's adaptive context
+    /// (coverage ledger plus the half order the priority clock picked);
+    /// `None` runs the conventional exhaustive trial.
     fn attempt(
         &self,
         board: &BoardSpec,
@@ -379,49 +368,41 @@ impl<'a> BoardSupervisor<'a> {
         index: usize,
         attempt: usize,
         ledger: Option<(&CoverageLedger, [DriveLevel; 2])>,
-    ) -> Classified {
+    ) -> (AttemptOutcome, Option<AdaptiveDelta>) {
         let fault = match self.chaos.and_then(|c| c.fault_on_attempt(board.id, index, attempt)) {
             // Sink and disk faults hit the result path, never the
             // trial itself.
             Some(ChaosKind::Sink | ChaosKind::Disk) | None => None,
             fault => fault,
         };
-        let seed = (index as u64)
-            .wrapping_add((attempt as u64).wrapping_mul(self.campaign.retry_policy().seed_stride));
-        let run = |campaign: &Campaign, trial: Trial| match ledger {
-            Some((ledger, order)) => campaign.run_adaptive_trial_isolated(trial, seed, ledger, order),
-            None => (campaign.run_trial_isolated(trial, seed), None),
-        };
-        let (outcome, delta) = match fault {
-            None => run(self.campaign, *trial),
+        let seed = self.campaign.retry_policy().attempt_seed(index as u64, attempt);
+        let (campaign, trial) = match fault {
+            None => (self.campaign, *trial),
             Some(ChaosKind::Scan) => {
                 let chain_fault = self.chaos.map_or(
                     sint_jtag::fault::ScanFault::StuckAtZero { link: 0 },
                     |c| c.scan_fault(board.id),
                 );
-                run(self.campaign, Trial::chain_faulted(trial.defect, chain_fault))
+                (self.campaign, Trial::chain_faulted(trial.defect, chain_fault))
             }
             Some(ChaosKind::Panic) => {
-                run(self.campaign, Trial { defect: trial.defect, sabotage: TrialSabotage::Panic })
+                (self.campaign, Trial { defect: trial.defect, sabotage: TrialSabotage::Panic })
             }
             Some(ChaosKind::Wedge | ChaosKind::Sink | ChaosKind::Disk) => {
-                run(&self.wedged, Trial { defect: trial.defect, sabotage: TrialSabotage::Wedge })
+                (&self.wedged, Trial { defect: trial.defect, sabotage: TrialSabotage::Wedge })
             }
         };
-        match outcome {
-            AttemptOutcome::Verdict(v) => Classified::Verdict(v, delta),
+        match campaign.attempt(trial, seed, ledger) {
             // A chaos wedge ends as a deadline shed mechanically, but it
             // *is* an apparatus fault — reclassify so the breaker sees it.
-            AttemptOutcome::Shed(ShedReason::Deadline { step })
+            (AttemptOutcome::Shed(ShedReason::Deadline { step }), _)
                 if matches!(fault, Some(ChaosKind::Wedge)) =>
             {
-                Classified::Infra(format!(
-                    "solver wedged: deadline exceeded (cancelled at solver step {step})"
-                ))
+                let error =
+                    format!("solver wedged: deadline exceeded (cancelled at solver step {step})");
+                (AttemptOutcome::Infrastructure { error }, None)
             }
-            AttemptOutcome::Shed(reason) => Classified::Shed(reason),
-            AttemptOutcome::Infrastructure { error } => Classified::Infra(error),
-            AttemptOutcome::Error { error } => Classified::Plain(error),
+            ended => ended,
         }
     }
 
@@ -452,12 +433,11 @@ impl<'a> BoardSupervisor<'a> {
         // clock that reorders pattern halves. Both fold serially in
         // trial order, so they never disturb determinism.
         let mut ledger = CoverageLedger::new(self.wires);
-        let mut priority = sint_core::FaultPriority::default();
+        let mut priority = FaultPriority::default();
         let mut adaptive_totals = AdaptiveTotals::default();
-        let reorder = self.campaign.adaptive_config().reorder;
+        let adaptive_config = self.campaign.adaptive_config();
 
         for (index, trial) in trials.iter().enumerate() {
-            let seed = index as u64;
             let sink_fault = self.chaos.and_then(|c| match c.fault_at(board.id, index) {
                 Some(ChaosKind::Sink) => Some(SinkDisruption::Flat),
                 Some(ChaosKind::Disk) => {
@@ -466,13 +446,13 @@ impl<'a> BoardSupervisor<'a> {
                 _ => None,
             });
             if breaker == BreakerState::Open {
-                let entry = shed_entry(index, seed, ShedReason::Quarantined);
+                let entry = CheckpointEntry::shed(index, ShedReason::Quarantined);
                 self.emit(&mut st, board, client, sink, entry, sink_fault);
                 continue;
             }
             if let Some(token) = budget {
                 if token.poll_deadline() || token.is_cancelled() {
-                    let entry = shed_entry(index, seed, ShedReason::Budget);
+                    let entry = CheckpointEntry::shed(index, ShedReason::Budget);
                     self.emit(&mut st, board, client, sink, entry, sink_fault);
                     continue;
                 }
@@ -483,54 +463,32 @@ impl<'a> BoardSupervisor<'a> {
             let mut attempts_made = 0usize;
             let mut last_error = String::new();
             while attempt < max_attempts {
-                let order = if reorder {
-                    priority.half_order()
-                } else {
-                    [DriveLevel::Low, DriveLevel::High]
-                };
-                let adaptive_ctx = self.adaptive.then_some((&ledger, order));
-                let classified = self.attempt(board, trial, index, attempt, adaptive_ctx);
+                let adaptive_ctx =
+                    self.adaptive.then(|| (&ledger, adaptive_config.half_order(&priority)));
+                let (outcome, delta) = self.attempt(board, trial, index, attempt, adaptive_ctx);
                 clock.tick();
                 attempts_made = attempt + 1;
-                match classified {
-                    Classified::Verdict(outcome, delta) => {
+                match outcome {
+                    AttemptOutcome::Verdict(outcome) => {
                         health = self.ewma(health, 1.0);
                         consecutive = 0;
-                        let (dropped, escalation) = match delta {
-                            Some(delta) => {
-                                for (victim, fault) in delta.detected {
-                                    if ledger.record(victim, fault) {
-                                        priority.record(fault);
-                                    }
-                                }
-                                adaptive_totals.dropped += delta.dropped;
-                                adaptive_totals.escalation += delta.escalations;
-                                (delta.dropped, delta.escalations)
-                            }
-                            None => (0, 0),
-                        };
-                        entry = Some(CheckpointEntry {
-                            index,
-                            seed,
-                            outcome,
-                            failure: None,
-                            shed: None,
-                            dropped,
-                            escalation,
-                        });
+                        let delta = delta.unwrap_or_default();
+                        delta.fold_into(&mut ledger, &mut priority);
+                        adaptive_totals.absorb_entry(delta.dropped, delta.escalations);
+                        entry = Some(CheckpointEntry::verdict(index, outcome, &delta));
                         break;
                     }
                     // A genuine schedule shed (budget mid-board, or a
                     // real per-trial deadline) is never retried and
                     // says nothing about the fixture.
-                    Classified::Shed(reason) => {
-                        entry = Some(shed_entry(index, seed, reason));
+                    AttemptOutcome::Shed(reason) => {
+                        entry = Some(CheckpointEntry::shed(index, reason));
                         break;
                     }
                     // A plain error (bad config, solver divergence…)
                     // retries but never dents fixture health.
-                    Classified::Plain(error) => last_error = error,
-                    Classified::Infra(error) => {
+                    AttemptOutcome::Error { error } => last_error = error,
+                    AttemptOutcome::Infrastructure { error } => {
                         st.report.infra_failures += 1;
                         health = self.ewma(health, 0.0);
                         consecutive += 1;
@@ -560,7 +518,7 @@ impl<'a> BoardSupervisor<'a> {
                             if breaker != BreakerState::Closed {
                                 breaker = BreakerState::Open;
                                 st.report.quarantined_at = Some(index);
-                                entry = Some(shed_entry(index, seed, ShedReason::Quarantined));
+                                entry = Some(CheckpointEntry::shed(index, ShedReason::Quarantined));
                                 break;
                             }
                         }
@@ -572,20 +530,8 @@ impl<'a> BoardSupervisor<'a> {
                 }
             }
             st.report.retries += attempts_made.saturating_sub(1) as u64;
-            let entry = entry.unwrap_or_else(|| CheckpointEntry {
-                index,
-                seed,
-                outcome: TrialOutcome::Failed,
-                failure: Some(TrialFailure {
-                    index,
-                    seed,
-                    attempts: attempts_made,
-                    error: last_error.clone(),
-                }),
-                shed: None,
-                            dropped: 0,
-                escalation: 0,
-            });
+            let entry = entry
+                .unwrap_or_else(|| CheckpointEntry::failed(index, attempts_made, last_error));
             self.emit(&mut st, board, client, sink, entry, sink_fault);
         }
 
@@ -670,18 +616,6 @@ impl<'a> BoardSupervisor<'a> {
             st.report.sink_errors += 1;
             spool(st, entry, self.config.spool_limit);
         }
-    }
-}
-
-fn shed_entry(index: usize, seed: u64, reason: ShedReason) -> CheckpointEntry {
-    CheckpointEntry {
-        index,
-        seed,
-        outcome: TrialOutcome::Shed,
-        failure: None,
-        shed: Some(TrialShed { index, seed, reason }),
-            dropped: 0,
-        escalation: 0,
     }
 }
 

@@ -31,31 +31,44 @@ cargo clippy -p sint-jtag -p sint-runtime -p sint-fleet \
     -p sint-core -p sint-interconnect -p sint-logic \
     --lib -- -D warnings -D clippy::unwrap_used
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+# expect_exit CODE CMD...: run CMD and fail unless it exits with CODE
+# (a halted or killed run exits 3).
+expect_exit() {
+    want=$1
+    shift
+    status=0
+    "$@" || status=$?
+    if [ "$status" -ne "$want" ]; then
+        echo "verify: FAIL — $* exited $status, expected $want" >&2
+        exit 1
+    fi
+}
+
+# same A B WHAT: fail unless files A and B are byte-identical.
+same() {
+    if ! cmp "$1" "$2"; then
+        echo "verify: FAIL — $3" >&2
+        exit 1
+    fi
+}
+
 # Campaign kill/resume determinism: run the checkpointed campaign to
 # completion, run it again but kill it halfway, resume from the
 # snapshot, and require the two summaries to be byte-identical — across
 # different thread counts, with 10% of trials deliberately broken.
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
-
 SINT_THREADS=1 target/release/campaign_resume \
     "$tmp/ref_ckpt.json" "$tmp/ref_summary.json"
 
-status=0
-SINT_THREADS=4 target/release/campaign_resume \
-    "$tmp/ckpt.json" "$tmp/summary.json" --halt-after 10 || status=$?
-if [ "$status" -ne 3 ]; then
-    echo "verify: FAIL — halted run exited $status, expected 3" >&2
-    exit 1
-fi
+expect_exit 3 env SINT_THREADS=4 target/release/campaign_resume \
+    "$tmp/ckpt.json" "$tmp/summary.json" --halt-after 10
 
 SINT_THREADS=4 target/release/campaign_resume \
     "$tmp/ckpt.json" "$tmp/summary.json"
 
-if ! cmp "$tmp/ref_summary.json" "$tmp/summary.json"; then
-    echo "verify: FAIL — resumed summary differs from uninterrupted run" >&2
-    exit 1
-fi
+same "$tmp/ref_summary.json" "$tmp/summary.json" "resumed summary differs from uninterrupted run"
 echo "campaign resume: summaries byte-identical"
 
 # Degraded-mode matrix: every ScanFault variant under both ChainPolicy
@@ -66,10 +79,8 @@ echo "campaign resume: summaries byte-identical"
 # across thread counts.
 SINT_THREADS=1 target/release/degraded_matrix "$tmp/matrix_t1.json"
 SINT_THREADS=8 target/release/degraded_matrix "$tmp/matrix_t8.json"
-if ! cmp "$tmp/matrix_t1.json" "$tmp/matrix_t8.json"; then
-    echo "verify: FAIL — degraded-session JSON differs across thread counts" >&2
-    exit 1
-fi
+same "$tmp/matrix_t1.json" "$tmp/matrix_t8.json" \
+    "degraded-session JSON differs across thread counts"
 echo "degraded matrix: contract holds, byte-identical at 1 and 8 threads"
 
 # Kill-under-deadline resume determinism: with a zero per-trial
@@ -81,22 +92,15 @@ echo "degraded matrix: contract holds, byte-identical at 1 and 8 threads"
 SINT_THREADS=1 target/release/campaign_resume \
     "$tmp/shed_ref_ckpt.json" "$tmp/shed_ref_summary.json" --deadline-ms 0
 
-status=0
-SINT_THREADS=4 target/release/campaign_resume \
+expect_exit 3 env SINT_THREADS=4 target/release/campaign_resume \
     "$tmp/shed_ckpt.json" "$tmp/shed_summary.json" \
-    --deadline-ms 0 --halt-after 10 || status=$?
-if [ "$status" -ne 3 ]; then
-    echo "verify: FAIL — halted deadline run exited $status, expected 3" >&2
-    exit 1
-fi
+    --deadline-ms 0 --halt-after 10
 
 SINT_THREADS=4 target/release/campaign_resume \
     "$tmp/shed_ckpt.json" "$tmp/shed_summary.json" --deadline-ms 0
 
-if ! cmp "$tmp/shed_ref_summary.json" "$tmp/shed_summary.json"; then
-    echo "verify: FAIL — resumed deadline summary differs from uninterrupted run" >&2
-    exit 1
-fi
+same "$tmp/shed_ref_summary.json" "$tmp/shed_summary.json" \
+    "resumed deadline summary differs from uninterrupted run"
 echo "deadline shed resume: summaries byte-identical"
 
 # Fleet determinism: a 1000-board sharded floor (three clients, one
@@ -107,31 +111,22 @@ SINT_THREADS=1 target/release/fleet_resume \
     "$tmp/fleet_ref_ckpt.json" "$tmp/fleet_ref_summary.json"
 SINT_THREADS=8 target/release/fleet_resume \
     "$tmp/fleet_t8_ckpt.json" "$tmp/fleet_t8_summary.json"
-if ! cmp "$tmp/fleet_ref_summary.json" "$tmp/fleet_t8_summary.json"; then
-    echo "verify: FAIL — fleet summary differs between 1 and 8 threads" >&2
-    exit 1
-fi
+same "$tmp/fleet_ref_summary.json" "$tmp/fleet_t8_summary.json" \
+    "fleet summary differs between 1 and 8 threads"
 echo "fleet determinism: merged summary byte-identical at 1 and 8 threads"
 
 # Fleet kill/resume: kill the floor after 300 boards are checkpointed,
 # resume from the snapshot on a different thread count, and require the
 # merged summary to match the uninterrupted serial reference byte for
 # byte — board-granular resume must re-run only unfinished boards.
-status=0
-SINT_THREADS=4 target/release/fleet_resume \
-    "$tmp/fleet_ckpt.json" "$tmp/fleet_summary.json" --halt-after 300 || status=$?
-if [ "$status" -ne 3 ]; then
-    echo "verify: FAIL — halted fleet run exited $status, expected 3" >&2
-    exit 1
-fi
+expect_exit 3 env SINT_THREADS=4 target/release/fleet_resume \
+    "$tmp/fleet_ckpt.json" "$tmp/fleet_summary.json" --halt-after 300
 
 SINT_THREADS=8 target/release/fleet_resume \
     "$tmp/fleet_ckpt.json" "$tmp/fleet_summary.json"
 
-if ! cmp "$tmp/fleet_ref_summary.json" "$tmp/fleet_summary.json"; then
-    echo "verify: FAIL — resumed fleet summary differs from uninterrupted run" >&2
-    exit 1
-fi
+same "$tmp/fleet_ref_summary.json" "$tmp/fleet_summary.json" \
+    "resumed fleet summary differs from uninterrupted run"
 echo "fleet resume: summaries byte-identical"
 
 # Chaos matrix: the fleet resilience layer under an ACTIVE deterministic
@@ -147,26 +142,17 @@ SINT_THREADS=1 target/release/chaos_check \
     "$tmp/chaos_ref_ckpt.json" "$tmp/chaos_ref_summary.json"
 SINT_THREADS=8 target/release/chaos_check \
     "$tmp/chaos_t8_ckpt.json" "$tmp/chaos_t8_summary.json"
-if ! cmp "$tmp/chaos_ref_summary.json" "$tmp/chaos_t8_summary.json"; then
-    echo "verify: FAIL — chaotic fleet summary differs between 1 and 8 threads" >&2
-    exit 1
-fi
+same "$tmp/chaos_ref_summary.json" "$tmp/chaos_t8_summary.json" \
+    "chaotic fleet summary differs between 1 and 8 threads"
 
-status=0
-SINT_THREADS=4 target/release/chaos_check \
-    "$tmp/chaos_ckpt.json" "$tmp/chaos_summary.json" --halt-after 300 || status=$?
-if [ "$status" -ne 3 ]; then
-    echo "verify: FAIL — halted chaos run exited $status, expected 3" >&2
-    exit 1
-fi
+expect_exit 3 env SINT_THREADS=4 target/release/chaos_check \
+    "$tmp/chaos_ckpt.json" "$tmp/chaos_summary.json" --halt-after 300
 
 SINT_THREADS=8 target/release/chaos_check \
     "$tmp/chaos_ckpt.json" "$tmp/chaos_summary.json"
 
-if ! cmp "$tmp/chaos_ref_summary.json" "$tmp/chaos_summary.json"; then
-    echo "verify: FAIL — resumed chaos summary differs from uninterrupted run" >&2
-    exit 1
-fi
+same "$tmp/chaos_ref_summary.json" "$tmp/chaos_summary.json" \
+    "resumed chaos summary differs from uninterrupted run"
 echo "chaos matrix: summaries byte-identical under active fault injection"
 
 # Batched-solve determinism: the multi-RHS panel path is contractually
@@ -176,15 +162,9 @@ echo "chaos matrix: summaries byte-identical under active fault injection"
 # (width 1) and across thread counts.
 SINT_THREADS=1 target/release/batch_check 8 "$tmp/batch_w8.json"
 SINT_THREADS=1 target/release/batch_check 1 "$tmp/batch_w1.json"
-if ! cmp "$tmp/batch_w8.json" "$tmp/batch_w1.json"; then
-    echo "verify: FAIL — batched summary differs from unbatched" >&2
-    exit 1
-fi
+same "$tmp/batch_w8.json" "$tmp/batch_w1.json" "batched summary differs from unbatched"
 SINT_THREADS=8 target/release/batch_check 8 "$tmp/batch_w8_t8.json"
-if ! cmp "$tmp/batch_w8.json" "$tmp/batch_w8_t8.json"; then
-    echo "verify: FAIL — batched summary differs across thread counts" >&2
-    exit 1
-fi
+same "$tmp/batch_w8.json" "$tmp/batch_w8_t8.json" "batched summary differs across thread counts"
 echo "batched solves: byte-identical vs unbatched and across thread counts"
 
 # Torn-write storm: kill the streaming fleet run mid-write at several
@@ -195,21 +175,14 @@ echo "batched solves: byte-identical vs unbatched and across thread counts"
 for kill in rand:11 rand:22 4097; do
     rm -f "$tmp/tw_ckpt.json.a" "$tmp/tw_ckpt.json.b" \
         "$tmp/tw_records.jsonl" "$tmp/tw_summary.json"
-    status=0
-    SINT_THREADS=4 target/release/fleet_resume \
+    expect_exit 3 env SINT_THREADS=4 target/release/fleet_resume \
         "$tmp/tw_ckpt.json" "$tmp/tw_summary.json" \
-        --records "$tmp/tw_records.jsonl" --kill-at-byte "$kill" || status=$?
-    if [ "$status" -ne 3 ]; then
-        echo "verify: FAIL — kill-at-byte $kill run exited $status, expected 3" >&2
-        exit 1
-    fi
+        --records "$tmp/tw_records.jsonl" --kill-at-byte "$kill"
     SINT_THREADS=8 target/release/fleet_resume \
         "$tmp/tw_ckpt.json" "$tmp/tw_summary.json" \
         --records "$tmp/tw_records.jsonl"
-    if ! cmp "$tmp/fleet_ref_summary.json" "$tmp/tw_summary.json"; then
-        echo "verify: FAIL — summary after kill at $kill differs from reference" >&2
-        exit 1
-    fi
+    same "$tmp/fleet_ref_summary.json" "$tmp/tw_summary.json" \
+        "summary after kill at $kill differs from reference"
 done
 echo "torn-write storm: recovered summaries byte-identical at 3 kill offsets"
 
@@ -217,19 +190,12 @@ echo "torn-write storm: recovered summaries byte-identical at 3 kill offsets"
 # the loader must fall back to the surviving generation and the resumed
 # summary must still match the reference.
 rm -f "$tmp/tc_ckpt.json.a" "$tmp/tc_ckpt.json.b" "$tmp/tc_summary.json"
-status=0
-SINT_THREADS=4 target/release/fleet_resume \
-    "$tmp/tc_ckpt.json" "$tmp/tc_summary.json" --torn-ckpt 120 || status=$?
-if [ "$status" -ne 3 ]; then
-    echo "verify: FAIL — torn-checkpoint run exited $status, expected 3" >&2
-    exit 1
-fi
+expect_exit 3 env SINT_THREADS=4 target/release/fleet_resume \
+    "$tmp/tc_ckpt.json" "$tmp/tc_summary.json" --torn-ckpt 120
 SINT_THREADS=8 target/release/fleet_resume \
     "$tmp/tc_ckpt.json" "$tmp/tc_summary.json"
-if ! cmp "$tmp/fleet_ref_summary.json" "$tmp/tc_summary.json"; then
-    echo "verify: FAIL — summary after torn checkpoint differs from reference" >&2
-    exit 1
-fi
+same "$tmp/fleet_ref_summary.json" "$tmp/tc_summary.json" \
+    "summary after torn checkpoint differs from reference"
 echo "torn checkpoint: resume fell back a generation, summary byte-identical"
 
 # The same crash storm under active chaos: injected disk faults in the
@@ -238,21 +204,14 @@ echo "torn checkpoint: resume fell back a generation, summary byte-identical"
 # does not fold back to the summary it wrote).
 rm -f "$tmp/ctw_ckpt.json.a" "$tmp/ctw_ckpt.json.b" \
     "$tmp/ctw_records.jsonl" "$tmp/ctw_summary.json"
-status=0
-SINT_THREADS=4 target/release/chaos_check \
+expect_exit 3 env SINT_THREADS=4 target/release/chaos_check \
     "$tmp/ctw_ckpt.json" "$tmp/ctw_summary.json" \
-    --records "$tmp/ctw_records.jsonl" --kill-at-byte rand:33 || status=$?
-if [ "$status" -ne 3 ]; then
-    echo "verify: FAIL — chaotic kill-at-byte run exited $status, expected 3" >&2
-    exit 1
-fi
+    --records "$tmp/ctw_records.jsonl" --kill-at-byte rand:33
 SINT_THREADS=8 target/release/chaos_check \
     "$tmp/ctw_ckpt.json" "$tmp/ctw_summary.json" \
     --records "$tmp/ctw_records.jsonl"
-if ! cmp "$tmp/chaos_ref_summary.json" "$tmp/ctw_summary.json"; then
-    echo "verify: FAIL — chaotic summary after mid-stream kill differs" >&2
-    exit 1
-fi
+same "$tmp/chaos_ref_summary.json" "$tmp/ctw_summary.json" \
+    "chaotic summary after mid-stream kill differs"
 echo "chaos crash storm: recovery + replay self-check byte-identical"
 
 # Adaptive equivalence: the adaptive campaign engine (ledger-driven
@@ -266,26 +225,17 @@ SINT_THREADS=1 target/release/adaptive_check \
     "$tmp/ad_ref_ckpt.json" "$tmp/ad_ref_summary.json"
 SINT_THREADS=8 target/release/adaptive_check \
     "$tmp/ad_t8_ckpt.json" "$tmp/ad_t8_summary.json"
-if ! cmp "$tmp/ad_ref_summary.json" "$tmp/ad_t8_summary.json"; then
-    echo "verify: FAIL — adaptive summary differs between 1 and 8 threads" >&2
-    exit 1
-fi
+same "$tmp/ad_ref_summary.json" "$tmp/ad_t8_summary.json" \
+    "adaptive summary differs between 1 and 8 threads"
 
-status=0
-SINT_THREADS=4 target/release/adaptive_check \
-    "$tmp/ad_ckpt.json" "$tmp/ad_summary.json" --halt-after 12 || status=$?
-if [ "$status" -ne 3 ]; then
-    echo "verify: FAIL — halted adaptive run exited $status, expected 3" >&2
-    exit 1
-fi
+expect_exit 3 env SINT_THREADS=4 target/release/adaptive_check \
+    "$tmp/ad_ckpt.json" "$tmp/ad_summary.json" --halt-after 12
 
 SINT_THREADS=8 target/release/adaptive_check \
     "$tmp/ad_ckpt.json" "$tmp/ad_summary.json"
 
-if ! cmp "$tmp/ad_ref_summary.json" "$tmp/ad_summary.json"; then
-    echo "verify: FAIL — resumed adaptive summary differs from uninterrupted run" >&2
-    exit 1
-fi
+same "$tmp/ad_ref_summary.json" "$tmp/ad_summary.json" \
+    "resumed adaptive summary differs from uninterrupted run"
 echo "adaptive equivalence: oracle match, summaries byte-identical"
 
 echo "verify: OK"

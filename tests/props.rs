@@ -553,6 +553,58 @@ fn checkpoint_loaders_never_panic_on_mutated_documents() {
     );
 }
 
+#[test]
+fn record_replay_never_panics_on_mutated_payloads() {
+    // Framed JSONL *content*: mutate the payloads of real record
+    // streams (exhaustive and adaptive floors shaped like
+    // `fleet_resume`'s, a zero-budget client shedding every trial) and
+    // re-frame them, so the CRC passes and the schema paths run.
+    // Replay must return a value or a typed error — never panic.
+    let clients = || {
+        vec![
+            ClientSpec::new("assembly"),
+            ClientSpec::new("qualification"),
+            ClientSpec::with_budget("burst", std::time::Duration::ZERO),
+        ]
+    };
+    let mut payloads: Vec<Vec<u8>> = Vec::new();
+    for adaptive in [false, true] {
+        let floor = FloorSpec::new(6)
+            .trials_per_board(4)
+            .seed(3)
+            .adaptive(adaptive)
+            .with_clients(clients());
+        let sink = JsonlSink::raw(Vec::new());
+        let _ = FleetEngine::new(floor).expect("fleet engine").run(1, &sink);
+        let (bytes, _) = sink.finish().expect("in-memory sink");
+        payloads.extend(bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty()).map(<[u8]>::to_vec));
+    }
+    assert!(
+        payloads.iter().any(|p| String::from_utf8_lossy(p).contains("\"escalation\"")),
+        "the adaptive floor must stream its counters"
+    );
+    let snippets: Vec<Vec<u8>> = JSON_SNIPPETS
+        .iter()
+        .chain(&[r#""client":18446744073709551615,"#, r#""client":2,"#, r#""dropped":-1,"#])
+        .map(|s| s.as_bytes().to_vec())
+        .collect();
+    Runner::new("record_payload_fuzz").cases(800).run(
+        |rng| {
+            let mut lines: Vec<String> =
+                payloads.iter().map(|p| String::from_utf8_lossy(p).into_owned()).collect();
+            for _ in 0..gen::usize_in(rng, 1..3) {
+                let at = gen::usize_in(rng, 0..lines.len());
+                lines[at] = mutate(rng, payloads[at].as_slice(), &payloads, &snippets);
+            }
+            lines.iter().map(|line| frame(line)).collect::<Vec<_>>().join("\n")
+        },
+        |stream| {
+            let _ = replay_summary_recovered(stream);
+            Ok(())
+        },
+    );
+}
+
 // ---------------- MA fault model ----------------
 
 #[test]

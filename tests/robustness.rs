@@ -110,7 +110,7 @@ fn faulty_trials_fail_in_place_without_hurting_the_batch() {
     // Reference: the healthy subset run on its own. Outcomes depend
     // only on the trial (no variation is configured), so they can be
     // compared across differently indexed batches.
-    let reference = campaign.run(&fault_free);
+    let reference = campaign.run_parallel(&fault_free, 1);
     assert!(reference.failures.is_empty());
     let reference_json: Vec<String> =
         reference.outcomes.iter().map(|o| o.to_json().render()).collect();
