@@ -2,7 +2,8 @@
 //!
 //! The experiment harness of the `sint` workspace: one binary per table
 //! and figure of *"Extending JTAG for Testing Signal Integrity in
-//! SoCs"* (DATE 2003), plus criterion micro-benchmarks.
+//! SoCs"* (DATE 2003), plus timing benchmarks and the `gate` bin behind
+//! `scripts/verify.sh`'s byte-identity checks.
 //!
 //! | target | regenerates |
 //! |--------|-------------|
@@ -14,10 +15,11 @@
 //! | `fig_detectors` | Figs 1 & 2 — ND/SD behaviour on simulated waveforms |
 //! | `scaling` | §5 prose — O(n) vs O(n²) sweep with the T% improvement row |
 //! | `detection_sweep` | X2 — end-to-end detection rate vs defect severity |
+//! | `gate` | `verify.sh`'s kill/resume, determinism and crash-recovery scenarios: `campaign`, `adaptive`, `fleet`, `chaos`, `batch`, `degraded` |
 //!
 //! Run any of them with `cargo run -p sint-bench --release --bin <name>`.
 //!
-//! The five `bench_*` binaries are micro/macro benchmarks on the
+//! The eight `bench_*` binaries are micro/macro benchmarks on the
 //! `sint_runtime::bench` harness (median + p95, JSON artifacts) — plain
 //! `cargo run` bins, so they execute in offline CI. Campaign-style bins
 //! honour `SINT_THREADS` for the worker-pool width.

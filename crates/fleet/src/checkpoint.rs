@@ -196,7 +196,8 @@ impl FleetCheckpoint {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Io`] when the slot cannot be written.
+    /// [`FleetError::Io`] when the slot cannot be written, or when the
+    /// newest slot already carries generation `u64::MAX`.
     pub fn store_pair(&self, pair: &GenPair) -> Result<u64, FleetError> {
         let payload = self.to_json().render() + "\n";
         pair.store(&payload).map_err(|e| FleetError::io(e.to_string()))

@@ -425,6 +425,8 @@ impl GenPair {
     /// # Errors
     ///
     /// Any I/O failure; the surviving slot is never touched.
+    /// [`io::ErrorKind::InvalidData`] when the newest slot already
+    /// carries generation `u64::MAX`, which no store can supersede.
     pub fn store(&self, payload: &str) -> io::Result<u64> {
         let (target, generation) = self.next_slot()?;
         AtomicFile::write(&target, render_slot(generation, payload).as_bytes())?;
@@ -440,7 +442,8 @@ impl GenPair {
     ///
     /// # Errors
     ///
-    /// Any I/O failure writing the torn image.
+    /// Any I/O failure writing the torn image, or
+    /// [`io::ErrorKind::InvalidData`] as for [`GenPair::store`].
     pub fn tear(&self, payload: &str, keep: usize) -> io::Result<u64> {
         let (target, generation) = self.next_slot()?;
         let image = render_slot(generation, payload);
@@ -450,20 +453,30 @@ impl GenPair {
 
     /// The slot the next store targets and the generation it will
     /// carry: always the slot *not* holding the newest valid snapshot.
+    /// A slot's generation comes from its file, so it may be
+    /// `u64::MAX`; wrapping to 0 would write a generation every later
+    /// load ranks below the stale slot.
     fn next_slot(&self) -> io::Result<(PathBuf, u64)> {
         let (a_path, b_path) = self.slots();
-        Ok(match (read_slot(&a_path)?, read_slot(&b_path)?) {
-            (None, None) => (a_path, 1),
-            (Some((ga, _)), None) => (b_path, ga + 1),
-            (None, Some((gb, _))) => (a_path, gb + 1),
+        let (target, newest) = match (read_slot(&a_path)?, read_slot(&b_path)?) {
+            (None, None) => (a_path, 0),
+            (Some((ga, _)), None) => (b_path, ga),
+            (None, Some((gb, _))) => (a_path, gb),
             (Some((ga, _)), Some((gb, _))) => {
                 if ga >= gb {
-                    (b_path, ga + 1)
+                    (b_path, ga)
                 } else {
-                    (a_path, gb + 1)
+                    (a_path, gb)
                 }
             }
-        })
+        };
+        let generation = newest.checked_add(1).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("checkpoint generation {newest} cannot advance"),
+            )
+        })?;
+        Ok((target, generation))
     }
 }
 
@@ -918,6 +931,19 @@ mod tests {
         // A completed store after the crash still advances.
         assert_eq!(pair.store("recovered").unwrap(), 2);
         assert_eq!(pair.load().unwrap(), Some((2, "recovered".to_string())));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_slot_at_the_last_generation_refuses_the_next_store() {
+        let dir = scratch("genmax");
+        let pair = GenPair::new(dir.join("ckpt.json"));
+        let (a, _) = pair.slots();
+        fs::write(&a, render_slot(u64::MAX, "stale")).unwrap();
+        for err in [pair.store("fresh").unwrap_err(), pair.tear("fresh", 4).unwrap_err()] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        assert_eq!(pair.load().unwrap(), Some((u64::MAX, "stale".to_string())));
         let _ = fs::remove_dir_all(&dir);
     }
 

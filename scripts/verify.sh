@@ -31,6 +31,10 @@ cargo clippy -p sint-jtag -p sint-runtime -p sint-fleet \
     -p sint-core -p sint-interconnect -p sint-logic \
     --lib -- -D warnings -D clippy::unwrap_used
 
+# The gate bin that drives the checks below must report a broken
+# apparatus as exit 2, never as a panic: keep it unwrap-free too.
+cargo clippy -p sint-bench --bin gate -- -D warnings -D clippy::unwrap_used
+
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -59,13 +63,13 @@ same() {
 # completion, run it again but kill it halfway, resume from the
 # snapshot, and require the two summaries to be byte-identical — across
 # different thread counts, with 10% of trials deliberately broken.
-SINT_THREADS=1 target/release/campaign_resume \
+SINT_THREADS=1 target/release/gate campaign \
     "$tmp/ref_ckpt.json" "$tmp/ref_summary.json"
 
-expect_exit 3 env SINT_THREADS=4 target/release/campaign_resume \
+expect_exit 3 env SINT_THREADS=4 target/release/gate campaign \
     "$tmp/ckpt.json" "$tmp/summary.json" --halt-after 10
 
-SINT_THREADS=4 target/release/campaign_resume \
+SINT_THREADS=4 target/release/gate campaign \
     "$tmp/ckpt.json" "$tmp/summary.json"
 
 same "$tmp/ref_summary.json" "$tmp/summary.json" "resumed summary differs from uninterrupted run"
@@ -77,8 +81,8 @@ echo "campaign resume: summaries byte-identical"
 # concession trail) and refuse the rest with typed errors. The matrix
 # runs on the worker pool, so the summary JSON must be byte-identical
 # across thread counts.
-SINT_THREADS=1 target/release/degraded_matrix "$tmp/matrix_t1.json"
-SINT_THREADS=8 target/release/degraded_matrix "$tmp/matrix_t8.json"
+SINT_THREADS=1 target/release/gate degraded "$tmp/matrix_t1.json"
+SINT_THREADS=8 target/release/gate degraded "$tmp/matrix_t8.json"
 same "$tmp/matrix_t1.json" "$tmp/matrix_t8.json" \
     "degraded-session JSON differs across thread counts"
 echo "degraded matrix: contract holds, byte-identical at 1 and 8 threads"
@@ -89,14 +93,14 @@ echo "degraded matrix: contract holds, byte-identical at 1 and 8 threads"
 # kill the run halfway, resume from the snapshot, and require the
 # summary (shed steps and all) to match the uninterrupted run byte for
 # byte across thread counts.
-SINT_THREADS=1 target/release/campaign_resume \
+SINT_THREADS=1 target/release/gate campaign \
     "$tmp/shed_ref_ckpt.json" "$tmp/shed_ref_summary.json" --deadline-ms 0
 
-expect_exit 3 env SINT_THREADS=4 target/release/campaign_resume \
+expect_exit 3 env SINT_THREADS=4 target/release/gate campaign \
     "$tmp/shed_ckpt.json" "$tmp/shed_summary.json" \
     --deadline-ms 0 --halt-after 10
 
-SINT_THREADS=4 target/release/campaign_resume \
+SINT_THREADS=4 target/release/gate campaign \
     "$tmp/shed_ckpt.json" "$tmp/shed_summary.json" --deadline-ms 0
 
 same "$tmp/shed_ref_summary.json" "$tmp/shed_summary.json" \
@@ -107,9 +111,9 @@ echo "deadline shed resume: summaries byte-identical"
 # with a blown admission budget shedding every trial) must fold to a
 # merged summary byte-identical between a serial run and a
 # work-stealing 8-thread run.
-SINT_THREADS=1 target/release/fleet_resume \
+SINT_THREADS=1 target/release/gate fleet \
     "$tmp/fleet_ref_ckpt.json" "$tmp/fleet_ref_summary.json"
-SINT_THREADS=8 target/release/fleet_resume \
+SINT_THREADS=8 target/release/gate fleet \
     "$tmp/fleet_t8_ckpt.json" "$tmp/fleet_t8_summary.json"
 same "$tmp/fleet_ref_summary.json" "$tmp/fleet_t8_summary.json" \
     "fleet summary differs between 1 and 8 threads"
@@ -119,10 +123,10 @@ echo "fleet determinism: merged summary byte-identical at 1 and 8 threads"
 # resume from the snapshot on a different thread count, and require the
 # merged summary to match the uninterrupted serial reference byte for
 # byte — board-granular resume must re-run only unfinished boards.
-expect_exit 3 env SINT_THREADS=4 target/release/fleet_resume \
+expect_exit 3 env SINT_THREADS=4 target/release/gate fleet \
     "$tmp/fleet_ckpt.json" "$tmp/fleet_summary.json" --halt-after 300
 
-SINT_THREADS=8 target/release/fleet_resume \
+SINT_THREADS=8 target/release/gate fleet \
     "$tmp/fleet_ckpt.json" "$tmp/fleet_summary.json"
 
 same "$tmp/fleet_ref_summary.json" "$tmp/fleet_summary.json" \
@@ -138,17 +142,17 @@ echo "fleet resume: summaries byte-identical"
 # must be byte-identical serial vs 8 threads, and across a kill at 300
 # boards plus resume. The binary itself exits 4 if any injected
 # infrastructure fault is attributed to the interconnect.
-SINT_THREADS=1 target/release/chaos_check \
+SINT_THREADS=1 target/release/gate chaos \
     "$tmp/chaos_ref_ckpt.json" "$tmp/chaos_ref_summary.json"
-SINT_THREADS=8 target/release/chaos_check \
+SINT_THREADS=8 target/release/gate chaos \
     "$tmp/chaos_t8_ckpt.json" "$tmp/chaos_t8_summary.json"
 same "$tmp/chaos_ref_summary.json" "$tmp/chaos_t8_summary.json" \
     "chaotic fleet summary differs between 1 and 8 threads"
 
-expect_exit 3 env SINT_THREADS=4 target/release/chaos_check \
+expect_exit 3 env SINT_THREADS=4 target/release/gate chaos \
     "$tmp/chaos_ckpt.json" "$tmp/chaos_summary.json" --halt-after 300
 
-SINT_THREADS=8 target/release/chaos_check \
+SINT_THREADS=8 target/release/gate chaos \
     "$tmp/chaos_ckpt.json" "$tmp/chaos_summary.json"
 
 same "$tmp/chaos_ref_summary.json" "$tmp/chaos_summary.json" \
@@ -160,10 +164,10 @@ echo "chaos matrix: summaries byte-identical under active fault injection"
 # (including a solver blow-up that forces the divergence fallback) must
 # produce byte-identical summaries batched (panel width 8) vs unbatched
 # (width 1) and across thread counts.
-SINT_THREADS=1 target/release/batch_check 8 "$tmp/batch_w8.json"
-SINT_THREADS=1 target/release/batch_check 1 "$tmp/batch_w1.json"
+SINT_THREADS=1 target/release/gate batch 8 "$tmp/batch_w8.json"
+SINT_THREADS=1 target/release/gate batch 1 "$tmp/batch_w1.json"
 same "$tmp/batch_w8.json" "$tmp/batch_w1.json" "batched summary differs from unbatched"
-SINT_THREADS=8 target/release/batch_check 8 "$tmp/batch_w8_t8.json"
+SINT_THREADS=8 target/release/gate batch 8 "$tmp/batch_w8_t8.json"
 same "$tmp/batch_w8.json" "$tmp/batch_w8_t8.json" "batched summary differs across thread counts"
 echo "batched solves: byte-identical vs unbatched and across thread counts"
 
@@ -175,10 +179,10 @@ echo "batched solves: byte-identical vs unbatched and across thread counts"
 for kill in rand:11 rand:22 4097; do
     rm -f "$tmp/tw_ckpt.json.a" "$tmp/tw_ckpt.json.b" \
         "$tmp/tw_records.jsonl" "$tmp/tw_summary.json"
-    expect_exit 3 env SINT_THREADS=4 target/release/fleet_resume \
+    expect_exit 3 env SINT_THREADS=4 target/release/gate fleet \
         "$tmp/tw_ckpt.json" "$tmp/tw_summary.json" \
         --records "$tmp/tw_records.jsonl" --kill-at-byte "$kill"
-    SINT_THREADS=8 target/release/fleet_resume \
+    SINT_THREADS=8 target/release/gate fleet \
         "$tmp/tw_ckpt.json" "$tmp/tw_summary.json" \
         --records "$tmp/tw_records.jsonl"
     same "$tmp/fleet_ref_summary.json" "$tmp/tw_summary.json" \
@@ -190,9 +194,9 @@ echo "torn-write storm: recovered summaries byte-identical at 3 kill offsets"
 # the loader must fall back to the surviving generation and the resumed
 # summary must still match the reference.
 rm -f "$tmp/tc_ckpt.json.a" "$tmp/tc_ckpt.json.b" "$tmp/tc_summary.json"
-expect_exit 3 env SINT_THREADS=4 target/release/fleet_resume \
+expect_exit 3 env SINT_THREADS=4 target/release/gate fleet \
     "$tmp/tc_ckpt.json" "$tmp/tc_summary.json" --torn-ckpt 120
-SINT_THREADS=8 target/release/fleet_resume \
+SINT_THREADS=8 target/release/gate fleet \
     "$tmp/tc_ckpt.json" "$tmp/tc_summary.json"
 same "$tmp/fleet_ref_summary.json" "$tmp/tc_summary.json" \
     "summary after torn checkpoint differs from reference"
@@ -204,10 +208,10 @@ echo "torn checkpoint: resume fell back a generation, summary byte-identical"
 # does not fold back to the summary it wrote).
 rm -f "$tmp/ctw_ckpt.json.a" "$tmp/ctw_ckpt.json.b" \
     "$tmp/ctw_records.jsonl" "$tmp/ctw_summary.json"
-expect_exit 3 env SINT_THREADS=4 target/release/chaos_check \
+expect_exit 3 env SINT_THREADS=4 target/release/gate chaos \
     "$tmp/ctw_ckpt.json" "$tmp/ctw_summary.json" \
     --records "$tmp/ctw_records.jsonl" --kill-at-byte rand:33
-SINT_THREADS=8 target/release/chaos_check \
+SINT_THREADS=8 target/release/gate chaos \
     "$tmp/ctw_ckpt.json" "$tmp/ctw_summary.json" \
     --records "$tmp/ctw_records.jsonl"
 same "$tmp/chaos_ref_summary.json" "$tmp/ctw_summary.json" \
@@ -221,17 +225,17 @@ echo "chaos crash storm: recovery + replay self-check byte-identical"
 # byte-identical serial vs 8 threads, and across a kill at a round
 # boundary plus resume (the checkpoint carries the coverage ledger, so
 # the continuation drops exactly what the uninterrupted run would).
-SINT_THREADS=1 target/release/adaptive_check \
+SINT_THREADS=1 target/release/gate adaptive \
     "$tmp/ad_ref_ckpt.json" "$tmp/ad_ref_summary.json"
-SINT_THREADS=8 target/release/adaptive_check \
+SINT_THREADS=8 target/release/gate adaptive \
     "$tmp/ad_t8_ckpt.json" "$tmp/ad_t8_summary.json"
 same "$tmp/ad_ref_summary.json" "$tmp/ad_t8_summary.json" \
     "adaptive summary differs between 1 and 8 threads"
 
-expect_exit 3 env SINT_THREADS=4 target/release/adaptive_check \
+expect_exit 3 env SINT_THREADS=4 target/release/gate adaptive \
     "$tmp/ad_ckpt.json" "$tmp/ad_summary.json" --halt-after 12
 
-SINT_THREADS=8 target/release/adaptive_check \
+SINT_THREADS=8 target/release/gate adaptive \
     "$tmp/ad_ckpt.json" "$tmp/ad_summary.json"
 
 same "$tmp/ad_ref_summary.json" "$tmp/ad_summary.json" \

@@ -33,8 +33,8 @@ use sint::jtag::integrity::QuarantineSet;
 use sint::jtag::state::TapState;
 use sint::jtag::svf::{mask_hex, scan_hex};
 use sint::fleet::{
-    replay_summary_recovered, ClientSpec, FleetCheckpoint, FleetEngine, FloorSpec, JsonlSink,
-    NullSink,
+    replay_summary_recovered, ClientSpec, FleetCheckpoint, FleetEngine, FleetError, FloorSpec,
+    JsonlSink, NullSink,
 };
 use sint::logic::{BitVector, Logic};
 use sint::runtime::backoff::BackoffPolicy;
@@ -556,8 +556,8 @@ fn checkpoint_loaders_never_panic_on_mutated_documents() {
 #[test]
 fn record_replay_never_panics_on_mutated_payloads() {
     // Framed JSONL *content*: mutate the payloads of real record
-    // streams (exhaustive and adaptive floors shaped like
-    // `fleet_resume`'s, a zero-budget client shedding every trial) and
+    // streams (exhaustive and adaptive floors shaped like the
+    // `gate fleet` floor, a zero-budget client shedding every trial) and
     // re-frame them, so the CRC passes and the schema paths run.
     // Replay must return a value or a typed error — never panic.
     let clients = || {
@@ -1772,6 +1772,115 @@ fn generation_pairs_survive_corruption_of_either_slot() {
                 check_eq(healed, survivor_gen + 1)?;
                 let reloaded = pair.load().map_err(|e| format!("reload: {e}"))?;
                 check_eq(reloaded, Some((healed, third.clone())))
+            })();
+            let _ = std::fs::remove_dir_all(&dir);
+            result
+        },
+    );
+}
+
+/// One slot file image for the fleet-pair fuzz: intact, mutated, given a
+/// rewritten header (generation and length fields, CRC kept), flipped
+/// inside the header, or deleted (`None`).
+fn fuzzed_slot(
+    rng: &mut Rng64,
+    slot: &[u8],
+    donors: &[Vec<u8>],
+    snippets: &[Vec<u8>],
+) -> Option<Vec<u8>> {
+    let nl = slot.iter().position(|&b| b == b'\n').expect("slot header line");
+    match gen::usize_in(rng, 0..5) {
+        0 => Some(slot.to_vec()),
+        1 => Some(mutate(rng, slot, donors, snippets).into_bytes()),
+        2 => {
+            let header = String::from_utf8_lossy(&slot[..nl]).into_owned();
+            let mut fields: Vec<String> = header.split(' ').map(str::to_string).collect();
+            let generations = [
+                "0",
+                "1",
+                "3",
+                "18446744073709551614",
+                "18446744073709551615",
+                "18446744073709551616",
+            ];
+            fields[1] = gen::one_of(rng, &generations).to_string();
+            let len = slot.len() - nl - 1;
+            let lens = [len, len + 1, len.saturating_sub(1), 0, 0xffff_ffff];
+            fields[2] = format!("{:08x}", gen::one_of(rng, &lens));
+            let mut image = fields.join(" ").into_bytes();
+            image.extend_from_slice(&slot[nl..]);
+            Some(image)
+        }
+        3 => {
+            let mut image = slot.to_vec();
+            image[gen::usize_in(rng, 0..nl)] ^= 1 << gen::usize_in(rng, 0..8);
+            Some(image)
+        }
+        _ => None,
+    }
+}
+
+#[test]
+fn fleet_checkpoint_pairs_load_or_refuse_mutated_slots() {
+    // Two real generations of a fleet checkpoint, then truncations, bit
+    // flips and splices of either slot file, header generation and
+    // length digits included. `load_pair` must return one of the stored
+    // checkpoints (or the empty one at generation 0) or a typed error;
+    // a following `store_pair` must either fail with a typed error or
+    // be exactly what the next load returns.
+    let engine =
+        FleetEngine::new(FloorSpec::new(6).trials_per_board(2).seed(7)).expect("fleet engine");
+    let mut stored: Vec<FleetCheckpoint> = Vec::new();
+    let _ = engine.run_checkpointed(1, &mut FleetCheckpoint::new(), 2, &NullSink, |cp| {
+        stored.push(cp.clone());
+    });
+    assert!(stored.len() >= 3, "three distinct snapshots: two stored, one to store next");
+    let template = std::env::temp_dir().join(format!("sint_prop_fleetpair_{}", std::process::id()));
+    std::fs::create_dir_all(&template).expect("scratch dir");
+    let pair = GenPair::new(template.join("ckpt"));
+    for cp in &stored[..2] {
+        cp.store_pair(&pair).expect("store a real generation");
+    }
+    let (a, b) = pair.slots();
+    let slots = [a, b].map(|path| std::fs::read(path).expect("stored slot"));
+    let _ = std::fs::remove_dir_all(&template);
+    let snippets: Vec<Vec<u8>> = ["18446744073709551615", "0", "ffffffff", " ", "\n", "sintgen 2 "]
+        .iter()
+        .map(|s| s.as_bytes().to_vec())
+        .collect();
+
+    Runner::new("fleet_pair_fuzz").cases(300).run(
+        |rng| {
+            let images = [0, 1].map(|i| fuzzed_slot(rng, &slots[i], &slots, &snippets));
+            (rng.gen_u64(), images)
+        },
+        |(tag, images)| {
+            let dir = std::env::temp_dir()
+                .join(format!("sint_prop_fleetpair_{}_{tag:016x}", std::process::id()));
+            std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir: {e}"))?;
+            let result = (|| {
+                let pair = GenPair::new(dir.join("ckpt"));
+                let (a, b) = pair.slots();
+                for (path, image) in [(a, &images[0]), (b, &images[1])] {
+                    if let Some(bytes) = image {
+                        std::fs::write(path, bytes).map_err(|e| format!("write slot: {e}"))?;
+                    }
+                }
+                if let Ok((loaded, generation)) = FleetCheckpoint::load_pair(&pair) {
+                    let known =
+                        stored[..2].contains(&loaded) || (loaded.is_empty() && generation == 0);
+                    check(known, || format!("generation {generation} loaded {loaded:?}"))?;
+                }
+                let next = &stored[2];
+                match next.store_pair(&pair) {
+                    Ok(generation) => {
+                        let reloaded = FleetCheckpoint::load_pair(&pair)
+                            .map_err(|e| format!("reload: {e}"))?;
+                        check_eq(reloaded, (next.clone(), generation))
+                    }
+                    Err(FleetError::Io { .. }) => Ok(()),
+                    Err(e) => Err(format!("store_pair failed outside storage: {e}")),
+                }
             })();
             let _ = std::fs::remove_dir_all(&dir);
             result
