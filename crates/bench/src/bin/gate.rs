@@ -711,9 +711,10 @@ const SESSION_WIRES: usize = 32;
 /// scalar path, so `verify.sh` byte-compares the summary across panel
 /// widths (8 vs 1) and across `SINT_THREADS` (1 vs 8). The trial mix
 /// includes a solver blow-up (`factor: 1e308`), pinning the divergence
-/// fallbacks: the step basis must refuse the blown-up bus, and a panel
-/// that goes non-finite must replay scalar-sequentially and report
-/// exactly the unbatched error.
+/// fallbacks: the step basis must refuse the blown-up bus, a panel that
+/// goes non-finite must replay scalar-sequentially, and the failed plan
+/// is dropped, so the first pattern's scalar solve reports exactly the
+/// unbatched error.
 ///
 /// The summary also renders the full `IntegrityReport` of 32-wire
 /// sessions — a control plus coupling, open and weak-driver devices,

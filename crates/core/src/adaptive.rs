@@ -410,8 +410,8 @@ impl Campaign {
             resume_at,
             "adaptive checkpoint does not match this batch layout"
         );
-        let pending: Vec<usize> = (resume_at..trials.len()).collect();
-        self.drive(trials, pending.chunks(round), threads, None, checkpoint, sink);
+        let remaining: Vec<usize> = (resume_at..trials.len()).collect();
+        self.drive(trials, remaining.chunks(round), threads, None, checkpoint, sink);
         checkpoint.assemble()
     }
 

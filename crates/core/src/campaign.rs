@@ -574,8 +574,9 @@ impl Campaign {
     }
 
     /// Overrides every trial SoC's pattern-batching width (see
-    /// [`SocBuilder::panel_width`]); width 1 forces the scalar
-    /// single-RHS oracle path. Default: the SoC's own default.
+    /// [`SocBuilder::panel_width`]); width 1 never solves a plan, so
+    /// every pattern takes the scalar single-RHS oracle path. Default:
+    /// the SoC's own default.
     #[must_use]
     pub fn panel_width(mut self, width: usize) -> Campaign {
         self.panel_width = Some(width);

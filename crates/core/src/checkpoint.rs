@@ -414,7 +414,7 @@ impl Campaign {
     ///
     /// Trials already present in `checkpoint` (matched by index *and*
     /// seed) are skipped; the rest run through the round driver in
-    /// rounds of `snapshot_every` pending indices, and `sink` is
+    /// rounds of `snapshot_every` remaining indices, and `sink` is
     /// invoked with the updated checkpoint after each round — typically
     /// to persist its [`ToJson`] rendering. The final [`CampaignRun`] is
     /// assembled from the checkpoint in index order, so a resumed run
@@ -434,14 +434,14 @@ impl Campaign {
         snapshot_every: usize,
         sink: impl FnMut(&CampaignCheckpoint),
     ) -> CampaignRun {
-        let pending: Vec<usize> = (0..trials.len())
+        let remaining: Vec<usize> = (0..trials.len())
             .filter(|&index| checkpoint.entry_for(index, index as u64).is_none())
             .collect();
-        self.drive(trials, pending.chunks(snapshot_every.max(1)), threads, None, checkpoint, sink);
+        self.drive(trials, remaining.chunks(snapshot_every.max(1)), threads, None, checkpoint, sink);
         CampaignRun::assemble((0..trials.len()).map(|index| {
             checkpoint
                 .entry_for(index, index as u64)
-                .expect("every pending trial was just recorded")
+                .expect("every remaining trial was just recorded")
         }))
     }
 }
@@ -632,7 +632,7 @@ mod tests {
         let resumed = campaign.run_checkpointed(&trials, 4, &mut resumed_ckpt, 2, |_| {
             snapshots_after_resume += 1;
         });
-        assert_eq!(snapshots_after_resume, 2, "3 pending trials in chunks of 2");
+        assert_eq!(snapshots_after_resume, 2, "3 remaining trials in chunks of 2");
         assert_eq!(resumed.to_json().render(), reference.to_json().render());
         assert_eq!(resumed.stats.failed_trials, 1);
 
@@ -718,7 +718,7 @@ mod tests {
         let second = campaign.run_checkpointed(&trials, 1, &mut checkpoint, 10, |_| {
             sink_calls += 1;
         });
-        assert_eq!(sink_calls, 0, "nothing pending, nothing snapshotted");
+        assert_eq!(sink_calls, 0, "nothing left to run, nothing snapshotted");
         assert_eq!(first, second);
     }
 }

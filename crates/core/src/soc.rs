@@ -4,11 +4,19 @@
 //! standard cells share the boundary chain.
 //!
 //! [`Soc`] closes the loop between the digital and analog substrates:
-//! every boundary Update-DR that changes the PGBSC outputs launches a
-//! transient simulation of the coupled bus, and the resulting waveforms
-//! feed the receiving detectors — so an injected physical defect
-//! propagates all the way to bits scanned out of TDO, with every TCK
-//! accounted for.
+//! every boundary Update-DR that changes the PGBSC outputs latches the
+//! coupled bus's transient response to that transition into the
+//! receiving detectors — so an injected physical defect propagates all
+//! the way to bits scanned out of TDO, with every TCK accounted for.
+//!
+//! The PGBSCs generate a half's patterns on-chip from its preload and
+//! victim roster, so the transitions are known before the TAP moves.
+//! A batched SoC plans first: it predicts the half's transitions on
+//! clones of its cells and solves the ones it has not seen in
+//! multi-RHS panels (MA patterns recombined from a step basis), and
+//! each Update-DR then latches its pattern from that memo. A pattern
+//! the plan missed, and every pattern at panel width 1, is solved alone
+//! at its Update-DR: the scalar oracle path.
 
 use crate::cost::MethodPlanner;
 use crate::degrade::{ChainPolicy, DegradationEvent, DegradedOutcome};
@@ -30,9 +38,9 @@ use sint_interconnect::defect::Defect;
 use sint_interconnect::drive::{DriveLevel, VectorPair};
 use sint_interconnect::error::InterconnectError;
 use sint_interconnect::basis::StepBasis;
-use sint_interconnect::measure::{propagation_delay, settled_value};
+use sint_interconnect::measure::propagation_delay;
 use sint_interconnect::params::{Bus, BusParams};
-use sint_interconnect::solver::{GuardrailEvent, PanelScratch, SimScratch, TransientSim, WavePanel};
+use sint_interconnect::solver::{GuardrailEvent, PanelScratch, SimScratch, TransientSim};
 use std::collections::HashMap;
 use std::sync::Arc;
 use sint_interconnect::variation::{apply_variation, VariationSigma};
@@ -83,11 +91,11 @@ impl SocBuilder {
         }
     }
 
-    /// Sets how many queued patterns one batched transient advances
-    /// together (default [`DEFAULT_PANEL_WIDTH`]). Width 1 disables
-    /// batching entirely: every pattern runs through the scalar
-    /// single-RHS solver at Update-DR time — the correctness oracle the
-    /// batched path is byte-compared against in `verify.sh`.
+    /// Sets how many columns one batched transient of a plan solve
+    /// advances together (default [`DEFAULT_PANEL_WIDTH`]). Width 1
+    /// never solves a plan: every pattern runs through the scalar
+    /// single-RHS solver at its own Update-DR — the correctness oracle
+    /// the batched path is byte-compared against in `verify.sh`.
     #[must_use]
     pub fn panel_width(mut self, width: usize) -> Self {
         self.panel_width = width.max(1);
@@ -304,12 +312,9 @@ impl SocBuilder {
             guardrail_events,
             scratch: SimScratch::new(),
             panel_scratch,
-            pending: Vec::new(),
-            unsolved: Vec::new(),
             memo: HashMap::new(),
             memo_stats: MemoStats::default(),
             basis: StepBasis::new(),
-            plan: None,
             log: Vec::new(),
             panel_width: self.panel_width,
             wires: self.wires,
@@ -326,46 +331,30 @@ impl SocBuilder {
     }
 }
 
-/// Default [`SocBuilder::panel_width`]: how many deferred patterns one
-/// batched multi-RHS transient advances together. Eight fills the
-/// widest hand-unrolled solver kernel exactly.
+/// Default [`SocBuilder::panel_width`]: how many columns one batched
+/// multi-RHS transient of a plan solve advances together. Eight fills
+/// the widest hand-unrolled solver kernel exactly.
 pub const DEFAULT_PANEL_WIDTH: usize = 8;
 
-/// A pattern whose Update-DR has been applied digitally but whose
-/// response is not latched yet.
-#[derive(Debug, Clone)]
-struct PendingPattern {
-    pair: VectorPair,
-    /// Detector-enable (CE) sampled when the pattern was applied.
-    ce: bool,
-}
+/// What each solved pattern does at the receivers, keyed by `(bus
+/// fingerprint, dt bits, settle bits)` and then by the pair: everything
+/// a response is a function of. A response is one byte per wire of
+/// [`ND_HIT`] | [`SD_HIT`] | [`SETTLED_HIGH`]; latching needs nothing
+/// more, so the waveforms are dropped once it is taken.
+type PatternMemo = HashMap<(u64, u64, u64), HashMap<VectorPair, Box<[u8]>>>;
 
-/// What one solved pattern does at the receivers: per wire, a byte of
-/// [`ND_HIT`] | [`SD_HIT`] | [`SETTLED_HIGH`]. Latching needs nothing
-/// more, so the waveforms are dropped once the response is taken.
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    response: Box<[u8]>,
-    /// Solved as read-out lookahead and not applied since.
-    speculative: bool,
-}
-
-/// Pattern responses keyed by `(bus fingerprint, dt bits, settle bits)`
-/// and then by the pair: everything a response is a function of.
-type PatternMemo = HashMap<(u64, u64, u64), HashMap<VectorPair, MemoEntry>>;
-
-/// Work counters of the batched path's pattern-response memo, since
-/// the SoC was built.
+/// Work counters of the pattern-response memo, since the SoC was built.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Applied patterns that needed no column of their own: the memo
-    /// held their response, or a queued pattern shares their pair.
+    /// Applied patterns latched from the memo: a plan solve (this
+    /// session's or an earlier one's) had solved their pair.
     pub hits: u64,
-    /// Panel columns predicted by read-out lookahead (counted in
-    /// [`Soc::transients_run`] like every other column).
-    pub lookahead: u64,
-    /// Lookahead columns no applied pattern has used so far.
-    pub wasted_lookahead: u64,
+    /// Applied patterns no plan had solved, each solved alone at its
+    /// Update-DR through the scalar oracle path and counted in
+    /// [`Soc::transients_run`]: every pattern at panel width 1, and at
+    /// wider panels only patterns a prediction missed or a dropped plan
+    /// left behind.
+    pub unplanned: u64,
     /// Step-basis columns (`U` and the single-rise `u_v`) solved for
     /// MA-shaped pairs, counted in [`Soc::transients_run`] too.
     pub basis_columns: u64,
@@ -381,38 +370,21 @@ type Degradation = (FaultLocalization, CoverageReport, Vec<DegradationEvent>);
 /// `(victim position, pattern index)`; returns whether it read out.
 type AfterPattern<'a> = dyn FnMut(&mut Soc, usize, (usize, usize)) -> Result<bool, CoreError> + 'a;
 
-/// The half a session is running, up to its stop: what read-out
-/// flushes predict lookahead columns from.
-#[derive(Debug, Clone)]
-struct HalfPlan {
-    victims: Vec<usize>,
+/// Steps clones of the PGBSC cells through patterns `next..end` (linear
+/// index `3·position + pattern`) of one half over `victims` and yields
+/// each bus transition the session will apply: the cells' own update
+/// logic, run ahead on copies.
+struct HalfStream<'a> {
+    cells: Vec<Pgbsc>,
+    victims: &'a [usize],
     /// Whether victims after the first are selected by a 1-bit
     /// rotation instead of a full select scan.
     rotate: bool,
-    /// Linear index (`3·position + pattern`) of the next pattern.
     next: usize,
-    /// One past the linear index of the half's last pattern.
     end: usize,
-}
-
-/// Steps clones of the PGBSC cells through the rest of a [`HalfPlan`]
-/// and yields each bus transition the session will apply: the cells'
-/// own update logic, run ahead on copies.
-struct HalfStream<'a> {
-    cells: Vec<Pgbsc>,
-    plan: HalfPlan,
     quarantine: Option<&'a QuarantineSet>,
     ctrl: CellControl,
     prev: Option<Vec<DriveLevel>>,
-}
-
-impl<'a> HalfStream<'a> {
-    fn new(cells: Vec<Pgbsc>, plan: HalfPlan, quarantine: Option<&'a QuarantineSet>) -> Self {
-        let g = g_sitest();
-        let ctrl = CellControl { mode: g.mode, si: g.si, ce: g.ce, ..CellControl::default() };
-        let prev = drive_levels(cells.iter().map(|c| c.output(&ctrl)), quarantine);
-        HalfStream { cells, plan, quarantine, ctrl, prev }
-    }
 }
 
 impl Iterator for HalfStream<'_> {
@@ -420,18 +392,18 @@ impl Iterator for HalfStream<'_> {
 
     fn next(&mut self) -> Option<VectorPair> {
         let ctrl = self.ctrl;
-        while self.plan.next < self.plan.end {
-            let (pos, pattern) = (self.plan.next / 3, self.plan.next % 3);
-            self.plan.next += 1;
+        while self.next < self.end {
+            let (pos, pattern) = (self.next / 3, self.next % 3);
+            self.next += 1;
             // A victim's first pattern rides on its select scan, or on
             // a 1-bit rotation of the previous victim's select word.
-            if pattern == 0 && pos > 0 && self.plan.rotate {
+            if pattern == 0 && pos > 0 && self.rotate {
                 let mut carry = Logic::Zero;
                 for cell in &mut self.cells {
                     carry = cell.shift(carry, &ctrl);
                 }
             } else if pattern == 0 {
-                let victim = self.plan.victims[pos];
+                let victim = self.victims[pos];
                 for (i, cell) in self.cells.iter_mut().enumerate() {
                     cell.shift(Logic::from(i == victim), &ctrl);
                 }
@@ -514,28 +486,19 @@ pub struct Soc {
     /// Reused solver scratch: keeps the per-pattern transient runs
     /// allocation-free in the timestep loop.
     scratch: SimScratch,
-    /// Reused multi-RHS scratch for the batched pattern path.
+    /// Reused multi-RHS scratch for plan solves.
     panel_scratch: PanelScratch,
-    /// Batched path: patterns applied digitally whose responses are not
-    /// latched yet — deferred until a read-out (or a full panel of
-    /// unsolved pairs) forces a flush. Invariant: always empty at
-    /// session boundaries.
-    pending: Vec<PendingPattern>,
-    /// Indices into `pending` of its distinct pairs with no memo entry:
-    /// the columns the next flush solves.
-    unsolved: Vec<usize>,
-    /// Batched path: the response of every pair solved so far.
+    /// The response of every pair a plan solve has solved so far.
     memo: PatternMemo,
     memo_stats: MemoStats,
-    /// Batched path: step responses of the active solver. Between
-    /// flushes it holds the all-rise column only.
+    /// Step responses of the active solver. Between plan solves it
+    /// holds the all-rise column only.
     basis: StepBasis,
-    /// The half in flight, for read-out lookahead.
-    plan: Option<HalfPlan>,
     /// The current session's applied pairs, bit-packed in order (see
     /// [`pack_pair`]).
     log: Vec<u64>,
-    /// Columns per batched solve; 1 = scalar oracle path.
+    /// Columns per batched plan solve; 1 = never plan, solve every
+    /// pattern alone (the scalar oracle path).
     panel_width: usize,
     wires: usize,
     extra_cells: usize,
@@ -589,14 +552,15 @@ impl Soc {
         self.driver.tck()
     }
 
-    /// Transient analyses run so far (panel columns on the batched path:
-    /// step-basis, direct and lookahead columns alike).
+    /// Transient analyses run so far: plan-solve panel columns
+    /// (step-basis and direct alike) plus the patterns solved alone.
     #[must_use]
     pub fn transients_run(&self) -> usize {
         self.transients_run
     }
 
-    /// Pattern-response memo counters (all zero on the scalar path).
+    /// Pattern-response memo counters. At panel width 1 only
+    /// [`MemoStats::unplanned`] moves: every pattern is solved alone.
     #[must_use]
     pub fn memo_stats(&self) -> MemoStats {
         self.memo_stats
@@ -612,21 +576,36 @@ impl Soc {
     /// The bus transitions one half of a session on this SoC applies,
     /// predicted by stepping clones of its PGBSC cells from a preload
     /// of `initial` over the session roster (every wire, or the healthy
-    /// wires of the active quarantine). Read-out flushes fill their
-    /// panels from the same stepping.
+    /// wires of the active quarantine). Each half's plan solve solves
+    /// the same stream ahead of the TAP.
     ///
     /// # Errors
     ///
     /// [`CoreError::Jtag`] if the boundary register cannot be read.
     pub fn predict_half(&self, initial: DriveLevel) -> Result<Vec<VectorPair>, CoreError> {
         let (victims, rotate) = self.roster();
+        self.planned_half(initial, &victims, rotate, 3 * victims.len())
+    }
+
+    /// The transitions patterns `0..end` of a half over `victims` apply
+    /// from a preload of `initial`: the plan [`Soc::run_half`] solves.
+    fn planned_half(
+        &self,
+        initial: DriveLevel,
+        victims: &[usize],
+        rotate: bool,
+        end: usize,
+    ) -> Result<Vec<VectorPair>, CoreError> {
         let mut cells = self.pgbsc_clones()?;
         for cell in &mut cells {
             cell.preload(Logic::from(initial == DriveLevel::High));
         }
-        let end = 3 * victims.len();
-        let plan = HalfPlan { victims, rotate, next: 0, end };
-        Ok(HalfStream::new(cells, plan, self.quarantine.as_ref()).collect())
+        let g = g_sitest();
+        let ctrl = CellControl { mode: g.mode, si: g.si, ce: g.ce, ..CellControl::default() };
+        let quarantine = self.quarantine.as_ref();
+        let prev = drive_levels(cells.iter().map(|c| c.output(&ctrl)), quarantine);
+        let stream = HalfStream { cells, victims, rotate, next: 0, end, quarantine, ctrl, prev };
+        Ok(stream.collect())
     }
 
     /// Copies of the PGBSC cells as they stand.
@@ -665,7 +644,8 @@ impl Soc {
         &mut self.driver
     }
 
-    /// The configured batching width (1 = scalar per-pattern solves).
+    /// The configured batching width (1 = never plans: scalar per-pattern
+    /// solves).
     #[must_use]
     pub fn panel_width(&self) -> usize {
         self.panel_width
@@ -808,8 +788,9 @@ impl Soc {
     }
 
     /// Samples the PGBSC outputs and, if they form a newly *defined*
-    /// vector different from the previous one, runs the analog
-    /// transient and feeds the detectors.
+    /// vector different from the previous one, latches the transition's
+    /// response into the detectors under the pattern's own CE: from the
+    /// memo when a plan solved it, otherwise solved alone on the spot.
     fn apply_bus_state(&mut self) -> Result<(), CoreError> {
         let device = self.driver.chain().device(0)?;
         let ctrl = device.cell_control();
@@ -826,17 +807,37 @@ impl Soc {
             _ => return Ok(()),
         };
         let pair = VectorPair::new(prev, new);
-        let ce = ctrl.ce;
         self.patterns_applied += 1;
         pack_pair(&pair, self.wires, &mut self.log);
-        if self.panel_width > 1 {
-            return self.enqueue(PendingPattern { pair, ce });
+        let planned = self.memo.get(&self.memo_key()).and_then(|m| m.get(&pair)).cloned();
+        let response = match planned {
+            Some(response) => {
+                self.memo_stats.hits += 1;
+                response
+            }
+            None => {
+                let response = self.solve_alone(&pair)?;
+                self.memo_stats.unplanned += 1;
+                response
+            }
+        };
+        for (w, flags) in response.iter().enumerate() {
+            let obsc = self.obsc_mut(w)?;
+            obsc.set_detectors_enabled(ctrl.ce);
+            obsc.nd_mut().latch(flags & ND_HIT != 0);
+            obsc.sd_mut().latch(flags & SD_HIT != 0);
+            obsc.set_parallel_input(Logic::from(flags & SETTLED_HIGH != 0));
         }
-        // Scalar oracle path: one single-RHS transient per pattern, at
-        // Update-DR time.
+        Ok(())
+    }
+
+    /// The scalar oracle path: one single-RHS transient of `pair`,
+    /// reduced to its response. Not memoized, so panel width 1 solves
+    /// every pattern it applies.
+    fn solve_alone(&mut self, pair: &VectorPair) -> Result<Box<[u8]>, CoreError> {
         let sim = Arc::clone(&self.sim);
         let waves = match sim.run_pair_cancellable(
-            &pair,
+            pair,
             self.settle,
             &mut self.scratch,
             self.cancel.as_ref(),
@@ -848,40 +849,7 @@ impl Soc {
             Err(e) => return Err(e.into()),
         };
         self.transients_run += 1;
-        let dt = waves.dt();
-        let switch_at = sim.switch_at();
-        for w in 0..self.wires {
-            self.observe_wire(w, waves.wire(w), &pair, ce, dt, switch_at)?;
-        }
-        Ok(())
-    }
-
-    /// Batched path: the pattern is applied digitally now and latched
-    /// at the next flush, which a full panel of unsolved pairs or a
-    /// read-out forces. Detector state is only observable through a
-    /// read-out, and every read-out flushes first, so the deferral is
-    /// invisible.
-    fn enqueue(&mut self, pattern: PendingPattern) -> Result<(), CoreError> {
-        let key = self.memo_key();
-        let known = match self.memo.get_mut(&key).and_then(|m| m.get_mut(&pattern.pair)) {
-            Some(entry) => {
-                if std::mem::take(&mut entry.speculative) {
-                    self.memo_stats.wasted_lookahead -= 1;
-                }
-                true
-            }
-            None => self.unsolved.iter().any(|&i| self.pending[i].pair == pattern.pair),
-        };
-        if known {
-            self.memo_stats.hits += 1;
-        } else {
-            self.unsolved.push(self.pending.len());
-        }
-        self.pending.push(pattern);
-        if self.unsolved.len() >= self.panel_width {
-            self.flush_pending()?;
-        }
-        Ok(())
+        self.response(pair, waves.dt(), waves.switch_at(), |w| waves.wire(w))
     }
 
     /// Memo key of the active solver and settle time.
@@ -889,108 +857,74 @@ impl Soc {
         (self.sim_key.0, self.sim_key.1, self.settle.to_bits())
     }
 
-    /// Latches every deferred pattern in application order, after
-    /// solving the pairs the memo lacks as one multi-RHS panel. Panel
-    /// columns are bitwise identical to scalar solves, a response is a
-    /// pure function of its column, and latching applies it under the
-    /// pattern's own CE, so a flush observes exactly what per-pattern
-    /// scalar runs would have (DESIGN.md §6e).
-    fn flush_pending(&mut self) -> Result<(), CoreError> {
-        // The queue is consumed even when the solve fails: a failed
-        // flush must not leave stale patterns behind.
-        let pending = std::mem::take(&mut self.pending);
-        let unsolved = std::mem::take(&mut self.unsolved);
-        if !unsolved.is_empty() {
-            self.solve(unsolved.iter().map(|&i| pending[i].pair.clone()).collect())?;
-        }
-        for pattern in &pending {
-            self.latch_pattern(pattern)?;
-        }
-        Ok(())
-    }
-
-    /// Solves `queued` — distinct pairs the memo lacks, in application
-    /// order — and memoizes each one's response: MA-shaped pairs by
-    /// recombination from the step basis, the rest as a direct panel.
-    fn solve(&mut self, queued: Vec<VectorPair>) -> Result<(), CoreError> {
-        let ma_shaped = queued.iter().any(|pair| StepBasis::ma_victim(pair).is_some());
-        if !ma_shaped || !StepBasis::accepts(&self.sim) {
-            return self.solve_direct(queued);
-        }
-        if self.solve_by_basis(&queued).is_err() {
-            // A basis column must not change how a flush fails:
-            // re-derive the outcome from the queued pairs alone.
-            let waves = self.run_panel(&queued)?;
-            let own = queued.len();
-            self.memoize(&waves, queued, own)?;
-        }
-        Ok(())
-    }
-
-    /// Solves `columns` as one direct panel topped up with lookahead.
-    fn solve_direct(&mut self, mut columns: Vec<VectorPair>) -> Result<(), CoreError> {
-        let own = columns.len();
-        self.extend_with_lookahead(&mut columns)?;
-        let waves = match self.run_panel(&columns) {
-            Ok(waves) => waves,
-            // A lookahead column must not change how a flush fails:
-            // re-derive the outcome from the queued pairs alone.
-            Err(_) if columns.len() > own => {
-                columns.truncate(own);
-                self.run_panel(&columns)?
-            }
-            Err(e) => return Err(e),
-        };
-        let lookahead = (columns.len() - own) as u64;
-        self.memo_stats.lookahead += lookahead;
-        self.memo_stats.wasted_lookahead += lookahead;
-        self.memoize(&waves, columns, own)
-    }
-
-    /// Memoizes the response of every column of a solved panel; columns
-    /// from `own` on are speculative lookahead.
-    fn memoize(
-        &mut self,
-        waves: &WavePanel,
-        columns: Vec<VectorPair>,
-        own: usize,
-    ) -> Result<(), CoreError> {
-        self.transients_run += columns.len();
-        let key = self.memo_key();
-        for (c, pair) in columns.into_iter().enumerate() {
-            let response = self.response(waves, c, &pair)?;
-            let entry = MemoEntry { response, speculative: c >= own };
-            self.memo.entry(key).or_default().insert(pair, entry);
-        }
-        Ok(())
-    }
-
-    /// The basis half of [`Soc::solve`]: one panel holding `U` (unless
-    /// held) and `u_v` for the victims of the queued MA-shaped pairs,
-    /// topped up to the panel width with the next victims of the half
-    /// in flight whose responses the memo lacks. All six fault pairs of
-    /// every live victim are recombined and memoized while its column
-    /// is live; the queued pairs that are not MA-shaped, and every
-    /// recombination the guard band refuses, go to one direct panel.
-    fn solve_by_basis(&mut self, queued: &[VectorPair]) -> Result<(), CoreError> {
+    /// The plan solve: solves the distinct `planned` pairs the memo
+    /// lacks and memoizes each one's response. MA-shaped pairs are
+    /// recombined from step-basis panels of up to `panel_width`
+    /// columns; the rest, and every recombination the guard band
+    /// refuses, go to direct panels of `panel_width` pairs. Panel
+    /// columns are bitwise the scalar solves and a response is a pure
+    /// function of its column, so a memo hit latches exactly what a
+    /// scalar solve at Update-DR would have (DESIGN.md §6e).
+    ///
+    /// A failed plan solve is dropped by its caller: the patterns it
+    /// left out miss the memo and are solved alone, so any error is the
+    /// scalar oracle's.
+    fn solve_plan(&mut self, planned: &[VectorPair]) -> Result<(), CoreError> {
+        let recombinable = StepBasis::accepts(&self.sim);
+        let memo = self.memo.get(&self.memo_key());
         let mut victims = Vec::new();
         let mut direct = Vec::new();
-        for pair in queued {
-            match StepBasis::ma_victim(pair) {
+        for pair in planned {
+            if memo.is_some_and(|m| m.contains_key(pair)) {
+                continue;
+            }
+            match StepBasis::ma_victim(pair).filter(|_| recombinable) {
                 Some(victim) if victims.contains(&victim) => {}
                 Some(victim) => victims.push(victim),
+                None if direct.contains(pair) => {}
                 None => direct.push(pair.clone()),
             }
         }
-        self.top_up_victims(&mut victims);
+        let mut rest = &victims[..];
+        while !rest.is_empty() {
+            // The first panel carries `U` as well.
+            let width = self.panel_width - usize::from(!self.basis.has_all_rise());
+            let (panel, tail) = rest.split_at(width.min(rest.len()));
+            self.solve_basis_panel(panel, &mut direct)?;
+            rest = tail;
+        }
+        for columns in direct.chunks(self.panel_width) {
+            let cancel = self.cancel.as_ref();
+            let waves =
+                self.sim.run_pairs_cancellable(columns, self.settle, &mut self.panel_scratch, cancel)?;
+            self.transients_run += columns.len();
+            let key = self.memo_key();
+            for (c, pair) in columns.iter().enumerate() {
+                let response =
+                    self.response(pair, waves.dt(), waves.switch_at(), |w| waves.wire(c, w))?;
+                self.memo.entry(key).or_default().insert(pair.clone(), response);
+            }
+        }
+        Ok(())
+    }
+
+    /// One step-basis panel: `U` (unless held) and `u_v` for each of
+    /// `victims`. While the columns are live all six fault pairs of
+    /// every victim are recombined and memoized — both halves' — and
+    /// each recombination the guard band refuses is added to `direct`.
+    fn solve_basis_panel(
+        &mut self,
+        victims: &[usize],
+        direct: &mut Vec<VectorPair>,
+    ) -> Result<(), CoreError> {
         let cancel = self.cancel.as_ref();
         let solved =
-            self.basis.solve(&self.sim, &victims, self.settle, &mut self.panel_scratch, cancel)?;
+            self.basis.solve(&self.sim, victims, self.settle, &mut self.panel_scratch, cancel)?;
         self.transients_run += solved;
         self.memo_stats.basis_columns += solved as u64;
         let key = self.memo_key();
         let mut wave = Vec::new();
-        for &victim in &victims {
+        for &victim in victims {
             for fault in IntegrityFault::ALL {
                 let pair = fault_pair(self.wires, victim, fault)?;
                 if self.memo.get(&key).is_some_and(|m| m.contains_key(&pair)) {
@@ -998,8 +932,7 @@ impl Soc {
                 }
                 match self.recombined_response(&pair, &mut wave)? {
                     Some(response) => {
-                        let entry = MemoEntry { response, speculative: false };
-                        self.memo.entry(key).or_default().insert(pair, entry);
+                        self.memo.entry(key).or_default().insert(pair, response);
                     }
                     None => {
                         self.memo_stats.guard_fallbacks += 1;
@@ -1009,39 +942,7 @@ impl Soc {
             }
         }
         self.basis.release_victims();
-        if direct.is_empty() {
-            return Ok(());
-        }
-        let waves = self.run_panel(&direct)?;
-        let own = direct.len();
-        self.memoize(&waves, direct, own)
-    }
-
-    /// Tops `victims` up to the panel width with the next victims the
-    /// half in flight still reaches whose six fault pairs the memo
-    /// lacks. A victim the half never applies costs a wasted column,
-    /// never a wrong verdict: every applied pattern is still looked up
-    /// by its own pair.
-    fn top_up_victims(&self, victims: &mut Vec<usize>) {
-        let Some(plan) = self.plan.as_ref().filter(|_| self.quarantine.is_none()) else {
-            return;
-        };
-        let width = self.panel_width - usize::from(!self.basis.has_all_rise());
-        let memo = self.memo.get(&self.memo_key());
-        let known = |pair: Result<VectorPair, CoreError>| {
-            pair.is_ok_and(|pair| memo.is_some_and(|m| m.contains_key(&pair)))
-        };
-        let reach = plan.victims.len().min(plan.end.div_ceil(3));
-        for &victim in plan.victims.get(plan.next / 3..reach).unwrap_or_default() {
-            if victims.len() >= width {
-                break;
-            }
-            let solved =
-                IntegrityFault::ALL.iter().all(|&f| known(fault_pair(self.wires, victim, f)));
-            if !solved && !victims.contains(&victim) {
-                victims.push(victim);
-            }
-        }
+        Ok(())
     }
 
     /// The response of MA-shaped `pair` recombined from the live basis
@@ -1070,110 +971,28 @@ impl Soc {
         Ok(Some(response.into()))
     }
 
-    fn run_panel(&mut self, pairs: &[VectorPair]) -> Result<WavePanel, CoreError> {
-        let cancel = self.cancel.as_ref();
-        match self.sim.run_pairs_cancellable(pairs, self.settle, &mut self.panel_scratch, cancel) {
-            Ok(waves) => Ok(waves),
-            Err(InterconnectError::Cancelled { step }) => Err(CoreError::DeadlineExceeded { step }),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Tops a short panel up with the next pairs the half in flight
-    /// will apply that the memo lacks, predicted on clones of the PGBSC
-    /// cells — only mid-half under `G-SITEST`. A wrong prediction costs
-    /// a wasted column, never a wrong verdict: every applied pattern is
-    /// still looked up by its own pair.
-    fn extend_with_lookahead(&self, columns: &mut Vec<VectorPair>) -> Result<(), CoreError> {
-        let Some(plan) = &self.plan else {
-            return Ok(());
-        };
-        let ctrl = self.driver.chain().device(0)?.cell_control();
-        if columns.len() >= self.panel_width || !(ctrl.si && ctrl.ce) {
-            return Ok(());
-        }
-        let memo = self.memo.get(&self.memo_key());
-        let stream = HalfStream::new(self.pgbsc_clones()?, plan.clone(), self.quarantine.as_ref());
-        for pair in stream {
-            if columns.len() >= self.panel_width {
-                break;
-            }
-            if !memo.is_some_and(|m| m.contains_key(&pair)) && !columns.contains(&pair) {
-                columns.push(pair);
-            }
-        }
-        Ok(())
-    }
-
-    /// Reduces column `c` of a solved panel to its per-wire response.
-    fn response(
+    /// Reduces `pair`'s solved receiver traces (`trace(w)` for wire
+    /// `w`) to its per-wire response.
+    fn response<'w>(
         &self,
-        waves: &WavePanel,
-        c: usize,
         pair: &VectorPair,
+        dt: f64,
+        switch_at: f64,
+        trace: impl Fn(usize) -> &'w [f64],
     ) -> Result<Box<[u8]>, CoreError> {
-        let (dt, switch_at, vdd) = (waves.dt(), waves.switch_at(), self.bus.vdd());
+        let vdd = self.bus.vdd();
         (0..self.wires)
             .map(|w| {
                 let edge = pair.switches(w).then(|| pair.after(w));
-                Ok(self.obsc(w)?.response(waves.wire(c, w), dt, vdd, edge, switch_at))
+                Ok(self.obsc(w)?.response(trace(w), dt, vdd, edge, switch_at))
             })
             .collect()
     }
 
-    /// Latches a deferred pattern from its memoized response, under the
-    /// CE it was applied with.
-    fn latch_pattern(&mut self, pattern: &PendingPattern) -> Result<(), CoreError> {
-        let response = self
-            .memo
-            .get(&self.memo_key())
-            .and_then(|m| m.get(&pattern.pair))
-            .expect("every deferred pair is solved before it latches")
-            .response
-            .clone();
-        for (w, flags) in response.iter().enumerate() {
-            let obsc = self.obsc_mut(w)?;
-            obsc.set_detectors_enabled(pattern.ce);
-            obsc.nd_mut().latch(flags & ND_HIT != 0);
-            obsc.sd_mut().latch(flags & SD_HIT != 0);
-            obsc.set_parallel_input(Logic::from(flags & SETTLED_HIGH != 0));
-        }
-        Ok(())
-    }
-
-    /// Starts an empty pattern log, latching anything still deferred.
-    fn reset_pattern_log(&mut self) -> Result<(), CoreError> {
-        self.plan = None;
-        self.flush_pending()?;
+    /// Starts an empty pattern log.
+    fn reset_pattern_log(&mut self) {
         self.log.clear();
         self.patterns_applied = 0;
-        Ok(())
-    }
-
-    /// Feeds one wire's waveform into its OBSC: detector observations
-    /// (ND always, SD when the wire switched) and the settled parallel
-    /// input.
-    fn observe_wire(
-        &mut self,
-        w: usize,
-        wave: &[f64],
-        pair: &VectorPair,
-        ce: bool,
-        dt: f64,
-        switch_at: f64,
-    ) -> Result<(), CoreError> {
-        let vdd = self.bus.vdd();
-        let switched = pair.switches(w);
-        let final_level = pair.after(w);
-        let settled = settled_value(wave, 0.1);
-        let obsc = self.obsc_mut(w)?;
-        obsc.set_detectors_enabled(ce);
-        obsc.nd_mut().observe(wave, dt, vdd);
-        if switched {
-            obsc.sd_mut().observe(wave, dt, vdd, final_level, switch_at);
-        }
-        obsc.set_parallel_input(Logic::from(settled > vdd / 2.0));
-        Ok(())
     }
 
     /// Extracts the OBSC bits from a full-chain scan-out (TDO order).
@@ -1188,9 +1007,6 @@ impl Soc {
     /// flip-flops, then (ND̄/SD having toggled on Update-DR) the SD
     /// flip-flops.
     fn readout(&mut self, point: ReadoutPoint) -> Result<ReadoutRecord, CoreError> {
-        // The scanned flip-flops must reflect every pattern applied so
-        // far: force any deferred transients through now.
-        self.flush_pending()?;
         self.driver.load_instruction("O-SITEST")?;
         let zeros = BitVector::zeros(self.chain_len());
         let nd_out = self.driver.scan_dr(&zeros)?;
@@ -1229,26 +1045,42 @@ impl Soc {
     /// Substrate errors are propagated.
     pub fn run_conventional_generation(&mut self) -> Result<(u64, usize), CoreError> {
         self.driver.reset();
-        self.reset_pattern_log()?;
+        self.reset_pattern_log();
         self.prev = None;
         let tck_start = self.driver.tck();
         self.driver.load_instruction("EXTEST")?;
         let schedule = crate::mafm::conventional_schedule(self.wires)?;
-        for sched in &schedule {
-            for vector in [
-                (0..self.wires).map(|w| sched.pair.before(w)).collect::<Vec<_>>(),
-                (0..self.wires).map(|w| sched.pair.after(w)).collect::<Vec<_>>(),
-            ] {
-                let mut values = vec![Logic::Zero; self.chain_len()];
-                for (w, level) in vector.iter().enumerate() {
-                    values[w] = Logic::from(*level == DriveLevel::High);
-                }
-                let word = self.scan_word(&values);
-                self.driver.scan_dr(&word)?;
-                self.apply_bus_state()?;
-            }
+        let vectors: Vec<Vec<Logic>> = schedule
+            .iter()
+            .flat_map(|sched| {
+                [VectorPair::before, VectorPair::after].map(|level| {
+                    let high = |w| level(&sched.pair, w) == DriveLevel::High;
+                    (0..self.wires).map(|w| Logic::from(high(w))).collect()
+                })
+            })
+            .collect();
+        if self.panel_width > 1 {
+            // Plan first: the transitions between consecutive scanned
+            // vectors. A failed plan is dropped, as in `run_half`.
+            let quarantine = self.quarantine.as_ref();
+            let levels: Vec<_> = vectors
+                .iter()
+                .filter_map(|v| drive_levels(v.iter().copied(), quarantine))
+                .collect();
+            let planned: Vec<VectorPair> = levels
+                .windows(2)
+                .filter(|w| w[0] != w[1])
+                .map(|w| VectorPair::new(w[0].clone(), w[1].clone()))
+                .collect();
+            let _ = self.solve_plan(&planned);
         }
-        self.flush_pending()?;
+        for vector in &vectors {
+            let mut values = vec![Logic::Zero; self.chain_len()];
+            values[..self.wires].copy_from_slice(vector);
+            let word = self.scan_word(&values);
+            self.driver.scan_dr(&word)?;
+            self.apply_bus_state()?;
+        }
         Ok((self.driver.tck() - tck_start, self.patterns_applied))
     }
 
@@ -1276,10 +1108,6 @@ impl Soc {
     ///
     /// Substrate errors are propagated.
     pub fn clear_detectors(&mut self) -> Result<(), CoreError> {
-        // Deferred patterns precede the clear in application order:
-        // their observations are made (and wiped) exactly as the
-        // scalar path would have.
-        self.flush_pending()?;
         for w in 0..self.wires {
             self.obsc_mut(w)?.clear_detectors();
         }
@@ -1329,7 +1157,6 @@ impl Soc {
         if config.method == ObservationMethod::Once {
             readouts.push(self.masked_readout(ReadoutPoint::Final)?);
         }
-        self.flush_pending()?;
 
         let tck_used = self.driver.tck() - tck_start;
         let applied = self.patterns_applied;
@@ -1347,9 +1174,7 @@ impl Soc {
         if !(positive(config.settle_time) && positive(config.dt)) {
             return Err(CoreError::config("settle time and dt must be finite and positive"));
         }
-        // Patterns an aborted session left deferred were memoized under
-        // its solver and settle time: latch them before either changes.
-        self.reset_pattern_log()?;
+        self.reset_pattern_log();
         self.quarantine = None;
         self.degradation_events.clear();
         let qualification = self.qualify_chain()?;
@@ -1372,6 +1197,10 @@ impl Soc {
     /// pattern and returns whether it read out; a read-out anywhere but
     /// at `stop`, the half's last action, restores the select word
     /// before the next pattern fires (see `timing::resume_tcks`).
+    ///
+    /// Plan first: before it drives the TAP, a batched half solves the
+    /// transitions it will apply ([`Soc::solve_plan`]), so each
+    /// Update-DR only latches.
     fn run_half(
         &mut self,
         initial: DriveLevel,
@@ -1380,6 +1209,14 @@ impl Soc {
         stop: (usize, usize),
         after: &mut AfterPattern<'_>,
     ) -> Result<(), CoreError> {
+        let end = 3 * stop.0 + stop.1 + 1;
+        if self.panel_width > 1 {
+            // A plan that cannot be predicted or solved is dropped: its
+            // patterns then miss the memo and are solved alone at their
+            // Update-DR, so any error is the scalar oracle's.
+            let plan = self.planned_half(initial, victims, rotate, end);
+            let _ = plan.and_then(|plan| self.solve_plan(&plan));
+        }
         // Preload the initial value into every update stage, then enter
         // signal-integrity mode: the pattern stages now drive the bus
         // with the initial value, the state pattern 0 transitions from.
@@ -1389,8 +1226,6 @@ impl Soc {
         self.apply_bus_state()?;
         self.driver.load_instruction("G-SITEST")?;
         self.apply_bus_state()?;
-        let end = 3 * stop.0 + stop.1 + 1;
-        self.plan = Some(HalfPlan { victims: victims.to_vec(), rotate, next: 0, end });
         for k in 0..end {
             let (pos, p) = (k / 3, k % 3);
             let victim = victims[pos];
@@ -1403,14 +1238,10 @@ impl Soc {
                 self.driver.shift_dr_bits(&BitVector::zeros(1))?;
             }
             self.apply_bus_state()?;
-            if let Some(plan) = &mut self.plan {
-                plan.next = k + 1;
-            }
             if after(self, victim, (pos, p))? && k + 1 < end {
                 self.resume(victim)?;
             }
         }
-        self.plan = None;
         Ok(())
     }
 
@@ -1579,7 +1410,6 @@ impl Soc {
         dropped: u64,
         escalations: u64,
     ) -> Result<AdaptiveSessionOutcome, CoreError> {
-        self.flush_pending()?;
         let n = self.wires;
         let mut nd = vec![false; n];
         let mut sd = vec![false; n];
@@ -2240,8 +2070,8 @@ mod tests {
         // (ragged tails) and 8 (default) must produce identical
         // reports for every observation method — detector verdicts,
         // read-out order, TCKs and pattern counts. The scalar oracle
-        // solves every pattern; a batched session solves the n + 1
-        // step-basis columns.
+        // solves every pattern alone; a batched session's plans solve
+        // the n + 1 step-basis columns and every pattern hits the memo.
         for method in [
             ObservationMethod::Once,
             ObservationMethod::PerInitialValue,
@@ -2255,8 +2085,9 @@ mod tests {
                     .build()
                     .unwrap();
                 let report = soc.run_integrity_test(&cfg).unwrap();
-                assert!(soc.pending.is_empty(), "queue must drain by session end");
-                assert_eq!(soc.memo_stats().wasted_lookahead, 0, "width {width} ({method})");
+                let stats = soc.memo_stats();
+                let (hits, unplanned) = if width == 1 { (0, 6 * 4) } else { (6 * 4, 0) };
+                assert_eq!((stats.hits, stats.unplanned), (hits, unplanned), "width {width}");
                 let columns = if width == 1 { 6 * 4 } else { 4 + 1 };
                 assert_eq!(soc.transients_run(), columns, "width {width} ({method})");
                 (report, soc.patterns_applied)
@@ -2287,16 +2118,14 @@ mod tests {
             let report = soc.run_integrity_test(&coarse_session(method)).unwrap();
             let stats = soc.memo_stats();
             // One panel: U and the six single-rise columns, which fill
-            // the memo for all 36 patterns of both halves.
+            // the memo for all 36 patterns of both halves, whatever the
+            // read-out cadence; no column goes unused.
             assert_eq!(soc.transients_run(), 6 + 1, "{method}: n + 1 basis columns");
             assert_eq!(stats.basis_columns, 6 + 1, "{method}");
-            assert_eq!((stats.lookahead, stats.wasted_lookahead), (0, 0), "{method}");
             assert_eq!(stats.guard_fallbacks, 0, "{method}");
-            // Patterns queued before the one flush miss the memo: a
-            // full panel's worth (8) under methods 1 and 2, only the
-            // first pattern under method 3's per-pattern read-outs.
-            let queued = if method == ObservationMethod::PerPattern { 1 } else { 8 };
-            assert_eq!(stats.hits, 36 - queued, "{method}");
+            // The low half's plan covers both halves: every applied
+            // pattern is latched from the memo, none is solved alone.
+            assert_eq!((stats.hits, stats.unplanned), (36, 0), "{method}");
             assert!(report.wire(2).noise);
         }
     }
@@ -2366,9 +2195,10 @@ mod tests {
 
     #[test]
     fn lookahead_panels_fail_exactly_like_the_scalar_oracle() {
-        // A pre-cancelled token fails the first read-out flush, whose
-        // panel carries lookahead columns: the error is re-derived from
-        // the queued pattern alone, as the scalar path reports it.
+        // A pre-cancelled token fails the first half's plan solve, whose
+        // panel carries columns no pattern has reached yet: the plan is
+        // dropped, and the first pattern, solved alone, reports the
+        // error exactly as the scalar path does.
         let cfg = coarse_session(ObservationMethod::PerPattern);
         let fail = |width: usize| {
             let mut soc = coarse(4).panel_width(width).build().unwrap();
@@ -2386,9 +2216,12 @@ mod tests {
     fn batched_conventional_generation_matches_scalar() {
         let run = |width: usize| {
             let mut soc = SocBuilder::new(4).panel_width(width).build().unwrap();
-            soc.run_conventional_generation().unwrap()
+            let outcome = soc.run_conventional_generation().unwrap();
+            (outcome, soc.memo_stats().unplanned)
         };
-        assert_eq!(run(DEFAULT_PANEL_WIDTH), run(1));
+        let ((batched, unplanned), (scalar, _)) = (run(DEFAULT_PANEL_WIDTH), run(1));
+        assert_eq!(batched, scalar);
+        assert_eq!(unplanned, 0, "the plan covers every scanned transition");
     }
 
     #[test]
@@ -2403,10 +2236,13 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CoreError::DeadlineExceeded { .. }), "{err:?}");
         soc.set_cancel_token(None);
-        assert!(soc.pending.is_empty(), "a failed flush must not leave stale patterns");
+        // A dropped plan leaves nothing behind: no column, no memo entry.
+        assert_eq!((soc.transients_run(), soc.memo_stats()), (0, MemoStats::default()));
+        assert!(soc.memo.is_empty());
         let report =
             soc.run_integrity_test(&SessionConfig::method(ObservationMethod::Once)).unwrap();
         assert!(!report.any_violation());
+        assert_eq!(soc.transients_run(), 3 + 1, "the next session plans afresh");
     }
 
     #[test]

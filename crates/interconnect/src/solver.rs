@@ -2031,6 +2031,80 @@ mod tests {
     }
 
     #[test]
+    fn undriven_rc_bus_never_gains_energy() {
+        use sint_runtime::prop::{gen, Runner};
+        // Passivity: once every source ramp has ended, the error
+        // e_k = v_k − DC(after) of a pure-RC bus obeys
+        // (G + C/h)·e_k = (C/h)·e_{k−1} with G and C symmetric positive
+        // (semi)definite, so backward Euler can only dissipate it:
+        // e_kᵀ·C·e_k ≤ e_{k−1}ᵀ·C·e_{k−1}. Checked on the full state of
+        // random buses in both numbering regimes (`arb_params`), with
+        // the inductance stripped, down to a billionth of the error the
+        // ramp left, where rounding starts to dominate.
+        Runner::new("rc_passivity").cases(32).run(
+            |rng| (arb_params(rng).l_per_mm(0.0).lm_per_mm(0.0), gen::u64_any(rng)),
+            |(params, bits)| {
+                let bus = params.clone().build().map_err(|e| e.to_string())?;
+                if bus.has_inductance() {
+                    return Err("inductance was not stripped".into());
+                }
+                let dt = 2e-12;
+                let sim = TransientSim::new(&bus, dt).map_err(|e| e.to_string())?;
+                let Engine::Banded(sys) = &sim.engine else {
+                    return Err("a pure-RC bus runs on the banded engine".into());
+                };
+                let n = bus.wires();
+                let level = |bit: usize| crate::drive::DriveLevel::from(bits >> bit & 1 == 1);
+                let pair = VectorPair::new(
+                    (0..n).map(level).collect(),
+                    (0..n).map(|w| level(32 + w)).collect(),
+                );
+                let stimulus =
+                    Stimulus::from_pair(&bus, &pair, sim.switch_at()).map_err(|e| e.to_string())?;
+                let ramp_end = sim.switch_at() + bus.rise_time();
+                let mut dc_after = vec![0.0; sys.dim];
+                sys.stamp(&stimulus, 2.0 * ramp_end, &mut dc_after, 1, 0);
+                sys.dc_lu.solve_into(&mut dc_after);
+                // e_kᵀ·C·e_k, with C the history diagonals times dt.
+                let mut scratch = (vec![0.0; sys.dim], vec![0.0; sys.dim]);
+                let mut energy = |state: &[f64]| {
+                    let (e, ce) = &mut scratch;
+                    for ((e, v), dc) in e.iter_mut().zip(state).zip(&dc_after) {
+                        *e = v - dc;
+                    }
+                    sys.hist.mul_vec_into(e, ce);
+                    e.iter().zip(ce.iter()).map(|(e, ce)| e * ce * dt).sum::<f64>()
+                };
+                let mut state = vec![0.0; sys.dim];
+                sys.stamp(&stimulus, 0.0, &mut state, 1, 0);
+                sys.dc_lu.solve_into(&mut state);
+                let mut rhs = vec![0.0; sys.dim];
+                let (mut prev, mut floor) = (energy(&state), None);
+                for k in 1..=1000 {
+                    let t = k as f64 * dt;
+                    sys.hist.mul_vec_into(&state, &mut rhs);
+                    sys.stamp(&stimulus, t, &mut rhs, 1, 0);
+                    sys.a_lu.solve_into(&mut rhs);
+                    std::mem::swap(&mut state, &mut rhs);
+                    let now = energy(&state);
+                    if (k - 1) as f64 * dt > ramp_end {
+                        let floor = *floor.get_or_insert(1e-18 * prev);
+                        if prev > floor && now > prev * (1.0 + 1e-12) {
+                            return Err(format!(
+                                "{}x{} {pair}: step {k} energy {now:e} after {prev:e}",
+                                n,
+                                bus.segments()
+                            ));
+                        }
+                    }
+                    prev = now;
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
     fn empty_panel_is_a_valid_run() {
         let bus = small_bus(3);
         let sim = TransientSim::new(&bus, 2e-12).unwrap();

@@ -159,11 +159,13 @@ same "$tmp/chaos_ref_summary.json" "$tmp/chaos_summary.json" \
     "resumed chaos summary differs from uninterrupted run"
 echo "chaos matrix: summaries byte-identical under active fault injection"
 
-# Batched-solve determinism: the multi-RHS panel path is contractually
-# bitwise-identical to the scalar path, so a fixed defect campaign
-# (including a solver blow-up that forces the divergence fallback) must
-# produce byte-identical summaries batched (panel width 8) vs unbatched
-# (width 1) and across thread counts.
+# Batched-solve determinism: plan-first solving (each half's predicted
+# transitions solved ahead in multi-RHS panels, then latched from the
+# memo at Update-DR) is contractually bitwise-identical to the scalar
+# path, so a fixed defect campaign (including a solver blow-up whose
+# plan is dropped, leaving each pattern to a scalar solve) must produce
+# byte-identical summaries batched (panel width 8) vs unbatched (width
+# 1, which never plans) and across thread counts.
 SINT_THREADS=1 target/release/gate batch 8 "$tmp/batch_w8.json"
 SINT_THREADS=1 target/release/gate batch 1 "$tmp/batch_w1.json"
 same "$tmp/batch_w8.json" "$tmp/batch_w1.json" "batched summary differs from unbatched"
@@ -175,8 +177,11 @@ echo "batched solves: byte-identical vs unbatched and across thread counts"
 # byte offsets (fixed and seeded-random), let the resume recover the
 # CRC-framed records stream and the generation-paired checkpoint, and
 # require the merged summary — and its records-replay self-check — to
-# match the uninterrupted reference byte for byte.
-for kill in rand:11 rand:22 4097; do
+# match the uninterrupted reference byte for byte. 4097 and rand:11
+# (12,509 B) land before the first 100-board checkpoint of the ~1.04 MB
+# stream, so they resume from generation 0; the kill at 600000 must
+# resume from a real checkpoint (generation >= 1) plus a torn stream.
+for kill in rand:11 rand:22 4097 600000; do
     rm -f "$tmp/tw_ckpt.json.a" "$tmp/tw_ckpt.json.b" \
         "$tmp/tw_records.jsonl" "$tmp/tw_summary.json"
     expect_exit 3 env SINT_THREADS=4 target/release/gate fleet \
@@ -184,11 +189,22 @@ for kill in rand:11 rand:22 4097; do
         --records "$tmp/tw_records.jsonl" --kill-at-byte "$kill"
     SINT_THREADS=8 target/release/gate fleet \
         "$tmp/tw_ckpt.json" "$tmp/tw_summary.json" \
-        --records "$tmp/tw_records.jsonl"
+        --records "$tmp/tw_records.jsonl" 2> "$tmp/tw_resume.err" ||
+        { cat "$tmp/tw_resume.err" >&2; exit 1; }
+    cat "$tmp/tw_resume.err" >&2
     same "$tmp/fleet_ref_summary.json" "$tmp/tw_summary.json" \
         "summary after kill at $kill differs from reference"
+    if [ "$kill" = 600000 ]; then
+        generation=$(sed -n 's/.*resumed from checkpoint generation \([0-9][0-9]*\)).*/\1/p' \
+            "$tmp/tw_resume.err")
+        if [ "${generation:-0}" -lt 1 ]; then
+            echo "verify: FAIL — resume after kill at $kill started from checkpoint" \
+                "generation ${generation:-unknown}, expected >= 1" >&2
+            exit 1
+        fi
+    fi
 done
-echo "torn-write storm: recovered summaries byte-identical at 3 kill offsets"
+echo "torn-write storm: recovered summaries byte-identical at 4 kill offsets"
 
 # Torn checkpoint: tear the second generation image itself mid-write;
 # the loader must fall back to the surviving generation and the resumed

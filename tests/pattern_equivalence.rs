@@ -5,14 +5,14 @@
 //! 2. the behavioural cell array (`sint_core::pgbsc::Pgbsc`),
 //! 3. the structural gate netlist (`sint_core::pgbsc::pgbsc_netlist`
 //!    simulated by `sint_logic`),
-//! 4. the SoC's half-stream prediction (`Soc::predict_half`), which the
-//!    batched path's read-out lookahead fills its panels from.
+//! 4. the SoC's half-stream prediction (`Soc::predict_half`), the plan
+//!    the batched path solves ahead of each half.
 //!
 //! This is the ablation DESIGN.md calls out: the session uses (2) for
 //! speed and the area analysis uses (3); their agreement is what makes
 //! the Table 7 numbers meaningful for the same design. (4) must equal
-//! the pairs the session actually applies, or lookahead columns go to
-//! waste.
+//! the pairs the session actually applies, or patterns miss the plan
+//! and are solved one at a time.
 
 use sint::core::degrade::ChainPolicy;
 use sint::core::mafm::pgbsc_vector;
@@ -227,14 +227,14 @@ fn structural_array_reproduces_full_victim_rotation() {
 
 #[test]
 fn predicted_half_streams_are_the_applied_patterns() {
-    // Run a method-3 session (a read-out after every pattern, so every
-    // flush solves ahead of the patterns applied), then predict both
-    // halves from fresh preloads: the prediction must be exactly the
-    // applied stream, in order, and nothing solved ahead may go unused.
-    // Two rosters: the rotating healthy one, whose MA patterns all
-    // recombine from n + 1 step-basis columns, and a degraded one that
-    // scans a full select word per victim around parked, quarantined
-    // wires, whose patterns are solved directly with lookahead.
+    // Run a method-3 session (a read-out after every pattern), then
+    // predict both halves from fresh preloads: the prediction must be
+    // exactly the applied stream, in order, every applied pattern must
+    // latch from what the plans solved, and nothing solved ahead may go
+    // unused. Two rosters: the rotating healthy one, whose MA patterns
+    // all recombine from n + 1 step-basis columns, and a degraded one
+    // that scans a full select word per victim around parked,
+    // quarantined wires, whose patterns are solved in direct panels.
     const WIRES: usize = 7;
     let coarse = || SocBuilder::new(WIRES).bus_params(BusParams::dsm_bus(WIRES).segments(1));
     let healthy = coarse().coupling_defect(3, 6.0).build().expect("healthy SoC");
@@ -256,8 +256,8 @@ fn predicted_half_streams_are_the_applied_patterns() {
         assert_eq!(low.len(), 3 * victims, "{name}");
         assert_eq!([low, high].concat(), applied, "{name}: predicted ≠ applied");
         let stats = soc.memo_stats();
-        assert_eq!(stats.lookahead > 0, direct > 0, "{name}: only direct panels look ahead");
-        assert_eq!(stats.wasted_lookahead, 0, "{name}: {stats:?}");
+        assert_eq!(stats.hits, 6 * victims as u64, "{name}: {stats:?}");
+        assert_eq!(stats.unplanned, 0, "{name}: {stats:?}");
         assert_eq!(stats.basis_columns, basis as u64, "{name}: {stats:?}");
         assert_eq!(stats.guard_fallbacks, 0, "{name}: {stats:?}");
         assert_eq!(soc.transients_run(), basis + direct, "{name}: columns solved");

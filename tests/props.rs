@@ -824,12 +824,14 @@ fn adaptive_sessions_detect_exactly_the_exhaustive_attribution() {
 
 #[test]
 fn batched_sessions_render_byte_identical_to_the_scalar_oracle() {
-    // The pattern-response memo and read-out lookahead must be
+    // Plan-first solving and the pattern-response memo must be
     // invisible: at panel width 8 every session renders exactly the
     // report the scalar width-1 oracle renders — across random buses
     // (RC or RLC, per-die variation), defect mixes and widths, for all
     // three methods, healthy or degraded around a quarantine, and for
-    // adaptive sessions whose escalation passes replay the memo.
+    // adaptive sessions whose escalation passes replay the memo — and
+    // every pattern a width-8 session applies was solved by its plans.
+    // Conventional EXTEST generation costs the same at both widths.
     Runner::new("batched_matches_scalar").cases(8).run(
         |rng| {
             let width = gen::usize_in(rng, 3..17);
@@ -879,32 +881,42 @@ fn batched_sessions_render_byte_identical_to_the_scalar_oracle() {
                 ObservationMethod::PerPattern,
             ] {
                 let cfg = SessionConfig { dt: 10e-12, ..SessionConfig::method(method) };
-                let render = |panel_width: usize| -> Result<String, String> {
-                    let report =
-                        build(panel_width)?.run_integrity_test(&cfg).map_err(|e| e.to_string())?;
-                    Ok(report.to_json().render())
+                let render = |panel_width: usize| -> Result<(String, u64), String> {
+                    let mut soc = build(panel_width)?;
+                    let report = soc.run_integrity_test(&cfg).map_err(|e| e.to_string())?;
+                    Ok((report.to_json().render(), soc.memo_stats().unplanned))
                 };
-                check_eq(render(8)?, render(1)?)?;
+                let (batched, unplanned) = render(8)?;
+                check_eq(batched, render(1)?.0)?;
+                check_eq(unplanned, 0)?;
             }
             let cfg =
                 SessionConfig { dt: 10e-12, ..SessionConfig::method(ObservationMethod::Once) };
-            let adaptive = |panel_width: usize| -> Result<String, String> {
-                let outcome = build(panel_width)?
+            let adaptive = |panel_width: usize| -> Result<(String, u64), String> {
+                let mut soc = build(panel_width)?;
+                let outcome = soc
                     .run_adaptive_session(
                         &cfg,
                         &CoverageLedger::new(width),
                         [DriveLevel::Low, DriveLevel::High],
                     )
                     .map_err(|e| e.to_string())?;
-                Ok(format!(
+                let rendered = format!(
                     "{} {:?} {} {}",
                     outcome.report.to_json().render(),
                     outcome.detected,
                     outcome.dropped,
                     outcome.escalations
-                ))
+                );
+                Ok((rendered, soc.memo_stats().unplanned))
             };
-            check_eq(adaptive(8)?, adaptive(1)?)
+            let (batched, unplanned) = adaptive(8)?;
+            check_eq(batched, adaptive(1)?.0)?;
+            check_eq(unplanned, 0)?;
+            let conventional = |panel_width: usize| {
+                build(panel_width)?.run_conventional_generation().map_err(|e| e.to_string())
+            };
+            check_eq(conventional(8)?, conventional(1)?)
         },
     );
 }
