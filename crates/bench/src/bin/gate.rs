@@ -395,15 +395,18 @@ const ADAPTIVE_WIRES: usize = 6;
 /// campaign-wide detected set equals the oracle's — the equivalence
 /// gate of DESIGN.md §13.
 fn adaptive(args: &Args, threads: usize) -> Result<u8, String> {
-    let campaign = Campaign::new(ADAPTIVE_WIRES)
-        .bus_params(BusParams::dsm_bus(ADAPTIVE_WIRES).segments(2))
-        .session(SessionConfig { dt: 10e-12, ..SessionConfig::method(ObservationMethod::Once) })
-        .retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() });
+    let campaign = adaptive_campaign();
     let batch = adaptive_trials();
     let fresh = || AdaptiveCheckpoint::new(ADAPTIVE_WIRES);
     let (run, resumed_from) = resume(args, fresh, batch.len(), |cp, snap| {
-        campaign.run_adaptive_checkpointed(&batch, threads, cp, snap)
+        // A well-formed snapshot of some other campaign or batch is as
+        // bad as a corrupt one: refuse it before anything runs.
+        campaign.adaptive_resume_point(&batch, cp).map_err(|e| {
+            format!("bad checkpoint {}: {e}", args.operands[0])
+        })?;
+        Ok::<_, String>(campaign.run_adaptive_checkpointed(&batch, threads, cp, snap))
     })?;
+    let run = run?;
     write_summary(&args.operands[1], &run.to_json())?;
     eprintln!(
         "gate: {} trials ({resumed_from} resumed from checkpoint), {threads} threads: {} \
@@ -431,6 +434,15 @@ fn adaptive(args: &Args, threads: usize) -> Result<u8, String> {
         oracle.total_tck
     );
     Ok(DONE)
+}
+
+/// The `adaptive` scenario's campaign: method-1 sessions on the coarse
+/// 6-wire grid at 10 ps, two attempts per trial.
+fn adaptive_campaign() -> Campaign {
+    Campaign::new(ADAPTIVE_WIRES)
+        .bus_params(BusParams::dsm_bus(ADAPTIVE_WIRES).segments(2))
+        .session(SessionConfig { dt: 10e-12, ..SessionConfig::method(ObservationMethod::Once) })
+        .retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() })
 }
 
 /// A severity sweep that keeps re-exciting the same two defective wires
@@ -1007,13 +1019,35 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("scratch dir");
         let checkpoint = dir.join("ckpt.json");
         let summary = dir.join("summary.json");
-        // Not UTF-8, and not a checkpoint: both must exit 2 and leave
-        // the file as it was, without writing a summary.
-        for bytes in
-            [&b"{\"version\":2,\"entries\":[\xff]}"[..], b"{\"version\":2,\"entries\":[x]}"]
-        {
+        // The adaptive run halted after two rounds, as
+        // `--halt-after 12` leaves it.
+        let mut halted = AdaptiveCheckpoint::new(ADAPTIVE_WIRES);
+        let _ = adaptive_campaign().run_adaptive_checkpointed(
+            &adaptive_trials()[..16],
+            1,
+            &mut halted,
+            |_| {},
+        );
+        let halted = halted.to_json().render();
+        let narrowed = halted.replace(
+            r#""ledger":{"wires":6,"masks":[63,63,63,63,63,63]}"#,
+            r#""ledger":{"wires":2,"masks":[0,0]}"#,
+        );
+        let behind = halted.replace(r#""rounds_done":2,"#, r#""rounds_done":1,"#);
+        assert!(narrowed != halted && behind != halted, "{halted}");
+        let both = &["campaign", "adaptive"][..];
+        // Not UTF-8, and not a checkpoint; then well-formed adaptive
+        // snapshots that do not fit the batch: a narrower ledger, and
+        // fewer rounds than its entries. All must exit 2 and leave the
+        // file as it was, without writing a summary.
+        for (bytes, scenarios) in [
+            (&b"{\"version\":2,\"entries\":[\xff]}"[..], both),
+            (b"{\"version\":2,\"entries\":[x]}", both),
+            (narrowed.as_bytes(), &["adaptive"]),
+            (behind.as_bytes(), &["adaptive"]),
+        ] {
             std::fs::write(&checkpoint, bytes).expect("write checkpoint");
-            for scenario in ["campaign", "adaptive"] {
+            for scenario in scenarios {
                 let paths = [&checkpoint, &summary].map(|p| p.display().to_string());
                 assert_eq!(gate(&argv(&[scenario, &paths[0], &paths[1]])), FAILURE, "{scenario}");
                 assert_eq!(std::fs::read(&checkpoint).ok().as_deref(), Some(bytes));

@@ -391,9 +391,8 @@ impl Campaign {
     ///
     /// # Panics
     ///
-    /// Panics when `checkpoint` does not hold exactly the entries its
-    /// round counter claims for this batch (a snapshot from a different
-    /// batch layout).
+    /// Panics when `checkpoint` does not fit this campaign and batch
+    /// (see [`Campaign::adaptive_resume_point`]).
     #[must_use]
     pub fn run_adaptive_checkpointed(
         &self,
@@ -403,16 +402,40 @@ impl Campaign {
         sink: impl FnMut(&AdaptiveCheckpoint),
     ) -> AdaptiveRun {
         let round = self.adaptive_config().round.max(1);
-        let done = checkpoint.rounds_done.min(trials.len().div_ceil(round));
-        let resume_at = (done * round).min(trials.len());
-        assert_eq!(
-            checkpoint.entries.len(),
-            resume_at,
-            "adaptive checkpoint does not match this batch layout"
-        );
+        let resume_at = self.adaptive_resume_point(trials, checkpoint).unwrap_or_else(|e| {
+            panic!("adaptive checkpoint does not match this batch layout: {e}")
+        });
         let remaining: Vec<usize> = (resume_at..trials.len()).collect();
         self.drive(trials, remaining.chunks(round), threads, None, checkpoint, sink);
         checkpoint.assemble()
+    }
+
+    /// The trial index [`Campaign::run_adaptive_checkpointed`] resumes
+    /// `trials` from with `checkpoint`: the end of its last full round.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Schema`] when the snapshot does not fit this
+    /// campaign and batch: its ledger tracks a different number of
+    /// wires, or it does not hold exactly the entries its round counter
+    /// claims.
+    pub fn adaptive_resume_point(
+        &self,
+        trials: &[Trial],
+        checkpoint: &AdaptiveCheckpoint,
+    ) -> Result<usize, CheckpointError> {
+        let round = self.adaptive_config().round.max(1);
+        let done = checkpoint.rounds_done.min(trials.len().div_ceil(round));
+        let resume_at = (done * round).min(trials.len());
+        let (wires, entries) = (checkpoint.ledger.wires(), checkpoint.entries.len());
+        if wires != self.wires() || entries != resume_at {
+            return Err(schema(format!(
+                "a {wires}-wire ledger with {entries} entries after {done} rounds does not \
+                 resume a {}-wire campaign at trial {resume_at}",
+                self.wires()
+            )));
+        }
+        Ok(resume_at)
     }
 
     /// The exhaustive oracle with per-pattern attribution: the round

@@ -33,7 +33,8 @@ pub enum CheckpointError {
     /// The snapshot is not valid JSON.
     Json(JsonParseError),
     /// The JSON is well-formed but not a checkpoint (wrong version,
-    /// missing field, wrong type).
+    /// missing field, wrong type), or a checkpoint that does not fit
+    /// the run asked to resume from it.
     Schema {
         /// Human-readable reason.
         reason: String,

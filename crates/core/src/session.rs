@@ -153,9 +153,10 @@ pub enum ReadoutPoint {
         fault: IntegrityFault,
     },
     /// Adaptive localization probe (see [`crate::adaptive`]): like
-    /// `AfterPattern`, but the engine *clears* the detectors right after
-    /// scanning them out, so the snapshot is per-probe-window rather
-    /// than cumulative. Only adaptive sessions emit this point.
+    /// `AfterPattern`, but the session executor *clears* the detectors
+    /// right after scanning out a probe, so the snapshot is
+    /// per-probe-window rather than cumulative. Only adaptive and
+    /// attributed-exhaustive sessions emit this point.
     Probe {
         /// Initial value of the enclosing half.
         initial: DriveLevel,

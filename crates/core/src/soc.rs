@@ -9,6 +9,13 @@
 //! receiving detectors — so an injected physical defect propagates all
 //! the way to bits scanned out of TDO, with every TCK accounted for.
 //!
+//! Every session is data: a list of `HalfPass` values, each one PGBSC
+//! half truncated at a stop, with the read-out points listed by pattern.
+//! Methods 1–3 differ only in where those points fall; the adaptive and
+//! attributed-exhaustive sessions place probes (read-outs that clear
+//! the detectors) and derive each escalation pass from the previous
+//! pass's flags by a pure step. One executor runs every pass.
+//!
 //! The PGBSCs generate a half's patterns on-chip from its preload and
 //! victim roster, so the transitions are known before the TAP moves.
 //! A batched SoC plans first: it predicts the half's transitions on
@@ -41,7 +48,7 @@ use sint_interconnect::basis::StepBasis;
 use sint_interconnect::measure::propagation_delay;
 use sint_interconnect::params::{Bus, BusParams};
 use sint_interconnect::solver::{GuardrailEvent, PanelScratch, SimScratch, TransientSim};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use sint_interconnect::variation::{apply_variation, VariationSigma};
 use sint_jtag::bcell::{BoundaryCell, CellControl, StandardBsc};
@@ -363,12 +370,110 @@ pub struct MemoStats {
     pub guard_fallbacks: u64,
 }
 
-/// The findings a session over a quarantine attaches to its report.
-type Degradation = (FaultLocalization, CoverageReport, Vec<DegradationEvent>);
+/// One PGBSC half as data: patterns `0..=stop` from a preload of
+/// `initial`, with a read-out right after each listed pattern. Patterns
+/// are numbered linearly, `3·victim position + pattern index`.
+#[derive(Debug, Clone, PartialEq)]
+struct HalfPass {
+    initial: DriveLevel,
+    /// The last pattern the half runs.
+    stop: usize,
+    /// `(pattern, point)` entries, ascending, each at or before `stop`.
+    /// A read before `stop` is followed by a resume; a
+    /// [`ReadoutPoint::Probe`] clears the detectors after it scans out.
+    reads: Vec<(usize, ReadoutPoint)>,
+}
 
-/// What [`Soc::run_half`] runs after each pattern, given the victim and
-/// `(victim position, pattern index)`; returns whether it read out.
-type AfterPattern<'a> = dyn FnMut(&mut Soc, usize, (usize, usize)) -> Result<bool, CoreError> + 'a;
+/// The passes of a methods 1–3 session over `victims`: both halves in
+/// full, low first. Method 1 reads at the second half's stop, method 2
+/// at each stop, method 3 after every pattern.
+fn method_passes(method: ObservationMethod, victims: &[usize]) -> Vec<HalfPass> {
+    let stop = 3 * victims.len() - 1;
+    [DriveLevel::Low, DriveLevel::High]
+        .into_iter()
+        .map(|initial| {
+            let faults = IntegrityFault::covered_by_initial(initial);
+            let reads = match method {
+                ObservationMethod::Once if initial == DriveLevel::Low => Vec::new(),
+                ObservationMethod::Once => vec![(stop, ReadoutPoint::Final)],
+                ObservationMethod::PerInitialValue => {
+                    vec![(stop, ReadoutPoint::AfterInitialValue(initial))]
+                }
+                ObservationMethod::PerPattern => (0..=stop)
+                    .map(|k| {
+                        let victim = victims[k / 3];
+                        (k, ReadoutPoint::AfterPattern { initial, victim, fault: faults[k % 3] })
+                    })
+                    .collect(),
+            };
+            HalfPass { initial, stop, reads }
+        })
+        .collect()
+}
+
+/// The probed pass that tests each window `a..=b` of `windows`
+/// (ascending, disjoint, non-empty): a probe at each window's end, and a
+/// *guard* probe at `a − 1` when a gap separates the window from the
+/// previous one. A re-run re-fires every earlier pattern, failing ones
+/// included, so the guard clears whatever the gap latched and each end
+/// probe flags exactly the window's own patterns. The pass stops at the
+/// last window's end.
+fn window_pass(initial: DriveLevel, victims: &[usize], windows: &[(usize, usize)]) -> HalfPass {
+    let probe = |k: usize| {
+        (k, ReadoutPoint::Probe { initial, victim: victims[k / 3], pattern: k % 3 })
+    };
+    let mut reads = Vec::with_capacity(2 * windows.len());
+    let mut unprobed = 0;
+    for &(a, b) in windows {
+        if a > unprobed {
+            reads.push(probe(a - 1));
+        }
+        reads.push(probe(b));
+        unprobed = b + 1;
+    }
+    HalfPass { initial, stop: unprobed - 1, reads }
+}
+
+/// One escalation step, pure: `pass` tested `windows` and read `flags`
+/// (one per read, guards included). A flagged single pattern is
+/// isolated; a flagged wider window splits in two for the next pass.
+/// Returns the next pass (`None` once nothing is left to split), its
+/// windows, and the isolated patterns.
+fn escalate(
+    victims: &[usize],
+    pass: &HalfPass,
+    windows: &[(usize, usize)],
+    flags: &[bool],
+) -> (Option<HalfPass>, Vec<(usize, usize)>, Vec<usize>) {
+    let mut next = Vec::new();
+    let mut isolated = Vec::new();
+    for &(a, b) in windows {
+        // A window's flag is its end probe's; guard flags are not read.
+        let read = pass.reads.binary_search_by_key(&b, |&(k, _)| k);
+        if !flags[read.expect("every window ends at a probe")] {
+            continue;
+        }
+        if a == b {
+            isolated.push(b);
+        } else {
+            let mid = (a + b - 1) / 2;
+            next.extend([(a, mid), (mid + 1, b)]);
+        }
+    }
+    let pass = (!next.is_empty()).then(|| window_pass(pass.initial, victims, &next));
+    (pass, next, isolated)
+}
+
+/// A session in progress: its roster, where its TCK count starts, the
+/// quarantine findings for its report, and the records read so far.
+struct SessionRun {
+    victims: Vec<usize>,
+    /// Whether victims after the first are selected by a 1-bit rotation.
+    rotate: bool,
+    tck_start: u64,
+    degraded: Option<DegradedOutcome>,
+    readouts: Vec<ReadoutRecord>,
+}
 
 /// Steps clones of the PGBSC cells through patterns `next..end` (linear
 /// index `3·position + pattern`) of one half over `victims` and yields
@@ -588,7 +693,7 @@ impl Soc {
     }
 
     /// The transitions patterns `0..end` of a half over `victims` apply
-    /// from a preload of `initial`: the plan [`Soc::run_half`] solves.
+    /// from a preload of `initial`: the plan [`Soc::run_pass`] solves.
     fn planned_half(
         &self,
         initial: DriveLevel,
@@ -771,11 +876,6 @@ impl Soc {
         // The last bit shifted lands in cell 0, so shift in reverse
         // cell order.
         values.iter().rev().copied().collect()
-    }
-
-    fn uniform_word(&self, level: DriveLevel) -> BitVector {
-        let v = Logic::from(level == DriveLevel::High);
-        BitVector::filled(self.chain_len(), v)
     }
 
     fn victim_select_word(&self, victim: usize) -> Result<BitVector, CoreError> {
@@ -995,11 +1095,15 @@ impl Soc {
         self.patterns_applied = 0;
     }
 
-    /// Extracts the OBSC bits from a full-chain scan-out (TDO order).
+    /// Extracts the OBSC bits from a full-chain scan-out (TDO order),
+    /// forced clear on quarantined wires: their scan-outs cross (or
+    /// their detectors sit behind) the broken segment, so whatever
+    /// arrives cannot be trusted either way.
     fn obsc_bits(&self, out: &BitVector) -> Vec<bool> {
         let len = self.chain_len();
+        let quarantined = |w| self.quarantine.as_ref().is_some_and(|q| q.is_quarantined(w));
         (0..self.wires)
-            .map(|w| out.get(len - 1 - (self.wires + w)) == Some(Logic::One))
+            .map(|w| !quarantined(w) && out.get(len - 1 - (self.wires + w)) == Some(Logic::One))
             .collect()
     }
 
@@ -1018,17 +1122,6 @@ impl Soc {
             nd: self.obsc_bits(&nd_out),
             sd: self.obsc_bits(&sd_out),
         })
-    }
-
-    /// Restores the victim-select word after a mid-half read-out and
-    /// reloads `G-SITEST` (see `timing::resume_tcks`).
-    fn resume(&mut self, victim: usize) -> Result<(), CoreError> {
-        // Restore under O-SITEST: its Update-DR leaves the generators
-        // untouched (CE gating), so the extra update is inert.
-        let word = self.victim_select_word(victim)?;
-        self.driver.scan_dr(&word)?;
-        self.driver.load_instruction("G-SITEST")?;
-        Ok(())
     }
 
     /// Runs the **conventional** pattern-application campaign (the
@@ -1061,7 +1154,7 @@ impl Soc {
             .collect();
         if self.panel_width > 1 {
             // Plan first: the transitions between consecutive scanned
-            // vectors. A failed plan is dropped, as in `run_half`.
+            // vectors. A failed plan is dropped, as in `run_pass`.
             let quarantine = self.quarantine.as_ref();
             let levels: Vec<_> = vectors
                 .iter()
@@ -1135,41 +1228,18 @@ impl Soc {
         &mut self,
         config: &SessionConfig,
     ) -> Result<IntegrityReport, CoreError> {
-        let degraded = self.begin_session(config)?;
-        let (victims, rotate) = self.roster();
-        let tck_start = self.driver.tck();
-        let per_pattern = config.method == ObservationMethod::PerPattern;
-        let stop = (victims.len() - 1, 2);
-        let mut readouts = Vec::new();
-        for initial in [DriveLevel::Low, DriveLevel::High] {
-            let faults = IntegrityFault::covered_by_initial(initial);
-            self.run_half(initial, &victims, rotate, stop, &mut |soc, victim, (_, p)| {
-                if per_pattern {
-                    let point = ReadoutPoint::AfterPattern { initial, victim, fault: faults[p] };
-                    readouts.push(soc.masked_readout(point)?);
-                }
-                Ok(per_pattern)
-            })?;
-            if config.method == ObservationMethod::PerInitialValue {
-                readouts.push(self.masked_readout(ReadoutPoint::AfterInitialValue(initial))?);
-            }
+        let mut run = self.begin_session(config)?;
+        for pass in method_passes(config.method, &run.victims) {
+            self.run_pass(&mut run, &pass)?;
         }
-        if config.method == ObservationMethod::Once {
-            readouts.push(self.masked_readout(ReadoutPoint::Final)?);
-        }
-
-        let tck_used = self.driver.tck() - tck_start;
-        let applied = self.patterns_applied;
-        let report = IntegrityReport::new(config.method, self.wires, readouts, tck_used, applied);
-        Ok(attach_degradation(report, degraded))
+        Ok(self.finish_session(run, config.method, false))
     }
 
     /// Session preamble shared by every session: validates the config,
     /// qualifies the chain (applying [`ChainPolicy`] to a damaged one),
     /// selects the solver, resets the TAP and clears the detectors and
-    /// the pattern log. Returns the degradation findings when the
-    /// session runs over a quarantine.
-    fn begin_session(&mut self, config: &SessionConfig) -> Result<Option<Degradation>, CoreError> {
+    /// the pattern log. The session starts counting TCKs here.
+    fn begin_session(&mut self, config: &SessionConfig) -> Result<SessionRun, CoreError> {
         let positive = |x: f64| x.is_finite() && x > 0.0;
         if !(positive(config.settle_time) && positive(config.dt)) {
             return Err(CoreError::config("settle time and dt must be finite and positive"));
@@ -1186,63 +1256,125 @@ impl Soc {
         self.select_sim(config)?;
         self.driver.reset();
         self.clear_detectors()?;
-        Ok(degraded)
+        let (victims, rotate) = self.roster();
+        let tck_start = self.driver.tck();
+        Ok(SessionRun { victims, rotate, tck_start, degraded, readouts: Vec::new() })
     }
 
-    /// Runs patterns `0..=stop` (`(victim position, pattern index)`) of
-    /// one PGBSC half over `victims`: preload, `G-SITEST`, then per
-    /// victim a select scan — or, when `rotate`, a 1-bit rotation after
-    /// the first — whose trailing Update-DR fires pattern 0, and two
-    /// more Update-DRs. `after(soc, victim, at)` runs after every
-    /// pattern and returns whether it read out; a read-out anywhere but
-    /// at `stop`, the half's last action, restores the select word
-    /// before the next pattern fires (see `timing::resume_tcks`).
+    /// The one pass executor: runs `pass` over the session roster and
+    /// appends its records to `run`. Plan first: a batched SoC solves
+    /// the transitions the half will apply ([`Soc::solve_plan`]), so
+    /// each Update-DR only latches. Then preload, `G-SITEST`, and per
+    /// victim a select scan — or, when the roster rotates, a 1-bit
+    /// rotation after the first — whose trailing Update-DR fires pattern
+    /// 0, and two more Update-DRs. Each read runs right after its
+    /// pattern; a read before the stop restores the select word before
+    /// the next pattern fires (see `timing::resume_tcks`).
     ///
-    /// Plan first: before it drives the TAP, a batched half solves the
-    /// transitions it will apply ([`Soc::solve_plan`]), so each
-    /// Update-DR only latches.
-    fn run_half(
-        &mut self,
-        initial: DriveLevel,
-        victims: &[usize],
-        rotate: bool,
-        stop: (usize, usize),
-        after: &mut AfterPattern<'_>,
-    ) -> Result<(), CoreError> {
-        let end = 3 * stop.0 + stop.1 + 1;
+    /// Returns, per read, whether any detector bit it scanned out was
+    /// set.
+    fn run_pass(&mut self, run: &mut SessionRun, pass: &HalfPass) -> Result<Vec<bool>, CoreError> {
+        let end = pass.stop + 1;
         if self.panel_width > 1 {
             // A plan that cannot be predicted or solved is dropped: its
             // patterns then miss the memo and are solved alone at their
             // Update-DR, so any error is the scalar oracle's.
-            let plan = self.planned_half(initial, victims, rotate, end);
+            let plan = self.planned_half(pass.initial, &run.victims, run.rotate, end);
             let _ = plan.and_then(|plan| self.solve_plan(&plan));
         }
         // Preload the initial value into every update stage, then enter
         // signal-integrity mode: the pattern stages now drive the bus
         // with the initial value, the state pattern 0 transitions from.
         self.driver.load_instruction("SAMPLE/PRELOAD")?;
-        let word = self.uniform_word(initial);
-        self.driver.scan_dr(&word)?;
+        let preload = Logic::from(pass.initial == DriveLevel::High);
+        self.driver.scan_dr(&BitVector::filled(self.chain_len(), preload))?;
         self.apply_bus_state()?;
         self.driver.load_instruction("G-SITEST")?;
         self.apply_bus_state()?;
+        let mut reads = pass.reads.iter().peekable();
+        let mut flags = Vec::with_capacity(pass.reads.len());
         for k in 0..end {
             let (pos, p) = (k / 3, k % 3);
-            let victim = victims[pos];
+            let victim = run.victims[pos];
             if p > 0 {
                 self.driver.pulse_update_dr(1)?;
-            } else if pos == 0 || !rotate {
-                let word = self.victim_select_word(victim)?;
-                self.driver.scan_dr(&word)?;
+            } else if pos == 0 || !run.rotate {
+                self.driver.scan_dr(&self.victim_select_word(victim)?)?;
             } else {
                 self.driver.shift_dr_bits(&BitVector::zeros(1))?;
             }
             self.apply_bus_state()?;
-            if after(self, victim, (pos, p))? && k + 1 < end {
-                self.resume(victim)?;
+            let Some(&(_, point)) = reads.next_if(|&&(at, _)| at == k) else {
+                continue;
+            };
+            let record = self.readout(point)?;
+            flags.push(record.nd.iter().chain(&record.sd).any(|&b| b));
+            run.readouts.push(record);
+            if matches!(point, ReadoutPoint::Probe { .. }) {
+                self.clear_detectors()?;
+            }
+            if k < pass.stop {
+                // Resume: restore the select word under O-SITEST, whose
+                // Update-DR leaves the generators untouched (CE gating),
+                // then reload G-SITEST.
+                self.driver.scan_dr(&self.victim_select_word(victim)?)?;
+                self.driver.load_instruction("G-SITEST")?;
             }
         }
-        Ok(())
+        debug_assert!(reads.next().is_none(), "every read sits at or before the stop");
+        Ok(flags)
+    }
+
+    /// Runs windowed passes of one half, starting from the pass that
+    /// tests `windows` and escalating until every failing pattern is
+    /// isolated; adds each isolated `(victim, fault)` to `detected` and
+    /// returns the number of escalation passes.
+    fn run_windows(
+        &mut self,
+        run: &mut SessionRun,
+        initial: DriveLevel,
+        mut windows: Vec<(usize, usize)>,
+        detected: &mut BTreeSet<(usize, IntegrityFault)>,
+    ) -> Result<u64, CoreError> {
+        let faults = IntegrityFault::covered_by_initial(initial);
+        let mut pass = Some(window_pass(initial, &run.victims, &windows));
+        let mut escalations = 0;
+        while let Some(current) = pass {
+            let flags = self.run_pass(run, &current)?;
+            let (next, next_windows, isolated) = escalate(&run.victims, &current, &windows, &flags);
+            detected.extend(isolated.into_iter().map(|k| (run.victims[k / 3], faults[k % 3])));
+            escalations += u64::from(next.is_some());
+            (pass, windows) = (next, next_windows);
+        }
+        Ok(escalations)
+    }
+
+    /// Assembles the report of a finished session. With `fold`, it
+    /// first appends a [`ReadoutPoint::Final`] record OR-folded over
+    /// every record read: probe records are windowed, not cumulative,
+    /// and ORing them recovers the sticky-detector verdicts of the
+    /// standard session for the patterns that ran.
+    fn finish_session(
+        &self,
+        run: SessionRun,
+        method: ObservationMethod,
+        fold: bool,
+    ) -> IntegrityReport {
+        let mut readouts = run.readouts;
+        if fold {
+            let or = |bits: fn(&ReadoutRecord) -> &[bool]| -> Vec<bool> {
+                (0..self.wires).map(|w| readouts.iter().any(|r| bits(r)[w])).collect()
+            };
+            let (nd, sd) = (or(|r| &r.nd), or(|r| &r.sd));
+            readouts.push(ReadoutRecord { point: ReadoutPoint::Final, nd, sd });
+        }
+        let tck_used = self.driver.tck() - run.tck_start;
+        let report =
+            IntegrityReport::new(method, self.wires, readouts, tck_used, self.patterns_applied);
+        match run.degraded {
+            Some(outcome) => report.with_degradation(outcome),
+            None => report,
+        }
     }
 
     /// The policy/localization/quarantine half of the damaged-chain
@@ -1253,7 +1385,7 @@ impl Soc {
     fn apply_degradation_policy(
         &mut self,
         qualification: ChainCheckReport,
-    ) -> Result<Degradation, CoreError> {
+    ) -> Result<DegradedOutcome, CoreError> {
         let min_coverage = match self.policy {
             ChainPolicy::Strict => {
                 return Err(CoreError::Infrastructure(InfrastructureDiagnosis {
@@ -1307,7 +1439,7 @@ impl Soc {
         }
         self.quarantine = Some(localization.quarantine.clone());
         self.degradation_events = events.clone();
-        Ok((localization, coverage, events))
+        Ok(DegradedOutcome { localization, coverage, events })
     }
 
     /// Runs the walking-one probe (see
@@ -1330,105 +1462,11 @@ impl Soc {
         Ok(result?)
     }
 
-    /// A read-out with quarantined wires' verdict bits forced clear:
-    /// their scan-outs cross (or their detectors sit behind) the broken
-    /// segment, so whatever arrives cannot be trusted either way.
-    fn masked_readout(&mut self, point: ReadoutPoint) -> Result<ReadoutRecord, CoreError> {
-        let mut record = self.readout(point)?;
-        if let Some(q) = &self.quarantine {
-            for w in 0..self.wires {
-                if q.is_quarantined(w) {
-                    record.nd[w] = false;
-                    record.sd[w] = false;
-                }
-            }
-        }
-        Ok(record)
-    }
-
     /// The observation method the cost model picks for this SoC's
     /// chain geometry (see [`MethodPlanner`]).
     #[must_use]
     pub fn plan_method(&self, planner: &MethodPlanner) -> ObservationMethod {
         planner.choose(ChainGeometry::new(self.wires, self.extra_cells))
-    }
-
-    /// Runs one PGBSC half with *probes* — masked read-outs that clear
-    /// the detectors afterwards — at the scheduled `(victim position,
-    /// pattern index)` points, truncating the half right after `stop`.
-    ///
-    /// `probes` must be ascending and end exactly at `stop` (the pass's
-    /// last action, which therefore needs no resume). Returns one
-    /// "any detector latched since the previous probe" flag per probe.
-    ///
-    /// Probing is trajectory-neutral: read-outs run under `O-SITEST`
-    /// whose Update-DRs hold the pattern generators (CE=0), detector
-    /// clearing is host-side, and the resume restores the exact select
-    /// word — so pattern `k` of a truncated or probed half excites the
-    /// bus identically to pattern `k` of the uninterrupted session.
-    fn run_half_instrumented(
-        &mut self,
-        initial: DriveLevel,
-        victims: &[usize],
-        rotate: bool,
-        stop: (usize, usize),
-        probes: &[(usize, usize)],
-        readouts: &mut Vec<ReadoutRecord>,
-    ) -> Result<Vec<bool>, CoreError> {
-        debug_assert!(probes.last() == Some(&stop), "probe schedule must end at the stop");
-        debug_assert!(probes.windows(2).all(|w| w[0] < w[1]), "probes must ascend");
-        let mut flags = Vec::with_capacity(probes.len());
-        let mut next_probe = 0usize;
-        self.run_half(initial, victims, rotate, stop, &mut |soc, victim, at| {
-            if probes.get(next_probe) != Some(&at) {
-                return Ok(false);
-            }
-            next_probe += 1;
-            let record =
-                soc.masked_readout(ReadoutPoint::Probe { initial, victim, pattern: at.1 })?;
-            flags.push(record.nd.iter().chain(&record.sd).any(|&b| b));
-            readouts.push(record);
-            soc.clear_detectors()?;
-            Ok(true)
-        })?;
-        Ok(flags)
-    }
-
-    /// Assembles the adaptive outcome: appends the synthesized
-    /// cumulative record the verdicts are read from (the per-probe
-    /// records are windowed, not cumulative — ORing them recovers the
-    /// sticky-detector semantics of the standard session *for the
-    /// patterns that ran*).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_adaptive_session(
-        &mut self,
-        config: &SessionConfig,
-        mut readouts: Vec<ReadoutRecord>,
-        tck_start: u64,
-        degraded: Option<Degradation>,
-        detected: std::collections::BTreeSet<(usize, IntegrityFault)>,
-        dropped: u64,
-        escalations: u64,
-    ) -> Result<AdaptiveSessionOutcome, CoreError> {
-        let n = self.wires;
-        let mut nd = vec![false; n];
-        let mut sd = vec![false; n];
-        for record in &readouts {
-            for w in 0..n {
-                nd[w] |= record.nd[w];
-                sd[w] |= record.sd[w];
-            }
-        }
-        readouts.push(ReadoutRecord { point: ReadoutPoint::Final, nd, sd });
-        let tck_used = self.driver.tck() - tck_start;
-        let report =
-            IntegrityReport::new(config.method, n, readouts, tck_used, self.patterns_applied);
-        Ok(AdaptiveSessionOutcome {
-            report: attach_degradation(report, degraded),
-            detected: detected.into_iter().collect(),
-            dropped,
-            escalations,
-        })
     }
 
     /// The adaptive session (ROADMAP item 3): **fault dropping** plus
@@ -1438,11 +1476,17 @@ impl Soc {
     /// recently-failing half first), the coverage `ledger` truncates the
     /// schedule after the last still-uncovered `(victim, fault)` pair —
     /// or skips the half outright when everything is covered. The
-    /// truncated half runs at method-1 cost with a single trailing
-    /// probe; only if that probe flags does the engine escalate, binary-
+    /// truncated half runs at method-1 cost with a single probe at its
+    /// stop; only if that probe flags does the engine escalate, binary-
     /// searching the flagged pattern window with further probed re-runs
     /// (method 2 → 3 granularity, but only where failures actually
     /// live) until every failing pattern is isolated.
+    ///
+    /// Probing is trajectory-neutral: read-outs run under `O-SITEST`
+    /// whose Update-DRs hold the pattern generators (CE=0), detector
+    /// clearing is host-side, and the resume restores the exact select
+    /// word — so pattern `k` of a truncated or probed half excites the
+    /// bus identically to pattern `k` of the uninterrupted session.
     ///
     /// `detected` holds pattern-identity attributions: `(victim, fault)`
     /// of each isolated failing pattern. Because dropping only ever
@@ -1459,87 +1503,24 @@ impl Soc {
         ledger: &CoverageLedger,
         half_order: [DriveLevel; 2],
     ) -> Result<AdaptiveSessionOutcome, CoreError> {
-        let degraded = self.begin_session(config)?;
-        let (victims, rotate) = self.roster();
-        let tck_start = self.driver.tck();
-        let mut readouts = Vec::new();
-        let mut detected = std::collections::BTreeSet::new();
-        let mut dropped = 0u64;
-        let mut escalations = 0u64;
+        let mut run = self.begin_session(config)?;
+        let mut detected = BTreeSet::new();
+        let (mut dropped, mut escalations) = (0, 0);
         for initial in half_order {
             let faults = IntegrityFault::covered_by_initial(initial);
-            let full = 3 * victims.len() as u64;
-            let Some(stop) = ledger.last_uncovered(&victims, &faults) else {
-                dropped += full;
-                continue;
-            };
-            let last_linear = 3 * stop.0 + stop.1;
-            dropped += full - (last_linear as u64 + 1);
-            let flags =
-                self.run_half_instrumented(initial, &victims, rotate, stop, &[stop], &mut readouts)?;
-            if !flags[0] {
-                continue;
-            }
-            if last_linear == 0 {
-                detected.insert((victims[0], faults[0]));
-                continue;
-            }
-            // Binary-search the flagged window (linear pattern indices
-            // `lo+1..=hi`; `-1` is the pre-half sentinel). Each pass
-            // re-runs the half truncated at its furthest probe; a probe
-            // window that still flags splits, a singleton that flags is
-            // an isolated failing pattern. Gaps between windows are not
-            // necessarily clean — a re-run re-fires patterns isolated
-            // in earlier passes — so a window preceded by a gap gets a
-            // discarded *guard* probe at `lo`, clearing whatever the
-            // gap latched and keeping the mid probe's flag an exact OR
-            // over `lo+1..=mid`.
-            let mut windows: Vec<(i64, i64)> = vec![(-1, last_linear as i64)];
-            while !windows.is_empty() {
-                escalations += 1;
-                let at = |linear: i64| -> (usize, usize) {
-                    let linear = linear as usize;
-                    (linear / 3, linear % 3)
-                };
-                let mut plan = Vec::with_capacity(windows.len());
-                let mut probes = Vec::with_capacity(3 * windows.len());
-                let mut prev = -1i64;
-                for &(lo, hi) in &windows {
-                    let mid = (lo + hi) / 2;
-                    if lo > prev {
-                        probes.push(at(lo));
-                    }
-                    plan.push((lo, mid, hi, probes.len()));
-                    probes.push(at(mid));
-                    probes.push(at(hi));
-                    prev = hi;
-                }
-                let pass_stop = *probes.last().expect("windows is non-empty");
-                let flags = self.run_half_instrumented(
-                    initial, &victims, rotate, pass_stop, &probes, &mut readouts,
-                )?;
-                let mut next = Vec::new();
-                for (lo, mid, hi, base) in plan {
-                    for (wlo, whi, flagged) in
-                        [(lo, mid, flags[base]), (mid, hi, flags[base + 1])]
-                    {
-                        if !flagged {
-                            continue;
-                        }
-                        if whi - wlo == 1 {
-                            let (pos, p) = at(whi);
-                            detected.insert((victims[pos], faults[p]));
-                        } else {
-                            next.push((wlo, whi));
-                        }
-                    }
-                }
-                windows = next;
+            let last = ledger.last_uncovered(&run.victims, &faults);
+            let ran = last.map_or(0, |(pos, p)| 3 * pos + p + 1);
+            dropped += (3 * run.victims.len() - ran) as u64;
+            if ran > 0 {
+                escalations += self.run_windows(&mut run, initial, vec![(0, ran - 1)], &mut detected)?;
             }
         }
-        self.finish_adaptive_session(
-            config, readouts, tck_start, degraded, detected, dropped, escalations,
-        )
+        Ok(AdaptiveSessionOutcome {
+            report: self.finish_session(run, config.method, true),
+            detected: detected.into_iter().collect(),
+            dropped,
+            escalations,
+        })
     }
 
     /// The exhaustive counterpart of [`Soc::run_adaptive_session`]: no
@@ -1556,25 +1537,19 @@ impl Soc {
         &mut self,
         config: &SessionConfig,
     ) -> Result<AdaptiveSessionOutcome, CoreError> {
-        let degraded = self.begin_session(config)?;
-        let (victims, rotate) = self.roster();
-        let tck_start = self.driver.tck();
-        let mut readouts = Vec::new();
-        let mut detected = std::collections::BTreeSet::new();
+        let mut run = self.begin_session(config)?;
+        let mut detected = BTreeSet::new();
         for initial in [DriveLevel::Low, DriveLevel::High] {
-            let faults = IntegrityFault::covered_by_initial(initial);
-            let stop = (victims.len() - 1, 2);
-            let probes: Vec<(usize, usize)> =
-                (0..victims.len()).flat_map(|pos| (0..3).map(move |p| (pos, p))).collect();
-            let flags =
-                self.run_half_instrumented(initial, &victims, rotate, stop, &probes, &mut readouts)?;
-            for (i, flagged) in flags.into_iter().enumerate() {
-                if flagged {
-                    detected.insert((victims[i / 3], faults[i % 3]));
-                }
-            }
+            // One window per pattern: each probe isolates its own.
+            let singletons = (0..3 * run.victims.len()).map(|k| (k, k)).collect();
+            self.run_windows(&mut run, initial, singletons, &mut detected)?;
         }
-        self.finish_adaptive_session(config, readouts, tck_start, degraded, detected, 0, 0)
+        Ok(AdaptiveSessionOutcome {
+            report: self.finish_session(run, config.method, true),
+            detected: detected.into_iter().collect(),
+            dropped: 0,
+            escalations: 0,
+        })
     }
 }
 
@@ -1597,16 +1572,6 @@ pub struct AdaptiveSessionOutcome {
     pub dropped: u64,
     /// Escalation passes beyond the initial probe of each half.
     pub escalations: u64,
-}
-
-/// Attaches the findings of a session run over a quarantine.
-fn attach_degradation(report: IntegrityReport, degraded: Option<Degradation>) -> IntegrityReport {
-    match degraded {
-        Some((localization, coverage, events)) => {
-            report.with_degradation(DegradedOutcome { localization, coverage, events })
-        }
-        None => report,
-    }
 }
 
 /// One walking-one probe pass over the DC loop PGBSC → pin → OBSC.
@@ -2401,6 +2366,96 @@ mod tests {
         for &(victim, _) in &adaptive.detected {
             assert!(!quarantined.is_quarantined(victim), "quarantined victim excited");
         }
+    }
+
+    /// The reads and the resumes (reads before their pass's stop) of
+    /// `passes`.
+    fn read_counts(passes: &[HalfPass]) -> (u64, u64) {
+        let reads = passes.iter().map(|p| p.reads.len() as u64).sum();
+        let resumes = passes
+            .iter()
+            .map(|p| p.reads.iter().filter(|&&(k, _)| k < p.stop).count() as u64)
+            .sum();
+        (reads, resumes)
+    }
+
+    #[test]
+    fn pass_builders_hold_the_closed_form_read_out_counts() {
+        use crate::timing::{readout_count, resume_count};
+        for n in 2..=40 {
+            let all: Vec<usize> = (0..n).collect();
+            // A quarantined roster: every third wire lost.
+            let healthy: Vec<usize> = (0..n).filter(|w| w % 3 != 2).collect();
+            for victims in [&all, &healthy] {
+                let m = victims.len();
+                for method in [
+                    ObservationMethod::Once,
+                    ObservationMethod::PerInitialValue,
+                    ObservationMethod::PerPattern,
+                ] {
+                    let passes = method_passes(method, victims);
+                    let expected = (readout_count(method, m), resume_count(method, m));
+                    assert_eq!(read_counts(&passes), expected, "n={n} m={m} {method}");
+                }
+                let singletons: Vec<(usize, usize)> = (0..3 * m).map(|k| (k, k)).collect();
+                let exhaustive = [DriveLevel::Low, DriveLevel::High]
+                    .map(|initial| window_pass(initial, victims, &singletons));
+                let per_pattern = ObservationMethod::PerPattern;
+                assert_eq!(read_counts(&exhaustive), (6 * m as u64, resume_count(per_pattern, m)));
+                let mut probes = exhaustive.iter().flat_map(|p| &p.reads);
+                assert!(probes.all(|(k, r)| matches!(r, ReadoutPoint::Probe { victim, .. }
+                    if *victim == victims[k / 3])));
+            }
+        }
+    }
+
+    #[test]
+    fn escalation_isolates_exactly_the_failing_patterns() {
+        use sint_runtime::prop::{gen, Runner};
+        // No simulator: every pass re-fires patterns 0..=stop, so a
+        // probe flags when a failing pattern fired since the previous
+        // probe of its pass.
+        Runner::new("escalation_isolates_exactly_the_failing_patterns").cases(400).run(
+            |rng| {
+                let n = gen::usize_in(rng, 2..12);
+                let stop = gen::usize_in(rng, 0..3 * n);
+                let sparsity = gen::usize_in(rng, 1..6);
+                let failing: BTreeSet<usize> =
+                    (0..=stop).filter(|_| gen::usize_in(rng, 0..sparsity) == 0).collect();
+                (n, stop, failing)
+            },
+            |(n, stop, failing)| {
+                let victims: Vec<usize> = (0..*n).collect();
+                let mut windows = vec![(0, *stop)];
+                let mut pass = Some(window_pass(DriveLevel::Low, &victims, &windows));
+                let mut isolated = BTreeSet::new();
+                while let Some(current) = pass {
+                    let ascending = current.reads.windows(2).all(|w| w[0].0 < w[1].0);
+                    if !ascending || current.reads.last().map(|r| r.0) != Some(current.stop) {
+                        return Err(format!("malformed pass {current:?}"));
+                    }
+                    let mut unfired = 0;
+                    let flags: Vec<bool> = current
+                        .reads
+                        .iter()
+                        .map(|&(k, _)| {
+                            let fired = failing.range(unfired..=k).next().is_some();
+                            unfired = k + 1;
+                            fired
+                        })
+                        .collect();
+                    let (next, next_windows, found) =
+                        escalate(&victims, &current, &windows, &flags);
+                    isolated.extend(found);
+                    (pass, windows) = (next, next_windows);
+                }
+                if isolated == *failing {
+                    Ok(())
+                } else {
+                    Err(format!("isolated {isolated:?}"))
+                }
+            },
+        );
     }
 
     #[test]

@@ -397,7 +397,7 @@ impl FleetEngine {
 
         let pending: Vec<BoardSpec> = (0..self.spec.boards())
             .map(|id| self.spec.board(id))
-            .filter(|b| checkpoint.entry_for(b.id, b.seed).is_none())
+            .filter(|b| recorded(checkpoint, b).is_none())
             .collect();
         let pool = Pool::new(threads);
         let shard_count = if self.shards == 0 { pool.threads() } else { self.shards };
@@ -506,9 +506,8 @@ impl FleetEngine {
         let mut quarantined = Vec::new();
         for id in 0..self.spec.boards() {
             let board = self.spec.board(id);
-            let entry = checkpoint
-                .entry_for(board.id, board.seed)
-                .expect("every pending board was just recorded");
+            let entry =
+                recorded(checkpoint, &board).expect("every pending board was just recorded");
             let client = &mut clients[entry.client];
             client.boards += 1;
             client.stats.merge(&entry.stats);
@@ -552,6 +551,12 @@ impl FleetEngine {
             resilience,
         }
     }
+}
+
+/// The entry `checkpoint` holds for `board`: same id, seed and client.
+/// Any other entry belongs to a different floor, so the board re-runs.
+fn recorded<'c>(checkpoint: &'c FleetCheckpoint, board: &BoardSpec) -> Option<&'c BoardEntry> {
+    checkpoint.entry_for(board.id, board.seed).filter(|e| e.client == board.client)
 }
 
 #[cfg(test)]
@@ -661,6 +666,26 @@ mod tests {
         let raw = FleetEngine::new(floor()).unwrap().unsupervised().run(2, &NullSink);
         assert_eq!(raw.totals, serial.totals);
         assert_eq!(raw.adaptive, serial.adaptive);
+    }
+
+    #[test]
+    fn an_entry_recorded_for_another_client_reruns_its_board() {
+        // Board and seed match but the client does not, out of range or
+        // just wrong: the entry belongs to another floor, so the board
+        // re-runs and the summary is the untampered run's.
+        let engine = FleetEngine::new(small_floor()).unwrap();
+        let mut done = FleetCheckpoint::new();
+        let reference = engine.run_checkpointed(2, &mut done, 4, &NullSink, |_| {});
+        let board = engine.spec.board(0);
+        for client in [7, 1 - board.client] {
+            let mut tampered = done.clone();
+            let mut entry = tampered.entry_for(board.id, board.seed).unwrap().clone();
+            entry.client = client;
+            tampered.record(entry);
+            let resumed = engine.run_checkpointed(2, &mut tampered, 4, &NullSink, |_| {});
+            assert_eq!(resumed.to_json().render(), reference.to_json().render(), "client {client}");
+            assert_eq!(tampered, done, "client {client}: the re-run replaced the entry");
+        }
     }
 
     #[test]

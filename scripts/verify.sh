@@ -251,6 +251,17 @@ same "$tmp/ad_ref_summary.json" "$tmp/ad_t8_summary.json" \
 expect_exit 3 env SINT_THREADS=4 target/release/gate adaptive \
     "$tmp/ad_ckpt.json" "$tmp/ad_summary.json" --halt-after 12
 
+# A well-formed checkpoint that does not fit the batch (here the halted
+# run's, with its ledger narrowed to two wires) is refused with exit 2
+# before anything runs, and the file is left as it was.
+sed 's/"ledger":{[^}]*}/"ledger":{"wires":2,"masks":[0,0]}/' \
+    "$tmp/ad_ckpt.json" > "$tmp/ad_narrow_ckpt.json"
+cp "$tmp/ad_narrow_ckpt.json" "$tmp/ad_narrow_before.json"
+expect_exit 2 env SINT_THREADS=4 target/release/gate adaptive \
+    "$tmp/ad_narrow_ckpt.json" "$tmp/ad_narrow_summary.json"
+same "$tmp/ad_narrow_before.json" "$tmp/ad_narrow_ckpt.json" \
+    "a refused adaptive checkpoint was modified"
+
 SINT_THREADS=8 target/release/gate adaptive \
     "$tmp/ad_ckpt.json" "$tmp/ad_summary.json"
 
