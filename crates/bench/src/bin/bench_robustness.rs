@@ -15,7 +15,7 @@ use sint_bench::emit_artifact;
 use sint_core::mafm::degraded_conventional_schedule;
 use sint_interconnect::drive::VectorPair;
 use sint_interconnect::params::BusParams;
-use sint_interconnect::solver::{SimScratch, SolverBackend, TransientSim, DEFAULT_SWITCH_AT};
+use sint_interconnect::solver::{PanelScratch, TransientSim};
 use sint_jtag::integrity::QuarantineSet;
 use sint_runtime::bench::{black_box, Bench};
 use sint_runtime::cancel::CancelToken;
@@ -32,26 +32,23 @@ fn pg_pair(wires: usize) -> VectorPair {
 fn main() {
     let mut b = Bench::new("robustness").samples(20);
 
-    // The PR 2 acceptance geometry: 16 wires, banded fast path, 2 ns
-    // window, scratch reused so the loop never allocates.
+    // The acceptance geometry: 16 wires, banded fast path, 2 ns
+    // window, one column, scratch reused so the loop never allocates.
     let bus = BusParams::dsm_bus(16).build().unwrap();
-    let sim = TransientSim::with_backend(&bus, 2e-12, DEFAULT_SWITCH_AT, SolverBackend::Banded)
-        .unwrap();
-    let pair = pg_pair(16);
-    let mut scratch = SimScratch::new();
+    let sim = TransientSim::new(&bus, 2e-12).unwrap();
+    let pair = [pg_pair(16)];
+    let mut scratch = PanelScratch::new();
 
-    b.measure("transient_2ns/banded_uncancelled/16", || {
-        black_box(sim.run_pair_cancellable(black_box(&pair), 2e-9, &mut scratch, None).unwrap());
+    b.measure("column_2ns/no_token/16", || {
+        black_box(sim.run_pairs_cancellable(black_box(&pair), 2e-9, &mut scratch, None).unwrap());
     });
 
     // Armed deadline a long way out: every poll is a miss, which is the
     // steady-state cost a deadline-bounded campaign actually pays.
     let token = CancelToken::with_deadline(Duration::from_secs(3600));
-    let mut scratch = SimScratch::new();
-    b.measure("transient_2ns/banded_cancellable/16", || {
+    b.measure("column_2ns/live_token/16", || {
         black_box(
-            sim.run_pair_cancellable(black_box(&pair), 2e-9, &mut scratch, Some(&token))
-                .unwrap(),
+            sim.run_pairs_cancellable(black_box(&pair), 2e-9, &mut scratch, Some(&token)).unwrap(),
         );
     });
 
@@ -61,16 +58,14 @@ fn main() {
     // the ~30 deadline polls a 1000-step transient actually costs — so
     // alternating the two variants and comparing minima is the only
     // honest way to resolve a sub-2% effect.
-    let mut scratch = SimScratch::new();
     let (mut base_min, mut live_min) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..30 {
         let t = std::time::Instant::now();
-        black_box(sim.run_pair_cancellable(black_box(&pair), 2e-9, &mut scratch, None).unwrap());
+        black_box(sim.run_pairs_cancellable(black_box(&pair), 2e-9, &mut scratch, None).unwrap());
         base_min = base_min.min(t.elapsed().as_secs_f64() * 1e9);
         let t = std::time::Instant::now();
         black_box(
-            sim.run_pair_cancellable(black_box(&pair), 2e-9, &mut scratch, Some(&token))
-                .unwrap(),
+            sim.run_pairs_cancellable(black_box(&pair), 2e-9, &mut scratch, Some(&token)).unwrap(),
         );
         live_min = live_min.min(t.elapsed().as_secs_f64() * 1e9);
     }

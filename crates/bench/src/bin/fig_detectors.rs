@@ -11,7 +11,7 @@ use sint_core::nd::{NdThresholds, NoiseDetector};
 use sint_core::sd::{SdWindow, SkewDetector};
 use sint_interconnect::measure::{glitch_amplitude, propagation_delay};
 use sint_interconnect::params::BusParams;
-use sint_interconnect::solver::{SimScratch, TransientSim};
+use sint_interconnect::solver::{PanelScratch, TransientSim};
 use sint_interconnect::Defect;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vdd = 1.8;
     // One scratch for every transient in the sweep: no per-run
     // allocations in the solver core.
-    let mut scratch = SimScratch::new();
+    let mut scratch = PanelScratch::new();
 
     println!("Fig 1: ND cell on the Pg pattern (victim = wire {VICTIM})\n");
     println!(
@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Defect::CouplingBoost { wire: VICTIM, factor }.apply(&mut bus)?;
         let sim = TransientSim::new(&bus, 2e-12)?;
         let pair = fault_pair(WIDTH, VICTIM, IntegrityFault::Pg)?;
-        let waves = sim.run_pair_cancellable(&pair, 2e-9, &mut scratch, None)?;
-        let wave = waves.wire(VICTIM);
+        let waves = sim.run_pairs_cancellable(&[pair], 2e-9, &mut scratch, None)?;
+        let wave = waves.wire(0, VICTIM);
         let peak = glitch_amplitude(wave, 0.0);
         let mut nd = NoiseDetector::new(nd_cfg);
         nd.set_enabled(true);
@@ -52,10 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Calibrate the window from the healthy bus like the SoC builder.
     let healthy = BusParams::dsm_bus(WIDTH).build()?;
     let sim = TransientSim::new(&healthy, 2e-12)?;
-    let pair = fault_pair(WIDTH, VICTIM, IntegrityFault::Rs)?;
-    let waves = sim.run_pair_cancellable(&pair, 2e-9, &mut scratch, None)?;
+    let pair = [fault_pair(WIDTH, VICTIM, IntegrityFault::Rs)?];
+    let waves = sim.run_pairs_cancellable(&pair, 2e-9, &mut scratch, None)?;
     let healthy_delay = propagation_delay(
-        waves.wire(VICTIM),
+        waves.wire(0, VICTIM),
         waves.dt(),
         vdd,
         sim.switch_at(),
@@ -71,8 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Defect::ResistiveOpen { wire: VICTIM, segment: 0, extra_ohms }.apply(&mut bus)?;
         }
         let sim = TransientSim::new(&bus, 2e-12)?;
-        let waves = sim.run_pair_cancellable(&pair, 4e-9, &mut scratch, None)?;
-        let wave = waves.wire(VICTIM);
+        let waves = sim.run_pairs_cancellable(&pair, 4e-9, &mut scratch, None)?;
+        let wave = waves.wire(0, VICTIM);
         let arrival = propagation_delay(wave, waves.dt(), vdd, sim.switch_at(), true);
         let mut sd = SkewDetector::new(SdWindow::for_vdd(window, vdd));
         sd.set_enabled(true);

@@ -14,7 +14,7 @@
 
 use sint_core::mafm::{fault_pair, IntegrityFault};
 use sint_interconnect::params::BusParams;
-use sint_interconnect::solver::{SimScratch, TransientSim};
+use sint_interconnect::solver::{PanelScratch, TransientSim};
 use sint_interconnect::Defect;
 use sint_logic::dot::to_dot;
 use std::fmt::Write as _;
@@ -23,7 +23,7 @@ const WIDTH: usize = 5;
 const VICTIM: usize = 2;
 
 fn dataset(fault: IntegrityFault) -> Result<String, Box<dyn std::error::Error>> {
-    let pair = fault_pair(WIDTH, VICTIM, fault)?;
+    let pair = [fault_pair(WIDTH, VICTIM, fault)?];
     let healthy = BusParams::dsm_bus(WIDTH).build()?;
     let mut faulty = BusParams::dsm_bus(WIDTH).build()?;
     if fault.is_skew() {
@@ -34,19 +34,19 @@ fn dataset(fault: IntegrityFault) -> Result<String, Box<dyn std::error::Error>> 
     }
     let sim_h = TransientSim::new(&healthy, 2e-12)?;
     let sim_f = TransientSim::new(&faulty, 2e-12)?;
-    let mut scratch = SimScratch::new();
-    let wh = sim_h.run_pair_cancellable(&pair, 2.5e-9, &mut scratch, None)?;
-    let wf = sim_f.run_pair_cancellable(&pair, 2.5e-9, &mut scratch, None)?;
+    let mut scratch = PanelScratch::new();
+    let wh = sim_h.run_pairs_cancellable(&pair, 2.5e-9, &mut scratch, None)?;
+    let wf = sim_f.run_pairs_cancellable(&pair, 2.5e-9, &mut scratch, None)?;
     let mut out = String::new();
-    let _ = writeln!(out, "# {fault}: {pair}  (victim = wire {VICTIM})");
+    let _ = writeln!(out, "# {fault}: {}  (victim = wire {VICTIM})", pair[0]);
     let _ = writeln!(out, "# time_ps\thealthy_V\tdefective_V");
     for k in (0..wh.samples()).step_by(10) {
         let _ = writeln!(
             out,
             "{:.1}\t{:.4}\t{:.4}",
             wh.time_of(k) * 1e12,
-            wh.wire(VICTIM)[k],
-            wf.wire(VICTIM)[k]
+            wh.wire(0, VICTIM)[k],
+            wf.wire(0, VICTIM)[k]
         );
     }
     Ok(out)

@@ -270,7 +270,9 @@ fn write_summary(path: &str, summary: &Json) -> Result<(), String> {
 trait Snapshot: Sized {
     fn parse(text: &str) -> Result<Self, CheckpointError>;
     fn store_atomic(&self, path: &Path) -> io::Result<()>;
-    fn trials(&self) -> usize;
+    /// How many of a `total`-trial batch's trials the snapshot holds,
+    /// by the engine's own match rule: the trials a resume skips.
+    fn resumable(&self, total: usize) -> usize;
 }
 
 impl Snapshot for CampaignCheckpoint {
@@ -280,8 +282,8 @@ impl Snapshot for CampaignCheckpoint {
     fn store_atomic(&self, path: &Path) -> io::Result<()> {
         CampaignCheckpoint::store_atomic(self, path)
     }
-    fn trials(&self) -> usize {
-        self.len()
+    fn resumable(&self, total: usize) -> usize {
+        (0..total).filter(|&index| self.entry_for(index, index as u64).is_some()).count()
     }
 }
 
@@ -292,7 +294,9 @@ impl Snapshot for AdaptiveCheckpoint {
     fn store_atomic(&self, path: &Path) -> io::Result<()> {
         AdaptiveCheckpoint::store_atomic(self, path)
     }
-    fn trials(&self) -> usize {
+    /// The adaptive engine resumes only a checkpoint whose entries are
+    /// exactly its finished rounds' trials, so all of them count.
+    fn resumable(&self, _total: usize) -> usize {
         self.entries().len()
     }
 }
@@ -317,7 +321,7 @@ fn resume<C: Snapshot, R>(
         Err(e) if e.kind() == io::ErrorKind::NotFound => fresh(),
         Err(e) => return Err(bad(&e)),
     };
-    let resumed_from = checkpoint.trials();
+    let resumed_from = checkpoint.resumable(total);
     silence_panics();
     let mut snapshot = |cp: &C| {
         // Atomic replace: a kill mid-snapshot must leave the previous
@@ -325,11 +329,9 @@ fn resume<C: Snapshot, R>(
         if let Err(e) = cp.store_atomic(path) {
             die(FAILURE, &format!("cannot write checkpoint: {e}"));
         }
-        if args.halt_after.is_some_and(|limit| cp.trials() >= limit) {
-            die(
-                HALTED,
-                &format!("halting deliberately with {} / {total} trials checkpointed", cp.trials()),
-            );
+        let done = cp.resumable(total);
+        if args.halt_after.is_some_and(|limit| done >= limit) {
+            die(HALTED, &format!("halting deliberately with {done} / {total} trials checkpointed"));
         }
     };
     Ok((run(&mut checkpoint, &mut snapshot), resumed_from))
@@ -520,6 +522,15 @@ fn chaos(args: &Args, threads: usize) -> Result<u8, String> {
 
 type Records = JsonlSink<BufWriter<FuseWriter<File>>>;
 
+/// How many of `floor`'s boards `checkpoint` holds, by the engine's own
+/// match rule (same id, seed and client): the boards a resume skips.
+fn boards_resumed(checkpoint: &FleetCheckpoint, floor: &FloorSpec) -> usize {
+    (0..floor.boards())
+        .map(|id| floor.board(id))
+        .filter(|b| checkpoint.entry_for(b.id, b.seed).is_some_and(|e| e.client == b.client))
+        .count()
+}
+
 /// The shared `fleet` / `chaos` run: `plan` turns the floor chaotic.
 fn floor_gate(
     args: &Args,
@@ -532,7 +543,6 @@ fn floor_gate(
     let pair = GenPair::new(checkpoint_path);
     let (mut checkpoint, generation) = FleetCheckpoint::load_pair(&pair)
         .map_err(|e| format!("bad checkpoint {checkpoint_path}: {e}"))?;
-    let resumed_from = checkpoint.len();
 
     // `burst`'s zero budget makes admission control part of the
     // determinism contract: its shed trials must survive kill/resume
@@ -544,6 +554,7 @@ fn floor_gate(
             ClientSpec::with_budget("burst", Duration::ZERO),
         ]);
     let mut engine = FleetEngine::new(floor).map_err(|e| format!("bad floor spec: {e}"))?;
+    let resumed_from = boards_resumed(&checkpoint, engine.spec());
     if let Some(plan) = &plan {
         engine = engine.chaos(plan.clone());
         silence_panics();
@@ -580,10 +591,11 @@ fn floor_gate(
         if let Err(e) = cp.store_pair(&pair) {
             die(FAILURE, &format!("cannot write checkpoint: {e}"));
         }
-        if args.halt_after.is_some_and(|limit| cp.len() >= limit) {
+        let done = boards_resumed(cp, engine.spec());
+        if args.halt_after.is_some_and(|limit| done >= limit) {
             die(
                 HALTED,
-                &format!("halting deliberately with {} / {BOARDS} boards checkpointed", cp.len()),
+                &format!("halting deliberately with {done} / {BOARDS} boards checkpointed"),
             );
         }
     });
@@ -1010,6 +1022,37 @@ mod tests {
         assert_eq!(kill_offset("4097"), Ok(4097));
         assert!(kill_offset("rand:").is_err());
         assert!(kill_offset("-1").is_err());
+    }
+
+    #[test]
+    fn resume_counts_only_the_entries_the_run_skips() {
+        // A completed 20-trial campaign checkpoint plus one stray entry
+        // (index 99, seed 99) resumes 20 trials, not 21.
+        let mut campaign = CampaignCheckpoint::new();
+        for index in (0..20).chain([99]) {
+            campaign.record(CheckpointEntry::failed(index, 1, "recorded".into()));
+        }
+        assert_eq!(campaign.len(), 21);
+        assert_eq!(campaign.resumable(20), 20);
+        assert_eq!(campaign.resumable(8), 8);
+
+        // A finished floor's checkpoint plus a board past the floor and
+        // a board recorded under another client: neither is resumed.
+        let floor = FloorSpec::new(3)
+            .trials_per_board(1)
+            .with_clients(vec![ClientSpec::new("a"), ClientSpec::new("b")]);
+        let engine = FleetEngine::new(floor.clone()).expect("valid floor");
+        let mut checkpoint = FleetCheckpoint::new();
+        let _ = engine.run_checkpointed(1, &mut checkpoint, 3, &NullSink, |_| {});
+        assert_eq!(boards_resumed(&checkpoint, &floor), 3);
+        let mut stray = checkpoint.entries()[0].clone();
+        stray.board = 99;
+        checkpoint.record(stray);
+        let mut moved = checkpoint.entries()[1].clone();
+        moved.client = (moved.client + 1) % 2;
+        checkpoint.record(moved);
+        assert_eq!(checkpoint.len(), 4);
+        assert_eq!(boards_resumed(&checkpoint, &floor), 2);
     }
 
     #[test]

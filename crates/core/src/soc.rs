@@ -23,7 +23,8 @@
 //! multi-RHS panels (MA patterns recombined from a step basis), and
 //! each Update-DR then latches its pattern from that memo. A pattern
 //! the plan missed, and every pattern at panel width 1, is solved alone
-//! at its Update-DR: the scalar oracle path.
+//! at its Update-DR as a one-column panel: the oracle path, bitwise the
+//! scalar solve.
 
 use crate::cost::MethodPlanner;
 use crate::degrade::{ChainPolicy, DegradationEvent, DegradedOutcome};
@@ -47,7 +48,7 @@ use sint_interconnect::error::InterconnectError;
 use sint_interconnect::basis::StepBasis;
 use sint_interconnect::measure::propagation_delay;
 use sint_interconnect::params::{Bus, BusParams};
-use sint_interconnect::solver::{GuardrailEvent, PanelScratch, SimScratch, TransientSim};
+use sint_interconnect::solver::{GuardrailEvent, PanelScratch, TransientSim};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use sint_interconnect::variation::{apply_variation, VariationSigma};
@@ -100,8 +101,8 @@ impl SocBuilder {
 
     /// Sets how many columns one batched transient of a plan solve
     /// advances together (default [`DEFAULT_PANEL_WIDTH`]). Width 1
-    /// never solves a plan: every pattern runs through the scalar
-    /// single-RHS solver at its own Update-DR — the correctness oracle
+    /// never solves a plan: every pattern is solved alone, as a
+    /// one-column panel, at its own Update-DR — the correctness oracle
     /// the batched path is byte-compared against in `verify.sh`.
     #[must_use]
     pub fn panel_width(mut self, width: usize) -> Self {
@@ -317,7 +318,6 @@ impl SocBuilder {
             sim_key,
             sim_cache,
             guardrail_events,
-            scratch: SimScratch::new(),
             panel_scratch,
             memo: HashMap::new(),
             memo_stats: MemoStats::default(),
@@ -357,7 +357,7 @@ pub struct MemoStats {
     /// session's or an earlier one's) had solved their pair.
     pub hits: u64,
     /// Applied patterns no plan had solved, each solved alone at its
-    /// Update-DR through the scalar oracle path and counted in
+    /// Update-DR as a one-column panel (the oracle path) and counted in
     /// [`Soc::transients_run`]: every pattern at panel width 1, and at
     /// wider panels only patterns a prediction missed or a dropped plan
     /// left behind.
@@ -588,10 +588,8 @@ pub struct Soc {
     /// Recovery actions the guarded solver constructor took at build
     /// time (empty when the nominal factorisation succeeded).
     guardrail_events: Vec<GuardrailEvent>,
-    /// Reused solver scratch: keeps the per-pattern transient runs
-    /// allocation-free in the timestep loop.
-    scratch: SimScratch,
-    /// Reused multi-RHS scratch for plan solves.
+    /// Reused solver scratch for plan solves and patterns solved alone:
+    /// keeps every timestep loop allocation-free.
     panel_scratch: PanelScratch,
     /// The response of every pair a plan solve has solved so far.
     memo: PatternMemo,
@@ -603,7 +601,7 @@ pub struct Soc {
     /// [`pack_pair`]).
     log: Vec<u64>,
     /// Columns per batched plan solve; 1 = never plan, solve every
-    /// pattern alone (the scalar oracle path).
+    /// pattern alone (the oracle path).
     panel_width: usize,
     wires: usize,
     extra_cells: usize,
@@ -749,8 +747,8 @@ impl Soc {
         &mut self.driver
     }
 
-    /// The configured batching width (1 = never plans: scalar per-pattern
-    /// solves).
+    /// The configured batching width (1 = never plans: every pattern is
+    /// solved alone).
     #[must_use]
     pub fn panel_width(&self) -> usize {
         self.panel_width
@@ -931,25 +929,22 @@ impl Soc {
         Ok(())
     }
 
-    /// The scalar oracle path: one single-RHS transient of `pair`,
+    /// The oracle path: `pair` solved alone as a one-column panel —
+    /// bitwise the scalar solve, failing with its exact error — and
     /// reduced to its response. Not memoized, so panel width 1 solves
     /// every pattern it applies.
     fn solve_alone(&mut self, pair: &VectorPair) -> Result<Box<[u8]>, CoreError> {
-        let sim = Arc::clone(&self.sim);
-        let waves = match sim.run_pair_cancellable(
-            pair,
-            self.settle,
-            &mut self.scratch,
-            self.cancel.as_ref(),
-        ) {
-            Ok(waves) => waves,
-            Err(InterconnectError::Cancelled { step }) => {
-                return Err(CoreError::DeadlineExceeded { step });
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let column = std::slice::from_ref(pair);
+        let cancel = self.cancel.as_ref();
+        let waves = self
+            .sim
+            .run_pairs_cancellable(column, self.settle, &mut self.panel_scratch, cancel)
+            .map_err(|e| match e {
+                InterconnectError::Cancelled { step } => CoreError::DeadlineExceeded { step },
+                e => e.into(),
+            })?;
         self.transients_run += 1;
-        self.response(pair, waves.dt(), waves.switch_at(), |w| waves.wire(w))
+        self.response(pair, waves.dt(), waves.switch_at(), |w| waves.wire(0, w))
     }
 
     /// Memo key of the active solver and settle time.
@@ -968,7 +963,7 @@ impl Soc {
     ///
     /// A failed plan solve is dropped by its caller: the patterns it
     /// left out miss the memo and are solved alone, so any error is the
-    /// scalar oracle's.
+    /// oracle path's.
     fn solve_plan(&mut self, planned: &[VectorPair]) -> Result<(), CoreError> {
         let recombinable = StepBasis::accepts(&self.sim);
         let memo = self.memo.get(&self.memo_key());
@@ -1278,7 +1273,7 @@ impl Soc {
         if self.panel_width > 1 {
             // A plan that cannot be predicted or solved is dropped: its
             // patterns then miss the memo and are solved alone at their
-            // Update-DR, so any error is the scalar oracle's.
+            // Update-DR, so any error is the oracle path's.
             let plan = self.planned_half(pass.initial, &run.victims, run.rotate, end);
             let _ = plan.and_then(|plan| self.solve_plan(&plan));
         }
@@ -2105,8 +2100,9 @@ mod tests {
         let bus = coarse(4).build().unwrap().bus().clone();
         let pair = fault_pair(4, 1, IntegrityFault::Pg).unwrap();
         let sim = TransientSim::new(&bus, cfg.dt).unwrap();
-        let waves = sim.run_pair(&pair, cfg.settle_time).unwrap();
-        let peak = waves.wire(1).iter().copied().fold(0.0, f64::max);
+        let waves =
+            sim.run_pairs_cancellable(&[pair], cfg.settle_time, &mut PanelScratch::new(), None);
+        let peak = waves.unwrap().wire(0, 1).iter().copied().fold(0.0, f64::max);
         let nd = NdThresholds { v_low_max: peak, ..NdThresholds::for_vdd(bus.vdd()) };
         let run = |width: usize| {
             let mut soc = coarse(4).nd_thresholds(nd).panel_width(width).build().unwrap();

@@ -110,7 +110,7 @@ mod tests {
     use super::*;
     use crate::drive::VectorPair;
     use crate::measure::propagation_delay;
-    use crate::solver::TransientSim;
+    use crate::solver::{PanelScratch, TransientSim};
 
     #[test]
     fn tt_is_identity() {
@@ -124,8 +124,9 @@ mod tests {
             let bus = BusParams::dsm_bus(3).at_corner(corner).build().unwrap();
             let sim = TransientSim::new(&bus, 2e-12).unwrap();
             let pair = VectorPair::from_strs("000", "010").unwrap();
-            let w = sim.run_pair(&pair, 3e-9).unwrap();
-            propagation_delay(w.wire(1), w.dt(), bus.vdd(), sim.switch_at(), true).unwrap()
+            let w =
+                sim.run_pairs_cancellable(&[pair], 3e-9, &mut PanelScratch::new(), None).unwrap();
+            propagation_delay(w.wire(0, 1), w.dt(), bus.vdd(), sim.switch_at(), true).unwrap()
         };
         let ss = delay(Corner::Ss);
         let tt = delay(Corner::Tt);

@@ -155,7 +155,7 @@ mod tests {
     use super::*;
     use crate::drive::VectorPair;
     use crate::params::BusParams;
-    use crate::solver::TransientSim;
+    use crate::solver::{PanelScratch, TransientSim};
 
     fn bus() -> Bus {
         BusParams::dsm_bus(3).segments(4).build().unwrap()
@@ -215,8 +215,9 @@ mod tests {
         let pair = VectorPair::from_strs("000", "101").unwrap();
         let peak = |b: &Bus| {
             let sim = TransientSim::new(b, 2e-12).unwrap();
-            let w = sim.run_pair(&pair, 2e-9).unwrap();
-            w.wire(1).iter().cloned().fold(f64::MIN, f64::max)
+            let pair = std::slice::from_ref(&pair);
+            let w = sim.run_pairs_cancellable(pair, 2e-9, &mut PanelScratch::new(), None).unwrap();
+            w.wire(0, 1).iter().cloned().fold(f64::MIN, f64::max)
         };
         assert!(peak(&faulty) > 1.5 * peak(&healthy));
     }
@@ -231,8 +232,9 @@ mod tests {
         let pair = VectorPair::from_strs("000", "010").unwrap();
         let delay = |b: &Bus| {
             let sim = TransientSim::new(b, 2e-12).unwrap();
-            let w = sim.run_pair(&pair, 4e-9).unwrap();
-            crate::measure::propagation_delay(w.wire(1), w.dt(), b.vdd(), sim.switch_at(), true)
+            let pair = std::slice::from_ref(&pair);
+            let w = sim.run_pairs_cancellable(pair, 4e-9, &mut PanelScratch::new(), None).unwrap();
+            crate::measure::propagation_delay(w.wire(0, 1), w.dt(), b.vdd(), sim.switch_at(), true)
                 .unwrap()
         };
         assert!(delay(&faulty) > delay(&healthy) + 20e-12);

@@ -16,9 +16,9 @@
 //!   multi-RHS kernels) and dense LU (the reference oracle).
 //! * [`solver`] — modified nodal analysis with backward-Euler companion
 //!   models; the system matrix is factored once per (topology, dt)
-//!   and reused every step. Runs go through three entry points:
-//!   [`TransientSim::run_pair`], [`TransientSim::run_pair_cancellable`]
-//!   and the batched [`TransientSim::run_pairs_cancellable`].
+//!   and reused every step. Every run goes through one entry point,
+//!   the batched [`TransientSim::run_pairs_cancellable`], which returns
+//!   the receiver-end traces as a [`WavePanel`].
 //! * [`basis`] — [`StepBasis`]: the all-rise and single-rise step
 //!   responses every MA-shaped pattern recombines from exactly, so a
 //!   session solves n + 1 columns instead of 6n patterns.
@@ -39,7 +39,7 @@
 //! ```
 //! use sint_interconnect::params::BusParams;
 //! use sint_interconnect::drive::VectorPair;
-//! use sint_interconnect::solver::TransientSim;
+//! use sint_interconnect::solver::{PanelScratch, TransientSim};
 //! use sint_interconnect::measure::glitch_amplitude;
 //!
 //! # fn main() -> Result<(), sint_interconnect::InterconnectError> {
@@ -47,8 +47,9 @@
 //! // Victim (wire 2) stays 0; all aggressors rise: the Pg fault pattern.
 //! let pair = VectorPair::from_strs("00000", "11011").unwrap();
 //! let sim = TransientSim::new(&bus, 1e-12)?;
-//! let waves = sim.run_pair(&pair, 2e-9)?;
-//! let bump = glitch_amplitude(waves.wire(2), 0.0);
+//! // A one-column panel: pattern 0 is the only pattern.
+//! let waves = sim.run_pairs_cancellable(&[pair], 2e-9, &mut PanelScratch::new(), None)?;
+//! let bump = glitch_amplitude(waves.wire(0, 2), 0.0);
 //! assert!(bump > 0.05, "aggressors must couple into the victim");
 //! # Ok(())
 //! # }
@@ -70,4 +71,4 @@ pub use defect::Defect;
 pub use drive::{DriveLevel, VectorPair};
 pub use error::InterconnectError;
 pub use params::{Bus, BusParams};
-pub use solver::{BusWaveforms, GuardrailEvent, PanelScratch, TransientSim, WavePanel};
+pub use solver::{GuardrailEvent, PanelScratch, TransientSim, WavePanel};

@@ -41,24 +41,25 @@
 //! matrix's three nonzero diagonals only ([`crate::linalg::Diagonals`]),
 //! O(N) at any bandwidth. Every step is also allocation-free —
 //! history multiply, source stamp and in-place solve all reuse a
-//! [`SimScratch`] (or, for batches, a [`PanelScratch`]) that callers
-//! thread through the run entry points to amortise across a campaign.
+//! [`PanelScratch`] that callers thread through the run entry point to
+//! amortise across a campaign.
 //! The dense engine stays compiled in as a runtime-selectable reference
 //! ([`SolverBackend::Dense`]) and as the last rung of
 //! [`TransientSim::new_guarded`]; the property suite pins the two
 //! engines together to ≤ 1e-9 V.
 //!
-//! # Entry points
+//! # Entry point
 //!
-//! A [`TransientSim`] runs vector pairs through exactly three methods:
-//! [`TransientSim::run_pair`] (one pattern, fresh scratch),
-//! [`TransientSim::run_pair_cancellable`] (one pattern on caller scratch
-//! with an optional [`CancelToken`] — the scalar oracle), and
-//! [`TransientSim::run_pairs_cancellable`] (a batch advanced as one
-//! multi-RHS panel — the production path, bitwise identical to looping
-//! the scalar one). All three derive their step count from one checked
+//! A [`TransientSim`] runs vector pairs through one method,
+//! [`TransientSim::run_pairs_cancellable`]: a batch of any width
+//! (one pattern is a one-column batch) advanced as multi-RHS lane
+//! blocks, with an optional [`CancelToken`], returning the receiver-end
+//! traces as a [`WavePanel`] — the ends the ND/SD detectors observe.
+//! A private scalar timestep loop remains the dense engine, the
+//! divergence replay and the unit tests' oracle; the lane blocks are
+//! bitwise identical to it. The step count comes from one checked
 //! time-axis helper, so a non-finite or oversized duration is a typed
-//! [`InterconnectError::BadTimeAxis`] on every path.
+//! [`InterconnectError::BadTimeAxis`].
 
 use crate::drive::{Stimulus, VectorPair};
 use crate::error::InterconnectError;
@@ -74,7 +75,7 @@ use std::sync::OnceLock;
 /// a few microseconds of wall clock.
 pub const CANCEL_CHECK_INTERVAL: usize = 32;
 
-/// Default time the drivers launch their edge after simulation start.
+/// When the drivers launch their edge after simulation start (s).
 pub const DEFAULT_SWITCH_AT: f64 = 0.2e-9;
 
 /// Ceiling on the samples of one run (timesteps plus the DC point):
@@ -101,41 +102,16 @@ pub enum SolverBackend {
     Dense,
 }
 
-/// Reusable per-run scratch buffers: threading one through
-/// [`TransientSim::run_pair_cancellable`] makes every timestep — and,
-/// across a campaign, every run — allocation-free in the solver core.
-#[derive(Debug, Clone, Default)]
-pub struct SimScratch {
-    /// Current full state vector (node voltages, then/with branch currents).
-    state: Vec<f64>,
-    /// Right-hand side, overwritten in place by the solve each step.
-    rhs: Vec<f64>,
-}
-
-impl SimScratch {
-    /// An empty scratch; buffers grow on first use and are then reused.
-    #[must_use]
-    pub fn new() -> SimScratch {
-        SimScratch::default()
-    }
-
-    fn reset(&mut self, dim: usize) {
-        self.state.clear();
-        self.state.resize(dim, 0.0);
-        self.rhs.clear();
-        self.rhs.resize(dim, 0.0);
-    }
-}
-
 /// Reusable scratch for [`TransientSim::run_pairs_cancellable`]:
 /// threading one through a campaign makes every batched timestep
 /// allocation-free once the buffers have grown to the largest batch.
 #[derive(Debug, Clone, Default)]
 pub struct PanelScratch {
     /// Interleaved lane-block state (`lanes[i·W + c]` is unknown `i` of
-    /// lane `c`).
+    /// lane `c`); the scalar loop's state vector.
     lanes: Vec<f64>,
-    /// Interleaved lane-block right-hand side, solved in place.
+    /// Interleaved lane-block right-hand side, solved in place; the
+    /// scalar loop's right-hand side.
     lrhs: Vec<f64>,
     /// Step-major waveform staging: each timestep appends one
     /// contiguous row of receiver read-outs, and a single blocked
@@ -145,9 +121,6 @@ pub struct PanelScratch {
     /// the L1 DTLB and the step loop's cost starts depending on whether
     /// the allocator handed out huge pages.
     stage: Vec<f64>,
-    /// Scalar scratch for the sequential paths (dense engine and the
-    /// divergence fallback).
-    scalar: SimScratch,
 }
 
 impl PanelScratch {
@@ -350,7 +323,6 @@ enum Engine {
 pub struct TransientSim {
     bus: Bus,
     dt: f64,
-    switch_at: f64,
     engine: Engine,
     /// [`TransientSim::condition_estimate`], computed on first use.
     conditioning: OnceLock<f64>,
@@ -668,33 +640,58 @@ impl<H, F> System<H, F> {
 }
 
 impl<H: History, F: Factors> System<H, F> {
-    /// The scalar timestep loop: `steps` steps from the DC operating
-    /// point of the stimulus's initial values, appended to `waves`.
+    /// The scalar timestep loop: `steps` steps of `dt` from the DC
+    /// operating point of the stimulus's initial values, handing the
+    /// full state of every sample `k` to `sample(k, state)`.
     fn run_scalar(
         &self,
         stimulus: &Stimulus,
         steps: usize,
-        scratch: &mut SimScratch,
+        dt: f64,
+        scratch: &mut PanelScratch,
         cancel: Option<&CancelToken>,
-        waves: &mut BusWaveforms,
+        mut sample: impl FnMut(usize, &[f64]),
     ) -> Result<(), InterconnectError> {
-        scratch.reset(self.dim);
-        let SimScratch { state, rhs } = scratch;
+        let PanelScratch { lanes: state, lrhs: rhs, .. } = scratch;
+        for buf in [&mut *state, &mut *rhs] {
+            buf.clear();
+            buf.resize(self.dim, 0.0);
+        }
         self.stamp(stimulus, 0.0, state, 1, 0);
         self.dc_lu.solve_into(state);
         check_finite(state, 0)?;
-        self.collect(state, waves);
+        sample(0, state);
         for k in 1..=steps {
             check_cancel(cancel, k)?;
-            let t = k as f64 * waves.dt;
+            let t = k as f64 * dt;
             self.hist.mul_vec_into(state, rhs);
             self.stamp(stimulus, t, rhs, 1, 0);
             self.a_lu.solve_into(rhs);
             std::mem::swap(state, rhs);
             check_finite(state, k)?;
-            self.collect(state, waves);
+            sample(k, state);
         }
         Ok(())
+    }
+
+    /// The scalar loop of one stimulus, its receiver traces written
+    /// straight into pattern `c` of `wp`.
+    fn run_column(
+        &self,
+        stimulus: &Stimulus,
+        scratch: &mut PanelScratch,
+        cancel: Option<&CancelToken>,
+        wp: &mut WavePanel,
+        c: usize,
+    ) -> Result<(), InterconnectError> {
+        let (dt, samples) = (wp.dt, wp.samples);
+        let block = wp.wires * samples;
+        let traces = &mut wp.receiver[c * block..(c + 1) * block];
+        self.run_scalar(stimulus, samples - 1, dt, scratch, cancel, |k, state| {
+            for (wire, &node) in self.recv_nodes.iter().enumerate() {
+                traces[wire * samples + k] = state[node];
+            }
+        })
     }
 
     /// Receiver-end voltages of the DC operating point of the
@@ -735,14 +732,6 @@ impl<H: History, F: Factors> System<H, F> {
                     .fold(0.0, f64::max)
             })
             .fold(0.0, f64::max)
-    }
-
-    /// Appends the per-wire receiver/driver node voltages of `state`.
-    fn collect(&self, state: &[f64], waves: &mut BusWaveforms) {
-        for (wire, (&rnode, &dnode)) in self.recv_nodes.iter().zip(&self.drv_nodes).enumerate() {
-            waves.receiver[wire].push(state[rnode]);
-            waves.driver[wire].push(state[dnode]);
-        }
     }
 }
 
@@ -837,42 +826,23 @@ impl TransientSim {
     /// non-positive `dt`; [`InterconnectError::SingularMatrix`] if the
     /// bus graph is degenerate.
     pub fn new(bus: &Bus, dt: f64) -> Result<TransientSim, InterconnectError> {
-        Self::with_switch_at(bus, dt, DEFAULT_SWITCH_AT)
+        Self::with_backend(bus, dt, SolverBackend::default())
     }
 
-    /// As [`TransientSim::new`] with an explicit edge-launch time.
+    /// As [`TransientSim::new`] with an explicit linear-algebra backend
+    /// — the dense oracle is selectable here for verification and
+    /// baseline benchmarking.
     ///
     /// # Errors
     ///
-    /// As for [`TransientSim::new`], plus
-    /// [`InterconnectError::BadTimeAxis`] for a non-finite or negative
-    /// `switch_at`.
-    pub fn with_switch_at(
-        bus: &Bus,
-        dt: f64,
-        switch_at: f64,
-    ) -> Result<TransientSim, InterconnectError> {
-        Self::with_backend(bus, dt, switch_at, SolverBackend::default())
-    }
-
-    /// As [`TransientSim::with_switch_at`] with an explicit
-    /// linear-algebra backend — the dense oracle is selectable here for
-    /// verification and baseline benchmarking.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TransientSim::with_switch_at`].
+    /// As for [`TransientSim::new`].
     pub fn with_backend(
         bus: &Bus,
         dt: f64,
-        switch_at: f64,
         backend: SolverBackend,
     ) -> Result<TransientSim, InterconnectError> {
         if !(dt.is_finite() && dt > 0.0) {
             return Err(InterconnectError::time("timestep must be finite and positive"));
-        }
-        if !(switch_at.is_finite() && switch_at >= 0.0) {
-            return Err(InterconnectError::time("switch time must be finite and non-negative"));
         }
         let engine = match (backend, bus.has_inductance()) {
             (SolverBackend::Banded, false) => Engine::Banded(build_banded_rc(bus, dt)?),
@@ -880,7 +850,7 @@ impl TransientSim {
             (SolverBackend::Dense, false) => Engine::Dense(build_dense_rc(bus, dt)?),
             (SolverBackend::Dense, true) => Engine::Dense(build_dense_rlc(bus, dt)?),
         };
-        Ok(TransientSim { bus: bus.clone(), dt, switch_at, engine, conditioning: OnceLock::new() })
+        Ok(TransientSim { bus: bus.clone(), dt, engine, conditioning: OnceLock::new() })
     }
 
     /// As [`TransientSim::new`], but with a bounded recovery ladder for
@@ -914,7 +884,7 @@ impl TransientSim {
             }
         }
         events.push(GuardrailEvent::DenseFallback);
-        let sim = Self::with_backend(bus, dt, DEFAULT_SWITCH_AT, SolverBackend::Dense)?;
+        let sim = Self::with_backend(bus, dt, SolverBackend::Dense)?;
         Ok((sim, events))
     }
 
@@ -927,7 +897,7 @@ impl TransientSim {
     /// from: one solve against the DC factor, bitwise the sample 0 of
     /// every run of `pair`.
     pub(crate) fn dc_receivers(&self, pair: &VectorPair) -> Result<Vec<f64>, InterconnectError> {
-        let stimulus = Stimulus::from_pair(&self.bus, pair, self.switch_at)?;
+        let stimulus = Stimulus::from_pair(&self.bus, pair, DEFAULT_SWITCH_AT)?;
         Ok(match &self.engine {
             Engine::Banded(sys) => sys.dc_receivers(&stimulus),
             Engine::Dense(sys) => sys.dc_receivers(&stimulus),
@@ -952,10 +922,10 @@ impl TransientSim {
         self.dt
     }
 
-    /// The edge-launch time (s).
+    /// The edge-launch time (s): [`DEFAULT_SWITCH_AT`].
     #[must_use]
     pub fn switch_at(&self) -> f64 {
-        self.switch_at
+        DEFAULT_SWITCH_AT
     }
 
     /// Whether the augmented (inductive) formulation is active.
@@ -988,63 +958,31 @@ impl TransientSim {
         }
     }
 
-    /// Lowers `pair` to a stimulus (edge at the configured switch time)
-    /// and runs the transient for `duration` seconds, starting from the
-    /// DC operating point of the *before* vector. Allocates fresh
-    /// scratch; prefer [`TransientSim::run_pair_cancellable`] inside
-    /// campaign loops.
+    /// Lowers each pair to a stimulus (edge at [`DEFAULT_SWITCH_AT`])
+    /// and runs its transient for `duration` seconds from the DC
+    /// operating point of its *before* vector, all of them as one
+    /// batched **panel**: every timestep advances up to eight patterns
+    /// through one interleaved history multiply and one multi-RHS
+    /// solve, instead of separate matrix-vector passes. The patterns
+    /// are physically independent — only the linear-algebra work is
+    /// shared — so for finite systems each pattern's receiver waveforms
+    /// are bitwise identical to a scalar run of it alone, a one-column
+    /// panel included. `cancel` is polled every
+    /// [`CANCEL_CHECK_INTERVAL`] timesteps: an explicitly cancelled
+    /// token or an expired deadline stops the run cooperatively, at the
+    /// same `Cancelled { step }` as a scalar run of the first pattern.
+    /// `None` is exactly the uncancellable path. Reusing `scratch`
+    /// keeps repeated runs allocation-free in the timestep loop.
     ///
     /// # Errors
     ///
     /// [`InterconnectError::BadTimeAxis`] for a non-finite or
     /// non-positive duration, or one needing more than 2²⁴ samples;
     /// [`InterconnectError::WireOutOfRange`] for a pair width mismatch;
-    /// [`InterconnectError::Diverged`] when the state goes non-finite.
-    pub fn run_pair(
-        &self,
-        pair: &VectorPair,
-        duration: f64,
-    ) -> Result<BusWaveforms, InterconnectError> {
-        self.run_pair_cancellable(pair, duration, &mut SimScratch::new(), None)
-    }
-
-    /// As [`TransientSim::run_pair`], reusing caller-provided scratch
-    /// buffers so repeated runs never allocate in the timestep loop, and
-    /// polling `cancel` every [`CANCEL_CHECK_INTERVAL`] timesteps: an
-    /// explicitly cancelled token or an expired deadline stops the run
-    /// cooperatively. Passing `None` is exactly the uncancellable path.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TransientSim::run_pair`], plus
-    /// [`InterconnectError::Cancelled`] when the token fires.
-    pub fn run_pair_cancellable(
-        &self,
-        pair: &VectorPair,
-        duration: f64,
-        scratch: &mut SimScratch,
-        cancel: Option<&CancelToken>,
-    ) -> Result<BusWaveforms, InterconnectError> {
-        let steps = self.steps(duration)?;
-        let stimulus = Stimulus::from_pair(&self.bus, pair, self.switch_at)?;
-        self.run_stimulus(&stimulus, steps, scratch, cancel)
-    }
-
-    /// Runs one transient per pair as a single batched **panel**: every
-    /// timestep advances up to eight patterns through one interleaved
-    /// history multiply and one multi-RHS solve, instead of separate
-    /// matrix-vector passes. Each pattern still starts from its own DC
-    /// operating point — the patterns are physically independent, only
-    /// the linear-algebra work is shared — so for finite systems the
-    /// per-pattern receiver waveforms are bitwise identical to looped
-    /// [`TransientSim::run_pair`] calls. Cancellation polls land on the
-    /// same stride, and therefore the same `Cancelled { step }`, as the
-    /// scalar path polling during its first pattern.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TransientSim::run_pair_cancellable`]; a divergence is
-    /// reported exactly as the first failing scalar run would report it.
+    /// [`InterconnectError::Cancelled`] when the token fires;
+    /// [`InterconnectError::Diverged`] when a state goes non-finite,
+    /// reported exactly as a scalar run of the first failing pattern
+    /// would report it.
     pub fn run_pairs_cancellable(
         &self,
         pairs: &[VectorPair],
@@ -1055,7 +993,7 @@ impl TransientSim {
         let steps = self.steps(duration)?;
         let stimuli: Vec<Stimulus> = pairs
             .iter()
-            .map(|pair| Stimulus::from_pair(&self.bus, pair, self.switch_at))
+            .map(|pair| Stimulus::from_pair(&self.bus, pair, DEFAULT_SWITCH_AT))
             .collect::<Result<_, _>>()?;
         if let Engine::Banded(sys) = &self.engine {
             let mut wp = WavePanel::empty(self, stimuli.len(), steps + 1);
@@ -1075,8 +1013,8 @@ impl TransientSim {
     }
 
     /// The number of timesteps covering `duration` — the one time-axis
-    /// check every run goes through. `dt` and `switch_at` were validated
-    /// at construction; this refuses a non-finite or non-positive
+    /// check every run goes through. `dt` was validated at
+    /// construction; this refuses a non-finite or non-positive
     /// `duration`, and any run whose sample count (`steps + 1`) would
     /// overflow or exceed [`MAX_STEPS`].
     fn steps(&self, duration: f64) -> Result<usize, InterconnectError> {
@@ -1096,29 +1034,6 @@ impl TransientSim {
         }
     }
 
-    /// The scalar run of one stimulus over `steps` timesteps.
-    fn run_stimulus(
-        &self,
-        stimulus: &Stimulus,
-        steps: usize,
-        scratch: &mut SimScratch,
-        cancel: Option<&CancelToken>,
-    ) -> Result<BusWaveforms, InterconnectError> {
-        let w = self.bus.wires();
-        let mut waves = BusWaveforms {
-            dt: self.dt,
-            switch_at: self.switch_at,
-            vdd: self.bus.vdd(),
-            receiver: vec![Vec::with_capacity(steps + 1); w],
-            driver: vec![Vec::with_capacity(steps + 1); w],
-        };
-        match &self.engine {
-            Engine::Banded(sys) => sys.run_scalar(stimulus, steps, scratch, cancel, &mut waves)?,
-            Engine::Dense(sys) => sys.run_scalar(stimulus, steps, scratch, cancel, &mut waves)?,
-        }
-        Ok(waves)
-    }
-
     /// The scalar-sequential reference: one scalar run per stimulus,
     /// packed into a [`WavePanel`]. Used by the dense engine and as the
     /// divergence fallback, so the batched entry point keeps exact
@@ -1131,15 +1046,11 @@ impl TransientSim {
         scratch: &mut PanelScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<WavePanel, InterconnectError> {
-        let samples = steps + 1;
-        let w = self.bus.wires();
-        let mut wp = WavePanel::empty(self, stimuli.len(), samples);
-        for (c, stim) in stimuli.iter().enumerate() {
-            let waves = self.run_stimulus(stim, steps, &mut scratch.scalar, cancel)?;
-            debug_assert_eq!(waves.samples(), samples);
-            for wire in 0..w {
-                let at = (c * w + wire) * samples;
-                wp.receiver[at..at + samples].copy_from_slice(waves.wire(wire));
+        let mut wp = WavePanel::empty(self, stimuli.len(), steps + 1);
+        for (c, stimulus) in stimuli.iter().enumerate() {
+            match &self.engine {
+                Engine::Banded(sys) => sys.run_column(stimulus, scratch, cancel, &mut wp, c)?,
+                Engine::Dense(sys) => sys.run_column(stimulus, scratch, cancel, &mut wp, c)?,
             }
         }
         Ok(wp)
@@ -1168,85 +1079,13 @@ fn check_finite(state: &[f64], step: usize) -> Result<(), InterconnectError> {
     }
 }
 
-/// Simulated voltages for every bus wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BusWaveforms {
-    dt: f64,
-    switch_at: f64,
-    vdd: f64,
-    /// `[wire][step]` voltage at the receiver-end node.
-    receiver: Vec<Vec<f64>>,
-    /// `[wire][step]` voltage at the driver-end node.
-    driver: Vec<Vec<f64>>,
-}
-
-impl BusWaveforms {
-    /// Sample interval (s).
-    #[must_use]
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// When the drivers launched their edge (s).
-    #[must_use]
-    pub fn switch_at(&self) -> f64 {
-        self.switch_at
-    }
-
-    /// Supply voltage the run used (V).
-    #[must_use]
-    pub fn vdd(&self) -> f64 {
-        self.vdd
-    }
-
-    /// Number of wires.
-    #[must_use]
-    pub fn wires(&self) -> usize {
-        self.receiver.len()
-    }
-
-    /// Number of samples per wire.
-    #[must_use]
-    pub fn samples(&self) -> usize {
-        self.receiver.first().map_or(0, Vec::len)
-    }
-
-    /// Receiver-end waveform of `wire`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wire` is out of range.
-    #[must_use]
-    pub fn wire(&self, wire: usize) -> &[f64] {
-        &self.receiver[wire]
-    }
-
-    /// Driver-end waveform of `wire`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wire` is out of range.
-    #[must_use]
-    pub fn driver_end(&self, wire: usize) -> &[f64] {
-        &self.driver[wire]
-    }
-
-    /// The time of sample `k` (s).
-    #[must_use]
-    pub fn time_of(&self, k: usize) -> f64 {
-        k as f64 * self.dt
-    }
-}
-
 /// Struct-of-arrays receiver waveforms for a batch of patterns run by
 /// [`TransientSim::run_pairs_cancellable`]: one flat time-major column
 /// per `(pattern, wire)`. Only the receiver ends — what the detectors
-/// observe — are kept; the scalar [`BusWaveforms`] also carries the
-/// driver ends.
+/// observe — are kept.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WavePanel {
     dt: f64,
-    switch_at: f64,
     vdd: f64,
     wires: usize,
     patterns: usize,
@@ -1260,7 +1099,6 @@ impl WavePanel {
         let wires = sim.bus.wires();
         WavePanel {
             dt: sim.dt,
-            switch_at: sim.switch_at,
             vdd: sim.bus.vdd(),
             wires,
             patterns,
@@ -1275,10 +1113,10 @@ impl WavePanel {
         self.dt
     }
 
-    /// When the drivers launched their edge (s).
+    /// When the drivers launched their edge (s): [`DEFAULT_SWITCH_AT`].
     #[must_use]
     pub fn switch_at(&self) -> f64 {
-        self.switch_at
+        DEFAULT_SWITCH_AT
     }
 
     /// Supply voltage the run used (V).
@@ -1389,15 +1227,57 @@ mod tests {
         BusParams::dsm_bus(wires).segments(4).build().unwrap()
     }
 
+    /// The scalar oracle: `pairs` looped one by one through the private
+    /// scalar timestep loop, packed into a panel like the batched
+    /// entry's.
+    fn looped_scalar(
+        sim: &TransientSim,
+        pairs: &[VectorPair],
+        duration: f64,
+        scratch: &mut PanelScratch,
+        cancel: Option<&CancelToken>,
+    ) -> Result<WavePanel, InterconnectError> {
+        let steps = sim.steps(duration)?;
+        let stimuli: Vec<Stimulus> = pairs
+            .iter()
+            .map(|pair| Stimulus::from_pair(&sim.bus, pair, DEFAULT_SWITCH_AT))
+            .collect::<Result<_, _>>()?;
+        sim.run_sequential(&stimuli, steps, scratch, cancel)
+    }
+
+    /// One pattern through the scalar oracle, on fresh scratch.
+    fn scalar(
+        sim: &TransientSim,
+        pair: &VectorPair,
+        duration: f64,
+    ) -> Result<WavePanel, InterconnectError> {
+        looped_scalar(sim, std::slice::from_ref(pair), duration, &mut PanelScratch::new(), None)
+    }
+
+    /// One pattern as a one-column panel through the run entry point.
+    fn column(
+        sim: &TransientSim,
+        pair: &VectorPair,
+        duration: f64,
+        cancel: Option<&CancelToken>,
+    ) -> Result<WavePanel, InterconnectError> {
+        sim.run_pairs_cancellable(
+            std::slice::from_ref(pair),
+            duration,
+            &mut PanelScratch::new(),
+            cancel,
+        )
+    }
+
     #[test]
     fn dc_point_matches_drive_levels() {
         let bus = small_bus(3);
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let pair = VectorPair::from_strs("101", "101").unwrap();
-        let waves = sim.run_pair(&pair, 1e-9).unwrap();
+        let waves = scalar(&sim, &pair, 1e-9).unwrap();
         // No switching: every wire must sit at its DC level throughout.
         for (w, expect) in [(0usize, bus.vdd()), (1, 0.0), (2, bus.vdd())] {
-            for &v in waves.wire(w) {
+            for &v in waves.wire(0, w) {
                 assert!((v - expect).abs() < 1e-6, "wire {w}: {v} vs {expect}");
             }
         }
@@ -1408,8 +1288,8 @@ mod tests {
         let bus = BusParams::dsm_bus(1).segments(4).build().unwrap();
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let pair = VectorPair::from_strs("0", "1").unwrap();
-        let waves = sim.run_pair(&pair, 3e-9).unwrap();
-        let wave = waves.wire(0);
+        let waves = scalar(&sim, &pair, 3e-9).unwrap();
+        let wave = waves.wire(0, 0);
         assert!(wave[0].abs() < 1e-9, "starts at ground");
         let last = *wave.last().unwrap();
         assert!((last - bus.vdd()).abs() < 1e-3, "settles at vdd: {last}");
@@ -1423,15 +1303,21 @@ mod tests {
         let bus = BusParams::dsm_bus(1).segments(8).build().unwrap();
         let sim = TransientSim::new(&bus, 1e-12).unwrap();
         let pair = VectorPair::from_strs("0", "1").unwrap();
-        let waves = sim.run_pair(&pair, 2e-9).unwrap();
+        // Runs return receiver ends only, so read both ends of the
+        // wire off the scalar loop's full state.
+        let Engine::Banded(sys) = &sim.engine else { panic!("an RC bus runs banded") };
+        let stimulus = Stimulus::from_pair(&bus, &pair, sim.switch_at()).unwrap();
+        let (mut driver, mut receiver) = (Vec::new(), Vec::new());
+        let steps = sim.steps(2e-9).unwrap();
+        sys.run_scalar(&stimulus, steps, sim.dt(), &mut PanelScratch::new(), None, |_, state| {
+            driver.push(state[sys.drv_nodes[0]]);
+            receiver.push(state[sys.recv_nodes[0]]);
+        })
+        .unwrap();
+        assert_eq!(receiver, scalar(&sim, &pair, 2e-9).unwrap().wire(0, 0));
         // Mid-rise sample: driver end must lead the receiver end.
-        let k = ((sim.switch_at() + 60e-12) / waves.dt()) as usize;
-        assert!(
-            waves.driver_end(0)[k] > waves.wire(0)[k] + 1e-3,
-            "driver {} vs receiver {}",
-            waves.driver_end(0)[k],
-            waves.wire(0)[k]
-        );
+        let k = ((sim.switch_at() + 60e-12) / sim.dt()) as usize;
+        assert!(driver[k] > receiver[k] + 1e-3, "driver {} vs receiver {}", driver[k], receiver[k]);
     }
 
     #[test]
@@ -1440,12 +1326,12 @@ mod tests {
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         // Victim = wire 1 held low; both neighbours rise (Pg pattern).
         let pair = VectorPair::from_strs("000", "101").unwrap();
-        let waves = sim.run_pair(&pair, 2e-9).unwrap();
-        let peak = waves.wire(1).iter().cloned().fold(f64::MIN, f64::max);
+        let waves = scalar(&sim, &pair, 2e-9).unwrap();
+        let peak = waves.wire(0, 1).iter().cloned().fold(f64::MIN, f64::max);
         assert!(peak > 0.05, "expected a visible positive glitch, got {peak}");
         assert!(peak < bus.vdd(), "glitch cannot exceed the rail, got {peak}");
         // And it must die back down (it is a glitch, not a level change).
-        let last = *waves.wire(1).last().unwrap();
+        let last = *waves.wire(0, 1).last().unwrap();
         assert!(last.abs() < 0.01, "victim returns to ground: {last}");
     }
 
@@ -1456,10 +1342,10 @@ mod tests {
         // Victim held high; neighbours fall (Ng pattern).
         let up = VectorPair::from_strs("000", "101").unwrap();
         let down = VectorPair::from_strs("111", "010").unwrap();
-        let wu = sim.run_pair(&up, 2e-9).unwrap();
-        let wd = sim.run_pair(&down, 2e-9).unwrap();
-        let peak_up = wu.wire(1).iter().cloned().fold(f64::MIN, f64::max);
-        let dip_down = wd.wire(1).iter().cloned().fold(f64::MAX, f64::min);
+        let wu = scalar(&sim, &up, 2e-9).unwrap();
+        let wd = scalar(&sim, &down, 2e-9).unwrap();
+        let peak_up = wu.wire(0, 1).iter().cloned().fold(f64::MIN, f64::max);
+        let dip_down = wd.wire(0, 1).iter().cloned().fold(f64::MAX, f64::min);
         // Linear network ⇒ symmetric responses.
         assert!((peak_up - (bus.vdd() - dip_down)).abs() < 1e-3);
     }
@@ -1472,11 +1358,11 @@ mod tests {
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let with = VectorPair::from_strs("000", "111").unwrap(); // all rise
         let against = VectorPair::from_strs("101", "010").unwrap(); // victim rises, aggrs fall
-        let ww = sim.run_pair(&with, 4e-9).unwrap();
-        let wa = sim.run_pair(&against, 4e-9).unwrap();
+        let ww = scalar(&sim, &with, 4e-9).unwrap();
+        let wa = scalar(&sim, &against, 4e-9).unwrap();
         let half = bus.vdd() / 2.0;
-        let t_with = crate::measure::crossing_time(ww.wire(1), ww.dt(), half, true).unwrap();
-        let t_against = crate::measure::crossing_time(wa.wire(1), wa.dt(), half, true).unwrap();
+        let t_with = crate::measure::crossing_time(ww.wire(0, 1), ww.dt(), half, true).unwrap();
+        let t_against = crate::measure::crossing_time(wa.wire(0, 1), wa.dt(), half, true).unwrap();
         assert!(
             t_against > t_with + 5e-12,
             "opposing switching must add delay: {t_against} vs {t_with}"
@@ -1490,8 +1376,8 @@ mod tests {
         let pair = VectorPair::from_strs("000", "101").unwrap();
         let peak = |bus: &Bus| {
             let sim = TransientSim::new(bus, 2e-12).unwrap();
-            let w = sim.run_pair(&pair, 2e-9).unwrap();
-            w.wire(1).iter().cloned().fold(f64::MIN, f64::max)
+            let w = scalar(&sim, &pair, 2e-9).unwrap();
+            w.wire(0, 1).iter().cloned().fold(f64::MIN, f64::max)
         };
         assert!(peak(&strong) > 2.0 * peak(&weak));
     }
@@ -1500,12 +1386,11 @@ mod tests {
     fn bad_inputs_rejected() {
         let bus = small_bus(2);
         assert!(TransientSim::new(&bus, 0.0).is_err());
-        assert!(TransientSim::with_switch_at(&bus, 1e-12, -1.0).is_err());
         let sim = TransientSim::new(&bus, 1e-12).unwrap();
         let pair3 = VectorPair::from_strs("000", "111").unwrap();
-        assert!(sim.run_pair(&pair3, 1e-9).is_err());
+        assert!(column(&sim, &pair3, 1e-9, None).is_err());
         let pair = VectorPair::from_strs("00", "11").unwrap();
-        assert!(sim.run_pair(&pair, -1.0).is_err());
+        assert!(column(&sim, &pair, -1.0, None).is_err());
     }
 
     #[test]
@@ -1513,7 +1398,7 @@ mod tests {
         let bus = small_bus(2);
         let sim = TransientSim::new(&bus, 1e-12).unwrap();
         let pair = VectorPair::from_strs("00", "10").unwrap();
-        let w = sim.run_pair(&pair, 1e-9).unwrap();
+        let w = scalar(&sim, &pair, 1e-9).unwrap();
         assert_eq!(w.wires(), 2);
         assert_eq!(w.samples(), 1001);
         assert!((w.time_of(1000) - 1e-9).abs() < 1e-18);
@@ -1524,17 +1409,17 @@ mod tests {
     fn scratch_reuse_is_bitwise_stable() {
         // Reusing one scratch across runs (and across engine sizes)
         // must not leak state between runs.
-        let mut scratch = SimScratch::new();
+        let mut scratch = PanelScratch::new();
         let big = small_bus(5);
-        let pair5 = VectorPair::from_strs("00000", "11011").unwrap();
+        let pair5 = [VectorPair::from_strs("00000", "11011").unwrap()];
         let sim5 = TransientSim::new(&big, 2e-12).unwrap();
-        let fresh = sim5.run_pair(&pair5, 1e-9).unwrap();
-        let _ = sim5.run_pair_cancellable(&pair5, 1e-9, &mut scratch, None).unwrap();
+        let fresh = scalar(&sim5, &pair5[0], 1e-9).unwrap();
+        let _ = looped_scalar(&sim5, &pair5, 1e-9, &mut scratch, None).unwrap();
         let small = small_bus(2);
         let sim2 = TransientSim::new(&small, 2e-12).unwrap();
-        let pair2 = VectorPair::from_strs("00", "10").unwrap();
-        let _ = sim2.run_pair_cancellable(&pair2, 1e-9, &mut scratch, None).unwrap();
-        let reused = sim5.run_pair_cancellable(&pair5, 1e-9, &mut scratch, None).unwrap();
+        let pair2 = [VectorPair::from_strs("00", "10").unwrap()];
+        let _ = looped_scalar(&sim2, &pair2, 1e-9, &mut scratch, None).unwrap();
+        let reused = looped_scalar(&sim5, &pair5, 1e-9, &mut scratch, None).unwrap();
         assert_eq!(fresh, reused, "scratch reuse changed results");
     }
 
@@ -1547,14 +1432,12 @@ mod tests {
         ] {
             let banded = TransientSim::new(&bus, 2e-12).unwrap();
             assert_eq!(banded.backend(), SolverBackend::Banded);
-            let dense =
-                TransientSim::with_backend(&bus, 2e-12, DEFAULT_SWITCH_AT, SolverBackend::Dense)
-                    .unwrap();
+            let dense = TransientSim::with_backend(&bus, 2e-12, SolverBackend::Dense).unwrap();
             assert_eq!(dense.backend(), SolverBackend::Dense);
-            let wb = banded.run_pair(&pair, 2e-9).unwrap();
-            let wd = dense.run_pair(&pair, 2e-9).unwrap();
+            let wb = column(&banded, &pair, 2e-9, None).unwrap();
+            let wd = column(&dense, &pair, 2e-9, None).unwrap();
             for w in 0..3 {
-                for (a, b) in wb.wire(w).iter().zip(wd.wire(w)) {
+                for (a, b) in wb.wire(0, w).iter().zip(wd.wire(0, w)) {
                     assert!((a - b).abs() < 1e-9, "wire {w}: {a} vs {b}");
                 }
             }
@@ -1581,9 +1464,9 @@ mod tests {
         let rc = small_bus(3);
         let rlc = rlc_bus(3, 1e-15); // femto-henry per mm: negligible
         let pair = VectorPair::from_strs("000", "101").unwrap();
-        let wv_rc = TransientSim::new(&rc, 2e-12).unwrap().run_pair(&pair, 2e-9).unwrap();
-        let wv_rlc = TransientSim::new(&rlc, 2e-12).unwrap().run_pair(&pair, 2e-9).unwrap();
-        for (a, b) in wv_rc.wire(0).iter().zip(wv_rlc.wire(0)) {
+        let wv_rc = scalar(&TransientSim::new(&rc, 2e-12).unwrap(), &pair, 2e-9).unwrap();
+        let wv_rlc = scalar(&TransientSim::new(&rlc, 2e-12).unwrap(), &pair, 2e-9).unwrap();
+        for (a, b) in wv_rc.wire(0, 0).iter().zip(wv_rlc.wire(0, 0)) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
     }
@@ -1593,9 +1476,9 @@ mod tests {
         let bus = rlc_bus(3, 0.4e-9);
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let pair = VectorPair::from_strs("110", "110").unwrap();
-        let waves = sim.run_pair(&pair, 1e-9).unwrap();
+        let waves = scalar(&sim, &pair, 1e-9).unwrap();
         for (w, expect) in [(0usize, bus.vdd()), (1, bus.vdd()), (2, 0.0)] {
-            for &v in waves.wire(w) {
+            for &v in waves.wire(0, w) {
                 assert!((v - expect).abs() < 1e-6, "wire {w}: {v} vs {expect}");
             }
         }
@@ -1606,9 +1489,9 @@ mod tests {
         let bus = rlc_bus(2, 0.4e-9);
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let pair = VectorPair::from_strs("00", "10").unwrap();
-        let waves = sim.run_pair(&pair, 4e-9).unwrap();
-        let last0 = *waves.wire(0).last().unwrap();
-        let last1 = *waves.wire(1).last().unwrap();
+        let waves = scalar(&sim, &pair, 4e-9).unwrap();
+        let last0 = *waves.wire(0, 0).last().unwrap();
+        let last1 = *waves.wire(0, 1).last().unwrap();
         assert!((last0 - bus.vdd()).abs() < 5e-3, "{last0}");
         assert!(last1.abs() < 5e-3, "{last1}");
     }
@@ -1629,8 +1512,8 @@ mod tests {
         let pair = VectorPair::from_strs("0", "1").unwrap();
         let peak = |bus: &Bus| {
             let sim = TransientSim::new(bus, 1e-12).unwrap();
-            let w = sim.run_pair(&pair, 3e-9).unwrap();
-            w.wire(0).iter().cloned().fold(f64::MIN, f64::max)
+            let w = scalar(&sim, &pair, 3e-9).unwrap();
+            w.wire(0, 0).iter().cloned().fold(f64::MIN, f64::max)
         };
         let rc_peak = peak(&rc);
         let lc_peak = peak(&lc);
@@ -1656,8 +1539,8 @@ mod tests {
                 .unwrap();
             let sim = TransientSim::new(&bus, 1e-12).unwrap();
             let pair = VectorPair::from_strs("00", "10").unwrap();
-            let waves = sim.run_pair(&pair, 2e-9).unwrap();
-            waves.wire(1).iter().map(|v| v.abs()).fold(0.0, f64::max)
+            let waves = scalar(&sim, &pair, 2e-9).unwrap();
+            waves.wire(0, 1).iter().map(|v| v.abs()).fold(0.0, f64::max)
         };
         let without = quiet(0.0);
         let with = quiet(0.5e-9);
@@ -1669,8 +1552,8 @@ mod tests {
         let bus = rlc_bus(3, 0.4e-9);
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let pair = VectorPair::from_strs("000", "101").unwrap();
-        let waves = sim.run_pair(&pair, 2e-9).unwrap();
-        let peak = waves.wire(1).iter().cloned().fold(f64::MIN, f64::max);
+        let waves = scalar(&sim, &pair, 2e-9).unwrap();
+        let peak = waves.wire(0, 1).iter().cloned().fold(f64::MIN, f64::max);
         assert!(peak > 0.05, "coupling must still glitch the victim: {peak}");
     }
 
@@ -1699,7 +1582,7 @@ mod tests {
         let dt = 1e-300;
         let sim = TransientSim::new(&bus, dt).unwrap();
         let pair = VectorPair::from_strs("000", "010").unwrap();
-        match sim.run_pair(&pair, 4.0 * dt) {
+        match scalar(&sim, &pair, 4.0 * dt) {
             Err(InterconnectError::Diverged { step, .. }) => {
                 assert!(step <= 4, "divergence flagged promptly, got step {step}");
             }
@@ -1730,8 +1613,7 @@ mod tests {
         let pair = VectorPair::from_strs("000", "101").unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let mut scratch = SimScratch::new();
-        match sim.run_pair_cancellable(&pair, 2e-9, &mut scratch, Some(&token)) {
+        match column(&sim, &pair, 2e-9, Some(&token)) {
             Err(InterconnectError::Cancelled { step }) => {
                 assert!(
                     step <= CANCEL_CHECK_INTERVAL,
@@ -1748,8 +1630,7 @@ mod tests {
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let pair = VectorPair::from_strs("00", "11").unwrap();
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        let mut scratch = SimScratch::new();
-        let err = sim.run_pair_cancellable(&pair, 2e-9, &mut scratch, Some(&token)).unwrap_err();
+        let err = column(&sim, &pair, 2e-9, Some(&token)).unwrap_err();
         assert!(matches!(err, InterconnectError::Cancelled { .. }), "got {err:?}");
     }
 
@@ -1758,10 +1639,9 @@ mod tests {
         let bus = small_bus(3);
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let pair = VectorPair::from_strs("000", "101").unwrap();
-        let plain = sim.run_pair(&pair, 2e-9).unwrap();
+        let plain = column(&sim, &pair, 2e-9, None).unwrap();
         let token = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
-        let mut scratch = SimScratch::new();
-        let gated = sim.run_pair_cancellable(&pair, 2e-9, &mut scratch, Some(&token)).unwrap();
+        let gated = column(&sim, &pair, 2e-9, Some(&token)).unwrap();
         assert_eq!(plain, gated, "a live token must not perturb the waveforms");
     }
 
@@ -1788,17 +1668,22 @@ mod tests {
             .collect()
     }
 
-    fn assert_bitwise_panel(wp: &WavePanel, looped: &[BusWaveforms]) {
-        assert_eq!(wp.patterns(), looped.len());
-        for (c, waves) in looped.iter().enumerate() {
-            assert_eq!(wp.samples(), waves.samples());
-            assert_eq!(wp.wires(), waves.wires());
-            for w in 0..waves.wires() {
-                for (a, b) in wp.wire(c, w).iter().zip(waves.wire(w)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "recv pat {c} wire {w}");
+    /// Whether two panels hold the same traces, bit for bit.
+    fn bitwise_panel(wp: &WavePanel, oracle: &WavePanel) -> Result<(), String> {
+        let shape = |p: &WavePanel| (p.patterns(), p.wires(), p.samples());
+        if shape(wp) != shape(oracle) {
+            return Err(format!("shape {:?} vs {:?}", shape(wp), shape(oracle)));
+        }
+        for c in 0..wp.patterns() {
+            for w in 0..wp.wires() {
+                for (k, (a, b)) in wp.wire(c, w).iter().zip(oracle.wire(c, w)).enumerate() {
+                    if a.to_bits() != b.to_bits() {
+                        return Err(format!("pattern {c} wire {w} sample {k}: {a:e} != {b:e}"));
+                    }
                 }
             }
         }
+        Ok(())
     }
 
     /// Panel widths covering every lane-block shape: each padded 1–3
@@ -1819,9 +1704,8 @@ mod tests {
             for k in PANEL_WIDTHS {
                 let pairs = test_pairs(bus.wires(), k);
                 let wp = sim.run_pairs_cancellable(&pairs, 1e-9, &mut scratch, None).unwrap();
-                let looped: Vec<BusWaveforms> =
-                    pairs.iter().map(|p| sim.run_pair(p, 1e-9).unwrap()).collect();
-                assert_bitwise_panel(&wp, &looped);
+                let looped = looped_scalar(&sim, &pairs, 1e-9, &mut scratch, None).unwrap();
+                bitwise_panel(&wp, &looped).unwrap();
             }
         }
     }
@@ -1871,13 +1755,9 @@ mod tests {
                 let wp = sim
                     .run_pairs_cancellable(&pairs, 0.3e-9, &mut scratch, None)
                     .map_err(|e| e.to_string())?;
-                let looped: Vec<BusWaveforms> = pairs
-                    .iter()
-                    .map(|p| sim.run_pair(p, 0.3e-9))
-                    .collect::<Result<_, _>>()
+                let looped = looped_scalar(&sim, &pairs, 0.3e-9, &mut scratch, None)
                     .map_err(|e| e.to_string())?;
-                assert_bitwise_panel(&wp, &looped);
-                Ok(())
+                bitwise_panel(&wp, &looped)
             },
         );
     }
@@ -1898,13 +1778,7 @@ mod tests {
         assert_eq!(half_band(3, 4, 0.4e-9), Some(7));
         assert_eq!(half_band(32, 8, 0.4e-9), Some(16));
         assert_eq!(half_band(6, 1, 0.4e-9), Some(3));
-        let dense = TransientSim::with_backend(
-            &small_bus(3),
-            2e-12,
-            DEFAULT_SWITCH_AT,
-            SolverBackend::Dense,
-        )
-        .unwrap();
+        let dense = TransientSim::with_backend(&small_bus(3), 2e-12, SolverBackend::Dense).unwrap();
         assert_eq!(dense.half_bandwidth(), None);
     }
 
@@ -2017,9 +1891,8 @@ mod tests {
                 )
                 .map_err(|e| e.to_string())?;
                 let banded = TransientSim::new(&bus, 2e-12).map_err(|e| e.to_string())?;
-                let dense =
-                    TransientSim::with_backend(&bus, 2e-12, DEFAULT_SWITCH_AT, SolverBackend::Dense)
-                        .map_err(|e| e.to_string())?;
+                let dense = TransientSim::with_backend(&bus, 2e-12, SolverBackend::Dense)
+                    .map_err(|e| e.to_string())?;
                 let (b, d) = (banded.condition_estimate(), dense.condition_estimate());
                 if (b - d).abs() <= 1e-9 * d.abs() {
                     Ok(())
@@ -2133,7 +2006,7 @@ mod tests {
         let pairs = test_pairs(3, 5);
         let scalar_step = {
             let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-            match sim.run_pair_cancellable(&pairs[0], 2e-9, &mut SimScratch::new(), Some(&token)) {
+            match looped_scalar(&sim, &pairs[..1], 2e-9, &mut PanelScratch::new(), Some(&token)) {
                 Err(InterconnectError::Cancelled { step }) => step,
                 other => panic!("expected Cancelled, got {other:?}"),
             }
@@ -2154,13 +2027,99 @@ mod tests {
         let dt = 1e-300;
         let sim = TransientSim::new(&bus, dt).unwrap();
         let pairs = test_pairs(3, 4);
-        let scalar = sim.run_pair(&pairs[0], 4.0 * dt).unwrap_err();
+        let oracle = scalar(&sim, &pairs[0], 4.0 * dt).unwrap_err();
         let panel = sim
             .run_pairs_cancellable(&pairs, 4.0 * dt, &mut PanelScratch::new(), None)
             .unwrap_err();
         // The sequential fallback replays pattern by pattern, so the
         // reported divergence is exactly the scalar one.
-        assert_eq!(panel, scalar);
+        assert_eq!(panel, oracle);
+    }
+
+    #[test]
+    fn one_column_panel_fails_exactly_like_the_scalar_loop() {
+        // A pattern solved alone is a one-column panel: a pre-cancelled
+        // token and a diverging bus must fail it with exactly the scalar
+        // loop's `Cancelled { step }` and `Diverged { step, unknown }`.
+        let sim = TransientSim::new(&small_bus(3), 2e-12).unwrap();
+        let pair = VectorPair::from_strs("000", "101").unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let oracle = looped_scalar(
+            &sim,
+            std::slice::from_ref(&pair),
+            2e-9,
+            &mut PanelScratch::new(),
+            Some(&token),
+        );
+        assert_eq!(oracle, Err(InterconnectError::Cancelled { step: CANCEL_CHECK_INTERVAL }));
+        assert_eq!(column(&sim, &pair, 2e-9, Some(&token)), oracle);
+
+        for mut bus in [small_bus(3), rlc_bus(3, 0.4e-9)] {
+            crate::defect::Defect::CouplingBoost { wire: 1, factor: 1e300 }
+                .apply(&mut bus)
+                .unwrap();
+            let dt = 1e-300;
+            let sim = TransientSim::new(&bus, dt).unwrap();
+            let pair = VectorPair::from_strs("000", "010").unwrap();
+            let oracle = scalar(&sim, &pair, 4.0 * dt);
+            assert!(matches!(oracle, Err(InterconnectError::Diverged { .. })), "{oracle:?}");
+            assert_eq!(column(&sim, &pair, 4.0 * dt, None), oracle);
+        }
+    }
+
+    #[test]
+    fn panel_transients_bitwise_match_looped_scalar_runs() {
+        use sint_runtime::prop::{gen, Runner};
+        // The lane kernels hoist every factor load across a block's
+        // columns but perform each column's FLOPs in the scalar order,
+        // so on finite systems every receiver trace is *bitwise* the
+        // scalar loop's — at every panel width: each 1–3 remainder
+        // padded into a 4-lane block, alone and after full 4- and
+        // 8-lane blocks, the 33 columns of a paper-grid basis and the
+        // full 12·n MA batch of a victim — under both numberings, on
+        // buses with per-element process variation.
+        Runner::new("panel_matches_looped_scalar").cases(48).run(
+            |rng| {
+                let params = arb_params(rng);
+                let seed = gen::u64_any(rng);
+                // Enough random levels for 24 distinct vector pairs.
+                let raw: Vec<bool> = (0..2 * 24 * 9).map(|_| gen::bool_any(rng)).collect();
+                (params, seed, raw)
+            },
+            |(params, seed, raw)| {
+                let mut bus = params.clone().build().map_err(|e| e.to_string())?;
+                crate::variation::apply_variation(
+                    &mut bus,
+                    crate::variation::VariationSigma::typical(),
+                    *seed,
+                )
+                .map_err(|e| e.to_string())?;
+                let w = bus.wires();
+                let sim = TransientSim::new(&bus, 4e-12).map_err(|e| e.to_string())?;
+                let level = |at: usize| crate::drive::DriveLevel::from(raw[at]);
+                let pair_at = |i: usize| {
+                    let at = (i % 24) * 2 * w;
+                    VectorPair::new(
+                        (at..at + w).map(level).collect(),
+                        (at + w..at + 2 * w).map(level).collect(),
+                    )
+                };
+                let max_k = (12 * w).max(33);
+                let pairs: Vec<VectorPair> = (0..max_k).map(pair_at).collect();
+                let mut scratch = PanelScratch::new();
+                for k in [1usize, 2, 3, 5, 7, 9, 33, max_k] {
+                    let panel = sim
+                        .run_pairs_cancellable(&pairs[..k], 0.1e-9, &mut scratch, None)
+                        .map_err(|e| e.to_string())?;
+                    let looped = looped_scalar(&sim, &pairs[..k], 0.1e-9, &mut scratch, None)
+                        .map_err(|e| e.to_string())?;
+                    bitwise_panel(&panel, &looped)
+                        .map_err(|e| format!("panel width {k} ({w}x{}): {e}", bus.segments()))?;
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]
@@ -2185,16 +2144,14 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_timestep_and_switch_time_are_rejected() {
+    fn non_finite_timestep_is_rejected() {
         let bus = small_bus(2);
         for dt in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1e-12] {
             assert_bad_time_axis(TransientSim::new(&bus, dt), &format!("dt {dt}"));
             assert_bad_time_axis(TransientSim::new_guarded(&bus, dt), &format!("guarded dt {dt}"));
-        }
-        for at in [f64::NAN, f64::INFINITY, -1.0] {
             assert_bad_time_axis(
-                TransientSim::with_switch_at(&bus, 1e-12, at),
-                &format!("switch_at {at}"),
+                TransientSim::with_backend(&bus, dt, SolverBackend::Dense),
+                &format!("dense dt {dt}"),
             );
         }
     }
@@ -2207,16 +2164,8 @@ mod tests {
         // 1 s at 1 ps is 10¹² steps: far past MAX_STEPS, and finite.
         for duration in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1e-9, 1.0, f64::MAX] {
             let what = format!("duration {duration}");
-            assert_bad_time_axis(sim.run_pair(&pair, duration), &what);
-            assert_bad_time_axis(
-                sim.run_pair_cancellable(&pair, duration, &mut SimScratch::new(), None),
-                &what,
-            );
-            let one = std::slice::from_ref(&pair);
-            assert_bad_time_axis(
-                sim.run_pairs_cancellable(one, duration, &mut PanelScratch::new(), None),
-                &what,
-            );
+            assert_bad_time_axis(scalar(&sim, &pair, duration), &what);
+            assert_bad_time_axis(column(&sim, &pair, duration, None), &what);
         }
     }
 

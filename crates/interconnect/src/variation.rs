@@ -159,14 +159,15 @@ mod tests {
     #[test]
     fn varied_bus_still_simulates() {
         use crate::drive::VectorPair;
-        use crate::solver::TransientSim;
+        use crate::solver::{PanelScratch, TransientSim};
         let mut bus = BusParams::dsm_bus(3).segments(4).build().unwrap();
         apply_variation(&mut bus, VariationSigma::typical(), 21).unwrap();
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let pair = VectorPair::from_strs("000", "111").unwrap();
-        let waves = sim.run_pair(&pair, 2e-9).unwrap();
+        let waves =
+            sim.run_pairs_cancellable(&[pair], 2e-9, &mut PanelScratch::new(), None).unwrap();
         for w in 0..3 {
-            let last = *waves.wire(w).last().unwrap();
+            let last = *waves.wire(0, w).last().unwrap();
             assert!((last - bus.vdd()).abs() < 0.02, "wire {w} settles: {last}");
         }
     }

@@ -16,7 +16,7 @@ use sint::core::soc::SocBuilder;
 use sint::interconnect::drive::VectorPair;
 use sint::interconnect::measure::glitch_amplitude;
 use sint::interconnect::params::BusParams;
-use sint::interconnect::solver::{SimScratch, TransientSim};
+use sint::interconnect::solver::{PanelScratch, TransientSim};
 use sint::interconnect::Defect;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:>8} {:>12} {:>10} {:>10}", "factor", "glitch (V)", "noise?", "skew?");
 
     let mut first_detect = None;
-    let mut scratch = SimScratch::new();
+    let mut scratch = PanelScratch::new();
     for factor10 in 10..=80 {
         let factor = f64::from(factor10) / 10.0;
         if factor10 % 5 != 0 {
@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Defect::CouplingBoost { wire: 2, factor }.apply(&mut bus)?;
         let sim = TransientSim::new(&bus, 2e-12)?;
         let pg = VectorPair::from_strs("00000", "11011").expect("static vectors");
-        let waves = sim.run_pair_cancellable(&pg, 2e-9, &mut scratch, None)?;
-        let peak = glitch_amplitude(waves.wire(2), 0.0);
+        let waves = sim.run_pairs_cancellable(&[pg], 2e-9, &mut scratch, None)?;
+        let peak = glitch_amplitude(waves.wire(0, 2), 0.0);
 
         // Full boundary-scan session.
         let mut soc = SocBuilder::new(5).coupling_defect(2, factor).build()?;

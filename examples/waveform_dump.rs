@@ -12,7 +12,7 @@
 use sint::core::mafm::{fault_pair, IntegrityFault};
 use sint::core::pgbsc::Pgbsc;
 use sint::interconnect::params::BusParams;
-use sint::interconnect::solver::TransientSim;
+use sint::interconnect::solver::{PanelScratch, TransientSim};
 use sint::interconnect::Defect;
 use sint::jtag::bcell::{BoundaryCell, CellControl};
 use sint::logic::{Logic, Trace};
@@ -37,17 +37,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pair = fault_pair(5, 2, IntegrityFault::Pg)?;
     println!("stimulus: {pair}\n");
 
+    let mut scratch = PanelScratch::new();
     for (label, factor) in [("healthy", 1.0), ("coupling x5 defect", 5.0)] {
         let mut bus = BusParams::dsm_bus(5).build()?;
         if factor > 1.0 {
             Defect::CouplingBoost { wire: 2, factor }.apply(&mut bus)?;
         }
         let sim = TransientSim::new(&bus, 2e-12)?;
-        let waves = sim.run_pair(&pair, 2e-9)?;
+        let waves =
+            sim.run_pairs_cancellable(std::slice::from_ref(&pair), 2e-9, &mut scratch, None)?;
         println!("{label}:");
-        println!("  aggressor w1 {}", ascii_wave(waves.wire(1), bus.vdd(), 96));
-        println!("  victim    w2 {}", ascii_wave(waves.wire(2), bus.vdd(), 96));
-        let peak = waves.wire(2).iter().cloned().fold(f64::MIN, f64::max);
+        println!("  aggressor w1 {}", ascii_wave(waves.wire(0, 1), bus.vdd(), 96));
+        println!("  victim    w2 {}", ascii_wave(waves.wire(0, 2), bus.vdd(), 96));
+        let peak = waves.wire(0, 2).iter().cloned().fold(f64::MIN, f64::max);
         println!("  victim peak: {peak:.3} V\n");
     }
 

@@ -38,6 +38,14 @@ cargo clippy -p sint-bench --bin gate -- -D warnings -D clippy::unwrap_used
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
+# Smoke runs: the figure bins and examples that call the transient
+# solver directly must run to completion (exit 0), not only compile.
+target/release/fig_detectors > /dev/null
+target/release/fig_waveforms "$tmp/waveforms" > /dev/null
+cargo run --release -q --example waveform_dump > /dev/null
+cargo run --release -q --example crosstalk_sweep > /dev/null
+echo "figure bins and examples: all run to completion"
+
 # expect_exit CODE CMD...: run CMD and fail unless it exits with CODE
 # (a halted or killed run exits 3).
 expect_exit() {

@@ -1,5 +1,7 @@
-//! Golden waveform snapshot: pins the exact `run_pair` output of the
-//! transient solver on a fixed victim + aggressor scenario.
+//! Golden waveform snapshot: pins the exact receiver-end output of the
+//! transient solver's one run entry, a one-column
+//! `run_pairs_cancellable` panel, on a fixed victim + aggressor
+//! scenario.
 //!
 //! The JSON below was captured from the banded engine and is compared
 //! byte-for-byte (the emitter renders f64 with exact round-trip
@@ -11,7 +13,7 @@
 
 use sint::interconnect::drive::VectorPair;
 use sint::interconnect::params::BusParams;
-use sint::interconnect::solver::TransientSim;
+use sint::interconnect::solver::{PanelScratch, TransientSim};
 use sint::interconnect::variation::{apply_variation, VariationSigma};
 use sint::runtime::json::{Json, ToJson};
 
@@ -27,7 +29,7 @@ fn snapshot_json() -> Json {
     apply_variation(&mut bus, VariationSigma::typical(), 0xD5EED).unwrap();
     let sim = TransientSim::new(&bus, 4e-12).unwrap();
     let pair = VectorPair::from_strs("00", "01").unwrap();
-    let waves = sim.run_pair(&pair, 2e-9).unwrap();
+    let waves = sim.run_pairs_cancellable(&[pair], 2e-9, &mut PanelScratch::new(), None).unwrap();
 
     let decimate =
         |w: &[f64]| Json::arr(w.iter().step_by(STRIDE).copied().collect::<Vec<f64>>());
@@ -36,9 +38,8 @@ fn snapshot_json() -> Json {
         ("switch_at", waves.switch_at().to_json()),
         ("vdd", waves.vdd().to_json()),
         ("samples", (waves.samples() as u64).to_json()),
-        ("victim_receiver", decimate(waves.wire(0))),
-        ("victim_driver", decimate(waves.driver_end(0))),
-        ("aggressor_receiver", decimate(waves.wire(1))),
+        ("victim_receiver", decimate(waves.wire(0, 0))),
+        ("aggressor_receiver", decimate(waves.wire(0, 1))),
     ])
 }
 
