@@ -1,22 +1,17 @@
-//! Bench: cost of the graceful-degradation machinery on the hot path.
+//! Bench: cost of cooperative cancellation on the hot path.
 //!
 //! The banded transient stepper is the workspace's dominant cost, and
-//! PR 4 threads an optional [`CancelToken`] through it so deadlines can
-//! interrupt a wedged solve. The token is polled only every
+//! it takes an optional [`CancelToken`] so deadlines can interrupt a
+//! wedged solve. The token is polled only every
 //! `CANCEL_CHECK_INTERVAL` steps, so the overhead of a live (armed but
 //! never firing) token against the uncancelled baseline must stay in
 //! the noise — the artifact records the measured ratio so the
-//! `BENCH_robustness.json` trajectory catches any regression. A third
-//! row times the degraded re-planning itself (localise-free part):
-//! building the full quarantined MA schedule, which runs once per
-//! degraded session and must stay trivially cheap.
+//! `BENCH_robustness.json` trajectory catches any regression.
 
 use sint_bench::emit_artifact;
-use sint_core::mafm::degraded_conventional_schedule;
 use sint_interconnect::drive::VectorPair;
 use sint_interconnect::params::BusParams;
 use sint_interconnect::solver::{PanelScratch, TransientSim};
-use sint_jtag::integrity::QuarantineSet;
 use sint_runtime::bench::{black_box, Bench};
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, ToJson};
@@ -69,14 +64,6 @@ fn main() {
         );
         live_min = live_min.min(t.elapsed().as_secs_f64() * 1e9);
     }
-
-    // Degraded re-planning: one broken wire on a 16-wire bus, full
-    // quarantined conventional schedule. Runs once per degraded
-    // session; amortised against the transients above it must vanish.
-    let quarantine = QuarantineSet::from_quarantined(16, [15]);
-    b.measure("replan/degraded_schedule/16", || {
-        black_box(degraded_conventional_schedule(16, black_box(&quarantine)).unwrap());
-    });
 
     let overhead = live_min / base_min - 1.0;
     print!("{}", b.table());

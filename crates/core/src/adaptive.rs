@@ -116,18 +116,6 @@ impl FaultPriority {
             [DriveLevel::Low, DriveLevel::High]
         }
     }
-
-    /// All six fault classes, most recently failing first; ties broken
-    /// by [`IntegrityFault::ALL`] order. Feed this to
-    /// [`crate::mafm::reorder_schedule`] to front-load a conventional
-    /// schedule the same way the adaptive engine front-loads halves.
-    #[must_use]
-    pub fn order(&self) -> [IntegrityFault; 6] {
-        let mut order = IntegrityFault::ALL;
-        // Stable sort: equal recencies keep ALL order.
-        order.sort_by_key(|f| std::cmp::Reverse(self.last_hit[fault_index(*f)]));
-        order
-    }
 }
 
 impl ToJson for FaultPriority {
@@ -661,19 +649,6 @@ mod tests {
         assert_eq!(priority.half_order(), [DriveLevel::High, DriveLevel::Low]);
         priority.record(IntegrityFault::Rs);
         assert_eq!(priority.half_order(), [DriveLevel::Low, DriveLevel::High]);
-        let order = priority.order();
-        assert_eq!(order[0], IntegrityFault::Rs, "most recent first: {order:?}");
-        assert_eq!(order[1], IntegrityFault::Ng);
-        // Never-seen faults keep ALL order behind the recent ones.
-        assert_eq!(
-            &order[2..],
-            &[
-                IntegrityFault::Pg,
-                IntegrityFault::PgBar,
-                IntegrityFault::NgBar,
-                IntegrityFault::Fs
-            ]
-        );
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! off the whole bus even though most wires remain fully testable. This
 //! module adds the alternative: localize the break with the walking-one
 //! probe ([`sint_jtag::integrity::localize_boundary_fault`]), quarantine
-//! the wires the break makes uncontrollable or unobservable, re-plan
-//! the MA campaign over the healthy subset
-//! ([`crate::mafm::degraded_conventional_schedule`],
-//! [`crate::mafm::degraded_pgbsc_sequence`]) and run a partial session
-//! whose every concession is surfaced as a typed [`DegradationEvent`].
+//! the wires the break makes uncontrollable or unobservable, and run a
+//! partial session over the healthy subset: only healthy wires take the
+//! victim role, each behind a full victim-select scan, while every
+//! quarantined driver holds [`crate::mafm::QUARANTINE_PARK`]. Every
+//! concession is surfaced as a typed [`DegradationEvent`].
 //!
 //! The policy knob is [`ChainPolicy`]: `Strict` keeps the seed
 //! behaviour; `Degrade { min_coverage }` accepts a partial session as

@@ -33,11 +33,6 @@ pub enum CoreError {
     /// trusted. Carries the structured diagnosis naming the faulty
     /// link, cell or TAP state.
     Infrastructure(InfrastructureDiagnosis),
-    /// A degraded plan was asked to use a quarantined wire as a victim.
-    WireQuarantined {
-        /// The quarantined wire index.
-        wire: usize,
-    },
     /// A `Degrade` session cannot meet its configured minimum fault
     /// coverage: after quarantining, too few MA faults stay testable.
     InsufficientCoverage {
@@ -80,9 +75,6 @@ impl fmt::Display for CoreError {
             CoreError::Interconnect(e) => write!(f, "interconnect: {e}"),
             CoreError::Logic(e) => write!(f, "logic: {e}"),
             CoreError::Infrastructure(d) => write!(f, "infrastructure: {d}"),
-            CoreError::WireQuarantined { wire } => {
-                write!(f, "wire {wire} is quarantined and cannot be a victim")
-            }
             CoreError::InsufficientCoverage { covered, total, min_coverage } => {
                 write!(
                     f,

@@ -25,7 +25,8 @@
 //! * [`infra`] — structured diagnosis of scan-infrastructure faults
 //!   found by the pre-session chain self-check.
 //! * [`degrade`] — graceful degradation: fault-localized quarantine,
-//!   re-planned partial sessions and the typed concession trail.
+//!   partial sessions over the healthy wires and the typed concession
+//!   trail.
 //! * [`campaign`] / [`checkpoint`] — panic-isolated defect-injection
 //!   campaigns with bounded retry, periodic snapshots and
 //!   byte-identical resume.

@@ -136,31 +136,6 @@ impl VectorPair {
     pub fn quiet_wires(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.width()).filter(|&w| !self.switches(w))
     }
-
-    /// Overwrites both vectors in place from slices, reusing the
-    /// existing allocations — the schedule builders lean on this to
-    /// regenerate pattern batches without reallocating per pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn fill_from(&mut self, before: &[DriveLevel], after: &[DriveLevel]) {
-        assert_eq!(before.len(), after.len(), "vector pair width mismatch");
-        self.before.clear();
-        self.before.extend_from_slice(before);
-        self.after.clear();
-        self.after.extend_from_slice(after);
-    }
-
-    /// Rewrites one wire's levels in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wire` is out of range.
-    pub fn set_wire(&mut self, wire: usize, before: DriveLevel, after: DriveLevel) {
-        self.before[wire] = before;
-        self.after[wire] = after;
-    }
 }
 
 impl fmt::Display for VectorPair {

@@ -737,10 +737,12 @@ impl<H: History, F: Factors> System<H, F> {
 
 impl System<Diagonals, BandedLu> {
     /// Runs `stimuli` into `wp` as interleaved lane blocks of 8, then 4
-    /// patterns; a 1–3 pattern remainder runs as one more 4-lane block
-    /// whose spare lanes repeat its last pattern. Lanes never interact,
-    /// so the live lanes stay bitwise what they would be alone, and a
-    /// repeat diverges or is cancelled exactly when its original is.
+    /// patterns; a 2–3 pattern remainder runs as one more 4-lane block
+    /// whose spare lanes repeat its last pattern, and a single pattern
+    /// runs as a 1-lane block. Lanes never interact and the per-lane
+    /// FLOP sequence does not depend on the block width, so the live
+    /// lanes stay bitwise what they would be alone, and a repeat
+    /// diverges or is cancelled exactly when its original is.
     fn run_lane_blocks(
         &self,
         stimuli: &[Stimulus],
@@ -756,7 +758,12 @@ impl System<Diagonals, BandedLu> {
         }
         while done < stimuli.len() {
             let live = (stimuli.len() - done).min(4);
-            self.run_lanes::<4>(&stimuli[done..done + live], done, steps, scratch, wp, cancel)?;
+            let block = &stimuli[done..done + live];
+            if live == 1 {
+                self.run_lanes::<1>(block, done, steps, scratch, wp, cancel)?;
+            } else {
+                self.run_lanes::<4>(block, done, steps, scratch, wp, cancel)?;
+            }
             done += live;
         }
         Ok(())
@@ -1686,10 +1693,10 @@ mod tests {
         Ok(())
     }
 
-    /// Panel widths covering every lane-block shape: each padded 1–3
-    /// remainder alone and after full 4- and 8-lane blocks, an 8-lane
-    /// block chained with a 4-lane one, and the n + 1 = 33 columns of a
-    /// paper-grid step basis.
+    /// Panel widths covering every lane-block shape: a 1-lane block and
+    /// each padded 2–3 remainder, alone and after full 4- and 8-lane
+    /// blocks, an 8-lane block chained with a 4-lane one, and the
+    /// n + 1 = 33 columns of a paper-grid step basis.
     const PANEL_WIDTHS: [usize; 10] = [1, 2, 3, 4, 5, 7, 8, 9, 12, 33];
 
     #[test]
@@ -1735,9 +1742,9 @@ mod tests {
     }
 
     /// Satellite acceptance property: over ≥48 random RC/RLC buses under
-    /// both numberings and every lane-block shape — each padded 1–3
-    /// remainder, and the 33 columns of a paper-grid basis — the batched
-    /// run is bitwise identical to looping the scalar engine.
+    /// both numberings and every lane-block shape — a 1-lane block, each
+    /// padded 2–3 remainder, and the 33 columns of a paper-grid basis —
+    /// the batched run is bitwise identical to looping the scalar engine.
     #[test]
     fn panel_run_bitwise_property_over_random_buses() {
         use sint_runtime::prop::{gen, Runner};
@@ -2074,9 +2081,9 @@ mod tests {
         // The lane kernels hoist every factor load across a block's
         // columns but perform each column's FLOPs in the scalar order,
         // so on finite systems every receiver trace is *bitwise* the
-        // scalar loop's — at every panel width: each 1–3 remainder
-        // padded into a 4-lane block, alone and after full 4- and
-        // 8-lane blocks, the 33 columns of a paper-grid basis and the
+        // scalar loop's — at every panel width: a 1-lane block and each
+        // 2–3 remainder padded into a 4-lane block, alone and after full
+        // 4- and 8-lane blocks, the 33 columns of a paper-grid basis and the
         // full 12·n MA batch of a victim — under both numberings, on
         // buses with per-element process variation.
         Runner::new("panel_matches_looped_scalar").cases(48).run(

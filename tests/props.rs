@@ -7,11 +7,12 @@
 use sint::core::adaptive::{AdaptiveCheckpoint, AdaptiveConfig};
 use sint::core::campaign::{Campaign, Trial};
 use sint::core::checkpoint::CampaignCheckpoint;
-use sint::core::degrade::ChainPolicy;
+use sint::core::degrade::{ChainPolicy, DegradationEvent};
 use sint::core::describe::{si_cell_factory, soc_description_text};
+use sint::core::error::CoreError;
 use sint::core::mafm::{
-    classify_pair, classify_pair_masked, degraded_conventional_schedule, degraded_pgbsc_sequence,
-    fault_pair, pgbsc_vector, CoverageLedger, CoverageReport, IntegrityFault,
+    classify_pair, classify_pair_masked, fault_pair, pgbsc_vector, CoverageLedger,
+    CoverageReport, IntegrityFault,
 };
 use sint::core::nd::{NdThresholds, NoiseDetector};
 use sint::core::obsc::{Obsc, GUARD_EPS};
@@ -656,65 +657,100 @@ fn pgbsc_aggressors_always_toggle() {
     );
 }
 
-// ---------------- Degraded MA planning ----------------
+// ---------------- Degraded sessions ----------------
 
 #[test]
-fn degraded_schedules_cover_the_same_faults_for_every_mask() {
-    // Exhaustive, not sampled: for every bus width 3..=8 and every
-    // quarantine mask over its wires, the degraded conventional
-    // schedule and the degraded PGBSC sequences must classify back to
-    // the identical covered-fault set, and that set must be exactly
-    // the 6-per-healthy-victim block the CoverageReport promises.
+fn degraded_sessions_cover_exactly_the_coverage_report() {
+    // Exhaustive over the sessions that actually run, not a model of
+    // them: every boundary-register cell (PGBSCs and OBSCs) stuck at
+    // either level, on widths 3, 5 and 8, under `Degrade` with no
+    // coverage floor. A session that degrades applies 3 transitions per
+    // healthy victim per half (low half first); each must classify to
+    // its victim's faults with every quarantined wire held, and the
+    // union must be exactly the `6 · healthy` block its CoverageReport
+    // counts. A refused session must be refused for coverage, with the
+    // report's own counts.
     use std::collections::BTreeSet;
-    for width in 3..=8usize {
-        for mask in 0u32..(1 << width) {
-            let quarantined: Vec<usize> =
-                (0..width).filter(|&w| mask >> w & 1 == 1).collect();
-            let q = QuarantineSet::from_quarantined(width, quarantined.iter().copied());
-            if q.healthy_count() < 2 {
-                // Fewer than two survivors: no aggressor set exists, so
-                // every planner must refuse rather than emit a plan.
-                assert!(
-                    degraded_conventional_schedule(width, &q).is_err(),
-                    "width {width} mask {mask:#b}: undegradable mask accepted"
-                );
-                continue;
-            }
-            let mut conventional = BTreeSet::new();
-            for p in degraded_conventional_schedule(width, &q).unwrap() {
-                let fault = classify_pair_masked(&p.pair, p.victim, &q)
-                    .unwrap_or_else(|| panic!("width {width} mask {mask:#b}: unclassifiable"));
-                assert_eq!(fault, p.fault, "width {width} mask {mask:#b}");
-                conventional.insert((p.victim, fault));
-            }
-            let mut pgbsc = BTreeSet::new();
-            for victim in q.healthy_wires() {
-                for initial in [DriveLevel::Low, DriveLevel::High] {
-                    for p in degraded_pgbsc_sequence(width, victim, initial, &q).unwrap() {
-                        let fault = classify_pair_masked(&p.pair, p.victim, &q)
-                            .unwrap_or_else(|| {
-                                panic!("width {width} mask {mask:#b}: unclassifiable")
+    let cfg = SessionConfig { dt: 10e-12, ..SessionConfig::method(ObservationMethod::Once) };
+    let (mut degraded, mut refused) = (0, 0);
+    for width in [3usize, 5, 8] {
+        for cell in 0..2 * width {
+            for level in [false, true] {
+                let case = format!("width {width}, cell {cell} stuck at {}", u8::from(level));
+                let mut soc = SocBuilder::new(width)
+                    .bus_params(BusParams::dsm_bus(width).segments(1))
+                    .scan_fault(ScanFault::BoundaryStuck { device: 0, cell, level })
+                    .chain_policy(ChainPolicy::Degrade { min_coverage: 0.0 })
+                    .build()
+                    .expect("SoC builds");
+                let report = match soc.run_integrity_test(&cfg) {
+                    Ok(report) => report,
+                    Err(CoreError::InsufficientCoverage { covered, total, min_coverage }) => {
+                        let quarantined = soc.degradation_events().iter().filter_map(|e| match e {
+                            DegradationEvent::WireQuarantined { wire } => Some(*wire),
+                            _ => None,
+                        });
+                        let q = QuarantineSet::from_quarantined(width, quarantined);
+                        let expect = CoverageReport::for_quarantine(width, &q);
+                        assert_eq!(
+                            (covered, total),
+                            (expect.covered_count(), expect.total()),
+                            "{case}: refusal disagrees with the coverage report"
+                        );
+                        assert!(q.healthy_count() < 2 || !expect.meets(min_coverage), "{case}");
+                        refused += 1;
+                        continue;
+                    }
+                    Err(e) => panic!("{case}: {e}"),
+                };
+                let outcome =
+                    report.degradation().unwrap_or_else(|| panic!("{case}: session not degraded"));
+                let q = outcome.quarantine();
+                let victims = q.healthy_wires();
+                let applied = soc.applied_pairs();
+                assert_eq!(applied.len(), 6 * victims.len(), "{case}: transitions applied");
+                let (low, high) = applied.split_at(3 * victims.len());
+                let mut covered = BTreeSet::new();
+                for (half, initial) in [(low, DriveLevel::Low), (high, DriveLevel::High)] {
+                    for &w in &victims {
+                        assert_eq!(half[0].before(w), initial, "{case}: wire {w} preload");
+                    }
+                    for (&victim, round) in victims.iter().zip(half.chunks(3)) {
+                        let mut faults = Vec::new();
+                        for pair in round {
+                            for w in q.quarantined_wires() {
+                                assert!(!pair.switches(w), "{case}: wire {w} switched in {pair}");
+                            }
+                            let fault = classify_pair_masked(pair, victim, q).unwrap_or_else(|| {
+                                panic!("{case}: victim {victim}: {pair} is no MA pattern")
                             });
-                        assert_eq!(fault, p.fault, "width {width} mask {mask:#b}");
-                        pgbsc.insert((p.victim, fault));
+                            faults.push(fault);
+                        }
+                        // Aggressor rounds before this one shift the
+                        // victim's phase: its round starts wherever the
+                        // half has left it.
+                        let start = round[0].before(victim);
+                        assert_eq!(
+                            faults,
+                            IntegrityFault::covered_by_initial(start),
+                            "{case}: victim {victim}"
+                        );
+                        covered.extend(faults.into_iter().map(|fault| (victim, fault)));
                     }
                 }
+                let healthy: BTreeSet<_> = victims
+                    .iter()
+                    .flat_map(|&v| IntegrityFault::ALL.map(|fault| (v, fault)))
+                    .collect();
+                assert_eq!(covered, healthy, "{case}");
+                assert_eq!(covered.len(), outcome.coverage.covered_count(), "{case}");
+                degraded += 1;
             }
-            assert_eq!(conventional, pgbsc, "width {width} mask {mask:#b}: plans disagree");
-            let report = CoverageReport::for_quarantine(width, &q);
-            assert_eq!(report.total(), 6 * width, "width {width} mask {mask:#b}");
-            assert_eq!(
-                report.covered_count(),
-                6 * q.healthy_count(),
-                "width {width} mask {mask:#b}"
-            );
-            assert_eq!(
-                conventional.len(),
-                report.covered_count(),
-                "width {width} mask {mask:#b}: plan size vs coverage report"
-            );
         }
     }
+    // Both arms are reached: 64 cases in all.
+    assert!(degraded > 0 && refused > 0, "{degraded} degraded, {refused} refused");
+    assert_eq!(degraded + refused, 2 * 2 * (3 + 5 + 8));
 }
 
 // ---------------- Adaptive campaign equivalence ----------------
