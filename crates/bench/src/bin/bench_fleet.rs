@@ -1,49 +1,34 @@
-//! Bench: the sharded test-floor engine.
+//! Bench: the test-floor engine.
 //!
-//! Four questions, answered with numbers in `BENCH_fleet.json`:
+//! Three questions, answered with numbers in `BENCH_fleet.json`:
 //!
-//! 1. **Does work-stealing pay?** A 200-board floor is timed serial,
-//!    sharded without imbalance, and sharded with a deliberately
-//!    unbalanced shard layout (`shards(2)` at 8 threads — without
-//!    stealing, six workers would idle). The stealing speedup over the
-//!    serial run is the headline number.
-//! 2. **Is supervision free when nothing fails?** The same fault-free
-//!    floor runs raw (`unsupervised()`) and supervised; the
-//!    `supervisor_overhead` row records the relative cost of the
-//!    resilience layer's bookkeeping (health EWMA, breaker counters,
-//!    virtual clock) on a healthy fleet — budgeted at under 3%.
-//! 3. **Does the acceptance floor hold?** The ISSUE's 1000-board floor
-//!    runs once serial and once sharded; the artifact records the wall
+//! 1. **Does the floor scale?** A 200-board floor is timed serial and
+//!    across `SINT_THREADS` workers claiming boards from the pool's
+//!    shared cursor.
+//! 2. **Does the acceptance floor hold?** The 1000-board floor runs
+//!    once serial and once in parallel; the artifact records the wall
 //!    time, the trial throughput, and that the merged summaries were
 //!    **byte-identical** — the determinism invariant measured, not just
 //!    unit-tested. The run streams through `NullSink`, so the resident
 //!    set stays flat no matter the trial count.
-//! 4. **What does crash consistency cost?** The 200-board floor streams
-//!    its records to disk twice: raw JSONL with no fsync, and
+//! 3. **What does crash consistency cost?** The 200-board floor streams
+//!    its records to disk two ways: raw JSONL with no fsync, and
 //!    CRC-framed JSONL with a final fsync — the durable configuration
-//!    every tool now ships. The `durability_overhead` row records the
-//!    relative tax, budgeted at under 5%.
+//!    every tool ships. The `durability_overhead` row times the two in
+//!    interleaved blocks and reads the ratio's quartile band against a
+//!    5% budget: within, over, or unresolved when the band straddles it.
 //!
-//! Honours `SINT_THREADS` for the sharded rows.
+//! Honours `SINT_THREADS` for the parallel rows.
 
-use sint_bench::{emit_artifact, threads_from_env};
+use sint_bench::{emit_artifact, interleaved_ratio, threads_from_env};
 use sint_fleet::{ClientSpec, FleetEngine, FloorSpec, JsonlSink, NullSink};
 use sint_runtime::bench::{black_box, Bench};
 use sint_runtime::json::{Json, ToJson};
 use std::time::Duration;
 use std::time::Instant;
 
-/// Best-of-`runs` wall time for `f` — minima damp scheduler noise
-/// better than means for back-to-back comparisons.
-fn min_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
+/// The durability budget: framed + fsync may cost at most 5% over raw.
+const DURABILITY_BUDGET_PCT: f64 = 5.0;
 
 fn floor(boards: usize) -> FloorSpec {
     FloorSpec::new(boards)
@@ -60,103 +45,78 @@ fn main() {
     let threads = threads_from_env();
     let mut b = Bench::new("fleet").samples(3).warmup(Duration::from_millis(0));
 
-    // 1. Scheduling comparison on a 200-board floor.
+    // 1. Scaling on a 200-board floor.
     let engine = FleetEngine::new(floor(200)).expect("static floor spec");
     b.measure("floor_200x3/serial", || {
         black_box(engine.run(1, &NullSink));
     });
-    b.measure(&format!("floor_200x3/stealing/{threads}t"), || {
+    b.measure(&format!("floor_200x3/pool/{threads}t"), || {
         black_box(engine.run(threads, &NullSink));
     });
-    // Two shards across all workers: the worst static imbalance. Only
-    // stealing keeps the other workers busy, so this row staying close
-    // to the balanced one is the `map_stealing` payoff.
-    let skewed = FleetEngine::new(floor(200)).expect("static floor spec").shards(2);
-    b.measure(&format!("floor_200x3/two_shards/{threads}t"), || {
-        black_box(skewed.run(threads, &NullSink));
-    });
 
-    // 2. Supervisor overhead on a fault-free floor: best-of-N wall
-    // times, raw engine vs the default supervised one. Minima damp
-    // scheduler noise; the floors are identical so the delta is pure
-    // resilience bookkeeping.
-    let raw_engine = FleetEngine::new(floor(200)).expect("static floor spec").unsupervised();
-    let supervised_engine = FleetEngine::new(floor(200)).expect("static floor spec");
-    let raw_secs = min_secs(5, || {
-        black_box(raw_engine.run(threads, &NullSink));
-    });
-    let supervised_secs = min_secs(5, || {
-        black_box(supervised_engine.run(threads, &NullSink));
-    });
-    let overhead_pct = (supervised_secs / raw_secs - 1.0) * 100.0;
-
-    // 3. The acceptance floor: 1000 boards, bounded memory, determinism
-    // measured serial-vs-sharded.
+    // 2. The acceptance floor: 1000 boards, bounded memory, determinism
+    // measured serial-vs-parallel.
     let engine = FleetEngine::new(floor(1000)).expect("static floor spec");
     let t0 = Instant::now();
     let serial = engine.run(1, &NullSink);
     let serial_secs = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let sharded = engine.run(threads, &NullSink);
-    let sharded_secs = t0.elapsed().as_secs_f64();
-    let identical = serial.to_json().render() == sharded.to_json().render();
-    assert!(identical, "sharded summary diverged from the serial run");
+    let parallel = engine.run(threads, &NullSink);
+    let parallel_secs = t0.elapsed().as_secs_f64();
+    let identical = serial.to_json().render() == parallel.to_json().render();
+    assert!(identical, "parallel summary diverged from the serial run");
 
-    // 4. Durability tax: the same 200-board floor streamed to a real
+    // 3. Durability tax: the same 200-board floor streamed to a real
     // file raw (unframed, page-cache only) vs framed with a closing
     // fsync — the torn-write-tolerant configuration the tools use.
     let durable_dir =
         std::env::temp_dir().join(format!("sint_bench_durable_{}", std::process::id()));
     std::fs::create_dir_all(&durable_dir).expect("bench temp dir");
     let stream_engine = FleetEngine::new(floor(200)).expect("static floor spec");
-    let raw_stream_secs = min_secs(5, || {
-        let file = std::fs::File::create(durable_dir.join("records.raw.jsonl"))
-            .expect("raw records file");
-        let sink = JsonlSink::raw(std::io::BufWriter::new(file));
-        black_box(stream_engine.run(threads, &sink));
-        // The baseline flushes but trusts the page cache — a crash may
-        // tear or lose the tail.
-        let _ = sink.finish().expect("raw sink finish");
-    });
-    let framed_stream_secs = min_secs(5, || {
-        let file = std::fs::File::create(durable_dir.join("records.framed.jsonl"))
-            .expect("framed records file");
-        let sink = JsonlSink::new(std::io::BufWriter::new(file));
-        black_box(stream_engine.run(threads, &sink));
-        let (writer, _) = sink.finish().expect("framed sink finish");
-        let file = writer.into_inner().expect("flush framed records");
-        file.sync_all().expect("fsync framed records");
-    });
-    let durability_pct = (framed_stream_secs / raw_stream_secs - 1.0) * 100.0;
+    let durability = interleaved_ratio(
+        12,
+        2,
+        || {
+            let file = std::fs::File::create(durable_dir.join("records.raw.jsonl"))
+                .expect("raw records file");
+            let sink = JsonlSink::raw(std::io::BufWriter::new(file));
+            black_box(stream_engine.run(threads, &sink));
+            // The baseline flushes but trusts the page cache — a crash
+            // may tear or lose the tail.
+            let _ = sink.finish().expect("raw sink finish");
+        },
+        || {
+            let file = std::fs::File::create(durable_dir.join("records.framed.jsonl"))
+                .expect("framed records file");
+            let sink = JsonlSink::new(std::io::BufWriter::new(file));
+            black_box(stream_engine.run(threads, &sink));
+            let (writer, _) = sink.finish().expect("framed sink finish");
+            let file = writer.into_inner().expect("flush framed records");
+            file.sync_all().expect("fsync framed records");
+        },
+    );
     let _ = std::fs::remove_dir_all(&durable_dir);
+    let target = 1.0 + DURABILITY_BUDGET_PCT / 100.0;
+    let pct = |ratio: f64| (ratio - 1.0) * 100.0;
 
     let trials = 1000 * 3;
     print!("{}", b.table());
     println!(
-        "supervisor_overhead: raw {raw_secs:.3}s, supervised {supervised_secs:.3}s \
-         ({overhead_pct:+.2}% on a fault-free floor)"
-    );
-    println!(
-        "floor_1000x3: serial {serial_secs:.2}s, {threads} threads {sharded_secs:.2}s \
+        "floor_1000x3: serial {serial_secs:.2}s, {threads} threads {parallel_secs:.2}s \
          ({:.0} trials/s), summaries byte-identical: {identical}",
-        trials as f64 / sharded_secs
+        trials as f64 / parallel_secs
     );
     println!(
-        "durability_overhead: raw {raw_stream_secs:.3}s, framed+fsync {framed_stream_secs:.3}s \
-         ({durability_pct:+.2}% against a <5% budget)"
+        "durability_overhead: framed+fsync {:+.2}% over raw (quartiles {:+.2}%..{:+.2}% over \
+         {} blocks) — {} (<{DURABILITY_BUDGET_PCT}% budget)",
+        pct(durability.median),
+        pct(durability.q1),
+        pct(durability.q3),
+        durability.blocks,
+        durability.verdict(target),
     );
 
     let mut json = b.json();
-    json.push(
-        "supervisor_overhead",
-        Json::obj([
-            ("boards", 200u64.to_json()),
-            ("threads", threads.to_json()),
-            ("raw_secs", raw_secs.to_json()),
-            ("supervised_secs", supervised_secs.to_json()),
-            ("overhead_pct", overhead_pct.to_json()),
-        ]),
-    );
     json.push(
         "floor_1000x3",
         Json::obj([
@@ -164,23 +124,20 @@ fn main() {
             ("trials", (trials as u64).to_json()),
             ("threads", threads.to_json()),
             ("serial_secs", serial_secs.to_json()),
-            ("sharded_secs", sharded_secs.to_json()),
-            ("sharded_trials_per_sec", (trials as f64 / sharded_secs).to_json()),
-            ("speedup", (serial_secs / sharded_secs).to_json()),
+            ("parallel_secs", parallel_secs.to_json()),
+            ("parallel_trials_per_sec", (trials as f64 / parallel_secs).to_json()),
+            ("speedup", (serial_secs / parallel_secs).to_json()),
             ("shed_trials", serial.totals.shed_trials.to_json()),
             ("summaries_byte_identical", identical.to_json()),
         ]),
     );
-    json.push(
-        "durability_overhead",
-        Json::obj([
-            ("boards", 200u64.to_json()),
-            ("threads", threads.to_json()),
-            ("raw_stream_secs", raw_stream_secs.to_json()),
-            ("framed_fsync_secs", framed_stream_secs.to_json()),
-            ("overhead_pct", durability_pct.to_json()),
-            ("budget_pct", 5.0f64.to_json()),
-        ]),
-    );
+    let mut fields = vec![
+        ("boards", 200u64.to_json()),
+        ("threads", threads.to_json()),
+        ("overhead_pct", pct(durability.median).to_json()),
+        ("budget_pct", DURABILITY_BUDGET_PCT.to_json()),
+    ];
+    fields.extend(durability.json_fields(target));
+    json.push("durability_overhead", Json::obj(fields));
     emit_artifact("bench_fleet", &json);
 }

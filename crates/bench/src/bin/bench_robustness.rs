@@ -5,10 +5,11 @@
 //! wedged solve. The token is polled only every
 //! `CANCEL_CHECK_INTERVAL` steps, so the overhead of a live (armed but
 //! never firing) token against the uncancelled baseline must stay in
-//! the noise — the artifact records the measured ratio so the
-//! `BENCH_robustness.json` trajectory catches any regression.
+//! the noise — the artifact records the measured ratio with its noise
+//! band so the `BENCH_robustness.json` trajectory catches any
+//! regression it can resolve.
 
-use sint_bench::emit_artifact;
+use sint_bench::{emit_artifact, interleaved_ratio};
 use sint_interconnect::drive::VectorPair;
 use sint_interconnect::params::BusParams;
 use sint_interconnect::solver::{PanelScratch, TransientSim};
@@ -16,6 +17,9 @@ use sint_runtime::bench::{black_box, Bench};
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, ToJson};
 use std::time::Duration;
+
+/// A live token may cost at most 2% over no token.
+const TARGET_MAX_RATIO: f64 = 1.02;
 
 fn pg_pair(wires: usize) -> VectorPair {
     let before = "0".repeat(wires);
@@ -47,37 +51,44 @@ fn main() {
         );
     });
 
-    // The overhead ratio itself comes from an interleaved A/B over the
-    // best-of statistic: back-to-back blocks (as `Bench::measure` runs
-    // them) drift with CPU thermals by several percent — far more than
-    // the ~30 deadline polls a 1000-step transient actually costs — so
-    // alternating the two variants and comparing minima is the only
-    // honest way to resolve a sub-2% effect.
-    let (mut base_min, mut live_min) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..30 {
-        let t = std::time::Instant::now();
-        black_box(sim.run_pairs_cancellable(black_box(&pair), 2e-9, &mut scratch, None).unwrap());
-        base_min = base_min.min(t.elapsed().as_secs_f64() * 1e9);
-        let t = std::time::Instant::now();
-        black_box(
-            sim.run_pairs_cancellable(black_box(&pair), 2e-9, &mut scratch, Some(&token)).unwrap(),
-        );
-        live_min = live_min.min(t.elapsed().as_secs_f64() * 1e9);
-    }
+    // The overhead ratio itself comes from interleaved blocks: the host
+    // drifts by several percent between back-to-back runs (as
+    // `Bench::measure` does them) — far more than the ~30 deadline
+    // polls a 1000-step transient actually costs — so the row reports
+    // the per-block ratio's quartile band and calls the 2% target
+    // unresolved whenever that band straddles it.
+    // Each side keeps its own scratch, so both stay warm.
+    let mut live_scratch = PanelScratch::new();
+    let ratio = interleaved_ratio(
+        30,
+        5,
+        || {
+            black_box(
+                sim.run_pairs_cancellable(black_box(&pair), 2e-9, &mut scratch, None).unwrap(),
+            );
+        },
+        || {
+            black_box(
+                sim.run_pairs_cancellable(black_box(&pair), 2e-9, &mut live_scratch, Some(&token))
+                    .unwrap(),
+            );
+        },
+    );
 
-    let overhead = live_min / base_min - 1.0;
     print!("{}", b.table());
-    println!("cancellation overhead: {:+.2}% (target < 2%)", overhead * 100.0);
+    println!(
+        "cancellation overhead: {:+.2}% (quartiles {:+.2}%..{:+.2}% over {} blocks) — {} \
+         (target < 2%)",
+        (ratio.median - 1.0) * 100.0,
+        (ratio.q1 - 1.0) * 100.0,
+        (ratio.q3 - 1.0) * 100.0,
+        ratio.blocks,
+        ratio.verdict(TARGET_MAX_RATIO),
+    );
 
     let mut json = b.json();
-    json.push(
-        "cancellation_overhead",
-        Json::obj([
-            ("baseline_min_ns", base_min.to_json()),
-            ("cancellable_min_ns", live_min.to_json()),
-            ("ratio", (live_min / base_min).to_json()),
-            ("target_max_ratio", 1.02f64.to_json()),
-        ]),
-    );
+    let mut fields = vec![("target_max_ratio", TARGET_MAX_RATIO.to_json())];
+    fields.extend(ratio.json_fields(TARGET_MAX_RATIO));
+    json.push("cancellation_overhead", Json::obj(fields));
     emit_artifact("bench_robustness", &json);
 }

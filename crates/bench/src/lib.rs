@@ -27,7 +27,9 @@
 pub mod detection;
 
 use sint_core::timing::ChainGeometry;
-use sint_runtime::json::Json;
+use sint_runtime::bench::percentile;
+use sint_runtime::json::{Json, ToJson};
+use std::time::Instant;
 
 /// The paper's table geometries: `n ∈ {8, 16, 32}` with `m = 10` other
 /// cells on the chain.
@@ -75,6 +77,96 @@ pub fn threads_from_env() -> usize {
         .unwrap_or_else(|| sint_runtime::pool::Pool::host().threads())
 }
 
+/// An A/B cost ratio — B's time over A's — measured in interleaved
+/// blocks, with the quartiles of the per-block ratios as its noise
+/// band. On a shared host the speed drifts by more than the few percent
+/// an overhead target allows, so a single ratio can land on either side
+/// of the target with unchanged code; the band says when it did.
+#[derive(Debug, Clone, Copy)]
+pub struct Ratio {
+    /// Median of the per-block ratios.
+    pub median: f64,
+    /// Lower quartile of the per-block ratios.
+    pub q1: f64,
+    /// Upper quartile of the per-block ratios.
+    pub q3: f64,
+    /// Blocks measured.
+    pub blocks: usize,
+}
+
+impl Ratio {
+    /// Reads the ratio against a ceiling: `"within target"` when the
+    /// whole band sits at or below `target`, `"over target"` when it
+    /// sits above, and `"unresolved"` when the band contains `target` —
+    /// host drift, not the code, would then decide the reading.
+    #[must_use]
+    pub fn verdict(&self, target: f64) -> &'static str {
+        if self.q3 <= target {
+            "within target"
+        } else if self.q1 > target {
+            "over target"
+        } else {
+            "unresolved"
+        }
+    }
+
+    /// The artifact fields shared by every overhead row: the median
+    /// ratio, its band, the block count and the verdict at `target`.
+    #[must_use]
+    pub fn json_fields(&self, target: f64) -> Vec<(&'static str, Json)> {
+        vec![
+            ("ratio", self.median.to_json()),
+            ("ratio_q1", self.q1.to_json()),
+            ("ratio_q3", self.q3.to_json()),
+            ("blocks", self.blocks.to_json()),
+            ("verdict", self.verdict(target).to_json()),
+        ]
+    }
+}
+
+/// Times `a` against `b` in `blocks` interleaved blocks. Each block
+/// runs the two `reps` times each, alternating, with the side that
+/// goes first swapped from block to block; the block's ratio is B's
+/// best time over A's best. Returns the ratios' median and quartiles.
+///
+/// # Panics
+///
+/// Panics if `blocks` is zero.
+pub fn interleaved_ratio(
+    blocks: usize,
+    reps: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> Ratio {
+    fn timed(f: &mut impl FnMut()) -> f64 {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    }
+    let mut ratios: Vec<f64> = (0..blocks)
+        .map(|block| {
+            let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..reps.max(1) {
+                if block % 2 == 0 {
+                    best_a = best_a.min(timed(&mut a));
+                    best_b = best_b.min(timed(&mut b));
+                } else {
+                    best_b = best_b.min(timed(&mut b));
+                    best_a = best_a.min(timed(&mut a));
+                }
+            }
+            best_b / best_a
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    Ratio {
+        median: percentile(&ratios, 50.0),
+        q1: percentile(&ratios, 25.0),
+        q3: percentile(&ratios, 75.0),
+        blocks,
+    }
+}
+
 /// Prints a named machine-readable artifact as a delimited JSON block,
 /// so a human scanning the log and a script scraping it both find it.
 /// When `SINT_ARTIFACT_DIR` is set, the artifact is additionally
@@ -112,6 +204,22 @@ mod tests {
         assert!(r.starts_with("label"));
         assert!(r.ends_with("22"));
         assert!(r.len() > 22);
+    }
+
+    #[test]
+    fn ratio_verdict_reads_the_band_against_the_target() {
+        let band = |q1, q3| Ratio { median: (q1 + q3) / 2.0, q1, q3, blocks: 4 };
+        assert_eq!(band(0.97, 1.01).verdict(1.02), "within target");
+        assert_eq!(band(1.03, 1.06).verdict(1.02), "over target");
+        assert_eq!(band(0.99, 1.04).verdict(1.02), "unresolved");
+    }
+
+    #[test]
+    fn interleaved_ratio_runs_every_block_on_both_sides() {
+        let (mut a_runs, mut b_runs) = (0, 0);
+        let ratio = interleaved_ratio(5, 3, || a_runs += 1, || b_runs += 1);
+        assert_eq!((a_runs, b_runs), (15, 15));
+        assert_eq!(ratio.blocks, 5);
     }
 
     #[test]

@@ -394,7 +394,7 @@ impl Campaign {
             panic!("adaptive checkpoint does not match this batch layout: {e}")
         });
         let remaining: Vec<usize> = (resume_at..trials.len()).collect();
-        self.drive(trials, remaining.chunks(round), threads, None, checkpoint, sink);
+        self.drive(trials, remaining.chunks(round), threads, checkpoint, sink);
         checkpoint.assemble()
     }
 
@@ -436,7 +436,7 @@ impl Campaign {
     pub fn run_attributed(&self, trials: &[Trial], threads: usize) -> AdaptiveRun {
         let mut state = Attributed(AdaptiveCheckpoint::new(self.wires()));
         let all: Vec<usize> = (0..trials.len()).collect();
-        self.drive(trials, [all], threads, None, &mut state, |_| {});
+        self.drive(trials, [all], threads, &mut state, |_| {});
         state.0.assemble()
     }
 }
@@ -493,7 +493,6 @@ impl RoundState for Attributed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::CampaignMode;
     use crate::cost::MethodPlanner;
     use crate::session::ObservationMethod;
     use sint_interconnect::defect::Defect;
@@ -549,46 +548,6 @@ mod tests {
             let parallel = fresh_adaptive(&campaign, &trials, threads).to_json().render();
             assert_eq!(parallel, serial, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn streaming_adaptive_agrees_with_the_rounds_engine() {
-        // Streaming folds the ledger per trial instead of per round, so
-        // it can only drop *more*; outcomes and the detected set must
-        // agree (ledger credit covers every drop).
-        let campaign = Campaign::new(4);
-        let trials = sweep_trials();
-        let rounds = fresh_adaptive(&campaign, &trials, 1);
-        let mut streamed = Vec::new();
-        let stats = campaign.run_streaming(&trials, CampaignMode::Adaptive, None, |e| {
-            streamed.push(e.clone());
-        });
-        assert_eq!(stats, rounds.stats);
-        let outcomes: Vec<_> = streamed.iter().map(|e| e.outcome).collect();
-        assert_eq!(outcomes, rounds.outcomes);
-        let streamed_dropped: u64 = streamed.iter().map(|e| e.dropped).sum();
-        assert!(streamed_dropped >= rounds.dropped);
-
-        // At one trial per round the rounds engine folds exactly as
-        // often as the stream: the two must agree entry for entry,
-        // drop and escalation counters, failures and sheds included.
-        let campaign = Campaign::new(4)
-            .adaptive(AdaptiveConfig { round: 1, reorder: true })
-            .deadline(std::time::Duration::from_secs(600));
-        let mut trials = sweep_trials();
-        trials.insert(1, Trial::wedged());
-        trials.insert(2, Trial::panicking());
-        let mut checkpoint = AdaptiveCheckpoint::new(4);
-        let _ = campaign.run_adaptive_checkpointed(&trials, 1, &mut checkpoint, |_| {});
-        let mut streamed = Vec::new();
-        let _ = campaign.run_streaming(&trials, CampaignMode::Adaptive, None, |e| {
-            streamed.push(e.clone());
-        });
-        assert_eq!(streamed, checkpoint.entries());
-        assert_eq!(streamed[1].outcome, TrialOutcome::Shed);
-        assert_eq!(streamed[2].outcome, TrialOutcome::Failed);
-        assert!(streamed.iter().any(|e| e.dropped > 0));
-        assert!(streamed.iter().any(|e| e.escalation > 0));
     }
 
     #[test]

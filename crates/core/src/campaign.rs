@@ -106,17 +106,6 @@ impl Trial {
     }
 }
 
-/// Which session every trial of a [`Campaign::run_streaming`] batch
-/// runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignMode {
-    /// The conventional exhaustive session: every pattern, every trial.
-    Exhaustive,
-    /// The adaptive session against a campaign-wide coverage ledger
-    /// folded after every trial (see [`crate::adaptive`]).
-    Adaptive,
-}
-
 /// Outcome of one trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrialOutcome {
@@ -553,8 +542,9 @@ impl Campaign {
 
     /// Overrides the adaptive-engine configuration (round size and
     /// pattern reordering) used by [`Campaign::run_adaptive_checkpointed`]
-    /// and the adaptive [`Campaign::run_streaming`]. Ignored by the
-    /// exhaustive entries.
+    /// and by the fleet supervisor's adaptive boards (which fold their
+    /// ledger after every trial and read only the reordering). Ignored
+    /// by the exhaustive entries.
     #[must_use]
     pub fn adaptive(mut self, config: AdaptiveConfig) -> Campaign {
         self.adaptive = config;
@@ -871,19 +861,18 @@ impl Campaign {
     /// the result is byte-identical at any thread count. The entries
     /// differ only in how they partition indices into rounds.
     ///
-    /// `budget` bounds the batch: `None` applies the campaign's own
-    /// [`Campaign::budget`] (if any), measured from this call.
+    /// The campaign's own [`Campaign::budget`] (if any) bounds the
+    /// batch, measured from this call.
     pub(crate) fn drive<S: RoundState, R: AsRef<[usize]>>(
         &self,
         trials: &[Trial],
         rounds: impl IntoIterator<Item = R>,
         threads: usize,
-        budget: Option<&CancelToken>,
         state: &mut S,
         mut sink: impl FnMut(&S),
     ) {
-        let own = if budget.is_none() { self.budget.map(CancelToken::with_deadline) } else { None };
-        let budget = budget.or(own.as_ref());
+        let budget = self.budget.map(CancelToken::with_deadline);
+        let budget = budget.as_ref();
         let pool = Pool::new(threads);
         for round in rounds {
             let round = round.as_ref();

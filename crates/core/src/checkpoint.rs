@@ -10,13 +10,11 @@
 //! index (its variation seed), the resumed summary is byte-identical to
 //! an uninterrupted run at any thread count.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveDelta, FaultPriority};
+use crate::adaptive::{AdaptiveConfig, AdaptiveDelta};
 use crate::campaign::{
-    Campaign, CampaignMode, CampaignRun, CampaignStats, RoundState, Session, ShedReason, Trial,
-    TrialFailure, TrialOutcome, TrialShed, Verdict,
+    Campaign, CampaignRun, RoundState, Session, ShedReason, Trial, TrialFailure, TrialOutcome,
+    TrialShed, Verdict,
 };
-use crate::mafm::CoverageLedger;
-use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, JsonParseError, ToJson};
 use std::fmt;
 
@@ -377,40 +375,6 @@ fn parse_entry(entry: &Json) -> Result<CheckpointEntry, CheckpointError> {
 }
 
 impl Campaign {
-    /// Runs a batch serially with **constant memory**, pushing one
-    /// checkpoint-v2 record per trial through `emit` instead of
-    /// accumulating a `Vec<TrialOutcome>`.
-    ///
-    /// This is the fleet engine's unsupervised per-board path: the
-    /// round driver at one trial per round, holding only the running
-    /// [`CampaignStats`] counters (and, in [`CampaignMode::Adaptive`],
-    /// the coverage ledger and priority clock, folded after every
-    /// trial) — never the entries. Every record is keyed by trial index
-    /// and seed exactly as [`Campaign::run_checkpointed`] would record
-    /// it, so the streamed records and the in-memory run agree byte for
-    /// byte; in adaptive mode the stream equals
-    /// [`Campaign::run_adaptive_checkpointed`] at one trial per round.
-    ///
-    /// `budget` layers admission control on top of the campaign's own
-    /// configuration: when the token (typically a per-client child of a
-    /// fleet-wide [`CancelToken`]) has fired, every remaining trial is
-    /// shed with [`ShedReason::Budget`] before it starts. When `budget`
-    /// is `None`, the campaign's own [`Campaign::budget`] (if any)
-    /// applies, measured from this call.
-    pub fn run_streaming(
-        &self,
-        trials: &[Trial],
-        mode: CampaignMode,
-        budget: Option<&CancelToken>,
-        emit: impl FnMut(&CheckpointEntry),
-    ) -> CampaignStats {
-        let coverage = (mode == CampaignMode::Adaptive)
-            .then(|| (CoverageLedger::new(self.wires()), FaultPriority::new()));
-        let mut state = Streamed { stats: CampaignStats::default(), coverage, emit };
-        self.drive(trials, (0..trials.len()).map(|index| [index]), 1, budget, &mut state, |_| {});
-        state.stats
-    }
-
     /// Runs a batch with periodic checkpointing and resume.
     ///
     /// Trials already present in `checkpoint` (matched by index *and*
@@ -438,7 +402,7 @@ impl Campaign {
         let remaining: Vec<usize> = (0..trials.len())
             .filter(|&index| checkpoint.entry_for(index, index as u64).is_none())
             .collect();
-        self.drive(trials, remaining.chunks(snapshot_every.max(1)), threads, None, checkpoint, sink);
+        self.drive(trials, remaining.chunks(snapshot_every.max(1)), threads, checkpoint, sink);
         CampaignRun::assemble((0..trials.len()).map(|index| {
             checkpoint
                 .entry_for(index, index as u64)
@@ -454,32 +418,6 @@ impl RoundState for CampaignCheckpoint {
 
     fn fold(&mut self, entry: CheckpointEntry, _: Option<Verdict>) {
         self.record(entry);
-    }
-}
-
-/// [`Campaign::run_streaming`]'s state: running stats, the coverage
-/// ledger and priority clock when the mode keeps them, and the caller's
-/// emit. It holds no entries.
-struct Streamed<F> {
-    stats: CampaignStats,
-    coverage: Option<(CoverageLedger, FaultPriority)>,
-    emit: F,
-}
-
-impl<F: FnMut(&CheckpointEntry)> RoundState for Streamed<F> {
-    fn session(&self, config: AdaptiveConfig) -> Session<'_> {
-        match &self.coverage {
-            Some((ledger, priority)) => Session::Adaptive(ledger, config.half_order(priority)),
-            None => Session::Exhaustive,
-        }
-    }
-
-    fn fold(&mut self, entry: CheckpointEntry, verdict: Option<Verdict>) {
-        if let (Some((ledger, priority)), Some(verdict)) = (&mut self.coverage, verdict) {
-            verdict.delta.fold_into(ledger, priority);
-        }
-        self.stats.accumulate(entry.outcome);
-        (self.emit)(&entry);
     }
 }
 
@@ -640,57 +578,6 @@ mod tests {
         // And the plain engine agrees with the checkpointed one.
         let plain = campaign.run_parallel(&trials, 2);
         assert_eq!(plain.to_json().render(), reference.to_json().render());
-    }
-
-    #[test]
-    fn streamed_records_match_the_in_memory_engine() {
-        let campaign = Campaign::new(3);
-        let batch = trials();
-        let mut streamed: Vec<CheckpointEntry> = Vec::new();
-        let stats = campaign.run_streaming(&batch, CampaignMode::Exhaustive, None, |entry| {
-            streamed.push(entry.clone());
-        });
-
-        // Same outcomes, failures and stats as the in-memory engine.
-        let reference = campaign.run_parallel(&batch, 1);
-        assert_eq!(stats, reference.stats);
-        let outcomes: Vec<_> = streamed.iter().map(|e| e.outcome).collect();
-        assert_eq!(outcomes, reference.outcomes);
-        let failures: Vec<_> = streamed.iter().filter_map(|e| e.failure.clone()).collect();
-        assert_eq!(failures, reference.failures);
-
-        // Record shapes are checkpoint-v2 entries byte for byte: a
-        // checkpoint built from the stream round-trips identically to
-        // one recorded by run_checkpointed.
-        let mut from_stream = CampaignCheckpoint::new();
-        for entry in &streamed {
-            from_stream.record(entry.clone());
-        }
-        let mut recorded = CampaignCheckpoint::new();
-        let _ = campaign.run_checkpointed(&batch, 1, &mut recorded, 2, |_| {});
-        assert_eq!(from_stream.to_json().render(), recorded.to_json().render());
-    }
-
-    #[test]
-    fn streamed_budget_token_sheds_everything_once_fired() {
-        use sint_runtime::cancel::CancelToken;
-        let campaign = Campaign::new(3);
-        let batch = trials();
-        let fleet = CancelToken::new();
-        let client = fleet.child_with_deadline(std::time::Duration::ZERO);
-        let mut entries = 0usize;
-        let mode = CampaignMode::Exhaustive;
-        let stats = campaign.run_streaming(&batch, mode, Some(&client), |entry| {
-            assert_eq!(entry.outcome, TrialOutcome::Shed);
-            assert!(matches!(
-                entry.shed,
-                Some(TrialShed { reason: ShedReason::Budget, .. })
-            ));
-            entries += 1;
-        });
-        assert_eq!(entries, batch.len());
-        assert_eq!(stats.shed_trials, batch.len());
-        assert!(!fleet.is_cancelled(), "client overrun never fires the fleet token");
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod soc;
 pub mod timing;
 
 pub use campaign::{
-    AttemptOutcome, Campaign, CampaignMode, CampaignRun, CampaignStats, RetryPolicy, ShedReason,
+    AttemptOutcome, Campaign, CampaignRun, CampaignStats, RetryPolicy, ShedReason,
     Trial, TrialOutcome, TrialShed,
 };
 pub use adaptive::{AdaptiveCheckpoint, AdaptiveConfig, AdaptiveDelta, AdaptiveRun, FaultPriority};

@@ -1,19 +1,20 @@
-//! The sharded floor engine.
+//! The floor engine.
 //!
-//! Boards are dealt round-robin into shards and executed by
-//! `Pool::try_map_stealing`: a worker drains its home shard, then
-//! steals boards from whichever shard has the most left, so one slow
-//! board never serializes its shard. Each board runs serially —
-//! by default under a [`BoardSupervisor`] (backoff-governed retries,
-//! circuit-breaker quarantine, sink spooling; see
-//! [`crate::supervisor`]), optionally with a deterministic
-//! [`ChaosPlan`] injecting faults — pushing per-trial checkpoint-v2
-//! records into the caller's [`RecordSink`] as they finish; only the
-//! board's [`CampaignStats`] counters and its [`BoardReport`] come
-//! back to the scheduler. The merged [`FleetSummary`] folds those in
-//! board-id order — the order is fixed and the folds commute, so the
-//! summary is byte-identical at any thread or shard count, chaos
-//! included.
+//! Pending boards run in checkpoint chunks, each chunk through
+//! `Pool::try_map`: workers claim boards from one shared cursor, so a
+//! slow board holds up only the worker running it and no board is
+//! pinned to a worker. Each board runs serially under a
+//! [`BoardSupervisor`] (backoff-governed retries, circuit-breaker
+//! quarantine, sink spooling; see [`crate::supervisor`]), optionally
+//! with a deterministic [`ChaosPlan`] injecting faults — pushing
+//! per-trial checkpoint-v2 records into the caller's [`RecordSink`] as
+//! they finish; only the board's [`CampaignStats`] counters and its
+//! [`BoardReport`] come back to the scheduler. A board whose job
+//! panics comes back as `try_map`'s `JobPanic` and is recorded as
+//! crashed; its siblings keep their results. The merged
+//! [`FleetSummary`] folds the boards in board-id order — the order is
+//! fixed and the folds commute, so the summary is byte-identical at
+//! any thread count, chaos included.
 
 use crate::chaos::ChaosPlan;
 use crate::checkpoint::{BoardEntry, FleetCheckpoint};
@@ -21,11 +22,10 @@ use crate::error::FleetError;
 use crate::record::RecordSink;
 use crate::spec::{BoardSpec, FloorSpec};
 use crate::supervisor::{BoardReport, BoardSupervisor, BoardVerdict, SupervisorConfig};
-use sint_core::campaign::{CampaignMode, CampaignStats};
+use sint_core::campaign::CampaignStats;
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, ToJson};
 use sint_runtime::pool::Pool;
-use std::cell::Cell;
 use std::time::Duration;
 
 /// Adaptive-engine counters folded over trial records: how many
@@ -78,8 +78,8 @@ pub struct BoardSummary {
     /// the scheduler's backstop; trial-level panics are already
     /// isolated inside the campaign and show up as `failed_trials`.
     pub crashed: Option<String>,
-    /// The supervisor's resilience report (a spotless default when the
-    /// board ran unsupervised).
+    /// The supervisor's resilience report ([`BoardReport::crashed`]
+    /// when the board's harness crashed).
     pub report: BoardReport,
     /// Adaptive-engine counters summed over the board's trials
     /// (all-zero on exhaustive floors).
@@ -252,20 +252,19 @@ impl ToJson for FleetSummary {
 }
 
 /// The long-running floor engine: a validated [`FloorSpec`] plus
-/// fleet-level scheduling and resilience knobs.
+/// fleet-level deadline and resilience knobs.
 #[derive(Debug, Clone)]
 pub struct FleetEngine {
     spec: FloorSpec,
     deadline: Option<Duration>,
-    shards: usize,
-    supervision: Option<SupervisorConfig>,
+    supervision: SupervisorConfig,
     chaos: Option<ChaosPlan>,
 }
 
 impl FleetEngine {
-    /// Wraps a validated spec. Boards run supervised by default (the
-    /// default [`SupervisorConfig`]); see [`FleetEngine::unsupervised`]
-    /// for the raw engine.
+    /// Wraps a validated spec. Every board runs supervised, under the
+    /// default [`SupervisorConfig`] until [`FleetEngine::supervisor`]
+    /// overrides it.
     ///
     /// # Errors
     ///
@@ -275,8 +274,7 @@ impl FleetEngine {
         Ok(FleetEngine {
             spec,
             deadline: None,
-            shards: 0,
-            supervision: Some(SupervisorConfig::default()),
+            supervision: SupervisorConfig::default(),
             chaos: None,
         })
     }
@@ -290,40 +288,20 @@ impl FleetEngine {
         self
     }
 
-    /// Overrides the shard count (default: one shard per worker).
-    /// Purely a scheduling knob — the merged summary is invariant.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> FleetEngine {
-        self.shards = shards;
-        self
-    }
-
     /// Overrides the supervisor configuration.
     #[must_use]
     pub fn supervisor(mut self, config: SupervisorConfig) -> FleetEngine {
-        self.supervision = Some(config);
+        self.supervision = config;
         self
     }
 
     /// Installs a deterministic chaos plan: its faults are injected at
-    /// the plan's `(board, trial)` coordinates and the supervisor (kept
-    /// or installed with defaults) absorbs them. Determinism is
-    /// preserved — the plan is a pure function of its seed.
+    /// the plan's `(board, trial)` coordinates and the supervisor
+    /// absorbs them. Determinism is preserved — the plan is a pure
+    /// function of its seed.
     #[must_use]
     pub fn chaos(mut self, plan: ChaosPlan) -> FleetEngine {
         self.chaos = Some(plan);
-        if self.supervision.is_none() {
-            self.supervision = Some(SupervisorConfig::default());
-        }
-        self
-    }
-
-    /// Strips supervision (and any chaos plan): boards run their
-    /// campaigns raw, as a pure scheduling benchmark baseline.
-    #[must_use]
-    pub fn unsupervised(mut self) -> FleetEngine {
-        self.supervision = None;
-        self.chaos = None;
         self
     }
 
@@ -346,7 +324,8 @@ impl FleetEngine {
     /// Boards already in `checkpoint` (matched by id *and* seed) are
     /// skipped — their counters and reports are folded straight into
     /// the summary and their trial records do **not** re-stream. The
-    /// rest run shard-scheduled in chunks of `snapshot_every` boards,
+    /// rest run in chunks of `snapshot_every` boards, each chunk
+    /// claimed board by board from `Pool::try_map`'s shared cursor,
     /// with `snap` invoked after each chunk (typically to persist the
     /// checkpoint's JSON). Because boards are pure functions of their
     /// id — supervisor state and chaos schedules included — the
@@ -400,49 +379,22 @@ impl FleetEngine {
             .filter(|b| recorded(checkpoint, b).is_none())
             .collect();
         let pool = Pool::new(threads);
-        let shard_count = if self.shards == 0 { pool.threads() } else { self.shards };
         let campaign = self.spec.campaign();
-        let supervisor = self.supervision.as_ref().map(|config| {
-            BoardSupervisor::new(config, self.chaos.as_ref(), &campaign, self.spec.wires_each())
-                .adaptive(self.spec.is_adaptive())
-        });
+        let supervisor = BoardSupervisor::new(
+            &self.supervision,
+            self.chaos.as_ref(),
+            &campaign,
+            self.spec.wires_each(),
+        )
+        .adaptive(self.spec.is_adaptive());
 
         for chunk in pending.chunks(snapshot_every.max(1)) {
-            let lanes = shard_count.max(1);
-            let mut shards: Vec<Vec<BoardSpec>> = vec![Vec::new(); lanes];
-            for (position, board) in chunk.iter().enumerate() {
-                shards[position % lanes].push(*board);
-            }
-            let results = pool.try_map_stealing(&shards, |_, _, board| {
+            let results = pool.try_map(chunk, |_, board| {
                 let client = &self.spec.clients()[board.client];
                 let trials = self.spec.trials(board);
                 let budget = client_tokens[board.client].as_ref();
-                let (stats, report, adaptive) = match &supervisor {
-                    Some(supervisor) => {
-                        supervisor.run_board(board, &trials, budget, sink, &client.name)
-                    }
-                    None => {
-                        let sink_errors = Cell::new(0u64);
-                        let totals = Cell::new(AdaptiveTotals::default());
-                        let emit = |entry: &sint_core::checkpoint::CheckpointEntry| {
-                            let mut t = totals.get();
-                            t.absorb_entry(entry.dropped, entry.escalation);
-                            totals.set(t);
-                            if sink.record(board, &client.name, entry).is_err() {
-                                sink_errors.set(sink_errors.get() + 1);
-                            }
-                        };
-                        let mode = if self.spec.is_adaptive() {
-                            CampaignMode::Adaptive
-                        } else {
-                            CampaignMode::Exhaustive
-                        };
-                        let stats = campaign.run_streaming(&trials, mode, budget, emit);
-                        let report =
-                            BoardReport { sink_errors: sink_errors.get(), ..BoardReport::default() };
-                        (stats, report, totals.get())
-                    }
-                };
+                let (stats, report, adaptive) =
+                    supervisor.run_board(board, &trials, budget, sink, &client.name);
                 let summary = BoardSummary {
                     board: board.id,
                     client: board.client,
@@ -455,26 +407,21 @@ impl FleetEngine {
                 let _ = sink.board_done(&summary);
                 summary
             });
-            for (shard, outcomes) in shards.iter().zip(results) {
-                for (board, result) in shard.iter().zip(outcomes) {
-                    let summary = match result {
-                        Ok(summary) => summary,
-                        Err(panic) => {
-                            let summary = BoardSummary {
-                                board: board.id,
-                                client: board.client,
-                                seed: board.seed,
-                                stats: CampaignStats::default(),
-                                crashed: Some(panic.message),
-                                report: BoardReport::crashed(),
-                                adaptive: AdaptiveTotals::default(),
-                            };
-                            let _ = sink.board_done(&summary);
-                            summary
-                        }
+            for (board, result) in chunk.iter().zip(results) {
+                let summary = result.unwrap_or_else(|panic| {
+                    let summary = BoardSummary {
+                        board: board.id,
+                        client: board.client,
+                        seed: board.seed,
+                        stats: CampaignStats::default(),
+                        crashed: Some(panic.message),
+                        report: BoardReport::crashed(),
+                        adaptive: AdaptiveTotals::default(),
                     };
-                    checkpoint.record(BoardEntry::from_summary(&summary));
-                }
+                    let _ = sink.board_done(&summary);
+                    summary
+                });
+                checkpoint.record(BoardEntry::from_summary(&summary));
             }
             snap(checkpoint);
         }
@@ -576,9 +523,9 @@ mod tests {
         let engine = FleetEngine::new(small_floor()).unwrap();
         let serial = engine.run(1, &NullSink);
         for threads in [2, 4, 8] {
-            let sharded = engine.run(threads, &NullSink);
+            let parallel = engine.run(threads, &NullSink);
             assert_eq!(
-                sharded.to_json().render(),
+                parallel.to_json().render(),
                 serial.to_json().render(),
                 "{threads} threads"
             );
@@ -598,24 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_does_not_change_the_summary() {
-        let engine = FleetEngine::new(small_floor()).unwrap();
-        let reference = engine.run(4, &NullSink);
-        for shards in [1, 3, 7] {
-            let engine = FleetEngine::new(small_floor()).unwrap().shards(shards);
-            assert_eq!(engine.run(4, &NullSink), reference, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn supervised_and_unsupervised_runs_agree_on_a_healthy_floor() {
-        let supervised = FleetEngine::new(small_floor()).unwrap().run(2, &NullSink);
-        let raw = FleetEngine::new(small_floor()).unwrap().unsupervised().run(2, &NullSink);
-        assert_eq!(supervised.totals, raw.totals, "supervision never changes verdicts");
-        assert_eq!(supervised.healthy_boards, raw.healthy_boards);
-    }
-
-    #[test]
     fn expired_fleet_deadline_sheds_every_trial() {
         let engine =
             FleetEngine::new(small_floor()).unwrap().deadline(Duration::ZERO);
@@ -623,6 +552,55 @@ mod tests {
         assert_eq!(summary.totals.shed_trials, 12 * 2);
         assert_eq!(summary.totals.defect_trials + summary.totals.control_trials, 0);
         assert_eq!(summary.crashed_boards, 0);
+    }
+
+    /// Panics on every record of one board, so that board's job dies
+    /// outside the campaign's own per-attempt isolation.
+    struct PanickingSink {
+        board: usize,
+    }
+
+    impl RecordSink for PanickingSink {
+        fn record(
+            &self,
+            board: &BoardSpec,
+            _client: &str,
+            _entry: &sint_core::checkpoint::CheckpointEntry,
+        ) -> Result<(), FleetError> {
+            if board.id == self.board {
+                panic!("sink exploded on board {}", board.id);
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_board_whose_job_panics_crashes_alone() {
+        let engine = FleetEngine::new(small_floor()).unwrap();
+        let mut reference = FleetCheckpoint::new();
+        let _ = engine.run_checkpointed(1, &mut reference, 4, &NullSink, |_| {});
+        let mut first = None;
+        for threads in [1, 2, 8] {
+            let mut checkpoint = FleetCheckpoint::new();
+            let sink = PanickingSink { board: 5 };
+            let summary = engine.run_checkpointed(threads, &mut checkpoint, 4, &sink, |_| {});
+            assert_eq!(summary.crashed_boards, 1, "{threads} threads");
+            for id in 0..engine.spec.boards() {
+                let board = engine.spec.board(id);
+                let entry = checkpoint.entry_for(id, board.seed).unwrap();
+                if id == 5 {
+                    assert_eq!(entry.crashed.as_deref(), Some("sink exploded on board 5"));
+                    assert_eq!(entry.report, BoardReport::crashed());
+                } else {
+                    assert_eq!(Some(entry), reference.entry_for(id, board.seed), "board {id}");
+                }
+            }
+            let rendered = summary.to_json().render();
+            match &first {
+                None => first = Some(rendered),
+                Some(serial) => assert_eq!(&rendered, serial, "{threads} threads"),
+            }
+        }
     }
 
     #[test]
@@ -658,14 +636,9 @@ mod tests {
             "the streamed artifact folds to the in-memory summary, counters included"
         );
         for threads in [2, 4] {
-            let sharded = engine.run(threads, &NullSink);
-            assert_eq!(sharded.to_json().render(), serial.to_json().render(), "{threads} threads");
+            let parallel = engine.run(threads, &NullSink);
+            assert_eq!(parallel.to_json().render(), serial.to_json().render(), "{threads} threads");
         }
-        // Supervision only adds resilience machinery — on a healthy
-        // floor the adaptive verdicts and counters are identical raw.
-        let raw = FleetEngine::new(floor()).unwrap().unsupervised().run(2, &NullSink);
-        assert_eq!(raw.totals, serial.totals);
-        assert_eq!(raw.adaptive, serial.adaptive);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! - [`spec`] — the deterministic floor description: board count,
 //!   per-board trial mixes derived from forked RNG substreams, and the
 //!   client roster ([`ClientSpec`]) with optional wall-clock budgets.
-//! - [`engine`] — [`FleetEngine`], a sharded scheduler on
-//!   `sint_runtime::pool::Pool::try_map_stealing`: boards are dealt
-//!   round-robin into shards, workers drain their home shard and then
-//!   steal from the fullest one, so a single slow board never
-//!   serializes its shard. Panics crash one board, not the floor.
+//! - [`engine`] — [`FleetEngine`], which runs every board under a
+//!   [`BoardSupervisor`] on `sint_runtime::pool::Pool::try_map`: workers
+//!   claim boards from one shared cursor, chunk by checkpoint chunk, so
+//!   a slow board holds up only its own worker. Panics crash one board,
+//!   not the floor.
 //! - **Admission control** — every client's boards run under a child of
 //!   the fleet-wide [`sint_runtime::cancel::CancelToken`]: a client
 //!   that exhausts its budget sheds its own remaining trials
@@ -61,7 +61,7 @@
 //! `fleet_determinism` gate): every board's behaviour is a pure
 //! function of its id — its seed, trial mix and campaign are derived
 //! from the floor spec, never from scheduling — and the merged summary
-//! folds per-board counters in board-id order, so a sharded run at any
+//! folds per-board counters in board-id order, so a parallel run at any
 //! `SINT_THREADS` is byte-identical to the serial run.
 
 #![warn(missing_docs)]

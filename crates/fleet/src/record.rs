@@ -57,7 +57,7 @@ const RECORD_VERSION: u64 = 2;
 ///
 /// Both methods are fallible: a failed write surfaces as
 /// [`FleetError::Sink`] to the caller (the supervisor spools and
-/// retries; the unsupervised engine counts and drops). Implementations
+/// retries, and counts what it drops). Implementations
 /// must stay consistent under retries — a record that errored was
 /// **not** written.
 pub trait RecordSink: Sync {
@@ -134,9 +134,9 @@ pub fn board_record(summary: &BoardSummary) -> Json {
 /// incremental artifact emitter. Thread-safe (a mutex serialises
 /// lines). The first write failure is latched: it is returned as a
 /// typed [`FleetError::Sink`] from the failing call and every later
-/// one, and surfaces again from [`JsonlSink::finish`] — so a
-/// supervisor sees the failure immediately while an unsupervised run
-/// still learns of it at the end.
+/// one, and surfaces again from [`JsonlSink::finish`] — so the
+/// supervisor sees the failure immediately and the caller learns of it
+/// again at the end.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write + Send> {
     inner: Mutex<SinkState<W>>,

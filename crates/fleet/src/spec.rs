@@ -46,8 +46,8 @@ impl ClientSpec {
 
 /// One board of the floor, derived from the spec: `id` names it,
 /// `client` indexes the floor's client roster, `seed` keys its trial
-/// mix and die variation. `Copy` by design — the engine deals boards
-/// into shards by value.
+/// mix and die variation. `Copy` by design — boards are passed to the
+/// engine's workers by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoardSpec {
     /// Position of the board on the floor (also its checkpoint key).

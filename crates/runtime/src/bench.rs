@@ -206,8 +206,14 @@ impl Bench {
     }
 }
 
-/// Linear-interpolated percentile of an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// Linear-interpolated percentile `p` (0–100) of an ascending-sorted
+/// slice.
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+#[must_use]
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;

@@ -23,12 +23,12 @@
 //!   anchored at the line *end*, so `#` inside a JSON payload can
 //!   never confuse the parse, and rendering stays deterministic — the
 //!   byte-identity gates in `verify.sh` hold framed or not.
-//! - **Deterministic disk faults** — [`DiskFault`] names the classic
-//!   write failures (short write, torn write at byte *k*, `ENOSPC`,
-//!   failed rename); [`DiskFaults`] schedules them as pure functions
-//!   of `(seed, path-id, op-index)` via forked [`Rng64`] substreams,
-//!   and [`FaultyWriter`] injects them into any `Write`. The fleet's
-//!   chaos layer drives its `ChaosKind::Disk` storms through these.
+//! - **Disk faults** — [`DiskFault`] names the classic write failures
+//!   (short write, torn write at byte *k*, `ENOSPC`, failed rename);
+//!   [`draw_write_fault`] draws a write-path shape from a forked
+//!   [`Rng64`] lane, and [`FaultyWriter`] injects one into any `Write`.
+//!   The fleet's chaos plan drives its `ChaosKind::Disk` storms
+//!   through these.
 //!   [`FuseWriter`] is the crash half: it delivers exactly `limit`
 //!   bytes downstream, then flushes and trips a caller-supplied fuse —
 //!   how the `--kill-at-byte` tools die at a precise stream offset.
@@ -42,10 +42,6 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-
-/// Substream salt for [`DiskFaults`] draws, so disk-fault schedules
-/// never alias other forked streams of the same seed.
-const SALT_DISK_OP: u64 = 0x44;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE, reflected, table-driven)
@@ -559,11 +555,10 @@ impl DiskFault {
     }
 }
 
-/// Draws a write-path fault shape from `lane` — used by fault plans
-/// ([`DiskFaults`], the fleet chaos plan) so the shape distribution
-/// stays in one place. Never draws [`DiskFault::RenameFail`]: that
-/// one only makes sense at the [`AtomicFile`] publish step, not
-/// inside a byte stream.
+/// Draws a write-path fault shape from `lane` — the fleet chaos plan's
+/// one source of disk-fault shapes. Never draws
+/// [`DiskFault::RenameFail`]: that one only makes sense at the
+/// [`AtomicFile`] publish step, not inside a byte stream.
 #[must_use]
 pub fn draw_write_fault(lane: &mut Rng64) -> DiskFault {
     match lane.gen_index(3) {
@@ -573,77 +568,26 @@ pub fn draw_write_fault(lane: &mut Rng64) -> DiskFault {
     }
 }
 
-/// A deterministic disk-fault schedule: whether op `op` on path
-/// `path_id` faults — and how — is a pure function of
-/// `(seed, path_id, op)` via forked [`Rng64`] substreams, so an
-/// injected fault storm replays identically at any thread count and
-/// across kill/resume.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiskFaults {
-    seed: u64,
-    rate: f64,
-}
-
-impl DiskFaults {
-    /// A schedule faulting each op with probability `rate` (clamped to
-    /// `[0, 1]`).
-    #[must_use]
-    pub fn new(seed: u64, rate: f64) -> DiskFaults {
-        DiskFaults { seed, rate: rate.clamp(0.0, 1.0) }
-    }
-
-    /// The fault scheduled for op `op` on path `path_id`, if any.
-    #[must_use]
-    pub fn fault(&self, path_id: u64, op: u64) -> Option<DiskFault> {
-        let mut lane = Rng64::new(self.seed).fork(SALT_DISK_OP).fork(path_id).fork(op);
-        if lane.gen_f64() >= self.rate {
-            return None;
-        }
-        Some(draw_write_fault(&mut lane))
-    }
-}
-
-/// Stable 64-bit id for a path (FNV-1a over its lossy UTF-8 form) —
-/// the `path_id` axis of a [`DiskFaults`] schedule.
-#[must_use]
-pub fn path_id(path: &Path) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in path.to_string_lossy().as_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01B3);
-    }
-    hash
-}
-
-/// A `Write` adapter injecting [`DiskFault`]s — either one pre-drawn
-/// fault ([`FaultyWriter::with_fault`]) or a whole [`DiskFaults`]
-/// schedule keyed by op index ([`FaultyWriter::new`]). Short writes
+/// A `Write` adapter injecting one pre-drawn [`DiskFault`]
+/// ([`FaultyWriter::with_fault`]) on its first write op. Short writes
 /// return legally short; torn writes land a prefix then error;
 /// `ENOSPC` errors with the real `ENOSPC` errno on Unix.
 #[derive(Debug)]
 pub struct FaultyWriter<W: Write> {
     inner: W,
-    plan: Option<DiskFaults>,
-    path_id: u64,
     op: u64,
-    single: Option<DiskFault>,
+    fault: Option<DiskFault>,
 }
 
 impl<W: Write> FaultyWriter<W> {
-    /// Wraps `inner` under a full fault schedule for `path_id`.
-    #[must_use]
-    pub fn new(inner: W, plan: DiskFaults, path_id: u64) -> FaultyWriter<W> {
-        FaultyWriter { inner, plan: Some(plan), path_id, op: 0, single: None }
-    }
-
     /// Wraps `inner` with at most one fault, injected on the first
     /// write op (the supervisor's per-record realization path).
     #[must_use]
     pub fn with_fault(inner: W, fault: Option<DiskFault>) -> FaultyWriter<W> {
-        FaultyWriter { inner, plan: None, path_id: 0, op: 0, single: fault }
+        FaultyWriter { inner, op: 0, fault }
     }
 
-    /// Write ops attempted so far (the schedule's op axis).
+    /// Write ops attempted so far.
     #[must_use]
     pub fn ops(&self) -> u64 {
         self.op
@@ -652,13 +596,6 @@ impl<W: Write> FaultyWriter<W> {
     /// Unwraps the inner writer.
     pub fn into_inner(self) -> W {
         self.inner
-    }
-
-    fn next_fault(&mut self) -> Option<DiskFault> {
-        if let Some(fault) = self.single.take() {
-            return Some(fault);
-        }
-        self.plan.and_then(|plan| plan.fault(self.path_id, self.op))
     }
 }
 
@@ -677,7 +614,7 @@ fn no_space() -> io::Error {
 
 impl<W: Write> Write for FaultyWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let fault = self.next_fault();
+        let fault = self.fault.take();
         self.op += 1;
         match fault {
             None => self.inner.write(buf),
@@ -948,25 +885,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_schedules_are_pure_and_rate_bounded() {
-        let plan = DiskFaults::new(0xD15C, 0.5);
-        let mut faulted = 0;
-        for op in 0..400 {
-            let first = plan.fault(7, op);
-            assert_eq!(first, plan.fault(7, op), "pure function of (seed, path, op)");
-            assert!(first != Some(DiskFault::RenameFail), "streams never draw rename faults");
-            if first.is_some() {
-                faulted += 1;
-            }
-        }
-        assert!((100..300).contains(&faulted), "rate ~0.5, got {faulted}/400");
-        let other = DiskFaults::new(0xD15C + 1, 0.5);
-        let seq = |p: &DiskFaults| (0..64).map(|op| p.fault(7, op)).collect::<Vec<_>>();
-        assert_ne!(seq(&plan), seq(&other), "different seeds, different schedules");
-        assert_eq!(DiskFaults::new(1, 0.0).fault(0, 0), None);
-    }
-
-    #[test]
     fn faulty_writer_realizes_each_fault_shape() {
         // Short write: legal partial, write_all recovers.
         let mut w = FaultyWriter::with_fault(Vec::new(), Some(DiskFault::ShortWrite { keep: 3 }));
@@ -1011,12 +929,5 @@ mod tests {
         let mut w = FuseWriter::new(Vec::new(), u64::MAX, || {});
         w.write_all(b"unlimited").unwrap();
         assert_eq!(w.into_inner(), b"unlimited");
-    }
-
-    #[test]
-    fn path_ids_are_stable_and_distinct() {
-        let a = path_id(Path::new("/tmp/a.jsonl"));
-        assert_eq!(a, path_id(Path::new("/tmp/a.jsonl")));
-        assert_ne!(a, path_id(Path::new("/tmp/b.jsonl")));
     }
 }

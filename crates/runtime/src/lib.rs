@@ -15,9 +15,10 @@
 //! - [`json`] — [`json::Json`] value tree + [`json::ToJson`] trait with an
 //!   escaping-correct, round-trip-faithful emitter for reports and
 //!   artifacts.
-//! - [`pool`] — a scoped-thread worker pool ([`pool::Pool`]) whose
+//! - [`pool`] — a scoped-thread worker pool ([`pool::Pool`]) with two
+//!   entries, both claiming items from one shared cursor:
 //!   [`pool::Pool::map`] preserves input ordering deterministically and
-//!   whose [`pool::Pool::try_map`] isolates per-job panics
+//!   [`pool::Pool::try_map`] isolates per-job panics
 //!   ([`pool::JobPanic`]) without losing sibling results.
 //! - [`prop`] — a seeded mini property-test harness ([`prop::Runner`])
 //!   with failing-seed reporting.
@@ -35,10 +36,9 @@
 //!   [`durable::AtomicFile`] replace-file writes, [`durable::GenPair`]
 //!   generation-pair checkpoints that survive a torn overwrite of
 //!   either slot, CRC-32 line framing ([`durable::frame`]) with a
-//!   tail-recovery scanner ([`durable::scan_frames`]), and a
-//!   deterministic disk-fault injector ([`durable::FaultyWriter`])
-//!   whose short/torn/`ENOSPC` failures are pure functions of
-//!   `(seed, path, op-index)`.
+//!   tail-recovery scanner ([`durable::scan_frames`]), and a disk-fault
+//!   injector ([`durable::FaultyWriter`]) that realizes one drawn
+//!   short/torn/`ENOSPC` fault on a byte stream.
 //!
 //! The policy this crate enforces: **no `sint` crate may declare an
 //! external dependency.** `scripts/verify.sh` builds with
@@ -59,7 +59,7 @@ pub mod rng;
 pub use backoff::{BackoffPolicy, VirtualClock};
 pub use bench::{Bench, BenchResult};
 pub use cancel::CancelToken;
-pub use durable::{AtomicFile, DiskFault, DiskFaults, FaultyWriter, FuseWriter, GenPair};
+pub use durable::{AtomicFile, DiskFault, FaultyWriter, FuseWriter, GenPair};
 pub use json::{Json, JsonParseError, ToJson};
 pub use pool::{JobPanic, Pool};
 pub use prop::Runner;

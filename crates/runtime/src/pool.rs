@@ -22,7 +22,10 @@
 //!
 //! Work distribution is a shared atomic cursor (cheap dynamic load
 //! balancing — long and short dies interleave freely); results come
-//! back over an mpsc channel tagged with their input index.
+//! back over an mpsc channel tagged with their input index. This one
+//! cursor schedules every batch in the workspace: campaign rounds and
+//! the fleet engine's checkpoint chunks of boards alike, so no item is
+//! ever pinned to a worker.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -185,169 +188,6 @@ impl Pool {
                 .collect()
         })
     }
-
-    /// Applies `f` to every item of every shard, in parallel, with
-    /// **work stealing** across shards: each worker drains a home shard
-    /// first (cache-friendly locality for shard-affine state), then
-    /// steals items from whichever shard has the most work left. One
-    /// slow item therefore never serializes its shard — siblings of the
-    /// slow item migrate to idle workers.
-    ///
-    /// `f` receives `(shard, index, &item)` where `index` is the item's
-    /// position within its shard, so callers can key deterministic
-    /// per-item state off the stable `(shard, index)` pair. Results
-    /// come back in shard-major input order regardless of which worker
-    /// ran what, so the output is byte-identical at any thread count.
-    ///
-    /// This is the infallible wrapper over [`Pool::try_map_stealing`]:
-    /// if any job panics, every job still runs, then the panic of the
-    /// lexicographically smallest `(shard, index)` failing job is
-    /// re-raised on the calling thread.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the lowest-`(shard, index)` job panic, if any.
-    pub fn map_stealing<T, R, F>(&self, shards: &[Vec<T>], f: F) -> Vec<Vec<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, usize, &T) -> R + Sync,
-    {
-        self.try_map_stealing(shards, f)
-            .into_iter()
-            .map(|shard| {
-                shard
-                    .into_iter()
-                    .map(|result| match result {
-                        Ok(value) => value,
-                        Err(p) => panic!("{p}"),
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// The panic-isolating work-stealing map: slot `(s, i)` of the
-    /// output is `Ok(result)` if job `i` of shard `s` returned, or
-    /// `Err(JobPanic)` (carrying the within-shard index) if it panicked
-    /// — in shard-major input order either way, byte-identical at any
-    /// thread count. See [`Pool::map_stealing`] for the scheduling
-    /// contract and [`Pool::try_map`] for the isolation contract this
-    /// method preserves.
-    pub fn try_map_stealing<T, R, F>(
-        &self,
-        shards: &[Vec<T>],
-        f: F,
-    ) -> Vec<Vec<Result<R, JobPanic>>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, usize, &T) -> R + Sync,
-    {
-        // A single shard degenerates to the flat cursor map — same
-        // scheduling, same isolation, no stealing bookkeeping.
-        if shards.len() == 1 {
-            return vec![self.try_map(&shards[0], |i, t| f(0, i, t))];
-        }
-        let total: usize = shards.iter().map(Vec::len).sum();
-        let workers = self.threads.min(total);
-        if workers <= 1 {
-            return shards
-                .iter()
-                .enumerate()
-                .map(|(s, shard)| {
-                    shard.iter().enumerate().map(|(i, t)| run_shard_job(&f, s, i, t)).collect()
-                })
-                .collect();
-        }
-
-        // One claim cursor per shard: a worker's home shard is taken
-        // from round-robin assignment; an idle worker steals from the
-        // shard with the most unclaimed items.
-        let cursors: Vec<AtomicUsize> = shards.iter().map(|_| AtomicUsize::new(0)).collect();
-        let claim = |shard: usize| -> Option<usize> {
-            // fetch_add may overshoot past the shard's length under a
-            // claim race; the remaining-work estimate below saturates,
-            // so an overshot cursor just reads as "drained".
-            let idx = cursors[shard].fetch_add(1, Ordering::Relaxed);
-            (idx < shards[shard].len()).then_some(idx)
-        };
-        let (tx, rx) = mpsc::channel::<(usize, usize, Result<R, JobPanic>)>();
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let tx = tx.clone();
-                let claim = &claim;
-                let cursors = &cursors;
-                let f = &f;
-                let home = worker % shards.len();
-                scope.spawn(move || loop {
-                    let claimed = claim(home).map(|idx| (home, idx)).or_else(|| {
-                        // Home shard drained: steal from the shard with
-                        // the most remaining work. A lost claim race
-                        // retries the scan until every cursor is past
-                        // its shard's end.
-                        loop {
-                            let victim = (0..shards.len())
-                                .map(|s| {
-                                    (s, shards[s].len()
-                                        .saturating_sub(cursors[s].load(Ordering::Relaxed)))
-                                })
-                                .filter(|&(_, remaining)| remaining > 0)
-                                .max_by_key(|&(_, remaining)| remaining);
-                            match victim {
-                                Some((s, _)) => {
-                                    if let Some(idx) = claim(s) {
-                                        break Some((s, idx));
-                                    }
-                                }
-                                None => break None,
-                            }
-                        }
-                    });
-                    let Some((shard, idx)) = claimed else { break };
-                    let result = run_shard_job(f, shard, idx, &shards[shard][idx]);
-                    if tx.send((shard, idx, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            let mut slots: Vec<Vec<Option<Result<R, JobPanic>>>> =
-                shards.iter().map(|shard| (0..shard.len()).map(|_| None).collect()).collect();
-            for (shard, idx, result) in rx {
-                slots[shard][idx] = Some(result);
-            }
-            slots
-                .into_iter()
-                .map(|shard| {
-                    shard
-                        .into_iter()
-                        .enumerate()
-                        .map(|(index, slot)| {
-                            // Unreachable with the catch_unwind contract;
-                            // degrade to a structured error, not a panic.
-                            slot.unwrap_or_else(|| {
-                                Err(JobPanic {
-                                    index,
-                                    message: "worker lost before producing a result".to_string(),
-                                })
-                            })
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-    }
-}
-
-/// Runs one sharded job under `catch_unwind`; the [`JobPanic`] carries
-/// the job's within-shard index.
-fn run_shard_job<T, R, F>(f: &F, shard: usize, index: usize, item: &T) -> Result<R, JobPanic>
-where
-    F: Fn(usize, usize, &T) -> R,
-{
-    catch_unwind(AssertUnwindSafe(|| f(shard, index, item)))
-        .map_err(|payload| JobPanic { index, message: panic_message(payload.as_ref()) })
 }
 
 /// Runs one job under `catch_unwind`, mapping a panic to [`JobPanic`].
@@ -471,110 +311,5 @@ mod tests {
     fn zero_thread_request_clamps_to_one() {
         assert_eq!(Pool::new(0).threads(), 1);
         assert!(Pool::host().threads() >= 1);
-    }
-
-    fn uneven_shards() -> Vec<Vec<u64>> {
-        // Deliberately lopsided: shard 0 holds most of the work, shard
-        // 2 is empty — the stealing scheduler must drain them all.
-        vec![(0..40).collect(), (40..47).collect(), vec![], (47..61).collect()]
-    }
-
-    #[test]
-    fn map_stealing_preserves_shard_major_order() {
-        let shards = uneven_shards();
-        for threads in [1, 2, 4, 8] {
-            let out = Pool::new(threads).map_stealing(&shards, |s, i, &x| {
-                assert_eq!(shards[s][i], x);
-                x * 3
-            });
-            let expect: Vec<Vec<u64>> =
-                shards.iter().map(|sh| sh.iter().map(|x| x * 3).collect()).collect();
-            assert_eq!(out, expect, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn map_stealing_drains_a_slow_board_shard() {
-        // One wedged item in shard 0 must not serialize its 19 healthy
-        // siblings: with stealing, the whole floor finishes in roughly
-        // the wedged item's own duration, not 20x it.
-        let shards: Vec<Vec<u64>> = vec![(0..20).collect(), (20..24).collect()];
-        let out = Pool::new(4).map_stealing(&shards, |s, i, &x| {
-            if s == 0 && i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            x + 1
-        });
-        assert_eq!(out[0], (1..21).collect::<Vec<u64>>());
-        assert_eq!(out[1], (21..25).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn try_map_stealing_isolates_panics_per_slot() {
-        let shards: Vec<Vec<usize>> = vec![(0..10).collect(), (10..20).collect()];
-        for threads in [1, 4] {
-            let out = Pool::new(threads).try_map_stealing(&shards, |s, i, &x| {
-                if x == 3 || x == 15 {
-                    panic!("boom {x}");
-                }
-                (s, i, x * 2)
-            });
-            assert_eq!(out.len(), 2, "{threads} threads");
-            for (s, shard) in out.iter().enumerate() {
-                for (i, slot) in shard.iter().enumerate() {
-                    let x = shards[s][i];
-                    match slot {
-                        Err(p) => {
-                            assert!(x == 3 || x == 15, "unexpected panic at {x}");
-                            assert_eq!(p.index, i);
-                            assert_eq!(p.message, format!("boom {x}"));
-                        }
-                        Ok(v) => assert_eq!(*v, (s, i, x * 2)),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn try_map_stealing_identical_across_thread_counts() {
-        let shards = uneven_shards();
-        let job = |s: usize, i: usize, &x: &u64| {
-            if x % 11 == 0 {
-                panic!("bad {x}");
-            }
-            x + (s as u64) * 1000 + i as u64
-        };
-        let serial = Pool::new(1).try_map_stealing(&shards, job);
-        for threads in [2, 8] {
-            assert_eq!(Pool::new(threads).try_map_stealing(&shards, job), serial);
-        }
-    }
-
-    #[test]
-    fn map_stealing_repanics_lowest_shard_and_index() {
-        let shards: Vec<Vec<usize>> = vec![(0..5).collect(), (5..10).collect()];
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            Pool::new(4).map_stealing(&shards, |_, _, &x| {
-                if x == 7 || x == 2 {
-                    panic!("kaboom {x}");
-                }
-                x
-            })
-        }));
-        let message = panic_message(caught.unwrap_err().as_ref());
-        assert_eq!(message, "job 2 panicked: kaboom 2");
-    }
-
-    #[test]
-    fn map_stealing_handles_empty_and_single_shard() {
-        let none: Vec<Vec<u8>> = vec![];
-        assert!(Pool::new(4).map_stealing(&none, |_, _, &x| x).is_empty());
-        let single = vec![(0..9u8).collect::<Vec<_>>()];
-        let out = Pool::new(4).map_stealing(&single, |s, _, &x| {
-            assert_eq!(s, 0);
-            x * 2
-        });
-        assert_eq!(out, vec![(0..9u8).map(|x| x * 2).collect::<Vec<_>>()]);
     }
 }

@@ -44,6 +44,9 @@ target/release/fig_detectors > /dev/null
 target/release/fig_waveforms "$tmp/waveforms" > /dev/null
 cargo run --release -q --example waveform_dump > /dev/null
 cargo run --release -q --example crosstalk_sweep > /dev/null
+# The one non-test caller of FleetEngine::stream: the floor scheduler
+# at 4 threads behind an 8-record bounded channel.
+cargo run --release -q --example fleet_floor > /dev/null
 echo "figure bins and examples: all run to completion"
 
 # expect_exit CODE CMD...: run CMD and fail unless it exits with CODE
@@ -115,10 +118,10 @@ same "$tmp/shed_ref_summary.json" "$tmp/shed_summary.json" \
     "resumed deadline summary differs from uninterrupted run"
 echo "deadline shed resume: summaries byte-identical"
 
-# Fleet determinism: a 1000-board sharded floor (three clients, one
+# Fleet determinism: a 1000-board floor (three clients, one
 # with a blown admission budget shedding every trial) must fold to a
-# merged summary byte-identical between a serial run and a
-# work-stealing 8-thread run.
+# merged summary byte-identical between a serial run and an 8-thread
+# run.
 SINT_THREADS=1 target/release/gate fleet \
     "$tmp/fleet_ref_ckpt.json" "$tmp/fleet_ref_summary.json"
 SINT_THREADS=8 target/release/gate fleet \

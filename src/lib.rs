@@ -16,7 +16,7 @@
 //!   ([`sint_interconnect`]).
 //! * [`jtag`] — IEEE 1149.1 boundary scan ([`sint_jtag`]).
 //! * [`core`] — the paper's signal-integrity extension ([`sint_core`]).
-//! * [`fleet`] — sharded test-floor orchestration with streaming
+//! * [`fleet`] — supervised test-floor orchestration with streaming
 //!   results and per-client admission control ([`sint_fleet`]).
 //!
 //! # Quickstart
