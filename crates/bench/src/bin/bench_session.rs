@@ -13,14 +13,18 @@
 //!
 //! The `paper_n32` rows time the paper geometry (n = 32, m = 10,
 //! 8 segments, 2 ps, 2 ns settle, SD window calibrated at build) per
-//! method; the artifact's `columns_per_session` records how many panel
-//! columns each solved — the n + 1 step-basis columns every MA pattern
-//! recombines from.
+//! method on a control die, then under method 3 on a coupling, an open
+//! and a weak-driver die; the artifact's `columns_per_session` records
+//! how many panel columns each solved — the n + 1 step-basis columns
+//! every MA pattern recombines from — and `steps_per_column` the
+//! timesteps each advanced on average (1000 for a full window, fewer
+//! where a certified early stop ended it).
 
 use sint_bench::emit_artifact;
 use sint_core::session::{ObservationMethod, SessionConfig};
 use sint_core::soc::SocBuilder;
 use sint_interconnect::params::BusParams;
+use sint_interconnect::Defect;
 use sint_runtime::bench::{black_box, Bench};
 use sint_runtime::json::{Json, ToJson};
 
@@ -75,30 +79,49 @@ fn main() {
         });
     }
 
-    let mut columns = Vec::new();
-    for (label, method) in [
-        ("m1", ObservationMethod::Once),
-        ("m2", ObservationMethod::PerInitialValue),
-        ("m3", ObservationMethod::PerPattern),
+    let (mut columns, mut steps) = (Vec::new(), Vec::new());
+    for (label, method, defect) in [
+        ("m1", ObservationMethod::Once, None),
+        ("m2", ObservationMethod::PerInitialValue, None),
+        ("m3", ObservationMethod::PerPattern, None),
+        (
+            "coupling_m3",
+            ObservationMethod::PerPattern,
+            Some(Defect::CouplingBoost { wire: 13, factor: 6.0 }),
+        ),
+        (
+            "open_m3",
+            ObservationMethod::PerPattern,
+            Some(Defect::ResistiveOpen { wire: 20, segment: 3, extra_ohms: 3000.0 }),
+        ),
+        (
+            "weak_m3",
+            ObservationMethod::PerPattern,
+            Some(Defect::WeakDriver { wire: 7, factor: 5.0 }),
+        ),
     ] {
         let cfg = SessionConfig::method(method);
-        let mut solved = 0;
+        let (mut solved, mut lane_steps) = (0, 0);
         b.measure(&format!("paper_n32/{label}"), || {
-            let mut soc = SocBuilder::new(32)
-                .extra_cells(10)
-                .bus_params(BusParams::dsm_bus(32).segments(8))
-                .build()
-                .expect("soc builds");
+            let mut builder =
+                SocBuilder::new(32).extra_cells(10).bus_params(BusParams::dsm_bus(32).segments(8));
+            if let Some(defect) = defect {
+                builder = builder.defect(defect);
+            }
+            let mut soc = builder.build().expect("soc builds");
             black_box(soc.run_integrity_test(&cfg).unwrap());
             solved = soc.transients_run();
+            lane_steps = soc.memo_stats().lane_steps;
         });
         columns.push((label, solved.to_json()));
+        steps.push((label, (lane_steps as f64 / solved as f64).to_json()));
     }
 
     print!("{}", b.table());
     let mut artifact = b.json();
     if let Json::Object(fields) = &mut artifact {
         fields.push(("columns_per_session".to_string(), Json::obj(columns)));
+        fields.push(("steps_per_column".to_string(), Json::obj(steps)));
     }
     emit_artifact("bench_session", &artifact);
 }

@@ -28,6 +28,7 @@ use crate::nd::{NdThresholds, NoiseDetector};
 use crate::sd::{SdWindow, SkewDetector};
 use sint_interconnect::drive::DriveLevel;
 use sint_interconnect::measure::settled_value;
+use sint_interconnect::solver::StopRule;
 use sint_jtag::bcell::{BoundaryCell, CellControl};
 use sint_logic::netlist::Netlist;
 use sint_logic::{LogicError, Logic};
@@ -47,6 +48,34 @@ pub const GUARD_EPS: f64 = 1e-9;
 
 /// Fraction of a pattern window the settled value averages over.
 const SETTLED_TAIL: f64 = 0.1;
+
+/// The widest deviation (V) of a receiver from its final rail that no
+/// OBSC decision can see: the smallest distance from either rail (0 V,
+/// `vdd`) to a level the ND walk or the settled-level comparison decides
+/// on — `v_low_max`, `v_high_min`, `vdd/2`, and the two overshoot
+/// limits `vdd + overshoot_margin` and `−overshoot_margin` — less
+/// `2·GUARD_EPS`. A sample within it of its rail therefore sits on the
+/// rail's side of every such level, more than [`GUARD_EPS`] away. Not
+/// positive when a level lies on (or within the guard band of) a rail,
+/// and `−∞` for non-finite thresholds: no stop is proved then.
+#[must_use]
+pub fn stop_tolerance(nd: &NdThresholds, vdd: f64) -> f64 {
+    let levels = [
+        nd.v_low_max,
+        nd.v_high_min,
+        vdd / 2.0,
+        vdd + nd.overshoot_margin,
+        -nd.overshoot_margin,
+    ];
+    if !levels.iter().all(|l| l.is_finite()) {
+        return f64::NEG_INFINITY;
+    }
+    let nearest = [0.0, vdd]
+        .iter()
+        .flat_map(|rail| levels.iter().map(move |level| (level - rail).abs()))
+        .fold(f64::INFINITY, f64::min);
+    nearest - 2.0 * GUARD_EPS
+}
 
 /// Behavioural OBSC implementing [`BoundaryCell`], with embedded ND/SD
 /// detector models.
@@ -158,6 +187,27 @@ impl Obsc {
         }
         let settled = settled_value(wave, SETTLED_TAIL) - vdd / 2.0;
         (settled.abs() > eps).then_some(if settled > 0.0 { flags | SETTLED_HIGH } else { flags })
+    }
+
+    /// The proved early stop under which [`Obsc::response`] and
+    /// [`Obsc::response_guarded`] read a stopped trace exactly as they
+    /// read the full window's (DESIGN.md §6h), for traces recombined with
+    /// coefficient magnitudes summing to at most `gain` (1 for a direct
+    /// solve, 3 for a step-basis column). Past the certified step every
+    /// sample sits within [`stop_tolerance`] of its rail, so the ND walk
+    /// no longer changes state and the settled level keeps its side of
+    /// `vdd/2`; a stopped trace also keeps the SD sample (launch at
+    /// `switch_at` on a grid of `dt`) and a settled tail wholly past the
+    /// certified step. `None` when the tolerance is not positive; an SD
+    /// sample past the window keeps the window full.
+    #[must_use]
+    pub fn stop_rule(&self, vdd: f64, dt: f64, switch_at: f64, gain: f64) -> Option<StopRule> {
+        let tolerance = stop_tolerance(self.nd.thresholds(), vdd);
+        (tolerance > 0.0).then(|| StopRule {
+            tolerance: tolerance / gain,
+            min_samples: self.sd.sample_index(dt, switch_at).saturating_add(1),
+            tail_fraction: SETTLED_TAIL,
+        })
     }
 
     /// The `sel` signal of Table 4: `!SI + ShiftDR`.

@@ -154,6 +154,14 @@ impl SkewDetector {
         }
     }
 
+    /// The sample index of the comparator's instant, `window` after a
+    /// launch at `t_launch`, on a grid of `dt`: [`SkewDetector::evaluate`]
+    /// reads it, or the last sample of a shorter waveform.
+    #[must_use]
+    pub(crate) fn sample_index(&self, dt: f64, t_launch: f64) -> usize {
+        ((t_launch + self.window.window) / dt).round() as usize
+    }
+
     /// `|wave[k] − target|` at the sample instant `k`, the one quantity
     /// the comparator decides on; `None` for an empty waveform.
     fn deviation(
@@ -165,8 +173,7 @@ impl SkewDetector {
         t_launch: f64,
     ) -> Option<f64> {
         let last = wave.len().checked_sub(1)?;
-        let t_sample = t_launch + self.window.window;
-        let k = ((t_sample / dt).round() as usize).min(last);
+        let k = self.sample_index(dt, t_launch).min(last);
         Some((wave[k] - final_level.voltage(vdd)).abs())
     }
 }

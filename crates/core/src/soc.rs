@@ -36,7 +36,7 @@ use crate::mafm::{
 };
 use crate::timing::ChainGeometry;
 use crate::nd::NdThresholds;
-use crate::obsc::{Obsc, GUARD_EPS, ND_HIT, SD_HIT, SETTLED_HIGH};
+use crate::obsc::{stop_tolerance, Obsc, GUARD_EPS, ND_HIT, SD_HIT, SETTLED_HIGH};
 use crate::pgbsc::Pgbsc;
 use crate::sd::SdWindow;
 use crate::session::{
@@ -48,7 +48,7 @@ use sint_interconnect::error::InterconnectError;
 use sint_interconnect::basis::StepBasis;
 use sint_interconnect::measure::propagation_delay;
 use sint_interconnect::params::{Bus, BusParams};
-use sint_interconnect::solver::{GuardrailEvent, PanelScratch, TransientSim};
+use sint_interconnect::solver::{GuardrailEvent, Horizon, PanelScratch, StopRule, TransientSim};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use sint_interconnect::variation::{apply_variation, VariationSigma};
@@ -253,38 +253,16 @@ impl SocBuilder {
 
         let dt = 2e-12;
         let settle = 2e-9;
-        // Calibrate the skew-immune window on the healthy bus: worst-case
-        // MA skew pattern (victim rising against falling aggressors, the
-        // Miller-slowed case) on a middle wire, with 2x design margin.
-        // One-pattern panel on the SoC's own panel scratch: bitwise the
-        // scalar run, on the lane kernels.
+        let nd = self.nd.unwrap_or_else(|| NdThresholds::for_vdd(bus.vdd()));
         let mut panel_scratch = PanelScratch::new();
         let sd_window = match self.sd_window {
             Some(w) => w,
             None => {
-                let sim = TransientSim::new(&healthy, dt)?;
-                let victim = self.wires / 2;
-                let pair = crate::mafm::fault_pair(self.wires, victim, IntegrityFault::Rs)?;
-                let waves = sim.run_pairs_cancellable(
-                    std::slice::from_ref(&pair),
-                    settle,
-                    &mut panel_scratch,
-                    None,
-                )?;
-                let delay = propagation_delay(
-                    waves.wire(0, victim),
-                    waves.dt(),
-                    healthy.vdd(),
-                    sim.switch_at(),
-                    true,
-                )
-                .ok_or_else(|| {
-                    CoreError::config("healthy bus never settles; cannot calibrate SD window")
-                })?;
-                2.0 * delay + healthy.rise_time()
+                let stop = calibration_stop(&nd, healthy.vdd());
+                let horizon = Horizon { duration: settle, stop };
+                calibrate_sd_window(&healthy, dt, horizon, &mut panel_scratch)?.0
             }
         };
-        let nd = self.nd.unwrap_or_else(|| NdThresholds::for_vdd(bus.vdd()));
         let sd = SdWindow::for_vdd(sd_window, bus.vdd());
 
         let mut device = Device::new("soc", extended_instruction_set()?);
@@ -338,6 +316,41 @@ impl SocBuilder {
     }
 }
 
+/// The proved stop of the SD-window calibration run: it reads only the
+/// victim's first 50 % crossing, and past a certified step every sample
+/// of the rising victim lies within [`stop_tolerance`] (below `Vdd/2`)
+/// of `Vdd`, so that crossing lies inside any stopped trace. No sample
+/// index or settled tail to keep.
+fn calibration_stop(nd: &NdThresholds, vdd: f64) -> Option<StopRule> {
+    let tolerance = stop_tolerance(nd, vdd);
+    (tolerance > 0.0).then_some(StopRule { tolerance, min_samples: 0, tail_fraction: 0.0 })
+}
+
+/// Calibrates the skew-immune window on the healthy bus: the worst-case
+/// MA skew pattern (victim rising against falling aggressors, the
+/// Miller-slowed case) on a middle wire, with 2x design margin. One
+/// pattern as a one-column panel over `horizon`: bitwise the scalar
+/// run, on the lane kernels. Returns the window and the samples the
+/// victim's trace kept.
+fn calibrate_sd_window(
+    healthy: &Bus,
+    dt: f64,
+    horizon: Horizon,
+    scratch: &mut PanelScratch,
+) -> Result<(f64, usize), CoreError> {
+    let sim = TransientSim::new(healthy, dt)?;
+    let wires = healthy.wires();
+    let victim = wires / 2;
+    let pair = crate::mafm::fault_pair(wires, victim, IntegrityFault::Rs)?;
+    let waves = sim.run_pairs_cancellable(std::slice::from_ref(&pair), horizon, scratch, None)?;
+    let delay =
+        propagation_delay(waves.wire(0, victim), waves.dt(), healthy.vdd(), sim.switch_at(), true)
+            .ok_or_else(|| {
+                CoreError::config("healthy bus never settles; cannot calibrate SD window")
+            })?;
+    Ok((2.0 * delay + healthy.rise_time(), waves.samples_of(0)))
+}
+
 /// Default [`SocBuilder::panel_width`]: how many columns one batched
 /// multi-RHS transient of a plan solve advances together. Eight fills
 /// the widest hand-unrolled solver kernel exactly.
@@ -368,6 +381,11 @@ pub struct MemoStats {
     /// MA-shaped pairs whose recombined response fell inside the guard
     /// band (or out of range) and went to a direct panel instead.
     pub guard_fallbacks: u64,
+    /// Timesteps the solver advanced per column, summed over every
+    /// panel and every pattern solved alone: full windows count
+    /// `columns · steps`, and each certified early stop
+    /// (DESIGN.md §6h) counts less.
+    pub lane_steps: u64,
 }
 
 /// One PGBSC half as data: patterns `0..=stop` from a preload of
@@ -944,7 +962,16 @@ impl Soc {
                 e => e.into(),
             })?;
         self.transients_run += 1;
+        self.memo_stats.lane_steps += waves.lane_steps();
         self.response(pair, waves.dt(), waves.switch_at(), |w| waves.wire(0, w))
+    }
+
+    /// The proved early stop for plan-solve columns recombined with
+    /// coefficient magnitudes summing to at most `gain`: every OBSC
+    /// shares the thresholds and window it derives from.
+    fn stop_rule(&self, gain: f64) -> Result<Option<StopRule>, CoreError> {
+        let (vdd, dt, switch_at) = (self.bus.vdd(), self.sim.dt(), self.sim.switch_at());
+        Ok(self.obsc(0)?.stop_rule(vdd, dt, switch_at, gain))
     }
 
     /// Memo key of the active solver and settle time.
@@ -988,11 +1015,13 @@ impl Soc {
             self.solve_basis_panel(panel, &mut direct)?;
             rest = tail;
         }
+        let horizon = Horizon { duration: self.settle, stop: self.stop_rule(1.0)? };
         for columns in direct.chunks(self.panel_width) {
             let cancel = self.cancel.as_ref();
             let waves =
-                self.sim.run_pairs_cancellable(columns, self.settle, &mut self.panel_scratch, cancel)?;
+                self.sim.run_pairs_cancellable(columns, horizon, &mut self.panel_scratch, cancel)?;
             self.transients_run += columns.len();
+            self.memo_stats.lane_steps += waves.lane_steps();
             let key = self.memo_key();
             for (c, pair) in columns.iter().enumerate() {
                 let response =
@@ -1007,16 +1036,20 @@ impl Soc {
     /// `victims`. While the columns are live all six fault pairs of
     /// every victim are recombined and memoized — both halves' — and
     /// each recombination the guard band refuses is added to `direct`.
+    /// A recombination `DC + a·(U − u_v) + b·u_v` has `|a| + |a| + |b|
+    /// ≤ 3`, so the columns stop under a third of the direct tolerance.
     fn solve_basis_panel(
         &mut self,
         victims: &[usize],
         direct: &mut Vec<VectorPair>,
     ) -> Result<(), CoreError> {
+        let horizon = Horizon { duration: self.settle, stop: self.stop_rule(3.0)? };
         let cancel = self.cancel.as_ref();
         let solved =
-            self.basis.solve(&self.sim, victims, self.settle, &mut self.panel_scratch, cancel)?;
+            self.basis.solve(&self.sim, victims, horizon, &mut self.panel_scratch, cancel)?;
         self.transients_run += solved;
         self.memo_stats.basis_columns += solved as u64;
+        self.memo_stats.lane_steps += self.basis.lane_steps();
         let key = self.memo_key();
         let mut wave = Vec::new();
         for &victim in victims {
@@ -1618,6 +1651,46 @@ mod tests {
 
     fn healthy(n: usize) -> Soc {
         SocBuilder::new(n).build().unwrap()
+    }
+
+    #[test]
+    fn calibrated_sd_window_is_bitwise_unchanged_by_the_stop() {
+        use sint_runtime::prop::{gen, Runner};
+        // The calibration reads only the victim's first 50 % crossing,
+        // inside the certified prefix: over random RC buses and both
+        // default and tighter thresholds, the stopped run calibrates
+        // exactly the window the full run does — and it does stop.
+        let mut stopped = 0;
+        Runner::new("sd_calibration_stop").cases(16).run(
+            |rng| {
+                let params = BusParams::dsm_bus(gen::usize_in(rng, 2..12))
+                    .segments(gen::usize_in(rng, 1..9))
+                    .r_per_mm(gen::f64_in(rng, 15.0..60.0))
+                    .cc_per_mm(gen::f64_in(rng, 10e-15..80e-15))
+                    .driver_r(gen::f64_in(rng, 60.0..240.0));
+                (params, gen::f64_in(rng, 0.05..0.3))
+            },
+            |(params, low)| {
+                let bus = params.clone().build().map_err(|e| e.to_string())?;
+                let vdd = bus.vdd();
+                let nd = NdThresholds { v_low_max: low * vdd, ..NdThresholds::for_vdd(vdd) };
+                let mut scratch = PanelScratch::new();
+                let full = Horizon::from(2e-9);
+                let cut = Horizon { stop: calibration_stop(&nd, vdd), ..full };
+                let calibrate = |horizon, scratch: &mut PanelScratch| {
+                    calibrate_sd_window(&bus, 2e-12, horizon, scratch).map_err(|e| e.to_string())
+                };
+                let (want, samples) = calibrate(full, &mut scratch)?;
+                let (got, kept) = calibrate(cut, &mut scratch)?;
+                stopped += usize::from(kept < samples);
+                if got.to_bits() == want.to_bits() {
+                    Ok(())
+                } else {
+                    Err(format!("window {got:e} after {kept} samples vs {want:e} after {samples}"))
+                }
+            },
+        );
+        assert!(stopped > 0, "no calibration run stopped early");
     }
 
     #[test]

@@ -36,10 +36,20 @@
 //! identical to the direct path compare with a guard band wider than
 //! that, and solve a pair directly whenever a compared quantity lands
 //! inside it (DESIGN.md §6g).
+//!
+//! Under a [`StopRule`] the victim columns stop early, but `U` does
+//! not: a recombined pair needs exact samples of both `U` and `u_v`
+//! until both are certified. The panel that carries `U` runs the full
+//! window and records the length `U` could have stopped at; every
+//! later victim column keeps at least that many samples, so each
+//! recombined trace, as long as its victim column, ends where both of
+//! its columns are certified. With `|a| + |a| + |b| ≤ 3` in the
+//! recombination, a rule of `tolerance / 3` for the columns bounds the
+//! recombined error by `tolerance` (DESIGN.md §6h).
 
 use crate::drive::{DriveLevel, VectorPair};
 use crate::error::InterconnectError;
-use crate::solver::{PanelScratch, TransientSim, WavePanel};
+use crate::solver::{Horizon, PanelScratch, StopRule, TransientSim, WavePanel};
 use sint_runtime::cancel::CancelToken;
 
 /// Largest simulator condition estimate a basis accepts. Beyond
@@ -55,9 +65,10 @@ const MAX_CONDITION: f64 = 1e4;
 /// against a fixed-voltage guard band.
 const RANGE_VDDS: f64 = 16.0;
 
-/// Identity of what a basis was solved for: bus fingerprint, then the
-/// bits of the timestep, edge-launch time and run duration.
-type BasisKey = (u64, u64, u64, u64);
+/// Identity of what a basis was solved for: bus fingerprint, the bits
+/// of the timestep, edge-launch time and run duration, and the stop
+/// rule `U`'s stopped length was taken under.
+type BasisKey = (u64, u64, u64, u64, Option<(u64, usize, u64)>);
 
 /// Step responses of one bus: the all-rise column `U`, held until the
 /// solver or duration changes, and the single-rise columns `u_v` of the
@@ -66,10 +77,16 @@ type BasisKey = (u64, u64, u64, u64);
 pub struct StepBasis {
     key: Option<BasisKey>,
     wires: usize,
+    /// Samples of each of `U`'s traces.
     samples: usize,
     vdd: f64,
-    /// `U`'s receiver traces, `[wire·samples + k]`; empty until solved.
+    /// `U`'s receiver traces over the full window, `[wire·samples + k]`;
+    /// empty until solved.
     all_rise: Vec<f64>,
+    /// The samples `U` could have stopped at under the key's stop rule
+    /// (`usize::MAX` when never certified): the fewest every later
+    /// victim column keeps.
+    all_rise_len: usize,
     /// Victims with a live single-rise column, in column order.
     victims: Vec<usize>,
     /// The last solved panel while its victim columns are live; they
@@ -121,8 +138,13 @@ impl StepBasis {
     }
 
     /// Solves, as one panel, `U` (unless held for this `sim` and
-    /// `duration`) followed by `u_v` for each of `victims`, which
+    /// `horizon`) followed by `u_v` for each of `victims`, which
     /// replace the live victim columns. Returns the columns solved.
+    ///
+    /// A horizon's [`StopRule`] applies to every column: the caller
+    /// divides its tolerance by the recombination's coefficient bound.
+    /// The panel that solves `U` runs the full window, and later panels
+    /// keep at least the samples `U` could have stopped at.
     ///
     /// # Errors
     ///
@@ -132,10 +154,11 @@ impl StepBasis {
         &mut self,
         sim: &TransientSim,
         victims: &[usize],
-        duration: f64,
+        horizon: impl Into<Horizon>,
         scratch: &mut PanelScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<usize, InterconnectError> {
+        let Horizon { duration, stop } = horizon.into();
         let bus = sim.bus();
         let n = bus.wires();
         let key = (
@@ -143,6 +166,7 @@ impl StepBasis {
             sim.dt().to_bits(),
             sim.switch_at().to_bits(),
             duration.to_bits(),
+            stop.map(|r| (r.tolerance.to_bits(), r.min_samples, r.tail_fraction.to_bits())),
         );
         if self.key != Some(key) {
             self.all_rise.clear();
@@ -160,20 +184,38 @@ impl StepBasis {
             after[v] = DriveLevel::High;
             pairs.push(VectorPair::new(low.clone(), after));
         }
-        let panel = sim.run_pairs_cancellable(&pairs, duration, scratch, cancel)?;
+        let carries_all_rise = self.all_rise.is_empty();
+        // The panel carrying `U` runs the full window, certifying only.
+        let floor = if carries_all_rise { usize::MAX } else { self.all_rise_len };
+        let panel_stop = stop.map(|rule| StopRule {
+            min_samples: rule.min_samples.max(floor),
+            ..rule
+        });
+        let horizon = Horizon { duration, stop: panel_stop };
+        let panel = sim.run_pairs_cancellable(&pairs, horizon, scratch, cancel)?;
         self.wires = n;
-        self.samples = panel.samples();
         self.vdd = bus.vdd();
         self.first = 0;
-        if self.all_rise.is_empty() {
+        if carries_all_rise {
             self.first = 1;
+            self.samples = panel.samples_of(0);
             self.all_rise = (0..n)
                 .flat_map(|w| panel.wire(0, w).iter().copied())
                 .collect();
+            self.all_rise_len = stop
+                .zip(panel.certified_at(0))
+                .map_or(usize::MAX, |(rule, at)| rule.stop_len(at));
         }
         self.panel = Some(panel);
         self.victims = victims.to_vec();
         Ok(pairs.len())
+    }
+
+    /// Timesteps the live panel advanced per lane, summed
+    /// ([`WavePanel::lane_steps`]); 0 once its victims are released.
+    #[must_use]
+    pub fn lane_steps(&self) -> u64 {
+        self.panel.as_ref().map_or(0, WavePanel::lane_steps)
     }
 
     /// Drops the victim columns, keeping `U`: what a caller holds
@@ -191,10 +233,13 @@ impl StepBasis {
     /// the direct run's, since every `u[0]` is zero. `sim` must be the
     /// simulator the basis was solved with.
     ///
+    /// The traces are as long as the victim's column: under a stop rule,
+    /// where both of their columns are certified.
+    ///
     /// Returns `Ok(false)`, leaving `out` unspecified, when `sim` is not
     /// [accepted](StepBasis::accepts), `pair` is not MA-shaped, its
-    /// victim has no live column, or a combined sample is non-finite or
-    /// beyond sixteen `Vdd` of ground.
+    /// victim has no live column, `U` is shorter than that column, or a
+    /// combined sample is non-finite or beyond sixteen `Vdd` of ground.
     ///
     /// # Errors
     ///
@@ -227,12 +272,19 @@ impl StepBasis {
         let aggressor = unit(if victim == 0 { 1 } else { 0 });
         let own = unit(victim);
         let (wires, samples) = (self.wires, self.samples);
+        let len = panel.samples_of(self.first + column);
+        if len > samples {
+            return Ok(false);
+        }
         let limit = RANGE_VDDS * self.vdd.abs();
         out.clear();
-        out.resize(wires * samples, 0.0);
+        // Sized for `U`'s full length once, so that columns of varying
+        // stopped lengths never reallocate the caller's buffer.
+        out.reserve(wires * samples);
+        out.resize(wires * len, 0.0);
         let mut in_range = true;
-        for (w, (trace, &level)) in out.chunks_exact_mut(samples).zip(&dc).enumerate() {
-            let all = &self.all_rise[w * samples..(w + 1) * samples];
+        for (w, (trace, &level)) in out.chunks_exact_mut(len).zip(&dc).enumerate() {
+            let all = &self.all_rise[w * samples..w * samples + len];
             let single = panel.wire(self.first + column, w);
             for ((x, &u), &uv) in trace.iter_mut().zip(all).zip(single) {
                 *x = level + aggressor * (u - uv) + own * uv;
@@ -343,6 +395,45 @@ mod tests {
             basis.solve(&sim, &[2], 0.6e-9, &mut scratch, None).unwrap(),
             2
         );
+    }
+
+    #[test]
+    fn stopped_columns_recombine_a_bitwise_prefix_of_the_full_basis() {
+        // Under a stop rule the panel carrying `U` runs the full window;
+        // later victim columns keep at least `U`'s stopped length, and
+        // every recombined trace is a bitwise prefix of the full basis's.
+        let bus = BusParams::dsm_bus(6).segments(3).build().unwrap();
+        let sim = TransientSim::new(&bus, 2e-12).unwrap();
+        let rule = StopRule { tolerance: 0.05, min_samples: 120, tail_fraction: 0.1 };
+        let horizon = Horizon { duration: 2e-9, stop: Some(rule) };
+        let (mut full, mut cut) = (StepBasis::new(), StepBasis::new());
+        let mut scratch = PanelScratch::new();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let mut shorter = 0;
+        for victims in [&[0, 1][..], &[2, 3, 4, 5][..]] {
+            full.solve(&sim, victims, 2e-9, &mut scratch, None).unwrap();
+            cut.solve(&sim, victims, horizon, &mut scratch, None).unwrap();
+            assert_eq!(cut.samples, full.samples, "U keeps the full window");
+            assert!(cut.all_rise_len < cut.samples, "U certifies: {}", cut.all_rise_len);
+            for &v in victims {
+                let after: String = (0..6).map(|w| if w == v { '0' } else { '1' }).collect();
+                let p = pair("000000", &after);
+                assert!(full.combine_into(&sim, &p, &mut a).unwrap());
+                assert!(cut.combine_into(&sim, &p, &mut b).unwrap());
+                let (la, lb) = (a.len() / 6, b.len() / 6);
+                assert!(lb >= cut.all_rise_len.min(la) && lb >= rule.min_samples, "{lb}");
+                shorter += usize::from(lb < la);
+                for w in 0..6 {
+                    let (ta, tb) = (&a[w * la..w * la + lb], &b[w * lb..(w + 1) * lb]);
+                    let prefix = ta.iter().zip(tb).all(|(x, y)| x.to_bits() == y.to_bits());
+                    assert!(prefix, "{p} wire {w}");
+                }
+            }
+        }
+        assert!(shorter > 0, "no victim column stopped early");
+        // A `U` shorter than the victim's column recombines nothing.
+        cut.samples = 10;
+        assert!(!cut.combine_into(&sim, &pair("000000", "110111"), &mut b).unwrap());
     }
 
     #[test]

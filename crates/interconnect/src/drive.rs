@@ -233,6 +233,12 @@ impl Stimulus {
     pub fn voltage(&self, wire: usize, t: f64) -> f64 {
         self.sources[wire].at(t)
     }
+
+    /// The time from which every source holds its final value `v1`.
+    #[must_use]
+    pub(crate) fn settles_at(&self) -> f64 {
+        self.sources.iter().map(|s| s.t_switch + s.ramp).fold(f64::NEG_INFINITY, f64::max)
+    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@
 //!   models; the system matrix is factored once per (topology, dt)
 //!   and reused every step. Every run goes through one entry point,
 //!   the batched [`TransientSim::run_pairs_cancellable`], which returns
-//!   the receiver-end traces as a [`WavePanel`].
+//!   the receiver-end traces as a [`WavePanel`] — over the full window,
+//!   or each ended early where a caller's [`solver::StopRule`] is proved.
 //! * [`basis`] — [`StepBasis`]: the all-rise and single-rise step
 //!   responses every MA-shaped pattern recombines from exactly, so a
 //!   session solves n + 1 columns instead of 6n patterns.

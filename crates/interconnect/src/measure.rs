@@ -90,9 +90,15 @@ pub fn skew(victim_arrival: f64, reference_arrival: f64) -> f64 {
 pub fn settled_value(wave: &[f64], tail_fraction: f64) -> f64 {
     assert!(!wave.is_empty(), "empty waveform");
     assert!(tail_fraction > 0.0 && tail_fraction <= 1.0, "bad tail fraction");
-    let start = ((wave.len() as f64) * (1.0 - tail_fraction)) as usize;
-    let tail = &wave[start.min(wave.len() - 1)..];
+    let tail = &wave[tail_start(wave.len(), tail_fraction).min(wave.len() - 1)..];
     tail.iter().sum::<f64>() / tail.len() as f64
+}
+
+/// The first sample of the last `tail_fraction` of a `len`-sample
+/// waveform, as [`settled_value`] averages it: non-decreasing in `len`.
+#[must_use]
+pub fn tail_start(len: usize, tail_fraction: f64) -> usize {
+    ((len as f64) * (1.0 - tail_fraction)) as usize
 }
 
 /// True when the waveform enters the *vulnerable region* for a held-low

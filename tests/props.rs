@@ -24,7 +24,7 @@ use sint::interconnect::defect::Defect;
 use sint::interconnect::drive::{DriveLevel, VectorPair};
 use sint::interconnect::linalg::Matrix;
 use sint::interconnect::params::BusParams;
-use sint::interconnect::solver::{PanelScratch, SolverBackend, TransientSim};
+use sint::interconnect::solver::{Horizon, PanelScratch, SolverBackend, TransientSim};
 use sint::interconnect::StepBasis;
 use sint::interconnect::variation::{apply_variation, SplitMix64, VariationSigma};
 use sint::jtag::bcell::{BoundaryCell, BoundaryRegister, CellControl, StandardBsc};
@@ -867,7 +867,12 @@ fn batched_sessions_render_byte_identical_to_the_scalar_oracle() {
     // three methods, healthy or degraded around a quarantine, and for
     // adaptive sessions whose escalation passes replay the memo — and
     // every pattern a width-8 session applies was solved by its plans.
-    // Conventional EXTEST generation costs the same at both widths.
+    // Conventional EXTEST generation costs the same at both widths. The
+    // width-1 oracle solves every pattern over the full window, while
+    // width-8 plan solves stop where passivity certifies them: at least
+    // one case must advance fewer lane-steps than its full windows, so
+    // a stop that never fires fails here.
+    let mut stopped_early = 0usize;
     Runner::new("batched_matches_scalar").cases(8).run(
         |rng| {
             let width = gen::usize_in(rng, 3..17);
@@ -917,14 +922,21 @@ fn batched_sessions_render_byte_identical_to_the_scalar_oracle() {
                 ObservationMethod::PerPattern,
             ] {
                 let cfg = SessionConfig { dt: 10e-12, ..SessionConfig::method(method) };
-                let render = |panel_width: usize| -> Result<(String, u64), String> {
+                let steps = (cfg.settle_time / cfg.dt).round() as u64;
+                let render = |panel_width: usize| -> Result<(String, u64, u64, u64), String> {
                     let mut soc = build(panel_width)?;
                     let report = soc.run_integrity_test(&cfg).map_err(|e| e.to_string())?;
-                    Ok((report.to_json().render(), soc.memo_stats().unplanned))
+                    let stats = soc.memo_stats();
+                    let full_windows = soc.transients_run() as u64 * steps;
+                    Ok((report.to_json().render(), stats.unplanned, stats.lane_steps, full_windows))
                 };
-                let (batched, unplanned) = render(8)?;
-                check_eq(batched, render(1)?.0)?;
+                let (batched, unplanned, lane_steps, full_windows) = render(8)?;
+                let (scalar, _, scalar_steps, scalar_full) = render(1)?;
+                check_eq(batched, scalar)?;
                 check_eq(unplanned, 0)?;
+                check_eq(scalar_steps, scalar_full)?;
+                check(lane_steps <= full_windows, || format!("{lane_steps} > {full_windows}"))?;
+                stopped_early += usize::from(lane_steps < full_windows);
             }
             let cfg =
                 SessionConfig { dt: 10e-12, ..SessionConfig::method(ObservationMethod::Once) };
@@ -955,6 +967,7 @@ fn batched_sessions_render_byte_identical_to_the_scalar_oracle() {
             check_eq(conventional(8)?, conventional(1)?)
         },
     );
+    assert!(stopped_early > 0, "no width-8 session stopped a column early");
 }
 
 // ---------------- Noise detector ----------------
@@ -1384,6 +1397,136 @@ fn basis_responses_are_byte_identical_to_direct_solves() {
             check(decided > 0, || "the guard band refused every response".to_string())
         },
     );
+}
+
+#[test]
+fn obsc_reads_certified_stops_exactly_as_full_windows() {
+    // A certified early stop must be invisible to the OBSC: over random
+    // RC buses with per-die variation and a defect, every pair's
+    // `response` and `response_guarded` read the same flags from a
+    // stopped trace as from the full window — directly solved (the
+    // direct rule) and recombined from a step basis solved in two
+    // panels (the basis rule, with `U`'s certified length as the
+    // second panel's floor). Thresholds are the defaults, tighter
+    // custom ones, or ones with a level on a rail, whose tolerance is
+    // not positive and whose runs must keep the full window.
+    let (mut stopped, mut recombined_stopped) = (0usize, 0usize);
+    Runner::new("obsc_certified_stop").cases(12).run(
+        |rng| {
+            let width = gen::usize_in(rng, 3..10);
+            let segments = gen::usize_in(rng, 1..4);
+            let seed = gen::u64_any(rng);
+            let wire = gen::usize_in(rng, 0..width);
+            let defect = match gen::usize_in(rng, 0..3) {
+                0 => Defect::CouplingBoost { wire, factor: gen::f64_in(rng, 1.5..8.0) },
+                1 => Defect::ResistiveOpen {
+                    wire,
+                    segment: gen::usize_in(rng, 0..segments),
+                    extra_ohms: gen::f64_in(rng, 500.0..4000.0),
+                },
+                _ => Defect::WeakDriver { wire, factor: gen::f64_in(rng, 2.0..12.0) },
+            };
+            let thresholds = gen::usize_in(rng, 0..3);
+            let window = gen::f64_in(rng, 80e-12..600e-12);
+            (width, segments, seed, defect, thresholds, window)
+        },
+        |(width, segments, seed, defect, thresholds, window)| {
+            let width = *width;
+            let mut bus =
+                BusParams::dsm_bus(width).segments(*segments).build().map_err(|e| e.to_string())?;
+            apply_variation(&mut bus, VariationSigma::typical(), *seed).map_err(|e| e.to_string())?;
+            defect.apply(&mut bus).map_err(|e| e.to_string())?;
+            let (dt, settle, vdd) = (4e-12, 2e-9, bus.vdd());
+            let nd = match thresholds {
+                0 => NdThresholds::for_vdd(vdd),
+                1 => NdThresholds {
+                    v_low_max: 0.15 * vdd,
+                    v_high_min: 0.9 * vdd,
+                    overshoot_margin: 0.05 * vdd,
+                },
+                _ => NdThresholds { v_low_max: 0.0, ..NdThresholds::for_vdd(vdd) },
+            };
+            let obsc = Obsc::new(nd, SdWindow::for_vdd(*window, vdd));
+            let sim = TransientSim::new(&bus, dt).map_err(|e| e.to_string())?;
+            let switch_at = sim.switch_at();
+            let (direct_rule, basis_rule) = (
+                obsc.stop_rule(vdd, dt, switch_at, 1.0),
+                obsc.stop_rule(vdd, dt, switch_at, 3.0),
+            );
+            check_eq(direct_rule.is_none(), *thresholds == 2)?;
+            check_eq(basis_rule.is_none(), *thresholds == 2)?;
+            let mut pairs = Vec::new();
+            for v in 0..width {
+                for f in IntegrityFault::ALL {
+                    pairs.push(fault_pair(width, v, f).map_err(|e| e.to_string())?);
+                }
+            }
+            let mut scratch = PanelScratch::new();
+            let mut run = |horizon: Horizon| {
+                sim.run_pairs_cancellable(&pairs, horizon, &mut scratch, None)
+                    .map_err(|e| e.to_string())
+            };
+            let full = run(Horizon::from(settle))?;
+            let cut = run(Horizon { duration: settle, stop: direct_rule })?;
+            let read = |trace: &[f64], pair: &VectorPair, w: usize| {
+                let edge = pair.switches(w).then(|| pair.after(w));
+                (
+                    obsc.response(trace, dt, vdd, edge, switch_at),
+                    obsc.response_guarded(trace, dt, vdd, edge, switch_at, GUARD_EPS),
+                )
+            };
+            for (c, pair) in pairs.iter().enumerate() {
+                stopped += usize::from(cut.samples_of(c) < full.samples());
+                if direct_rule.is_none() {
+                    check_eq(cut.samples_of(c), full.samples())?;
+                }
+                for w in 0..width {
+                    check(read(cut.wire(c, w), pair, w) == read(full.wire(c, w), pair, w), || {
+                        let kept = cut.samples_of(c);
+                        format!("{pair} wire {w}: direct flags differ after {kept} samples")
+                    })?;
+                }
+            }
+            // Recombined: a full basis against a stopped one, each
+            // solved in two panels.
+            let victims: Vec<usize> = (0..width).collect();
+            let (first, second) = victims.split_at(width / 2);
+            let mut whole = StepBasis::new();
+            let mut stopping = StepBasis::new();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for panel in [first, second] {
+                whole.solve(&sim, panel, settle, &mut scratch, None).map_err(|e| e.to_string())?;
+                let horizon = Horizon { duration: settle, stop: basis_rule };
+                stopping
+                    .solve(&sim, panel, horizon, &mut scratch, None)
+                    .map_err(|e| e.to_string())?;
+                let live = |p: &&VectorPair| {
+                    StepBasis::ma_victim(p).is_some_and(|v| panel.contains(&v))
+                };
+                for pair in pairs.iter().filter(live) {
+                    let combined =
+                        whole.combine_into(&sim, pair, &mut a).map_err(|e| e.to_string())?;
+                    let cut_combined =
+                        stopping.combine_into(&sim, pair, &mut b).map_err(|e| e.to_string())?;
+                    check_eq(cut_combined, combined)?;
+                    if !combined {
+                        continue;
+                    }
+                    let (la, lb) = (a.len() / width, b.len() / width);
+                    recombined_stopped += usize::from(lb < la);
+                    for w in 0..width {
+                        let (ta, tb) = (&a[w * la..(w + 1) * la], &b[w * lb..(w + 1) * lb]);
+                        check(read(ta, pair, w).1 == read(tb, pair, w).1, || {
+                            format!("{pair} wire {w}: recombined flags differ after {lb} samples")
+                        })?;
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(stopped > 0, "no direct run ever stopped early");
+    assert!(recombined_stopped > 0, "no recombined trace ever stopped early");
 }
 
 #[test]
