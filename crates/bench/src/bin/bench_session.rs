@@ -19,12 +19,25 @@
 //! every MA pattern recombines from — and `steps_per_column` the
 //! timesteps each advanced on average (1000 for a full window, fewer
 //! where a certified early stop ended it).
+//!
+//! The `paper_n32/recombine_detect` rows time one paper die's 192 MA
+//! responses recombined from its step basis by the fused
+//! recombine-and-detect pass (`obsc::recombined_response`), on a
+//! control and an open die. The basis is solved outside the timer, `U`
+//! alone first, then every victim in one panel stopped under `U`'s
+//! certified length, as every plan-solve panel after the first is.
 
 use sint_bench::emit_artifact;
+use sint_core::mafm::fault_pair;
+use sint_core::obsc::{recombined_response, Obsc, RecombineScratch};
 use sint_core::session::{ObservationMethod, SessionConfig};
 use sint_core::soc::SocBuilder;
+use sint_core::IntegrityFault;
+use sint_interconnect::basis::StepBasis;
+use sint_interconnect::drive::VectorPair;
 use sint_interconnect::params::BusParams;
-use sint_interconnect::Defect;
+use sint_interconnect::solver::{Horizon, PanelScratch, TransientSim};
+use sint_interconnect::{Defect, InterconnectError};
 use sint_runtime::bench::{black_box, Bench};
 use sint_runtime::json::{Json, ToJson};
 
@@ -115,6 +128,45 @@ fn main() {
         });
         columns.push((label, solved.to_json()));
         steps.push((label, (lane_steps as f64 / solved as f64).to_json()));
+    }
+
+    for (label, defect) in [
+        ("control", None),
+        ("open", Some(Defect::ResistiveOpen { wire: 20, segment: 3, extra_ohms: 3000.0 })),
+    ] {
+        let mut builder =
+            SocBuilder::new(32).extra_cells(10).bus_params(BusParams::dsm_bus(32).segments(8));
+        if let Some(defect) = defect {
+            builder = builder.defect(defect);
+        }
+        let mut soc = builder.build().expect("soc builds");
+        // Every OBSC of a die shares the thresholds and the calibrated
+        // window.
+        let cell = soc.driver_mut().chain().device(0).expect("one device");
+        let cell = cell.boundary().cell(32).expect("the first OBSC");
+        let cell = cell.as_any().downcast_ref::<Obsc>().expect("cells n..2n are OBSCs").clone();
+        let bus = soc.bus().clone();
+        let sim = TransientSim::new(&bus, 2e-12).expect("paper grid factorises");
+        let stop = cell.stop_rule(bus.vdd(), sim.dt(), sim.switch_at(), 3.0);
+        let horizon = Horizon { duration: 2e-9, stop };
+        let (mut basis, mut scratch) = (StepBasis::new(), PanelScratch::new());
+        let victims: Vec<usize> = (0..32).collect();
+        for columns in [&[][..], &victims[..]] {
+            basis.solve(&sim, columns, horizon, &mut scratch, None).expect("basis solves");
+        }
+        let pairs: Vec<VectorPair> = victims
+            .iter()
+            .flat_map(|&v| IntegrityFault::ALL.map(|f| fault_pair(32, v, f).expect("in range")))
+            .collect();
+        let mut recombine = RecombineScratch::new();
+        b.measure(&format!("paper_n32/recombine_detect/{label}"), || {
+            for pair in &pairs {
+                let cell = |_| Ok::<_, InterconnectError>(&cell);
+                let response =
+                    recombined_response(&basis, &sim, pair, bus.vdd(), cell, &mut recombine);
+                black_box(response.expect("in range"));
+            }
+        });
     }
 
     print!("{}", b.table());

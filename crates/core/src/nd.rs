@@ -24,6 +24,8 @@
 //! A slow-but-monotone edge passes the ND — added delay is the SD
 //! cell's job — which reproduces the paper's clean noise/skew split.
 
+use sint_interconnect::basis::CHUNK;
+use std::ops::ControlFlow;
 
 /// Voltage thresholds for a noise detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,16 +125,6 @@ impl NoiseDetector {
         self.latched = false;
     }
 
-    fn side_of(&self, v: f64) -> Option<Side> {
-        if v <= self.thresholds.v_low_max {
-            Some(Side::Below)
-        } else if v >= self.thresholds.v_high_min {
-            Some(Side::Above)
-        } else {
-            None
-        }
-    }
-
     /// Feeds one pattern window's received waveform (`dt` seconds per
     /// sample, supply `vdd`) through the detector; see the module
     /// documentation for the latching conditions.
@@ -172,55 +164,219 @@ impl NoiseDetector {
         self.scan(wave, vdd, Some(eps))
     }
 
-    /// The detector's sample walk; with a guard, `None` as soon as a
-    /// sample the walk looks at sits within the band of a threshold.
-    fn scan(&self, wave: &[f64], vdd: f64, guard: Option<f64>) -> Option<bool> {
+    /// The detector's state machine over one pattern window, before
+    /// its first sample, with the overshoot limits of a `vdd` supply;
+    /// with a guard it refuses as soon as a sample it looks at sits
+    /// within `guard` of a threshold.
+    #[must_use]
+    pub(crate) fn walk(&self, vdd: f64, guard: Option<f64>) -> NdWalk {
         let t = &self.thresholds;
-        let (over, under) = (vdd + t.overshoot_margin, -t.overshoot_margin);
-        let mut outside = wave.first().and_then(|&v| self.side_of(v));
-        let mut entered_from: Option<Side> = None;
-        let mut traversals = 0u32;
+        NdWalk {
+            v_low_max: t.v_low_max,
+            v_high_min: t.v_high_min,
+            over: vdd + t.overshoot_margin,
+            under: -t.overshoot_margin,
+            guard,
+            outside: None,
+            entered_from: None,
+            traversals: 0,
+        }
+    }
+
+    /// The detector's sample walk: `Some(verdict)`, or `None` when the
+    /// guard refuses.
+    fn scan(&self, wave: &[f64], vdd: f64, guard: Option<f64>) -> Option<bool> {
+        let mut walk = self.walk(vdd, guard);
         for &v in wave {
-            if let Some(eps) = guard {
-                let clear = |threshold: f64| (v - threshold).abs() > eps;
-                if !(clear(t.v_low_max) && clear(t.v_high_min) && clear(over) && clear(under)) {
-                    return None;
-                }
-            }
-            if v > over || v < under {
-                return Some(true);
-            }
-            match self.side_of(v) {
-                None => {
-                    if entered_from.is_none() {
-                        entered_from = outside;
-                    }
-                }
-                Some(s) => {
-                    if let Some(e) = entered_from.take() {
-                        if e == s {
-                            // Same-side return: a glitch.
-                            return Some(true);
-                        }
-                        traversals += 1;
-                    } else if outside.is_some() && outside != Some(s) {
-                        // Jumped straight across between two samples.
-                        traversals += 1;
-                    }
-                    if traversals >= 2 {
-                        return Some(true);
-                    }
-                    outside = Some(s);
-                }
+            if let ControlFlow::Break(verdict) = walk.step(v) {
+                return verdict;
             }
         }
         Some(false)
+    }
+
+    /// [`NoiseDetector::evaluate_guarded`] (or, without a guard,
+    /// [`NoiseDetector::evaluate`] as `Some`) of a trace read chunk by
+    /// chunk, computing samples only where they can matter: a chunk
+    /// whose bounds are known is skipped when [`NdWalk::pass`] walks it
+    /// from them, or the walk has already decided. Every chunk with
+    /// unknown bounds is filled, decided or not, so a trace that refuses
+    /// some samples is refused whenever its bounds do not vouch for
+    /// them. Returns the verdict (`None` when the guard or the trace
+    /// refuses) and the chunks skipped.
+    pub(crate) fn scan_chunked(
+        &self,
+        trace: &impl ChunkedTrace,
+        vdd: f64,
+        guard: Option<f64>,
+    ) -> (Option<bool>, u64) {
+        let mut walk = self.walk(vdd, guard);
+        let mut decided = None;
+        let mut skipped = 0;
+        let mut buf = [0.0; CHUNK];
+        let len = trace.samples();
+        for chunk in 0..len.div_ceil(CHUNK) {
+            let known = trace.bounds(chunk);
+            if known.is_some_and(|(lo, hi)| decided.is_some() || walk.pass(lo, hi)) {
+                skipped += 1;
+                continue;
+            }
+            let start = chunk * CHUNK;
+            let samples = &mut buf[..CHUNK.min(len - start)];
+            if !trace.fill(start, samples) {
+                return (None, skipped);
+            }
+            if decided.is_some() {
+                continue;
+            }
+            for &v in samples.iter() {
+                match walk.step(v) {
+                    ControlFlow::Continue(()) => {}
+                    ControlFlow::Break(None) => return (None, skipped),
+                    ControlFlow::Break(Some(hit)) => {
+                        decided = Some(hit);
+                        break;
+                    }
+                }
+            }
+        }
+        (Some(decided.unwrap_or(false)), skipped)
+    }
+}
+
+/// A receiver trace read in chunks of [`CHUNK`] samples (the last one
+/// shorter), for walks that compute samples only where they must.
+pub(crate) trait ChunkedTrace {
+    /// Samples in the trace.
+    fn samples(&self) -> usize;
+
+    /// A finite interval holding every sample of chunk `chunk`, or
+    /// `None` when none is known (a sample may be non-finite, or one
+    /// [`ChunkedTrace::fill`] refuses).
+    fn bounds(&self, chunk: usize) -> Option<(f64, f64)>;
+
+    /// Writes samples `start..start + out.len()` into `out`; `false`
+    /// when one of them refuses the whole trace.
+    fn fill(&self, start: usize, out: &mut [f64]) -> bool;
+}
+
+/// The ND walk of one pattern window, resumable sample by sample
+/// ([`NoiseDetector::walk`]): every evaluation of the detector drives
+/// it, sample by sample or chunk by chunk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct NdWalk {
+    v_low_max: f64,
+    v_high_min: f64,
+    /// The overshoot limits, `vdd + overshoot_margin` and
+    /// `−overshoot_margin`.
+    over: f64,
+    under: f64,
+    guard: Option<f64>,
+    /// The side the last sample outside the band sat on.
+    outside: Option<Side>,
+    /// The side a pending band entry came from.
+    entered_from: Option<Side>,
+    /// Completed traversals of the band.
+    traversals: u32,
+}
+
+impl NdWalk {
+    fn side_of(&self, v: f64) -> Option<Side> {
+        if v <= self.v_low_max {
+            Some(Side::Below)
+        } else if v >= self.v_high_min {
+            Some(Side::Above)
+        } else {
+            None
+        }
+    }
+
+    /// Walks one sample: `Continue` while undecided, `Break(Some(true))`
+    /// once the detector fires, `Break(None)` when the guard refuses
+    /// the sample.
+    pub(crate) fn step(&mut self, v: f64) -> ControlFlow<Option<bool>> {
+        if let Some(eps) = self.guard {
+            let clear = |threshold: f64| (v - threshold).abs() > eps;
+            let levels = [self.v_low_max, self.v_high_min, self.over, self.under];
+            if !levels.into_iter().all(clear) {
+                return ControlFlow::Break(None);
+            }
+        }
+        if v > self.over || v < self.under {
+            return ControlFlow::Break(Some(true));
+        }
+        match self.side_of(v) {
+            None => {
+                if self.entered_from.is_none() {
+                    self.entered_from = self.outside;
+                }
+            }
+            Some(s) => {
+                if let Some(e) = self.entered_from.take() {
+                    if e == s {
+                        // Same-side return: a glitch.
+                        return ControlFlow::Break(Some(true));
+                    }
+                    self.traversals += 1;
+                } else if self.outside.is_some_and(|o| o != s) {
+                    // Jumped straight across between two samples.
+                    self.traversals += 1;
+                }
+                if self.traversals >= 2 {
+                    return ControlFlow::Break(Some(true));
+                }
+                self.outside = Some(s);
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Walks a run of samples known only to lie in `[lo, hi]`, when
+    /// that is enough: every such sample sits on one side of the band,
+    /// within the overshoot limits and, under a guard, more than the
+    /// guard from every threshold, and the walk is either settled on
+    /// that side, with no band entry pending (the run leaves it as it
+    /// is), or has seen no sample outside the band yet (the run settles
+    /// it there). Returns whether it did; otherwise the walk
+    /// is untouched and the samples must be stepped one by one. Each
+    /// test is a [`NdWalk::step`] comparison applied to an end of the
+    /// interval, and rounding is monotone, so a sample inside the
+    /// interval passes it too (DESIGN.md §6i).
+    pub(crate) fn pass(&mut self, lo: f64, hi: f64) -> bool {
+        let side = if hi <= self.v_low_max {
+            Side::Below
+        } else if lo > self.v_low_max && lo >= self.v_high_min {
+            Side::Above
+        } else {
+            return false;
+        };
+        let clear = |threshold: f64| {
+            self.guard.is_none_or(|eps| lo - threshold > eps || hi - threshold < -eps)
+        };
+        let levels = [self.v_low_max, self.v_high_min, self.over, self.under];
+        if !(lo >= self.under && hi <= self.over && levels.into_iter().all(clear)) {
+            return false;
+        }
+        match (self.outside, self.entered_from) {
+            (Some(outside), None) => outside == side,
+            // Nothing outside the band yet, so no traversal either: the
+            // run's first sample sets the side.
+            (None, None) => {
+                self.outside = Some(side);
+                true
+            }
+            // The run's first sample resolves the pending entry.
+            (_, Some(_)) => false,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sint_interconnect::basis::ChunkEnvelope;
+    use sint_runtime::prop::{gen, Runner};
+    use sint_runtime::rng::Rng64;
 
     fn det() -> NoiseDetector {
         let mut nd = NoiseDetector::new(NdThresholds::for_vdd(1.8));
@@ -395,5 +551,116 @@ mod tests {
         assert!(!nd.latch(false));
         assert!(nd.latch(nd.evaluate(&glitch, 1e-12, 1.8)));
         assert!(nd.violation());
+    }
+
+    /// A materialised trace read through the production chunk
+    /// envelopes, as `0 + 1·D + 0·S` with `D` the trace and `S = 0`:
+    /// exactly the trace's samples.
+    struct Materialised<'a> {
+        wave: &'a [f64],
+        zeros: Vec<f64>,
+    }
+
+    impl ChunkedTrace for Materialised<'_> {
+        fn samples(&self) -> usize {
+            self.wave.len()
+        }
+
+        fn bounds(&self, chunk: usize) -> Option<(f64, f64)> {
+            let range = chunk * CHUNK..self.wave.len().min((chunk + 1) * CHUNK);
+            ChunkEnvelope::of(&self.wave[range.clone()], &self.zeros[range]).bounds(0.0, 1.0, 0.0)
+        }
+
+        fn fill(&self, start: usize, out: &mut [f64]) -> bool {
+            out.copy_from_slice(&self.wave[start..start + out.len()]);
+            true
+        }
+    }
+
+    const EPS: f64 = 1e-9;
+
+    /// A trace of constant and ramping stretches between levels on and
+    /// around every threshold, with stretch ends often on chunk edges;
+    /// sometimes a NaN or ±∞ dropped into it, and sometimes a threshold
+    /// moved to within 2·EPS of a sample at a chunk's first or last
+    /// index.
+    fn arb_case(rng: &mut Rng64) -> (Vec<f64>, NdThresholds) {
+        let vdd = 1.8;
+        let mut nd = NdThresholds::for_vdd(vdd);
+        let len = match gen::usize_in(rng, 0..4) {
+            0 => 1,
+            1 => gen::usize_in(rng, 2..CHUNK),
+            _ => gen::usize_in(rng, CHUNK..8 * CHUNK),
+        };
+        let level = |rng: &mut Rng64| {
+            let base = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.3, -0.3];
+            let offset = [0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 1e6, -1e6, 5e7];
+            gen::one_of(rng, &base) * vdd + gen::one_of(rng, &offset) * EPS
+        };
+        let mut wave = Vec::with_capacity(len);
+        let mut at = level(rng);
+        while wave.len() < len {
+            let edge = (wave.len() / CHUNK + 1) * CHUNK;
+            let stretch = if gen::bool_any(rng) {
+                (edge + gen::usize_in(rng, 0..3)).saturating_sub(wave.len() + 1).max(1)
+            } else {
+                gen::usize_in(rng, 1..40)
+            };
+            let to = level(rng);
+            let ramp = gen::bool_any(rng);
+            for i in 0..stretch.min(len - wave.len()) {
+                let noise = if gen::bool_any(rng) { gen::f64_in(rng, -1e-4..1e-4) } else { 0.0 };
+                let v = if ramp { at + (to - at) * (i + 1) as f64 / stretch as f64 } else { to };
+                wave.push(v + noise);
+            }
+            at = to;
+        }
+        if gen::usize_in(rng, 0..4) == 0 {
+            let k = gen::usize_in(rng, 0..len);
+            wave[k] = gen::one_of(rng, &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        }
+        if gen::bool_any(rng) {
+            let chunk = gen::usize_in(rng, 0..len.div_ceil(CHUNK));
+            let (first, last) = (chunk * CHUNK, len.min((chunk + 1) * CHUNK) - 1);
+            let k = if gen::bool_any(rng) { first } else { last };
+            let at = wave[k] + gen::f64_in(rng, -2.0 * EPS..2.0 * EPS);
+            match gen::usize_in(rng, 0..4) {
+                0 => nd.v_low_max = at,
+                1 => nd.v_high_min = at,
+                2 => nd.overshoot_margin = at - vdd,
+                _ => nd.overshoot_margin = -at,
+            }
+        }
+        (wave, nd)
+    }
+
+    #[test]
+    fn chunked_walks_equal_sample_walks() {
+        // Skipping a chunk from its envelope must never change a
+        // verdict: the chunked walk gives exactly `evaluate` and
+        // `evaluate_guarded` on traces built to touch each threshold
+        // at chunk edges, carrying NaN or ±∞, shorter than a chunk, or
+        // one sample long. Some chunks must be skipped, or the test
+        // proves nothing.
+        let (mut skipped, mut verdicts) = (0, [0usize; 3]);
+        Runner::new("chunked_nd_walk").cases(2000).run(arb_case, |(wave, nd)| {
+            let detector = NoiseDetector::new(*nd);
+            let trace = Materialised { wave, zeros: vec![0.0; wave.len()] };
+            let (plain, n) = detector.scan_chunked(&trace, 1.8, None);
+            let (guarded, m) = detector.scan_chunked(&trace, 1.8, Some(EPS));
+            skipped += n + m;
+            verdicts[guarded.map_or(2, usize::from)] += 1;
+            let want = (
+                Some(detector.evaluate(wave, 1e-12, 1.8)),
+                detector.evaluate_guarded(wave, 1e-12, 1.8, EPS),
+            );
+            if (plain, guarded) == want {
+                Ok(())
+            } else {
+                Err(format!("chunked {:?} vs sample walk {want:?}", (plain, guarded)))
+            }
+        });
+        assert!(skipped > 0, "no chunk was ever skipped");
+        assert!(verdicts.iter().all(|&n| n > 0), "guarded clean/hit/refused: {verdicts:?}");
     }
 }

@@ -24,11 +24,13 @@
 //! | SDFF   | 1      | 1  |
 //! | Normal | x      | 0  |
 
-use crate::nd::{NdThresholds, NoiseDetector};
+use crate::nd::{ChunkedTrace, NdThresholds, NoiseDetector};
 use crate::sd::{SdWindow, SkewDetector};
-use sint_interconnect::drive::DriveLevel;
-use sint_interconnect::measure::settled_value;
-use sint_interconnect::solver::StopRule;
+use sint_interconnect::basis::{ChunkEnvelope, RecombinedWire, StepBasis, CHUNK};
+use sint_interconnect::drive::{DriveLevel, VectorPair};
+use sint_interconnect::measure::{settled_value, tail_start};
+use sint_interconnect::solver::{StopRule, TransientSim};
+use sint_interconnect::InterconnectError;
 use sint_jtag::bcell::{BoundaryCell, CellControl};
 use sint_logic::netlist::Netlist;
 use sint_logic::{LogicError, Logic};
@@ -75,6 +77,100 @@ pub fn stop_tolerance(nd: &NdThresholds, vdd: f64) -> f64 {
         .flat_map(|rail| levels.iter().map(move |level| (level - rail).abs()))
         .fold(f64::INFINITY, f64::min);
     nearest - 2.0 * GUARD_EPS
+}
+
+/// Reusable buffers of [`recombined_response`]: the [`ChunkEnvelope`]s
+/// of the victim columns it read last, which all six MA pairs of a
+/// victim share, and the DC receivers of the pair in hand.
+#[derive(Debug, Clone, Default)]
+pub struct RecombineScratch {
+    /// The [`Recombination::columns`](sint_interconnect::basis::Recombination::columns)
+    /// `envelopes` belong to.
+    columns: Option<(u64, usize)>,
+    envelopes: Vec<ChunkEnvelope>,
+    dc: Vec<f64>,
+    /// Chunks whose samples no response computed, summed over every
+    /// call.
+    pub skipped_chunks: u64,
+}
+
+impl RecombineScratch {
+    /// Empty buffers.
+    #[must_use]
+    pub fn new() -> RecombineScratch {
+        RecombineScratch::default()
+    }
+}
+
+/// One wire of a recombination, read chunk by chunk through its
+/// victim's envelopes; a sample out of range refuses the trace, as
+/// [`StepBasis::combine_into`] refuses it.
+struct FusedWire<'a> {
+    wire: RecombinedWire<'a>,
+    envelopes: &'a [ChunkEnvelope],
+}
+
+impl ChunkedTrace for FusedWire<'_> {
+    fn samples(&self) -> usize {
+        self.wire.len()
+    }
+
+    fn bounds(&self, chunk: usize) -> Option<(f64, f64)> {
+        self.wire.bounds(&self.envelopes[chunk])
+    }
+
+    fn fill(&self, start: usize, out: &mut [f64]) -> bool {
+        self.wire.fill(start, out)
+    }
+}
+
+/// The response of MA-shaped `pair` recombined from `basis`'s live
+/// columns: exactly what [`StepBasis::combine_into`] followed by
+/// [`Obsc::response_guarded`] with [`GUARD_EPS`] on every wire gives,
+/// `None` included, in one fused pass that computes a sample only where
+/// a detector level is in reach (DESIGN.md §6i). `cell(w)` is wire
+/// `w`'s OBSC and `vdd` the bus supply. Allocates nothing but the
+/// response: the victim's envelopes and the DC receivers live in
+/// `scratch`, which counts the chunks skipped.
+///
+/// # Errors
+///
+/// [`InterconnectError::WireOutOfRange`] for a pair width mismatch, and
+/// whatever `cell` fails with.
+pub fn recombined_response<'c, E: From<InterconnectError>>(
+    basis: &StepBasis,
+    sim: &TransientSim,
+    pair: &VectorPair,
+    vdd: f64,
+    cell: impl Fn(usize) -> Result<&'c Obsc, E>,
+    scratch: &mut RecombineScratch,
+) -> Result<Option<Box<[u8]>>, E> {
+    let RecombineScratch { columns, envelopes, dc, skipped_chunks } = scratch;
+    let Some(recombination) = basis.recombination(sim, pair, dc)? else {
+        return Ok(None);
+    };
+    if *columns != Some(recombination.columns()) {
+        recombination.envelopes_into(envelopes);
+        *columns = Some(recombination.columns());
+    }
+    let chunks = recombination.samples().div_ceil(CHUNK);
+    let (dt, switch_at) = (sim.dt(), sim.switch_at());
+    let mut response = Vec::with_capacity(recombination.wires());
+    for w in 0..recombination.wires() {
+        let trace = FusedWire {
+            wire: recombination.wire(w),
+            envelopes: &envelopes[w * chunks..(w + 1) * chunks],
+        };
+        let edge = pair.switches(w).then(|| pair.after(w));
+        let (flags, skipped) =
+            cell(w)?.response_chunked(&trace, dt, vdd, edge, switch_at, GUARD_EPS);
+        *skipped_chunks += skipped;
+        match flags {
+            Some(flags) => response.push(flags),
+            None => return Ok(None),
+        }
+    }
+    Ok(Some(response.into()))
 }
 
 /// Behavioural OBSC implementing [`BoundaryCell`], with embedded ND/SD
@@ -187,6 +283,58 @@ impl Obsc {
         }
         let settled = settled_value(wave, SETTLED_TAIL) - vdd / 2.0;
         (settled.abs() > eps).then_some(if settled > 0.0 { flags | SETTLED_HIGH } else { flags })
+    }
+
+    /// [`Obsc::response_guarded`] of a trace read chunk by chunk: the
+    /// ND walk computes samples only in the chunks it cannot pass
+    /// unchanged ([`NoiseDetector::scan_chunked`]), while the SD sample
+    /// and the settled tail are computed exactly. Every sample computed
+    /// is bitwise the one `response_guarded` would read, so the two
+    /// agree whenever the trace's samples are those of `wave` (`None`
+    /// included). Also `None` when the trace refuses a sample. Returns
+    /// the response and the chunks whose samples the walk skipped.
+    #[must_use]
+    pub(crate) fn response_chunked(
+        &self,
+        trace: &impl ChunkedTrace,
+        dt: f64,
+        vdd: f64,
+        edge: Option<DriveLevel>,
+        switch_at: f64,
+        eps: f64,
+    ) -> (Option<u8>, u64) {
+        let (nd, skipped) = self.nd.scan_chunked(trace, vdd, Some(eps));
+        let flags = || {
+            let len = trace.samples();
+            let last = len.checked_sub(1)?;
+            let mut flags = if nd? { ND_HIT } else { 0 };
+            let mut buf = [0.0; CHUNK];
+            if let Some(level) = edge {
+                let k = self.sd.sample_index(dt, switch_at).min(last);
+                if !trace.fill(k, &mut buf[..1]) {
+                    return None;
+                }
+                let deviation = (buf[0] - level.voltage(vdd)).abs();
+                if self.sd.decide_guarded(deviation, eps)? {
+                    flags |= SD_HIT;
+                }
+            }
+            // `settled_value`'s sequential tail sum, sample for sample
+            // (`Iterator::sum` starts from −0).
+            let start = tail_start(len, SETTLED_TAIL).min(last);
+            let mut tail = -0.0;
+            for from in (start..len).step_by(CHUNK) {
+                let samples = &mut buf[..CHUNK.min(len - from)];
+                if !trace.fill(from, samples) {
+                    return None;
+                }
+                tail = samples.iter().fold(tail, |sum, v| sum + v);
+            }
+            let settled = tail / (len - start) as f64 - vdd / 2.0;
+            let high = if settled > 0.0 { SETTLED_HIGH } else { 0 };
+            (settled.abs() > eps).then_some(flags | high)
+        };
+        (flags(), skipped)
     }
 
     /// The proved early stop under which [`Obsc::response`] and

@@ -146,12 +146,17 @@ impl SkewDetector {
         t_launch: f64,
         eps: f64,
     ) -> Option<bool> {
-        let tolerance = self.window.settle_tolerance;
         match self.deviation(wave, dt, vdd, final_level, t_launch) {
             None => Some(false),
-            Some(d) if (d - tolerance).abs() > eps => Some(d > tolerance),
-            Some(_) => None,
+            Some(d) => self.decide_guarded(d, eps),
         }
+    }
+
+    /// The guarded verdict on a sampled deviation `|wave[k] − target|`:
+    /// `None` within `eps` of `settle_tolerance`.
+    pub(crate) fn decide_guarded(&self, deviation: f64, eps: f64) -> Option<bool> {
+        let tolerance = self.window.settle_tolerance;
+        ((deviation - tolerance).abs() > eps).then_some(deviation > tolerance)
     }
 
     /// The sample index of the comparator's instant, `window` after a

@@ -36,7 +36,9 @@ use crate::mafm::{
 };
 use crate::timing::ChainGeometry;
 use crate::nd::NdThresholds;
-use crate::obsc::{stop_tolerance, Obsc, GUARD_EPS, ND_HIT, SD_HIT, SETTLED_HIGH};
+use crate::obsc::{
+    recombined_response, stop_tolerance, Obsc, RecombineScratch, ND_HIT, SD_HIT, SETTLED_HIGH,
+};
 use crate::pgbsc::Pgbsc;
 use crate::sd::SdWindow;
 use crate::session::{
@@ -300,6 +302,7 @@ impl SocBuilder {
             memo: HashMap::new(),
             memo_stats: MemoStats::default(),
             basis: StepBasis::new(),
+            recombine: RecombineScratch::new(),
             log: Vec::new(),
             panel_width: self.panel_width,
             wires: self.wires,
@@ -386,6 +389,10 @@ pub struct MemoStats {
     /// `columns · steps`, and each certified early stop
     /// (DESIGN.md §6h) counts less.
     pub lane_steps: u64,
+    /// Chunks of recombined traces whose samples were never computed:
+    /// the fused pass proved from the victim's envelopes that the ND
+    /// walk passes them unchanged (DESIGN.md §6i).
+    pub skipped_chunks: u64,
 }
 
 /// One PGBSC half as data: patterns `0..=stop` from a preload of
@@ -615,6 +622,9 @@ pub struct Soc {
     /// Step responses of the active solver. Between plan solves it
     /// holds the all-rise column only.
     basis: StepBasis,
+    /// Reused buffers of the fused recombine-and-detect pass: one
+    /// victim's chunk envelopes and one pair's DC receivers.
+    recombine: RecombineScratch,
     /// The current session's applied pairs, bit-packed in order (see
     /// [`pack_pair`]).
     log: Vec<u64>,
@@ -1051,14 +1061,37 @@ impl Soc {
         self.memo_stats.basis_columns += solved as u64;
         self.memo_stats.lane_steps += self.basis.lane_steps();
         let key = self.memo_key();
-        let mut wave = Vec::new();
+        let mut scratch = std::mem::take(&mut self.recombine);
+        let recombined = self.recombine_victims(victims, key, &mut scratch, direct);
+        self.memo_stats.skipped_chunks += std::mem::take(&mut scratch.skipped_chunks);
+        self.recombine = scratch;
+        self.basis.release_victims();
+        recombined
+    }
+
+    /// Memoizes the response of every fault pair of `victims` the memo
+    /// lacks, recombined from the live basis columns
+    /// ([`recombined_response`]). A pair whose recombination is out of
+    /// range, or has a compared quantity within
+    /// [`GUARD_EPS`](crate::obsc::GUARD_EPS) of its threshold, is added
+    /// to `direct` instead, so a memoized response is exactly what the
+    /// direct solve's waveforms give.
+    fn recombine_victims(
+        &mut self,
+        victims: &[usize],
+        key: (u64, u64, u64),
+        scratch: &mut RecombineScratch,
+        direct: &mut Vec<VectorPair>,
+    ) -> Result<(), CoreError> {
+        let vdd = self.bus.vdd();
         for &victim in victims {
             for fault in IntegrityFault::ALL {
                 let pair = fault_pair(self.wires, victim, fault)?;
                 if self.memo.get(&key).is_some_and(|m| m.contains_key(&pair)) {
                     continue;
                 }
-                match self.recombined_response(&pair, &mut wave)? {
+                let cell = |w| self.obsc(w);
+                match recombined_response(&self.basis, &self.sim, &pair, vdd, cell, scratch)? {
                     Some(response) => {
                         self.memo.entry(key).or_default().insert(pair, response);
                     }
@@ -1069,34 +1102,7 @@ impl Soc {
                 }
             }
         }
-        self.basis.release_victims();
         Ok(())
-    }
-
-    /// The response of MA-shaped `pair` recombined from the live basis
-    /// columns, or `None` when the recombination is out of range or a
-    /// compared quantity lies within [`GUARD_EPS`] of its threshold — so
-    /// a `Some` is exactly what the direct solve's waveforms give.
-    /// `wave` is scratch for the recombined waveforms.
-    fn recombined_response(
-        &self,
-        pair: &VectorPair,
-        wave: &mut Vec<f64>,
-    ) -> Result<Option<Box<[u8]>>, CoreError> {
-        if !self.basis.combine_into(&self.sim, pair, wave)? {
-            return Ok(None);
-        }
-        let samples = wave.len() / self.wires;
-        let (dt, switch_at, vdd) = (self.sim.dt(), self.sim.switch_at(), self.bus.vdd());
-        let mut response = Vec::with_capacity(self.wires);
-        for (w, trace) in wave.chunks_exact(samples).enumerate() {
-            let edge = pair.switches(w).then(|| pair.after(w));
-            match self.obsc(w)?.response_guarded(trace, dt, vdd, edge, switch_at, GUARD_EPS) {
-                Some(flags) => response.push(flags),
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(response.into()))
     }
 
     /// Reduces `pair`'s solved receiver traces (`trace(w)` for wire

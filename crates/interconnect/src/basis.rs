@@ -20,12 +20,21 @@
 //! ```
 //!
 //! with `U` the all-rise response. A [`StepBasis`] solves `U` once and
-//! `u_v` per victim through [`TransientSim::run_pairs_cancellable`],
-//! and recombines any MA-shaped pair of its live victims in
-//! `O(wires · samples)`: n + 1 columns stand in for the 6n pattern
-//! solves of a session. Between solves it holds `U`'s receiver traces
-//! only — about 256 KB at n = 32 on the paper grid, where a whole basis
-//! would take 8 MB.
+//! `u_v` per victim through [`TransientSim::run_pairs_cancellable`]:
+//! n + 1 columns stand in for the 6n pattern solves of a session.
+//! Between solves it holds `U`'s receiver traces only — about 256 KB at
+//! n = 32 on the paper grid, where a whole basis would take 8 MB.
+//!
+//! A live victim's pairs are read through a [`Recombination`], a view
+//! of the two columns that computes any one sample on demand with the
+//! expression above. All six MA pairs of a victim share its
+//! [`ChunkEnvelope`]s: per wire and per [`CHUNK`] samples, the extremes
+//! of `D = U − u_v` and `S = u_v`. From them [`RecombinedWire::bounds`]
+//! bounds every sample of a chunk of any of those pairs without
+//! computing one, so a detector can skip the chunks where it cannot
+//! change state and compute samples only where a level is in reach
+//! (DESIGN.md §6i). [`StepBasis::combine_into`] materialises whole
+//! traces through the same view, as a reference.
 //!
 //! The recombination differs from a direct solve by rounding only.
 //! That difference grows with the conditioning of the transient matrix
@@ -51,6 +60,7 @@ use crate::drive::{DriveLevel, VectorPair};
 use crate::error::InterconnectError;
 use crate::solver::{Horizon, PanelScratch, StopRule, TransientSim, WavePanel};
 use sint_runtime::cancel::CancelToken;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Largest simulator condition estimate a basis accepts. Beyond
 /// it the recombination's rounding (~4e-15·κ V) is no longer three
@@ -64,6 +74,14 @@ const MAX_CONDITION: f64 = 1e4;
 /// the rails the rounding of the recombination is no longer negligible
 /// against a fixed-voltage guard band.
 const RANGE_VDDS: f64 = 16.0;
+
+/// Samples per chunk of a [`ChunkEnvelope`]: a paper-grid trace of
+/// 1,001 samples has 32 chunks.
+pub const CHUNK: usize = 32;
+
+/// Solves of every basis so far: each solve's victim columns get a
+/// number no other solve's share ([`Recombination::columns`]).
+static SOLVES: AtomicU64 = AtomicU64::new(0);
 
 /// Identity of what a basis was solved for: bus fingerprint, the bits
 /// of the timestep, edge-launch time and run duration, and the stop
@@ -93,6 +111,8 @@ pub struct StepBasis {
     /// start at column `first`.
     panel: Option<WavePanel>,
     first: usize,
+    /// The number of the solve that produced `panel`.
+    solve: u64,
 }
 
 impl StepBasis {
@@ -208,6 +228,7 @@ impl StepBasis {
         }
         self.panel = Some(panel);
         self.victims = victims.to_vec();
+        self.solve = SOLVES.fetch_add(1, Ordering::Relaxed);
         Ok(pairs.len())
     }
 
@@ -226,20 +247,68 @@ impl StepBasis {
         self.first = 0;
     }
 
+    /// A read view of `pair`'s recombination from the live columns, as
+    /// long as the victim's column: under a stop rule, where both of
+    /// its columns are certified. `DC(before)` comes from `sim`'s own
+    /// DC factor, written into `dc`, so sample 0 is bitwise the direct
+    /// run's, since every `u[0]` is zero. `sim` must be the simulator
+    /// the basis was solved with.
+    ///
+    /// `None` when `sim` is not [accepted](StepBasis::accepts), `pair`
+    /// is not MA-shaped, its victim has no live column, or `U` is
+    /// shorter than that column.
+    ///
+    /// # Errors
+    ///
+    /// [`InterconnectError::WireOutOfRange`] for a pair width mismatch.
+    pub fn recombination<'a>(
+        &'a self,
+        sim: &TransientSim,
+        pair: &VectorPair,
+        dc: &'a mut Vec<f64>,
+    ) -> Result<Option<Recombination<'a>>, InterconnectError> {
+        let Some(victim) = Self::ma_victim(pair).filter(|_| Self::accepts(sim)) else {
+            return Ok(None);
+        };
+        let column = self.victims.iter().position(|&v| v == victim);
+        let (Some(panel), Some(column)) = (&self.panel, column) else {
+            return Ok(None);
+        };
+        if pair.width() != self.wires {
+            return Err(InterconnectError::WireOutOfRange {
+                wire: pair.width(),
+                width: self.wires,
+            });
+        }
+        let len = panel.samples_of(self.first + column);
+        if len > self.samples {
+            return Ok(None);
+        }
+        sim.dc_receivers(pair, dc)?;
+        let unit = |w: usize| match (pair.before(w), pair.after(w)) {
+            (DriveLevel::Low, DriveLevel::High) => 1.0,
+            (DriveLevel::High, DriveLevel::Low) => -1.0,
+            _ => 0.0,
+        };
+        Ok(Some(Recombination {
+            basis: self,
+            panel,
+            column: self.first + column,
+            victim,
+            len,
+            dc,
+            aggressor: unit(if victim == 0 { 1 } else { 0 }),
+            own: unit(victim),
+        }))
+    }
+
     /// Writes the receiver waveforms of `pair` into `out`
-    /// (`[wire·samples + k]`, resized to fit) as
-    /// `DC(before) + (Δ_a/Vdd)·(U − u_v) + (Δ_v/Vdd)·u_v`, with
-    /// `DC(before)` from `sim`'s own DC factor — so sample 0 is bitwise
-    /// the direct run's, since every `u[0]` is zero. `sim` must be the
-    /// simulator the basis was solved with.
+    /// (`[wire·samples + k]`, resized to fit) as its
+    /// [`StepBasis::recombination`] computes them.
     ///
-    /// The traces are as long as the victim's column: under a stop rule,
-    /// where both of their columns are certified.
-    ///
-    /// Returns `Ok(false)`, leaving `out` unspecified, when `sim` is not
-    /// [accepted](StepBasis::accepts), `pair` is not MA-shaped, its
-    /// victim has no live column, `U` is shorter than that column, or a
-    /// combined sample is non-finite or beyond sixteen `Vdd` of ground.
+    /// Returns `Ok(false)`, leaving `out` unspecified, where
+    /// [`StepBasis::recombination`] gives `None`, or when a combined
+    /// sample is non-finite or beyond sixteen `Vdd` of ground.
     ///
     /// # Errors
     ///
@@ -250,48 +319,217 @@ impl StepBasis {
         pair: &VectorPair,
         out: &mut Vec<f64>,
     ) -> Result<bool, InterconnectError> {
-        let Some(victim) = Self::ma_victim(pair).filter(|_| Self::accepts(sim)) else {
+        let mut dc = Vec::new();
+        let Some(recombination) = self.recombination(sim, pair, &mut dc)? else {
             return Ok(false);
         };
-        let column = self.victims.iter().position(|&v| v == victim);
-        let (Some(panel), Some(column)) = (&self.panel, column) else {
-            return Ok(false);
-        };
-        if pair.width() != self.wires {
-            return Err(InterconnectError::WireOutOfRange {
-                wire: pair.width(),
-                width: self.wires,
-            });
-        }
-        let dc = sim.dc_receivers(pair)?;
-        let unit = |w: usize| match (pair.before(w), pair.after(w)) {
-            (DriveLevel::Low, DriveLevel::High) => 1.0,
-            (DriveLevel::High, DriveLevel::Low) => -1.0,
-            _ => 0.0,
-        };
-        let aggressor = unit(if victim == 0 { 1 } else { 0 });
-        let own = unit(victim);
-        let (wires, samples) = (self.wires, self.samples);
-        let len = panel.samples_of(self.first + column);
-        if len > samples {
-            return Ok(false);
-        }
-        let limit = RANGE_VDDS * self.vdd.abs();
+        let len = recombination.samples();
         out.clear();
-        // Sized for `U`'s full length once, so that columns of varying
-        // stopped lengths never reallocate the caller's buffer.
-        out.reserve(wires * samples);
-        out.resize(wires * len, 0.0);
+        out.resize(self.wires * len, 0.0);
         let mut in_range = true;
-        for (w, (trace, &level)) in out.chunks_exact_mut(len).zip(&dc).enumerate() {
-            let all = &self.all_rise[w * samples..w * samples + len];
-            let single = panel.wire(self.first + column, w);
-            for ((x, &u), &uv) in trace.iter_mut().zip(all).zip(single) {
-                *x = level + aggressor * (u - uv) + own * uv;
-                in_range &= x.abs() <= limit;
-            }
+        for (w, trace) in out.chunks_exact_mut(len).enumerate() {
+            in_range &= recombination.wire(w).fill(0, trace);
         }
         Ok(in_range)
+    }
+}
+
+/// One MA pair's recombination `DC + a·(U − u_v) + b·u_v` from a
+/// basis's live columns ([`StepBasis::recombination`]), computed per
+/// sample on demand.
+#[derive(Debug, Clone, Copy)]
+pub struct Recombination<'a> {
+    basis: &'a StepBasis,
+    panel: &'a WavePanel,
+    /// The victim's column in `panel`.
+    column: usize,
+    victim: usize,
+    /// Samples of the victim's column.
+    len: usize,
+    dc: &'a [f64],
+    /// `a = Δ_a/Vdd` and `b = Δ_v/Vdd`, each −1, 0 or 1.
+    aggressor: f64,
+    own: f64,
+}
+
+impl<'a> Recombination<'a> {
+    /// Number of wires.
+    #[must_use]
+    pub fn wires(&self) -> usize {
+        self.basis.wires
+    }
+
+    /// Samples of each trace.
+    #[must_use]
+    pub fn samples(&self) -> usize {
+        self.len
+    }
+
+    /// The columns this recombination reads, `(solve, victim)`: equal
+    /// for two recombinations exactly when they share their
+    /// [`ChunkEnvelope`]s.
+    #[must_use]
+    pub fn columns(&self) -> (u64, usize) {
+        (self.basis.solve, self.victim)
+    }
+
+    /// The trace of `wire`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wire` is out of range.
+    #[must_use]
+    pub fn wire(&self, wire: usize) -> RecombinedWire<'a> {
+        let at = wire * self.basis.samples;
+        RecombinedWire {
+            all_rise: &self.basis.all_rise[at..at + self.len],
+            single: self.panel.wire(self.column, wire),
+            dc: self.dc[wire],
+            aggressor: self.aggressor,
+            own: self.own,
+            limit: RANGE_VDDS * self.basis.vdd.abs(),
+        }
+    }
+
+    /// Writes the [`ChunkEnvelope`]s of the victim's columns into `out`,
+    /// wire by wire, `len.div_ceil(CHUNK)` chunks each: the same for
+    /// every pair of the same [`Recombination::columns`].
+    pub fn envelopes_into(&self, out: &mut Vec<ChunkEnvelope>) {
+        out.clear();
+        for w in 0..self.wires() {
+            let wire = self.wire(w);
+            let chunks = wire.all_rise.chunks(CHUNK).zip(wire.single.chunks(CHUNK));
+            out.extend(chunks.map(|(all, single)| ChunkEnvelope::of(all, single)));
+        }
+    }
+}
+
+/// One wire's trace of a [`Recombination`].
+#[derive(Debug, Clone, Copy)]
+pub struct RecombinedWire<'a> {
+    all_rise: &'a [f64],
+    single: &'a [f64],
+    dc: f64,
+    aggressor: f64,
+    own: f64,
+    /// Sixteen `Vdd`: the range a combined sample must stay in.
+    limit: f64,
+}
+
+impl RecombinedWire<'_> {
+    /// Samples in the trace.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.single.len()
+    }
+
+    /// Whether the trace has no samples.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.single.is_empty()
+    }
+
+    /// Writes samples `start..start + out.len()` into `out`, each
+    /// `DC + a·(U[k] − u_v[k]) + b·u_v[k]`: the one recombination
+    /// expression. Returns whether every one is finite and within
+    /// sixteen `Vdd` of ground; outside that range the recombination is
+    /// refused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the samples run past the trace.
+    pub fn fill(&self, start: usize, out: &mut [f64]) -> bool {
+        let end = start + out.len();
+        let (all, single) = (&self.all_rise[start..end], &self.single[start..end]);
+        let mut in_range = true;
+        for ((x, &u), &uv) in out.iter_mut().zip(all).zip(single) {
+            *x = self.dc + self.aggressor * (u - uv) + self.own * uv;
+            in_range &= self.in_range(*x);
+        }
+        in_range
+    }
+
+    fn in_range(&self, x: f64) -> bool {
+        x.abs() <= self.limit
+    }
+
+    /// A finite interval holding every sample of the chunk whose
+    /// envelope is `envelope`, wholly within sixteen `Vdd` of ground;
+    /// `None` otherwise.
+    #[must_use]
+    pub fn bounds(&self, envelope: &ChunkEnvelope) -> Option<(f64, f64)> {
+        envelope
+            .bounds(self.dc, self.aggressor, self.own)
+            .filter(|&(lo, hi)| self.in_range(lo) && self.in_range(hi))
+    }
+}
+
+/// The extremes of `D = U − u_v` (rounded as [`RecombinedWire::fill`]
+/// rounds it) and `S = u_v` over one chunk of one wire, and whether
+/// every one of those values is finite.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChunkEnvelope {
+    d: (f64, f64),
+    s: (f64, f64),
+    finite: bool,
+}
+
+impl ChunkEnvelope {
+    /// The envelope of the samples `all_rise[k] − single[k]` and
+    /// `single[k]` (the slices are as long as each other).
+    #[must_use]
+    pub fn of(all_rise: &[f64], single: &[f64]) -> ChunkEnvelope {
+        // Four independent lanes, so that the loop vectorises; a NaN
+        // leaves an extreme as it was and clears `finite`, since `x·0`
+        // is zero exactly when `x` is finite.
+        const LANES: usize = 4;
+        let mut lo = [[f64::INFINITY; LANES]; 2];
+        let mut hi = [[f64::NEG_INFINITY; LANES]; 2];
+        let mut zero = [0.0; LANES];
+        let mut feed = |lane: usize, u: f64, uv: f64| {
+            for (i, x) in [u - uv, uv].into_iter().enumerate() {
+                lo[i][lane] = if x < lo[i][lane] { x } else { lo[i][lane] };
+                hi[i][lane] = if x > hi[i][lane] { x } else { hi[i][lane] };
+                zero[lane] += x * 0.0;
+            }
+        };
+        let (all, single) = (all_rise.chunks_exact(LANES), single.chunks_exact(LANES));
+        let tail = all.remainder().iter().zip(single.remainder());
+        for (u, uv) in all.zip(single) {
+            for lane in 0..LANES {
+                feed(lane, u[lane], uv[lane]);
+            }
+        }
+        for (&u, &uv) in tail {
+            feed(0, u, uv);
+        }
+        let low = |i: usize| lo[i].into_iter().fold(f64::INFINITY, f64::min);
+        let high = |i: usize| hi[i].into_iter().fold(f64::NEG_INFINITY, f64::max);
+        ChunkEnvelope {
+            d: (low(0), high(0)),
+            s: (low(1), high(1)),
+            finite: zero.iter().sum::<f64>() == 0.0,
+        }
+    }
+
+    /// An interval holding `dc + a·D + b·S`, evaluated left to right,
+    /// for every sample of the chunk — `None` when a value of `D` or
+    /// `S` is not finite. It is that very expression evaluated at the
+    /// ends of the two ranges: correctly rounded `+` and `×` are
+    /// monotone in each operand, so no sample's rounding can leave it
+    /// (DESIGN.md §6i).
+    #[must_use]
+    pub fn bounds(&self, dc: f64, a: f64, b: f64) -> Option<(f64, f64)> {
+        let ends = |(lo, hi): (f64, f64), c: f64| {
+            if c < 0.0 {
+                (c * hi, c * lo)
+            } else {
+                (c * lo, c * hi)
+            }
+        };
+        let (d, s) = (ends(self.d, a), ends(self.s, b));
+        let bounds = (dc + d.0 + s.0, dc + d.1 + s.1);
+        (self.finite && bounds.0.is_finite() && bounds.1.is_finite()).then_some(bounds)
     }
 }
 
@@ -302,6 +540,69 @@ mod tests {
 
     fn pair(before: &str, after: &str) -> VectorPair {
         VectorPair::from_strs(before, after).unwrap()
+    }
+
+    #[test]
+    fn chunk_bounds_hold_every_sample_the_chunk_computes() {
+        // The bounds evaluate the sample expression at the envelope's
+        // extremes; rounding is monotone, so no computed sample can
+        // leave them, even where ties and mixed magnitudes make the
+        // grouping of the sum matter. A non-finite value of `D` or `S`
+        // anywhere in the chunk leaves the bounds unknown.
+        use sint_runtime::prop::{gen, Runner};
+        use sint_runtime::rng::Rng64;
+        let value = |rng: &mut Rng64| {
+            let ulps = gen::usize_in(rng, 0..9) as f64 - 4.0;
+            match gen::usize_in(rng, 0..3) {
+                0 => gen::one_of(rng, &[0.0, 1.0, -1.0, 0.5, 1.8]) + ulps * f64::EPSILON / 2.0,
+                1 => ulps * f64::EPSILON / 2.0,
+                _ => gen::f64_in(rng, -2.0..2.0),
+            }
+        };
+        let (mut contained, mut unknown) = (0usize, 0usize);
+        Runner::new("chunk_bounds").cases(4000).run(
+            |rng| {
+                let len = gen::usize_in(rng, 1..CHUNK + 1);
+                let all: Vec<f64> = (0..len).map(|_| value(rng)).collect();
+                let mut single: Vec<f64> = (0..len).map(|_| value(rng)).collect();
+                if gen::usize_in(rng, 0..8) == 0 {
+                    let k = gen::usize_in(rng, 0..len);
+                    single[k] = gen::one_of(rng, &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+                }
+                let dc = gen::one_of(rng, &[0.0, 1.0, -1.0, 1.8, 3.0]) + value(rng);
+                let coefficient = |rng: &mut Rng64| gen::one_of(rng, &[-1.0, 0.0, 1.0]);
+                (all, single, dc, coefficient(rng), coefficient(rng))
+            },
+            |(all, single, dc, a, b)| {
+                let wire = RecombinedWire {
+                    all_rise: all,
+                    single,
+                    dc: *dc,
+                    aggressor: *a,
+                    own: *b,
+                    limit: f64::INFINITY,
+                };
+                let mut samples = vec![0.0; all.len()];
+                let finite = wire.fill(0, &mut samples);
+                let envelope = ChunkEnvelope::of(all, single);
+                let values_finite = all.iter().chain(single.iter()).all(|v| v.is_finite());
+                match envelope.bounds(*dc, *a, *b) {
+                    None if !values_finite => unknown += 1,
+                    None => return Err("finite values with no bounds".to_string()),
+                    Some(_) if !values_finite => {
+                        return Err("bounds over a non-finite value".to_string())
+                    }
+                    Some((lo, hi)) => {
+                        if !(finite && samples.iter().all(|x| (lo..=hi).contains(x))) {
+                            return Err(format!("{samples:?} outside [{lo:e}, {hi:e}]"));
+                        }
+                        contained += 1;
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert!(contained > 0 && unknown > 0, "{contained} contained, {unknown} unknown");
     }
 
     #[test]

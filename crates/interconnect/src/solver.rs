@@ -761,15 +761,21 @@ impl<H, F> System<H, F> {
     /// right-hand side (`w = 1`, `c = 0` for a plain vector).
     #[inline]
     fn stamp(&self, stimulus: &Stimulus, t: f64, rhs: &mut [f64], w: usize, c: usize) {
+        self.stamp_sources(|wire| stimulus.voltage(wire, t), rhs, w, c);
+    }
+
+    /// [`System::stamp`] of the source voltages `voltage(wire)`.
+    #[inline]
+    fn stamp_sources(&self, voltage: impl Fn(usize) -> f64, rhs: &mut [f64], w: usize, c: usize) {
         match &self.sources {
             Sources::Norton { g } => {
                 for (wire, (&node, &gd)) in self.drv_nodes.iter().zip(g).enumerate() {
-                    rhs[node * w + c] += gd * stimulus.voltage(wire, t);
+                    rhs[node * w + c] += gd * voltage(wire);
                 }
             }
             Sources::Branch { rows } => {
                 for (wire, &row) in rows.iter().enumerate() {
-                    rhs[row * w + c] -= stimulus.voltage(wire, t);
+                    rhs[row * w + c] -= voltage(wire);
                 }
             }
         }
@@ -833,13 +839,18 @@ impl<H: History, F: Factors> System<H, F> {
         Ok(())
     }
 
-    /// Receiver-end voltages of the DC operating point of the
-    /// stimulus's initial values: the state every run starts from.
-    fn dc_receivers(&self, stimulus: &Stimulus) -> Vec<f64> {
-        let mut state = vec![0.0; self.dim];
-        self.stamp(stimulus, 0.0, &mut state, 1, 0);
-        self.dc_lu.solve_into(&mut state);
-        self.recv_nodes.iter().map(|&node| state[node]).collect()
+    /// Receiver-end voltages of the DC operating point of the source
+    /// voltages `before(wire)`, written into `out`, which also holds
+    /// the solve: the state every run from those values starts from.
+    fn dc_receivers(&self, before: impl Fn(usize) -> f64, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.dim, 0.0);
+        self.stamp_sources(before, out, 1, 0);
+        self.dc_lu.solve_into(out);
+        for &node in &self.recv_nodes {
+            out.push(out[node]);
+        }
+        out.drain(..self.dim);
     }
 
     /// A cheap lower estimate of the ∞-norm condition number of the
@@ -962,22 +973,24 @@ impl System<Diagonals, BandedLu> {
         let mut end = steps;
         let mut k = 0;
         while k < end {
-            k += 1;
-            check_cancel(cancel, k)?;
-            let t = k as f64 * dt;
-            self.hist.mul_interleaved_into::<W>(lanes, lrhs);
-            for c in 0..W {
-                self.stamp(lane(c), t, lrhs, W, c);
+            // Step to the next stop check, or to the end: the hot loop's
+            // bound is fixed while it runs.
+            let check = (k / STOP_CHECK_INTERVAL + 1) * STOP_CHECK_INTERVAL;
+            for k in k + 1..=check.min(end) {
+                check_cancel(cancel, k)?;
+                let t = k as f64 * dt;
+                self.hist.mul_interleaved_into::<W>(lanes, lrhs);
+                for c in 0..W {
+                    self.stamp(lane(c), t, lrhs, W, c);
+                }
+                self.a_lu.solve_interleaved_into::<W>(lrhs);
+                std::mem::swap(lanes, lrhs);
+                check_finite_lanes(lanes, W, k)?;
+                stage_lanes(&self.recv_nodes, lanes, W, &mut stage[k * row..(k + 1) * row]);
             }
-            self.a_lu.solve_interleaved_into::<W>(lrhs);
-            std::mem::swap(lanes, lrhs);
-            check_finite_lanes(lanes, W, k)?;
-            stage_lanes(&self.recv_nodes, lanes, W, &mut stage[k * row..(k + 1) * row]);
+            k = check.min(end);
             let Some((rule, gain)) = stop else { continue };
-            if !k.is_multiple_of(STOP_CHECK_INTERVAL)
-                || t < settles_at
-                || !certified[..live].contains(&None)
-            {
+            if k < check || (k as f64 * dt) < settles_at || !certified[..live].contains(&None) {
                 continue;
             }
             for (c, at) in certified[..live].iter_mut().enumerate().filter(|(_, at)| at.is_none()) {
@@ -1126,14 +1139,27 @@ impl TransientSim {
     }
 
     /// Receiver-end voltages of the DC operating point `pair` starts
-    /// from: one solve against the DC factor, bitwise the sample 0 of
-    /// every run of `pair`.
-    pub(crate) fn dc_receivers(&self, pair: &VectorPair) -> Result<Vec<f64>, InterconnectError> {
-        let stimulus = Stimulus::from_pair(&self.bus, pair, DEFAULT_SWITCH_AT)?;
-        Ok(match &self.engine {
-            Engine::Banded(sys) => sys.dc_receivers(&stimulus),
-            Engine::Dense(sys) => sys.dc_receivers(&stimulus),
-        })
+    /// from, written into `out`: one solve against the DC factor,
+    /// bitwise the sample 0 of every run of `pair`, whose sources hold
+    /// their *before* levels until the edge launches.
+    pub(crate) fn dc_receivers(
+        &self,
+        pair: &VectorPair,
+        out: &mut Vec<f64>,
+    ) -> Result<(), InterconnectError> {
+        if pair.width() != self.bus.wires() {
+            return Err(InterconnectError::WireOutOfRange {
+                wire: pair.width(),
+                width: self.bus.wires(),
+            });
+        }
+        let vdd = self.bus.vdd();
+        let before = |wire: usize| pair.before(wire).voltage(vdd);
+        match &self.engine {
+            Engine::Banded(sys) => sys.dc_receivers(before, out),
+            Engine::Dense(sys) => sys.dc_receivers(before, out),
+        }
+        Ok(())
     }
 
     /// A lower estimate of the condition number of the row-equilibrated
@@ -2271,7 +2297,8 @@ mod tests {
                     stopped += usize::from(len < samples);
                     let after: Vec<_> = (0..w).map(|wire| pair.after(wire)).collect();
                     let settled = VectorPair::new(after.clone(), after);
-                    let finals = sim.dc_receivers(&settled).map_err(|e| e.to_string())?;
+                    let mut finals = Vec::new();
+                    sim.dc_receivers(&settled, &mut finals).map_err(|e| e.to_string())?;
                     for (wire, final_level) in finals.iter().enumerate() {
                         let (a, b) = (cut.wire(c, wire), full.wire(c, wire));
                         if a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits()) {

@@ -150,11 +150,12 @@ impl Pool {
         let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, Result<R, JobPanic>)>();
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 let tx = tx.clone();
                 let cursor = &cursor;
                 let f = &f;
-                scope.spawn(move || loop {
+                handles.push(scope.spawn(move || loop {
                     let idx = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(idx) else { break };
                     // catch_unwind inside the worker: the scope only
@@ -164,13 +165,24 @@ impl Pool {
                     if tx.send((idx, result)).is_err() {
                         break;
                     }
-                });
+                }));
             }
             drop(tx);
             let mut slots: Vec<Option<Result<R, JobPanic>>> =
                 (0..items.len()).map(|_| None).collect();
             for (idx, result) in rx {
                 slots[idx] = Some(result);
+            }
+            // Join every worker before returning. The scope alone waits
+            // only for the closures, not for the threads to exit, so the
+            // next call's workers could start while these still hold
+            // their malloc arenas, and make new ones: the process's
+            // arena count, and with it its peak memory, would then
+            // depend on thread timing.
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
             slots
                 .into_iter()

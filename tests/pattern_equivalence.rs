@@ -260,6 +260,7 @@ fn predicted_half_streams_are_the_applied_patterns() {
         assert_eq!(stats.unplanned, 0, "{name}: {stats:?}");
         assert_eq!(stats.basis_columns, basis as u64, "{name}: {stats:?}");
         assert_eq!(stats.guard_fallbacks, 0, "{name}: {stats:?}");
+        assert_eq!(stats.skipped_chunks > 0, basis > 0, "{name}: {stats:?}");
         assert_eq!(soc.transients_run(), basis + direct, "{name}: columns solved");
     }
 }

@@ -15,7 +15,7 @@ use sint::core::mafm::{
     CoverageReport, IntegrityFault,
 };
 use sint::core::nd::{NdThresholds, NoiseDetector};
-use sint::core::obsc::{Obsc, GUARD_EPS};
+use sint::core::obsc::{recombined_response, Obsc, RecombineScratch, GUARD_EPS};
 use sint::core::pgbsc::Pgbsc;
 use sint::core::sd::{SdWindow, SkewDetector};
 use sint::core::session::{ObservationMethod, SessionConfig};
@@ -25,7 +25,8 @@ use sint::interconnect::drive::{DriveLevel, VectorPair};
 use sint::interconnect::linalg::Matrix;
 use sint::interconnect::params::BusParams;
 use sint::interconnect::solver::{Horizon, PanelScratch, SolverBackend, TransientSim};
-use sint::interconnect::StepBasis;
+use sint::interconnect::basis::CHUNK;
+use sint::interconnect::{InterconnectError, StepBasis};
 use sint::interconnect::variation::{apply_variation, SplitMix64, VariationSigma};
 use sint::jtag::bcell::{BoundaryCell, BoundaryRegister, CellControl, StandardBsc};
 use sint::jtag::bsdl::{DeviceDescription, MAX_CELLS};
@@ -871,8 +872,9 @@ fn batched_sessions_render_byte_identical_to_the_scalar_oracle() {
     // width-1 oracle solves every pattern over the full window, while
     // width-8 plan solves stop where passivity certifies them: at least
     // one case must advance fewer lane-steps than its full windows, so
-    // a stop that never fires fails here.
-    let mut stopped_early = 0usize;
+    // a stop that never fires fails here; likewise some width-8 session
+    // must skip recombined chunks from their envelopes.
+    let (mut stopped_early, mut skipped_chunks) = (0usize, 0u64);
     Runner::new("batched_matches_scalar").cases(8).run(
         |rng| {
             let width = gen::usize_in(rng, 3..17);
@@ -923,15 +925,18 @@ fn batched_sessions_render_byte_identical_to_the_scalar_oracle() {
             ] {
                 let cfg = SessionConfig { dt: 10e-12, ..SessionConfig::method(method) };
                 let steps = (cfg.settle_time / cfg.dt).round() as u64;
-                let render = |panel_width: usize| -> Result<(String, u64, u64, u64), String> {
+                let render = |panel_width: usize| {
                     let mut soc = build(panel_width)?;
                     let report = soc.run_integrity_test(&cfg).map_err(|e| e.to_string())?;
-                    let stats = soc.memo_stats();
                     let full_windows = soc.transients_run() as u64 * steps;
-                    Ok((report.to_json().render(), stats.unplanned, stats.lane_steps, full_windows))
+                    Ok::<_, String>((report.to_json().render(), soc.memo_stats(), full_windows))
                 };
-                let (batched, unplanned, lane_steps, full_windows) = render(8)?;
-                let (scalar, _, scalar_steps, scalar_full) = render(1)?;
+                let (batched, stats, full_windows) = render(8)?;
+                let (scalar, scalar_stats, scalar_full) = render(1)?;
+                let (unplanned, lane_steps, scalar_steps) =
+                    (stats.unplanned, stats.lane_steps, scalar_stats.lane_steps);
+                skipped_chunks += stats.skipped_chunks;
+                check_eq(scalar_stats.skipped_chunks, 0)?;
                 check_eq(batched, scalar)?;
                 check_eq(unplanned, 0)?;
                 check_eq(scalar_steps, scalar_full)?;
@@ -968,6 +973,7 @@ fn batched_sessions_render_byte_identical_to_the_scalar_oracle() {
         },
     );
     assert!(stopped_early > 0, "no width-8 session stopped a column early");
+    assert!(skipped_chunks > 0, "no width-8 session skipped a recombined chunk");
 }
 
 // ---------------- Noise detector ----------------
@@ -1397,6 +1403,128 @@ fn basis_responses_are_byte_identical_to_direct_solves() {
             check(decided > 0, || "the guard band refused every response".to_string())
         },
     );
+}
+
+#[test]
+fn fused_responses_equal_materialised_recombinations() {
+    // The fused recombine-and-detect pass computes samples only where a
+    // detector level is in reach; it must give exactly what
+    // materialising every recombined trace and walking every sample
+    // gives (`combine_into` + `response_guarded`), `None` included —
+    // over random RC and RLC buses with per-die variation and defects,
+    // every MA pair of the live victims, full windows and certified
+    // stops, default thresholds and thresholds moved to within
+    // 2·GUARD_EPS of a recombined sample at a chunk edge or of the SD
+    // sample's deviation. One scratch serves every case, so envelopes
+    // left from another basis must never be reused.
+    let mut scratch = RecombineScratch::new();
+    let (mut decided, mut refused) = (0usize, 0usize);
+    Runner::new("fused_matches_materialised").cases(32).run(
+        |rng| {
+            let width = gen::usize_in(rng, 3..11);
+            let segments = gen::usize_in(rng, 1..4);
+            let inductive = gen::bool_any(rng);
+            let stopped = gen::bool_any(rng);
+            let seed = gen::u64_any(rng);
+            let wire = gen::usize_in(rng, 0..width);
+            let defect = match gen::usize_in(rng, 0..4) {
+                0 => None,
+                1 => Some(Defect::CouplingBoost { wire, factor: gen::f64_in(rng, 1.5..8.0) }),
+                2 => Some(Defect::ResistiveOpen {
+                    wire,
+                    segment: gen::usize_in(rng, 0..segments),
+                    extra_ohms: gen::f64_in(rng, 500.0..4000.0),
+                }),
+                _ => Some(Defect::WeakDriver { wire, factor: gen::f64_in(rng, 2.0..12.0) }),
+            };
+            let victims = gen::vec_of(rng, 1..4, |rng| gen::usize_in(rng, 0..width));
+            let window = gen::f64_in(rng, 80e-12..600e-12);
+            let edge = gen::usize_in(rng, 0..64);
+            let offset = gen::f64_in(rng, -2.0..2.0) * GUARD_EPS;
+            (width, segments, inductive, stopped, seed, defect, victims, window, edge, offset)
+        },
+        |(width, segments, inductive, stopped, seed, defect, victims, window, edge, offset)| {
+            let width = *width;
+            let mut params = BusParams::dsm_bus(width).segments(*segments);
+            if *inductive {
+                params = params.l_per_mm(0.4e-9).lm_per_mm(0.1e-9).rise_time(60e-12);
+            }
+            let mut bus = params.build().map_err(|e| e.to_string())?;
+            apply_variation(&mut bus, VariationSigma::typical(), *seed).map_err(|e| e.to_string())?;
+            if let Some(d) = defect {
+                d.apply(&mut bus).map_err(|e| e.to_string())?;
+            }
+            let (dt, settle, vdd) = (4e-12, 1.6e-9, bus.vdd());
+            let sim = TransientSim::new(&bus, dt).map_err(|e| e.to_string())?;
+            let (nd, sd) = (NdThresholds::for_vdd(vdd), SdWindow::for_vdd(*window, vdd));
+            let nominal = Obsc::new(nd, sd);
+            let stop = nominal.stop_rule(vdd, dt, sim.switch_at(), 3.0).filter(|_| *stopped);
+            let horizon = Horizon { duration: settle, stop };
+            let mut live = victims.clone();
+            live.sort_unstable();
+            live.dedup();
+            let mut basis = StepBasis::new();
+            let mut panels = PanelScratch::new();
+            for columns in [&[][..], &live[..]] {
+                basis.solve(&sim, columns, horizon, &mut panels, None).map_err(|e| e.to_string())?;
+            }
+            let mut pairs = Vec::new();
+            for &v in &live {
+                for f in IntegrityFault::ALL {
+                    pairs.push(fault_pair(width, v, f).map_err(|e| e.to_string())?);
+                }
+            }
+            // Thresholds on a recombined sample of the first pair: a
+            // chunk edge of its victim's trace for the ND's low level,
+            // the victim's SD sample for the SD tolerance.
+            let mut wave = Vec::new();
+            let mut cells = vec![nominal.clone()];
+            if basis.combine_into(&sim, &pairs[0], &mut wave).map_err(|e| e.to_string())? {
+                let len = wave.len() / width;
+                let trace = &wave[live[0] * len..(live[0] + 1) * len];
+                let chunk = (edge / 2) % len.div_ceil(CHUNK);
+                let (first, last) = (chunk * CHUNK, len.min((chunk + 1) * CHUNK) - 1);
+                let k = if edge % 2 == 0 { first } else { last };
+                cells.push(Obsc::new(NdThresholds { v_low_max: trace[k] + offset, ..nd }, sd));
+                let at = (((sim.switch_at() + window) / dt).round() as usize).min(len - 1);
+                let level = pairs[0].after(live[0]).voltage(vdd);
+                let settle_tolerance = (trace[at] - level).abs() + offset;
+                cells.push(Obsc::new(nd, SdWindow { window: *window, settle_tolerance }));
+            }
+            for pair in &pairs {
+                let combined =
+                    basis.combine_into(&sim, pair, &mut wave).map_err(|e| e.to_string())?;
+                let len = wave.len() / width;
+                for cell in &cells {
+                    let read = |w: usize| {
+                        let edge = pair.switches(w).then(|| pair.after(w));
+                        let trace = &wave[w * len..(w + 1) * len];
+                        cell.response_guarded(trace, dt, vdd, edge, sim.switch_at(), GUARD_EPS)
+                    };
+                    let reference =
+                        combined.then(|| (0..width).map(read).collect::<Option<Box<[u8]>>>());
+                    let reference = reference.flatten();
+                    let fused = recombined_response(
+                        &basis,
+                        &sim,
+                        pair,
+                        vdd,
+                        |_| Ok::<_, InterconnectError>(cell),
+                        &mut scratch,
+                    )
+                    .map_err(|e| e.to_string())?;
+                    decided += usize::from(fused.is_some());
+                    refused += usize::from(fused.is_none());
+                    check(fused == reference, || {
+                        format!("{pair}: fused {fused:?} vs materialised {reference:?}")
+                    })?;
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(decided > 0 && refused > 0, "{decided} decided, {refused} refused");
+    assert!(scratch.skipped_chunks > 0, "no chunk was ever skipped");
 }
 
 #[test]
