@@ -101,7 +101,7 @@ impl Trial {
     /// The wire whose verdict is judged (the defect's focus, or wire 0
     /// for controls).
     #[must_use]
-    pub fn judged_wire(&self) -> usize {
+    fn judged_wire(&self) -> usize {
         self.defect.as_ref().map_or(0, Defect::focus_wire)
     }
 }
@@ -130,14 +130,6 @@ pub enum TrialOutcome {
     /// because the campaign budget ran out. Not a verdict and not a
     /// harness failure; details live in the run's [`TrialShed`] list.
     Shed,
-}
-
-impl TrialOutcome {
-    /// Whether the outcome is the desired one for its trial kind.
-    #[must_use]
-    pub fn is_good(self) -> bool {
-        matches!(self, TrialOutcome::Detected { .. } | TrialOutcome::CleanPass)
-    }
 }
 
 impl ToJson for TrialOutcome {
@@ -180,7 +172,7 @@ pub struct CampaignStats {
 impl CampaignStats {
     /// Detection rate over defect trials (1.0 when none ran).
     #[must_use]
-    pub fn detection_rate(&self) -> f64 {
+    fn detection_rate(&self) -> f64 {
         if self.defect_trials == 0 {
             1.0
         } else {
@@ -619,12 +611,6 @@ impl Campaign {
         self
     }
 
-    /// The per-trial deadline, if any.
-    #[must_use]
-    pub fn trial_deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
     /// Bounds the whole batch's wall-clock: once the budget expires,
     /// trials that have not started are shed with
     /// [`ShedReason::Budget`] instead of being dispatched. Trials
@@ -633,12 +619,6 @@ impl Campaign {
     pub fn budget(mut self, total: Duration) -> Campaign {
         self.budget = Some(total);
         self
-    }
-
-    /// The campaign wall-clock budget, if any.
-    #[must_use]
-    pub fn campaign_budget(&self) -> Option<Duration> {
-        self.budget
     }
 
     /// Runs exactly **one attempt** of one trial, isolating panics and
@@ -990,7 +970,6 @@ mod tests {
         let campaign = Campaign::new(3);
         let outcome = verdict(&campaign, Trial::control());
         assert_eq!(outcome, TrialOutcome::CleanPass);
-        assert!(outcome.is_good());
     }
 
     #[test]
@@ -1010,7 +989,6 @@ mod tests {
         let outcome =
             verdict(&campaign, Trial::defective(Defect::CouplingBoost { wire: 1, factor: 1.05 }));
         assert_eq!(outcome, TrialOutcome::Missed);
-        assert!(!outcome.is_good());
     }
 
     #[test]
@@ -1091,7 +1069,6 @@ mod tests {
         assert_eq!(o, r#"{"kind":"detected","noise":true,"skew":false}"#);
         assert_eq!(TrialOutcome::Failed.to_json().render(), r#"{"kind":"failed"}"#);
         assert_eq!(TrialOutcome::Shed.to_json().render(), r#"{"kind":"shed"}"#);
-        assert!(!TrialOutcome::Shed.is_good());
     }
 
     #[test]

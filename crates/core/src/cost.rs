@@ -203,7 +203,7 @@ impl MethodPlanner {
     /// Expected session TCKs for `method` on geometry `g`, including
     /// the prior-weighted diagnostic re-run.
     #[must_use]
-    pub fn expected_tcks(&self, g: ChainGeometry, method: ObservationMethod) -> f64 {
+    fn expected_tcks(&self, g: ChainGeometry, method: ObservationMethod) -> f64 {
         let p = self.defect_prior;
         let base = timing::method_total_tcks(g, method) as f64;
         let rerun = timing::method_total_tcks(g, ObservationMethod::PerPattern) as f64;
@@ -217,7 +217,7 @@ impl MethodPlanner {
     /// Worst-case session TCKs for `method` on geometry `g` (every
     /// coarse method may have to re-run per-pattern in full).
     #[must_use]
-    pub fn worst_case_tcks(&self, g: ChainGeometry, method: ObservationMethod) -> u64 {
+    fn worst_case_tcks(&self, g: ChainGeometry, method: ObservationMethod) -> u64 {
         let base = timing::method_total_tcks(g, method);
         let rerun = timing::method_total_tcks(g, ObservationMethod::PerPattern);
         match method {

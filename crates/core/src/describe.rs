@@ -12,8 +12,6 @@ use crate::obsc::Obsc;
 use crate::pgbsc::Pgbsc;
 use crate::sd::SdWindow;
 use sint_jtag::bcell::BoundaryCell;
-use sint_jtag::bsdl::{DeviceDescription, ParseBsdlError};
-use sint_jtag::device::Device;
 
 /// Cell kind keyword for pattern-generation cells in descriptions.
 pub const PGBSC_KIND: &str = "pgbsc";
@@ -58,25 +56,12 @@ pub fn soc_description_text(wires: usize, extra: usize) -> String {
     s
 }
 
-/// Parses and elaborates the canonical SoC description.
-///
-/// # Errors
-///
-/// [`ParseBsdlError`] on malformed text (cannot happen for the
-/// generated canonical text) or factory misses.
-pub fn soc_device_from_text(
-    text: &str,
-    nd: NdThresholds,
-    sd: SdWindow,
-) -> Result<Device, ParseBsdlError> {
-    let desc = DeviceDescription::parse(text)?;
-    desc.build(&si_cell_factory(nd, sd))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sint_jtag::bsdl::DeviceDescription;
     use sint_jtag::chain::Chain;
+    use sint_jtag::device::Device;
     use sint_jtag::driver::JtagDriver;
 
     fn nd() -> NdThresholds {
@@ -87,10 +72,13 @@ mod tests {
         SdWindow::for_vdd(500e-12, 1.8)
     }
 
+    fn device(text: &str) -> Device {
+        DeviceDescription::parse(text).unwrap().build(&si_cell_factory(nd(), sd())).unwrap()
+    }
+
     #[test]
     fn canonical_text_parses_and_builds() {
-        let text = soc_description_text(5, 10);
-        let dev = soc_device_from_text(&text, nd(), sd()).unwrap();
+        let dev = device(&soc_description_text(5, 10));
         assert_eq!(dev.name(), "si-soc");
         assert_eq!(dev.boundary().len(), 20);
         assert!(dev.instruction_set().by_name("G-SITEST").is_some());
@@ -107,8 +95,7 @@ mod tests {
 
     #[test]
     fn described_device_is_jtag_drivable() {
-        let text = soc_description_text(2, 0);
-        let dev = soc_device_from_text(&text, nd(), sd()).unwrap();
+        let dev = device(&soc_description_text(2, 0));
         let mut drv = JtagDriver::new(Chain::single(dev));
         drv.reset();
         drv.load_instruction("G-SITEST").unwrap();

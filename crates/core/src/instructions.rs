@@ -45,7 +45,7 @@ pub fn g_sitest() -> Instruction {
 
 /// The `O-SITEST` instruction for a 4-bit IR.
 #[must_use]
-pub fn o_sitest() -> Instruction {
+fn o_sitest() -> Instruction {
     Instruction {
         name: "O-SITEST".to_string(),
         opcode: BitVector::from_u64(O_SITEST_OPCODE, 4),

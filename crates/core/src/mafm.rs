@@ -58,7 +58,7 @@ impl IntegrityFault {
 
     /// Victim level before the transition.
     #[must_use]
-    pub fn victim_before(self) -> DriveLevel {
+    fn victim_before(self) -> DriveLevel {
         match self {
             IntegrityFault::Pg | IntegrityFault::NgBar | IntegrityFault::Rs => DriveLevel::Low,
             IntegrityFault::PgBar | IntegrityFault::Ng | IntegrityFault::Fs => DriveLevel::High,
@@ -68,7 +68,7 @@ impl IntegrityFault {
     /// Victim level after the transition (equal to *before* for the
     /// four glitch faults).
     #[must_use]
-    pub fn victim_after(self) -> DriveLevel {
+    fn victim_after(self) -> DriveLevel {
         match self {
             IntegrityFault::Pg | IntegrityFault::NgBar | IntegrityFault::Fs => DriveLevel::Low,
             IntegrityFault::PgBar | IntegrityFault::Ng | IntegrityFault::Rs => DriveLevel::High,
@@ -77,7 +77,7 @@ impl IntegrityFault {
 
     /// Aggressor level before the transition.
     #[must_use]
-    pub fn aggressor_before(self) -> DriveLevel {
+    fn aggressor_before(self) -> DriveLevel {
         match self {
             IntegrityFault::Pg | IntegrityFault::PgBar | IntegrityFault::Fs => DriveLevel::Low,
             IntegrityFault::Ng | IntegrityFault::NgBar | IntegrityFault::Rs => DriveLevel::High,
@@ -87,7 +87,7 @@ impl IntegrityFault {
     /// Aggressor level after the transition (always the complement:
     /// aggressors switch on every MA pattern).
     #[must_use]
-    pub fn aggressor_after(self) -> DriveLevel {
+    fn aggressor_after(self) -> DriveLevel {
         match self.aggressor_before() {
             DriveLevel::Low => DriveLevel::High,
             DriveLevel::High => DriveLevel::Low,

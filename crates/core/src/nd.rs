@@ -52,12 +52,6 @@ impl NdThresholds {
             overshoot_margin: 0.3 * vdd,
         }
     }
-
-    /// Whether a voltage sits strictly inside the vulnerable band.
-    #[must_use]
-    pub fn in_vulnerable_band(&self, v: f64) -> bool {
-        v > self.v_low_max && v < self.v_high_min
-    }
 }
 
 /// Which side of the vulnerable band a sample sits on.
@@ -407,9 +401,6 @@ mod tests {
         let t = NdThresholds::for_vdd(1.8);
         assert!((t.v_low_max - 0.54).abs() < 1e-12);
         assert!((t.v_high_min - 1.26).abs() < 1e-12);
-        assert!(t.in_vulnerable_band(0.9));
-        assert!(!t.in_vulnerable_band(0.3));
-        assert!(!t.in_vulnerable_band(1.5));
     }
 
     #[test]

@@ -67,22 +67,10 @@ impl Pgbsc {
         self.ff3 = Logic::Zero;
     }
 
-    /// The victim-select bit currently in FF1.
-    #[must_use]
-    pub fn victim_select_bit(&self) -> Logic {
-        self.ff1
-    }
-
     /// Whether the cell is in victim mode under the given control.
     #[must_use]
     pub fn is_victim(&self, ctrl: &CellControl) -> bool {
         ctrl.si && self.ff1 == Logic::One
-    }
-
-    /// The pattern stage (FF2) content.
-    #[must_use]
-    pub fn pattern_bit(&self) -> Logic {
-        self.ff2
     }
 }
 
@@ -218,24 +206,24 @@ pub fn pgbsc_netlist() -> Result<Netlist, LogicError> {
 
 /// The control/clock nets one PGBSC array shares across all its cells.
 #[derive(Debug, Clone, Copy)]
-pub struct PgbscSharedNets {
+struct PgbscSharedNets {
     /// Shift-DR control.
-    pub shift_dr: NetId,
+    shift_dr: NetId,
     /// Signal-integrity mode (SI).
-    pub si: NetId,
+    si: NetId,
     /// Detector/generator enable (CE).
-    pub ce: NetId,
+    ce: NetId,
     /// EXTEST-style mode select.
-    pub mode: NetId,
+    mode: NetId,
     /// TCK (shift clock).
-    pub tck: NetId,
+    tck: NetId,
     /// Update-DR (pattern clock).
-    pub update_dr: NetId,
+    update_dr: NetId,
 }
 
 impl PgbscSharedNets {
     /// Declares the shared nets as primary inputs of `nl`.
-    pub fn add_to(nl: &mut Netlist) -> PgbscSharedNets {
+    fn add_to(nl: &mut Netlist) -> PgbscSharedNets {
         PgbscSharedNets {
             shift_dr: nl.add_input("shift_dr"),
             si: nl.add_input("si"),
@@ -267,7 +255,7 @@ pub struct PgbscCellNets {
 /// # Errors
 ///
 /// Propagates [`LogicError`] from netlist construction.
-pub fn build_pgbsc_into(
+fn build_pgbsc_into(
     nl: &mut Netlist,
     prefix: &str,
     tdi: NetId,
@@ -453,7 +441,7 @@ mod tests {
         c.shift(Logic::One, &si_ctrl());
         c.reset();
         assert_eq!(c.scan_bit(), Logic::X);
-        assert_eq!(c.pattern_bit(), Logic::X);
+        assert_eq!(c.ff2, Logic::X);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! at its Update-DR as a one-column panel: the oracle path, bitwise the
 //! scalar solve.
 
-use crate::cost::MethodPlanner;
 use crate::degrade::{ChainPolicy, DegradationEvent, DegradedOutcome};
 use crate::error::CoreError;
 use crate::infra::InfrastructureDiagnosis;
@@ -34,7 +33,6 @@ use crate::instructions::{extended_instruction_set, g_sitest};
 use crate::mafm::{
     fault_pair, victim_select, CoverageLedger, CoverageReport, IntegrityFault, QUARANTINE_PARK,
 };
-use crate::timing::ChainGeometry;
 use crate::nd::NdThresholds;
 use crate::obsc::{
     recombined_response, stop_tolerance, Obsc, RecombineScratch, ND_HIT, SD_HIT, SETTLED_HIGH,
@@ -50,7 +48,7 @@ use sint_interconnect::error::InterconnectError;
 use sint_interconnect::basis::StepBasis;
 use sint_interconnect::measure::propagation_delay;
 use sint_interconnect::params::{Bus, BusParams};
-use sint_interconnect::solver::{GuardrailEvent, Horizon, PanelScratch, StopRule, TransientSim};
+use sint_interconnect::solver::{Horizon, PanelScratch, StopRule, TransientSim};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use sint_interconnect::variation::{apply_variation, VariationSigma};
@@ -277,12 +275,11 @@ impl SocBuilder {
         for _ in 0..self.extra_cells {
             device.push_cell(Box::new(StandardBsc::new()));
         }
-        // A defect-injected bus can push the nominal factorisation into
-        // singularity; the guarded constructor recovers where its ladder
-        // allows and reports every action it took.
-        let (sim, guardrail_events) = TransientSim::new_guarded(&bus, dt)?;
-        let sim = Arc::new(sim);
-        let sim_key = (bus.fingerprint(), sim.dt().to_bits());
+        // A bus whose factorisation is singular is refused with a typed
+        // `SingularMatrix`: no other timestep or engine gives it a sound
+        // session.
+        let sim = Arc::new(TransientSim::new(&bus, dt)?);
+        let sim_key = (bus.fingerprint(), dt.to_bits());
         let sim_cache = HashMap::from([(sim_key, Arc::clone(&sim))]);
         let mut chain = Chain::single(device);
         if let Some(fault) = self.scan_fault {
@@ -297,7 +294,6 @@ impl SocBuilder {
             sim,
             sim_key,
             sim_cache,
-            guardrail_events,
             panel_scratch,
             memo: HashMap::new(),
             memo_stats: MemoStats::default(),
@@ -610,9 +606,6 @@ pub struct Soc {
     /// bits)` — a campaign that alternates session configs (or re-tests
     /// at the same dt) never refactors the same system twice.
     sim_cache: HashMap<(u64, u64), Arc<TransientSim>>,
-    /// Recovery actions the guarded solver constructor took at build
-    /// time (empty when the nominal factorisation succeeded).
-    guardrail_events: Vec<GuardrailEvent>,
     /// Reused solver scratch for plan solves and patterns solved alone:
     /// keeps every timestep loop allocation-free.
     panel_scratch: PanelScratch,
@@ -644,7 +637,7 @@ pub struct Soc {
     /// drives are parked at [`QUARANTINE_PARK`] in the bus model.
     quarantine: Option<QuarantineSet>,
     /// Concessions the most recent degraded session made (empty after
-    /// a healthy session), parallel to `guardrail_events`.
+    /// a healthy session).
     degradation_events: Vec<DegradationEvent>,
     /// Cooperative cancellation: checked inside every solver timestep
     /// loop; an expired deadline surfaces as
@@ -761,15 +754,6 @@ impl Soc {
         }
     }
 
-    /// Recovery actions the guarded solver constructor took at build
-    /// time. Empty for a healthy configuration; a non-empty list means
-    /// the SoC runs on a degraded solver setup (halved dt or the dense
-    /// oracle) and results should be read with that in mind.
-    #[must_use]
-    pub fn guardrail_events(&self) -> &[GuardrailEvent] {
-        &self.guardrail_events
-    }
-
     /// The JTAG driver, for custom test plans.
     pub fn driver_mut(&mut self) -> &mut JtagDriver {
         &mut self.driver
@@ -803,12 +787,6 @@ impl Soc {
     /// session fails with [`CoreError::DeadlineExceeded`].
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
         self.cancel = token;
-    }
-
-    /// The installed cancellation token, if any.
-    #[must_use]
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// Runs the ATE-style scan-chain self-check (reset probe, BYPASS
@@ -1496,13 +1474,6 @@ impl Soc {
         Ok(result?)
     }
 
-    /// The observation method the cost model picks for this SoC's
-    /// chain geometry (see [`MethodPlanner`]).
-    #[must_use]
-    pub fn plan_method(&self, planner: &MethodPlanner) -> ObservationMethod {
-        planner.choose(ChainGeometry::new(self.wires, self.extra_cells))
-    }
-
     /// The adaptive session (ROADMAP item 3): **fault dropping** plus
     /// **escalating read-out localization**.
     ///
@@ -1754,7 +1725,6 @@ mod tests {
         let report = soc.check_infrastructure().unwrap();
         assert!(report.healthy());
         assert_eq!(report.devices, 1);
-        assert!(soc.guardrail_events().is_empty(), "nominal build needs no recovery");
     }
 
     #[test]
@@ -2536,9 +2506,10 @@ mod tests {
     #[test]
     fn plan_method_uses_chain_geometry() {
         let soc = SocBuilder::new(8).extra_cells(10).build().unwrap();
+        let geometry = ChainGeometry::new(soc.wires(), soc.extra_cells());
         let sparse = crate::cost::MethodPlanner::new(0.01).unwrap();
-        assert_eq!(soc.plan_method(&sparse), ObservationMethod::Once);
+        assert_eq!(sparse.choose(geometry), ObservationMethod::Once);
         let dense = crate::cost::MethodPlanner::new(1.0).unwrap();
-        assert_eq!(soc.plan_method(&dense), ObservationMethod::PerPattern);
+        assert_eq!(dense.choose(geometry), ObservationMethod::PerPattern);
     }
 }

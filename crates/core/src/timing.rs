@@ -53,7 +53,7 @@ impl ChainGeometry {
 
     /// TCKs for a full DR scan across this chain.
     #[must_use]
-    pub fn dr_scan_tcks(&self) -> u64 {
+    fn dr_scan_tcks(&self) -> u64 {
         self.chain_len() + DR_SCAN_OVERHEAD
     }
 }
@@ -96,7 +96,7 @@ pub fn pgbsc_generation_tcks(g: ChainGeometry) -> u64 {
 /// halves separately because fault dropping can truncate or skip a half
 /// outright.
 #[must_use]
-pub fn pgbsc_half_generation_tcks(g: ChainGeometry) -> u64 {
+fn pgbsc_half_generation_tcks(g: ChainGeometry) -> u64 {
     IR_SCAN_TCKS                            // SAMPLE/PRELOAD
         + g.dr_scan_tcks()                  // initial value
         + IR_SCAN_TCKS                      // G-SITEST

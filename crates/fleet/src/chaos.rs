@@ -145,14 +145,6 @@ impl ChaosPlan {
         self
     }
 
-    /// Whether the plan can inject anything at all.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        ((self.flaky_rate > 0.0 || self.dead_rate > 0.0) && self.fault_rate > 0.0)
-            || !self.explicit.is_empty()
-            || !self.killed.is_empty()
-    }
-
     /// The board's failure profile — a pure function of
     /// `(plan seed, board)`.
     #[must_use]
@@ -298,15 +290,12 @@ mod tests {
     #[test]
     fn inactive_plans_inject_nothing() {
         let plan = ChaosPlan::new(5);
-        assert!(!plan.is_active());
+        let no_per_trial_rate = ChaosPlan::new(5).rates(0.5, 0.5, 0.0);
         for board in 0..16 {
             assert_eq!(plan.profile(board), BoardProfile::Clean);
             assert_eq!(plan.fault_at(board, 0), None);
+            assert_eq!(no_per_trial_rate.fault_at(board, 0), None, "no per-trial rate");
         }
-        assert!(ChaosPlan::new(5).kill(0).is_active());
-        assert!(ChaosPlan::new(5).inject(0, 0, ChaosKind::Sink).is_active());
-        assert!(ChaosPlan::new(5).rates(0.5, 0.0, 0.5).is_active());
-        assert!(!ChaosPlan::new(5).rates(0.5, 0.5, 0.0).is_active(), "no per-trial rate");
     }
 
     #[test]

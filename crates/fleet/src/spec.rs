@@ -58,6 +58,13 @@ pub struct BoardSpec {
     pub seed: u64,
 }
 
+/// Lumped segments per wire of every board's solver grid: deliberately
+/// coarse, the cheap configuration that still reproduces the
+/// detect/miss split.
+const SOLVER_SEGMENTS: usize = 2;
+/// Timestep of every board's solver grid (s).
+const SOLVER_DT: f64 = 10e-12;
+
 /// A deterministic description of a whole test floor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FloorSpec {
@@ -65,8 +72,6 @@ pub struct FloorSpec {
     wires: usize,
     trials_per_board: usize,
     seed: u64,
-    segments: usize,
-    dt: f64,
     clients: Vec<ClientSpec>,
     planner: Option<MethodPlanner>,
     adaptive: bool,
@@ -84,8 +89,6 @@ impl FloorSpec {
             wires: 3,
             trials_per_board: 4,
             seed: 0x5EED_F10E,
-            segments: 2,
-            dt: 10e-12,
             clients: vec![ClientSpec::new("default")],
             planner: None,
             adaptive: false,
@@ -136,16 +139,6 @@ impl FloorSpec {
         self
     }
 
-    /// Overrides the solver grid (lumped segments per wire, timestep).
-    /// The default is deliberately coarse; raise it when per-trial
-    /// analog fidelity matters more than floor throughput.
-    #[must_use]
-    pub fn solver_grid(mut self, segments: usize, dt: f64) -> FloorSpec {
-        self.segments = segments;
-        self.dt = dt;
-        self
-    }
-
     /// Replaces the client roster. Boards are dealt round-robin, so
     /// with `boards >= clients.len()` every client owns at least one.
     #[must_use]
@@ -172,9 +165,6 @@ impl FloorSpec {
         if self.clients.is_empty() {
             return Err(FleetError::spec("a floor needs at least one client"));
         }
-        if self.segments == 0 || !self.dt.is_finite() || self.dt <= 0.0 {
-            return Err(FleetError::spec("solver grid must have segments > 0 and dt > 0"));
-        }
         Ok(())
     }
 
@@ -182,12 +172,6 @@ impl FloorSpec {
     #[must_use]
     pub fn boards(&self) -> usize {
         self.boards
-    }
-
-    /// Trials each board runs.
-    #[must_use]
-    pub fn trials_each(&self) -> usize {
-        self.trials_per_board
     }
 
     /// Bus width of every board — also the size of the chain a board
@@ -252,9 +236,9 @@ impl FloorSpec {
     #[must_use]
     pub fn campaign(&self) -> Campaign {
         let campaign = Campaign::new(self.wires)
-            .bus_params(BusParams::dsm_bus(self.wires).segments(self.segments))
+            .bus_params(BusParams::dsm_bus(self.wires).segments(SOLVER_SEGMENTS))
             .session(SessionConfig {
-                dt: self.dt,
+                dt: SOLVER_DT,
                 ..SessionConfig::method(ObservationMethod::Once)
             });
         match self.planner {
@@ -296,8 +280,6 @@ mod tests {
         assert!(FloorSpec::new(1).wires(1).validate().is_err());
         assert!(FloorSpec::new(1).trials_per_board(0).validate().is_err());
         assert!(FloorSpec::new(1).with_clients(vec![]).validate().is_err());
-        assert!(FloorSpec::new(1).solver_grid(0, 1e-12).validate().is_err());
-        assert!(FloorSpec::new(1).solver_grid(2, -1.0).validate().is_err());
         assert!(FloorSpec::new(4).validate().is_ok());
     }
 

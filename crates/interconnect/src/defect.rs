@@ -70,14 +70,19 @@ impl Defect {
     /// # Errors
     ///
     /// [`InterconnectError::WireOutOfRange`] for indices off the bus and
-    /// [`InterconnectError::BadGeometry`] for non-physical magnitudes
-    /// (negative factor or resistance).
+    /// [`InterconnectError::BadGeometry`] for non-physical magnitudes: a
+    /// NaN, a negative or an infinite factor, a non-positive driver
+    /// factor, a NaN or negative resistance. An `extra_ohms` of `+∞` (a
+    /// full open) is accepted; the solver refuses the bus it leaves with
+    /// a typed [`InterconnectError::SingularMatrix`].
     pub fn apply(&self, bus: &mut Bus) -> Result<(), InterconnectError> {
         match *self {
             Defect::CouplingBoost { wire, factor } => {
                 bus.check_wire(wire)?;
-                if factor < 0.0 {
-                    return Err(InterconnectError::geometry("coupling factor must be >= 0"));
+                if !(factor.is_finite() && factor >= 0.0) {
+                    return Err(InterconnectError::geometry(
+                        "coupling factor must be finite and >= 0",
+                    ));
                 }
                 let pairs = bus.wires().saturating_sub(1);
                 // Pair `p` couples wires p and p+1.
@@ -97,8 +102,10 @@ impl Defect {
                         width: bus.wires(),
                     });
                 }
-                if factor < 0.0 {
-                    return Err(InterconnectError::geometry("coupling factor must be >= 0"));
+                if !(factor.is_finite() && factor >= 0.0) {
+                    return Err(InterconnectError::geometry(
+                        "coupling factor must be finite and >= 0",
+                    ));
                 }
                 for cc in &mut bus.cc_node[left] {
                     *cc *= factor;
@@ -113,7 +120,7 @@ impl Defect {
                         bus.segments()
                     )));
                 }
-                if extra_ohms < 0.0 {
+                if extra_ohms.is_nan() || extra_ohms < 0.0 {
                     return Err(InterconnectError::geometry("extra resistance must be >= 0"));
                 }
                 bus.r_seg[wire][segment] += extra_ohms;
@@ -121,8 +128,10 @@ impl Defect {
             }
             Defect::WeakDriver { wire, factor } => {
                 bus.check_wire(wire)?;
-                if factor <= 0.0 {
-                    return Err(InterconnectError::geometry("driver factor must be positive"));
+                if !(factor.is_finite() && factor > 0.0) {
+                    return Err(InterconnectError::geometry(
+                        "driver factor must be finite and positive",
+                    ));
                 }
                 bus.driver_r[wire] *= factor;
                 Ok(())
@@ -205,6 +214,37 @@ mod tests {
             .is_err());
         assert!(Defect::WeakDriver { wire: 0, factor: 0.0 }.apply(&mut b).is_err());
         assert!(Defect::CouplingBoost { wire: 0, factor: -1.0 }.apply(&mut b).is_err());
+    }
+
+    #[test]
+    fn non_finite_magnitudes_rejected() {
+        let defects = |x: f64| {
+            [
+                Defect::CouplingBoost { wire: 1, factor: x },
+                Defect::PairCouplingBoost { left: 0, factor: x },
+                Defect::ResistiveOpen { wire: 1, segment: 2, extra_ohms: x },
+                Defect::WeakDriver { wire: 1, factor: x },
+            ]
+        };
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            for d in defects(bad) {
+                let err = d.apply(&mut bus()).unwrap_err();
+                assert!(matches!(err, InterconnectError::BadGeometry { .. }), "{d}: {err:?}");
+            }
+        }
+        // Every factor must be finite. A full open is a physical defect,
+        // and the solver refuses the bus it leaves with a typed error.
+        for d in defects(f64::INFINITY) {
+            let mut b = bus();
+            match d {
+                Defect::ResistiveOpen { .. } => {
+                    d.apply(&mut b).unwrap();
+                    let solver = TransientSim::new(&b, 2e-12);
+                    assert!(matches!(solver, Err(InterconnectError::SingularMatrix)), "{d}");
+                }
+                _ => assert!(d.apply(&mut b).is_err(), "{d}"),
+            }
+        }
     }
 
     #[test]

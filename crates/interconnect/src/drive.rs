@@ -131,11 +131,6 @@ impl VectorPair {
     pub fn switches(&self, wire: usize) -> bool {
         self.before[wire] != self.after[wire]
     }
-
-    /// Wires that stay put across the pair (candidate glitch victims).
-    pub fn quiet_wires(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.width()).filter(|&w| !self.switches(w))
-    }
 }
 
 impl fmt::Display for VectorPair {
@@ -212,12 +207,6 @@ impl Stimulus {
         Ok(Stimulus { sources })
     }
 
-    /// Builds a stimulus directly from per-wire sources.
-    #[must_use]
-    pub fn from_sources(sources: Vec<RampSource>) -> Stimulus {
-        Stimulus { sources }
-    }
-
     /// Number of driven wires.
     #[must_use]
     pub fn width(&self) -> usize {
@@ -253,7 +242,6 @@ mod tests {
         assert!(p.switches(0));
         assert!(!p.switches(1));
         assert!(!p.switches(2));
-        assert_eq!(p.quiet_wires().collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(p.to_string(), "010 -> 110");
     }
 

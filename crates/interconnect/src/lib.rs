@@ -72,4 +72,4 @@ pub use defect::Defect;
 pub use drive::{DriveLevel, VectorPair};
 pub use error::InterconnectError;
 pub use params::{Bus, BusParams};
-pub use solver::{GuardrailEvent, PanelScratch, TransientSim, WavePanel};
+pub use solver::{PanelScratch, TransientSim, WavePanel};

@@ -235,12 +235,6 @@ impl Banded {
         self.n
     }
 
-    /// `(kl, ku)`: sub- and super-diagonal counts of the logical band.
-    #[must_use]
-    pub fn bandwidths(&self) -> (usize, usize) {
-        (self.kl, self.ku)
-    }
-
     #[inline]
     fn slot(&self, i: usize, j: usize) -> usize {
         debug_assert!(i < self.n && j < self.n, "index out of range");
@@ -338,17 +332,6 @@ impl Banded {
         Diagonals { n: self.n, diags }
     }
 
-    /// Dense copy (testing/diagnostics).
-    #[must_use]
-    pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.n);
-        for i in 0..self.n {
-            for j in i.saturating_sub(self.kl)..=(i + self.ku).min(self.n.saturating_sub(1)) {
-                m[(i, j)] = self.get(i, j);
-            }
-        }
-        m
-    }
 
     /// Banded LU factorisation with partial pivoting (LAPACK `gbtrf`,
     /// unblocked): O(N·b²) time, fill-in confined to the `kl` reserved
@@ -780,7 +763,7 @@ mod tests {
             (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
         };
         let mut band = Banded::zeros(n, kl, ku);
-        let (kl, ku) = band.bandwidths();
+        let (kl, ku) = (band.kl, band.ku);
         let mut dense = Matrix::zeros(n);
         for i in 0..n {
             for j in i.saturating_sub(kl)..=(i + ku).min(n - 1) {
@@ -846,12 +829,10 @@ mod tests {
     fn banded_accessors_and_outside_band() {
         let mut m = Banded::zeros(4, 1, 2);
         assert_eq!(m.dim(), 4);
-        assert_eq!(m.bandwidths(), (1, 2));
+        assert_eq!((m.kl, m.ku), (1, 2));
         m.add(1, 3, 2.5);
         assert_eq!(m.get(1, 3), 2.5);
         assert_eq!(m.get(3, 0), 0.0, "outside band reads as zero");
-        let dense = m.to_dense();
-        assert_eq!(dense[(1, 3)], 2.5);
     }
 
     #[test]
@@ -864,7 +845,7 @@ mod tests {
     #[test]
     fn banded_bandwidths_clamped_to_dim() {
         let m = Banded::zeros(3, 10, 10);
-        assert_eq!(m.bandwidths(), (2, 2));
+        assert_eq!((m.kl, m.ku), (2, 2));
     }
 
     // ---------------- interleaved lane blocks ----------------

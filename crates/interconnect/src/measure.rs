@@ -25,12 +25,6 @@ pub fn peak(wave: &[f64]) -> f64 {
     wave.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Minimum value of the waveform (V), e.g. for undershoot checks.
-#[must_use]
-pub fn trough(wave: &[f64]) -> f64 {
-    wave.iter().cloned().fold(f64::INFINITY, f64::min)
-}
-
 /// Overshoot above `vdd` (V), zero when the wave never exceeds the rail.
 #[must_use]
 pub fn overshoot(wave: &[f64], vdd: f64) -> f64 {
@@ -101,22 +95,6 @@ pub fn tail_start(len: usize, tail_fraction: f64) -> usize {
     ((len as f64) * (1.0 - tail_fraction)) as usize
 }
 
-/// True when the waveform enters the *vulnerable region* for a held-low
-/// wire: rises above `v_lthr` (the maximum voltage still read as a clean
-/// logic 0). This is the voltage condition the ND cell latches on.
-#[must_use]
-pub fn violates_low(wave: &[f64], v_lthr: f64) -> bool {
-    peak(wave) > v_lthr
-}
-
-/// True when the waveform enters the vulnerable region for a held-high
-/// wire: dips below `v_hthr` (the minimum voltage still read as a clean
-/// logic 1).
-#[must_use]
-pub fn violates_high(wave: &[f64], v_hthr: f64) -> bool {
-    trough(wave) < v_hthr
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,7 +114,6 @@ mod tests {
     fn peak_trough_overshoot() {
         let wave = [0.0, 2.0, 1.8, -0.1];
         assert_eq!(peak(&wave), 2.0);
-        assert_eq!(trough(&wave), -0.1);
         assert!((overshoot(&wave, 1.8) - 0.2).abs() < 1e-12);
         assert_eq!(overshoot(&[0.0, 1.0], 1.8), 0.0);
     }
@@ -189,15 +166,5 @@ mod tests {
     #[should_panic(expected = "empty waveform")]
     fn settled_value_rejects_empty() {
         let _ = settled_value(&[], 0.5);
-    }
-
-    #[test]
-    fn vulnerable_region_checks() {
-        let low_glitch = [0.0, 0.3, 0.7, 0.2, 0.0];
-        assert!(violates_low(&low_glitch, 0.45));
-        assert!(!violates_low(&low_glitch, 0.9));
-        let high_dip = [1.8, 1.4, 1.0, 1.7, 1.8];
-        assert!(violates_high(&high_dip, 1.35));
-        assert!(!violates_high(&high_dip, 0.9));
     }
 }

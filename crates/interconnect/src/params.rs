@@ -175,33 +175,39 @@ impl BusParams {
     /// # Errors
     ///
     /// [`InterconnectError::BadGeometry`] when any quantity is
-    /// non-physical (zero wires/segments, non-positive R, C, Vdd or edge
-    /// time).
+    /// non-physical (zero wires/segments; a non-finite value; non-positive
+    /// length, R, ground C, driver R, Vdd or edge time; negative coupling
+    /// C, inductance or receiver C).
     pub fn build(self) -> Result<Bus, InterconnectError> {
+        // Written so that NaN fails every check.
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
         if self.wires == 0 {
             return Err(InterconnectError::geometry("bus must have at least one wire"));
         }
         if self.segments == 0 {
             return Err(InterconnectError::geometry("bus must have at least one segment"));
         }
-        if self.length_mm <= 0.0 {
+        if !positive(self.length_mm) {
             return Err(InterconnectError::geometry("wire length must be positive"));
         }
-        if self.r_per_mm <= 0.0 || self.cg_per_mm <= 0.0 || self.cc_per_mm < 0.0 {
+        if !(positive(self.r_per_mm) && positive(self.cg_per_mm) && non_negative(self.cc_per_mm)) {
             return Err(InterconnectError::geometry("R and C densities must be positive"));
         }
-        if self.l_per_mm < 0.0 {
+        if !non_negative(self.l_per_mm) {
             return Err(InterconnectError::geometry("inductance density must be >= 0"));
         }
-        if self.lm_per_mm < 0.0 || (self.lm_per_mm > 0.0 && self.lm_per_mm >= self.l_per_mm) {
+        if !non_negative(self.lm_per_mm)
+            || (self.lm_per_mm > 0.0 && self.lm_per_mm >= self.l_per_mm)
+        {
             return Err(InterconnectError::geometry(
                 "mutual inductance must satisfy 0 <= M < L",
             ));
         }
-        if self.driver_r <= 0.0 || self.receiver_c < 0.0 {
+        if !(positive(self.driver_r) && non_negative(self.receiver_c)) {
             return Err(InterconnectError::geometry("driver R must be positive"));
         }
-        if self.vdd <= 0.0 || self.rise_time <= 0.0 {
+        if !(positive(self.vdd) && positive(self.rise_time)) {
             return Err(InterconnectError::geometry("vdd and rise time must be positive"));
         }
         let s = self.segments;
@@ -303,25 +309,6 @@ impl Bus {
         self.l_seg.iter().flatten().any(|l| *l > 0.0)
     }
 
-    /// Total series inductance of `wire` (H).
-    ///
-    /// # Errors
-    ///
-    /// [`InterconnectError::WireOutOfRange`] for a bad index.
-    pub fn wire_inductance(&self, wire: usize) -> Result<f64, InterconnectError> {
-        self.check_wire(wire)?;
-        Ok(self.l_seg[wire].iter().sum())
-    }
-
-    /// Elmore-style time-constant estimate for one uncoupled wire (s):
-    /// a quick sanity metric, not used by the solver.
-    #[must_use]
-    pub fn elmore_estimate(&self) -> f64 {
-        let r_total: f64 = self.r_seg[0].iter().sum::<f64>() + self.driver_r[0];
-        let c_total: f64 = self.cg_node[0].iter().sum::<f64>() + self.receiver_c;
-        0.69 * r_total * c_total
-    }
-
     /// A structural fingerprint over every electrical parameter (FNV-1a
     /// over the exact bit patterns): equal buses fingerprint equal, any
     /// single element change — a defect, a variation draw — perturbs
@@ -406,6 +393,30 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_values_rejected() {
+        type Setter = fn(BusParams, f64) -> BusParams;
+        let fields: [(&str, Setter); 10] = [
+            ("length_mm", BusParams::length_mm),
+            ("r_per_mm", BusParams::r_per_mm),
+            ("cg_per_mm", BusParams::cg_per_mm),
+            ("cc_per_mm", BusParams::cc_per_mm),
+            ("l_per_mm", BusParams::l_per_mm),
+            ("lm_per_mm", BusParams::lm_per_mm),
+            ("driver_r", BusParams::driver_r),
+            ("receiver_c", BusParams::receiver_c),
+            ("vdd", BusParams::vdd),
+            ("rise_time", BusParams::rise_time),
+        ];
+        for (name, set) in fields {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let err = set(BusParams::dsm_bus(2), bad).build().unwrap_err();
+                let bad_geometry = matches!(err, InterconnectError::BadGeometry { .. });
+                assert!(bad_geometry, "{name} = {bad}: {err:?}");
+            }
+        }
+    }
+
+    #[test]
     fn wire_bounds_checked() {
         let bus = BusParams::dsm_bus(3).build().unwrap();
         assert!(bus.wire_resistance(2).is_ok());
@@ -415,14 +426,6 @@ mod tests {
         ));
         assert!(bus.pair_coupling(1).is_ok());
         assert!(bus.pair_coupling(2).is_err());
-    }
-
-    #[test]
-    fn elmore_estimate_is_plausible() {
-        let bus = BusParams::dsm_bus(5).build().unwrap();
-        let tau = bus.elmore_estimate();
-        // (120 + 150) Ω · (250 + 20) fF · 0.69 ≈ 50 ps
-        assert!(tau > 10e-12 && tau < 200e-12, "tau = {tau}");
     }
 
     #[test]

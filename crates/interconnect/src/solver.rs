@@ -44,9 +44,9 @@
 //! [`PanelScratch`] that callers thread through the run entry point to
 //! amortise across a campaign.
 //! The dense engine stays compiled in as a runtime-selectable reference
-//! ([`SolverBackend::Dense`]) and as the last rung of
-//! [`TransientSim::new_guarded`]; the property suite pins the two
-//! engines together to ≤ 1e-9 V.
+//! ([`SolverBackend::Dense`]) for two uses only: the property suite's
+//! oracle, which pins the two engines together to ≤ 1e-9 V, and the
+//! `bench_solver` baseline rows. No production path selects it.
 //!
 //! # Entry point
 //!
@@ -106,10 +106,6 @@ pub const DEFAULT_SWITCH_AT: f64 = 0.2e-9;
 /// low enough that a runaway duration is refused as a typed error
 /// instead of aborting the process on a waveform-buffer allocation.
 const MAX_STEPS: usize = 1 << 24;
-
-/// How many times [`TransientSim::new_guarded`] halves the timestep
-/// before engaging the dense engine.
-const GUARD_DT_HALVINGS: u32 = 2;
 
 /// A proved early stop for [`TransientSim::run_pairs_cancellable`],
 /// derived by the caller from what it decides on the traces: a trace
@@ -182,8 +178,7 @@ pub enum SolverBackend {
     #[default]
     Banded,
     /// Dense LU on the wire-major ordering: the simple O(N³)/O(N²)
-    /// reference used as a correctness oracle, perf baseline and last
-    /// guardrail rung.
+    /// reference used as a correctness oracle and perf baseline.
     Dense,
 }
 
@@ -419,37 +414,6 @@ pub struct TransientSim {
     engine: Engine,
     /// [`TransientSim::condition_estimate`], computed on first use.
     conditioning: OnceLock<f64>,
-}
-
-/// One recovery action taken by [`TransientSim::new_guarded`]. The
-/// returned event list is the audit trail: an empty list means the
-/// nominal configuration factored first try.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum GuardrailEvent {
-    /// The timestep was halved after a singular factorisation.
-    DtHalved {
-        /// Timestep that failed to factor (s).
-        from: f64,
-        /// Timestep tried next (s).
-        to: f64,
-    },
-    /// The dense oracle was engaged at the original timestep after
-    /// dt-halving was exhausted.
-    DenseFallback,
-}
-
-impl std::fmt::Display for GuardrailEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GuardrailEvent::DtHalved { from, to } => {
-                write!(f, "timestep halved {from:.3e} s -> {to:.3e} s after singular factorisation")
-            }
-            GuardrailEvent::DenseFallback => {
-                write!(f, "dense-oracle fallback engaged at the original timestep")
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1098,41 +1062,6 @@ impl TransientSim {
         Ok(TransientSim { bus: bus.clone(), dt, engine, conditioning: OnceLock::new() })
     }
 
-    /// As [`TransientSim::new`], but with a bounded recovery ladder for
-    /// singular factorisations: the timestep is halved up to twice, and
-    /// if the banded path still fails the dense engine is tried once at
-    /// the original timestep. Every action taken is reported as a
-    /// [`GuardrailEvent`] so callers can surface the degraded
-    /// configuration instead of silently running with a different dt.
-    ///
-    /// # Errors
-    ///
-    /// Non-singular construction errors (bad time axis, bad geometry)
-    /// propagate unchanged — the ladder only answers
-    /// [`InterconnectError::SingularMatrix`], which is returned once
-    /// every rung has been tried.
-    pub fn new_guarded(
-        bus: &Bus,
-        dt: f64,
-    ) -> Result<(TransientSim, Vec<GuardrailEvent>), InterconnectError> {
-        let mut events = Vec::new();
-        let mut current_dt = dt;
-        for halvings in 0..=GUARD_DT_HALVINGS {
-            if halvings > 0 {
-                events.push(GuardrailEvent::DtHalved { from: current_dt, to: current_dt / 2.0 });
-                current_dt /= 2.0;
-            }
-            match Self::new(bus, current_dt) {
-                Ok(sim) => return Ok((sim, events)),
-                Err(InterconnectError::SingularMatrix) => {}
-                Err(other) => return Err(other),
-            }
-        }
-        events.push(GuardrailEvent::DenseFallback);
-        let sim = Self::with_backend(bus, dt, SolverBackend::Dense)?;
-        Ok((sim, events))
-    }
-
     /// The bus this simulator was factored for.
     pub(crate) fn bus(&self) -> &Bus {
         &self.bus
@@ -1184,16 +1113,6 @@ impl TransientSim {
     #[must_use]
     pub fn switch_at(&self) -> f64 {
         DEFAULT_SWITCH_AT
-    }
-
-    /// Whether the augmented (inductive) formulation is active.
-    #[must_use]
-    pub fn is_rlc(&self) -> bool {
-        let sources = match &self.engine {
-            Engine::Banded(sys) => &sys.sources,
-            Engine::Dense(sys) => &sys.sources,
-        };
-        matches!(sources, Sources::Branch { .. })
     }
 
     /// Half-bandwidth of the banded transient matrix — about
@@ -1765,10 +1684,12 @@ mod tests {
 
     #[test]
     fn rlc_path_selected_only_with_inductance() {
-        let rc = small_bus(2);
-        assert!(!TransientSim::new(&rc, 2e-12).unwrap().is_rlc());
-        let rlc = rlc_bus(2, 0.4e-9);
-        assert!(TransientSim::new(&rlc, 2e-12).unwrap().is_rlc());
+        let is_rlc = |bus: &Bus| match TransientSim::new(bus, 2e-12).unwrap().engine {
+            Engine::Banded(sys) => matches!(sys.sources, Sources::Branch { .. }),
+            Engine::Dense(sys) => matches!(sys.sources, Sources::Branch { .. }),
+        };
+        assert!(!is_rlc(&small_bus(2)));
+        assert!(is_rlc(&rlc_bus(2, 0.4e-9)));
     }
 
     #[test]
@@ -1904,22 +1825,6 @@ mod tests {
     }
 
     #[test]
-    fn guarded_constructor_is_silent_on_healthy_buses() {
-        let bus = small_bus(3);
-        let (sim, events) = TransientSim::new_guarded(&bus, 2e-12).unwrap();
-        assert!(events.is_empty(), "healthy bus must not trigger recovery: {events:?}");
-        assert_eq!(sim.dt(), 2e-12);
-        assert_eq!(sim.backend(), SolverBackend::Banded);
-    }
-
-    #[test]
-    fn guarded_constructor_propagates_non_singular_errors() {
-        let bus = small_bus(2);
-        let err = TransientSim::new_guarded(&bus, -1.0).unwrap_err();
-        assert!(matches!(err, InterconnectError::BadTimeAxis { .. }), "got {err:?}");
-    }
-
-    #[test]
     fn pre_cancelled_token_stops_the_run_within_one_interval() {
         let bus = small_bus(3);
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
@@ -1956,13 +1861,6 @@ mod tests {
         let token = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
         let gated = column(&sim, &pair, 2e-9, Some(&token)).unwrap();
         assert_eq!(plain, gated, "a live token must not perturb the waveforms");
-    }
-
-    #[test]
-    fn guardrail_events_render() {
-        let e = GuardrailEvent::DtHalved { from: 2e-12, to: 1e-12 };
-        assert!(e.to_string().contains("halved"));
-        assert!(GuardrailEvent::DenseFallback.to_string().contains("dense-oracle"));
     }
 
     /// Deterministic batch of `k` vector pairs over `wires` wires.
@@ -2689,7 +2587,6 @@ mod tests {
         let bus = small_bus(2);
         for dt in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1e-12] {
             assert_bad_time_axis(TransientSim::new(&bus, dt), &format!("dt {dt}"));
-            assert_bad_time_axis(TransientSim::new_guarded(&bus, dt), &format!("guarded dt {dt}"));
             assert_bad_time_axis(
                 TransientSim::with_backend(&bus, dt, SolverBackend::Dense),
                 &format!("dense dt {dt}"),

@@ -113,12 +113,6 @@ impl JtagDriver {
         &mut self.chain
     }
 
-    /// Consumes the driver, returning the chain.
-    #[must_use]
-    pub fn into_chain(self) -> Chain {
-        self.chain
-    }
-
     /// Total TCKs issued so far.
     #[must_use]
     pub fn tck(&self) -> u64 {

@@ -443,7 +443,7 @@ impl QuarantineSet {
 
     /// Whether no wire is quarantined.
     #[must_use]
-    pub fn is_clear(&self) -> bool {
+    fn is_clear(&self) -> bool {
         !self.mask.iter().any(|&q| q)
     }
 

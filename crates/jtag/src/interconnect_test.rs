@@ -213,31 +213,15 @@ pub fn walking_zero(nets: usize) -> Vec<Vec<Logic>> {
         .collect()
 }
 
-/// Applies a pattern set through the wiring model and diagnoses the
-/// responses.
+/// Diagnoses the responses of `nets` nets to a pattern set.
 ///
 /// Detection logic: a net fails when any received bit differs from the
-/// driven bit; nets are grouped as shorted when their *received*
-/// response sequences are identical but their driven sequences were
-/// not, and the shared response is the wired-AND of the drives.
-#[must_use]
-pub fn run_wiring_test(wiring: &BoardWiring, patterns: &[Vec<Logic>]) -> WiringDiagnosis {
-    let nets = wiring.nets();
-    let mut results = Vec::with_capacity(patterns.len());
-    for p in patterns {
-        let received = wiring.propagate(p);
-        results.push(PatternResult { driven: p.clone(), received });
-    }
-
-    let mut failing = Vec::new();
-    for net in 0..nets {
-        let bad = results.iter().any(|r| r.received[net] != r.driven[net]);
-        if bad {
-            failing.push(net);
-        }
-    }
-
-    // Group failing nets by identical received signatures.
+/// driven bit; failing nets are grouped as shorted when their
+/// *received* response sequences are identical.
+fn diagnose(nets: usize, results: Vec<PatternResult>) -> WiringDiagnosis {
+    let failing: Vec<usize> = (0..nets)
+        .filter(|&net| results.iter().any(|r| r.received[net] != r.driven[net]))
+        .collect();
     let mut by_signature: BTreeMap<Vec<Logic>, Vec<usize>> = BTreeMap::new();
     for &net in &failing {
         let sig: Vec<Logic> = results.iter().map(|r| r.received[net]).collect();
@@ -245,13 +229,25 @@ pub fn run_wiring_test(wiring: &BoardWiring, patterns: &[Vec<Logic>]) -> WiringD
     }
     let shorted_groups: Vec<Vec<usize>> =
         by_signature.into_values().filter(|g| g.len() > 1).collect();
-
     WiringDiagnosis { failing_nets: failing, shorted_groups, patterns: results }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The model-level reference: each pattern applied straight through
+    /// the wiring model, no scan chain in between.
+    pub(super) fn run_wiring_test(
+        wiring: &BoardWiring,
+        patterns: &[Vec<Logic>],
+    ) -> WiringDiagnosis {
+        let results = patterns
+            .iter()
+            .map(|p| PatternResult { driven: p.clone(), received: wiring.propagate(p) })
+            .collect();
+        diagnose(wiring.nets(), results)
+    }
 
     #[test]
     fn counting_sequence_width_is_logarithmic() {
@@ -475,26 +471,12 @@ pub fn run_extest_over_chain(
             .collect();
         results.push(PatternResult { driven, received: captured });
     }
-
-    // Reuse the same diagnosis logic on the scanned-out data.
-    let mut failing = Vec::new();
-    for net in 0..nets {
-        if results.iter().any(|r| r.received[net] != r.driven[net]) {
-            failing.push(net);
-        }
-    }
-    let mut by_signature: BTreeMap<Vec<Logic>, Vec<usize>> = BTreeMap::new();
-    for &net in &failing {
-        let sig: Vec<Logic> = results.iter().map(|r| r.received[net]).collect();
-        by_signature.entry(sig).or_default().push(net);
-    }
-    let shorted_groups: Vec<Vec<usize>> =
-        by_signature.into_values().filter(|g| g.len() > 1).collect();
-    Ok(WiringDiagnosis { failing_nets: failing, shorted_groups, patterns: results })
+    Ok(diagnose(nets, results))
 }
 
 #[cfg(test)]
 mod chain_tests {
+    use super::tests::run_wiring_test;
     use super::*;
     use crate::bcell::StandardBsc;
     use crate::chain::Chain;
@@ -522,6 +504,7 @@ mod chain_tests {
         let wiring = BoardWiring::new(6);
         let d = run_extest_over_chain(&mut drv, &wiring, &counting_sequence(6)).unwrap();
         assert!(d.passed(), "{d:?}");
+        assert_eq!(d, run_wiring_test(&wiring, &counting_sequence(6)));
     }
 
     #[test]
@@ -531,6 +514,7 @@ mod chain_tests {
         wiring.inject(WiringFault::StuckAt1 { net: 2 }).unwrap();
         let d = run_extest_over_chain(&mut drv, &wiring, &counting_sequence(6)).unwrap();
         assert_eq!(d.failing_nets, vec![2]);
+        assert_eq!(d, run_wiring_test(&wiring, &counting_sequence(6)));
     }
 
     #[test]
@@ -540,6 +524,7 @@ mod chain_tests {
         wiring.inject(WiringFault::Bridge { a: 0, b: 3 }).unwrap();
         let d = run_extest_over_chain(&mut drv, &wiring, &walking_one(5)).unwrap();
         assert_eq!(d.shorted_groups, vec![vec![0, 3]]);
+        assert_eq!(d, run_wiring_test(&wiring, &walking_one(5)));
     }
 
     #[test]

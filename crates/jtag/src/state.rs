@@ -104,20 +104,6 @@ impl TapState {
             (UpdateIr, true) => SelectDrScan,
         }
     }
-
-    /// Whether this state belongs to the DR column.
-    #[must_use]
-    pub fn is_dr_column(self) -> bool {
-        use TapState::*;
-        matches!(self, SelectDrScan | CaptureDr | ShiftDr | Exit1Dr | PauseDr | Exit2Dr | UpdateDr)
-    }
-
-    /// Whether this state belongs to the IR column.
-    #[must_use]
-    pub fn is_ir_column(self) -> bool {
-        use TapState::*;
-        matches!(self, SelectIrScan | CaptureIr | ShiftIr | Exit1Ir | PauseIr | Exit2Ir | UpdateIr)
-    }
 }
 
 impl Default for TapState {
@@ -222,15 +208,6 @@ mod tests {
     fn update_can_chain_straight_into_next_scan() {
         assert_eq!(UpdateDr.next(true), SelectDrScan);
         assert_eq!(UpdateIr.next(true), SelectDrScan);
-    }
-
-    #[test]
-    fn column_classification() {
-        assert!(CaptureDr.is_dr_column());
-        assert!(ShiftIr.is_ir_column());
-        assert!(!RunTestIdle.is_dr_column());
-        assert!(!RunTestIdle.is_ir_column());
-        assert!(!TestLogicReset.is_ir_column());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct NetlistStats {
 impl NetlistStats {
     /// Highest fanout across all nets (0 for an empty netlist).
     #[must_use]
-    pub fn max_fanout(&self) -> usize {
+    fn max_fanout(&self) -> usize {
         self.fanout.iter().copied().max().unwrap_or(0)
     }
 }

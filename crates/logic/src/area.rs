@@ -83,7 +83,7 @@ impl fmt::Display for NandUnits {
 
 /// Transistor count for a primitive with `n_inputs` inputs.
 #[must_use]
-pub fn transistor_count(prim: Primitive, n_inputs: usize) -> usize {
+fn transistor_count(prim: Primitive, n_inputs: usize) -> usize {
     match prim {
         Primitive::Not => 2,
         Primitive::Buf => 4,
@@ -96,19 +96,19 @@ pub fn transistor_count(prim: Primitive, n_inputs: usize) -> usize {
 
 /// NAND-unit area of a primitive with `n_inputs` inputs.
 #[must_use]
-pub fn gate_area(prim: Primitive, n_inputs: usize) -> NandUnits {
+fn gate_area(prim: Primitive, n_inputs: usize) -> NandUnits {
     NandUnits(transistor_count(prim, n_inputs) as f64 / 4.0)
 }
 
 /// NAND-unit area of a master–slave D flip-flop.
 #[must_use]
-pub fn dff_area() -> NandUnits {
+fn dff_area() -> NandUnits {
     NandUnits(6.0)
 }
 
 /// NAND-unit area of a level-sensitive latch.
 #[must_use]
-pub fn latch_area() -> NandUnits {
+fn latch_area() -> NandUnits {
     NandUnits(3.0)
 }
 

@@ -164,12 +164,6 @@ impl BitVector {
         self.bits.iter().filter(|b| **b == Logic::One).count()
     }
 
-    /// `true` when every bit is a defined binary value.
-    #[must_use]
-    pub fn is_fully_defined(&self) -> bool {
-        self.bits.iter().all(|b| b.is_binary())
-    }
-
     /// Reversed copy (TDI side becomes TDO side).
     #[must_use]
     pub fn reversed(&self) -> BitVector {
@@ -353,9 +347,7 @@ mod tests {
     #[test]
     fn defined_and_count() {
         let v: BitVector = "1x01".parse().unwrap();
-        assert!(!v.is_fully_defined());
         assert_eq!(v.count_ones(), 2);
-        assert!("1101".parse::<BitVector>().unwrap().is_fully_defined());
     }
 
     #[test]

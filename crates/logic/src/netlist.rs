@@ -76,7 +76,7 @@ impl Primitive {
     /// The number of inputs the primitive requires, or `None` when it is
     /// variadic (N-input gates accept 2 or more).
     #[must_use]
-    pub fn fixed_arity(self) -> Option<usize> {
+    fn fixed_arity(self) -> Option<usize> {
         match self {
             Primitive::Buf | Primitive::Not => Some(1),
             Primitive::Xor | Primitive::Xnor => Some(2),
@@ -87,7 +87,7 @@ impl Primitive {
 
     /// Validates an input count for this primitive.
     #[must_use]
-    pub fn arity_ok(self, n: usize) -> bool {
+    fn arity_ok(self, n: usize) -> bool {
         match self.fixed_arity() {
             Some(k) => n == k,
             None => n >= 2,

@@ -138,7 +138,7 @@ impl Simulator {
     /// # Errors
     ///
     /// As for [`Simulator::set`].
-    pub fn rising_edge(&mut self, clk: NetId) -> Result<(), LogicError> {
+    fn rising_edge(&mut self, clk: NetId) -> Result<(), LogicError> {
         if !self.nl.is_input(clk) {
             return Err(LogicError::NotAnInput { net: clk.index() });
         }

@@ -56,7 +56,7 @@ impl Trace {
     }
 
     /// Names of all recorded signals, sorted.
-    pub fn signal_names(&self) -> impl Iterator<Item = &str> {
+    fn signal_names(&self) -> impl Iterator<Item = &str> {
         self.signals.keys().map(String::as_str)
     }
 

@@ -69,7 +69,7 @@ static CRC32_TABLE: [u32; 256] = crc32_table();
 /// the zlib/PNG/`cksum -o3` checksum). `crc32(b"123456789")` is the
 /// canonical `0xCBF4_3926` check value, locked by a unit test.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
@@ -86,7 +86,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub const FRAME_SUFFIX_LEN: usize = 17;
 
 /// Wraps one record payload in a frame: `payload` + `#` + eight hex
-/// digits of byte length + eight hex digits of [`crc32`]. The suffix
+/// digits of byte length + eight hex digits of its IEEE CRC-32. The suffix
 /// is fixed-width and anchored at the end of the line, so framing is
 /// deterministic and reversible regardless of what the payload
 /// contains (payloads must stay under 4 GiB for the width to hold —
@@ -157,7 +157,7 @@ fn parse_hex8(digits: &[u8]) -> Option<u32> {
 /// # Errors
 ///
 /// A [`FrameError`] naming the first check that failed.
-pub fn unframe_bytes(line: &[u8]) -> Result<&[u8], FrameError> {
+fn unframe_bytes(line: &[u8]) -> Result<&[u8], FrameError> {
     if line.len() < FRAME_SUFFIX_LEN {
         return Err(FrameError::TooShort);
     }
@@ -177,7 +177,8 @@ pub fn unframe_bytes(line: &[u8]) -> Result<&[u8], FrameError> {
     Ok(payload)
 }
 
-/// [`unframe_bytes`] for a `&str` line, returning the payload slice.
+/// Validates one framed line (no trailing newline) and returns its
+/// payload slice.
 ///
 /// # Errors
 ///
@@ -287,8 +288,8 @@ impl AtomicFile {
         AtomicFile::write_faulted(path.as_ref(), contents, None)
     }
 
-    /// [`AtomicFile::write`] with an optional injected [`DiskFault`] —
-    /// the chaos/test entry point. A write-path fault (short, torn,
+    /// [`AtomicFile::write`] with an optional injected [`DiskFault`],
+    /// for the unit tests. A write-path fault (short, torn,
     /// `ENOSPC`) fires inside the temp-file stage; a
     /// [`DiskFault::RenameFail`] fails the publish step after a fully
     /// staged temp. Either way the previous contents of `path` stay
@@ -298,7 +299,7 @@ impl AtomicFile {
     ///
     /// The injected fault (except a survivable short write) or any
     /// real I/O failure.
-    pub fn write_faulted(
+    fn write_faulted(
         path: &Path,
         contents: &[u8],
         fault: Option<DiskFault>,
@@ -538,7 +539,8 @@ pub enum DiskFault {
     /// `ENOSPC` — nothing lands, the device is full.
     NoSpace,
     /// The data staged fine but the publishing rename fails —
-    /// meaningful to [`AtomicFile::write_faulted`].
+    /// meaningful only to an atomic file write, never drawn by
+    /// [`draw_write_fault`].
     RenameFail,
 }
 

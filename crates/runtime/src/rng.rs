@@ -114,11 +114,6 @@ impl Rng64 {
     pub fn next_f64(&mut self) -> f64 {
         self.gen_f64()
     }
-
-    /// Approximately normal sample (alias of [`Rng64::gen_gaussian`]).
-    pub fn next_gaussian(&mut self) -> f64 {
-        self.gen_gaussian()
-    }
 }
 
 #[cfg(test)]

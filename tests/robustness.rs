@@ -8,7 +8,7 @@ use sint::core::campaign::{Campaign, Trial, TrialOutcome};
 use sint::core::session::{ObservationMethod, SessionConfig};
 use sint::core::soc::SocBuilder;
 use sint::core::CoreError;
-use sint::interconnect::Defect;
+use sint::interconnect::{BusParams, Defect, InterconnectError};
 use sint::jtag::{ScanFault, TapState};
 use sint::runtime::json::ToJson;
 
@@ -144,9 +144,35 @@ fn faulty_trials_fail_in_place_without_hurting_the_batch() {
     }
 }
 
+/// Two extreme buses whose banded factorisation at the build's 2 ps is
+/// singular. Neither has a sound session on any other solver set-up:
+/// bus H factors at 1 ps, but every session asks for the configured
+/// 2 ps; bus D factors on the dense engine, which drives a held-High
+/// wire to −0.56 V. The build refuses both with a typed error.
 #[test]
-fn guardrail_events_surface_on_the_soc() {
-    // Nominal build: no recovery actions.
-    let soc = SocBuilder::new(3).build().unwrap();
-    assert!(soc.guardrail_events().is_empty());
+fn singular_buses_are_refused_at_build() {
+    let bus_h = BusParams::dsm_bus(3)
+        .segments(4)
+        .length_mm(18.84793467585483)
+        .r_per_mm(115611088244.47957)
+        .cg_per_mm(1.3386967630196118e-28)
+        .cc_per_mm(1.7293247385277566e-8)
+        .driver_r(540.7335096585623)
+        .receiver_c(0.0);
+    let bus_d = BusParams::dsm_bus(2)
+        .segments(3)
+        .length_mm(75.53693259016308)
+        .r_per_mm(17614169278.311813)
+        .cg_per_mm(2.735542257123712e-29)
+        .cc_per_mm(2.708561989881726e-9)
+        .driver_r(109958.97384412974)
+        .receiver_c(0.0);
+    for (name, wires, params) in [("H", 3, bus_h), ("D", 2, bus_d)] {
+        let built = SocBuilder::new(wires).bus_params(params).sd_window(100e-12).build();
+        match built {
+            Err(CoreError::Interconnect(InterconnectError::SingularMatrix)) => {}
+            Err(other) => panic!("bus {name}: expected SingularMatrix, got {other:?}"),
+            Ok(_) => panic!("bus {name} built, but no solver gives it a sound session"),
+        }
+    }
 }
