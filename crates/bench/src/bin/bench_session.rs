@@ -18,14 +18,16 @@
 //! how many panel columns each solved — the n + 1 step-basis columns
 //! every MA pattern recombines from — and `steps_per_column` the
 //! timesteps each advanced on average (1000 for a full window, fewer
-//! where a certified early stop ended it).
+//! where a certified early stop ended it). Each die fans its victim
+//! panels out over the host's cores; `nproc` records how many there
+//! were.
 //!
 //! The `paper_n32/recombine_detect` rows time one paper die's 192 MA
 //! responses recombined from its step basis by the fused
 //! recombine-and-detect pass (`obsc::recombined_response`), on a
 //! control and an open die. The basis is solved outside the timer, `U`
 //! alone first, then every victim in one panel stopped under `U`'s
-//! certified length, as every plan-solve panel after the first is.
+//! certified length, as every plan-solve panel is.
 
 use sint_bench::emit_artifact;
 use sint_core::mafm::fault_pair;
@@ -40,6 +42,7 @@ use sint_interconnect::solver::{Horizon, PanelScratch, TransientSim};
 use sint_interconnect::{Defect, InterconnectError};
 use sint_runtime::bench::{black_box, Bench};
 use sint_runtime::json::{Json, ToJson};
+use sint_runtime::pool::Pool;
 
 fn fast_cfg(method: ObservationMethod) -> SessionConfig {
     SessionConfig { settle_time: 1e-9, dt: 10e-12, ..SessionConfig::method(method) }
@@ -151,9 +154,8 @@ fn main() {
         let horizon = Horizon { duration: 2e-9, stop };
         let (mut basis, mut scratch) = (StepBasis::new(), PanelScratch::new());
         let victims: Vec<usize> = (0..32).collect();
-        for columns in [&[][..], &victims[..]] {
-            basis.solve(&sim, columns, horizon, &mut scratch, None).expect("basis solves");
-        }
+        basis.solve_all_rise(&sim, horizon, &mut scratch, None).expect("U solves");
+        let panel = basis.solve_victims(&sim, &victims, &mut scratch, None).expect("u_v solve");
         let pairs: Vec<VectorPair> = victims
             .iter()
             .flat_map(|&v| IntegrityFault::ALL.map(|f| fault_pair(32, v, f).expect("in range")))
@@ -162,8 +164,15 @@ fn main() {
         b.measure(&format!("paper_n32/recombine_detect/{label}"), || {
             for pair in &pairs {
                 let cell = |_| Ok::<_, InterconnectError>(&cell);
-                let response =
-                    recombined_response(&basis, &sim, pair, bus.vdd(), cell, &mut recombine);
+                let response = recombined_response(
+                    &basis,
+                    &panel,
+                    &sim,
+                    pair,
+                    bus.vdd(),
+                    cell,
+                    &mut recombine,
+                );
                 black_box(response.expect("in range"));
             }
         });
@@ -174,6 +183,7 @@ fn main() {
     if let Json::Object(fields) = &mut artifact {
         fields.push(("columns_per_session".to_string(), Json::obj(columns)));
         fields.push(("steps_per_column".to_string(), Json::obj(steps)));
+        fields.push(("nproc".to_string(), Pool::host().threads().to_json()));
     }
     emit_artifact("bench_session", &artifact);
 }

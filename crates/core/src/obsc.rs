@@ -26,7 +26,7 @@
 
 use crate::nd::{ChunkedTrace, NdThresholds, NoiseDetector};
 use crate::sd::{SdWindow, SkewDetector};
-use sint_interconnect::basis::{ChunkEnvelope, RecombinedWire, StepBasis, CHUNK};
+use sint_interconnect::basis::{ChunkEnvelope, RecombinedWire, StepBasis, VictimPanel, CHUNK};
 use sint_interconnect::drive::{DriveLevel, VectorPair};
 use sint_interconnect::measure::{settled_value, tail_start};
 use sint_interconnect::solver::{StopRule, TransientSim};
@@ -124,14 +124,14 @@ impl ChunkedTrace for FusedWire<'_> {
     }
 }
 
-/// The response of MA-shaped `pair` recombined from `basis`'s live
-/// columns: exactly what [`StepBasis::combine_into`] followed by
-/// [`Obsc::response_guarded`] with [`GUARD_EPS`] on every wire gives,
-/// `None` included, in one fused pass that computes a sample only where
-/// a detector level is in reach (DESIGN.md §6i). `cell(w)` is wire
-/// `w`'s OBSC and `vdd` the bus supply. Allocates nothing but the
-/// response: the victim's envelopes and the DC receivers live in
-/// `scratch`, which counts the chunks skipped.
+/// The response of MA-shaped `pair` recombined from `basis`'s `U` and
+/// `panel`'s victim columns: exactly what [`StepBasis::combine_into`]
+/// followed by [`Obsc::response_guarded`] with [`GUARD_EPS`] on every
+/// wire gives, `None` included, in one fused pass that computes a
+/// sample only where a detector level is in reach (DESIGN.md §6i).
+/// `cell(w)` is wire `w`'s OBSC and `vdd` the bus supply. Allocates
+/// nothing but the response: the victim's envelopes and the DC
+/// receivers live in `scratch`, which counts the chunks skipped.
 ///
 /// # Errors
 ///
@@ -139,6 +139,7 @@ impl ChunkedTrace for FusedWire<'_> {
 /// whatever `cell` fails with.
 pub fn recombined_response<'c, E: From<InterconnectError>>(
     basis: &StepBasis,
+    panel: &VictimPanel,
     sim: &TransientSim,
     pair: &VectorPair,
     vdd: f64,
@@ -146,7 +147,7 @@ pub fn recombined_response<'c, E: From<InterconnectError>>(
     scratch: &mut RecombineScratch,
 ) -> Result<Option<Box<[u8]>>, E> {
     let RecombineScratch { columns, envelopes, dc, skipped_chunks } = scratch;
-    let Some(recombination) = basis.recombination(sim, pair, dc)? else {
+    let Some(recombination) = basis.recombination(panel, sim, pair, dc)? else {
         return Ok(None);
     };
     if *columns != Some(recombination.columns()) {

@@ -20,8 +20,9 @@
 //! victim roster, so the transitions are known before the TAP moves.
 //! A batched SoC plans first: it predicts the half's transitions on
 //! clones of its cells and solves the ones it has not seen in
-//! multi-RHS panels (MA patterns recombined from a step basis), and
-//! each Update-DR then latches its pattern from that memo. A pattern
+//! multi-RHS panels (MA patterns recombined from a step basis), fanned
+//! out over the host's cores and merged in plan order, and each
+//! Update-DR then latches its pattern from that memo. A pattern
 //! the plan missed, and every pattern at panel width 1, is solved alone
 //! at its Update-DR as a one-column panel: the oracle path, bitwise the
 //! scalar solve.
@@ -64,6 +65,7 @@ use sint_jtag::integrity::{
 };
 use sint_logic::{BitVector, Logic};
 use sint_runtime::cancel::CancelToken;
+use sint_runtime::pool::{JobPanic, Pool};
 
 /// Builder for a [`Soc`].
 #[derive(Debug, Clone)]
@@ -298,7 +300,6 @@ impl SocBuilder {
             memo: HashMap::new(),
             memo_stats: MemoStats::default(),
             basis: StepBasis::new(),
-            recombine: RecombineScratch::new(),
             log: Vec::new(),
             panel_width: self.panel_width,
             wires: self.wires,
@@ -354,6 +355,113 @@ fn calibrate_sd_window(
 /// multi-RHS transient of a plan solve advances together. Eight fills
 /// the widest hand-unrolled solver kernel exactly.
 pub const DEFAULT_PANEL_WIDTH: usize = 8;
+
+/// What one plan-solve job hands back to [`Soc::merge`].
+#[derive(Debug, Default)]
+struct Solved {
+    /// Panel columns solved, counted in [`Soc::transients_run`].
+    columns: usize,
+    /// Of those, step-basis columns ([`MemoStats::basis_columns`]).
+    basis_columns: u64,
+    lane_steps: u64,
+    skipped_chunks: u64,
+    /// Responses to memoize, in the order the job solved them.
+    responses: Vec<(VectorPair, Box<[u8]>)>,
+    /// MA pairs whose recombination the guard band refused, in order.
+    fallbacks: Vec<VectorPair>,
+}
+
+/// The read-only view every job of one plan solve shares
+/// ([`Soc::plan_jobs`]): each job solves into its own scratch, so jobs
+/// may run on any thread.
+struct PlanJobs<'a> {
+    sim: &'a TransientSim,
+    basis: &'a StepBasis,
+    /// Copies of the OBSCs, wire by wire.
+    cells: &'a [Obsc],
+    memo: Option<&'a HashMap<VectorPair, Box<[u8]>>>,
+    vdd: f64,
+    cancel: Option<&'a CancelToken>,
+}
+
+impl PlanJobs<'_> {
+    /// One victim panel: the `u_v` column of each of `victims`, then all
+    /// six fault pairs of each victim the memo lacks, recombined with
+    /// `U` ([`recombined_response`]). A pair whose recombination is out
+    /// of range, or has a compared quantity within
+    /// [`GUARD_EPS`](crate::obsc::GUARD_EPS) of its threshold, is
+    /// handed back as a fallback instead, so a memoized response is
+    /// exactly what the direct solve's waveforms give.
+    fn victims(&self, victims: &[usize]) -> Result<Solved, CoreError> {
+        // The solver scratch is dropped before the recombination's
+        // buffers grow: only the panel itself outlives the solve.
+        let panel =
+            self.basis.solve_victims(self.sim, victims, &mut PanelScratch::new(), self.cancel)?;
+        let mut solved = Solved {
+            columns: panel.columns(),
+            basis_columns: panel.columns() as u64,
+            lane_steps: panel.lane_steps(),
+            ..Solved::default()
+        };
+        let mut recombine = RecombineScratch::new();
+        let (basis, sim, vdd) = (self.basis, self.sim, self.vdd);
+        let cell = |w| Ok::<_, CoreError>(&self.cells[w]);
+        for &victim in victims {
+            for fault in IntegrityFault::ALL {
+                let pair = fault_pair(self.cells.len(), victim, fault)?;
+                if self.memo.is_some_and(|m| m.contains_key(&pair)) {
+                    continue;
+                }
+                match recombined_response(basis, &panel, sim, &pair, vdd, cell, &mut recombine)? {
+                    Some(response) => solved.responses.push((pair, response)),
+                    None => solved.fallbacks.push(pair),
+                }
+            }
+        }
+        solved.skipped_chunks = recombine.skipped_chunks;
+        Ok(solved)
+    }
+
+    /// One direct chunk: `pairs` solved as one panel over `horizon`.
+    fn direct(&self, pairs: &[VectorPair], horizon: Horizon) -> Result<Solved, CoreError> {
+        let waves =
+            self.sim.run_pairs_cancellable(pairs, horizon, &mut PanelScratch::new(), self.cancel)?;
+        let (dt, switch_at) = (waves.dt(), waves.switch_at());
+        let cell = |w| Ok(&self.cells[w]);
+        let responses = pairs
+            .iter()
+            .enumerate()
+            .map(|(c, pair)| {
+                let response = response(pair, self.vdd, cell, dt, switch_at, |w| waves.wire(c, w))?;
+                Ok((pair.clone(), response))
+            })
+            .collect::<Result<_, CoreError>>()?;
+        Ok(Solved {
+            columns: pairs.len(),
+            lane_steps: waves.lane_steps(),
+            responses,
+            ..Solved::default()
+        })
+    }
+}
+
+/// Reduces `pair`'s solved receiver traces (`trace(w)` for wire `w`) to
+/// its per-wire response, read by each wire's OBSC `cell(w)`.
+fn response<'c, 'w>(
+    pair: &VectorPair,
+    vdd: f64,
+    cell: impl Fn(usize) -> Result<&'c Obsc, CoreError>,
+    dt: f64,
+    switch_at: f64,
+    trace: impl Fn(usize) -> &'w [f64],
+) -> Result<Box<[u8]>, CoreError> {
+    (0..pair.width())
+        .map(|w| {
+            let edge = pair.switches(w).then(|| pair.after(w));
+            Ok(cell(w)?.response(trace(w), dt, vdd, edge, switch_at))
+        })
+        .collect()
+}
 
 /// What each solved pattern does at the receivers, keyed by `(bus
 /// fingerprint, dt bits, settle bits)` and then by the pair: everything
@@ -612,12 +720,9 @@ pub struct Soc {
     /// The response of every pair a plan solve has solved so far.
     memo: PatternMemo,
     memo_stats: MemoStats,
-    /// Step responses of the active solver. Between plan solves it
-    /// holds the all-rise column only.
+    /// The all-rise column `U` of the active solver, which every
+    /// victim panel of a plan solve recombines with.
     basis: StepBasis,
-    /// Reused buffers of the fused recombine-and-detect pass: one
-    /// victim's chunk envelopes and one pair's DC receivers.
-    recombine: RecombineScratch,
     /// The current session's applied pairs, bit-packed in order (see
     /// [`pack_pair`]).
     log: Vec<u64>,
@@ -951,7 +1056,8 @@ impl Soc {
             })?;
         self.transients_run += 1;
         self.memo_stats.lane_steps += waves.lane_steps();
-        self.response(pair, waves.dt(), waves.switch_at(), |w| waves.wire(0, w))
+        let vdd = self.bus.vdd();
+        response(pair, vdd, |w| self.obsc(w), waves.dt(), waves.switch_at(), |w| waves.wire(0, w))
     }
 
     /// The proved early stop for plan-solve columns recombined with
@@ -968,10 +1074,20 @@ impl Soc {
     }
 
     /// The plan solve: solves the distinct `planned` pairs the memo
-    /// lacks and memoizes each one's response. MA-shaped pairs are
-    /// recombined from step-basis panels of up to `panel_width`
-    /// columns; the rest, and every recombination the guard band
-    /// refuses, go to direct panels of `panel_width` pairs. Panel
+    /// lacks and memoizes each one's response, in three phases
+    /// (DESIGN.md §6j).
+    ///
+    /// 1. `U` alone, unless held: one full-window column.
+    /// 2. The victims of the MA-shaped pairs, in panels of
+    ///    `panel_width`: each a job that solves its victims' columns and
+    ///    recombines all six fault pairs of each victim, both halves'.
+    /// 3. The rest, and every recombination the guard band refuses, in
+    ///    direct chunks of `panel_width` pairs, each a job.
+    ///
+    /// The jobs of a phase fan out over [`Pool::host`] and are merged in
+    /// plan order ([`Soc::merge`]), so the memo, the counters and the
+    /// error are exactly those of the jobs run one after another — which
+    /// is what a one-core host, or a die on a pool worker, does. Panel
     /// columns are bitwise the scalar solves and a response is a pure
     /// function of its column, so a memo hit latches exactly what a
     /// scalar solve at Update-DR would have (DESIGN.md §6e).
@@ -995,110 +1111,77 @@ impl Soc {
                 None => direct.push(pair.clone()),
             }
         }
-        let mut rest = &victims[..];
-        while !rest.is_empty() {
-            // The first panel carries `U` as well.
-            let width = self.panel_width - usize::from(!self.basis.has_all_rise());
-            let (panel, tail) = rest.split_at(width.min(rest.len()));
-            self.solve_basis_panel(panel, &mut direct)?;
-            rest = tail;
+        let cells: Vec<Obsc> =
+            (0..self.wires).map(|w| self.obsc(w).cloned()).collect::<Result<_, _>>()?;
+        let pool = Pool::host();
+        if !victims.is_empty() {
+            // A recombination `DC + a·(U − u_v) + b·u_v` has
+            // `|a| + |a| + |b| ≤ 3`, so its columns stop under a third of
+            // the direct tolerance.
+            let horizon = Horizon { duration: self.settle, stop: self.stop_rule(3.0)? };
+            let cancel = self.cancel.as_ref();
+            let all_rise =
+                self.basis.solve_all_rise(&self.sim, horizon, &mut self.panel_scratch, cancel)?;
+            if let Some(steps) = all_rise {
+                self.transients_run += 1;
+                self.memo_stats.basis_columns += 1;
+                self.memo_stats.lane_steps += steps;
+            }
+            let panels: Vec<&[usize]> = victims.chunks(self.panel_width).collect();
+            let jobs = self.plan_jobs(&cells);
+            let solved = pool.try_map(&panels, |_, panel| jobs.victims(panel));
+            self.merge(solved, &mut direct)?;
         }
         let horizon = Horizon { duration: self.settle, stop: self.stop_rule(1.0)? };
-        for columns in direct.chunks(self.panel_width) {
-            let cancel = self.cancel.as_ref();
-            let waves =
-                self.sim.run_pairs_cancellable(columns, horizon, &mut self.panel_scratch, cancel)?;
-            self.transients_run += columns.len();
-            self.memo_stats.lane_steps += waves.lane_steps();
-            let key = self.memo_key();
-            for (c, pair) in columns.iter().enumerate() {
-                let response =
-                    self.response(pair, waves.dt(), waves.switch_at(), |w| waves.wire(c, w))?;
-                self.memo.entry(key).or_default().insert(pair.clone(), response);
-            }
-        }
-        Ok(())
+        let chunks: Vec<&[VectorPair]> = direct.chunks(self.panel_width).collect();
+        let jobs = self.plan_jobs(&cells);
+        let solved = pool.try_map(&chunks, |_, pairs| jobs.direct(pairs, horizon));
+        self.merge(solved, &mut Vec::new())
     }
 
-    /// One step-basis panel: `U` (unless held) and `u_v` for each of
-    /// `victims`. While the columns are live all six fault pairs of
-    /// every victim are recombined and memoized — both halves' — and
-    /// each recombination the guard band refuses is added to `direct`.
-    /// A recombination `DC + a·(U − u_v) + b·u_v` has `|a| + |a| + |b|
-    /// ≤ 3`, so the columns stop under a third of the direct tolerance.
-    fn solve_basis_panel(
+    /// What every job of a phase reads: the solver, `U`, the OBSCs'
+    /// copies in `cells` and the memo as the phase starts (for the
+    /// victim panels, as it stood before the plan).
+    fn plan_jobs<'a>(&'a self, cells: &'a [Obsc]) -> PlanJobs<'a> {
+        PlanJobs {
+            sim: &self.sim,
+            basis: &self.basis,
+            cells,
+            memo: self.memo.get(&self.memo_key()),
+            vdd: self.bus.vdd(),
+            cancel: self.cancel.as_ref(),
+        }
+    }
+
+    /// Folds the outcomes of one phase's jobs into the memo and the
+    /// counters in plan order, appending guard-band refusals to
+    /// `direct`, up to the first failed job, whose error it returns; a
+    /// job that panicked panics here. Later jobs are dropped as if they
+    /// had never run, so the result is that of the jobs run in order
+    /// with the first failure ending the plan.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first job panic in plan order.
+    fn merge(
         &mut self,
-        victims: &[usize],
+        outcomes: Vec<Result<Result<Solved, CoreError>, JobPanic>>,
         direct: &mut Vec<VectorPair>,
     ) -> Result<(), CoreError> {
-        let horizon = Horizon { duration: self.settle, stop: self.stop_rule(3.0)? };
-        let cancel = self.cancel.as_ref();
-        let solved =
-            self.basis.solve(&self.sim, victims, horizon, &mut self.panel_scratch, cancel)?;
-        self.transients_run += solved;
-        self.memo_stats.basis_columns += solved as u64;
-        self.memo_stats.lane_steps += self.basis.lane_steps();
         let key = self.memo_key();
-        let mut scratch = std::mem::take(&mut self.recombine);
-        let recombined = self.recombine_victims(victims, key, &mut scratch, direct);
-        self.memo_stats.skipped_chunks += std::mem::take(&mut scratch.skipped_chunks);
-        self.recombine = scratch;
-        self.basis.release_victims();
-        recombined
-    }
-
-    /// Memoizes the response of every fault pair of `victims` the memo
-    /// lacks, recombined from the live basis columns
-    /// ([`recombined_response`]). A pair whose recombination is out of
-    /// range, or has a compared quantity within
-    /// [`GUARD_EPS`](crate::obsc::GUARD_EPS) of its threshold, is added
-    /// to `direct` instead, so a memoized response is exactly what the
-    /// direct solve's waveforms give.
-    fn recombine_victims(
-        &mut self,
-        victims: &[usize],
-        key: (u64, u64, u64),
-        scratch: &mut RecombineScratch,
-        direct: &mut Vec<VectorPair>,
-    ) -> Result<(), CoreError> {
-        let vdd = self.bus.vdd();
-        for &victim in victims {
-            for fault in IntegrityFault::ALL {
-                let pair = fault_pair(self.wires, victim, fault)?;
-                if self.memo.get(&key).is_some_and(|m| m.contains_key(&pair)) {
-                    continue;
-                }
-                let cell = |w| self.obsc(w);
-                match recombined_response(&self.basis, &self.sim, &pair, vdd, cell, scratch)? {
-                    Some(response) => {
-                        self.memo.entry(key).or_default().insert(pair, response);
-                    }
-                    None => {
-                        self.memo_stats.guard_fallbacks += 1;
-                        direct.push(pair);
-                    }
-                }
+        for outcome in outcomes {
+            let solved = outcome.unwrap_or_else(|p| panic!("{p}"))?;
+            self.transients_run += solved.columns;
+            self.memo_stats.basis_columns += solved.basis_columns;
+            self.memo_stats.lane_steps += solved.lane_steps;
+            self.memo_stats.skipped_chunks += solved.skipped_chunks;
+            self.memo_stats.guard_fallbacks += solved.fallbacks.len() as u64;
+            direct.extend(solved.fallbacks);
+            if !solved.responses.is_empty() {
+                self.memo.entry(key).or_default().extend(solved.responses);
             }
         }
         Ok(())
-    }
-
-    /// Reduces `pair`'s solved receiver traces (`trace(w)` for wire
-    /// `w`) to its per-wire response.
-    fn response<'w>(
-        &self,
-        pair: &VectorPair,
-        dt: f64,
-        switch_at: f64,
-        trace: impl Fn(usize) -> &'w [f64],
-    ) -> Result<Box<[u8]>, CoreError> {
-        let vdd = self.bus.vdd();
-        (0..self.wires)
-            .map(|w| {
-                let edge = pair.switches(w).then(|| pair.after(w));
-                Ok(self.obsc(w)?.response(trace(w), dt, vdd, edge, switch_at))
-            })
-            .collect()
     }
 
     /// Starts an empty pattern log.

@@ -19,22 +19,27 @@
 //! wave[k] = DC(before) + (Δ_a / Vdd)·(U[k] − u_v[k]) + (Δ_v / Vdd)·u_v[k]
 //! ```
 //!
-//! with `U` the all-rise response. A [`StepBasis`] solves `U` once and
-//! `u_v` per victim through [`TransientSim::run_pairs_cancellable`]:
-//! n + 1 columns stand in for the 6n pattern solves of a session.
-//! Between solves it holds `U`'s receiver traces only — about 256 KB at
-//! n = 32 on the paper grid, where a whole basis would take 8 MB.
+//! with `U` the all-rise response. A [`StepBasis`] holds `U`, solved
+//! once per simulator and duration through
+//! [`TransientSim::run_pairs_cancellable`]; each [`VictimPanel`] holds
+//! the `u_v` of a few victims, solved from the basis by
+//! [`StepBasis::solve_victims`]: n + 1 columns stand in for the 6n
+//! pattern solves of a session. The basis is read-only once `U` is
+//! solved, so a caller may solve and read any number of victim panels
+//! at once, one per thread. Between solves only `U`'s receiver traces
+//! are held — about 256 KB at n = 32 on the paper grid, where a whole
+//! basis would take 8 MB.
 //!
 //! A live victim's pairs are read through a [`Recombination`], a view
-//! of the two columns that computes any one sample on demand with the
-//! expression above. All six MA pairs of a victim share its
-//! [`ChunkEnvelope`]s: per wire and per [`CHUNK`] samples, the extremes
-//! of `D = U − u_v` and `S = u_v`. From them [`RecombinedWire::bounds`]
-//! bounds every sample of a chunk of any of those pairs without
-//! computing one, so a detector can skip the chunks where it cannot
-//! change state and compute samples only where a level is in reach
-//! (DESIGN.md §6i). [`StepBasis::combine_into`] materialises whole
-//! traces through the same view, as a reference.
+//! of `U` and the victim's column that computes any one sample on
+//! demand with the expression above. All six MA pairs of a victim share
+//! its [`ChunkEnvelope`]s: per wire and per [`CHUNK`] samples, the
+//! extremes of `D = U − u_v` and `S = u_v`. From them
+//! [`RecombinedWire::bounds`] bounds every sample of a chunk of any of
+//! those pairs without computing one, so a detector can skip the chunks
+//! where it cannot change state and compute samples only where a level
+//! is in reach (DESIGN.md §6i). [`StepBasis::combine_into`]
+//! materialises whole traces through the same view, as a reference.
 //!
 //! The recombination differs from a direct solve by rounding only.
 //! That difference grows with the conditioning of the transient matrix
@@ -48,13 +53,13 @@
 //!
 //! Under a [`StopRule`] the victim columns stop early, but `U` does
 //! not: a recombined pair needs exact samples of both `U` and `u_v`
-//! until both are certified. The panel that carries `U` runs the full
-//! window and records the length `U` could have stopped at; every
-//! later victim column keeps at least that many samples, so each
-//! recombined trace, as long as its victim column, ends where both of
-//! its columns are certified. With `|a| + |a| + |b| ≤ 3` in the
-//! recombination, a rule of `tolerance / 3` for the columns bounds the
-//! recombined error by `tolerance` (DESIGN.md §6h).
+//! until both are certified. `U` is its own one-column panel over the
+//! full window, and records the length it could have stopped at; every
+//! victim column keeps at least that many samples, so each recombined
+//! trace, as long as its victim column, ends where both of its columns
+//! are certified. With `|a| + |a| + |b| ≤ 3` in the recombination, a
+//! rule of `tolerance / 3` for the columns bounds the recombined error
+//! by `tolerance` (DESIGN.md §6h).
 
 use crate::drive::{DriveLevel, VectorPair};
 use crate::error::InterconnectError;
@@ -79,8 +84,8 @@ const RANGE_VDDS: f64 = 16.0;
 /// 1,001 samples has 32 chunks.
 pub const CHUNK: usize = 32;
 
-/// Solves of every basis so far: each solve's victim columns get a
-/// number no other solve's share ([`Recombination::columns`]).
+/// Victim panels solved so far: each gets a number no other panel
+/// shares ([`Recombination::columns`]).
 static SOLVES: AtomicU64 = AtomicU64::new(0);
 
 /// Identity of what a basis was solved for: bus fingerprint, the bits
@@ -88,35 +93,57 @@ static SOLVES: AtomicU64 = AtomicU64::new(0);
 /// rule `U`'s stopped length was taken under.
 type BasisKey = (u64, u64, u64, u64, Option<(u64, usize, u64)>);
 
-/// Step responses of one bus: the all-rise column `U`, held until the
-/// solver or duration changes, and the single-rise columns `u_v` of the
-/// victims of the most recent [`StepBasis::solve`].
+/// The all-rise column `U` of one bus, held until the solver or the
+/// horizon changes: the shared, read-only part of a step basis that
+/// every [`VictimPanel`] recombines with.
 #[derive(Debug, Clone, Default)]
 pub struct StepBasis {
     key: Option<BasisKey>,
+    /// The run duration and stop rule of the key.
+    duration: f64,
+    stop: Option<StopRule>,
     wires: usize,
     /// Samples of each of `U`'s traces.
     samples: usize,
     vdd: f64,
-    /// `U`'s receiver traces over the full window, `[wire·samples + k]`;
-    /// empty until solved.
-    all_rise: Vec<f64>,
+    /// `U`'s receiver traces over the full window, one per wire (the
+    /// traces of its one-column panel); empty until solved.
+    all_rise: Vec<Vec<f64>>,
     /// The samples `U` could have stopped at under the key's stop rule
-    /// (`usize::MAX` when never certified): the fewest every later
-    /// victim column keeps.
+    /// (`usize::MAX` when never certified): the fewest every victim
+    /// column keeps.
     all_rise_len: usize,
-    /// Victims with a live single-rise column, in column order.
+}
+
+/// The single-rise columns `u_v` of a few victims, solved from a
+/// [`StepBasis`] by [`StepBasis::solve_victims`] and read together with
+/// it.
+#[derive(Debug, Clone)]
+pub struct VictimPanel {
+    /// The victims, in column order.
     victims: Vec<usize>,
-    /// The last solved panel while its victim columns are live; they
-    /// start at column `first`.
-    panel: Option<WavePanel>,
-    first: usize,
-    /// The number of the solve that produced `panel`.
+    panel: WavePanel,
+    /// The number of this solve.
     solve: u64,
 }
 
+impl VictimPanel {
+    /// Timesteps the panel advanced per lane, summed
+    /// ([`WavePanel::lane_steps`]).
+    #[must_use]
+    pub fn lane_steps(&self) -> u64 {
+        self.panel.lane_steps()
+    }
+
+    /// The number of columns solved: one per victim.
+    #[must_use]
+    pub fn columns(&self) -> usize {
+        self.victims.len()
+    }
+}
+
 impl StepBasis {
-    /// An empty basis; columns are solved on demand.
+    /// An empty basis; `U` is solved on demand.
     #[must_use]
     pub fn new() -> StepBasis {
         StepBasis::default()
@@ -151,33 +178,26 @@ impl StepBasis {
         })
     }
 
-    /// Whether the all-rise column is held.
-    #[must_use]
-    pub fn has_all_rise(&self) -> bool {
-        !self.all_rise.is_empty()
-    }
-
-    /// Solves, as one panel, `U` (unless held for this `sim` and
-    /// `horizon`) followed by `u_v` for each of `victims`, which
-    /// replace the live victim columns. Returns the columns solved.
+    /// Solves `U` for `sim` and `horizon` as a one-column panel, unless
+    /// it is held for them already. Returns the timesteps the solve
+    /// advanced, `None` when `U` was held.
     ///
-    /// A horizon's [`StopRule`] applies to every column: the caller
-    /// divides its tolerance by the recombination's coefficient bound.
-    /// The panel that solves `U` runs the full window, and later panels
-    /// keep at least the samples `U` could have stopped at.
+    /// `U` runs the full window, certifying only: under a horizon's
+    /// [`StopRule`] it records the length it could have stopped at, the
+    /// floor of every victim column's length. The caller divides the
+    /// rule's tolerance by the recombination's coefficient bound.
     ///
     /// # Errors
     ///
-    /// As for [`TransientSim::run_pairs_cancellable`]; on error no
-    /// victim column is live.
-    pub fn solve(
+    /// As for [`TransientSim::run_pairs_cancellable`]; on error `U` is
+    /// not held.
+    pub fn solve_all_rise(
         &mut self,
         sim: &TransientSim,
-        victims: &[usize],
         horizon: impl Into<Horizon>,
         scratch: &mut PanelScratch,
         cancel: Option<&CancelToken>,
-    ) -> Result<usize, InterconnectError> {
+    ) -> Result<Option<u64>, InterconnectError> {
         let Horizon { duration, stop } = horizon.into();
         let bus = sim.bus();
         let n = bus.wires();
@@ -188,74 +208,73 @@ impl StepBasis {
             duration.to_bits(),
             stop.map(|r| (r.tolerance.to_bits(), r.min_samples, r.tail_fraction.to_bits())),
         );
-        if self.key != Some(key) {
-            self.all_rise.clear();
-            self.key = Some(key);
+        if self.key == Some(key) && !self.all_rise.is_empty() {
+            return Ok(None);
         }
-        self.release_victims();
-        let low = vec![DriveLevel::Low; n];
-        let mut pairs = Vec::with_capacity(victims.len() + 1);
-        if self.all_rise.is_empty() {
-            pairs.push(VectorPair::new(low.clone(), vec![DriveLevel::High; n]));
-        }
-        for &v in victims {
-            bus.check_wire(v)?;
-            let mut after = low.clone();
-            after[v] = DriveLevel::High;
-            pairs.push(VectorPair::new(low.clone(), after));
-        }
-        let carries_all_rise = self.all_rise.is_empty();
-        // The panel carrying `U` runs the full window, certifying only.
-        let floor = if carries_all_rise { usize::MAX } else { self.all_rise_len };
-        let panel_stop = stop.map(|rule| StopRule {
-            min_samples: rule.min_samples.max(floor),
-            ..rule
-        });
-        let horizon = Horizon { duration, stop: panel_stop };
-        let panel = sim.run_pairs_cancellable(&pairs, horizon, scratch, cancel)?;
+        *self = StepBasis { key: Some(key), duration, stop, ..StepBasis::default() };
+        let all_rise = VectorPair::new(vec![DriveLevel::Low; n], vec![DriveLevel::High; n]);
+        let full = stop.map(|rule| StopRule { min_samples: usize::MAX, ..rule });
+        let horizon = Horizon { duration, stop: full };
+        let panel = sim.run_pairs_cancellable(&[all_rise], horizon, scratch, cancel)?;
+        let steps = panel.lane_steps();
         self.wires = n;
         self.vdd = bus.vdd();
-        self.first = 0;
-        if carries_all_rise {
-            self.first = 1;
-            self.samples = panel.samples_of(0);
-            self.all_rise = (0..n)
-                .flat_map(|w| panel.wire(0, w).iter().copied())
-                .collect();
-            self.all_rise_len = stop
-                .zip(panel.certified_at(0))
-                .map_or(usize::MAX, |(rule, at)| rule.stop_len(at));
+        self.samples = panel.samples_of(0);
+        self.all_rise_len = stop
+            .zip(panel.certified_at(0))
+            .map_or(usize::MAX, |(rule, at)| rule.stop_len(at));
+        self.all_rise = panel.into_traces();
+        Ok(Some(steps))
+    }
+
+    /// Solves `u_v` for each of `victims` as one panel over the horizon
+    /// of [`StepBasis::solve_all_rise`], every column keeping at least
+    /// the samples `U` could have stopped at. `sim` must be the
+    /// simulator `U` was solved with, and `U` must be held: without it
+    /// every recombination is refused. Reads the basis only, so panels
+    /// may be solved concurrently.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TransientSim::run_pairs_cancellable`].
+    pub fn solve_victims(
+        &self,
+        sim: &TransientSim,
+        victims: &[usize],
+        scratch: &mut PanelScratch,
+        cancel: Option<&CancelToken>,
+    ) -> Result<VictimPanel, InterconnectError> {
+        let bus = sim.bus();
+        let n = bus.wires();
+        let mut pairs = Vec::with_capacity(victims.len());
+        for &v in victims {
+            bus.check_wire(v)?;
+            let mut after = vec![DriveLevel::Low; n];
+            after[v] = DriveLevel::High;
+            pairs.push(VectorPair::new(vec![DriveLevel::Low; n], after));
         }
-        self.panel = Some(panel);
-        self.victims = victims.to_vec();
-        self.solve = SOLVES.fetch_add(1, Ordering::Relaxed);
-        Ok(pairs.len())
+        let stop = self.stop.map(|rule| StopRule {
+            min_samples: rule.min_samples.max(self.all_rise_len),
+            ..rule
+        });
+        let horizon = Horizon { duration: self.duration, stop };
+        let panel = sim.run_pairs_cancellable(&pairs, horizon, scratch, cancel)?;
+        Ok(VictimPanel {
+            victims: victims.to_vec(),
+            panel,
+            solve: SOLVES.fetch_add(1, Ordering::Relaxed),
+        })
     }
 
-    /// Timesteps the live panel advanced per lane, summed
-    /// ([`WavePanel::lane_steps`]); 0 once its victims are released.
-    #[must_use]
-    pub fn lane_steps(&self) -> u64 {
-        self.panel.as_ref().map_or(0, WavePanel::lane_steps)
-    }
-
-    /// Drops the victim columns, keeping `U`: what a caller holds
-    /// between solves.
-    pub fn release_victims(&mut self) {
-        self.victims.clear();
-        self.panel = None;
-        self.first = 0;
-    }
-
-    /// A read view of `pair`'s recombination from the live columns, as
+    /// A read view of `pair`'s recombination from `U` and `panel`, as
     /// long as the victim's column: under a stop rule, where both of
     /// its columns are certified. `DC(before)` comes from `sim`'s own
     /// DC factor, written into `dc`, so sample 0 is bitwise the direct
     /// run's, since every `u[0]` is zero. `sim` must be the simulator
-    /// the basis was solved with.
+    /// the basis and the panel were solved with.
     ///
     /// `None` when `sim` is not [accepted](StepBasis::accepts), `pair`
-    /// is not MA-shaped, its victim has no live column, or `U` is
+    /// is not MA-shaped, its victim has no column in `panel`, or `U` is
     /// shorter than that column.
     ///
     /// # Errors
@@ -263,6 +282,7 @@ impl StepBasis {
     /// [`InterconnectError::WireOutOfRange`] for a pair width mismatch.
     pub fn recombination<'a>(
         &'a self,
+        panel: &'a VictimPanel,
         sim: &TransientSim,
         pair: &VectorPair,
         dc: &'a mut Vec<f64>,
@@ -270,19 +290,18 @@ impl StepBasis {
         let Some(victim) = Self::ma_victim(pair).filter(|_| Self::accepts(sim)) else {
             return Ok(None);
         };
-        let column = self.victims.iter().position(|&v| v == victim);
-        let (Some(panel), Some(column)) = (&self.panel, column) else {
+        let Some(column) = panel.victims.iter().position(|&v| v == victim) else {
             return Ok(None);
         };
+        let len = panel.panel.samples_of(column);
+        if len > self.samples {
+            return Ok(None);
+        }
         if pair.width() != self.wires {
             return Err(InterconnectError::WireOutOfRange {
                 wire: pair.width(),
                 width: self.wires,
             });
-        }
-        let len = panel.samples_of(self.first + column);
-        if len > self.samples {
-            return Ok(None);
         }
         sim.dc_receivers(pair, dc)?;
         let unit = |w: usize| match (pair.before(w), pair.after(w)) {
@@ -293,7 +312,7 @@ impl StepBasis {
         Ok(Some(Recombination {
             basis: self,
             panel,
-            column: self.first + column,
+            column,
             victim,
             len,
             dc,
@@ -304,7 +323,7 @@ impl StepBasis {
 
     /// Writes the receiver waveforms of `pair` into `out`
     /// (`[wire·samples + k]`, resized to fit) as its
-    /// [`StepBasis::recombination`] computes them.
+    /// [`StepBasis::recombination`] from `panel` computes them.
     ///
     /// Returns `Ok(false)`, leaving `out` unspecified, where
     /// [`StepBasis::recombination`] gives `None`, or when a combined
@@ -315,12 +334,13 @@ impl StepBasis {
     /// [`InterconnectError::WireOutOfRange`] for a pair width mismatch.
     pub fn combine_into(
         &self,
+        panel: &VictimPanel,
         sim: &TransientSim,
         pair: &VectorPair,
         out: &mut Vec<f64>,
     ) -> Result<bool, InterconnectError> {
         let mut dc = Vec::new();
-        let Some(recombination) = self.recombination(sim, pair, &mut dc)? else {
+        let Some(recombination) = self.recombination(panel, sim, pair, &mut dc)? else {
             return Ok(false);
         };
         let len = recombination.samples();
@@ -335,12 +355,12 @@ impl StepBasis {
 }
 
 /// One MA pair's recombination `DC + a·(U − u_v) + b·u_v` from a
-/// basis's live columns ([`StepBasis::recombination`]), computed per
+/// basis and a victim panel ([`StepBasis::recombination`]), computed per
 /// sample on demand.
 #[derive(Debug, Clone, Copy)]
 pub struct Recombination<'a> {
     basis: &'a StepBasis,
-    panel: &'a WavePanel,
+    panel: &'a VictimPanel,
     /// The victim's column in `panel`.
     column: usize,
     victim: usize,
@@ -370,7 +390,7 @@ impl<'a> Recombination<'a> {
     /// [`ChunkEnvelope`]s.
     #[must_use]
     pub fn columns(&self) -> (u64, usize) {
-        (self.basis.solve, self.victim)
+        (self.panel.solve, self.victim)
     }
 
     /// The trace of `wire`.
@@ -380,10 +400,9 @@ impl<'a> Recombination<'a> {
     /// Panics if `wire` is out of range.
     #[must_use]
     pub fn wire(&self, wire: usize) -> RecombinedWire<'a> {
-        let at = wire * self.basis.samples;
         RecombinedWire {
-            all_rise: &self.basis.all_rise[at..at + self.len],
-            single: self.panel.wire(self.column, wire),
+            all_rise: &self.basis.all_rise[wire][..self.len],
+            single: self.panel.panel.wire(self.column, wire),
             dc: self.dc[wire],
             aggressor: self.aggressor,
             own: self.own,
@@ -645,13 +664,10 @@ mod tests {
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let mut basis = StepBasis::new();
         let mut scratch = PanelScratch::new();
-        assert_eq!(
-            basis
-                .solve(&sim, &[1, 3], 0.8e-9, &mut scratch, None)
-                .unwrap(),
-            3
-        );
-        assert!(basis.has_all_rise());
+        let steps = basis.solve_all_rise(&sim, 0.8e-9, &mut scratch, None).unwrap();
+        assert_eq!(steps, Some(400), "U is one full-window column");
+        let panel = basis.solve_victims(&sim, &[1, 3], &mut scratch, None).unwrap();
+        assert_eq!((panel.columns(), panel.lane_steps()), (2, 800));
         let pairs = [
             pair("00000", "10111"),
             pair("01000", "11111"),
@@ -664,7 +680,7 @@ mod tests {
             .unwrap();
         let mut out = Vec::new();
         for (c, p) in pairs.iter().enumerate() {
-            assert!(basis.combine_into(&sim, p, &mut out).unwrap(), "{p}");
+            assert!(basis.combine_into(&panel, &sim, p, &mut out).unwrap(), "{p}");
             for w in 0..5 {
                 let trace = &out[w * direct.samples()..(w + 1) * direct.samples()];
                 assert_eq!(
@@ -677,50 +693,48 @@ mod tests {
                 }
             }
         }
-        // Victim 2 has no live column; U survives a re-solve.
+        // Victim 2 has no column in this panel; U is held for another.
         assert!(!basis
-            .combine_into(&sim, &pair("00000", "11011"), &mut out)
+            .combine_into(&panel, &sim, &pair("00000", "11011"), &mut out)
             .unwrap());
-        assert_eq!(
-            basis.solve(&sim, &[2], 0.8e-9, &mut scratch, None).unwrap(),
-            1
-        );
+        assert_eq!(basis.solve_all_rise(&sim, 0.8e-9, &mut scratch, None).unwrap(), None);
+        let other = basis.solve_victims(&sim, &[2], &mut scratch, None).unwrap();
         assert!(basis
-            .combine_into(&sim, &pair("00000", "11011"), &mut out)
+            .combine_into(&other, &sim, &pair("00000", "11011"), &mut out)
             .unwrap());
         assert!(!basis
-            .combine_into(&sim, &pair("00000", "10111"), &mut out)
+            .combine_into(&other, &sim, &pair("00000", "10111"), &mut out)
             .unwrap());
         // A different duration is a different basis.
-        assert_eq!(
-            basis.solve(&sim, &[2], 0.6e-9, &mut scratch, None).unwrap(),
-            2
-        );
+        assert!(basis.solve_all_rise(&sim, 0.6e-9, &mut scratch, None).unwrap().is_some());
     }
 
     #[test]
     fn stopped_columns_recombine_a_bitwise_prefix_of_the_full_basis() {
-        // Under a stop rule the panel carrying `U` runs the full window;
-        // later victim columns keep at least `U`'s stopped length, and
-        // every recombined trace is a bitwise prefix of the full basis's.
+        // Under a stop rule `U` runs the full window alone; victim
+        // columns keep at least `U`'s stopped length, and every
+        // recombined trace is a bitwise prefix of the full basis's.
         let bus = BusParams::dsm_bus(6).segments(3).build().unwrap();
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let rule = StopRule { tolerance: 0.05, min_samples: 120, tail_fraction: 0.1 };
         let horizon = Horizon { duration: 2e-9, stop: Some(rule) };
         let (mut full, mut cut) = (StepBasis::new(), StepBasis::new());
         let mut scratch = PanelScratch::new();
+        full.solve_all_rise(&sim, 2e-9, &mut scratch, None).unwrap();
+        cut.solve_all_rise(&sim, horizon, &mut scratch, None).unwrap();
+        assert_eq!(cut.samples, full.samples, "U keeps the full window");
+        assert!(cut.all_rise_len < cut.samples, "U certifies: {}", cut.all_rise_len);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         let mut shorter = 0;
+        let mut last = None;
         for victims in [&[0, 1][..], &[2, 3, 4, 5][..]] {
-            full.solve(&sim, victims, 2e-9, &mut scratch, None).unwrap();
-            cut.solve(&sim, victims, horizon, &mut scratch, None).unwrap();
-            assert_eq!(cut.samples, full.samples, "U keeps the full window");
-            assert!(cut.all_rise_len < cut.samples, "U certifies: {}", cut.all_rise_len);
+            let whole = full.solve_victims(&sim, victims, &mut scratch, None).unwrap();
+            let stopped = cut.solve_victims(&sim, victims, &mut scratch, None).unwrap();
             for &v in victims {
                 let after: String = (0..6).map(|w| if w == v { '0' } else { '1' }).collect();
                 let p = pair("000000", &after);
-                assert!(full.combine_into(&sim, &p, &mut a).unwrap());
-                assert!(cut.combine_into(&sim, &p, &mut b).unwrap());
+                assert!(full.combine_into(&whole, &sim, &p, &mut a).unwrap());
+                assert!(cut.combine_into(&stopped, &sim, &p, &mut b).unwrap());
                 let (la, lb) = (a.len() / 6, b.len() / 6);
                 assert!(lb >= cut.all_rise_len.min(la) && lb >= rule.min_samples, "{lb}");
                 shorter += usize::from(lb < la);
@@ -730,11 +744,13 @@ mod tests {
                     assert!(prefix, "{p} wire {w}");
                 }
             }
+            last = Some(stopped);
         }
         assert!(shorter > 0, "no victim column stopped early");
         // A `U` shorter than the victim's column recombines nothing.
         cut.samples = 10;
-        assert!(!cut.combine_into(&sim, &pair("000000", "110111"), &mut b).unwrap());
+        let last = last.unwrap();
+        assert!(!cut.combine_into(&last, &sim, &pair("000000", "110111"), &mut b).unwrap());
     }
 
     #[test]
@@ -753,12 +769,12 @@ mod tests {
         ));
         assert!(!StepBasis::accepts(&sim));
         let mut basis = StepBasis::new();
-        basis
-            .solve(&sim, &[1], 0.4e-9, &mut PanelScratch::new(), None)
-            .unwrap();
+        let mut scratch = PanelScratch::new();
+        basis.solve_all_rise(&sim, 0.4e-9, &mut scratch, None).unwrap();
+        let panel = basis.solve_victims(&sim, &[1], &mut scratch, None).unwrap();
         let mut out = Vec::new();
         assert!(!basis
-            .combine_into(&sim, &pair("0000", "1011"), &mut out)
+            .combine_into(&panel, &sim, &pair("0000", "1011"), &mut out)
             .unwrap());
     }
 
@@ -768,22 +784,24 @@ mod tests {
         let sim = TransientSim::new(&bus, 2e-12).unwrap();
         let mut basis = StepBasis::new();
         let mut scratch = PanelScratch::new();
-        basis.solve(&sim, &[0], 0.4e-9, &mut scratch, None).unwrap();
         let token = CancelToken::new();
         token.cancel();
+        // A cancelled `U` is not held: victim columns solved without it
+        // recombine nothing.
         let err = basis
-            .solve(&sim, &[1], 0.4e-9, &mut scratch, Some(&token))
+            .solve_all_rise(&sim, 0.4e-9, &mut scratch, Some(&token))
             .unwrap_err();
-        assert!(
-            matches!(err, InterconnectError::Cancelled { .. }),
-            "{err:?}"
-        );
+        assert!(matches!(err, InterconnectError::Cancelled { .. }), "{err:?}");
+        let orphan = basis.solve_victims(&sim, &[0], &mut scratch, None).unwrap();
         let mut out = Vec::new();
-        assert!(!basis
-            .combine_into(&sim, &pair("100", "011"), &mut out)
-            .unwrap());
+        assert!(!basis.combine_into(&orphan, &sim, &pair("000", "011"), &mut out).unwrap());
+        assert_eq!(basis.solve_all_rise(&sim, 0.4e-9, &mut scratch, None).unwrap(), Some(200));
         let err = basis
-            .solve(&sim, &[3], 0.4e-9, &mut scratch, None)
+            .solve_victims(&sim, &[1], &mut scratch, Some(&token))
+            .unwrap_err();
+        assert!(matches!(err, InterconnectError::Cancelled { .. }), "{err:?}");
+        let err = basis
+            .solve_victims(&sim, &[3], &mut scratch, None)
             .unwrap_err();
         assert!(
             matches!(err, InterconnectError::WireOutOfRange { .. }),

@@ -20,9 +20,10 @@
 //!   the batched [`TransientSim::run_pairs_cancellable`], which returns
 //!   the receiver-end traces as a [`WavePanel`] — over the full window,
 //!   or each ended early where a caller's [`solver::StopRule`] is proved.
-//! * [`basis`] — [`StepBasis`]: the all-rise and single-rise step
-//!   responses every MA-shaped pattern recombines from exactly, so a
-//!   session solves n + 1 columns instead of 6n patterns.
+//! * [`basis`] — [`StepBasis`] and [`basis::VictimPanel`]: the
+//!   all-rise and single-rise step responses every MA-shaped pattern
+//!   recombines from exactly, so a session solves n + 1 columns instead
+//!   of 6n patterns.
 //! * [`drive`] — slew-limited piecewise-linear drivers; a vector pair
 //!   (the MA fault model's two consecutive test vectors) maps directly to
 //!   a set of drives.

@@ -98,6 +98,12 @@ pub const CANCEL_CHECK_INTERVAL: usize = 32;
 /// this stride while a stop lands within 16 steps of its certificate.
 pub const STOP_CHECK_INTERVAL: usize = 16;
 
+/// Timesteps the waveform staging ring of a lane block holds between
+/// flushes into the [`WavePanel`]: a multiple of [`STOP_CHECK_INTERVAL`],
+/// so the ring is flushed only where the step loop already pauses. Each
+/// flush writes 32 contiguous samples of every trace.
+const STAGE_STEPS: usize = 2 * STOP_CHECK_INTERVAL;
+
 /// When the drivers launch their edge after simulation start (s).
 pub const DEFAULT_SWITCH_AT: f64 = 0.2e-9;
 
@@ -193,13 +199,16 @@ pub struct PanelScratch {
     /// Interleaved lane-block right-hand side, solved in place; the
     /// scalar loop's right-hand side.
     lrhs: Vec<f64>,
-    /// Step-major waveform staging: each timestep appends one
-    /// contiguous row of receiver read-outs, and a single blocked
-    /// transpose scatters them into the trace-major [`WavePanel`] at
-    /// the end. Writing traces directly would touch one page per
-    /// (pattern, wire) trace every step — past ~64 traces that thrashes
-    /// the L1 DTLB and the step loop's cost starts depending on whether
-    /// the allocator handed out huge pages.
+    /// Step-major waveform staging ring of [`STAGE_STEPS`] rows: each
+    /// timestep writes one contiguous row of receiver read-outs, and a
+    /// blocked transpose scatters the ring into the trace-major
+    /// [`WavePanel`] whenever it fills and at the end. Writing traces
+    /// directly would touch one page per (pattern, wire) trace every
+    /// step — past ~64 traces that thrashes the L1 DTLB and the step
+    /// loop's cost starts depending on whether the allocator handed out
+    /// huge pages. A ring, not the whole run, keeps the scratch at
+    /// 64 KB for an 8-lane, 32-wire block instead of 2 MB, so two
+    /// panels can be live at once in about the memory one took.
     stage: Vec<f64>,
     /// Interleaved DC point each lane settles to, for the stop checks.
     finals: Vec<f64>,
@@ -781,8 +790,8 @@ impl<H: History, F: Factors> System<H, F> {
         Ok(())
     }
 
-    /// The scalar loop of one stimulus, its receiver traces written
-    /// straight into pattern `c` of `wp`.
+    /// The scalar loop of one stimulus, its receiver traces appended
+    /// straight to pattern `c` of `wp`.
     fn run_column(
         &self,
         stimulus: &Stimulus,
@@ -791,12 +800,11 @@ impl<H: History, F: Factors> System<H, F> {
         wp: &mut WavePanel,
         c: usize,
     ) -> Result<(), InterconnectError> {
-        let (dt, samples) = (wp.dt, wp.samples);
-        let block = wp.wires * samples;
-        let traces = &mut wp.receiver[c * block..(c + 1) * block];
-        self.run_scalar(stimulus, samples - 1, dt, scratch, cancel, |k, state| {
-            for (wire, &node) in self.recv_nodes.iter().enumerate() {
-                traces[wire * samples + k] = state[node];
+        let (dt, samples, wires) = (wp.dt, wp.samples, wp.wires);
+        let traces = &mut wp.traces[c * wires..(c + 1) * wires];
+        self.run_scalar(stimulus, samples - 1, dt, scratch, cancel, |_, state| {
+            for (trace, &node) in traces.iter_mut().zip(&self.recv_nodes) {
+                trace.push(state[node]);
             }
         })?;
         wp.lane_steps += (samples - 1) as u64;
@@ -918,10 +926,14 @@ impl System<Diagonals, BandedLu> {
         lrhs.clear();
         lrhs.resize(n * W, 0.0);
         stage.clear();
-        stage.resize((steps + 1) * row, 0.0);
+        stage.resize(STAGE_STEPS * row, 0.0);
         self.dc_lanes::<W>(stimuli, 0.0, lanes);
         check_finite_lanes(lanes, W, 0)?;
+        // Sample 0 goes straight to the panel; sample `k ≥ 1` is staged
+        // in ring row `(k − 1) % STAGE_STEPS` until the next flush.
         stage_lanes(&self.recv_nodes, lanes, W, &mut stage[..row]);
+        scatter_stage(stage, 0, 1, live, wires, wp, c0);
+        let mut flushed = 0;
         let stop = run.stop.zip(self.recv_gain);
         let settles_at = stimuli.iter().map(Stimulus::settles_at).fold(f64::NEG_INFINITY, f64::max);
         if stop.is_some() {
@@ -950,9 +962,14 @@ impl System<Diagonals, BandedLu> {
                 self.a_lu.solve_interleaved_into::<W>(lrhs);
                 std::mem::swap(lanes, lrhs);
                 check_finite_lanes(lanes, W, k)?;
-                stage_lanes(&self.recv_nodes, lanes, W, &mut stage[k * row..(k + 1) * row]);
+                let at = (k - 1) % STAGE_STEPS * row;
+                stage_lanes(&self.recv_nodes, lanes, W, &mut stage[at..at + row]);
             }
             k = check.min(end);
+            if k.is_multiple_of(STAGE_STEPS) {
+                scatter_stage(stage, flushed + 1, k - flushed, live, wires, wp, c0);
+                flushed = k;
+            }
             let Some((rule, gain)) = stop else { continue };
             if k < check || (k as f64 * dt) < settles_at || !certified[..live].contains(&None) {
                 continue;
@@ -978,7 +995,12 @@ impl System<Diagonals, BandedLu> {
             }
         }
         wp.lane_steps += (end * live) as u64;
-        scatter_stage(stage, live, wires, wp, c0);
+        scatter_stage(stage, flushed + 1, end - flushed, live, wires, wp, c0);
+        // A lane that stopped before the block's end keeps no samples
+        // past its own length.
+        for (src, trace) in wp.traces[c0 * wires..c0 * wires + row].iter_mut().enumerate() {
+            trace.truncate(wp.lens[c0 + src / wires]);
+        }
         Ok(())
     }
 
@@ -1267,16 +1289,22 @@ fn check_finite(state: &[f64], step: usize) -> Result<(), InterconnectError> {
 }
 
 /// Struct-of-arrays receiver waveforms for a batch of patterns run by
-/// [`TransientSim::run_pairs_cancellable`]: one flat time-major column
-/// per `(pattern, wire)`. Only the receiver ends — what the detectors
+/// [`TransientSim::run_pairs_cancellable`]: one time-major trace per
+/// `(pattern, wire)`. Only the receiver ends — what the detectors
 /// observe — are kept, each pattern's as long as its run went.
+///
+/// Each trace is its own allocation, reserved for the full window and
+/// written only as far as the run goes: no request is larger than one
+/// trace (8 KB on the paper grid), so a freed panel's memory serves the
+/// next panel of any width, and untouched tails of stopped traces cost
+/// no resident memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WavePanel {
     dt: f64,
     vdd: f64,
     wires: usize,
     patterns: usize,
-    /// Samples of the full window: the stride of `receiver`.
+    /// Samples of the full window: the longest any trace can be.
     samples: usize,
     /// Samples each pattern's traces keep (`samples` unless stopped).
     lens: Vec<usize>,
@@ -1284,8 +1312,9 @@ pub struct WavePanel {
     certified: Vec<Option<usize>>,
     /// Timesteps advanced per live lane, summed over the run.
     lane_steps: u64,
-    /// Receiver-end voltages, `[(pattern·wires + wire)·samples + step]`.
-    receiver: Vec<f64>,
+    /// Receiver-end voltages, trace `pattern·wires + wire` indexed by
+    /// step, each `lens[pattern]` long once the run ends.
+    traces: Vec<Vec<f64>>,
 }
 
 impl WavePanel {
@@ -1300,7 +1329,7 @@ impl WavePanel {
             lens: vec![samples; patterns],
             certified: vec![None; patterns],
             lane_steps: 0,
-            receiver: vec![0.0; patterns * wires * samples],
+            traces: (0..patterns * wires).map(|_| Vec::with_capacity(samples)).collect(),
         }
     }
 
@@ -1385,18 +1414,19 @@ impl WavePanel {
     /// Panics if `pattern` or `wire` is out of range.
     #[must_use]
     pub fn wire(&self, pattern: usize, wire: usize) -> &[f64] {
-        let at = self.column(pattern, wire);
-        &self.receiver[at..at + self.lens[pattern]]
-    }
-
-    fn column(&self, pattern: usize, wire: usize) -> usize {
         assert!(
             pattern < self.patterns && wire < self.wires,
             "pattern {pattern} / wire {wire} out of range ({} patterns, {} wires)",
             self.patterns,
             self.wires
         );
-        (pattern * self.wires + wire) * self.samples
+        &self.traces[pattern * self.wires + wire]
+    }
+
+    /// The traces, `pattern·wires + wire`: for a one-pattern panel, one
+    /// per wire.
+    pub(crate) fn into_traces(self) -> Vec<Vec<f64>> {
+        self.traces
     }
 }
 
@@ -1431,21 +1461,24 @@ fn stage_lanes(recv_nodes: &[usize], state: &[f64], w: usize, row: &mut [f64]) {
     }
 }
 
-/// Transposes the step-major staging buffer of [`stage_lanes`] rows
-/// (`live` lanes each) into the trace-major [`WavePanel`] for patterns
-/// `c0..c0 + live`, each trace as long as its pattern's length: one
-/// strided read pass per trace, each writing a fully contiguous trace,
-/// so the staging pages stay warm in the second-level TLB across traces
-/// instead of missing once per sample.
-fn scatter_stage(stage: &[f64], live: usize, wires: usize, wp: &mut WavePanel, c0: usize) {
-    let samples = wp.samples;
+/// Appends `rows` staged rows of [`stage_lanes`] (`live` lanes each,
+/// the ring's first `rows` rows), samples `from..from + rows`, to the
+/// traces of patterns `c0..c0 + live` of the [`WavePanel`]: one strided
+/// read pass per trace, each writing a contiguous run of the trace, so
+/// the ring stays warm in cache across traces.
+fn scatter_stage(
+    stage: &[f64],
+    from: usize,
+    rows: usize,
+    live: usize,
+    wires: usize,
+    wp: &mut WavePanel,
+    c0: usize,
+) {
     let row = wires * live;
-    for src in 0..row {
-        let len = wp.lens[c0 + src / wires];
-        let at = (c0 * wires + src) * samples;
-        for (k, r) in wp.receiver[at..at + len].iter_mut().enumerate() {
-            *r = stage[k * row + src];
-        }
+    for (src, trace) in wp.traces[c0 * wires..c0 * wires + row].iter_mut().enumerate() {
+        debug_assert_eq!(trace.len(), from, "flushes append in step order");
+        trace.extend((0..rows).map(|k| stage[k * row + src]));
     }
 }
 

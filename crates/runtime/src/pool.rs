@@ -21,16 +21,43 @@
 //!    the batch was lost.)
 //!
 //! Work distribution is a shared atomic cursor (cheap dynamic load
-//! balancing — long and short dies interleave freely); results come
-//! back over an mpsc channel tagged with their input index. This one
-//! cursor schedules every batch in the workspace: campaign rounds and
-//! the fleet engine's checkpoint chunks of boards alike, so no item is
-//! ever pinned to a worker.
+//! balancing — long and short dies interleave freely); each result goes
+//! to the slot of its input index, allocated before any job runs. The
+//! calling thread is one of the workers, so an `n`-thread pool spawns
+//! `n − 1` threads, and no malloc arena sits idle with a waiting
+//! caller. This one cursor schedules every batch in the workspace:
+//! campaign rounds, the fleet engine's checkpoint chunks of boards, and
+//! the victim panels and direct chunks of one die's plan solve alike,
+//! so no item is ever pinned to a worker.
+//!
+//! **Nested pools run inline.** Every worker carries a thread-local
+//! flag while it works (a spawned one for its whole life, the calling
+//! thread until the pool returns), and a [`Pool::try_map`] called
+//! on a flagged thread runs its jobs in order on that thread, exactly
+//! as a one-thread pool would. A die's panels therefore fan out when
+//! the die runs on its own (a single device, a one-thread campaign),
+//! and stay serial on a campaign or fleet worker, which already keeps
+//! a core busy: the pool never spawns more threads than the outermost
+//! call asked for.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{Mutex, OnceLock, PoisonError};
+
+thread_local! {
+    /// Whether this thread is working for a [`Pool::try_map`]: a
+    /// spawned worker for its whole life, the calling thread until the
+    /// pool returns.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a pool worker, where a nested
+/// [`Pool::try_map`] runs inline.
+fn on_worker() -> bool {
+    ON_WORKER.with(Cell::get)
+}
 
 /// A job that panicked inside [`Pool::try_map`].
 ///
@@ -82,13 +109,19 @@ impl Pool {
         Pool { threads: threads.max(1) }
     }
 
-    /// A pool sized to the host's available parallelism.
+    /// A pool sized to the host's available parallelism, read once per
+    /// process: `available_parallelism` reads the cgroup files on every
+    /// call, and a die asks for this pool twice per plan solve.
     #[must_use]
     pub fn host() -> Pool {
-        Pool::new(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+        static HOST: OnceLock<usize> = OnceLock::new();
+        Pool::new(*HOST.get_or_init(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        }))
     }
 
-    /// Number of worker threads this pool will spawn.
+    /// Number of threads this pool works on, the calling thread
+    /// included.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
@@ -98,8 +131,9 @@ impl Pool {
     /// input order. `f` receives `(index, &item)` so callers can key
     /// per-item RNG substreams off the stable index.
     ///
-    /// With one thread (or one item) the work runs inline on the
-    /// calling thread — no spawn overhead, identical results.
+    /// With one thread (or one item), or on a pool worker, the work
+    /// runs inline on the calling thread — no spawn overhead, identical
+    /// results.
     ///
     /// This is the infallible wrapper over [`Pool::try_map`]: if any
     /// job panics, every job still runs to completion, and then the
@@ -136,6 +170,7 @@ impl Pool {
     /// exactly once and every non-panicking result is retained. The
     /// output is byte-identical at any thread count (the panic payloads
     /// are stringified, which makes them comparable and serialisable).
+    /// Called on a pool worker, it runs inline, as a one-thread pool.
     pub fn try_map<T, R, F>(&self, items: &[T], f: F) -> Vec<Result<R, JobPanic>>
     where
         T: Sync,
@@ -143,36 +178,41 @@ impl Pool {
         F: Fn(usize, &T) -> R + Sync,
     {
         let workers = self.threads.min(items.len());
-        if workers <= 1 {
+        if workers <= 1 || on_worker() {
             return items.iter().enumerate().map(|(i, t)| run_job(&f, i, t)).collect();
         }
 
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<R, JobPanic>)>();
+        // One slot per job, allocated before any job runs, so a worker
+        // allocates nothing to hand a result back.
+        let slots: Vec<Mutex<Option<Result<R, JobPanic>>>> =
+            items.iter().map(|_| Mutex::new(None)).collect();
+        let work = || loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(idx) else { break };
+            // catch_unwind inside the worker: the scope only ever joins
+            // cleanly, so no in-flight result is ever lost to a
+            // sibling's panic.
+            let result = run_job(&f, idx, item);
+            // Storing a value cannot leave the slot half-written, so a
+            // poisoned lock still holds a valid slot.
+            *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+        };
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let f = &f;
-                handles.push(scope.spawn(move || loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(idx) else { break };
-                    // catch_unwind inside the worker: the scope only
-                    // ever joins cleanly, so no in-flight result is
-                    // ever lost to a sibling's panic.
-                    let result = run_job(f, idx, item);
-                    if tx.send((idx, result)).is_err() {
-                        break;
-                    }
-                }));
-            }
-            drop(tx);
-            let mut slots: Vec<Option<Result<R, JobPanic>>> =
-                (0..items.len()).map(|_| None).collect();
-            for (idx, result) in rx {
-                slots[idx] = Some(result);
-            }
+            let work = &work;
+            let handles: Vec<_> = (1..workers)
+                .map(|_| {
+                    scope.spawn(move || {
+                        ON_WORKER.with(|flag| flag.set(true));
+                        work();
+                    })
+                })
+                .collect();
+            // The calling thread is the first worker, flagged only
+            // while it works.
+            ON_WORKER.with(|flag| flag.set(true));
+            work();
+            ON_WORKER.with(|flag| flag.set(false));
             // Join every worker before returning. The scope alone waits
             // only for the closures, not for the threads to exit, so the
             // next call's workers could start while these still hold
@@ -184,21 +224,21 @@ impl Pool {
                     std::panic::resume_unwind(payload);
                 }
             }
-            slots
-                .into_iter()
-                .enumerate()
-                .map(|(index, slot)| {
-                    // Unreachable with the catch_unwind contract above;
-                    // degrade to a structured error rather than panic.
-                    slot.unwrap_or_else(|| {
-                        Err(JobPanic {
-                            index,
-                            message: "worker lost before producing a result".to_string(),
-                        })
+        });
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(index, slot)| {
+                // Unreachable with the catch_unwind contract above;
+                // degrade to a structured error rather than panic.
+                slot.into_inner().unwrap_or_else(PoisonError::into_inner).unwrap_or_else(|| {
+                    Err(JobPanic {
+                        index,
+                        message: "worker lost before producing a result".to_string(),
                     })
                 })
-                .collect()
-        })
+            })
+            .collect()
     }
 }
 
@@ -317,6 +357,58 @@ mod tests {
         let items = [0usize, 1, 2];
         let out = Pool::new(2).map(&items, |_, &i| base[i] + 1);
         assert_eq!(out, vec![11, 21, 31]);
+    }
+
+    #[test]
+    fn nested_pools_run_inline_on_the_outer_worker() {
+        let outer: Vec<usize> = (0..6).collect();
+        let inner: Vec<usize> = (0..5).collect();
+        let expected: Vec<Vec<usize>> =
+            outer.iter().map(|&o| inner.iter().map(|&i| 10 * o + i).collect()).collect();
+        let out = Pool::new(2).map(&outer, |_, &o| {
+            assert!(on_worker(), "an outer job runs on a flagged worker");
+            let here = std::thread::current().id();
+            let nested = Pool::new(4).try_map(&inner, |_, &i| (std::thread::current().id(), 10 * o + i));
+            nested
+                .into_iter()
+                .map(|slot| {
+                    let (thread, value) = slot.expect("no nested job panics");
+                    assert_eq!(thread, here, "a nested job runs on the outer worker");
+                    value
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn a_panicking_nested_job_stays_in_its_own_slot() {
+        let outer = [0usize, 1];
+        let inner: Vec<usize> = (0..4).collect();
+        let out = Pool::new(2).map(&outer, |_, &o| {
+            Pool::new(2).try_map(&inner, |_, &i| {
+                if i == 2 {
+                    panic!("nested {o}");
+                }
+                i
+            })
+        });
+        for (o, slots) in out.iter().enumerate() {
+            assert_eq!(slots[..2], [Ok(0), Ok(1)]);
+            assert_eq!(slots[2], Err(JobPanic { index: 2, message: format!("nested {o}") }));
+            assert_eq!(slots[3], Ok(3));
+        }
+    }
+
+    #[test]
+    fn the_flag_never_outlives_the_pool_on_the_calling_thread() {
+        assert!(!on_worker());
+        let flags = Pool::new(2).map(&[0u8, 1, 2], |_, _| on_worker());
+        assert_eq!(flags, vec![true; 3]);
+        assert!(!on_worker(), "the calling thread is not a worker once the pool returns");
+        // One thread runs inline and flags nothing.
+        assert_eq!(Pool::new(1).map(&[0u8, 1], |_, _| on_worker()), vec![false; 2]);
+        assert!(!on_worker());
     }
 
     #[test]

@@ -176,13 +176,21 @@ echo "chaos matrix: summaries byte-identical under active fault injection"
 # path, so a fixed defect campaign (including a solver blow-up whose
 # plan is dropped, leaving each pattern to a scalar solve) must produce
 # byte-identical summaries batched (panel width 8) vs unbatched (width
-# 1, which never plans) and across thread counts.
+# 1, which never plans) and across thread counts. A die fans its plan
+# solve's panels out over the host's cores unless it runs on a pool
+# worker (DESIGN.md §6j): at SINT_THREADS=1 the campaign runs inline and
+# every die fans out, at SINT_THREADS=8 every die runs inline on a
+# campaign worker, so that comparison is die-parallel against
+# die-serial. Pinned to one core, the host's width is 1 and nothing fans
+# out at all.
 SINT_THREADS=1 target/release/gate batch 8 "$tmp/batch_w8.json"
 SINT_THREADS=1 target/release/gate batch 1 "$tmp/batch_w1.json"
 same "$tmp/batch_w8.json" "$tmp/batch_w1.json" "batched summary differs from unbatched"
 SINT_THREADS=8 target/release/gate batch 8 "$tmp/batch_w8_t8.json"
-same "$tmp/batch_w8.json" "$tmp/batch_w8_t8.json" "batched summary differs across thread counts"
-echo "batched solves: byte-identical vs unbatched and across thread counts"
+same "$tmp/batch_w8.json" "$tmp/batch_w8_t8.json" "die-parallel summary differs from die-serial"
+SINT_THREADS=1 taskset -c 0 target/release/gate batch 8 "$tmp/batch_w8_c1.json"
+same "$tmp/batch_w8.json" "$tmp/batch_w8_c1.json" "die-parallel summary differs from one core"
+echo "batched solves: byte-identical vs unbatched, die-serial and one core"
 
 # Torn-write storm: kill the streaming fleet run mid-write at several
 # byte offsets (fixed and seeded-random), let the resume recover the

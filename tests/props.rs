@@ -41,7 +41,9 @@ use sint::fleet::{
 use sint::logic::{BitVector, Logic};
 use sint::runtime::backoff::BackoffPolicy;
 use sint::runtime::durable::{frame, scan_frames, GenPair};
+use sint::runtime::cancel::CancelToken;
 use sint::runtime::json::{Json, ToJson};
+use sint::runtime::pool::Pool;
 use sint::runtime::prop::{gen, Runner};
 use sint::runtime::rng::Rng64;
 
@@ -976,6 +978,111 @@ fn batched_sessions_render_byte_identical_to_the_scalar_oracle() {
     assert!(skipped_chunks > 0, "no width-8 session skipped a recombined chunk");
 }
 
+#[test]
+fn die_parallel_sessions_equal_die_serial_ones() {
+    // A die fans its plan solve's victim panels and direct chunks out
+    // over the host's cores, and runs them inline on a pool worker. The
+    // merge in plan order must make the two indistinguishable: the same
+    // report bytes, memo counters and transient count for all three
+    // methods and an adaptive session — over random RC and RLC buses,
+    // defect mixes and panel widths that split a plan into several
+    // jobs — and the same error, with the same counters, for a blown-up
+    // bus and for a pre-cancelled token.
+    let inside_a_worker = |run: &(dyn Fn() -> String + Sync)| -> String {
+        let out = Pool::new(2).map(&[true, false], |_, &go| go.then(run));
+        out.into_iter().flatten().next().unwrap_or_default()
+    };
+    let mut blown_up = 0;
+    Runner::new("die_parallel_matches_serial").cases(12).run(
+        |rng| {
+            let width = gen::usize_in(rng, 3..17);
+            let segments = gen::usize_in(rng, 1..3);
+            let inductive = gen::bool_any(rng);
+            let seed = gen::u64_any(rng);
+            let panel_width = gen::one_of(rng, &[2, 3, 4, 8]);
+            let defects = gen::vec_of(rng, 0..3, |rng| {
+                let wire = gen::usize_in(rng, 0..width);
+                match gen::usize_in(rng, 0..3) {
+                    0 => Defect::CouplingBoost { wire, factor: gen::f64_in(rng, 1.5..8.0) },
+                    1 => Defect::ResistiveOpen {
+                        wire,
+                        segment: gen::usize_in(rng, 0..segments),
+                        extra_ohms: gen::f64_in(rng, 500.0..4000.0),
+                    },
+                    _ => Defect::WeakDriver { wire, factor: gen::f64_in(rng, 2.0..12.0) },
+                }
+            });
+            (width, segments, inductive, seed, panel_width, defects)
+        },
+        |(width, segments, inductive, seed, panel_width, defects)| {
+            let width = *width;
+            let build = |extra: Option<Defect>| {
+                let mut params = BusParams::dsm_bus(width).segments(*segments);
+                if *inductive {
+                    params = params.l_per_mm(0.4e-9).lm_per_mm(0.1e-9).rise_time(60e-12);
+                }
+                let mut b = SocBuilder::new(width)
+                    .bus_params(params)
+                    .with_variation(VariationSigma::typical(), *seed)
+                    .panel_width(*panel_width)
+                    .sd_window(150e-12);
+                for &d in defects.iter().chain(&extra) {
+                    b = b.defect(d);
+                }
+                b.build()
+            };
+            let session = |method: Option<ObservationMethod>, extra, cancelled: bool| {
+                let mut soc = match build(extra) {
+                    Ok(soc) => soc,
+                    Err(e) => return format!("build: {e:?}"),
+                };
+                if cancelled {
+                    let token = CancelToken::new();
+                    token.cancel();
+                    soc.set_cancel_token(Some(token));
+                }
+                let cfg = SessionConfig {
+                    dt: 10e-12,
+                    ..SessionConfig::method(method.unwrap_or(ObservationMethod::Once))
+                };
+                let outcome = match method {
+                    Some(_) => soc.run_integrity_test(&cfg).map(|r| r.to_json().render()),
+                    None => soc
+                        .run_adaptive_session(
+                            &cfg,
+                            &CoverageLedger::new(width),
+                            [DriveLevel::Low, DriveLevel::High],
+                        )
+                        .map(|o| {
+                            let report = o.report.to_json().render();
+                            format!("{report} {:?} {} {}", o.detected, o.dropped, o.escalations)
+                        }),
+                };
+                format!("{outcome:?} {:?} {}", soc.memo_stats(), soc.transients_run())
+            };
+            let blow_up = Defect::CouplingBoost { wire: width / 2, factor: 1e308 };
+            let runs = [
+                (Some(ObservationMethod::Once), None, false),
+                (Some(ObservationMethod::PerInitialValue), None, false),
+                (Some(ObservationMethod::PerPattern), None, false),
+                (None, None, false),
+                (Some(ObservationMethod::Once), Some(blow_up), false),
+                (Some(ObservationMethod::Once), None, true),
+            ];
+            for (method, extra, cancelled) in runs {
+                let fanned_out = session(method, extra, cancelled);
+                let inline = inside_a_worker(&|| session(method, extra, cancelled));
+                check(fanned_out == inline, || format!("fanned out {fanned_out}\ninline {inline}"))?;
+                let failed = fanned_out.starts_with("Err(");
+                blown_up += usize::from(extra.is_some() && failed);
+                check(failed || !cancelled, || format!("cancelled yet {fanned_out}"))?;
+            }
+            Ok(())
+        },
+    );
+    assert!(blown_up > 0, "no blown-up bus failed its session");
+}
+
 // ---------------- Noise detector ----------------
 
 #[test]
@@ -1347,7 +1454,9 @@ fn basis_responses_are_byte_identical_to_direct_solves() {
             live.dedup();
             let mut basis = StepBasis::new();
             let mut scratch = PanelScratch::new();
-            basis.solve(&sim, &live, settle, &mut scratch, None).map_err(|e| e.to_string())?;
+            basis.solve_all_rise(&sim, settle, &mut scratch, None).map_err(|e| e.to_string())?;
+            let panel =
+                basis.solve_victims(&sim, &live, &mut scratch, None).map_err(|e| e.to_string())?;
             let mut pairs: Vec<VectorPair> = Vec::new();
             for &v in &live {
                 for f in IntegrityFault::ALL {
@@ -1364,7 +1473,8 @@ fn basis_responses_are_byte_identical_to_direct_solves() {
             let mut decided = 0usize;
             for (c, pair) in pairs.iter().enumerate() {
                 let live_victim = StepBasis::ma_victim(pair).filter(|v| live.contains(v));
-                let combined = basis.combine_into(&sim, pair, &mut wave).map_err(|e| e.to_string())?;
+                let combined =
+                    basis.combine_into(&panel, &sim, pair, &mut wave).map_err(|e| e.to_string())?;
                 check_eq(combined, live_victim.is_some())?;
                 let Some(victim) = live_victim else { continue };
                 for w in 0..width {
@@ -1465,9 +1575,9 @@ fn fused_responses_equal_materialised_recombinations() {
             live.dedup();
             let mut basis = StepBasis::new();
             let mut panels = PanelScratch::new();
-            for columns in [&[][..], &live[..]] {
-                basis.solve(&sim, columns, horizon, &mut panels, None).map_err(|e| e.to_string())?;
-            }
+            basis.solve_all_rise(&sim, horizon, &mut panels, None).map_err(|e| e.to_string())?;
+            let panel =
+                basis.solve_victims(&sim, &live, &mut panels, None).map_err(|e| e.to_string())?;
             let mut pairs = Vec::new();
             for &v in &live {
                 for f in IntegrityFault::ALL {
@@ -1479,7 +1589,7 @@ fn fused_responses_equal_materialised_recombinations() {
             // the victim's SD sample for the SD tolerance.
             let mut wave = Vec::new();
             let mut cells = vec![nominal.clone()];
-            if basis.combine_into(&sim, &pairs[0], &mut wave).map_err(|e| e.to_string())? {
+            if basis.combine_into(&panel, &sim, &pairs[0], &mut wave).map_err(|e| e.to_string())? {
                 let len = wave.len() / width;
                 let trace = &wave[live[0] * len..(live[0] + 1) * len];
                 let chunk = (edge / 2) % len.div_ceil(CHUNK);
@@ -1493,7 +1603,7 @@ fn fused_responses_equal_materialised_recombinations() {
             }
             for pair in &pairs {
                 let combined =
-                    basis.combine_into(&sim, pair, &mut wave).map_err(|e| e.to_string())?;
+                    basis.combine_into(&panel, &sim, pair, &mut wave).map_err(|e| e.to_string())?;
                 let len = wave.len() / width;
                 for cell in &cells {
                     let read = |w: usize| {
@@ -1506,6 +1616,7 @@ fn fused_responses_equal_materialised_recombinations() {
                     let reference = reference.flatten();
                     let fused = recombined_response(
                         &basis,
+                        &panel,
                         &sim,
                         pair,
                         vdd,
@@ -1534,8 +1645,8 @@ fn obsc_reads_certified_stops_exactly_as_full_windows() {
     // `response` and `response_guarded` read the same flags from a
     // stopped trace as from the full window — directly solved (the
     // direct rule) and recombined from a step basis solved in two
-    // panels (the basis rule, with `U`'s certified length as the
-    // second panel's floor). Thresholds are the defaults, tighter
+    // panels (the basis rule, with `U`'s certified length as each
+    // panel's floor). Thresholds are the defaults, tighter
     // custom ones, or ones with a level on a rail, whose tolerance is
     // not positive and whose runs must keep the full window.
     let (mut stopped, mut recombined_stopped) = (0usize, 0usize);
@@ -1622,20 +1733,25 @@ fn obsc_reads_certified_stops_exactly_as_full_windows() {
             let mut whole = StepBasis::new();
             let mut stopping = StepBasis::new();
             let (mut a, mut b) = (Vec::new(), Vec::new());
+            let horizon = Horizon { duration: settle, stop: basis_rule };
+            whole.solve_all_rise(&sim, settle, &mut scratch, None).map_err(|e| e.to_string())?;
+            stopping.solve_all_rise(&sim, horizon, &mut scratch, None).map_err(|e| e.to_string())?;
             for panel in [first, second] {
-                whole.solve(&sim, panel, settle, &mut scratch, None).map_err(|e| e.to_string())?;
-                let horizon = Horizon { duration: settle, stop: basis_rule };
-                stopping
-                    .solve(&sim, panel, horizon, &mut scratch, None)
+                let full_columns =
+                    whole.solve_victims(&sim, panel, &mut scratch, None).map_err(|e| e.to_string())?;
+                let cut_columns = stopping
+                    .solve_victims(&sim, panel, &mut scratch, None)
                     .map_err(|e| e.to_string())?;
                 let live = |p: &&VectorPair| {
                     StepBasis::ma_victim(p).is_some_and(|v| panel.contains(&v))
                 };
                 for pair in pairs.iter().filter(live) {
-                    let combined =
-                        whole.combine_into(&sim, pair, &mut a).map_err(|e| e.to_string())?;
-                    let cut_combined =
-                        stopping.combine_into(&sim, pair, &mut b).map_err(|e| e.to_string())?;
+                    let combined = whole
+                        .combine_into(&full_columns, &sim, pair, &mut a)
+                        .map_err(|e| e.to_string())?;
+                    let cut_combined = stopping
+                        .combine_into(&cut_columns, &sim, pair, &mut b)
+                        .map_err(|e| e.to_string())?;
                     check_eq(cut_combined, combined)?;
                     if !combined {
                         continue;
