@@ -1,12 +1,19 @@
 //! Bench: JTAG substrate throughput — scan operations against chain
 //! length, and TAP stepping cost.
+//!
+//! `dr_scan/516` is the sintbench long_chain's chain (n = 8, m = 500).
+//! `dr_scan_faulted/256` carries a TAP fault that never fires (stuck in
+//! Pause-DR, which no scan visits), so its scans take the per-TCK path
+//! that injected faults keep: the cost the whole-scan burst avoids.
 
 use sint_bench::emit_artifact;
 use sint_jtag::bcell::StandardBsc;
 use sint_jtag::chain::Chain;
 use sint_jtag::device::Device;
 use sint_jtag::driver::JtagDriver;
+use sint_jtag::fault::ScanFault;
 use sint_jtag::instruction::InstructionSet;
+use sint_jtag::state::TapState;
 use sint_logic::BitVector;
 use sint_runtime::bench::{black_box, Bench};
 
@@ -24,10 +31,19 @@ fn driver_with_cells(n: usize) -> JtagDriver {
 fn main() {
     let mut b = Bench::new("jtag");
 
-    for cells in [8usize, 64, 256, 1024] {
+    for cells in [8usize, 64, 256, 516, 1024] {
         let mut drv = driver_with_cells(cells);
         let data = BitVector::zeros(cells);
         b.measure(&format!("dr_scan/{cells}"), || {
+            black_box(drv.scan_dr(black_box(&data)).unwrap());
+        });
+    }
+
+    {
+        let mut drv = driver_with_cells(256);
+        drv.inject_fault(ScanFault::StuckTap { state: TapState::PauseDr });
+        let data = BitVector::zeros(256);
+        b.measure("dr_scan_faulted/256", || {
             black_box(drv.scan_dr(black_box(&data)).unwrap());
         });
     }

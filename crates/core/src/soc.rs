@@ -283,6 +283,7 @@ impl SocBuilder {
         let sim = Arc::new(TransientSim::new(&bus, dt)?);
         let sim_key = (bus.fingerprint(), dt.to_bits());
         let sim_cache = HashMap::from([(sim_key, Arc::clone(&sim))]);
+        let zero_word = BitVector::zeros(device.boundary().len());
         let mut chain = Chain::single(device);
         if let Some(fault) = self.scan_fault {
             chain.inject_fault(fault);
@@ -312,6 +313,7 @@ impl SocBuilder {
             quarantine: None,
             degradation_events: Vec::new(),
             cancel: None,
+            zero_word,
         })
     }
 }
@@ -748,6 +750,8 @@ pub struct Soc {
     /// loop; an expired deadline surfaces as
     /// [`CoreError::DeadlineExceeded`].
     cancel: Option<CancelToken>,
+    /// The chain-length all-zero word every read-out scan shifts in.
+    zero_word: BitVector,
 }
 
 impl Soc {
@@ -987,13 +991,17 @@ impl Soc {
         values.iter().rev().copied().collect()
     }
 
+    /// The [`Soc::scan_word`] that deposits the victim-select data in
+    /// the PGBSCs and zeros everywhere else, written straight into the
+    /// word: cell `i`'s bit sits at scan position `len − 1 − i`.
     fn victim_select_word(&self, victim: usize) -> Result<BitVector, CoreError> {
         let one_hot = victim_select(self.wires, victim)?;
-        let mut values = vec![Logic::Zero; self.chain_len()];
+        let len = self.chain_len();
+        let mut word = BitVector::zeros(len);
         for (i, v) in one_hot.iter().enumerate() {
-            values[i] = v;
+            word.set(len - 1 - i, v);
         }
-        Ok(self.scan_word(&values))
+        Ok(word)
     }
 
     /// Samples the PGBSC outputs and, if they form a newly *defined*
@@ -1207,9 +1215,8 @@ impl Soc {
     /// flip-flops.
     fn readout(&mut self, point: ReadoutPoint) -> Result<ReadoutRecord, CoreError> {
         self.driver.load_instruction("O-SITEST")?;
-        let zeros = BitVector::zeros(self.chain_len());
-        let nd_out = self.driver.scan_dr(&zeros)?;
-        let sd_out = self.driver.scan_dr(&zeros)?;
+        let nd_out = self.driver.scan_dr(&self.zero_word)?;
+        let sd_out = self.driver.scan_dr(&self.zero_word)?;
         // Update-DRs during O-SITEST hold the pattern generators (CE=0),
         // so the bus state is undisturbed; keep `prev` as is.
         Ok(ReadoutRecord {

@@ -8,6 +8,7 @@
 //! paper's claim of 1149.1 compliance.
 
 use crate::error::JtagError;
+use crate::register::shift_through;
 use sint_logic::Logic;
 use std::collections::VecDeque;
 use std::fmt;
@@ -169,11 +170,12 @@ impl BoundaryCell for StandardBsc {
 /// stage, so one clock costs O(1) whatever the chain length. The first
 /// [`BoundaryRegister::shift`] of a burst copies every cell's FF1 into a
 /// ring; each clock then pops TDO at one end and pushes TDI at the
-/// other. [`BoundaryRegister::end_shift`] writes the ring back into the
-/// cells. The TAP calls it on Shift-DR → Exit1-DR, and every method that
-/// reaches the cells (`capture`, `update`, `reset`, `cell_mut`, `push`,
-/// stuck-segment changes) calls it first. Capture and update semantics
-/// stay in the cells.
+/// other, and [`BoundaryRegister::shift_burst`] moves a whole scan's
+/// bits through the ring in one call. [`BoundaryRegister::end_shift`]
+/// writes the ring back into the cells. The TAP calls it on Shift-DR →
+/// Exit1-DR, and every method that reaches the cells (`capture`,
+/// `update`, `reset`, `cell_mut`, `push`, stuck-segment changes) calls
+/// it first. Capture and update semantics stay in the cells.
 #[derive(Debug, Default)]
 pub struct BoundaryRegister {
     cells: Vec<Box<dyn BoundaryCell + Send>>,
@@ -263,11 +265,7 @@ impl BoundaryRegister {
     /// constant level, exactly where the broken wire sits: it lands in
     /// stage slot `k + 1`, or on TDO when `k` is the last cell.
     pub fn shift(&mut self, tdi: Logic, ctrl: &CellControl) -> Logic {
-        if self.burst.is_none() {
-            self.stage.clear();
-            self.stage.extend(self.cells.iter().map(|c| c.scan_bit()));
-        }
-        self.burst = Some(*ctrl);
+        self.open_burst(ctrl);
         let Some(mut tdo) = self.stage.pop_back() else {
             return tdi;
         };
@@ -281,6 +279,40 @@ impl BoundaryRegister {
             }
         }
         tdo
+    }
+
+    /// Loads the stage from the cells' FF1s unless a burst is live, and
+    /// keeps `ctrl` as the burst's latest control.
+    fn open_burst(&mut self, ctrl: &CellControl) {
+        if self.burst.is_none() {
+            self.stage.clear();
+            self.stage.extend(self.cells.iter().map(|c| c.scan_bit()));
+        }
+        self.burst = Some(*ctrl);
+    }
+
+    /// `io.len()` Shift-DR clocks at once: `io` holds the TDI bits in
+    /// shift order and comes back holding TDO, exactly as that many
+    /// [`BoundaryRegister::shift`] calls would leave it and the stage.
+    ///
+    /// A stuck segment at cell `k` splits the stage in two: cells
+    /// `0..=k` take TDI and every bit they pass on is lost on the broken
+    /// wire, and cells `k + 1..` take the stuck level and feed TDO.
+    pub fn shift_burst(&mut self, io: &mut [Logic], ctrl: &CellControl) {
+        if io.is_empty() {
+            return;
+        }
+        self.open_burst(ctrl);
+        let stage = self.stage.make_contiguous();
+        match self.stuck {
+            Some((cell, level)) if cell < stage.len() => {
+                let (upstream, downstream) = stage.split_at_mut(cell + 1);
+                shift_through(upstream, io);
+                io.fill(level);
+                shift_through(downstream, io);
+            }
+            _ => shift_through(stage, io),
+        }
     }
 
     /// Ends a Shift-DR burst: writes the register-owned stage back into

@@ -5,7 +5,7 @@ use crate::device::Device;
 use crate::error::JtagError;
 use crate::fault::ScanFault;
 use crate::state::TapState;
-use sint_logic::Logic;
+use sint_logic::{BitVector, Logic};
 
 /// A serial chain of JTAG devices. `devices[0]` is nearest TDI.
 ///
@@ -203,6 +203,30 @@ impl Chain {
         self.last_tdo = bit;
         bit
     }
+
+    /// `bits.len()` TCKs with TMS low on all but the last: the Shift
+    /// body of a scan, whose last clock exits to Exit1. Returns the TDO
+    /// bits, exactly as one [`Chain::step`] per bit would.
+    ///
+    /// Without a link, TAP or clock fault, each device takes the whole
+    /// burst in one call ([`Device::shift_burst`]); a
+    /// [`ScanFault::BoundaryStuck`] lives inside its register, so it
+    /// bursts too. Any other fault clocks the chain bit by bit.
+    pub fn shift_burst(&mut self, bits: &BitVector) -> BitVector {
+        let len = bits.len();
+        if !matches!(self.fault, None | Some(ScanFault::BoundaryStuck { .. })) {
+            return bits.iter().enumerate().map(|(i, bit)| self.step(i + 1 == len, bit)).collect();
+        }
+        let mut stream = bits.as_slice().to_vec();
+        for dev in &mut self.devices {
+            dev.shift_burst(&mut stream);
+        }
+        self.tck += len as u64;
+        if let Some(&tdo) = stream.last() {
+            self.last_tdo = tdo;
+        }
+        BitVector::from(stream)
+    }
 }
 
 /// Applies any serial-path corruption of `fault` at `link` to `bit`;
@@ -228,7 +252,6 @@ mod tests {
     use super::*;
     use crate::bcell::StandardBsc;
     use crate::instruction::InstructionSet;
-    use sint_logic::BitVector;
 
     fn dev(name: &str, cells: usize) -> Device {
         let mut d = Device::new(name, InstructionSet::standard_1149_1());

@@ -8,6 +8,8 @@
 //! Capture-DR, update when leaving Update-DR), then the controller moves
 //! per TMS — the standard simplified model that preserves exact clock
 //! counts, which is all the paper's test-time tables measure.
+//! [`Device::shift_burst`] applies a whole scan's Shift clocks in one
+//! call, with the same result as stepping them.
 
 use crate::bcell::{BoundaryCell, BoundaryRegister, CellControl};
 
@@ -223,6 +225,42 @@ impl Device {
         }
         self.state = next;
         tdo
+    }
+
+    /// `io.len()` TCKs with TMS low on all but the last: the Shift body
+    /// of a scan, whose last clock exits to Exit1. `io` holds the TDI
+    /// bits and comes back holding TDO, exactly as that many
+    /// [`Device::step`] calls would return it. In Shift-DR or Shift-IR
+    /// the selected register takes the whole burst at once; from any
+    /// other state the device steps bit by bit.
+    pub fn shift_burst(&mut self, io: &mut [Logic]) {
+        let Some(last) = io.len().checked_sub(1) else { return };
+        match self.state {
+            TapState::ShiftDr => {
+                let ctrl = self.cell_control();
+                match self.dr_target() {
+                    DrTarget::Boundary => self.boundary.shift_burst(io, &ctrl),
+                    DrTarget::Bypass => self.bypass.shift_burst(io),
+                    DrTarget::Idcode => match &mut self.idcode {
+                        Some(id) => io.iter_mut().for_each(|b| *b = id.shift(*b)),
+                        None => self.bypass.shift_burst(io),
+                    },
+                }
+                self.boundary.end_shift();
+                self.state = TapState::Exit1Dr;
+            }
+            TapState::ShiftIr => {
+                io.iter_mut().for_each(|b| *b = self.ir.shift(*b));
+                self.state = TapState::Exit1Ir;
+            }
+            _ => {
+                for (i, b) in io.iter_mut().enumerate() {
+                    *b = self.step(i == last, *b);
+                }
+                return;
+            }
+        }
+        self.tck += io.len() as u64;
     }
 }
 

@@ -236,9 +236,10 @@ impl JtagDriver {
 
     /// The one scan sequence behind every IR and DR scan: from
     /// Run-Test/Idle through Select-DR (and Select-IR when `ir`),
-    /// Capture, `bits.len()` Shift clocks (the last one exits to
-    /// Exit1), Update and back to Run-Test/Idle — `bits.len() + 5` TCKs
-    /// for a DR, one more for the IR. Returns the captured TDO bits.
+    /// Capture, `bits.len()` Shift clocks handed to the chain as one
+    /// burst ([`Chain::shift_burst`]; the last one exits to Exit1),
+    /// Update and back to Run-Test/Idle — `bits.len() + 5` TCKs for a
+    /// DR, one more for the IR. Returns the captured TDO bits.
     fn shift_from_idle(&mut self, ir: bool, bits: &BitVector) -> BitVector {
         self.ensure_idle();
         self.step(true, Logic::Zero); // → Select-DR
@@ -247,22 +248,21 @@ impl JtagDriver {
         }
         self.step(false, Logic::Zero); // → Capture
         self.step(false, Logic::Zero); // capture; → Shift
-        let mut out = BitVector::new();
-        let len = bits.len();
-        for (i, bit) in bits.iter().enumerate() {
-            out.push(self.step(i == len - 1, bit));
-        }
+        let out = self.chain.shift_burst(bits); // the last bit exits to Exit1
         self.step(true, Logic::Zero); // Exit1 → Update
         self.step(false, Logic::Zero); // update; → RTI
-        let (tdi, tdo) = (bits.clone(), out.clone());
-        self.record(if ir { ScanOp::ScanIr { tdi, tdo } } else { ScanOp::ScanDr { tdi, tdo } });
+        if let Some(log) = &mut self.recording {
+            let (tdi, tdo) = (bits.clone(), out.clone());
+            log.push(if ir { ScanOp::ScanIr { tdi, tdo } } else { ScanOp::ScanDr { tdi, tdo } });
+        }
         out
     }
 
     /// Applies `count` Update-DR events without shifting any data: the
-    /// TAP loops Select-DR → Capture-DR → Exit1-DR → Update-DR. Each
-    /// pass costs 4 TCKs; this is what makes the paper's PGBSC pattern
-    /// generation O(1) per pattern instead of O(chain length).
+    /// TAP loops Select-DR → Capture-DR → Exit1-DR → Update-DR →
+    /// Run-Test/Idle. Each pass costs 5 TCKs; this is what makes the
+    /// paper's PGBSC pattern generation O(1) per pattern instead of
+    /// O(chain length).
     ///
     /// # Errors
     ///

@@ -27,6 +27,42 @@ impl BypassRegister {
     pub fn shift(&mut self, tdi: Logic) -> Logic {
         std::mem::replace(&mut self.bit, tdi)
     }
+
+    /// `io.len()` Shift-DR clocks at once: `io` holds the TDI bits in
+    /// shift order and comes back holding TDO, as that many
+    /// [`BypassRegister::shift`] calls would return it.
+    pub fn shift_burst(&mut self, io: &mut [Logic]) {
+        shift_through(std::slice::from_mut(&mut self.bit), io);
+    }
+}
+
+/// Moves `io.len()` bits through a shift stage in place. `stage[0]` is
+/// the TDI end and the last slot the TDO end; `io` holds the bits that
+/// enter, in shift order, and comes back holding the bits that left.
+///
+/// For `k = io.len()` at least the stage length `L`, TDO is the old
+/// stage reversed, then the first `k − L` inputs, and the new stage is
+/// the last `L` inputs reversed. For `k < L`, TDO is the stage's last
+/// `k` slots reversed, and the stage moves `k` slots toward TDO behind
+/// the `k` inputs reversed. An empty stage is a wire.
+pub(crate) fn shift_through(stage: &mut [Logic], io: &mut [Logic]) {
+    let (l, k) = (stage.len(), io.len());
+    if l == 0 || k == 0 {
+        return;
+    }
+    if k >= l {
+        stage.reverse();
+        let tail = &mut io[k - l..];
+        tail.reverse();
+        stage.swap_with_slice(tail);
+        io.rotate_right(l);
+    } else {
+        stage.rotate_right(k);
+        let head = &mut stage[..k];
+        head.reverse();
+        io.reverse();
+        head.swap_with_slice(io);
+    }
 }
 
 /// The optional 32-bit device-identification register.
@@ -37,7 +73,6 @@ impl BypassRegister {
 pub struct IdcodeRegister {
     idcode: u32,
     shift: u32,
-    remaining: u8,
 }
 
 impl IdcodeRegister {
@@ -55,7 +90,7 @@ impl IdcodeRegister {
             | (u32::from(manufacturer) << 1)
             | (u32::from(part) << 12)
             | (u32::from(version) << 28);
-        IdcodeRegister { idcode, shift: idcode, remaining: 32 }
+        IdcodeRegister { idcode, shift: idcode }
     }
 
     /// The packed 32-bit IDCODE value.
@@ -67,7 +102,6 @@ impl IdcodeRegister {
     /// Capture-DR: loads the IDCODE for scanning out.
     pub fn capture(&mut self) {
         self.shift = self.idcode;
-        self.remaining = 32;
     }
 
     /// Shift-DR: emits LSB-first.
@@ -77,7 +111,6 @@ impl IdcodeRegister {
         if tdi == Logic::One {
             self.shift |= 1 << 31;
         }
-        self.remaining = self.remaining.saturating_sub(1);
         out
     }
 }
@@ -92,6 +125,36 @@ mod tests {
         b.capture();
         assert_eq!(b.shift(Logic::One), Logic::Zero, "captured 0 comes out first");
         assert_eq!(b.shift(Logic::Zero), Logic::One);
+        assert_eq!(b.shift(Logic::One), Logic::Zero);
+    }
+
+    #[test]
+    fn bursts_match_single_shifts_on_every_stage_length() {
+        // Every burst length below, at and past the stage length, from a
+        // stage of distinct values, against one shift per bit.
+        let tags = [Logic::Zero, Logic::One, Logic::X, Logic::Z];
+        for l in 0..6 {
+            for k in 0..9 {
+                let init: Vec<Logic> = (0..l).map(|i| tags[i % 4]).collect();
+                let input: Vec<Logic> = (0..k).map(|i| tags[(i + 1) % 4]).collect();
+                let mut ripple = init.clone();
+                let want: Vec<Logic> = input
+                    .iter()
+                    .map(|&b| {
+                        let Some(out) = ripple.pop() else { return b };
+                        ripple.insert(0, b);
+                        out
+                    })
+                    .collect();
+                let (mut stage, mut io) = (init, input);
+                shift_through(&mut stage, &mut io);
+                assert_eq!((io, stage), (want, ripple), "L = {l}, k = {k}");
+            }
+        }
+        let mut b = BypassRegister::new();
+        let mut io = [Logic::One, Logic::X, Logic::Zero];
+        b.shift_burst(&mut io);
+        assert_eq!(io, [Logic::Zero, Logic::One, Logic::X]);
         assert_eq!(b.shift(Logic::One), Logic::Zero);
     }
 

@@ -231,6 +231,13 @@ impl FromStr for BitVector {
     }
 }
 
+impl From<Vec<Logic>> for BitVector {
+    /// Takes `bits` as they are: element 0 is the TDO side.
+    fn from(bits: Vec<Logic>) -> Self {
+        BitVector { bits }
+    }
+}
+
 impl FromIterator<Logic> for BitVector {
     fn from_iter<I: IntoIterator<Item = Logic>>(iter: I) -> Self {
         BitVector { bits: iter.into_iter().collect() }

@@ -10,6 +10,7 @@ use sint::core::checkpoint::CampaignCheckpoint;
 use sint::core::degrade::{ChainPolicy, DegradationEvent};
 use sint::core::describe::{si_cell_factory, soc_description_text};
 use sint::core::error::CoreError;
+use sint::core::instructions::extended_instruction_set;
 use sint::core::mafm::{
     classify_pair, classify_pair_masked, fault_pair, pgbsc_vector, CoverageLedger,
     CoverageReport, IntegrityFault,
@@ -30,8 +31,13 @@ use sint::interconnect::{InterconnectError, StepBasis};
 use sint::interconnect::variation::{apply_variation, SplitMix64, VariationSigma};
 use sint::jtag::bcell::{BoundaryCell, BoundaryRegister, CellControl, StandardBsc};
 use sint::jtag::bsdl::{DeviceDescription, MAX_CELLS};
+use sint::jtag::chain::Chain;
+use sint::jtag::device::Device;
+use sint::jtag::driver::{JtagDriver, ScanOp};
+use sint::jtag::error::JtagError;
 use sint::jtag::fault::ScanFault;
 use sint::jtag::integrity::QuarantineSet;
+use sint::jtag::register::IdcodeRegister;
 use sint::jtag::state::TapState;
 use sint::jtag::svf::{mask_hex, scan_hex};
 use sint::fleet::{
@@ -254,11 +260,45 @@ enum BurstEnd {
     Deferred,
 }
 
+/// How a run of Shift-DR clocks reaches the register: one
+/// `BoundaryRegister::shift` call, or `k` clocks at once through
+/// `BoundaryRegister::shift_burst`.
+#[derive(Debug, Clone, Copy)]
+enum Clocks {
+    Single,
+    Burst(usize),
+}
+
+/// Splits `bits` clocks into single shifts and bursts shorter than,
+/// equal to and longer than the register's `len` cells, with an empty
+/// burst now and then.
+fn arb_clocks(rng: &mut Rng64, bits: usize, len: usize) -> Vec<Clocks> {
+    let mut left = bits;
+    let mut clocks = Vec::new();
+    while left > 0 {
+        let k = match gen::usize_in(rng, 0..6) {
+            0 => {
+                clocks.push(Clocks::Single);
+                left -= 1;
+                continue;
+            }
+            1 => gen::usize_in(rng, 0..len + 1),
+            2 => len,
+            3 => len + 1 + gen::usize_in(rng, 0..len + 2),
+            _ => left,
+        };
+        let k = k.min(left);
+        clocks.push(Clocks::Burst(k));
+        left -= k;
+    }
+    clocks
+}
+
 #[derive(Debug, Clone)]
 enum RegisterOp {
     Pin(usize, Logic),
     Capture(CellControl),
-    Shift(Vec<Logic>, CellControl, BurstEnd),
+    Shift(Vec<Logic>, Vec<Clocks>, CellControl, BurstEnd),
     Update(CellControl),
     UpdatePulses(usize, CellControl),
     Reset,
@@ -286,10 +326,11 @@ fn arb_register_op(rng: &mut Rng64, len: usize) -> RegisterOp {
                 1 => gen::usize_in(rng, 0..len + 1),
                 _ => gen::usize_in(rng, len..2 * len + 3),
             };
+            let clocks = arb_clocks(rng, bits, len);
             let ctrl = CellControl { shift_dr: true, ..arb_ctrl(rng) };
             let end =
                 gen::one_of(rng, &[BurstEnd::Explicit, BurstEnd::CellAccess, BurstEnd::Deferred]);
-            RegisterOp::Shift((0..bits).map(|_| arb_logic(rng)).collect(), ctrl, end)
+            RegisterOp::Shift((0..bits).map(|_| arb_logic(rng)).collect(), clocks, ctrl, end)
         }
         5 => RegisterOp::Update(arb_ctrl(rng)),
         6 => RegisterOp::UpdatePulses(gen::usize_in(rng, 1..5), arb_ctrl(rng)),
@@ -335,7 +376,10 @@ fn packed_shift_stage_matches_the_ripple_oracle() {
     // chains of standard, PGBSC and OBSC cells and random interleavings
     // of capture, full and partial shift bursts, update, update pulses,
     // reset and stuck-segment changes, the TDO stream and every cell's
-    // state at every burst end equal the per-cell ripple loop's.
+    // state at every burst end equal the per-cell ripple loop's. Each
+    // burst's clocks arrive as single shifts interleaved with
+    // `shift_burst` calls shorter than, equal to and longer than the
+    // register.
     Runner::new("packed_shift_matches_ripple").run(
         |rng| {
             let kinds = gen::vec_of(rng, 0..24, |rng| {
@@ -367,8 +411,18 @@ fn packed_shift_stage_matches_the_ripple_oracle() {
                         reg.capture(ctrl);
                         oracle.cells.iter_mut().for_each(|c| c.capture(ctrl));
                     }
-                    RegisterOp::Shift(bits, ctrl, end) => {
-                        let got: Vec<Logic> = bits.iter().map(|&b| reg.shift(b, ctrl)).collect();
+                    RegisterOp::Shift(bits, clocks, ctrl, end) => {
+                        let mut got = Vec::with_capacity(bits.len());
+                        for &run in clocks {
+                            let at = got.len();
+                            match run {
+                                Clocks::Single => got.push(reg.shift(bits[at], ctrl)),
+                                Clocks::Burst(k) => {
+                                    got.extend_from_slice(&bits[at..at + k]);
+                                    reg.shift_burst(&mut got[at..], ctrl);
+                                }
+                            }
+                        }
                         let want: Vec<Logic> =
                             bits.iter().map(|&b| oracle.shift(b, ctrl)).collect();
                         check(got == want, || format!("op {step}: TDO {got:?} != {want:?}"))?;
@@ -414,6 +468,313 @@ fn packed_shift_stage_matches_the_ripple_oracle() {
             }
             reg.end_shift();
             same_cells(&reg, &oracle)
+        },
+    );
+}
+
+// ---------------- Whole-scan bursts ----------------
+
+/// The driver's scan sequence clocked one `Chain::step` per TCK, as it
+/// ran before scans reached the chain as one burst: the oracle for
+/// `scan_bursts_match_per_tck_stepping`.
+struct SteppedDriver {
+    chain: Chain,
+    recording: Option<Vec<ScanOp>>,
+}
+
+impl SteppedDriver {
+    fn record(&mut self, op: ScanOp) {
+        if let Some(log) = &mut self.recording {
+            log.push(op);
+        }
+    }
+
+    fn reset(&mut self) {
+        for _ in 0..5 {
+            self.chain.step(true, Logic::Zero);
+        }
+        self.chain.step(false, Logic::Zero);
+        self.record(ScanOp::Reset);
+    }
+
+    fn ensure_idle(&mut self) {
+        if self.chain.state() != TapState::RunTestIdle {
+            self.reset();
+        }
+    }
+
+    fn shift_from_idle(&mut self, ir: bool, bits: &BitVector) -> BitVector {
+        self.ensure_idle();
+        self.chain.step(true, Logic::Zero);
+        if ir {
+            self.chain.step(true, Logic::Zero);
+        }
+        self.chain.step(false, Logic::Zero);
+        self.chain.step(false, Logic::Zero);
+        let len = bits.len();
+        let out: BitVector =
+            bits.iter().enumerate().map(|(i, bit)| self.chain.step(i + 1 == len, bit)).collect();
+        self.chain.step(true, Logic::Zero);
+        self.chain.step(false, Logic::Zero);
+        let (tdi, tdo) = (bits.clone(), out.clone());
+        self.record(if ir { ScanOp::ScanIr { tdi, tdo } } else { ScanOp::ScanDr { tdi, tdo } });
+        out
+    }
+
+    fn scan(&mut self, ir: bool, bits: &BitVector) -> Result<BitVector, JtagError> {
+        let expected =
+            if ir { self.chain.total_ir_width() } else { self.chain.selected_dr_len() };
+        if bits.len() != expected {
+            return Err(JtagError::ScanWidth { expected, got: bits.len() });
+        }
+        Ok(self.shift_from_idle(ir, bits))
+    }
+
+    fn pulse_update_dr(&mut self, count: usize) {
+        self.ensure_idle();
+        for _ in 0..count {
+            for tms in [true, false, true, true, false] {
+                self.chain.step(tms, Logic::Zero);
+            }
+        }
+        self.record(ScanOp::UpdatePulses { count });
+    }
+}
+
+#[derive(Debug, Clone)]
+struct DeviceSpec {
+    cells: Vec<CellKind>,
+    idcode: bool,
+}
+
+/// How long a DR shift is against the selected register's length.
+#[derive(Debug, Clone, Copy)]
+enum Fit {
+    Exact,
+    /// One bit too many: a `scan_dr` width error on both sides.
+    Wrong,
+    Partial,
+    OverLong,
+}
+
+#[derive(Debug, Clone)]
+enum ChainOp {
+    Reset,
+    /// One instruction per device (TDI side first); `None` is a random
+    /// opcode, and `wrong_width` drops the last bit.
+    ScanIr { names: Vec<Option<&'static str>>, wrong_width: bool, seed: u64 },
+    ScanDr { fit: Fit, seed: u64 },
+    ShiftDrBits { fit: Fit, seed: u64 },
+    Pulses(usize),
+    Pin { device: usize, cell: usize, value: Logic },
+    Recording(bool),
+    Inject(ScanFault),
+    Clear,
+}
+
+const SCAN_INSTRUCTIONS: [&str; 6] =
+    ["BYPASS", "IDCODE", "EXTEST", "SAMPLE/PRELOAD", "G-SITEST", "O-SITEST"];
+
+fn arb_fault(rng: &mut Rng64, devices: &[DeviceSpec]) -> ScanFault {
+    let link = gen::usize_in(rng, 0..devices.len() + 1);
+    let period = gen::usize_in(rng, 1..6) as u64;
+    // Half the draws are the one fault that bursts.
+    match gen::usize_in(rng, 0..10) {
+        0 => ScanFault::StuckAtZero { link },
+        1 => ScanFault::StuckAtOne { link },
+        2 => ScanFault::BitFlip { link, period },
+        3 => ScanFault::StuckTap { state: gen::one_of(rng, &TapState::ALL) },
+        4 => ScanFault::DroppedTck { period },
+        _ => {
+            // Before, at and past the last cell of a device, or a device
+            // the chain does not have.
+            let device = gen::usize_in(rng, 0..devices.len() + 1);
+            let len = devices.get(device).map_or(0, |d| d.cells.len());
+            let cell = match gen::usize_in(rng, 0..3) {
+                0 => gen::usize_in(rng, 0..len.max(1)),
+                1 => len.saturating_sub(1),
+                _ => len + gen::usize_in(rng, 0..2),
+            };
+            ScanFault::BoundaryStuck { device, cell, level: gen::bool_any(rng) }
+        }
+    }
+}
+
+fn arb_ir_load(rng: &mut Rng64, devices: &[DeviceSpec]) -> ChainOp {
+    ChainOp::ScanIr {
+        names: devices
+            .iter()
+            .map(|_| (gen::usize_in(rng, 0..8) > 0).then(|| gen::one_of(rng, &SCAN_INSTRUCTIONS)))
+            .collect(),
+        wrong_width: gen::usize_in(rng, 0..12) == 0,
+        seed: gen::u64_any(rng),
+    }
+}
+
+fn arb_chain_op(rng: &mut Rng64, devices: &[DeviceSpec]) -> ChainOp {
+    let fit = |rng: &mut Rng64| gen::one_of(rng, &[Fit::Exact, Fit::Partial, Fit::OverLong]);
+    match gen::usize_in(rng, 0..16) {
+        0 => ChainOp::Reset,
+        1..=3 => arb_ir_load(rng, devices),
+        4..=7 => {
+            let fit = if gen::usize_in(rng, 0..10) == 0 { Fit::Wrong } else { Fit::Exact };
+            ChainOp::ScanDr { fit, seed: gen::u64_any(rng) }
+        }
+        8..=10 => ChainOp::ShiftDrBits { fit: fit(rng), seed: gen::u64_any(rng) },
+        11 => ChainOp::Pulses(gen::usize_in(rng, 1..4)),
+        12 => {
+            let device = gen::usize_in(rng, 0..devices.len());
+            let cell = gen::usize_in(rng, 0..devices[device].cells.len().max(1));
+            ChainOp::Pin { device, cell, value: arb_logic(rng) }
+        }
+        13 => ChainOp::Recording(gen::bool_any(rng)),
+        14 => ChainOp::Inject(arb_fault(rng, devices)),
+        _ => ChainOp::Clear,
+    }
+}
+
+fn build_chain(devices: &[DeviceSpec]) -> Chain {
+    let mut chain = Chain::new();
+    for (k, spec) in devices.iter().enumerate() {
+        let iset = extended_instruction_set().expect("the SI instruction set is consistent");
+        let mut dev = Device::new(format!("dev{k}"), iset);
+        if spec.idcode {
+            dev = dev.with_idcode(IdcodeRegister::new(0x0AB, 0x1234 + k as u16, 0x2));
+        }
+        for &kind in &spec.cells {
+            dev.push_cell(make_cell(kind));
+        }
+        chain.push(dev);
+    }
+    chain
+}
+
+/// `len` random bits, from `seed` alone so both sides shift the same.
+fn seeded_bits(seed: u64, len: usize) -> BitVector {
+    let mut rng = Rng64::new(seed);
+    (0..len).map(|_| arb_logic(&mut rng)).collect()
+}
+
+/// Everything the property compares of one chain after an operation.
+fn chain_image(chain: &Chain) -> Result<String, String> {
+    let (tck, state, dr) = (chain.tck(), chain.state(), chain.selected_dr_len());
+    let mut image = format!("tck {tck} state {state:?} dr {dr}\n");
+    for k in 0..chain.len() {
+        let dev = chain.device(k).map_err(|e| e.to_string())?;
+        let ctrl = dev.cell_control();
+        let inst = dev.current_instruction().map(|i| i.name.clone());
+        image += &format!("dev {k}: tck {} nd_sd {} {inst:?}\n", dev.tck(), dev.nd_sd());
+        for i in 0..dev.boundary().len() {
+            let cell = dev.boundary().cell(i).map_err(|e| e.to_string())?;
+            image += &format!("{:?}{:?} ", cell.scan_bit(), cell.output(&ctrl));
+        }
+        image.push('\n');
+    }
+    Ok(image)
+}
+
+#[test]
+fn scan_bursts_match_per_tck_stepping() {
+    // A scan handed to the chain as one burst must be invisible: over
+    // random chains of 1–3 devices (standard, PGBSC and OBSC cells, up
+    // to 600 per device, with or without an IDCODE register) and random
+    // IR loads, full, partial, over-long and mis-sized DR scans, update
+    // pulses, resets, pin changes, recording toggles and every scan
+    // fault injected part-way, the driver's TDO bits, errors, TCK
+    // count, TAP state, every device's ND̄/SD selector, every cell's
+    // scan and output bits and the recorded operations equal those of
+    // the driver clocking `Chain::step` once per TCK.
+    Runner::new("scan_bursts_match_stepping").run(
+        |rng| {
+            let devices = gen::vec_of(rng, 1..4, |rng| {
+                let max = if gen::usize_in(rng, 0..4) == 0 { 601 } else { 13 };
+                DeviceSpec {
+                    cells: gen::vec_of(rng, 0..max, |rng| {
+                        gen::one_of(rng, &[CellKind::Standard, CellKind::Pgbsc, CellKind::Obsc])
+                    }),
+                    idcode: gen::bool_any(rng),
+                }
+            });
+            // An IR load first, so most cases shift boundary registers.
+            let mut ops = vec![arb_ir_load(rng, &devices)];
+            ops.extend(gen::vec_of(rng, 0..24, |rng| arb_chain_op(rng, &devices)));
+            (devices, ops)
+        },
+        |(devices, ops)| {
+            let mut drv = JtagDriver::new(build_chain(devices));
+            let mut oracle = SteppedDriver { chain: build_chain(devices), recording: None };
+            drv.reset();
+            oracle.reset();
+            for (step, op) in ops.iter().enumerate() {
+                let at = |e: String| format!("op {step} ({op:?}): {e}");
+                match op {
+                    ChainOp::Reset => {
+                        drv.reset();
+                        oracle.reset();
+                    }
+                    ChainOp::ScanIr { names, wrong_width, seed } => {
+                        let mut rng = Rng64::new(*seed);
+                        let mut bits = BitVector::new();
+                        for (k, name) in names.iter().enumerate().rev() {
+                            let set = drv.chain().device(k).map_err(|e| at(e.to_string()))?;
+                            match name.and_then(|n| set.instruction_set().by_name(n)) {
+                                Some(inst) => bits.extend(inst.opcode.iter()),
+                                None => bits.extend((0..4).map(|_| arb_logic(&mut rng))),
+                            }
+                        }
+                        if *wrong_width {
+                            bits = bits.iter().skip(1).collect();
+                        }
+                        check_eq(drv.scan_ir(&bits), oracle.scan(true, &bits)).map_err(at)?;
+                    }
+                    ChainOp::ScanDr { fit, seed } | ChainOp::ShiftDrBits { fit, seed } => {
+                        let len = drv.chain().selected_dr_len();
+                        let r = (*seed >> 32) as usize;
+                        let bits = seeded_bits(*seed, match fit {
+                            Fit::Exact => len,
+                            Fit::Wrong => len + 1,
+                            Fit::Partial => r % (len + 1),
+                            Fit::OverLong => len + 1 + r % (len + 3),
+                        });
+                        let (got, want) = if matches!(op, ChainOp::ScanDr { .. }) {
+                            (drv.scan_dr(&bits), oracle.scan(false, &bits))
+                        } else {
+                            (drv.shift_dr_bits(&bits), Ok(oracle.shift_from_idle(false, &bits)))
+                        };
+                        check_eq(got, want).map_err(at)?;
+                    }
+                    ChainOp::Pulses(n) => {
+                        drv.pulse_update_dr(*n).map_err(|e| at(e.to_string()))?;
+                        oracle.pulse_update_dr(*n);
+                    }
+                    ChainOp::Pin { device, cell, value } => {
+                        for chain in [drv.chain_mut(), &mut oracle.chain] {
+                            let dev = chain.device_mut(*device).map_err(|e| at(e.to_string()))?;
+                            if let Ok(c) = dev.boundary_mut().cell_mut(*cell) {
+                                c.set_parallel_input(*value);
+                            }
+                        }
+                    }
+                    ChainOp::Recording(true) => {
+                        drv.start_recording();
+                        oracle.recording = Some(Vec::new());
+                    }
+                    ChainOp::Recording(false) => {
+                        let want = oracle.recording.take().unwrap_or_default();
+                        check_eq(drv.take_recording(), want).map_err(at)?;
+                    }
+                    ChainOp::Inject(fault) => {
+                        drv.inject_fault(*fault);
+                        oracle.chain.inject_fault(*fault);
+                    }
+                    ChainOp::Clear => {
+                        drv.clear_fault();
+                        oracle.chain.clear_fault();
+                    }
+                }
+                check_eq(chain_image(drv.chain())?, chain_image(&oracle.chain)?).map_err(at)?;
+            }
+            check_eq(drv.take_recording(), oracle.recording.take().unwrap_or_default())
         },
     );
 }

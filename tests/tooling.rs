@@ -6,6 +6,7 @@ use sint::core::nd::NdThresholds;
 use sint::core::sd::SdWindow;
 use sint::core::session::{ObservationMethod, SessionConfig};
 use sint::core::soc::SocBuilder;
+use sint::interconnect::params::BusParams;
 use sint::jtag::bsdl::DeviceDescription;
 use sint::jtag::chain::Chain;
 use sint::jtag::driver::{JtagDriver, ScanOp};
@@ -35,6 +36,43 @@ fn full_session_svf_is_replayable_shaped() {
         svf.matches("STATE DRSELECT DRCAPTURE DREXIT1 DRUPDATE IDLE;").count(),
         2 * n * 2
     );
+}
+
+/// The SVF program of one session on a 4-wire SoC with three extra
+/// chain cells and a coupling defect on wire 1, so the read-outs carry
+/// set detector bits.
+fn golden_svf(method: ObservationMethod) -> String {
+    let mut soc = SocBuilder::new(4)
+        .extra_cells(3)
+        .bus_params(BusParams::dsm_bus(4).segments(2))
+        .coupling_defect(1, 6.0)
+        .build()
+        .unwrap();
+    let config = SessionConfig { dt: 10e-12, ..SessionConfig::method(method) };
+    soc.run_integrity_test_with_svf(&config, &SvfOptions::default()).unwrap().1
+}
+
+#[test]
+fn session_svf_matches_the_pinned_golden_bytes() {
+    // Every recorded scan's TDI and TDO stream, byte for byte: a change
+    // to how the driver, chain or registers move bits shows up here.
+    for (method, file) in [
+        (ObservationMethod::Once, "svf_method_1.svf"),
+        (ObservationMethod::PerPattern, "svf_method_3.svf"),
+    ] {
+        let svf = golden_svf(method);
+        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+        if std::env::var_os("SINT_REGEN_GOLDEN").is_some() {
+            std::fs::write(&path, &svf).unwrap();
+            continue;
+        }
+        let expected = std::fs::read_to_string(&path).expect("golden file present");
+        assert!(
+            svf == expected,
+            "{file}: SVF drifted from the pinned golden bytes; if the change is \
+             intentional, re-run with SINT_REGEN_GOLDEN=1 and review the diff"
+        );
+    }
 }
 
 #[test]
