@@ -13,8 +13,9 @@
 //! worse artifact.
 
 use sint_bench::{emit_artifact, threads_from_env};
-use sint_core::adaptive::{AdaptiveCheckpoint, AdaptiveRun};
+use sint_core::adaptive::AdaptiveRun;
 use sint_core::campaign::{Campaign, Trial};
+use sint_core::checkpoint::CampaignCheckpoint;
 use sint_core::mafm::CoverageLedger;
 use sint_core::session::{ObservationMethod, SessionConfig};
 use sint_core::soc::SocBuilder;
@@ -53,7 +54,7 @@ fn campaign() -> Campaign {
 
 /// The adaptive engine from a fresh ledger, nothing persisted.
 fn adaptive_run(campaign: &Campaign, batch: &[Trial], threads: usize) -> AdaptiveRun {
-    let mut checkpoint = AdaptiveCheckpoint::new(campaign.wires());
+    let mut checkpoint = CampaignCheckpoint::new(campaign.wires());
     campaign.run_adaptive_checkpointed(batch, threads, &mut checkpoint, |_| {})
 }
 

@@ -34,9 +34,8 @@
 //!   merged summary.
 
 use sint_bench::threads_from_env;
-use sint_core::adaptive::AdaptiveCheckpoint;
 use sint_core::campaign::{Campaign, RetryPolicy, Trial, TrialOutcome};
-use sint_core::checkpoint::{CampaignCheckpoint, CheckpointEntry, CheckpointError};
+use sint_core::checkpoint::{CampaignCheckpoint, CheckpointEntry};
 use sint_core::degrade::ChainPolicy;
 use sint_core::session::{ObservationMethod, SessionConfig};
 use sint_core::soc::SocBuilder;
@@ -266,82 +265,51 @@ fn write_summary(path: &str, summary: &Json) -> Result<(), String> {
 // Single-file checkpoints: `campaign` and `adaptive`
 // ---------------------------------------------------------------------------
 
-/// A checkpoint kept in one file and replaced atomically.
-trait Snapshot: Sized {
-    fn parse(text: &str) -> Result<Self, CheckpointError>;
-    fn store_atomic(&self, path: &Path) -> io::Result<()>;
-    /// How many of a `total`-trial batch's trials the snapshot holds,
-    /// by the engine's own match rule: the trials a resume skips.
-    fn resumable(&self, total: usize) -> usize;
-}
-
-impl Snapshot for CampaignCheckpoint {
-    fn parse(text: &str) -> Result<Self, CheckpointError> {
-        CampaignCheckpoint::parse(text)
-    }
-    fn store_atomic(&self, path: &Path) -> io::Result<()> {
-        CampaignCheckpoint::store_atomic(self, path)
-    }
-    fn resumable(&self, total: usize) -> usize {
-        (0..total).filter(|&index| self.entry_for(index, index as u64).is_some()).count()
-    }
-}
-
-impl Snapshot for AdaptiveCheckpoint {
-    fn parse(text: &str) -> Result<Self, CheckpointError> {
-        AdaptiveCheckpoint::parse(text)
-    }
-    fn store_atomic(&self, path: &Path) -> io::Result<()> {
-        AdaptiveCheckpoint::store_atomic(self, path)
-    }
-    /// The adaptive engine resumes only a checkpoint whose entries are
-    /// exactly its finished rounds' trials, so all of them count.
-    fn resumable(&self, _total: usize) -> usize {
-        self.entries().len()
-    }
-}
-
-/// The checkpoint loop: resumes from the snapshot (or starts fresh),
-/// hands `run` a snapshot hook that replaces the file atomically and
-/// exits 3 once `--halt-after` trials are checkpointed, and returns
-/// `run`'s result with the number of trials resumed.
-fn resume<C: Snapshot, R>(
-    args: &Args,
-    fresh: impl FnOnce() -> C,
-    total: usize,
-    run: impl FnOnce(&mut C, &mut dyn FnMut(&C)) -> R,
-) -> Result<(R, usize), String> {
-    let path = Path::new(&args.operands[0]);
+/// Loads the checkpoint at `path` (a fresh one when the file does not
+/// exist) and checks that it resumes `batch` in rounds of `round`:
+/// the checkpoint and the number of trials the run skips.
+fn resume(
+    path: &Path,
+    campaign: &Campaign,
+    batch: &[Trial],
+    round: usize,
+) -> Result<(CampaignCheckpoint, usize), String> {
     let bad = |e: &dyn std::fmt::Display| format!("bad checkpoint {}: {e}", path.display());
     // Only a missing file starts fresh. Any other read error, a
     // non-UTF-8 file included, is a bad checkpoint: discarding it would
     // silently restart the run and overwrite the evidence.
-    let mut checkpoint = match std::fs::read_to_string(path) {
-        Ok(text) => C::parse(&text).map_err(|e| bad(&e))?,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => fresh(),
+    let checkpoint = match std::fs::read_to_string(path) {
+        Ok(text) => CampaignCheckpoint::parse(&text).map_err(|e| bad(&e))?,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => CampaignCheckpoint::new(campaign.wires()),
         Err(e) => return Err(bad(&e)),
     };
-    let resumed_from = checkpoint.resumable(total);
-    silence_panics();
-    let mut snapshot = |cp: &C| {
-        // Atomic replace: a kill mid-snapshot must leave the previous
-        // checkpoint intact, never a half-file that parse() rejects.
-        if let Err(e) = cp.store_atomic(path) {
-            die(FAILURE, &format!("cannot write checkpoint: {e}"));
-        }
-        let done = cp.resumable(total);
-        if args.halt_after.is_some_and(|limit| done >= limit) {
-            die(HALTED, &format!("halting deliberately with {done} / {total} trials checkpointed"));
-        }
-    };
-    Ok((run(&mut checkpoint, &mut snapshot), resumed_from))
+    // A well-formed snapshot of some other campaign or batch is as bad
+    // as a corrupt one: refuse it before anything runs.
+    let resumed_from = campaign.resume_point(batch, &checkpoint, round).map_err(|e| bad(&e))?;
+    Ok((checkpoint, resumed_from))
+}
+
+/// The snapshot hook of `campaign` and `adaptive`: replaces the
+/// checkpoint file atomically, and exits 3 once `--halt-after` of the
+/// batch's `total` trials are checkpointed.
+fn snapshot(args: &Args, total: usize, checkpoint: &CampaignCheckpoint) {
+    // Atomic replace: a kill mid-snapshot must leave the previous
+    // checkpoint intact, never a half-file that parse() rejects.
+    if let Err(e) = checkpoint.store_atomic(Path::new(&args.operands[0])) {
+        die(FAILURE, &format!("cannot write checkpoint: {e}"));
+    }
+    let done = checkpoint.entries().len();
+    if args.halt_after.is_some_and(|limit| done >= limit) {
+        die(HALTED, &format!("halting deliberately with {done} / {total} trials checkpointed"));
+    }
 }
 
 /// `campaign`: a fixed 20-trial campaign in which 10% of trials are
 /// sabotaged (one panics mid-trial, one injects a defect so extreme the
 /// transient solver diverges), snapshotting every 5 finished trials.
 /// A later invocation without `--halt-after` resumes from the snapshot,
-/// re-running only unfinished trials.
+/// re-running only unfinished trials; a snapshot that does not fit the
+/// batch is refused (exit 2) and left as it was.
 ///
 /// With `--deadline-ms N` every trial gets an `N`-millisecond budget and
 /// one control is swapped for a wedged trial. At `N = 0` the deadline
@@ -355,9 +323,12 @@ fn campaign(args: &Args, threads: usize) -> Result<u8, String> {
         campaign = campaign.deadline(Duration::from_millis(ms));
     }
     let batch = campaign_trials(args.deadline_ms.is_some());
-    let (run, resumed_from) = resume(args, CampaignCheckpoint::new, batch.len(), |cp, snap| {
-        campaign.run_checkpointed(&batch, threads, cp, 5, snap)
-    })?;
+    let (mut checkpoint, resumed_from) =
+        resume(Path::new(&args.operands[0]), &campaign, &batch, CAMPAIGN_ROUND)?;
+    silence_panics();
+    let run = campaign.run_checkpointed(&batch, threads, &mut checkpoint, CAMPAIGN_ROUND, |cp| {
+        snapshot(args, batch.len(), cp);
+    });
     write_summary(&args.operands[1], &run.to_json())?;
     eprintln!(
         "gate: {} trials ({resumed_from} resumed from checkpoint), {threads} threads: {}",
@@ -366,6 +337,9 @@ fn campaign(args: &Args, threads: usize) -> Result<u8, String> {
     );
     Ok(DONE)
 }
+
+/// Trials per `campaign` round: its snapshot cadence.
+const CAMPAIGN_ROUND: usize = 5;
 
 /// Healthy controls, detectable and borderline defects, plus two
 /// deliberately broken trials (indices 3 and 17 by the `% 10` pattern —
@@ -399,16 +373,13 @@ const ADAPTIVE_WIRES: usize = 6;
 fn adaptive(args: &Args, threads: usize) -> Result<u8, String> {
     let campaign = adaptive_campaign();
     let batch = adaptive_trials();
-    let fresh = || AdaptiveCheckpoint::new(ADAPTIVE_WIRES);
-    let (run, resumed_from) = resume(args, fresh, batch.len(), |cp, snap| {
-        // A well-formed snapshot of some other campaign or batch is as
-        // bad as a corrupt one: refuse it before anything runs.
-        campaign.adaptive_resume_point(&batch, cp).map_err(|e| {
-            format!("bad checkpoint {}: {e}", args.operands[0])
-        })?;
-        Ok::<_, String>(campaign.run_adaptive_checkpointed(&batch, threads, cp, snap))
-    })?;
-    let run = run?;
+    let round = campaign.adaptive_config().round;
+    let (mut checkpoint, resumed_from) =
+        resume(Path::new(&args.operands[0]), &campaign, &batch, round)?;
+    silence_panics();
+    let run = campaign.run_adaptive_checkpointed(&batch, threads, &mut checkpoint, |cp| {
+        snapshot(args, batch.len(), cp);
+    });
     write_summary(&args.operands[1], &run.to_json())?;
     eprintln!(
         "gate: {} trials ({resumed_from} resumed from checkpoint), {threads} threads: {} \
@@ -950,6 +921,26 @@ mod tests {
         args.iter().map(|a| (*a).to_string()).collect()
     }
 
+    /// A `wires`-wide campaign checkpoint after `rounds` rounds holding
+    /// the first `entries` trials.
+    fn checkpoint_text(wires: usize, rounds: usize, entries: usize) -> String {
+        let entries: Vec<String> = (0..entries)
+            .map(|i| CheckpointEntry::failed(i, 1, "recorded".into()).to_json().render())
+            .collect();
+        CampaignCheckpoint::new(wires)
+            .to_json()
+            .render()
+            .replace(r#""rounds_done":0"#, &format!(r#""rounds_done":{rounds}"#))
+            .replace(r#""entries":[]"#, &format!(r#""entries":[{}]"#, entries.join(",")))
+    }
+
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("sint_gate_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        dir
+    }
+
     #[test]
     fn flags_a_scenario_does_not_take_are_usage_errors() {
         for args in [
@@ -1026,15 +1017,25 @@ mod tests {
 
     #[test]
     fn resume_counts_only_the_entries_the_run_skips() {
-        // A completed 20-trial campaign checkpoint plus one stray entry
-        // (index 99, seed 99) resumes 20 trials, not 21.
-        let mut campaign = CampaignCheckpoint::new();
-        for index in (0..20).chain([99]) {
-            campaign.record(CheckpointEntry::failed(index, 1, "recorded".into()));
+        // A campaign checkpoint resumes exactly the trials of its
+        // finished rounds of five (clipped to the 20-trial batch); one
+        // holding entries its rounds do not cover is refused instead.
+        let dir = scratch_dir("resume");
+        let path = dir.join("ckpt.json");
+        let campaign = Campaign::new(3);
+        let batch = campaign_trials(false);
+        let resumed = |path: &Path| {
+            resume(path, &campaign, &batch, CAMPAIGN_ROUND).map(|(cp, n)| (cp.entries().len(), n))
+        };
+        assert_eq!(resumed(&path), Ok((0, 0)), "a missing file starts fresh");
+        for (rounds, entries, want) in
+            [(2, 10, Some(10)), (4, 20, Some(20)), (9, 20, Some(20)), (2, 11, None), (3, 10, None)]
+        {
+            std::fs::write(&path, checkpoint_text(3, rounds, entries)).expect("write checkpoint");
+            let got = resumed(&path).ok().map(|(_, n)| n);
+            assert_eq!(got, want, "{rounds} rounds, {entries} entries");
         }
-        assert_eq!(campaign.len(), 21);
-        assert_eq!(campaign.resumable(20), 20);
-        assert_eq!(campaign.resumable(8), 8);
+        let _ = std::fs::remove_dir_all(&dir);
 
         // A finished floor's checkpoint plus a board past the floor and
         // a board recorded under another client: neither is resumed.
@@ -1057,14 +1058,12 @@ mod tests {
 
     #[test]
     fn a_corrupt_checkpoint_is_refused_not_discarded() {
-        let dir = std::env::temp_dir().join(format!("sint_gate_ckpt_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let dir = scratch_dir("ckpt");
         let checkpoint = dir.join("ckpt.json");
         let summary = dir.join("summary.json");
         // The adaptive run halted after two rounds, as
         // `--halt-after 12` leaves it.
-        let mut halted = AdaptiveCheckpoint::new(ADAPTIVE_WIRES);
+        let mut halted = CampaignCheckpoint::new(ADAPTIVE_WIRES);
         let _ = adaptive_campaign().run_adaptive_checkpointed(
             &adaptive_trials()[..16],
             1,
@@ -1078,16 +1077,22 @@ mod tests {
         );
         let behind = halted.replace(r#""rounds_done":2,"#, r#""rounds_done":1,"#);
         assert!(narrowed != halted && behind != halted, "{halted}");
+        // The `campaign` run halted after two rounds of five, claiming
+        // a third.
+        let ahead = checkpoint_text(3, 3, 10);
         let both = &["campaign", "adaptive"][..];
-        // Not UTF-8, and not a checkpoint; then well-formed adaptive
-        // snapshots that do not fit the batch: a narrower ledger, and
-        // fewer rounds than its entries. All must exit 2 and leave the
-        // file as it was, without writing a summary.
+        // Not UTF-8, not a checkpoint, and a checkpoint of the old
+        // exhaustive schema; then well-formed snapshots that do not fit
+        // the batch: a narrower ledger, fewer rounds than its entries,
+        // and more. All must exit 2 and leave the file as it was,
+        // without writing a summary.
         for (bytes, scenarios) in [
-            (&b"{\"version\":2,\"entries\":[\xff]}"[..], both),
-            (b"{\"version\":2,\"entries\":[x]}", both),
+            (&b"{\"version\":3,\"kind\":\"campaign\",\"entries\":[\xff]}"[..], both),
+            (b"{\"version\":3,\"kind\":\"campaign\",\"entries\":[x]}", both),
+            (b"{\"version\":2,\"entries\":[]}", both),
             (narrowed.as_bytes(), &["adaptive"]),
             (behind.as_bytes(), &["adaptive"]),
+            (ahead.as_bytes(), &["campaign"]),
         ] {
             std::fs::write(&checkpoint, bytes).expect("write checkpoint");
             for scenario in scenarios {

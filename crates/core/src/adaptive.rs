@@ -20,16 +20,18 @@
 //! mutable ledger.
 
 use crate::campaign::{
-    Campaign, CampaignRun, CampaignStats, RoundState, Session, Trial, TrialFailure, TrialOutcome,
-    TrialShed, Verdict,
+    Campaign, CampaignRun, CampaignStats, SessionKind, Trial, TrialFailure, TrialOutcome,
+    TrialShed,
 };
-use crate::checkpoint::{CheckpointEntry, CheckpointError};
+use crate::checkpoint::{schema, CampaignCheckpoint, CheckpointError};
 use crate::mafm::{CoverageLedger, IntegrityFault};
 use sint_interconnect::drive::DriveLevel;
 use sint_runtime::json::{Json, ToJson};
 
-/// Snapshot format version emitted by [`AdaptiveCheckpoint::to_json`].
-const ADAPTIVE_CHECKPOINT_VERSION: u64 = 1;
+/// The adaptive engine's name for [`CampaignCheckpoint`], which every
+/// trial-batch entry shares. It stays only while the benchmark
+/// harness names it, and goes with ROADMAP item 3(b).
+pub type AdaptiveCheckpoint = CampaignCheckpoint;
 
 /// Tuning knobs for the adaptive engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,6 +129,28 @@ impl ToJson for FaultPriority {
     }
 }
 
+impl FaultPriority {
+    /// Decodes a clock from its [`ToJson`] rendering.
+    pub(crate) fn from_json(json: &Json) -> Result<FaultPriority, CheckpointError> {
+        let clock = json
+            .get("clock")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| schema("priority is missing clock"))?;
+        let hits = json
+            .get("last_hit")
+            .and_then(Json::as_array)
+            .ok_or_else(|| schema("priority is missing last_hit"))?;
+        if hits.len() != 6 {
+            return Err(schema("priority last_hit must have six entries"));
+        }
+        let mut last_hit = [0u64; 6];
+        for (slot, hit) in last_hit.iter_mut().zip(hits) {
+            *slot = hit.as_u64().ok_or_else(|| schema("last_hit entry is not a count"))?;
+        }
+        Ok(FaultPriority { last_hit, clock })
+    }
+}
+
 /// Position of `fault` in [`IntegrityFault::ALL`].
 fn fault_index(fault: IntegrityFault) -> usize {
     IntegrityFault::ALL.iter().position(|f| *f == fault).expect("ALL enumerates every fault")
@@ -188,154 +212,6 @@ fn detected_to_json(pairs: &[(usize, IntegrityFault)]) -> Json {
     )
 }
 
-/// Crash-consistent snapshot of a partially-run adaptive batch: the
-/// finished trial entries **plus the coverage ledger and priority
-/// clock**, so a resumed run drops exactly the patterns the original
-/// would have. Snapshots are taken at round boundaries only — rounds
-/// are the engine's determinism unit, so resuming at one reproduces
-/// the uninterrupted byte stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveCheckpoint {
-    rounds_done: usize,
-    entries: Vec<CheckpointEntry>,
-    ledger: CoverageLedger,
-    priority: FaultPriority,
-    total_tck: u64,
-}
-
-impl AdaptiveCheckpoint {
-    /// An empty checkpoint for a `wires`-wide campaign.
-    #[must_use]
-    pub fn new(wires: usize) -> AdaptiveCheckpoint {
-        AdaptiveCheckpoint {
-            rounds_done: 0,
-            entries: Vec::new(),
-            ledger: CoverageLedger::new(wires),
-            priority: FaultPriority::new(),
-            total_tck: 0,
-        }
-    }
-
-    /// Rounds fully folded into this snapshot.
-    #[must_use]
-    pub fn rounds_done(&self) -> usize {
-        self.rounds_done
-    }
-
-    /// Finished trial entries, in index order.
-    #[must_use]
-    pub fn entries(&self) -> &[CheckpointEntry] {
-        &self.entries
-    }
-
-    /// The campaign-wide coverage ledger as of the last round boundary.
-    #[must_use]
-    pub fn ledger(&self) -> &CoverageLedger {
-        &self.ledger
-    }
-
-    /// TCKs spent by every session folded so far.
-    #[must_use]
-    pub fn total_tck(&self) -> u64 {
-        self.total_tck
-    }
-
-    /// Decodes a snapshot produced by [`AdaptiveCheckpoint::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Json`] for malformed JSON,
-    /// [`CheckpointError::Schema`] for anything that is not a version-1
-    /// adaptive snapshot.
-    pub fn parse(text: &str) -> Result<AdaptiveCheckpoint, CheckpointError> {
-        let root = Json::parse(text).map_err(CheckpointError::Json)?;
-        match root.get("version").and_then(Json::as_u64) {
-            Some(ADAPTIVE_CHECKPOINT_VERSION) => {}
-            Some(v) => {
-                return Err(schema(format!("unsupported adaptive checkpoint version {v}")));
-            }
-            None => return Err(schema("missing version")),
-        }
-        let rounds_done = root
-            .get("rounds_done")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| schema("missing rounds_done"))? as usize;
-        let total_tck = root
-            .get("total_tck")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| schema("missing total_tck"))?;
-        let ledger = root
-            .get("ledger")
-            .and_then(CoverageLedger::from_json)
-            .ok_or_else(|| schema("missing or malformed ledger"))?;
-        let priority_json =
-            root.get("priority").ok_or_else(|| schema("missing priority"))?;
-        let clock = priority_json
-            .get("clock")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| schema("priority is missing clock"))?;
-        let hits = priority_json
-            .get("last_hit")
-            .and_then(Json::as_array)
-            .ok_or_else(|| schema("priority is missing last_hit"))?;
-        if hits.len() != 6 {
-            return Err(schema("priority last_hit must have six entries"));
-        }
-        let mut last_hit = [0u64; 6];
-        for (slot, hit) in last_hit.iter_mut().zip(hits) {
-            *slot = hit.as_u64().ok_or_else(|| schema("last_hit entry is not a count"))?;
-        }
-        let entries_json = root
-            .get("entries")
-            .and_then(Json::as_array)
-            .ok_or_else(|| schema("missing entries array"))?;
-        let mut entries = Vec::with_capacity(entries_json.len());
-        for entry in entries_json {
-            entries.push(CheckpointEntry::from_json(entry)?);
-        }
-        // Snapshots are taken at round boundaries, so their entries are
-        // always the batch prefix 0, 1, 2… keyed by their own index.
-        if entries.iter().enumerate().any(|(i, e)| e.index != i || e.seed != i as u64) {
-            return Err(schema("entries must be the index prefix 0, 1, 2…"));
-        }
-        Ok(AdaptiveCheckpoint {
-            rounds_done,
-            entries,
-            ledger,
-            priority: FaultPriority { last_hit, clock },
-            total_tck,
-        })
-    }
-
-    /// Persists the snapshot crash-consistently (staged, fsynced,
-    /// renamed — see [`sint_runtime::durable::AtomicFile`]).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O failure from staging, syncing or renaming.
-    pub fn store_atomic(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let payload = self.to_json().render() + "\n";
-        sint_runtime::durable::AtomicFile::write(path, payload.as_bytes())
-    }
-}
-
-impl ToJson for AdaptiveCheckpoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("version", ADAPTIVE_CHECKPOINT_VERSION.to_json()),
-            ("rounds_done", self.rounds_done.to_json()),
-            ("total_tck", self.total_tck.to_json()),
-            ("ledger", self.ledger.to_json()),
-            ("priority", self.priority.to_json()),
-            ("entries", Json::Array(self.entries.iter().map(ToJson::to_json).collect())),
-        ])
-    }
-}
-
-fn schema(reason: impl Into<String>) -> CheckpointError {
-    CheckpointError::Schema { reason: reason.into() }
-}
-
 /// What one successful adaptive attempt contributes to campaign state —
 /// the fold half of [`Campaign::attempt`]'s return value, handed to
 /// callers that keep their own ledger.
@@ -374,56 +250,25 @@ impl Campaign {
     /// continuation drops exactly the patterns the uninterrupted run
     /// would have and the final summary is byte-identical. `sink` is
     /// invoked with the updated checkpoint after every round. Pass
-    /// `AdaptiveCheckpoint::new(wires)` and a discarding sink for a
+    /// `CampaignCheckpoint::new(wires)` and a discarding sink for a
     /// fresh, uncheckpointed run.
     ///
     /// # Panics
     ///
-    /// Panics when `checkpoint` does not fit this campaign and batch
-    /// (see [`Campaign::adaptive_resume_point`]).
+    /// Panics when `checkpoint` does not fit this campaign and batch in
+    /// rounds of [`AdaptiveConfig::round`] (see
+    /// [`Campaign::resume_point`]).
     #[must_use]
     pub fn run_adaptive_checkpointed(
         &self,
         trials: &[Trial],
         threads: usize,
-        checkpoint: &mut AdaptiveCheckpoint,
-        sink: impl FnMut(&AdaptiveCheckpoint),
+        checkpoint: &mut CampaignCheckpoint,
+        sink: impl FnMut(&CampaignCheckpoint),
     ) -> AdaptiveRun {
-        let round = self.adaptive_config().round.max(1);
-        let resume_at = self.adaptive_resume_point(trials, checkpoint).unwrap_or_else(|e| {
-            panic!("adaptive checkpoint does not match this batch layout: {e}")
-        });
-        let remaining: Vec<usize> = (resume_at..trials.len()).collect();
-        self.drive(trials, remaining.chunks(round), threads, checkpoint, sink);
-        checkpoint.assemble()
-    }
-
-    /// The trial index [`Campaign::run_adaptive_checkpointed`] resumes
-    /// `trials` from with `checkpoint`: the end of its last full round.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Schema`] when the snapshot does not fit this
-    /// campaign and batch: its ledger tracks a different number of
-    /// wires, or it does not hold exactly the entries its round counter
-    /// claims.
-    pub fn adaptive_resume_point(
-        &self,
-        trials: &[Trial],
-        checkpoint: &AdaptiveCheckpoint,
-    ) -> Result<usize, CheckpointError> {
-        let round = self.adaptive_config().round.max(1);
-        let done = checkpoint.rounds_done.min(trials.len().div_ceil(round));
-        let resume_at = (done * round).min(trials.len());
-        let (wires, entries) = (checkpoint.ledger.wires(), checkpoint.entries.len());
-        if wires != self.wires() || entries != resume_at {
-            return Err(schema(format!(
-                "a {wires}-wire ledger with {entries} entries after {done} rounds does not \
-                 resume a {}-wire campaign at trial {resume_at}",
-                self.wires()
-            )));
-        }
-        Ok(resume_at)
+        let round = self.adaptive_config().round;
+        self.drive(trials, round, threads, SessionKind::Adaptive, checkpoint, sink);
+        AdaptiveRun::assemble(checkpoint)
     }
 
     /// The exhaustive oracle with per-pattern attribution: the round
@@ -434,59 +279,27 @@ impl Campaign {
     /// `detected` set against [`Campaign::run_adaptive_checkpointed`]'s.
     #[must_use]
     pub fn run_attributed(&self, trials: &[Trial], threads: usize) -> AdaptiveRun {
-        let mut state = Attributed(AdaptiveCheckpoint::new(self.wires()));
-        let all: Vec<usize> = (0..trials.len()).collect();
-        self.drive(trials, [all], threads, &mut state, |_| {});
-        state.0.assemble()
+        let mut state = CampaignCheckpoint::new(self.wires());
+        self.drive(trials, trials.len(), threads, SessionKind::Attributed, &mut state, |_| {});
+        AdaptiveRun::assemble(&state)
     }
 }
 
-impl AdaptiveCheckpoint {
+impl AdaptiveRun {
     /// Assembles the public run summary from a fully-folded checkpoint.
-    fn assemble(&self) -> AdaptiveRun {
-        let run = CampaignRun::assemble(&self.entries);
+    fn assemble(checkpoint: &CampaignCheckpoint) -> AdaptiveRun {
+        let entries = checkpoint.entries();
+        let run = CampaignRun::assemble(entries);
         AdaptiveRun {
             stats: run.stats,
             outcomes: run.outcomes,
             failures: run.failures,
             shed: run.shed,
-            detected: self.ledger.pairs(),
-            dropped: self.entries.iter().map(|e| e.dropped).sum(),
-            escalations: self.entries.iter().map(|e| e.escalation).sum(),
-            total_tck: self.total_tck,
+            detected: checkpoint.ledger().pairs(),
+            dropped: entries.iter().map(|e| e.dropped).sum(),
+            escalations: entries.iter().map(|e| e.escalation).sum(),
+            total_tck: checkpoint.total_tck(),
         }
-    }
-}
-
-impl RoundState for AdaptiveCheckpoint {
-    fn session(&self, config: AdaptiveConfig) -> Session<'_> {
-        Session::Adaptive(&self.ledger, config.half_order(&self.priority))
-    }
-
-    fn fold(&mut self, entry: CheckpointEntry, verdict: Option<Verdict>) {
-        if let Some(verdict) = verdict {
-            self.total_tck += verdict.tck;
-            verdict.delta.fold_into(&mut self.ledger, &mut self.priority);
-        }
-        self.entries.push(entry);
-    }
-
-    fn end_round(&mut self) {
-        self.rounds_done += 1;
-    }
-}
-
-/// [`Campaign::run_attributed`]'s state: an adaptive checkpoint whose
-/// trials all run the attributed-exhaustive oracle.
-struct Attributed(AdaptiveCheckpoint);
-
-impl RoundState for Attributed {
-    fn session(&self, _: AdaptiveConfig) -> Session<'_> {
-        Session::Attributed
-    }
-
-    fn fold(&mut self, entry: CheckpointEntry, verdict: Option<Verdict>) {
-        self.0.fold(entry, verdict);
     }
 }
 
@@ -498,7 +311,7 @@ mod tests {
     use sint_interconnect::defect::Defect;
 
     fn fresh_adaptive(campaign: &Campaign, trials: &[Trial], threads: usize) -> AdaptiveRun {
-        let mut checkpoint = AdaptiveCheckpoint::new(campaign.wires());
+        let mut checkpoint = CampaignCheckpoint::new(campaign.wires());
         campaign.run_adaptive_checkpointed(trials, threads, &mut checkpoint, |_| {})
     }
 
@@ -552,49 +365,54 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_is_byte_identical() {
+        use crate::checkpoint::assert_resumes_at_every_round;
         let campaign = Campaign::new(4).adaptive(AdaptiveConfig { round: 3, reorder: true });
         let trials = sweep_trials();
 
-        let mut reference_ckpt = AdaptiveCheckpoint::new(4);
-        let reference =
-            campaign.run_adaptive_checkpointed(&trials, 1, &mut reference_ckpt, |_| {});
-
-        // Kill after the first round; resume from the persisted bytes.
-        let mut first_snapshot = None;
-        let mut halted = AdaptiveCheckpoint::new(4);
-        let _ = campaign.run_adaptive_checkpointed(&trials, 1, &mut halted, |cp| {
-            if first_snapshot.is_none() {
-                first_snapshot = Some(cp.to_json().render());
-            }
+        // Nine trials in adaptive rounds of three: halt after each round
+        // and resume from the persisted bytes, ledger and clock included.
+        let rounds = assert_resumes_at_every_round(4, |checkpoint, threads, sink| {
+            campaign
+                .run_adaptive_checkpointed(&trials, threads, checkpoint, |cp| sink(cp))
+                .to_json()
+                .render()
         });
-        let snapshot = first_snapshot.expect("at least one round ran");
-        let mut resumed_ckpt = AdaptiveCheckpoint::parse(&snapshot).unwrap();
-        assert_eq!(resumed_ckpt.rounds_done(), 1);
-        assert_eq!(resumed_ckpt.entries().len(), 3);
-        let resumed = campaign.run_adaptive_checkpointed(&trials, 4, &mut resumed_ckpt, |_| {});
-        assert_eq!(resumed.to_json().render(), reference.to_json().render());
+        assert_eq!(rounds, 3);
+
+        // The attributed oracle through the same driver in rounds of
+        // two: every resume equals the one-round oracle run.
+        let oracle = campaign.run_attributed(&trials, 2).to_json().render();
+        let rounds = assert_resumes_at_every_round(4, |checkpoint, threads, sink| {
+            campaign.drive(&trials, 2, threads, SessionKind::Attributed, checkpoint, |cp| sink(cp));
+            let run = AdaptiveRun::assemble(checkpoint).to_json().render();
+            assert_eq!(run, oracle, "rounds never change what the oracle detects");
+            run
+        });
+        assert_eq!(rounds, 5);
     }
 
     #[test]
     fn checkpoint_parse_rejects_malformed_snapshots() {
         assert!(matches!(
-            AdaptiveCheckpoint::parse("not json"),
+            CampaignCheckpoint::parse("not json"),
             Err(CheckpointError::Json(_))
         ));
+        let document = r#"{"version":3,"kind":"campaign","rounds_done":0,"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[]}"#;
+        assert!(CampaignCheckpoint::parse(document).is_ok());
+        let entry = r#"{"index":0,"seed":3,"outcome":{"kind":"clean_pass"}}"#;
         for bad in [
-            r#"{"rounds_done":0}"#,
-            r#"{"version":9,"rounds_done":0}"#,
-            r#"{"version":1}"#,
-            r#"{"version":1,"rounds_done":0,"total_tck":0,"ledger":{"wires":2},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[]}"#,
-            r#"{"version":1,"rounds_done":0,"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0]},"entries":[]}"#,
-            // Strictly increasing but not a prefix: a resume would
-            // append 3, 4, 5… after 7 and duplicate index 5.
-            r#"{"version":1,"rounds_done":1,"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[{"index":0,"seed":0,"outcome":{"kind":"clean_pass"}},{"index":5,"seed":5,"outcome":{"kind":"clean_pass"}},{"index":7,"seed":7,"outcome":{"kind":"clean_pass"}}]}"#,
+            r#"{"rounds_done":0}"#.to_string(),
+            document.replace(r#""version":3,"#, r#""version":1,"#),
+            document.replace(r#""rounds_done":0,"#, ""),
+            document.replace(r#"{"wires":2,"masks":[0,0]}"#, r#"{"wires":2}"#),
+            document.replace(r#""clock":0,"#, ""),
+            document.replace("[0,0,0,0,0,0]", "[0,0]"),
+            document.replace("[0,0,0,0,0,0]", r#"[0,0,0,0,0,"x"]"#),
             // A prefix by index whose seed disagrees with it.
-            r#"{"version":1,"rounds_done":1,"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[{"index":0,"seed":3,"outcome":{"kind":"clean_pass"}}]}"#,
+            document.replace(r#""entries":[]"#, &format!(r#""entries":[{entry}]"#)),
         ] {
             assert!(
-                matches!(AdaptiveCheckpoint::parse(bad), Err(CheckpointError::Schema { .. })),
+                matches!(CampaignCheckpoint::parse(&bad), Err(CheckpointError::Schema { .. })),
                 "{bad}"
             );
         }

@@ -833,38 +833,45 @@ impl Campaign {
         }
     }
 
-    /// The round driver every batch entry runs on. Each round's trial
-    /// indices run through the pool under the session `state` picks at
-    /// the round boundary; their results fold into `state` in index
-    /// order, and `sink` sees the state after every round. Because a
-    /// trial depends only on its index and the round-boundary state,
-    /// the result is byte-identical at any thread count. The entries
-    /// differ only in how they partition indices into rounds.
+    /// The round driver every batch entry runs on. It resumes `state`
+    /// at [`Campaign::resume_point`] and runs the rest of the batch in
+    /// rounds of `round` trial indices. Each round's trials run through
+    /// the pool under the `kind` session `state` holds at the round
+    /// boundary; their results fold into `state` in index order, and
+    /// `sink` sees the state after every round. Because a trial depends
+    /// only on its index and the round-boundary state, the result is
+    /// byte-identical at any thread count.
     ///
     /// The campaign's own [`Campaign::budget`] (if any) bounds the
     /// batch, measured from this call.
-    pub(crate) fn drive<S: RoundState, R: AsRef<[usize]>>(
+    ///
+    /// # Panics
+    ///
+    /// Panics when `state` does not fit this campaign and batch.
+    pub(crate) fn drive(
         &self,
         trials: &[Trial],
-        rounds: impl IntoIterator<Item = R>,
+        round: usize,
         threads: usize,
-        state: &mut S,
-        mut sink: impl FnMut(&S),
+        kind: SessionKind,
+        state: &mut CampaignCheckpoint,
+        mut sink: impl FnMut(&CampaignCheckpoint),
     ) {
+        let resume_at = self
+            .resume_point(trials, state, round)
+            .unwrap_or_else(|e| panic!("checkpoint does not fit this batch: {e}"));
+        let remaining: Vec<usize> = (resume_at..trials.len()).collect();
         let budget = self.budget.map(CancelToken::with_deadline);
         let budget = budget.as_ref();
         let pool = Pool::new(threads);
-        for round in rounds {
-            let round = round.as_ref();
-            let session = state.session(self.adaptive);
+        for round in remaining.chunks(round.max(1)) {
+            let session = state.session(kind, self.adaptive);
             let results = pool.try_map(round, |_, &index| {
                 self.attempts(trials[index], index, budget, session)
             });
-            for (&index, result) in round.iter().zip(results) {
-                let (entry, verdict) = self.settle(index, result);
-                state.fold(entry, verdict);
-            }
-            state.end_round();
+            state.fold_round(
+                round.iter().zip(results).map(|(&index, result)| self.settle(index, result)),
+            );
             sink(state);
         }
     }
@@ -884,8 +891,21 @@ impl Campaign {
     /// broken trial never takes down its siblings or the batch.
     #[must_use]
     pub fn run_parallel(&self, trials: &[Trial], threads: usize) -> CampaignRun {
-        self.run_checkpointed(trials, threads, &mut CampaignCheckpoint::new(), usize::MAX, |_| {})
+        let mut checkpoint = CampaignCheckpoint::new(self.wires);
+        self.run_checkpointed(trials, threads, &mut checkpoint, usize::MAX, |_| {})
     }
+}
+
+/// Which session a batch's trials run: the round driver's choice,
+/// resolved against the round-boundary state into a [`Session`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SessionKind {
+    /// [`Session::Exhaustive`].
+    Exhaustive,
+    /// [`Session::Adaptive`] against the batch's own ledger.
+    Adaptive,
+    /// [`Session::Attributed`].
+    Attributed,
 }
 
 /// Which session one trial runs.
@@ -907,16 +927,6 @@ pub(crate) struct Verdict {
     pub(crate) outcome: TrialOutcome,
     pub(crate) delta: AdaptiveDelta,
     pub(crate) tck: u64,
-}
-
-/// What the round driver folds settled trials into.
-pub(crate) trait RoundState {
-    /// The session every trial of the next round runs.
-    fn session(&self, config: AdaptiveConfig) -> Session<'_>;
-    /// Folds one settled trial; called in index order.
-    fn fold(&mut self, entry: CheckpointEntry, verdict: Option<Verdict>);
-    /// Closes a round, before the driver's sink sees the state.
-    fn end_round(&mut self) {}
 }
 
 /// Judges a finished session against its trial kind: the defect's

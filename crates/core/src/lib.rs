@@ -28,8 +28,11 @@
 //!   partial sessions over the healthy wires and the typed concession
 //!   trail.
 //! * [`campaign`] / [`checkpoint`] — panic-isolated defect-injection
-//!   campaigns with bounded retry, periodic snapshots and
-//!   byte-identical resume.
+//!   campaigns with bounded retry, and byte-identical resume: every
+//!   checkpointed batch (exhaustive, adaptive, attributed) folds into one
+//!   round-boundary [`CampaignCheckpoint`], and every checkpoint kind
+//!   (this one and the fleet's) renders in one versioned envelope
+//!   ([`checkpoint::envelope`]).
 //!
 //! # Example
 //!
@@ -69,7 +72,7 @@ pub use campaign::{
     AttemptOutcome, Campaign, CampaignRun, CampaignStats, RetryPolicy, ShedReason,
     Trial, TrialOutcome, TrialShed,
 };
-pub use adaptive::{AdaptiveCheckpoint, AdaptiveConfig, AdaptiveDelta, AdaptiveRun, FaultPriority};
+pub use adaptive::{AdaptiveConfig, AdaptiveDelta, AdaptiveRun, FaultPriority};
 pub use checkpoint::CampaignCheckpoint;
 pub use cost::MethodPlanner;
 pub use degrade::{ChainPolicy, DegradationEvent, DegradedOutcome};

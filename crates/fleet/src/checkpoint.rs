@@ -1,92 +1,34 @@
 //! Board-granular fleet checkpoints.
 //!
-//! A fleet run snapshots one [`BoardEntry`] per finished board — its
+//! A fleet run snapshots one [`BoardSummary`] per finished board — its
 //! id, seed, owning client, campaign counters and supervisor
-//! [`BoardReport`] — into a versioned JSON document. Feeding the last
-//! snapshot back into
+//! [`BoardReport`] — into a `fleet` checkpoint in the envelope every
+//! checkpoint kind shares ([`sint_core::checkpoint::envelope`]).
+//! Feeding the last snapshot back into
 //! [`crate::engine::FleetEngine::run_checkpointed`] re-runs only the
 //! unfinished boards; because each board is a pure function of its id
 //! (breaker trips, backoff waits and chaos faults included), the
 //! resumed merged summary is byte-identical to an uninterrupted run.
-//! Entries are keyed by id *and* seed, so a snapshot taken against a
-//! different floor layout is rejected at lookup time rather than
-//! replayed silently. Version-1 snapshots (which predate the
-//! resilience layer and carry no reports) are rejected with a typed
-//! error — resuming them would silently forget quarantine state.
+//! Entries are keyed by id, seed and client, so an entry recorded
+//! against a different floor layout never matches and its board
+//! re-runs. Documents of an older version or another kind are refused
+//! with a typed error.
 
 use crate::engine::{AdaptiveTotals, BoardSummary};
 use crate::error::FleetError;
 use crate::supervisor::BoardReport;
 use sint_core::campaign::CampaignStats;
+use sint_core::checkpoint::{envelope, open_envelope, CheckpointError};
 use sint_runtime::durable::GenPair;
 use sint_runtime::json::{Json, ToJson};
 
-/// Fleet checkpoint format version. Version 2 added the per-board
-/// supervisor report (breaker/quarantine/backoff state).
-const FLEET_CHECKPOINT_VERSION: u64 = 2;
-
-/// One finished board in a checkpoint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoardEntry {
-    /// The board's floor position.
-    pub board: usize,
-    /// The board's derived seed (must match on resume).
-    pub seed: u64,
-    /// Index of the owning client.
-    pub client: usize,
-    /// The board's campaign counters.
-    pub stats: CampaignStats,
-    /// The panic message when the board's harness crashed.
-    pub crashed: Option<String>,
-    /// The board's supervisor report (verdict, health, breaker and
-    /// spool counters).
-    pub report: BoardReport,
-    /// Adaptive-engine counters summed over the board's trials
-    /// (all-zero on exhaustive floors; rendered only when nonzero so
-    /// pre-adaptive snapshots stay byte-identical).
-    pub adaptive: AdaptiveTotals,
-}
-
-impl BoardEntry {
-    /// The checkpoint form of a finished board's summary.
-    #[must_use]
-    pub fn from_summary(summary: &BoardSummary) -> BoardEntry {
-        BoardEntry {
-            board: summary.board,
-            seed: summary.seed,
-            client: summary.client,
-            stats: summary.stats,
-            crashed: summary.crashed.clone(),
-            report: summary.report.clone(),
-            adaptive: summary.adaptive,
-        }
-    }
-}
-
-impl ToJson for BoardEntry {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("board", self.board.to_json()),
-            ("seed", self.seed.to_json()),
-            ("client", self.client.to_json()),
-            ("stats", self.stats.to_json()),
-            ("crashed", match &self.crashed {
-                Some(m) => m.to_json(),
-                None => Json::Null,
-            }),
-            ("report", self.report.to_json()),
-        ];
-        if self.adaptive != AdaptiveTotals::default() {
-            fields.push(("adaptive", self.adaptive.to_json()));
-        }
-        Json::obj(fields)
-    }
-}
+/// The envelope kind of a [`FleetCheckpoint`].
+const FLEET_KIND: &str = "fleet";
 
 /// Accumulated finished boards of one fleet run, ordered by board id.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetCheckpoint {
-    entries: Vec<BoardEntry>,
+    entries: Vec<BoardSummary>,
 }
 
 impl FleetCheckpoint {
@@ -108,9 +50,9 @@ impl FleetCheckpoint {
         self.entries.is_empty()
     }
 
-    /// The recorded entries, ordered by board id.
+    /// The recorded boards, ordered by board id.
     #[must_use]
-    pub fn entries(&self) -> &[BoardEntry] {
+    pub fn entries(&self) -> &[BoardSummary] {
         &self.entries
     }
 
@@ -118,7 +60,7 @@ impl FleetCheckpoint {
     /// `seed` (otherwise the snapshot belongs to a different floor and
     /// must not be reused).
     #[must_use]
-    pub fn entry_for(&self, board: usize, seed: u64) -> Option<&BoardEntry> {
+    pub fn entry_for(&self, board: usize, seed: u64) -> Option<&BoardSummary> {
         self.entries
             .binary_search_by_key(&board, |e| e.board)
             .ok()
@@ -128,7 +70,7 @@ impl FleetCheckpoint {
 
     /// Records a finished board, replacing any previous entry for the
     /// same id.
-    pub fn record(&mut self, entry: BoardEntry) {
+    pub fn record(&mut self, entry: BoardSummary) {
         match self.entries.binary_search_by_key(&entry.board, |e| e.board) {
             Ok(pos) => self.entries[pos] = entry,
             Err(pos) => self.entries.insert(pos, entry),
@@ -140,27 +82,23 @@ impl FleetCheckpoint {
     /// # Errors
     ///
     /// [`FleetError::Json`] for malformed JSON, [`FleetError::Schema`]
-    /// for a well-formed document that is not a version-2 fleet
-    /// checkpoint — including the pre-resilience version 1, which is
-    /// rejected by name rather than resumed without its reports.
+    /// for a well-formed document that is not a current fleet
+    /// checkpoint — an older version (such as the pre-resilience
+    /// version 1, which carries no reports) is refused by name rather
+    /// than resumed, and so is a checkpoint of another kind.
     pub fn parse(text: &str) -> Result<FleetCheckpoint, FleetError> {
-        let root = Json::parse(text)?;
-        match root.get("version").and_then(Json::as_u64) {
-            Some(FLEET_CHECKPOINT_VERSION) => {}
-            Some(v) => {
-                return Err(FleetError::schema(format!(
-                    "unsupported fleet checkpoint version {v}"
-                )));
-            }
-            None => return Err(FleetError::schema("missing version")),
-        }
+        let root = open_envelope(text, FLEET_KIND).map_err(|e| match e {
+            CheckpointError::Json(e) => FleetError::Json(e),
+            CheckpointError::Schema { reason } => FleetError::Schema { reason },
+            other => FleetError::Entry(other),
+        })?;
         let entries = root
             .get("entries")
             .and_then(Json::as_array)
             .ok_or_else(|| FleetError::schema("missing entries array"))?;
         let mut checkpoint = FleetCheckpoint::new();
         for entry in entries {
-            checkpoint.record(parse_board_entry(entry)?);
+            checkpoint.record(BoardSummary::from_json(entry)?);
         }
         Ok(checkpoint)
     }
@@ -176,7 +114,7 @@ impl FleetCheckpoint {
     ///
     /// [`FleetError::Io`] when the slots cannot be read at all;
     /// [`FleetError::Json`] / [`FleetError::Schema`] when the
-    /// surviving generation's payload is not a version-2 checkpoint
+    /// surviving generation's payload is not a current fleet checkpoint
     /// (its frame was intact, so this is corruption beyond a torn
     /// write).
     pub fn load_pair(pair: &GenPair) -> Result<(FleetCheckpoint, u64), FleetError> {
@@ -206,10 +144,10 @@ impl FleetCheckpoint {
 
 impl ToJson for FleetCheckpoint {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("version", FLEET_CHECKPOINT_VERSION.to_json()),
-            ("entries", Json::Array(self.entries.iter().map(ToJson::to_json).collect())),
-        ])
+        envelope(FLEET_KIND, [(
+            "entries",
+            Json::Array(self.entries.iter().map(ToJson::to_json).collect()),
+        )])
     }
 }
 
@@ -222,7 +160,7 @@ fn field_u64(obj: &Json, key: &str) -> Result<u64, FleetError> {
 /// Decodes [`CampaignStats`] counters from their [`ToJson`] rendering.
 /// The derived rate fields are ignored: they re-derive on render, so
 /// the round trip stays byte-identical.
-pub(crate) fn parse_stats(json: &Json) -> Result<CampaignStats, FleetError> {
+fn parse_stats(json: &Json) -> Result<CampaignStats, FleetError> {
     Ok(CampaignStats {
         defect_trials: field_u64(json, "defect_trials")? as usize,
         detected: field_u64(json, "detected")? as usize,
@@ -233,39 +171,71 @@ pub(crate) fn parse_stats(json: &Json) -> Result<CampaignStats, FleetError> {
     })
 }
 
-fn parse_board_entry(entry: &Json) -> Result<BoardEntry, FleetError> {
-    let stats = entry
-        .get("stats")
-        .ok_or_else(|| FleetError::schema("entry has no stats"))
-        .and_then(parse_stats)?;
-    let crashed = match entry.get("crashed") {
-        None | Some(Json::Null) => None,
-        Some(m) => Some(
-            m.as_str()
-                .ok_or_else(|| FleetError::schema("crashed must be a string or null"))?
-                .to_string(),
-        ),
-    };
-    let report = entry
-        .get("report")
-        .ok_or_else(|| FleetError::schema("entry has no supervisor report"))
-        .and_then(BoardReport::from_json)?;
-    let adaptive = match entry.get("adaptive") {
-        None | Some(Json::Null) => AdaptiveTotals::default(),
-        Some(counters) => AdaptiveTotals {
-            dropped: field_u64(counters, "dropped")?,
-            escalation: field_u64(counters, "escalation")?,
-        },
-    };
-    Ok(BoardEntry {
-        board: field_u64(entry, "board")? as usize,
-        seed: field_u64(entry, "seed")?,
-        client: field_u64(entry, "client")? as usize,
-        stats,
-        crashed,
-        report,
-        adaptive,
-    })
+/// The checkpoint form of a finished board: its id, seed, client,
+/// counters and supervisor report. The crash marker renders only when
+/// the board crashed and the adaptive counters only when nonzero, so a
+/// healthy exhaustive board's entry carries neither.
+impl ToJson for BoardSummary {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("board", self.board.to_json()),
+            ("seed", self.seed.to_json()),
+            ("client", self.client.to_json()),
+            ("stats", self.stats.to_json()),
+        ];
+        if let Some(message) = &self.crashed {
+            fields.push(("crashed", message.to_json()));
+        }
+        fields.push(("report", self.report.to_json()));
+        if self.adaptive != AdaptiveTotals::default() {
+            fields.push(("adaptive", self.adaptive.to_json()));
+        }
+        Json::obj(fields)
+    }
+}
+
+impl BoardSummary {
+    /// Decodes a board from its checkpoint form ([`ToJson`]); an absent
+    /// crash marker decodes as none and absent adaptive counters as
+    /// zero.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Schema`] when the JSON is not a board entry.
+    pub fn from_json(entry: &Json) -> Result<BoardSummary, FleetError> {
+        let stats = entry
+            .get("stats")
+            .ok_or_else(|| FleetError::schema("entry has no stats"))
+            .and_then(parse_stats)?;
+        let crashed = match entry.get("crashed") {
+            None | Some(Json::Null) => None,
+            Some(m) => Some(
+                m.as_str()
+                    .ok_or_else(|| FleetError::schema("crashed must be a string or null"))?
+                    .to_string(),
+            ),
+        };
+        let report = entry
+            .get("report")
+            .ok_or_else(|| FleetError::schema("entry has no supervisor report"))
+            .and_then(BoardReport::from_json)?;
+        let adaptive = match entry.get("adaptive") {
+            None | Some(Json::Null) => AdaptiveTotals::default(),
+            Some(counters) => AdaptiveTotals {
+                dropped: field_u64(counters, "dropped")?,
+                escalation: field_u64(counters, "escalation")?,
+            },
+        };
+        Ok(BoardSummary {
+            board: field_u64(entry, "board")? as usize,
+            seed: field_u64(entry, "seed")?,
+            client: field_u64(entry, "client")? as usize,
+            stats,
+            crashed,
+            report,
+            adaptive,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -273,8 +243,8 @@ mod tests {
     use super::*;
     use crate::supervisor::BoardVerdict;
 
-    fn entry(board: usize) -> BoardEntry {
-        BoardEntry {
+    fn entry(board: usize) -> BoardSummary {
+        BoardSummary {
             board,
             seed: board as u64 * 7 + 1,
             client: board % 2,
@@ -320,8 +290,10 @@ mod tests {
         }
         assert_eq!(checkpoint.entries()[0].board, 0, "entries kept sorted");
         let rendered = checkpoint.to_json().render();
-        assert!(rendered.contains(r#""version":2"#), "{rendered}");
+        assert!(rendered.starts_with(r#"{"version":3,"kind":"fleet","#), "{rendered}");
         assert!(rendered.contains(r#""verdict":"dead""#), "{rendered}");
+        assert_eq!(rendered.matches("crashed").count(), 1, "only board 2 crashed: {rendered}");
+        assert!(rendered.contains(r#""crashed":"injected""#), "{rendered}");
         let parsed = FleetCheckpoint::parse(&rendered).unwrap();
         assert_eq!(parsed, checkpoint);
         assert_eq!(parsed.to_json().render(), rendered, "re-rendering is stable");
@@ -341,34 +313,60 @@ mod tests {
 
     #[test]
     fn version_1_snapshots_are_rejected_by_name() {
-        // A well-formed v1 document (no reports). It must not resume.
+        // Well-formed documents of the per-kind schemas before the
+        // envelope: version 1 (no reports) and version 2 (the last one
+        // before it). Neither may resume.
         let v1 = r#"{"version":1,"entries":[{"board":0,"seed":0,"client":0,"stats":{"defect_trials":0,"detected":0,"control_trials":0,"false_alarms":0,"failed_trials":0,"shed_trials":0},"crashed":null}]}"#;
-        match FleetCheckpoint::parse(v1) {
-            Err(FleetError::Schema { reason }) => {
-                assert!(
-                    reason.contains("unsupported fleet checkpoint version 1"),
-                    "{reason}"
-                );
+        let mut current = FleetCheckpoint::new();
+        current.record(entry(0));
+        let v2 = current.to_json().render().replace(r#"{"version":3,"kind":"fleet","#, r#"{"version":2,"#);
+        for (old, version) in [(v1.to_string(), 1), (v2, 2)] {
+            match FleetCheckpoint::parse(&old) {
+                Err(FleetError::Schema { reason }) => {
+                    assert_eq!(reason, format!("unsupported fleet checkpoint version {version}"));
+                }
+                other => panic!("v{version} must be rejected with a typed error, got {other:?}"),
             }
-            other => panic!("v1 must be rejected with a typed error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_checkpoint_of_the_other_kind_is_refused() {
+        use sint_core::checkpoint::CampaignCheckpoint;
+        let campaign = CampaignCheckpoint::new(3).to_json().render();
+        match FleetCheckpoint::parse(&campaign) {
+            Err(FleetError::Schema { reason }) => {
+                assert!(reason.contains(r#"a "campaign" checkpoint is not a fleet checkpoint"#));
+            }
+            other => panic!("a campaign checkpoint must not load as a fleet one: {other:?}"),
+        }
+        let mut fleet = FleetCheckpoint::new();
+        fleet.record(entry(0));
+        let fleet = fleet.to_json().render();
+        assert!(
+            matches!(CampaignCheckpoint::parse(&fleet), Err(CheckpointError::Schema { reason })
+                if reason.contains(r#"a "fleet" checkpoint is not a campaign checkpoint"#)),
+            "{fleet}"
+        );
     }
 
     #[test]
     fn parse_rejects_malformed_snapshots() {
         assert!(matches!(FleetCheckpoint::parse("nope"), Err(FleetError::Json(_))));
+        let stats = r#""stats":{"defect_trials":0,"detected":0,"control_trials":0,"false_alarms":0,"failed_trials":0,"shed_trials":0}"#;
         for bad in [
-            r#"{"entries":[]}"#,
-            r#"{"version":9,"entries":[]}"#,
-            r#"{"version":2}"#,
-            r#"{"version":2,"entries":[{"board":0}]}"#,
-            r#"{"version":2,"entries":[{"board":0,"seed":0,"client":0,"stats":{},"crashed":null}]}"#,
+            r#"{"kind":"fleet","entries":[]}"#.to_string(),
+            r#"{"version":9,"kind":"fleet","entries":[]}"#.into(),
+            r#"{"version":3,"entries":[]}"#.into(),
+            r#"{"version":3,"kind":"fleet"}"#.into(),
+            r#"{"version":3,"kind":"fleet","entries":[{"board":0}]}"#.into(),
+            r#"{"version":3,"kind":"fleet","entries":[{"board":0,"seed":0,"client":0,"stats":{},"crashed":null}]}"#.into(),
             // Counters fine but no supervisor report.
-            r#"{"version":2,"entries":[{"board":0,"seed":0,"client":0,"stats":{"defect_trials":0,"detected":0,"control_trials":0,"false_alarms":0,"failed_trials":0,"shed_trials":0},"crashed":null}]}"#,
-            r#"{"version":2,"entries":[{"board":0,"seed":0,"client":0,"stats":{"defect_trials":0,"detected":0,"control_trials":0,"false_alarms":0,"failed_trials":0,"shed_trials":0},"crashed":5}]}"#,
+            format!(r#"{{"version":3,"kind":"fleet","entries":[{{"board":0,"seed":0,"client":0,{stats},"crashed":null}}]}}"#),
+            format!(r#"{{"version":3,"kind":"fleet","entries":[{{"board":0,"seed":0,"client":0,{stats},"crashed":5}}]}}"#),
         ] {
             assert!(
-                matches!(FleetCheckpoint::parse(bad), Err(FleetError::Schema { .. })),
+                matches!(FleetCheckpoint::parse(&bad), Err(FleetError::Schema { .. })),
                 "{bad}"
             );
         }

@@ -7,7 +7,7 @@
 //! [`BoardSupervisor`] (backoff-governed retries, circuit-breaker
 //! quarantine, sink spooling; see [`crate::supervisor`]), optionally
 //! with a deterministic [`ChaosPlan`] injecting faults — pushing
-//! per-trial checkpoint-v2 records into the caller's [`RecordSink`] as
+//! per-trial checkpoint records into the caller's [`RecordSink`] as
 //! they finish; only the board's [`CampaignStats`] counters and its
 //! [`BoardReport`] come back to the scheduler. A board whose job
 //! panics comes back as `try_map`'s `JobPanic` and is recorded as
@@ -17,7 +17,7 @@
 //! any thread count, chaos included.
 
 use crate::chaos::ChaosPlan;
-use crate::checkpoint::{BoardEntry, FleetCheckpoint};
+use crate::checkpoint::FleetCheckpoint;
 use crate::error::FleetError;
 use crate::record::RecordSink;
 use crate::spec::{BoardSpec, FloorSpec};
@@ -63,14 +63,16 @@ impl ToJson for AdaptiveTotals {
     }
 }
 
-/// What one board's campaign produced.
+/// What one board's campaign produced; also the board's fleet
+/// checkpoint entry (its checkpoint form is in [`crate::checkpoint`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoardSummary {
     /// The board's floor position.
     pub board: usize,
     /// Index of the owning client.
     pub client: usize,
-    /// The board's derived seed (checkpoint key, with `board`).
+    /// The board's derived seed (checkpoint key, with `board` and
+    /// `client`).
     pub seed: u64,
     /// Aggregate trial statistics (zeroed when the board crashed).
     pub stats: CampaignStats,
@@ -84,23 +86,6 @@ pub struct BoardSummary {
     /// Adaptive-engine counters summed over the board's trials
     /// (all-zero on exhaustive floors).
     pub adaptive: AdaptiveTotals,
-}
-
-impl ToJson for BoardSummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("board", self.board.to_json()),
-            ("client", self.client.to_json()),
-            ("seed", self.seed.to_json()),
-            ("stats", self.stats.to_json()),
-            ("crashed", match &self.crashed {
-                Some(m) => m.to_json(),
-                None => Json::Null,
-            }),
-            ("report", self.report.to_json()),
-            ("adaptive", self.adaptive.to_json()),
-        ])
-    }
 }
 
 /// One client's slice of the merged summary.
@@ -321,7 +306,7 @@ impl FleetEngine {
 
     /// Runs the floor with board-granular checkpointing and resume.
     ///
-    /// Boards already in `checkpoint` (matched by id *and* seed) are
+    /// Boards already in `checkpoint` (matched by id, seed and client) are
     /// skipped — their counters and reports are folded straight into
     /// the summary and their trial records do **not** re-stream. The
     /// rest run in chunks of `snapshot_every` boards, each chunk
@@ -421,7 +406,7 @@ impl FleetEngine {
                     let _ = sink.board_done(&summary);
                     summary
                 });
-                checkpoint.record(BoardEntry::from_summary(&summary));
+                checkpoint.record(summary);
             }
             snap(checkpoint);
         }
@@ -502,7 +487,7 @@ impl FleetEngine {
 
 /// The entry `checkpoint` holds for `board`: same id, seed and client.
 /// Any other entry belongs to a different floor, so the board re-runs.
-fn recorded<'c>(checkpoint: &'c FleetCheckpoint, board: &BoardSpec) -> Option<&'c BoardEntry> {
+fn recorded<'c>(checkpoint: &'c FleetCheckpoint, board: &BoardSpec) -> Option<&'c BoardSummary> {
     checkpoint.entry_for(board.id, board.seed).filter(|e| e.client == board.client)
 }
 

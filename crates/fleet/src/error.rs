@@ -23,7 +23,7 @@ pub enum FleetError {
         /// Human-readable reason.
         reason: String,
     },
-    /// An embedded checkpoint-v2 trial entry failed to decode.
+    /// An embedded checkpoint trial entry failed to decode.
     Entry(CheckpointError),
     /// A [`crate::record::RecordSink`] write failed. Typed so the
     /// supervisor can spool the record and keep the board running —

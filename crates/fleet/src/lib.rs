@@ -17,9 +17,9 @@
 //! - **Admission control** — every client's boards run under a child of
 //!   the fleet-wide [`sint_runtime::cancel::CancelToken`]: a client
 //!   that exhausts its budget sheds its own remaining trials
-//!   (checkpoint-v2 `Shed`/`Budget` records) while in-budget clients
+//!   (checkpoint `Shed`/`Budget` records) while in-budget clients
 //!   proceed byte-identically to running alone.
-//! - [`record`] — the streaming result path: per-trial checkpoint-v2
+//! - [`record`] — the streaming result path: per-trial checkpoint
 //!   records ([`sint_core::checkpoint::CheckpointEntry`]) flow through
 //!   a [`RecordSink`] as they finish — to an incremental JSONL artifact
 //!   ([`JsonlSink`]), a channel, or a tally — so a million-trial floor
@@ -29,9 +29,11 @@
 //! - [`stream`] — the pull-based consumer face: [`FleetEngine::stream`]
 //!   returns an iterator of [`FleetEvent`]s over a bounded channel
 //!   (backpressure, constant memory).
-//! - [`checkpoint`] — board-granular kill/resume: per-board summaries
-//!   snapshot into a versioned [`FleetCheckpoint`]; a resumed floor's
-//!   merged summary is byte-identical to an uninterrupted run. Since
+//! - [`checkpoint`] — board-granular kill/resume: each finished
+//!   board's [`BoardSummary`] snapshots into a [`FleetCheckpoint`], in
+//!   the envelope every checkpoint kind shares
+//!   ([`sint_core::checkpoint::envelope`]); a resumed floor's merged
+//!   summary is byte-identical to an uninterrupted run. Since
 //!   the durability layer landed, snapshots persist through
 //!   generation pairs ([`FleetCheckpoint::store_pair`] /
 //!   [`FleetCheckpoint::load_pair`] on a
@@ -76,7 +78,7 @@ pub mod stream;
 pub mod supervisor;
 
 pub use chaos::{BoardProfile, ChaosKind, ChaosPlan};
-pub use checkpoint::{BoardEntry, FleetCheckpoint};
+pub use checkpoint::FleetCheckpoint;
 pub use engine::{
     BoardSummary, ClientSummary, FleetEngine, FleetSummary, QuarantineRecord, ResilienceTotals,
 };

@@ -1,7 +1,7 @@
 //! The streaming result path.
 //!
 //! A fleet run never builds a `Vec` of trial outcomes: each board's
-//! campaign pushes checkpoint-v2 entries through a [`RecordSink`] the
+//! campaign pushes checkpoint entries through a [`RecordSink`] the
 //! moment they finish. [`JsonlSink`] turns that into an **incremental
 //! JSON artifact** — one self-describing record per line, written as
 //! produced, so a million-trial floor costs one line of buffering.
@@ -62,7 +62,7 @@ const RECORD_VERSION: u64 = 2;
 /// **not** written.
 pub trait RecordSink: Sync {
     /// One finished trial of `board`, owned by the client named
-    /// `client`, as a checkpoint-v2 entry.
+    /// `client`, as a checkpoint entry.
     ///
     /// # Errors
     ///

@@ -23,13 +23,13 @@ use std::thread::JoinHandle;
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetEvent {
     /// A trial finished: its board, owning client's name, and the
-    /// checkpoint-v2 record.
+    /// checkpoint record.
     Trial {
         /// The board the trial ran on.
         board: BoardSpec,
         /// The owning client's display name.
         client: String,
-        /// The trial's checkpoint-v2 record.
+        /// The trial's checkpoint record.
         entry: CheckpointEntry,
     },
     /// A board finished (or crashed).

@@ -161,8 +161,8 @@ impl ToJson for BoardVerdict {
 }
 
 /// Everything the supervisor observed about one board — carried in
-/// [`crate::BoardSummary`], checkpointed per board (fleet checkpoint
-/// v2), and folded into the merged summary's verdict counts and
+/// [`crate::BoardSummary`], checkpointed per board (the fleet
+/// checkpoint), and folded into the merged summary's verdict counts and
 /// resilience totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoardReport {

@@ -1,6 +1,6 @@
 //! Integration tests for the fleet resilience layer: deterministic
 //! chaos injection, flaky-vs-dead classification, quarantine shedding,
-//! sink spooling, and checkpoint-v2 round trips — all under the same
+//! sink spooling, and fleet checkpoint round trips — all under the same
 //! determinism invariant as a fault-free floor.
 
 use sint_core::campaign::{ShedReason, TrialOutcome};

@@ -239,7 +239,9 @@ impl JtagDriver {
     /// Capture, `bits.len()` Shift clocks handed to the chain as one
     /// burst ([`Chain::shift_burst`]; the last one exits to Exit1),
     /// Update and back to Run-Test/Idle — `bits.len() + 5` TCKs for a
-    /// DR, one more for the IR. Returns the captured TDO bits.
+    /// DR, one more for the IR. With no bits, Capture exits straight
+    /// to Exit1, as in [`JtagDriver::pulse_update_dr`]. Returns the
+    /// captured TDO bits.
     fn shift_from_idle(&mut self, ir: bool, bits: &BitVector) -> BitVector {
         self.ensure_idle();
         self.step(true, Logic::Zero); // → Select-DR
@@ -247,7 +249,8 @@ impl JtagDriver {
             self.step(true, Logic::Zero); // → Select-IR
         }
         self.step(false, Logic::Zero); // → Capture
-        self.step(false, Logic::Zero); // capture; → Shift
+        // capture; → Shift, or straight to Exit1 when nothing shifts
+        self.step(bits.is_empty(), Logic::Zero);
         let out = self.chain.shift_burst(bits); // the last bit exits to Exit1
         self.step(true, Logic::Zero); // Exit1 → Update
         self.step(false, Logic::Zero); // update; → RTI
@@ -385,6 +388,31 @@ mod tests {
         let before = drv.tck();
         drv.scan_ir(&BitVector::from_u64(0b0001, 4)).unwrap();
         assert_eq!(drv.tck() - before, 4 + 6);
+    }
+
+    #[test]
+    fn zero_bit_scan_captures_and_updates_in_five_tcks() {
+        let mut drv = driver(3);
+        drv.load_instruction("SAMPLE/PRELOAD").unwrap();
+        let dev = drv.chain_mut().device_mut(0).unwrap();
+        for i in 0..3 {
+            dev.boundary_mut().cell_mut(i).unwrap().set_parallel_input(Logic::One);
+        }
+        let before = drv.tck();
+        let out = drv.shift_dr_bits(&BitVector::new()).unwrap();
+        assert!(out.is_empty());
+        assert_eq!(drv.tck() - before, 5);
+        assert_eq!(drv.state(), TapState::RunTestIdle);
+        let inst = drv.chain().device(0).unwrap().current_instruction().unwrap();
+        assert_eq!(inst.name, "SAMPLE/PRELOAD");
+        // Capture sampled the pins and Update latched them: EXTEST
+        // drives what the zero-bit scan updated.
+        drv.load_instruction("EXTEST").unwrap();
+        let dev = drv.chain().device(0).unwrap();
+        let ctrl = dev.cell_control();
+        let outs: Vec<Logic> =
+            (0..3).map(|i| dev.boundary().cell(i).unwrap().output(&ctrl)).collect();
+        assert_eq!(outs, vec![Logic::One; 3]);
     }
 
     #[test]

@@ -80,6 +80,18 @@ SINT_THREADS=1 target/release/gate campaign \
 expect_exit 3 env SINT_THREADS=4 target/release/gate campaign \
     "$tmp/ckpt.json" "$tmp/summary.json" --halt-after 10
 
+# A well-formed checkpoint that does not fit the batch (here the halted
+# run's, claiming one round more than its entries cover) is refused with
+# exit 2 before anything runs, and the file is left as it was.
+rounds=$(sed 's/.*"rounds_done":\([0-9]*\).*/\1/' "$tmp/ckpt.json")
+sed "s/\"rounds_done\":$rounds,/\"rounds_done\":$((rounds + 1)),/" \
+    "$tmp/ckpt.json" > "$tmp/ahead_ckpt.json"
+cp "$tmp/ahead_ckpt.json" "$tmp/ahead_before.json"
+expect_exit 2 env SINT_THREADS=4 target/release/gate campaign \
+    "$tmp/ahead_ckpt.json" "$tmp/ahead_summary.json"
+same "$tmp/ahead_before.json" "$tmp/ahead_ckpt.json" \
+    "a refused campaign checkpoint was modified"
+
 SINT_THREADS=4 target/release/gate campaign \
     "$tmp/ckpt.json" "$tmp/summary.json"
 

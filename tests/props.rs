@@ -4,7 +4,7 @@
 //! Each `#[test]` wraps one property; a failure panics with the harness
 //! seed, case index, and generated input so it can be replayed exactly.
 
-use sint::core::adaptive::{AdaptiveCheckpoint, AdaptiveConfig};
+use sint::core::adaptive::AdaptiveConfig;
 use sint::core::campaign::{Campaign, Trial};
 use sint::core::checkpoint::CampaignCheckpoint;
 use sint::core::degrade::{ChainPolicy, DegradationEvent};
@@ -510,7 +510,8 @@ impl SteppedDriver {
             self.chain.step(true, Logic::Zero);
         }
         self.chain.step(false, Logic::Zero);
-        self.chain.step(false, Logic::Zero);
+        // Capture exits straight to Exit1 when there is nothing to shift.
+        self.chain.step(bits.is_empty(), Logic::Zero);
         let len = bits.len();
         let out: BitVector =
             bits.iter().enumerate().map(|(i, bit)| self.chain.step(i + 1 == len, bit)).collect();
@@ -854,7 +855,7 @@ fn bsdl_loader_never_panics_on_mutated_descriptions() {
 /// Fragments that steer mutated JSON toward the parsers' edge cases:
 /// huge and fractional numbers, escapes, deep nesting and wrongly typed
 /// checkpoint fields.
-const JSON_SNIPPETS: [&str; 14] = [
+const JSON_SNIPPETS: [&str; 16] = [
     "18446744073709551616",
     "-1",
     "1e400",
@@ -864,6 +865,8 @@ const JSON_SNIPPETS: [&str; 14] = [
     "[[[[[[[[[[[[[[[[",
     "}}}]]]",
     r#"{"version":3}"#,
+    r#"{"version":2,"entries":[]}"#,
+    r#"{"version":3,"kind":"fleet","rounds_done":0,"entries":[]}"#,
     r#""entries":null,"#,
     r#""outcome":{"kind":"bogus"},"#,
     r#""shed":{"reason":{"kind":"deadline"}},"#,
@@ -875,8 +878,9 @@ const JSON_SNIPPETS: [&str; 14] = [
 fn checkpoint_loaders_never_panic_on_mutated_documents() {
     // Every loader of untrusted checkpoint bytes: truncations, bit
     // flips and splices of real snapshots must come back as a value or
-    // a typed error from `Json::parse` and the campaign, adaptive and
-    // fleet checkpoint parsers — never a panic.
+    // a typed error from `Json::parse` and both checkpoint parsers —
+    // never a panic. The snapshots come from an exhaustive, an adaptive
+    // and a fleet run.
     let trials = [
         Trial::control(),
         Trial::defective(Defect::CouplingBoost { wire: 1, factor: 6.0 }),
@@ -887,11 +891,11 @@ fn checkpoint_loaders_never_panic_on_mutated_documents() {
         SessionConfig { dt: 10e-12, ..SessionConfig::method(ObservationMethod::Once) },
     );
     let mut docs: Vec<Vec<u8>> = Vec::new();
-    let _ = campaign.run_checkpointed(&trials, 1, &mut CampaignCheckpoint::new(), 2, |cp| {
+    let _ = campaign.run_checkpointed(&trials, 1, &mut CampaignCheckpoint::new(3), 2, |cp| {
         docs.push(cp.to_json().render().into_bytes());
     });
     let adaptive = campaign.clone().adaptive(AdaptiveConfig { round: 2, reorder: true });
-    let _ = adaptive.run_adaptive_checkpointed(&trials, 1, &mut AdaptiveCheckpoint::new(3), |cp| {
+    let _ = adaptive.run_adaptive_checkpointed(&trials, 1, &mut CampaignCheckpoint::new(3), |cp| {
         docs.push(cp.to_json().render().into_bytes());
     });
     let floor = FloorSpec::new(4).trials_per_board(2).seed(7);
@@ -911,7 +915,6 @@ fn checkpoint_loaders_never_panic_on_mutated_documents() {
                 let _ = json.render();
             }
             let _ = CampaignCheckpoint::parse(text);
-            let _ = AdaptiveCheckpoint::parse(text);
             let _ = FleetCheckpoint::parse(text);
             Ok(())
         },
